@@ -24,6 +24,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .search import guard_chain
+
 CUBE_CAP = 4096
 INT_OPS = ("==", "!=", "<", "<=", ">", ">=")
 EQ_OPS = ("==", "!=")
@@ -780,7 +782,7 @@ def extract_path_constraints(program, path, reasoner):
         if service is None:
             continue
         for eid in segment.elements:
-            for guard in _guard_chain(service, eid):
+            for guard in guard_chain(service, eid):
                 if guard.id in seen:
                     continue
                 seen.add(guard.id)
@@ -795,25 +797,6 @@ def extract_path_constraints(program, path, reasoner):
     if verdict.skipped:
         return None, True, verdict.rationale
     return verdict.constraint, False, verdict.rationale
-
-
-def _guard_chain(service, eid: str):
-    """Conditional elements whose guarded block contains the element."""
-    from .model import ElementKind
-    from .search import _containment_parent
-
-    parents = _containment_parent(service)
-    chain = []
-    cur = eid
-    for _ in range(len(parents) + 1):
-        parent = parents.get(cur)
-        if parent is None:
-            break
-        el = service.element(parent)
-        if el is not None and el.kind is ElementKind.CONDITIONAL:
-            chain.append(el)
-        cur = parent
-    return reversed(chain)
 
 
 def _guard_var_types(service, guard_source: str) -> tuple[tuple[str, str], ...]:

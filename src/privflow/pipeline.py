@@ -36,15 +36,17 @@ from .reasoner import (
     ClassifyCheck,
     ClassifyPrivileged,
     NextSearchAction,
+    _query_key,
 )
 from .search import (
     call_sites_of,
     enclosing_function,
     get_source,
+    guard_chain,
     q_ast,
     q_cg,
     q_name,
-    _containment_parent,
+    service_index,
 )
 
 #: Call sites always treated as privileged, independent of the reasoner.
@@ -80,7 +82,7 @@ class CheckFinding:
     name: str
     classification: str  # authn | authz
     authz_subtype: str  # role | permission | ownership | none
-    attachment: str  # decorator | middleware | inline
+    attachment: str  # decorator | inline
     rationale: str
 
     def __post_init__(self) -> None:
@@ -285,10 +287,6 @@ def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[P
     return sorted(ops.values(), key=key)
 
 
-def _query_key(tool: str, args: dict) -> str:
-    return f"{tool}:" + ",".join(f"{k}={args[k]}" for k in sorted(args))
-
-
 # --- check localization --------------------------------------------------------------
 
 
@@ -348,7 +346,8 @@ def locate_checks(
                     )
                 )
 
-        for cond in _guarding_conditionals(service, local_ids):
+        guards = {el.id: el for eid in local_ids for el in guard_chain(service, eid)}
+        for cond in sorted(guards.values(), key=lambda e: e.sort_key):
             if cond.id in seen_candidates:
                 continue
             seen_candidates.add(cond.id)
@@ -395,34 +394,15 @@ def _path_functions(program: Program, path: GlobalPath):
 
 def _decorator_checks(service: Service, fn: Element):
     """(decorator id, check function element) pairs attached to a function."""
-    from .model import EdgeKind
-
+    index = service_index(service)
     pairs = []
-    for e in service.edges:
-        if e.kind is EdgeKind.DECORATES and e.dst == fn.id:
-            for e2 in service.edges:
-                if e2.kind is EdgeKind.CALLS and e2.src == e.src:
-                    target = service.element(e2.dst)
-                    if target is not None and target.kind is ElementKind.FUNCTION:
-                        pairs.append((e.src, target))
+    for dec_id in index.decorators.get(fn.id, ()):
+        for target_id in index.call_targets.get(dec_id, ()):
+            target = service.element(target_id)
+            if target is not None and target.kind is ElementKind.FUNCTION:
+                pairs.append((dec_id, target))
     pairs.sort(key=lambda p: p[1].sort_key)
     return pairs
-
-
-def _guarding_conditionals(service: Service, element_ids: set[str]) -> list[Element]:
-    parents = _containment_parent(service)
-    found: dict[str, Element] = {}
-    for eid in element_ids:
-        cur = eid
-        for _ in range(len(parents) + 1):
-            parent = parents.get(cur)
-            if parent is None:
-                break
-            el = service.element(parent)
-            if el is not None and el.kind is ElementKind.CONDITIONAL:
-                found[el.id] = el
-            cur = parent
-    return sorted(found.values(), key=lambda e: e.sort_key)
 
 
 def _helper_contexts(service: Service, check_fn: Element, hops: int, context_ids: set[str], trace) -> list[str]:

@@ -60,7 +60,7 @@ class ClassifyCheck:
     element: str
     name: str
     source: str
-    attachment: str = "inline"  # decorator | middleware | inline
+    attachment: str = "inline"  # decorator | inline
     context: tuple[str, ...] = ()
 
 
@@ -648,8 +648,3 @@ def make_reasoner(kind: str, rules: OracleRules | None = None, remote: RemoteCon
             remote = RemoteConfig(endpoint=endpoint, model=model)
         return RemoteReasoner(remote)
     raise ValueError(f"unknown reasoner kind {kind!r}")
-
-
-def reason(backend, task):
-    """Dispatch a task to a backend; thin functional alias."""
-    return backend.reason(task)

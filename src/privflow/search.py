@@ -8,17 +8,19 @@ All operations are pure reads over an immutable Service:
 * ``q_cg``: bidirectional call-graph traversal with a depth bound;
 * ``get_location`` / ``get_source`` / ``get_type``: element properties.
 
-``build_flow_graph`` materializes the service's data-flow relation. The
-frontend (or an external facts producer) emits def-use edges already
-saturated under the propagation rules, so the graph is their closure by
-construction; rebuilding it is idempotent.
+The primitives read a ``ServiceIndex``: the service's edges grouped by
+kind and endpoint in one pass, built on first use and stored on that
+Service object, so no query scans every edge and nothing outlives the
+Service. ``build_flow_graph`` materializes the service's data-flow
+relation. The frontend (or an external facts producer) emits def-use edges
+already saturated under the propagation rules, so the graph is their
+closure by construction; rebuilding it is idempotent.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import EdgeKind, Element, ElementKind, Location, Service
 
@@ -76,23 +78,84 @@ class FlowGraph:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
-    def __post_init__(self) -> None:
-        succ: dict[str, list[str]] = {}
-        for src, dst in self.edges:
-            succ.setdefault(src, []).append(dst)
-        for lst in succ.values():
-            lst.sort()
-        object.__setattr__(self, "_succ", succ)
 
-    def successors(self, node: str) -> list[str]:
-        return self._succ.get(node, [])
-
-
-@lru_cache(maxsize=256)
 def build_flow_graph(service: Service) -> FlowGraph:
-    """Data-flow graph of a service; memoized on the immutable Service."""
+    """Data-flow graph of a service, rebuilt from its edges on every call."""
     edges = frozenset((e.src, e.dst) for e in service.edges if e.kind is EdgeKind.DATAFLOW)
     return FlowGraph(nodes=frozenset(e.id for e in service.elements), edges=edges)
+
+
+class ServiceIndex:
+    """The edges of one Service grouped for the search primitives.
+
+    Lists keep edge order (edges are sorted), except that call sites are in
+    source order and flow successors in ``((line, col), id)`` order, the
+    tie-break of ``q_flow``'s breadth-first search.
+    """
+
+    def __init__(self, service: Service):
+        self.parent: dict[str, str] = {}
+        self.children: dict[str, list[str]] = {}
+        self.decorated: dict[str, str] = {}
+        self.decorators: dict[str, list[str]] = {}
+        self.call_targets: dict[str, list[str]] = {}
+        self.flow_succ: dict[str, list[str]] = {}
+        calls: list[tuple[str, str]] = []
+        for e in service.edges:
+            if e.kind is EdgeKind.CONTAINS:
+                self.parent[e.dst] = e.src
+                self.children.setdefault(e.src, []).append(e.dst)
+            elif e.kind is EdgeKind.DECORATES:
+                self.decorated.setdefault(e.src, e.dst)
+                self.decorators.setdefault(e.dst, []).append(e.src)
+            elif e.kind is EdgeKind.CALLS:
+                self.call_targets.setdefault(e.src, []).append(e.dst)
+                calls.append((e.src, e.dst))
+            elif e.kind is EdgeKind.DATAFLOW:
+                self.flow_succ.setdefault(e.src, []).append(e.dst)
+
+        order = {e.id: ((e.location.line, e.location.col), e.id) for e in service.elements}
+        for succ in self.flow_succ.values():
+            succ.sort(key=lambda n: order.get(n, ((), n)))
+
+        self.call_sites: dict[str, list[Element]] = {}
+        self.callees: dict[str, set[str]] = {}
+        self.callers: dict[str, set[str]] = {}
+        for src, dst in calls:
+            site = service.element(src)
+            if site is not None and site.kind is ElementKind.CALL:
+                self.call_sites.setdefault(dst, []).append(site)
+            target = service.element(dst)
+            if target is None or target.kind is not ElementKind.FUNCTION:
+                continue
+            caller = _enclosing_function(service, self, src)
+            if caller is not None:
+                self.callees.setdefault(caller.id, set()).add(dst)
+                self.callers.setdefault(dst, set()).add(caller.id)
+        for sites in self.call_sites.values():
+            sites.sort(key=_loc_key)
+
+    def ancestors(self, eid: str):
+        """Containment parents of an element, innermost first; stops after
+        as many steps as there are parents, so a cycle cannot loop."""
+        cur = eid
+        for _ in range(len(self.parent) + 1):
+            cur = self.parent.get(cur)
+            if cur is None:
+                return
+            yield cur
+
+
+def service_index(service: Service) -> ServiceIndex:
+    """The service's index, built on first use and kept on the instance.
+
+    Threads racing on first use may each build one; the indexes are equal
+    and the last one stored is kept."""
+    index = service.__dict__.get("_index")
+    if index is None:
+        index = ServiceIndex(service)
+        object.__setattr__(service, "_index", index)
+    return index
 
 
 @dataclass(frozen=True)
@@ -134,7 +197,7 @@ def resolve_selector(service: Service, selector: str) -> list[Element]:
     return sorted(hits, key=_loc_key)
 
 
-def _shortest_path(graph: FlowGraph, src: str, dst: str, order: dict[str, tuple]) -> list[str] | None:
+def _shortest_path(index: ServiceIndex, src: str, dst: str) -> list[str] | None:
     """BFS shortest path; neighbor ties broken by source position."""
     if src == dst:
         return [src]
@@ -144,7 +207,7 @@ def _shortest_path(graph: FlowGraph, src: str, dst: str, order: dict[str, tuple]
     while frontier:
         nxt: list[str] = []
         for node in frontier:
-            for succ in sorted(graph.successors(node), key=lambda n: order.get(n, ((), n))):
+            for succ in index.flow_succ.get(node, ()):
                 if succ in seen:
                     continue
                 seen.add(succ)
@@ -165,12 +228,11 @@ def _flow_nodes(service: Service, el: Element) -> list[Element]:
     sites and parameters."""
     if el.kind is not ElementKind.FUNCTION:
         return [el]
-    proxies = list(call_sites_of(service, el.id))
-    for e in service.edges:
-        if e.kind is EdgeKind.CONTAINS and e.src == el.id:
-            child = service.element(e.dst)
-            if child is not None and child.kind is ElementKind.PARAMETER:
-                proxies.append(child)
+    proxies = call_sites_of(service, el.id)
+    for cid in service_index(service).children.get(el.id, ()):
+        child = service.element(cid)
+        if child is not None and child.kind is ElementKind.PARAMETER:
+            proxies.append(child)
     return sorted(proxies, key=_loc_key)
 
 
@@ -181,8 +243,7 @@ def q_flow(service: Service, from_sel: str, to_sel: str) -> list[FlowPath]:
     """
     sources = [n for el in resolve_selector(service, from_sel) for n in _flow_nodes(service, el)]
     sinks = [n for el in resolve_selector(service, to_sel) for n in _flow_nodes(service, el)]
-    graph = build_flow_graph(service)
-    order = {e.id: ((e.location.line, e.location.col), e.id) for e in service.elements}
+    index = service_index(service)
     paths: list[FlowPath] = []
     seen_pairs: set[tuple[str, str]] = set()
     for src in sources:
@@ -190,7 +251,7 @@ def q_flow(service: Service, from_sel: str, to_sel: str) -> list[FlowPath]:
             if (src.id, dst.id) in seen_pairs:
                 continue
             seen_pairs.add((src.id, dst.id))
-            chain = _shortest_path(graph, src.id, dst.id, order)
+            chain = _shortest_path(index, src.id, dst.id)
             if chain is None:
                 continue
             hops = tuple(FlowHop((a, b)) for a, b in zip(chain, chain[1:]))
@@ -201,71 +262,43 @@ def q_flow(service: Service, from_sel: str, to_sel: str) -> list[FlowPath]:
 # --- call graph --------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _containment_parent(service: Service) -> dict:
-    parents: dict[str, str] = {}
-    for e in service.edges:
-        if e.kind is EdgeKind.CONTAINS:
-            parents[e.dst] = e.src
-    return parents
-
-
-def enclosing_function(service: Service, eid: str) -> Element | None:
-    """The function an element belongs to. Decorators resolve through the
-    function they decorate."""
+def _enclosing_function(service: Service, index: ServiceIndex, eid: str) -> Element | None:
     el = service.element(eid)
     if el is None:
         return None
     if el.kind is ElementKind.FUNCTION:
         return el
     if el.kind is ElementKind.DECORATOR:
-        for e in service.edges:
-            if e.kind is EdgeKind.DECORATES and e.src == eid:
-                return service.element(e.dst)
-        return None
-    parents = _containment_parent(service)
-    cur = eid
-    for _ in range(len(parents) + 1):
-        parent = parents.get(cur)
-        if parent is None:
-            return None
-        pel = service.element(parent)
+        target = index.decorated.get(eid)
+        return service.element(target) if target is not None else None
+    for pid in index.ancestors(eid):
+        pel = service.element(pid)
         if pel is not None and pel.kind is ElementKind.FUNCTION:
             return pel
-        cur = parent
     return None
 
 
-@lru_cache(maxsize=256)
-def function_call_graph(service: Service) -> tuple[dict, dict]:
-    """(callees, callers) maps between function element ids."""
-    callees: dict[str, set[str]] = {}
-    callers: dict[str, set[str]] = {}
-    for e in service.edges:
-        if e.kind is not EdgeKind.CALLS:
-            continue
-        target = service.element(e.dst)
-        if target is None or target.kind is not ElementKind.FUNCTION:
-            continue
-        caller = enclosing_function(service, e.src)
-        if caller is None:
-            continue
-        callees.setdefault(caller.id, set()).add(target.id)
-        callers.setdefault(target.id, set()).add(caller.id)
-    return callees, callers
+def enclosing_function(service: Service, eid: str) -> Element | None:
+    """The function an element belongs to. Decorators resolve through the
+    function they decorate."""
+    return _enclosing_function(service, service_index(service), eid)
+
+
+def guard_chain(service: Service, eid: str) -> list[Element]:
+    """Conditional elements whose guarded block contains the element,
+    outermost first."""
+    chain = []
+    for pid in service_index(service).ancestors(eid):
+        el = service.element(pid)
+        if el is not None and el.kind is ElementKind.CONDITIONAL:
+            chain.append(el)
+    chain.reverse()
+    return chain
 
 
 def call_sites_of(service: Service, function_id: str) -> list[Element]:
     """Call elements whose resolved callee is the given function."""
-    sites = [
-        service.element(e.src)
-        for e in service.edges
-        if e.kind is EdgeKind.CALLS and e.dst == function_id
-    ]
-    return sorted(
-        (s for s in sites if s is not None and s.kind is ElementKind.CALL),
-        key=_loc_key,
-    )
+    return list(service_index(service).call_sites.get(function_id, ()))
 
 
 def q_cg(service: Service, function: str, direction: str, depth: int = 1) -> list[Element]:
@@ -278,8 +311,8 @@ def q_cg(service: Service, function: str, direction: str, depth: int = 1) -> lis
     for el in starts:
         if el.kind is not ElementKind.FUNCTION:
             raise NotAFunction(f"{el.name or el.id} is {el.kind.value}, not a function")
-    callees, callers = function_call_graph(service)
-    step = callees if direction == "callees" else callers
+    index = service_index(service)
+    step = index.callees if direction == "callees" else index.callers
     frontier = {el.id for el in starts}
     reached: set[str] = set()
     for _ in range(depth):
@@ -329,14 +362,16 @@ __all__ = [
     "FlowGraph",
     "FlowPath",
     "FlowHop",
+    "ServiceIndex",
     "q_name",
     "q_ast",
     "q_flow",
     "q_cg",
     "build_flow_graph",
+    "service_index",
     "resolve_selector",
     "enclosing_function",
-    "function_call_graph",
+    "guard_chain",
     "call_sites_of",
     "get_location",
     "get_source",

@@ -1,9 +1,13 @@
+import gc
 import random
 import re
+import weakref
 
 import pytest
 
-from privflow.model import ElementKind
+from privflow.load import load_program
+from privflow.model import EdgeKind, ElementKind
+from privflow.pipeline import scan
 from privflow.search import (
     BadPattern,
     NotAFunction,
@@ -14,13 +18,17 @@ from privflow.search import (
     get_location,
     get_source,
     get_type,
+    guard_chain,
     q_ast,
     q_cg,
     q_flow,
     q_name,
+    service_index,
 )
 
-from conftest import build_random_service, lower_snippet, oracle_closure
+from conftest import CORPORA, build_random_service, lower_snippet, oracle_closure
+
+CORPUS_DIRS = sorted(p for p in CORPORA.iterdir() if p.is_dir())
 
 
 def by_name(service, name):
@@ -253,3 +261,84 @@ class TestProperties:
         update_role = by_name(usermgmt, "update_role")
         [site] = call_sites_of(usermgmt, update_role.id)
         assert enclosing_function(usermgmt, site.id).name == "set_user_role"
+
+
+def _edges(service, kind):
+    return [e for e in service.edges if e.kind is kind]
+
+
+def _scan_parent(service, eid):
+    parents = [e.src for e in _edges(service, EdgeKind.CONTAINS) if e.dst == eid]
+    return parents[-1] if parents else None
+
+
+def _scan_enclosing_function(service, eid):
+    el = service.element(eid)
+    if el.kind is ElementKind.FUNCTION:
+        return el
+    if el.kind is ElementKind.DECORATOR:
+        targets = [e.dst for e in _edges(service, EdgeKind.DECORATES) if e.src == eid]
+        return service.element(targets[0]) if targets else None
+    cur = _scan_parent(service, eid)
+    while cur is not None:
+        if service.element(cur).kind is ElementKind.FUNCTION:
+            return service.element(cur)
+        cur = _scan_parent(service, cur)
+    return None
+
+
+def _scan_guard_chain(service, eid):
+    chain = []
+    cur = _scan_parent(service, eid)
+    while cur is not None:
+        if service.element(cur).kind is ElementKind.CONDITIONAL:
+            chain.insert(0, service.element(cur))
+        cur = _scan_parent(service, cur)
+    return chain
+
+
+class TestServiceIndex:
+    def test_index_lives_on_the_service_object(self, corpora_root):
+        first = load_program(corpora_root / "role_update").service("usermgmt")
+        second = load_program(corpora_root / "role_update").service("usermgmt")
+        assert first == second
+        assert service_index(first) is service_index(first)
+        assert service_index(first) is not service_index(second)
+
+    def test_scanned_services_die_with_their_program(self, corpora_root, oracle):
+        program = load_program(corpora_root / "role_update")
+        scan(program, oracle)
+        refs = [weakref.ref(s) for s in program.services]
+        del program
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+
+    @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
+    def test_primitives_match_edge_scans(self, corpus):
+        """Every index-backed primitive agrees with a scan over all edges."""
+        for service in load_program(corpus).services:
+            calls = _edges(service, EdgeKind.CALLS)
+            for el in service.elements:
+                assert enclosing_function(service, el.id) == _scan_enclosing_function(service, el.id), el
+                assert guard_chain(service, el.id) == _scan_guard_chain(service, el.id), el
+                sites = [service.element(e.src) for e in calls if e.dst == el.id]
+                want_sites = sorted(
+                    (s for s in sites if s.kind is ElementKind.CALL),
+                    key=lambda s: (s.location.file, s.location.line, s.location.col, s.kind.value, s.id),
+                )
+                assert call_sites_of(service, el.id) == want_sites, el
+                if el.kind is not ElementKind.FUNCTION:
+                    continue
+                callees = {
+                    e.dst
+                    for e in calls
+                    if service.element(e.dst).kind is ElementKind.FUNCTION
+                    and _scan_enclosing_function(service, e.src) == el
+                }
+                callers = {
+                    caller.id
+                    for e in calls
+                    if e.dst == el.id and (caller := _scan_enclosing_function(service, e.src)) is not None
+                }
+                assert {f.id for f in q_cg(service, el.id, "callees")} == callees - {el.id}, el
+                assert {f.id for f in q_cg(service, el.id, "callers")} == callers - {el.id}, el
