@@ -22,7 +22,7 @@ from .pipeline import scan as run_scan
 from .reasoner import BackendUnavailable, RulesError, load_rules, make_reasoner
 from .report import ExitStatus, exit_status, render_report
 from .search import BadPattern, NotAFunction, UnknownElement, q_ast, q_cg, q_flow, q_name
-from .crossflow import build_global_graph, to_dot
+from .crossflow import build_global_graph, match_channels, to_dot
 
 USER_ERRORS = (
     ManifestError,
@@ -155,7 +155,7 @@ def graph(corpus, reasoner_kind, rules_file):
         program = load_program(corpus)
         backend = _build_reasoner(reasoner_kind, rules_file)
         privops = find_privileged_ops(program, backend)
-        g = build_global_graph(program, privops)
+        g = build_global_graph(program, privops, match_channels(program))
     except USER_ERRORS as exc:
         _fail(str(exc))
         return

@@ -21,9 +21,11 @@ only Unsat prunes.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .model import ElementKind
 from .search import guard_chain
 
 CUBE_CAP = 4096
@@ -800,11 +802,7 @@ def extract_path_constraints(program, path, reasoner):
 
 
 def _guard_var_types(service, guard_source: str) -> tuple[tuple[str, str], ...]:
-    import re as _re
-
-    from .model import ElementKind
-
-    idents = sorted(set(_re.findall(r"[A-Za-z_]\w*", _strip_strings(guard_source))))
+    idents = sorted(set(re.findall(r"[A-Za-z_]\w*", _strip_strings(guard_source))))
     out: list[tuple[str, str]] = []
     for ident in idents:
         if ident in ("true", "false"):
@@ -819,9 +817,7 @@ def _guard_var_types(service, guard_source: str) -> tuple[tuple[str, str], ...]:
 
 
 def _strip_strings(text: str) -> str:
-    import re as _re
-
-    return _re.sub(r'"[^"]*"', '""', text)
+    return re.sub(r'"[^"]*"', '""', text)
 
 
 # --- MiniSrv guard translation (used by the scripted reasoner) -------------------

@@ -212,11 +212,6 @@ class GlobalGraph:
 
     nodes: set[str] = field(default_factory=set)
     edges: dict[str, list[GlobalEdge]] = field(default_factory=dict)
-    node_service: dict[str, str] = field(default_factory=dict)
-
-    def add_node(self, eid: str, service: str) -> None:
-        self.nodes.add(eid)
-        self.node_service.setdefault(eid, service)
 
     def add_edge(self, edge: GlobalEdge) -> None:
         bucket = self.edges.setdefault(edge.src, [])
@@ -233,10 +228,13 @@ class GlobalGraph:
 def build_global_graph(
     program: Program,
     privops,
+    channel_edges: list[ChannelEdge],
     tracer: Callable[..., None] | None = None,
 ) -> GlobalGraph:
     """Two-phase construction: per-service source-to-sink/boundary flow
-    edges, then channel edges across service boundaries. Deterministic and
+    edges, then the matched channel edges (``match_channels``) across
+    service boundaries. One flow search per source; the trace keeps one
+    ``q_flow`` record per (source, target) pair. Deterministic and
     idempotent."""
     graph = GlobalGraph()
     privop_ids = {p.element for p in privops}
@@ -255,20 +253,21 @@ def build_global_graph(
         local_privops = [eid for eid in sorted(privop_ids) if eid in service]
         targets = list(dict.fromkeys(local_privops + [ch.element for ch in out_channels]))
         for src in sources:
-            graph.add_node(src.id, service.name)
-            for dst in targets:
-                if dst == src.id:
-                    continue
-                paths = q_flow(service, src.id, dst)
-                trace("q_flow", {"service": service.name, "from": src.id, "to": dst}, len(paths))
-                if paths:
-                    graph.add_node(dst, service.name)
-                    graph.add_edge(GlobalEdge(src.id, dst, paths[0]))
+            graph.nodes.add(src.id)
+            dsts = [dst for dst in targets if dst != src.id]
+            # privileged operations and channels are call sites, not
+            # functions, so a target's one flow node is itself
+            paths = {p.dst: p for p in q_flow(service, src.id, *dsts)}
+            for dst in dsts:
+                path = paths.get(dst)
+                trace("q_flow", {"service": service.name, "from": src.id, "to": dst}, int(path is not None))
+                if path is not None:
+                    graph.nodes.add(dst)
+                    graph.add_edge(GlobalEdge(src.id, dst, path))
 
     # Phase 2: connect boundaries through matched channels
-    for chedge in match_channels(program):
-        graph.add_node(chedge.from_element, chedge.from_service)
-        graph.add_node(chedge.to_element, chedge.to_service)
+    for chedge in channel_edges:
+        graph.nodes.update((chedge.from_element, chedge.to_element))
         graph.add_edge(GlobalEdge(chedge.from_element, chedge.to_element, chedge))
     return graph
 

@@ -373,23 +373,16 @@ def locate_checks(
 
 def _path_functions(program: Program, path: GlobalPath):
     """(service, function, path element ids in that function), path order."""
-    out = []
-    seen: set[str] = set()
+    groups: dict[str, tuple[Service, Element, set[str]]] = {}
     for segment in path.flow_segments:
         service = program.service(segment.service)
         if service is None:
             continue
         for eid in segment.elements:
             fn = enclosing_function(service, eid)
-            if fn is None:
-                continue
-            if fn.id not in seen:
-                seen.add(fn.id)
-                out.append((service, fn, set()))
-            for entry in out:
-                if entry[1].id == fn.id:
-                    entry[2].add(eid)
-    return out
+            if fn is not None:
+                groups.setdefault(fn.id, (service, fn, set()))[2].add(eid)
+    return list(groups.values())
 
 
 def _decorator_checks(service: Service, fn: Element):
@@ -445,13 +438,12 @@ def assess_flow(
     placed = program.find_element(privop.element)
     source = placed[1].source if placed else ""
     name = call_callee(placed[1]) if placed else ""
-    service = program.service(privop.service)
     descriptors = tuple(
         CheckDescriptor(
             classification=c.classification,
             subtype=c.authz_subtype,
             name=c.name,
-            source=get_source(service, c.element) if service and c.element in service else "",
+            source=_check_source(program, c),
         )
         for c in checks
     )
@@ -463,6 +455,12 @@ def assess_flow(
         contexts=tuple(contexts),
     )
     return reasoner.reason(task)
+
+
+def _check_source(program: Program, check: CheckFinding) -> str:
+    """The check's source text, looked up in the service it was found in."""
+    service = program.service(check.service)
+    return get_source(service, check.element) if service and check.element in service else ""
 
 
 # --- scan -----------------------------------------------------------------------------
@@ -501,8 +499,10 @@ def scan(
         def flow_trace(tool: str, args: dict, result_count: int) -> None:
             tracer.record(PHASE_FLOW, tool, args, result_count)
 
-        graph = build_global_graph(program, privops, tracer=flow_trace)
-        channel_edges = match_channels(program)
+        matched = match_channels(program)
+        graph = build_global_graph(program, privops, matched, tracer=flow_trace)
+        # a report whose budget ran out during the graph lists no channels
+        channel_edges = matched
         for service in program.services:
             unresolved.extend(q_inter(service).unresolved)
         user_sources = q_user(program, reasoner)

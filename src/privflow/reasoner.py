@@ -247,10 +247,6 @@ def split_identifier(name: str) -> list[str]:
     return parts
 
 
-def _strip_string_literals(text: str) -> str:
-    return re.sub(r'"[^"]*"', '""', text)
-
-
 class ScriptedOracle:
     """Deterministic keyword- and pattern-driven reasoner."""
 
@@ -403,7 +399,7 @@ class ScriptedOracle:
     def _sensitive_arguments(self, privop_source: str) -> list[str]:
         paren = privop_source.find("(")
         arg_text = privop_source[paren + 1 :] if paren >= 0 else privop_source
-        idents = _IDENT_RE.findall(_strip_string_literals(arg_text))
+        idents = _IDENT_RE.findall(_constraints._strip_strings(arg_text))
         nouns = set(self.rules.protected_state_nouns) | set(self.rules.resource_nouns)
         out: list[str] = []
         for ident in idents:

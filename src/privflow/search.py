@@ -4,7 +4,8 @@ All operations are pure reads over an immutable Service:
 
 * ``q_name``: identifier lookup, exact or regular-expression;
 * ``q_ast``: lookup by element kind;
-* ``q_flow``: shortest data-propagation path between two elements;
+* ``q_flow``: shortest data-propagation paths from one selector to
+  several, one breadth-first search per source;
 * ``q_cg``: bidirectional call-graph traversal with a depth bound;
 * ``get_location`` / ``get_source`` / ``get_type``: element properties.
 
@@ -197,29 +198,33 @@ def resolve_selector(service: Service, selector: str) -> list[Element]:
     return sorted(hits, key=_loc_key)
 
 
-def _shortest_path(index: ServiceIndex, src: str, dst: str) -> list[str] | None:
-    """BFS shortest path; neighbor ties broken by source position."""
-    if src == dst:
-        return [src]
-    prev: dict[str, str] = {}
+def _shortest_paths(index: ServiceIndex, src: str, dsts: list[str]) -> dict[str, list[str]]:
+    """One BFS from ``src``: the shortest path to each reached destination.
+
+    Neighbor ties are broken by source position. A node's predecessor is
+    fixed when the search first reaches it, which does not depend on the
+    destinations sought, so each path is the one a search for that
+    destination alone would find."""
+    wanted = set(dsts)
+    prev: dict[str, str | None] = {src: None}
+    left = wanted - {src}
     frontier = [src]
-    seen = {src}
-    while frontier:
+    while frontier and left:
         nxt: list[str] = []
         for node in frontier:
             for succ in index.flow_succ.get(node, ()):
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                prev[succ] = node
-                if succ == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    return list(reversed(path))
-                nxt.append(succ)
+                if succ not in prev:
+                    prev[succ] = node
+                    left.discard(succ)
+                    nxt.append(succ)
         frontier = nxt
-    return None
+    paths = {}
+    for dst in wanted & prev.keys():
+        path = [dst]
+        while prev[path[-1]] is not None:
+            path.append(prev[path[-1]])
+        paths[dst] = path[::-1]
+    return paths
 
 
 def _flow_nodes(service: Service, el: Element) -> list[Element]:
@@ -236,26 +241,26 @@ def _flow_nodes(service: Service, el: Element) -> list[Element]:
     return sorted(proxies, key=_loc_key)
 
 
-def q_flow(service: Service, from_sel: str, to_sel: str) -> list[FlowPath]:
-    """Shortest data-flow path for every (source, sink) selector pair.
+def q_flow(service: Service, from_sel: str, *to_sels: str) -> list[FlowPath]:
+    """Shortest data-flow path from every source to every sink the
+    selectors resolve to, one breadth-first search per source node.
 
-    Unreachable pairs contribute nothing; an empty list means no flow.
+    Paths come per source node, in selector and then sink order; unreachable
+    pairs contribute nothing and an empty list means no flow.
     """
     sources = [n for el in resolve_selector(service, from_sel) for n in _flow_nodes(service, el)]
-    sinks = [n for el in resolve_selector(service, to_sel) for n in _flow_nodes(service, el)]
+    sinks = list(
+        dict.fromkeys(n.id for sel in to_sels for el in resolve_selector(service, sel) for n in _flow_nodes(service, el))
+    )
     index = service_index(service)
     paths: list[FlowPath] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    for src in sources:
+    for src in dict.fromkeys(n.id for n in sources):
+        found = _shortest_paths(index, src, sinks)
         for dst in sinks:
-            if (src.id, dst.id) in seen_pairs:
-                continue
-            seen_pairs.add((src.id, dst.id))
-            chain = _shortest_path(index, src.id, dst.id)
-            if chain is None:
-                continue
-            hops = tuple(FlowHop((a, b)) for a, b in zip(chain, chain[1:]))
-            paths.append(FlowPath(service.name, tuple(chain), hops))
+            chain = found.get(dst)
+            if chain is not None:
+                hops = tuple(FlowHop((a, b)) for a, b in zip(chain, chain[1:]))
+                paths.append(FlowPath(service.name, tuple(chain), hops))
     return paths
 
 

@@ -101,6 +101,83 @@ def oracle_closure(service: Service) -> dict[str, set[str]]:
     return reach
 
 
+def reference_shortest_path(service: Service, src: str, dst: str) -> list[str] | None:
+    """Shortest data-flow path from ``src`` to ``dst`` by a breadth-first
+    search for that one destination, successors visited by (line, col, id)
+    of their position; None when ``dst`` is unreachable."""
+    pos = {e.id: (e.location.line, e.location.col, e.id) for e in service.elements}
+    succ: dict[str, list[str]] = {}
+    for e in service.edges:
+        if e.kind is EdgeKind.DATAFLOW:
+            succ.setdefault(e.src, []).append(e.dst)
+    prev = {src: None}
+    frontier = [src]
+    while frontier and dst not in prev:
+        nxt = []
+        for node in frontier:
+            for s in sorted(succ.get(node, ()), key=pos.__getitem__):
+                if s not in prev:
+                    prev[s] = node
+                    nxt.append(s)
+        frontier = nxt
+    if dst not in prev:
+        return None
+    path = [dst]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def shortest_path_counts(service: Service, src: str) -> dict[str, int]:
+    """Number of shortest data-flow paths from ``src`` to each node it reaches."""
+    succ: dict[str, list[str]] = {}
+    for e in service.edges:
+        if e.kind is EdgeKind.DATAFLOW:
+            succ.setdefault(e.src, []).append(e.dst)
+    dist, ways, frontier = {src: 0}, {src: 1}, [src]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for s in succ.get(node, ()):
+                if s not in dist:
+                    dist[s], ways[s] = dist[node] + 1, 0
+                    nxt.append(s)
+                if dist[s] == dist[node] + 1:
+                    ways[s] += ways[node]
+        frontier = nxt
+    return ways
+
+
+def build_tied_service(rng, name: str = "tied") -> Service:
+    """A layered service where many destinations have several shortest
+    paths: endpoints, then variables, then call sites. Element positions
+    are shuffled, so the position tie-break decides which path is the
+    witness."""
+    layers = [rng.randint(1, 4) for _ in range(rng.randint(3, 6))]
+    n = sum(layers)
+    slots = rng.sample(range(1, 4 * n + 1), n)
+    kinds = [ElementKind.ENDPOINT] * layers[0] + [ElementKind.VARIABLE] * (n - layers[0] - layers[-1])
+    kinds += [ElementKind.CALL] * layers[-1]
+    elements = [
+        make_element(name, kind, name=f"/v{i}" if kind is ElementKind.ENDPOINT else f"v{i}",
+                     line=slot // 4 + 1, col=slot % 4 + 1)
+        for i, (kind, slot) in enumerate(zip(kinds, slots))
+    ]
+    edges = []
+    start = 0
+    for width, next_width in zip(layers, layers[1:]):
+        for a in range(start, start + width):
+            for b in range(start + width, start + width + next_width):
+                if rng.random() < 0.7:
+                    edges.append(Edge(EdgeKind.DATAFLOW, elements[a].id, elements[b].id))
+        start += width
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b and kinds[b] is not ElementKind.ENDPOINT:
+            edges.append(Edge(EdgeKind.DATAFLOW, elements[a].id, elements[b].id))
+    return Service.build(name, elements, edges, entry=True)
+
+
 def build_random_program(rng, tag: str) -> tuple[Program, list]:
     """A random multi-service program with endpoints, outbound channel call
     sites and sink call sites. Returns (program, privileged operations)."""

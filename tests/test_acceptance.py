@@ -8,7 +8,7 @@ import time
 import pytest
 
 from privflow.constraints import Sat, Unknown, check_sat, eval_witness, validate_smtlib
-from privflow.crossflow import build_global_graph, q_globalflow
+from privflow.crossflow import build_global_graph, match_channels, q_globalflow
 from privflow.load import load_program
 from privflow.pipeline import ScanOptions, scan
 from privflow.report import render_report
@@ -206,7 +206,7 @@ def test_criterion_6_flow_oracle_equivalence(oracle):
     rng = random.Random(62)
     for i in range(50):
         program, privops = build_random_program(rng, f"acc{i}")
-        graph = build_global_graph(program, privops)
+        graph = build_global_graph(program, privops, match_channels(program))
         entry = next(s for s in program.services if s.entry)
         sources = [e for e in entry.elements if e.kind.value == "endpoint"]
         paths = q_globalflow(graph, sources, privops).paths

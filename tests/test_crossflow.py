@@ -15,6 +15,7 @@ from privflow.crossflow import (
     q_user,
     to_dot,
 )
+from privflow.load import load_program
 from privflow.model import (
     Channel,
     GatewayRoute,
@@ -24,8 +25,17 @@ from privflow.model import (
     ElementKind,
 )
 from privflow.pipeline import PrivilegedOperation, find_privileged_ops
+from privflow.search import q_flow
 
-from conftest import build_random_program, lower_snippet, oracle_closure
+from conftest import (
+    CORPORA,
+    build_random_program,
+    build_tied_service,
+    lower_snippet,
+    oracle_closure,
+    reference_shortest_path,
+    shortest_path_counts,
+)
 
 
 class TestQSource:
@@ -166,7 +176,7 @@ class TestChannelMatching:
 class TestGlobalGraph:
     def test_role_update_edges(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
-        graph = build_global_graph(role_update_program, privops)
+        graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
         labels = _edge_labels(role_update_program, graph)
         assert ("/updateProfile", "http_post") in labels
         assert ("http_post", "/setUserRole") in labels
@@ -174,27 +184,63 @@ class TestGlobalGraph:
 
     def test_no_inter_calls_only_intra_edges(self, oracle):
         program, privops = _single_service_program()
-        graph = build_global_graph(program, privops)
+        graph = build_global_graph(program, privops, match_channels(program))
         assert all(not e.is_channel for edges in graph.edges.values() for e in edges)
 
     def test_deterministic_and_idempotent(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
-        a = build_global_graph(role_update_program, privops)
-        b = build_global_graph(role_update_program, privops)
+        a = build_global_graph(role_update_program, privops, match_channels(role_update_program))
+        b = build_global_graph(role_update_program, privops, match_channels(role_update_program))
         assert _edge_set(a) == _edge_set(b)
 
     def test_matches_naive_two_phase_construction(self):
         rng = random.Random(99)
         for i in range(10):
             program, privops = build_random_program(rng, f"g{i}")
-            graph = build_global_graph(program, privops)
+            graph = build_global_graph(program, privops, match_channels(program))
             assert _edge_set(graph) == _naive_edge_set(program, privops)
+
+    @pytest.mark.parametrize("corpus", sorted(p for p in CORPORA.iterdir() if p.is_dir()), ids=lambda p: p.name)
+    def test_witnesses_match_per_pair_search_on_corpora(self, corpus, oracle):
+        program = load_program(corpus)
+        _check_witnesses(program, find_privileged_ops(program, oracle))
+
+    def test_witnesses_match_per_pair_search_on_random_programs(self):
+        rng = random.Random(2718)
+        flow_edges = 0
+        for i in range(20):
+            program, privops = build_random_program(rng, f"w{i}")
+            flow_edges += _check_witnesses(program, privops)
+        assert flow_edges > 100
+
+    def test_witnesses_match_per_pair_search_with_tied_paths(self):
+        rng = random.Random(1618)
+        flow_edges = tied = 0
+        for i in range(30):
+            svc = build_tied_service(rng, f"tied{i}")
+            manifest = Manifest(1, (ManifestService(svc.name, entry=True),), (GatewayRoute("/", svc.name),))
+            privops = [
+                PrivilegedOperation(e.id, svc.name, "security-critical-action", "sink")
+                for e in svc.elements
+                if e.kind is ElementKind.CALL
+            ]
+            flow_edges += _check_witnesses(Program((svc,), manifest), privops)
+            targets = {op.element for op in privops}
+            tied += sum(
+                n > 1
+                for e in svc.elements
+                if e.kind is ElementKind.ENDPOINT
+                for dst, n in shortest_path_counts(svc, e.id).items()
+                if dst in targets
+            )
+        assert flow_edges > 100
+        assert tied > 40
 
 
 class TestQGlobalflow:
     def test_role_update_single_path_one_channel(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
-        graph = build_global_graph(role_update_program, privops)
+        graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
         sources = q_user(role_update_program, oracle)
         result = q_globalflow(graph, sources, privops)
         assert len(result.paths) == 1
@@ -205,7 +251,7 @@ class TestQGlobalflow:
 
     def test_unreachable_sink_is_empty(self, oracle):
         program, privops = _single_service_program(reachable=False)
-        graph = build_global_graph(program, privops)
+        graph = build_global_graph(program, privops, match_channels(program))
         sources = q_user(program, oracle)
         assert q_globalflow(graph, sources, privops).paths == []
 
@@ -220,13 +266,13 @@ class TestQGlobalflow:
         manifest = Manifest(1, (ManifestService("d", entry=True, sources=("d.msv",)),), (GatewayRoute("/", "d"),))
         program = Program((svc,), manifest)
         privops = find_privileged_ops(program, oracle, basic_sink=True)
-        graph = build_global_graph(program, privops)
+        graph = build_global_graph(program, privops, match_channels(program))
         result = q_globalflow(graph, q_user(program, oracle), privops)
         assert len(result.paths) == 2
 
     def test_junctions_align(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
-        graph = build_global_graph(role_update_program, privops)
+        graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
         [path] = q_globalflow(graph, q_user(role_update_program, oracle), privops).paths
         segs = path.segments
         for left, right in zip(segs, segs[1:]):
@@ -238,7 +284,7 @@ class TestQGlobalflow:
         rng = random.Random(4242)
         for i in range(8):
             program, privops = build_random_program(rng, f"m{i}")
-            graph = build_global_graph(program, privops)
+            graph = build_global_graph(program, privops, match_channels(program))
             sources = [e for s in program.services if s.entry for e in _endpoints(s)]
             baseline = len(q_globalflow(graph, sources, privops).paths)
             channel_edges = [
@@ -251,7 +297,6 @@ class TestQGlobalflow:
                         s: [e for e in edges if e is not edge]
                         for s, edges in graph.edges.items()
                     },
-                    node_service=dict(graph.node_service),
                 )
                 assert len(q_globalflow(pruned, sources, privops).paths) <= baseline
 
@@ -259,7 +304,7 @@ class TestQGlobalflow:
         rng = random.Random(777)
         for i in range(12):
             program, privops = build_random_program(rng, f"t{i}")
-            graph = build_global_graph(program, privops)
+            graph = build_global_graph(program, privops, match_channels(program))
             sources = [e for s in program.services if s.entry for e in _endpoints(s)]
             paths = q_globalflow(graph, sources, privops).paths
             got = {(p.source, p.sink) for p in paths}
@@ -276,14 +321,14 @@ class TestQGlobalflow:
         manifest = Manifest(1, (ManifestService("cap", entry=True, sources=("cap.msv",)),), (GatewayRoute("/", "cap"),))
         program = Program((svc,), manifest)
         privops = find_privileged_ops(program, oracle, basic_sink=True)
-        graph = build_global_graph(program, privops)
+        graph = build_global_graph(program, privops, match_channels(program))
         result = q_globalflow(graph, q_user(program, oracle), privops, cap=1)
         assert result.truncated
         assert len(result.paths) == 1
 
     def test_dot_rendering(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
-        graph = build_global_graph(role_update_program, privops)
+        graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
         dot = to_dot(graph, role_update_program)
         assert dot.startswith("digraph")
         assert "/setUserRole" in dot
@@ -332,6 +377,29 @@ def _label(program, eid):
         return el.name
     source = el.source
     return source.split("(")[0] if "(" in source else el.kind.value
+
+
+def _check_witnesses(program, privops):
+    """Every flow edge's witness is the path a search for that one target
+    finds, every source-target pair is searched once, and every q_flow
+    trace record replays to its recorded count. Returns the flow edges."""
+    records = []
+    graph = build_global_graph(
+        program, privops, match_channels(program), tracer=lambda **record: records.append(record)
+    )
+    flow_edges = [e for edges in graph.edges.values() for e in edges if not e.is_channel]
+    for edge in flow_edges:
+        service = program.service(edge.witness.service)
+        assert list(edge.witness.elements) == reference_shortest_path(service, edge.src, edge.dst)
+    pairs = [(r["args"]["from"], r["args"]["to"]) for r in records if r["tool"] == "q_flow"]
+    assert len(pairs) == len(set(pairs))
+    assert {(e.src, e.dst) for e in flow_edges} <= set(pairs)
+    for r in records:
+        if r["tool"] == "q_flow":
+            args = r["args"]
+            replayed = q_flow(program.service(args["service"]), args["from"], args["to"])
+            assert r["result_count"] == len(replayed), args
+    return len(flow_edges)
 
 
 def _edge_set(graph):

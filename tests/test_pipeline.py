@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from privflow.crossflow import build_global_graph, q_globalflow, q_user
+from privflow.crossflow import build_global_graph, match_channels, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import call_callee
 from privflow.pipeline import (
@@ -24,7 +24,7 @@ from conftest import CORPORA
 
 def first_flow(program, oracle, basic_sink=False):
     privops = find_privileged_ops(program, oracle, basic_sink=basic_sink)
-    graph = build_global_graph(program, privops)
+    graph = build_global_graph(program, privops, match_channels(program))
     flows = q_globalflow(graph, q_user(program, oracle), privops).paths
     return privops, flows
 
@@ -125,6 +125,54 @@ class TestScan:
 
     def test_patched_drops_protected(self, oracle):
         program = load_program(CORPORA / "role_update_patched")
+        payload = scan(program, oracle)
+        assert payload["findings"] == []
+        assert payload["funnel"]["protected_dropped"] == 1
+
+    def test_check_in_another_service_is_assessed(self, oracle, tmp_path):
+        """role_update_patched with its authz check moved to the entry
+        service: the check is assessed with its own source, which reads the
+        role argument, so the flow is protected."""
+        (tmp_path / "privflow.manifest.json").write_text(
+            (CORPORA / "role_update_patched" / "privflow.manifest.json").read_text()
+        )
+        (tmp_path / "usermgmt.msv").write_text(
+            '@route("POST", "/setUserRole")\n'
+            "fn set_user_role() {\n"
+            '  username = request.param("username")\n'
+            '  role = request.param("role")\n'
+            "  update_role(username, role)\n"
+            "}\n\n"
+            "fn update_role(u, r) {\n"
+            "  userstore.save(u, r)\n"
+            "}\n"
+        )
+        (tmp_path / "userprofile.msv").write_text(
+            'const BASE = "http://localhost:5000"\n\n'
+            '@route("POST", "/updateProfile")\n'
+            "@auth(authn_session)\n"
+            "@auth(authz)\n"
+            "fn update_profile() {\n"
+            '  username = session.get("username")\n'
+            '  role = request.param("role")\n'
+            '  body = "username=" + username + "&role=" + role\n'
+            '  http_post(BASE + "/setUserRole", body)\n'
+            "}\n\n"
+            "fn authn_session() {\n"
+            '  ok = session.get("token")\n'
+            "  return ok\n"
+            "}\n\n"
+            "fn authz() {\n"
+            '  token = session.get("token")\n'
+            '  role = request.param("role")\n'
+            "  allowed = can_assume_role(token, role)\n"
+            "  return allowed\n"
+            "}\n"
+        )
+        program = load_program(tmp_path)
+        privops, [flow] = first_flow(program, oracle)
+        checks, _, _ = locate_checks(program, flow, oracle)
+        assert {(c.name, c.service) for c in checks if c.classification == "authz"} == {("authz", "userprofile")}
         payload = scan(program, oracle)
         assert payload["findings"] == []
         assert payload["funnel"]["protected_dropped"] == 1

@@ -1,0 +1,97 @@
+"""Byte-identity gate: sha256 digests of reports and traces, checked in as
+``report_digests.json`` next to this file.
+
+Covered outputs:
+
+* the JSON and Markdown reports and the tool-call trace, with its
+  ``elapsed_ms`` timings removed, of every corpus under ``tests/corpora``
+  with default options, with ``basic_sink`` and with
+  ``on_demand_context=False``;
+* the same three outputs of ``role_update`` with ``basic_sink`` at 4 and 6
+  tool calls per phase. Both run out of budget in the flow phase, the first
+  before channel matching (no matched channels), the second after it (one).
+
+The trace is written to ``trace.jsonl`` in the working directory, so the
+report's ``trace_file`` field is the same on every machine.
+
+A change that alters a report on purpose regenerates the digests with
+
+    PYTHONPATH=src python tests/test_report_digests.py
+
+and says which outputs changed and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from privflow.load import load_program
+from privflow.pipeline import ScanBudget, ScanOptions, scan
+from privflow.reasoner import ScriptedOracle
+from privflow.report import render_report
+
+CORPORA = Path(__file__).resolve().parent / "corpora"
+DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
+TRACE = "trace.jsonl"
+
+VARIANTS = {"default": {}, "basic_sink": {"basic_sink": True}, "no_odctx": {"on_demand_context": False}}
+# case name -> (tool calls per phase, matched channels in the partial report)
+PARTIAL = {"role_update/basic_sink/budget4": (4, 0), "role_update/basic_sink/budget6": (6, 1)}
+
+
+def _cases() -> dict[str, tuple[Path, dict, ScanBudget]]:
+    cases = {}
+    for corpus in sorted(p for p in CORPORA.iterdir() if p.is_dir()):
+        for variant, options in VARIANTS.items():
+            cases[f"{corpus.name}/{variant}"] = (corpus, options, ScanBudget())
+    for name, (calls, _) in PARTIAL.items():
+        cases[name] = (CORPORA / "role_update", VARIANTS["basic_sink"], ScanBudget(max_tool_calls_per_phase=calls))
+    return cases
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digests(corpus: Path, options: dict, budget: ScanBudget) -> tuple[dict[str, str], dict]:
+    """Digests of one scan's outputs, and its report; writes ``TRACE`` in
+    the working directory."""
+    payload = scan(load_program(corpus), ScriptedOracle(), budget, ScanOptions(trace_path=TRACE, **options))
+    records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        del record["elapsed_ms"]
+    trace = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    digests = {"json": _sha(render_report(payload, "json")), "md": _sha(render_report(payload, "md")), "trace": _sha(trace)}
+    return digests, payload
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_checked_in_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests, payload = _digests(*CASES[name])
+    if name in PARTIAL:
+        assert payload["budget"]["exhausted_reason"].startswith("flow:")
+        assert len(payload["channels"]["matched"]) == PARTIAL[name][1]
+    assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+
+
+def test_digests_cover_exactly_the_cases():
+    assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        table = {name: _digests(*CASES[name])[0] for name in sorted(CASES)}
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)

@@ -26,7 +26,15 @@ from privflow.search import (
     service_index,
 )
 
-from conftest import CORPORA, build_random_service, lower_snippet, oracle_closure
+from conftest import (
+    CORPORA,
+    build_random_service,
+    build_tied_service,
+    lower_snippet,
+    oracle_closure,
+    reference_shortest_path,
+    shortest_path_counts,
+)
 
 CORPUS_DIRS = sorted(p for p in CORPORA.iterdir() if p.is_dir())
 
@@ -173,6 +181,49 @@ class TestQFlow:
         for p in q_flow(usermgmt, "request", "update_role"):
             for hop in p.hops:
                 assert hop.edge in graph.edges
+
+
+class TestSharedSearch:
+    """One breadth-first search per source finds, for every destination,
+    the path a search for that destination alone finds."""
+
+    @staticmethod
+    def _check(service):
+        ids = [e.id for e in service.elements]
+        for a in ids:
+            paths = q_flow(service, a, *ids)
+            together = {(p.src, p.dst): p for p in paths}
+            assert len(together) == len(paths), a
+            # a call site is reached through its own id and its callee's
+            separate = {(p.src, p.dst): p for b in ids for p in q_flow(service, a, b)}
+            assert together == separate, a
+            el = service.element(a)
+            if el.kind is ElementKind.FUNCTION:
+                continue  # function selectors stand for their call sites and parameters
+            got = {dst: list(p.elements) for (_, dst), p in together.items()}
+            for b in ids:
+                if service.element(b).kind is not ElementKind.FUNCTION:
+                    assert got.get(b) == reference_shortest_path(service, a, b), (a, b)
+
+    @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
+    def test_every_element_pair_of_the_corpora(self, corpus):
+        for service in load_program(corpus).services:
+            self._check(service)
+
+    def test_random_services_with_tied_shortest_paths(self):
+        rng = random.Random(31)
+        tied_pairs = 0
+        for _ in range(40):
+            service = build_tied_service(rng)
+            self._check(service)
+            tied_pairs += sum(n > 1 for e in service.elements for n in shortest_path_counts(service, e.id).values())
+        assert tied_pairs > 100
+
+    def test_several_selectors_keep_selector_order(self, role_update_program):
+        usermgmt = role_update_program.service("usermgmt")
+        first, second = q_flow(usermgmt, "request", "update_role"), q_flow(usermgmt, "request", "role")
+        assert len({p.src for p in first + second}) == 1
+        assert q_flow(usermgmt, "request", "update_role", "role") == first + second
 
 
 class TestQCg:
