@@ -3,12 +3,20 @@
 The JSON payload produced by the pipeline is the single source of truth
 (schema field pinned at 1); markdown is derived from it, never computed
 separately. Reports carry no timestamps so equal scans render byte-identically.
+
+The JSON text is exactly ``json.dumps(payload, indent=2, sort_keys=True) +
+"\n"``, produced mostly by the stdlib's C encoder, which has no indented
+mode. Python walks only the containers that hold other containers. Every
+scalar, and every container holding only scalars, is encoded in one C call
+whose item separator carries the newline and indent of its depth.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from enum import IntEnum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 
 class ExitStatus(IntEnum):
@@ -28,10 +36,88 @@ def exit_status(payload: dict) -> ExitStatus:
 
 def render_report(payload: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        chunks: list[str] = []
+        _render_json(payload, 0, chunks.append)
+        chunks.append("\n")
+        return "".join(chunks)
     if fmt == "md":
         return _render_md(payload)
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+_NESTED = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _level(depth: int) -> tuple:
+    """(C encoder, inner line start, outer line start) for a container at
+    nesting ``depth``. The encoder's item separator starts a line indented
+    for ``depth + 1``, so on a container of scalars it lays out the items as
+    the stdlib does; only the brackets' own lines are missing."""
+    inner = "\n" + "  " * (depth + 1)
+    encoder = c_make_encoder(
+        None,  # markers: a container of scalars cannot be circular
+        json.JSONEncoder().default,
+        encode_basestring_ascii,
+        None,  # indent: the item separator does the indenting
+        ": ",
+        "," + inner,
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    return encoder, inner, "\n" + "  " * depth
+
+
+def _key(key) -> str:
+    """A dict key as the stdlib converts it, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        encoder = _level(0)[0]
+        return encode_basestring_ascii("".join(encoder(key, 0)))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _holds_containers(values) -> bool:
+    """Whether any of the values is a dict, list or tuple."""
+    types = set(map(type, values))
+    return not types <= _SCALARS and any(issubclass(t, _NESTED) for t in types)
+
+
+def _render_json(value, depth: int, out) -> None:
+    """Append ``value``'s text at nesting ``depth``. Python walks only the
+    containers that hold other containers."""
+    if isinstance(value, dict):
+        members = value.values()
+    elif isinstance(value, (list, tuple)):
+        members = value
+    else:
+        members = ()
+    encoder, inner, outer = _level(depth)
+    if not _holds_containers(members):
+        # the C encoder flushes its buffer into a new chunk every 100,000
+        # pieces, so a long container comes back in several chunks
+        text = "".join(encoder(value, 0))
+        if len(text) > 2 and text[0] in "[{":
+            text = f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+        out(text)
+        return
+    if isinstance(value, dict):
+        # the stdlib sorts (key, value) pairs, then converts the keys
+        items = [(_key(k) + ": ", v) for k, v in sorted(value.items())]
+        opener, closer = "{", "}"
+    else:
+        items = [("", v) for v in value]
+        opener, closer = "[", "]"
+    out(opener)
+    sep = inner
+    for prefix, member in items:
+        out(sep + prefix)
+        sep = "," + inner
+        _render_json(member, depth + 1, out)
+    out(outer + closer)
 
 
 def _render_md(payload: dict) -> str:

@@ -91,7 +91,10 @@ class ServiceIndex:
 
     Lists keep edge order (edges are sorted), except that call sites are in
     source order and flow successors in ``((line, col), id)`` order, the
-    tie-break of ``q_flow``'s breadth-first search.
+    tie-break of ``q_flow``'s breadth-first search. ``function_of`` and
+    ``guards_of`` hold each element's enclosing function and guarding
+    conditionals (outermost first), filled on first query, so each
+    containment walk runs once per element.
     """
 
     def __init__(self, service: Service):
@@ -101,6 +104,8 @@ class ServiceIndex:
         self.decorators: dict[str, list[str]] = {}
         self.call_targets: dict[str, list[str]] = {}
         self.flow_succ: dict[str, list[str]] = {}
+        self.function_of: dict[str, Element | None] = {}
+        self.guards_of: dict[str, tuple[Element, ...]] = {}
         calls: list[tuple[str, str]] = []
         for e in service.edges:
             if e.kind is EdgeKind.CONTAINS:
@@ -268,6 +273,12 @@ def q_flow(service: Service, from_sel: str, *to_sels: str) -> list[FlowPath]:
 
 
 def _enclosing_function(service: Service, index: ServiceIndex, eid: str) -> Element | None:
+    if eid not in index.function_of:
+        index.function_of[eid] = _find_enclosing_function(service, index, eid)
+    return index.function_of[eid]
+
+
+def _find_enclosing_function(service: Service, index: ServiceIndex, eid: str) -> Element | None:
     el = service.element(eid)
     if el is None:
         return None
@@ -291,14 +302,16 @@ def enclosing_function(service: Service, eid: str) -> Element | None:
 
 def guard_chain(service: Service, eid: str) -> list[Element]:
     """Conditional elements whose guarded block contains the element,
-    outermost first."""
-    chain = []
-    for pid in service_index(service).ancestors(eid):
-        el = service.element(pid)
-        if el is not None and el.kind is ElementKind.CONDITIONAL:
-            chain.append(el)
-    chain.reverse()
-    return chain
+    outermost first. The list is the caller's own."""
+    index = service_index(service)
+    if eid not in index.guards_of:
+        chain = []
+        for pid in index.ancestors(eid):
+            el = service.element(pid)
+            if el is not None and el.kind is ElementKind.CONDITIONAL:
+                chain.append(el)
+        index.guards_of[eid] = tuple(reversed(chain))
+    return list(index.guards_of[eid])
 
 
 def call_sites_of(service: Service, function_id: str) -> list[Element]:

@@ -237,3 +237,35 @@ def build_random_program(rng, tag: str) -> tuple[Program, list]:
         gateway_routes=(GatewayRoute("/", names[0]),),
     )
     return Program(tuple(services), manifest), privops
+
+
+def write_fanout_corpus(root: Path, services: int = 8, width: int = 2) -> Path:
+    """A corpus under ``root`` of ``services`` services with ``width``
+    endpoints each. Every endpoint forwards its input, under an ``if``
+    guard, to all endpoints of the next service, and the last service's
+    endpoints run ``exec``: ``width ** services`` flows, none protected."""
+    names = [f"stage{i}" for i in range(services)]
+    for i, name in enumerate(names):
+        nxt = names[i + 1] if i + 1 < services else None
+        lines = [f"// {name}"]
+        if nxt is not None:
+            lines.append(f'const NEXT = "http://{nxt}:8080"')
+        for k in range(width):
+            lines += ["", f'@route("POST", "/{name}/ep{k}")', f"fn handle_ep{k}() {{", '  v = request.param("v")']
+            lines.append('  if v != "" {')
+            if nxt is None:
+                lines.append("    exec(v)")
+            else:
+                lines += [f'    http_post(NEXT + "/{nxt}/ep{j}", v)' for j in range(width)]
+            lines += ["  }", "}"]
+        (root / f"{name}.msv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = {
+        "version": 1,
+        "services": [
+            {"name": name, "entry": i == 0, "base_url": f"http://{name}:8080", "sources": [f"{name}.msv"]}
+            for i, name in enumerate(names)
+        ],
+        "gateway_routes": [{"prefix": f"/{names[0]}", "target": names[0]}],
+    }
+    (root / "privflow.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    return root

@@ -1,0 +1,125 @@
+"""The JSON report text is exactly ``json.dumps(payload, indent=2,
+sort_keys=True) + "\\n"``; the stdlib call is the oracle here."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from privflow.load import load_program
+from privflow.pipeline import ScanBudget, scan
+from privflow.report import render_report
+
+from conftest import write_fanout_corpus
+
+OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
+
+
+def oracle_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+STRINGS = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+    st.sampled_from(['"', "\\", '\\"', "é", " ", "\U0001f600", "a\nb\tc", "}", "],\n  [", "\x00"]),
+)
+NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, STRINGS)
+
+
+def _containers(children):
+    # one key type per dict: the stdlib sorts keys, so str mixed with
+    # numbers or None raises TypeError there as well
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(STRINGS, children, max_size=5),
+        st.dictionaries(st.one_of(NUMBERS, st.booleans()), children, max_size=5),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+TREES = st.recursive(SCALARS, _containers, max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TREES)
+def test_render_matches_stdlib(value):
+    assert render_report(value, "json") == oracle_text(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ()},
+        [[], {}, [[]], [{}]],
+        {"x": (1, (2, {"y": ()})), "z": [(), ("t",)]},
+        {2: [1], 10: {"k": 1}, 1.5: [], True: [0], False: {}},
+        {None: [{}]},
+        {math.nan: [1], math.inf: [2], -math.inf: {"a": None}},
+        [-0.0, 1e300, math.nan, math.inf, -math.inf, 10**100, -(10**100)],
+        {"é\"\\\n": ["\x00\x1f", "\U0001f600"]},
+        "just a string",
+        None,
+        math.nan,
+    ],
+)
+def test_render_matches_stdlib_examples(value):
+    assert render_report(value, "json") == oracle_text(value)
+
+
+@given(st.lists(st.sampled_from(["dict", "list", "tuple"]), min_size=40, max_size=40), SCALARS)
+@settings(max_examples=25, deadline=None)
+def test_render_matches_stdlib_40_levels_deep(shape, leaf):
+    value = leaf
+    for depth, kind in enumerate(shape):
+        if kind == "dict":
+            value = {f"k{depth}": value, "scalar": depth}
+        elif kind == "list":
+            value = [depth, value, {}]
+        else:
+            value = ("t", value)
+    assert render_report(value, "json") == oracle_text(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [f"s{i}" for i in range(60_000)],
+        {f"k{i}": i for i in range(30_000)},
+        {"nested": [[i, f"s{i}", None] for i in range(3)], "flat": list(range(120_000))},
+    ],
+    ids=["list-60k", "dict-30k", "nested-list-120k"],
+)
+def test_render_matches_stdlib_on_long_flat_containers(value):
+    # the C encoder returns a container of 100,000 or more pieces in several chunks
+    assert render_report(value, "json") == oracle_text(value)
+
+
+def test_keys_outside_json_are_rejected():
+    with pytest.raises(TypeError):
+        render_report({("a",): [1]}, "json")
+    with pytest.raises(TypeError):
+        render_report({"a": [object()]}, "json")
+
+
+@pytest.fixture(scope="module")
+def fanout_payload(tmp_path_factory, oracle):
+    corpus = write_fanout_corpus(tmp_path_factory.mktemp("fanout"))
+    return scan(load_program(corpus), oracle, OPEN_BUDGET)
+
+
+def test_render_matches_stdlib_on_a_large_report(fanout_payload):
+    assert len(fanout_payload["findings"]) > 200
+    assert render_report(fanout_payload, "json") == oracle_text(fanout_payload)

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from privflow.load import load_program
-from privflow.model import EdgeKind, ElementKind
+from privflow.model import EdgeKind, ElementKind, call_callee
 from privflow.pipeline import scan
 from privflow.search import (
     BadPattern,
@@ -363,6 +363,15 @@ class TestServiceIndex:
         del program
         gc.collect()
         assert [r for r in refs if r() is not None] == []
+
+    def test_guard_chain_is_the_callers_own_list(self, corpora_root):
+        service = load_program(corpora_root / "infeasible").service("transfer")
+        write = next(e for e in service.elements if e.kind is ElementKind.CALL and call_callee(e) == "db.write")
+        first = guard_chain(service, write.id)
+        second = guard_chain(service, write.id)
+        assert len(first) == 2 and first == second and first is not second
+        first.clear()
+        assert guard_chain(service, write.id) == second and len(second) == 2
 
     @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
     def test_primitives_match_edge_scans(self, corpus):
