@@ -17,7 +17,7 @@ from .facts import FactsError, ManifestError, write_facts
 from .load import LoadError, load_program
 from .minisrv import LoweringError, ParseError
 from .model import ElementKind
-from .pipeline import ProgramInvalid, ScanBudget, ScanOptions, find_privileged_ops
+from .pipeline import BudgetExhausted, ProgramInvalid, ScanBudget, ScanOptions, find_privileged_ops
 from .pipeline import scan as run_scan
 from .reasoner import BackendUnavailable, RulesError, load_rules, make_reasoner
 from .report import ExitStatus, exit_status, render_report
@@ -151,15 +151,22 @@ def _element_row(e) -> dict:
 @click.option("--rules", "rules_file", type=click.Path(exists=True, dir_okay=False), default=None)
 def graph(corpus, reasoner_kind, rules_file):
     """Dump the global reachability graph in DOT format."""
+    exhausted = None
     try:
         program = load_program(corpus)
         backend = _build_reasoner(reasoner_kind, rules_file)
-        privops = find_privileged_ops(program, backend)
+        try:
+            privops = find_privileged_ops(program, backend)
+        except BudgetExhausted as exc:
+            privops, exhausted = exc.partial, exc
         g = build_global_graph(program, privops, match_channels(program))
     except USER_ERRORS as exc:
         _fail(str(exc))
         return
     click.echo(to_dot(g, program), nl=False)
+    if exhausted is not None:
+        click.echo(f"privflow: budget exhausted: {exhausted}", err=True)
+        sys.exit(int(ExitStatus.BUDGET_EXHAUSTED))
 
 
 @main.command()

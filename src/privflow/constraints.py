@@ -776,10 +776,9 @@ def extract_path_constraints(program, path, reasoner):
     """
     from .reasoner import ExtractConstraints, GuardDescriptor
 
-    segments = path.flow_segments if hasattr(path, "flow_segments") else (path,)
     guards: list = []
     seen: set[str] = set()
-    for segment in segments:
+    for segment in path.flow_segments:
         service = program.service(segment.service)
         if service is None:
             continue

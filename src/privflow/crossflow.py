@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .model import Channel, Element, ElementKind, Program, Service, call_callee
-from .search import FlowPath, q_flow
+from .search import FlowPath, q_flow, service_index
 from .minisrv.lower import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
 
 
@@ -86,8 +87,17 @@ def q_inter(service: Service) -> InterScan:
     Outbound channels come from the stored constant-resolved identifiers;
     endpoint elements double as inbound HTTP channels. Call sites whose
     identifier did not resolve to a constant are reported as diagnostics,
-    not channels.
+    not channels. The elements are walked on first use only; the scan is
+    kept on the service's index and each call returns fresh lists.
     """
+    index = service_index(service)
+    if index.inter is None:
+        index.inter = _scan_inter(service)
+    channels, unresolved = index.inter
+    return InterScan(list(channels), list(unresolved))
+
+
+def _scan_inter(service: Service) -> InterScan:
     stored = {ch.element: ch for ch in service.channels}
     channels: list[Channel] = []
     unresolved: list[UnresolvedChannel] = []
@@ -198,7 +208,7 @@ def ambiguous_matches(edges: list[ChannelEdge]) -> list[str]:
 class GlobalEdge:
     src: str
     dst: str
-    witness: object  # FlowPath | ChannelEdge
+    witness: FlowPath | ChannelEdge
 
     @property
     def is_channel(self) -> bool:
@@ -275,58 +285,50 @@ def build_global_graph(
 @dataclass(frozen=True)
 class GlobalPath:
     """Alternating intra-service flow segments and channel hops, from a user
-    source to a privileged operation."""
+    source to a privileged operation. Derived facts are computed on first
+    read and kept; equality and hashing use ``segments`` alone."""
 
-    segments: tuple[object, ...]  # FlowPath | ChannelEdge
+    segments: tuple[FlowPath | ChannelEdge, ...]
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("GlobalPath needs at least one segment")
 
-    @property
+    @cached_property
     def id(self) -> str:
         key = "\x1f".join(self.node_ids)
         return "p" + hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
 
-    @property
+    @cached_property
     def node_ids(self) -> tuple[str, ...]:
         ids: list[str] = []
         for seg in self.segments:
-            if isinstance(seg, FlowPath):
-                chain = seg.elements
-            else:
-                chain = (seg.from_element, seg.to_element)
-            if ids and ids[-1] == chain[0]:
-                ids.extend(chain[1:])
-            else:
-                ids.extend(chain)
+            chain = seg.elements if isinstance(seg, FlowPath) else (seg.from_element, seg.to_element)
+            ids.extend(chain[1:] if ids and ids[-1] == chain[0] else chain)
         return tuple(ids)
 
-    @property
+    @cached_property
     def channel_edges(self) -> tuple[ChannelEdge, ...]:
         return tuple(s for s in self.segments if isinstance(s, ChannelEdge))
 
-    @property
+    @cached_property
     def flow_segments(self) -> tuple[FlowPath, ...]:
         return tuple(s for s in self.segments if isinstance(s, FlowPath))
 
     @property
     def source(self) -> str:
-        first = self.segments[0]
-        return first.elements[0] if isinstance(first, FlowPath) else first.from_element
+        return self.node_ids[0]
 
     @property
     def sink(self) -> str:
-        last = self.segments[-1]
-        return last.elements[-1] if isinstance(last, FlowPath) else last.to_element
+        return self.node_ids[-1]
 
-    @property
+    @cached_property
     def services(self) -> tuple[str, ...]:
         seen: list[str] = []
-        for seg in self.segments:
-            name = seg.service if isinstance(seg, FlowPath) else None
-            if name is not None and (not seen or seen[-1] != name):
-                seen.append(name)
+        for seg in self.flow_segments:
+            if not seen or seen[-1] != seg.service:
+                seen.append(seg.service)
         return tuple(seen)
 
 
@@ -339,11 +341,10 @@ PATH_CAP = 10_000
 
 
 def q_globalflow(graph: GlobalGraph, sources, sinks, cap: int = PATH_CAP) -> GlobalFlows:
-    """All simple paths from any source to any sink, lexicographic by node
-    id sequence, capped with a truncation flag."""
-    source_ids = sorted({s.id if isinstance(s, Element) else str(s) for s in sources})
-    sink_ids = {getattr(s, "element", s) for s in sinks}
-    sink_ids = {s if isinstance(s, str) else s.id for s in sink_ids}
+    """All simple paths from any source element to any privileged
+    operation, lexicographic by node id sequence, capped with a flag."""
+    source_ids = sorted({s.id for s in sources})
+    sink_ids = {op.element for op in sinks}
 
     found: list[tuple[tuple[str, ...], tuple[GlobalEdge, ...]]] = []
     truncated = False

@@ -39,6 +39,7 @@ from .reasoner import (
     _query_key,
 )
 from .search import (
+    FlowPath,
     call_sites_of,
     enclosing_function,
     get_source,
@@ -165,9 +166,6 @@ class Tracer:
             raise BudgetExhausted(phase, f"exceeded {self.budget.max_tool_calls_per_phase} tool calls")
         if time.monotonic() - self.started > self.budget.max_seconds:
             raise BudgetExhausted(phase, f"exceeded {self.budget.max_seconds:.0f}s wall clock")
-
-    def tools_used(self) -> set[str]:
-        return {c["tool"] for c in self.calls}
 
     def write(self, path: str | Path) -> None:
         lines = [json.dumps(c, sort_keys=True) for c in self.calls]
@@ -314,7 +312,7 @@ def locate_checks(
             tracer.record(PHASE_VALIDATION, tool, args, count)
 
     for service, fn, local_ids in _path_functions(program, path):
-        for dec_id, check_fn in _decorator_checks(service, fn):
+        for check_fn in _decorator_checks(service, fn):
             if check_fn.id in seen_candidates:
                 continue
             seen_candidates.add(check_fn.id)
@@ -385,17 +383,12 @@ def _path_functions(program: Program, path: GlobalPath):
     return list(groups.values())
 
 
-def _decorator_checks(service: Service, fn: Element):
-    """(decorator id, check function element) pairs attached to a function."""
+def _decorator_checks(service: Service, fn: Element) -> list[Element]:
+    """Check functions the decorators of a function call."""
     index = service_index(service)
-    pairs = []
-    for dec_id in index.decorators.get(fn.id, ()):
-        for target_id in index.call_targets.get(dec_id, ()):
-            target = service.element(target_id)
-            if target is not None and target.kind is ElementKind.FUNCTION:
-                pairs.append((dec_id, target))
-    pairs.sort(key=lambda p: p[1].sort_key)
-    return pairs
+    targets = [service.element(t) for d in index.decorators.get(fn.id, ()) for t in index.call_targets.get(d, ())]
+    checks = [t for t in targets if t is not None and t.kind is ElementKind.FUNCTION]
+    return sorted(checks, key=lambda e: e.sort_key)
 
 
 def _helper_contexts(service: Service, check_fn: Element, hops: int, context_ids: set[str], trace) -> list[str]:
@@ -659,7 +652,7 @@ def _evidence(program: Program, flow: GlobalPath, checks: list[CheckFinding]) ->
 def _path_dict(program: Program, flow: GlobalPath) -> dict:
     hops: list[dict] = []
     for segment in flow.segments:
-        if hasattr(segment, "elements"):  # FlowPath
+        if isinstance(segment, FlowPath):
             service = program.service(segment.service)
             steps = []
             for eid in segment.elements:

@@ -5,17 +5,20 @@ All operations are pure reads over an immutable Service:
 * ``q_name``: identifier lookup, exact or regular-expression;
 * ``q_ast``: lookup by element kind;
 * ``q_flow``: shortest data-propagation paths from one selector to
-  several, one breadth-first search per source;
+  several, one breadth-first search per source. A ``FlowPath`` is a
+  service and the element ids of one path; a hop is a consecutive pair;
 * ``q_cg``: bidirectional call-graph traversal with a depth bound;
 * ``get_location`` / ``get_source`` / ``get_type``: element properties.
 
 The primitives read a ``ServiceIndex``: the service's edges grouped by
 kind and endpoint in one pass, built on first use and stored on that
 Service object, so no query scans every edge and nothing outlives the
-Service. ``build_flow_graph`` materializes the service's data-flow
-relation. The frontend (or an external facts producer) emits def-use edges
-already saturated under the propagation rules, so the graph is their
-closure by construction; rebuilding it is idempotent.
+Service. Per-element answers (enclosing function, guards) and the
+service's channel scan (``crossflow.q_inter``) are kept on it too.
+``build_flow_graph`` materializes the service's data-flow relation. The
+frontend (or an external facts producer) emits def-use edges already
+saturated under the propagation rules, so the graph is their closure by
+construction; rebuilding it is idempotent.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ class ServiceIndex:
     tie-break of ``q_flow``'s breadth-first search. ``function_of`` and
     ``guards_of`` hold each element's enclosing function and guarding
     conditionals (outermost first), filled on first query, so each
-    containment walk runs once per element.
+    containment walk runs once per element. ``inter`` holds the service's
+    channel scan, filled by ``crossflow.q_inter`` on its first call.
     """
 
     def __init__(self, service: Service):
@@ -106,6 +110,7 @@ class ServiceIndex:
         self.flow_succ: dict[str, list[str]] = {}
         self.function_of: dict[str, Element | None] = {}
         self.guards_of: dict[str, tuple[Element, ...]] = {}
+        self.inter = None  # crossflow.InterScan
         calls: list[tuple[str, str]] = []
         for e in service.edges:
             if e.kind is EdgeKind.CONTAINS:
@@ -165,23 +170,16 @@ def service_index(service: Service) -> ServiceIndex:
 
 
 @dataclass(frozen=True)
-class FlowHop:
-    edge: tuple[str, str]
-
-
-@dataclass(frozen=True)
 class FlowPath:
-    """A data propagation witness: element ids plus the edge behind each hop."""
+    """A data propagation witness in one service: element ids from source
+    to sink. Each consecutive pair of elements is a data-flow edge."""
 
     service: str
     elements: tuple[str, ...]
-    hops: tuple[FlowHop, ...]
 
     def __post_init__(self) -> None:
         if len(self.elements) < 1:
             raise ValueError("FlowPath needs at least one element")
-        if len(self.hops) != len(self.elements) - 1:
-            raise ValueError("FlowPath hops must connect consecutive elements")
 
     @property
     def src(self) -> str:
@@ -264,8 +262,7 @@ def q_flow(service: Service, from_sel: str, *to_sels: str) -> list[FlowPath]:
         for dst in sinks:
             chain = found.get(dst)
             if chain is not None:
-                hops = tuple(FlowHop((a, b)) for a, b in zip(chain, chain[1:]))
-                paths.append(FlowPath(service.name, tuple(chain), hops))
+                paths.append(FlowPath(service.name, tuple(chain)))
     return paths
 
 
@@ -379,7 +376,6 @@ __all__ = [
     "NameMode",
     "FlowGraph",
     "FlowPath",
-    "FlowHop",
     "ServiceIndex",
     "q_name",
     "q_ast",

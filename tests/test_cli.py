@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from privflow.cli import main
 from privflow.report import ExitStatus, exit_status, render_report
 
-from conftest import CORPORA
+from conftest import CORPORA, write_fanout_corpus
 
 
 @pytest.fixture()
@@ -143,6 +143,16 @@ class TestGraphCommand:
         assert result.output.startswith("digraph")
         assert "/setUserRole" in result.output
         assert "style=dashed" in result.output
+
+    def test_exhausted_privops_budget_prints_partial_graph(self, runner, tmp_path):
+        # the 8x2 fan-out outruns the default privileged-operation budget
+        result = runner.invoke(main, ["graph", str(write_fanout_corpus(tmp_path))])
+        assert result.exit_code == int(ExitStatus.BUDGET_EXHAUSTED)
+        assert result.stdout.startswith("digraph")
+        assert ":exec" in result.stdout and "style=dashed" in result.stdout
+        assert result.stderr.startswith("privflow: budget exhausted: privileged_ops: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.output
 
 
 class TestFactsCommand:

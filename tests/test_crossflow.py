@@ -1,9 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
+from privflow import crossflow
 from privflow.crossflow import (
+    ChannelEdge,
     GlobalGraph,
+    GlobalPath,
     NoEntryService,
     build_global_graph,
     channels_match,
@@ -24,8 +28,8 @@ from privflow.model import (
     Program,
     ElementKind,
 )
-from privflow.pipeline import PrivilegedOperation, find_privileged_ops
-from privflow.search import q_flow
+from privflow.pipeline import PrivilegedOperation, find_privileged_ops, scan
+from privflow.search import FlowPath, q_flow
 
 from conftest import (
     CORPORA,
@@ -35,7 +39,10 @@ from conftest import (
     oracle_closure,
     reference_shortest_path,
     shortest_path_counts,
+    write_fanout_corpus,
 )
+
+CORPUS_DIRS = sorted(p for p in CORPORA.iterdir() if p.is_dir())
 
 
 class TestQSource:
@@ -108,6 +115,29 @@ class TestQInter:
         assert [c for c in scan.channels if c.direction == "out"] == []
         assert len(scan.unresolved) == 1
         assert scan.unresolved[0].callee == "http_post"
+
+    def test_repeated_calls_return_equal_fresh_lists(self):
+        svc = lower_snippet(
+            'const BASE = "http://b:8080"\n'
+            '@route("POST", "/a") fn a() { u = request.param("u") http_post(BASE + "/x", u) http_post(u, u) }'
+        )
+        first = q_inter(svc)
+        second = q_inter(svc)
+        assert first == second
+        assert len(first.channels) == 2 and len(first.unresolved) == 1
+        assert first.channels is not second.channels and first.unresolved is not second.unresolved
+        first.channels.clear()
+        first.unresolved.append(first.unresolved[0])
+        assert q_inter(svc) == second
+        assert len(second.channels) == 2 and len(second.unresolved) == 1
+
+    def test_scan_walks_each_service_once(self, corpora_root, oracle, monkeypatch):
+        walked = []
+        scan_inter = crossflow._scan_inter
+        monkeypatch.setattr(crossflow, "_scan_inter", lambda service: walked.append(service.name) or scan_inter(service))
+        program = load_program(corpora_root / "role_update")
+        scan(program, oracle)
+        assert sorted(walked) == sorted(s.name for s in program.services)
 
     def test_endpoints_are_in_channels(self, role_update_program):
         usermgmt = role_update_program.service("usermgmt")
@@ -326,6 +356,23 @@ class TestQGlobalflow:
         assert result.truncated
         assert len(result.paths) == 1
 
+    @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
+    def test_path_facts_match_their_segments_on_corpora(self, corpus, oracle):
+        program = load_program(corpus)
+        privops = find_privileged_ops(program, oracle)
+        graph = build_global_graph(program, privops, match_channels(program))
+        for path in q_globalflow(graph, q_user(program, oracle), privops).paths:
+            _check_path_facts(path)
+
+    def test_path_facts_match_their_segments_on_fanout(self, tmp_path, oracle):
+        program = load_program(write_fanout_corpus(tmp_path))
+        privops = find_privileged_ops(program, oracle, basic_sink=True)
+        graph = build_global_graph(program, privops, match_channels(program))
+        paths = q_globalflow(graph, q_user(program, oracle), privops).paths
+        assert len(paths) == 256
+        for path in paths:
+            _check_path_facts(path)
+
     def test_dot_rendering(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
         graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
@@ -335,6 +382,35 @@ class TestQGlobalflow:
 
 
 # --- helpers ---------------------------------------------------------------
+
+
+def _check_path_facts(path):
+    """A path's derived facts equal the values recomputed from its
+    segments, stay the same objects on a second read, and leave equality
+    and hashing to the segments."""
+    ids = []
+    for seg in path.segments:
+        chain = seg.elements if isinstance(seg, FlowPath) else (seg.from_element, seg.to_element)
+        if ids and ids[-1] == chain[0]:
+            ids.extend(chain[1:])
+        else:
+            ids.extend(chain)
+    node_ids = tuple(ids)
+    services = []
+    for seg in path.segments:
+        if isinstance(seg, FlowPath) and (not services or services[-1] != seg.service):
+            services.append(seg.service)
+    assert path.node_ids == node_ids
+    assert path.id == "p" + hashlib.sha1("\x1f".join(node_ids).encode("utf-8")).hexdigest()[:12]
+    assert path.services == tuple(services)
+    assert path.flow_segments == tuple(s for s in path.segments if isinstance(s, FlowPath))
+    assert path.channel_edges == tuple(s for s in path.segments if isinstance(s, ChannelEdge))
+    first, last = path.segments[0], path.segments[-1]
+    assert path.source == (first.elements[0] if isinstance(first, FlowPath) else first.from_element)
+    assert path.sink == (last.elements[-1] if isinstance(last, FlowPath) else last.to_element)
+    assert path.id is path.id and path.node_ids is path.node_ids
+    fresh = GlobalPath(path.segments)
+    assert fresh == path and hash(fresh) == hash(path)
 
 
 def _endpoints(service):

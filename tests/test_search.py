@@ -178,9 +178,11 @@ class TestQFlow:
     def test_path_hops_are_graph_edges(self, role_update_program):
         usermgmt = role_update_program.service("usermgmt")
         graph = build_flow_graph(usermgmt)
-        for p in q_flow(usermgmt, "request", "update_role"):
-            for hop in p.hops:
-                assert hop.edge in graph.edges
+        paths = q_flow(usermgmt, "request", "update_role")
+        assert paths
+        for p in paths:
+            for hop in zip(p.elements, p.elements[1:]):
+                assert hop in graph.edges
 
 
 class TestSharedSearch:
