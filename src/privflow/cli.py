@@ -37,6 +37,7 @@ USER_ERRORS = (
     UnknownElement,
     NotAFunction,
     ValueError,
+    OSError,
 )
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .model import ElementKind
-from .search import guard_chain
 
 CUBE_CAP = 4096
 INT_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -563,137 +562,6 @@ def emit_smtlib(c: PathConstraint) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- local SMT-LIB well-formedness checker ---------------------------------------
-
-
-def validate_smtlib(text: str) -> list[str]:
-    """Syntax-check SMT-LIB text produced for external solvers.
-
-    Returns a list of problems; empty means well-formed against the subset
-    this engine emits (declare-const / assert / check-sat over Int, String
-    and Bool with the core boolean and comparison operators).
-    """
-    problems: list[str] = []
-    try:
-        forms = _parse_sexprs(text)
-    except ValueError as exc:
-        return [str(exc)]
-
-    declared: dict[str, str] = {}
-    saw_check_sat = False
-    for form in forms:
-        if not isinstance(form, list) or not form:
-            problems.append(f"top-level form must be a list: {form!r}")
-            continue
-        head = form[0]
-        if head == "declare-const":
-            if len(form) != 3 or not isinstance(form[1], str) or form[2] not in ("Int", "String", "Bool"):
-                problems.append(f"bad declare-const: {form!r}")
-                continue
-            if form[1] in declared:
-                problems.append(f"duplicate declaration of {form[1]}")
-            declared[form[1]] = form[2]
-        elif head == "assert":
-            if len(form) != 2:
-                problems.append(f"assert takes one term: {form!r}")
-                continue
-            problems.extend(_check_term(form[1], declared))
-        elif head == "check-sat":
-            if len(form) != 1:
-                problems.append("check-sat takes no arguments")
-            saw_check_sat = True
-        else:
-            problems.append(f"unknown command {head!r}")
-    if not saw_check_sat:
-        problems.append("missing (check-sat)")
-    return problems
-
-
-_OPERATORS = {
-    "=": 2,
-    "distinct": 2,
-    "<": 2,
-    "<=": 2,
-    ">": 2,
-    ">=": 2,
-    "not": 1,
-    "and": 2,
-    "or": 2,
-}
-
-
-def _check_term(term, declared: dict[str, str]) -> list[str]:
-    problems: list[str] = []
-    if isinstance(term, str):
-        if term.startswith('"') or term in ("true", "false"):
-            return []
-        if term.lstrip("-").isdigit():
-            return []
-        if term not in declared:
-            problems.append(f"undeclared symbol {term!r}")
-        return problems
-    if not isinstance(term, list) or not term:
-        return [f"malformed term {term!r}"]
-    head = term[0]
-    if head not in _OPERATORS:
-        return [f"unknown operator {head!r}"]
-    if len(term) - 1 < _OPERATORS[head]:
-        problems.append(f"operator {head!r} needs at least {_OPERATORS[head]} arguments")
-    for arg in term[1:]:
-        problems.extend(_check_term(arg, declared))
-    return problems
-
-
-def _parse_sexprs(text: str) -> list:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        j += 2
-                        continue
-                    break
-                j += 1
-            if j >= n:
-                raise ValueError("unterminated string literal")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-
-    forms: list = []
-    stack: list[list] = []
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise ValueError("unbalanced ')'")
-            done = stack.pop()
-            (stack[-1] if stack else forms).append(done)
-        else:
-            (stack[-1] if stack else forms).append(tok)
-    if stack:
-        raise ValueError("unbalanced '('")
-    return forms
-
-
 # --- JSON codec (remote-reasoner responses, report payloads) ---------------------
 
 
@@ -768,31 +636,24 @@ def constraint_from_json(data: dict) -> PathConstraint:
 # --- guard extraction ------------------------------------------------------------
 
 
-def extract_path_constraints(program, path, reasoner):
-    """Collect the conditional guards protecting a flow and ask the reasoner
-    to translate them; anything outside the fragment yields Skipped.
+def extract_path_constraints(groups, reasoner):
+    """Ask the reasoner to translate the conditional guards protecting a
+    flow, read from its ``crossflow.path_functions`` groups and taken in
+    source order; anything outside the fragment yields Skipped.
 
     Returns (PathConstraint | None, skipped: bool, rationale).
     """
     from .reasoner import ExtractConstraints, GuardDescriptor
 
-    guards: list = []
-    seen: set[str] = set()
-    for segment in path.flow_segments:
-        service = program.service(segment.service)
-        if service is None:
-            continue
-        for eid in segment.elements:
-            for guard in guard_chain(service, eid):
-                if guard.id in seen:
-                    continue
-                seen.add(guard.id)
-                guards.append((service, guard))
-
-    guards.sort(key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col))
+    guards: dict[str, tuple] = {}
+    for service, _, chain in groups:
+        for guard in chain:
+            guards.setdefault(guard.id, (service, guard))
     descriptors = tuple(
         GuardDescriptor(source=guard.source, var_types=_guard_var_types(service, guard.source))
-        for service, guard in guards
+        for service, guard in sorted(
+            guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
+        )
     )
     verdict = reasoner.reason(ExtractConstraints(guards=descriptors))
     if verdict.skipped:

@@ -4,7 +4,8 @@ Builds the global reachability graph in two phases: per-service flow edges
 from untrusted sources to privileged operations and outbound communication
 call sites, then channel edges connecting outbound call sites to the
 receiving endpoints. Global paths alternate intra-service flow witnesses
-with channel hops.
+with channel hops. ``path_functions`` is the one walk over a path's
+elements that validation reads: its functions and their guards.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .model import Channel, Element, ElementKind, Program, Service, call_callee
-from .search import FlowPath, q_flow, service_index
+from .search import FlowPath, enclosing_function, guard_chain, q_flow, service_index
 from .minisrv.lower import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
 
 
@@ -330,6 +331,25 @@ class GlobalPath:
             if not seen or seen[-1] != seg.service:
                 seen.append(seg.service)
         return tuple(seen)
+
+
+def path_functions(program: Program, path: GlobalPath) -> list[tuple[Service, Element | None, tuple[Element, ...]]]:
+    """The path's elements grouped by enclosing function, in order of first
+    visit: one ``(service, function, guards)`` per group. ``guards`` are the
+    conditionals whose block holds an element of the group, each element's
+    outermost first, each listed once. The elements of a service that lie
+    outside any function form a group whose function is None."""
+    groups: dict[tuple[str, str | None], tuple[Service, Element | None, dict[str, Element]]] = {}
+    for segment in path.flow_segments:
+        service = program.service(segment.service)
+        if service is None:
+            continue
+        for eid in segment.elements:
+            fn = enclosing_function(service, eid)
+            guards = groups.setdefault((service.name, fn.id if fn else None), (service, fn, {}))[2]
+            for guard in guard_chain(service, eid):
+                guards.setdefault(guard.id, guard)
+    return [(service, fn, tuple(guards.values())) for service, fn, guards in groups.values()]
 
 
 class GlobalFlows(NamedTuple):

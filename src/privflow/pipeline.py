@@ -14,6 +14,7 @@ tool-call trace, which also enforces the per-phase call budget.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .crossflow import (
     ambiguous_matches,
     build_global_graph,
     match_channels,
+    path_functions,
     q_globalflow,
     q_inter,
     q_user,
@@ -39,11 +41,10 @@ from .reasoner import (
     _query_key,
 )
 from .search import (
+    BadPattern,
     FlowPath,
     call_sites_of,
-    enclosing_function,
     get_source,
-    guard_chain,
     q_ast,
     q_cg,
     q_name,
@@ -101,7 +102,6 @@ class Finding:
     verdict: str  # unprotected | missing_authz | insufficient_authz
     feasibility: str  # feasible | unknown
     rationale: str
-    evidence: tuple[dict, ...]
     constraint_status: str  # sat | unknown | skipped
     smt_file: str | None = None
 
@@ -249,7 +249,10 @@ def _find_privileged_ops(
         executed.append(_query_key("q_name", action.args))
         if service is None or not pattern:
             continue
-        results = q_name(service, pattern, mode)
+        try:
+            results = q_name(service, pattern, mode)
+        except BadPattern:
+            continue
         tracer.record(PHASE_PRIVOPS, "q_name", {"service": service.name, "pattern": pattern, "mode": mode}, len(results))
 
         for el in results:
@@ -289,18 +292,18 @@ def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[P
 
 
 def locate_checks(
-    program: Program,
-    path: GlobalPath,
+    groups,
     reasoner,
     tracer: Tracer | None = None,
     max_hops: int = 4,
 ) -> tuple[list[CheckFinding], list[str], set[str]]:
     """AuthN/authZ checks correlated with a flow.
 
-    Walks every function on the path; collects decorator-attached check
-    functions (following decorator -> check -> helper call chains up to
-    ``max_hops``) and inline conditionals whose guarded block contains the
-    flow. Returns (checks, context snippets, context element ids).
+    Reads the path's ``crossflow.path_functions`` groups. For every function
+    on the path, collects decorator-attached check functions (following
+    decorator -> check -> helper call chains up to ``max_hops``) and the
+    inline conditionals whose guarded block contains the flow. Returns
+    (checks, context snippets, context element ids).
     """
     checks: list[CheckFinding] = []
     contexts: list[str] = []
@@ -311,7 +314,25 @@ def locate_checks(
         if tracer is not None:
             tracer.record(PHASE_VALIDATION, tool, args, count)
 
-    for service, fn, local_ids in _path_functions(program, path):
+    def classify(service: Service, task: ClassifyCheck) -> None:
+        verdict = reasoner.reason(task)
+        trace("reason", {"task": "ClassifyCheck", "element": task.element}, 1)
+        if verdict.classification in ("authn", "authz"):
+            checks.append(
+                CheckFinding(
+                    element=task.element,
+                    service=service.name,
+                    name=task.name,
+                    classification=verdict.classification,
+                    authz_subtype=verdict.authz_subtype,
+                    attachment=task.attachment,
+                    rationale=verdict.rationale,
+                )
+            )
+
+    for service, fn, guards in groups:
+        if fn is None:
+            continue
         for check_fn in _decorator_checks(service, fn):
             if check_fn.id in seen_candidates:
                 continue
@@ -321,66 +342,17 @@ def locate_checks(
             context_ids.add(check_fn.id)
             helper_sources = _helper_contexts(service, check_fn, max_hops - 1, context_ids, trace)
             contexts.extend(helper_sources)
-            verdict = reasoner.reason(
-                ClassifyCheck(
-                    element=check_fn.id,
-                    name=check_fn.name,
-                    source=source,
-                    attachment="decorator",
-                    context=tuple(helper_sources),
-                )
+            task = ClassifyCheck(
+                element=check_fn.id, name=check_fn.name, source=source, attachment="decorator", context=tuple(helper_sources)
             )
-            trace("reason", {"task": "ClassifyCheck", "element": check_fn.id}, 1)
-            if verdict.classification in ("authn", "authz"):
-                checks.append(
-                    CheckFinding(
-                        element=check_fn.id,
-                        service=service.name,
-                        name=check_fn.name,
-                        classification=verdict.classification,
-                        authz_subtype=verdict.authz_subtype,
-                        attachment="decorator",
-                        rationale=verdict.rationale,
-                    )
-                )
-
-        guards = {el.id: el for eid in local_ids for el in guard_chain(service, eid)}
-        for cond in sorted(guards.values(), key=lambda e: e.sort_key):
+            classify(service, task)
+        for cond in sorted(guards, key=lambda e: e.sort_key):
             if cond.id in seen_candidates:
                 continue
             seen_candidates.add(cond.id)
             context_ids.add(cond.id)
-            verdict = reasoner.reason(
-                ClassifyCheck(element=cond.id, name="", source=cond.source, attachment="inline")
-            )
-            trace("reason", {"task": "ClassifyCheck", "element": cond.id}, 1)
-            if verdict.classification in ("authn", "authz"):
-                checks.append(
-                    CheckFinding(
-                        element=cond.id,
-                        service=service.name,
-                        name="",
-                        classification=verdict.classification,
-                        authz_subtype=verdict.authz_subtype,
-                        attachment="inline",
-                        rationale=verdict.rationale,
-                    )
-                )
+            classify(service, ClassifyCheck(element=cond.id, name="", source=cond.source, attachment="inline"))
     return checks, contexts, context_ids
-
-
-def _path_functions(program: Program, path: GlobalPath):
-    """(service, function, path element ids in that function), path order."""
-    groups: dict[str, tuple[Service, Element, set[str]]] = {}
-    for segment in path.flow_segments:
-        service = program.service(segment.service)
-        if service is None:
-            continue
-        for eid in segment.elements:
-            fn = enclosing_function(service, eid)
-            if fn is not None:
-                groups.setdefault(fn.id, (service, fn, set()))[2].add(eid)
-    return list(groups.values())
 
 
 def _decorator_checks(service: Service, fn: Element) -> list[Element]:
@@ -465,7 +437,11 @@ def scan(
     budget: ScanBudget | None = None,
     options: ScanOptions | None = None,
 ) -> dict:
-    """Run the full pipeline and return the schema-versioned report payload."""
+    """Run the full pipeline and return the schema-versioned report payload.
+
+    Findings share one record per privileged operation and per path
+    element (step and evidence), so the payload is read-only: changing one
+    record would change it in every finding."""
     budget = budget or ScanBudget()
     options = options or ScanOptions()
     violations = validate_program(program)
@@ -576,7 +552,8 @@ def _validate_flow(
     smt_dir: Path | None,
     context_ids: set[str],
 ):
-    constraint, skipped, c_rationale = extract_path_constraints(program, flow, reasoner)
+    groups = path_functions(program, flow)
+    constraint, skipped, c_rationale = extract_path_constraints(groups, reasoner)
     tracer.record(PHASE_VALIDATION, "reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
 
     smt_file: str | None = None
@@ -590,7 +567,7 @@ def _validate_flow(
             return None, "pruned"
         constraint_status = "sat" if isinstance(verdict, Sat) else "unknown"
 
-    checks, contexts, ctx_ids = locate_checks(program, flow, reasoner, tracer, max_hops=max_hops)
+    checks, contexts, ctx_ids = locate_checks(groups, reasoner, tracer, max_hops=max_hops)
     context_ids.update(ctx_ids)
     privop = ops_by_element[flow.sink]
     sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
@@ -598,7 +575,6 @@ def _validate_flow(
     if sufficiency.verdict == "protected":
         return None, "protected"
 
-    evidence = _evidence(program, flow, checks)
     finding = Finding(
         path=flow,
         privop=privop,
@@ -606,65 +582,22 @@ def _validate_flow(
         verdict=sufficiency.verdict,
         feasibility="feasible" if constraint_status == "sat" else "unknown",
         rationale=sufficiency.rationale,
-        evidence=tuple(evidence),
         constraint_status=constraint_status,
         smt_file=smt_file,
     )
     return finding, "finding"
 
 
-def _evidence(program: Program, flow: GlobalPath, checks: list[CheckFinding]) -> list[dict]:
-    """Verbatim sources of the elements on (or referenced from) the path."""
-    out: list[dict] = []
-    seen: set[str] = set()
-
-    def add(service_name: str, eid: str) -> None:
-        if eid in seen:
-            return
-        seen.add(eid)
-        service = program.service(service_name)
-        el = service.element(eid) if service else None
-        if el is None:
-            return
-        out.append(
-            {
-                "element": eid,
-                "service": service_name,
-                "kind": el.kind.value,
-                "name": el.name,
-                "file": el.location.file,
-                "line": el.location.line,
-                "source": el.source,
-            }
-        )
-
-    for segment in flow.flow_segments:
-        for eid in segment.elements:
-            add(segment.service, eid)
-    for check in checks:
-        add(check.service, check.element)
-    return out
-
-
 # --- report payload ---------------------------------------------------------------------
 
 
-def _path_dict(program: Program, flow: GlobalPath) -> dict:
+def _path_dict(flow: GlobalPath, step) -> dict:
+    """The path's report record; ``step(service, element)`` gives each
+    element's step record."""
     hops: list[dict] = []
     for segment in flow.segments:
         if isinstance(segment, FlowPath):
-            service = program.service(segment.service)
-            steps = []
-            for eid in segment.elements:
-                el = service.element(eid) if service else None
-                steps.append(
-                    {
-                        "element": eid,
-                        "kind": el.kind.value if el else "unknown",
-                        "name": (el.name or call_callee(el)) if el else "",
-                        "line": el.location.line if el else 0,
-                    }
-                )
+            steps = [step(segment.service, eid) for eid in segment.elements]
             hops.append({"type": "flow", "service": segment.service, "steps": steps})
         else:  # ChannelEdge
             hops.append(
@@ -677,6 +610,20 @@ def _path_dict(program: Program, flow: GlobalPath) -> dict:
                 }
             )
     return {"id": flow.id, "services": list(flow.services), "hops": hops}
+
+
+def _evidence(flow: GlobalPath, checks, record) -> list[dict]:
+    """Verbatim sources of the elements on (or referenced from) the path,
+    each element once; ``record(service, element)`` gives an element's
+    evidence record, None for an unknown element."""
+    located: dict[str, str] = {}  # element -> service, first mention kept
+    for segment in flow.flow_segments:
+        for eid in segment.elements:
+            located.setdefault(eid, segment.service)
+    for check in checks:
+        located.setdefault(check.element, check.service)
+    entries = (record(service_name, eid) for eid, service_name in located.items())
+    return [entry for entry in entries if entry is not None]
 
 
 def _report_payload(
@@ -699,6 +646,9 @@ def _report_payload(
     exhausted_reason: str | None,
     context_ids: set[str],
 ) -> dict:
+    # one record per privileged operation and per element, shared by every
+    # finding that reaches it
+    @functools.cache
     def op_dict(op: PrivilegedOperation) -> dict:
         placed = program.find_element(op.element)
         el = placed[1] if placed else None
@@ -714,6 +664,35 @@ def _report_payload(
             "source": el.source if el else "",
         }
 
+    def element(service_name: str, eid: str) -> Element | None:
+        service = program.service(service_name)
+        return service.element(eid) if service else None
+
+    @functools.cache
+    def step(service_name: str, eid: str) -> dict:
+        el = element(service_name, eid)
+        return {
+            "element": eid,
+            "kind": el.kind.value if el else "unknown",
+            "name": (el.name or call_callee(el)) if el else "",
+            "line": el.location.line if el else 0,
+        }
+
+    @functools.cache
+    def evidence(service_name: str, eid: str) -> dict | None:
+        el = element(service_name, eid)
+        if el is None:
+            return None
+        return {
+            "element": eid,
+            "service": service_name,
+            "kind": el.kind.value,
+            "name": el.name,
+            "file": el.location.file,
+            "line": el.location.line,
+            "source": el.source,
+        }
+
     def finding_dict(f: Finding) -> dict:
         return {
             "id": f.path.id,
@@ -721,7 +700,7 @@ def _report_payload(
             "feasibility": f.feasibility,
             "rationale": f.rationale,
             "privileged_operation": op_dict(f.privop),
-            "path": _path_dict(program, f.path),
+            "path": _path_dict(f.path, step),
             "checks": [
                 {
                     "element": c.element,
@@ -735,7 +714,7 @@ def _report_payload(
                 for c in f.checks
             ],
             "constraint": {"status": f.constraint_status, "smt_file": f.smt_file},
-            "evidence": list(f.evidence),
+            "evidence": _evidence(f.path, f.checks, evidence),
         }
 
     def finding_sort_key(fd: dict):

@@ -14,11 +14,10 @@ The primitives read a ``ServiceIndex``: the service's edges grouped by
 kind and endpoint in one pass, built on first use and stored on that
 Service object, so no query scans every edge and nothing outlives the
 Service. Per-element answers (enclosing function, guards) and the
-service's channel scan (``crossflow.q_inter``) are kept on it too.
-``build_flow_graph`` materializes the service's data-flow relation. The
+service's channel scan (``crossflow.q_inter``) are kept on it too. The
 frontend (or an external facts producer) emits def-use edges already
-saturated under the propagation rules, so the graph is their closure by
-construction; rebuilding it is idempotent.
+saturated under the propagation rules, so the data-flow relation is their
+closure by construction.
 """
 
 from __future__ import annotations
@@ -73,20 +72,6 @@ def q_ast(service: Service, opkind: ElementKind | str) -> list[Element]:
     """All elements of one syntactic kind, in source order."""
     kind = ElementKind(opkind)
     return sorted((e for e in service.elements if e.kind is kind), key=_loc_key)
-
-
-@dataclass(frozen=True)
-class FlowGraph:
-    """Directed data-flow relation over element ids."""
-
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-
-
-def build_flow_graph(service: Service) -> FlowGraph:
-    """Data-flow graph of a service, rebuilt from its edges on every call."""
-    edges = frozenset((e.src, e.dst) for e in service.edges if e.kind is EdgeKind.DATAFLOW)
-    return FlowGraph(nodes=frozenset(e.id for e in service.elements), edges=edges)
 
 
 class ServiceIndex:
@@ -374,14 +359,12 @@ __all__ = [
     "UnknownElement",
     "NotAFunction",
     "NameMode",
-    "FlowGraph",
     "FlowPath",
     "ServiceIndex",
     "q_name",
     "q_ast",
     "q_flow",
     "q_cg",
-    "build_flow_graph",
     "service_index",
     "resolve_selector",
     "enclosing_function",

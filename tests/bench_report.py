@@ -1,6 +1,6 @@
 """Micro-benchmarks on a 256-flow fan-out scan: JSON report rendering, with
 the stdlib's indented encoder as the reference, and check localization
-over every flow.
+(the path's function walk included) over every flow.
 
 The file name does not match ``test_*.py``, so the default test run does
 not collect it. Run it with
@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from privflow.crossflow import build_global_graph, match_channels, q_globalflow, q_user
+from privflow.crossflow import build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.pipeline import ScanBudget, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ScriptedOracle
@@ -46,5 +46,5 @@ def test_render_json_stdlib_reference(benchmark, fanout):
 
 def test_locate_checks_every_flow(benchmark, fanout):
     program, oracle, flows, _ = fanout
-    results = benchmark(lambda: [locate_checks(program, flow, oracle) for flow in flows])
+    results = benchmark(lambda: [locate_checks(path_functions(program, flow), oracle) for flow in flows])
     assert len(results) == len(flows)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,21 @@ def build_random_service(rng, name: str = "rand", max_nodes: int = 50) -> Servic
         if a != b:
             edges.append(Edge(EdgeKind.DATAFLOW, elements[a].id, elements[b].id))
     return Service.build(name, elements, edges)
+
+
+@dataclass(frozen=True)
+class FlowGraph:
+    """Directed data-flow relation over element ids."""
+
+    nodes: frozenset[str]
+    edges: frozenset[tuple[str, str]]
+
+
+def build_flow_graph(service: Service) -> FlowGraph:
+    """Data-flow graph of a service, rebuilt from its edges on every call:
+    the tests' reference for the relation the search primitives index."""
+    edges = frozenset((e.src, e.dst) for e in service.edges if e.kind is EdgeKind.DATAFLOW)
+    return FlowGraph(nodes=frozenset(e.id for e in service.elements), edges=edges)
 
 
 def oracle_closure(service: Service) -> dict[str, set[str]]:

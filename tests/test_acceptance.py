@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from privflow.constraints import Sat, Unknown, check_sat, eval_witness, validate_smtlib
+from privflow.constraints import Sat, Unknown, check_sat, eval_witness
 from privflow.crossflow import build_global_graph, match_channels, q_globalflow
 from privflow.load import load_program
 from privflow.pipeline import ScanOptions, scan
@@ -21,6 +21,7 @@ from conftest import (
     build_random_service,
     oracle_closure,
 )
+from smtlib_check import validate_smtlib
 from test_constraints import enumerate_models, random_constraint
 
 

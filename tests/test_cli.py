@@ -85,6 +85,16 @@ class TestScanCommand:
         assert payload["findings"] == []
         assert payload["options"]["basic_sink"] is True
 
+    def test_unwritable_trace_is_config_error(self, runner, tmp_path):
+        """A trace path in a missing directory is a user error, not findings
+        (exit 1) with a traceback."""
+        trace = tmp_path / "missing" / "t.jsonl"
+        result = runner.invoke(main, ["scan", corpus("role_update"), "--trace", str(trace)])
+        assert result.exit_code == 2
+        assert result.output.startswith("privflow: ")
+        assert result.output.count("\n") == 1
+        assert not trace.exists()
+
 
 class TestQueryCommand:
     def test_name_query(self, runner):
@@ -170,6 +180,14 @@ class TestFactsCommand:
             text = (tmp_path / f"{service.name}.facts.jsonl").read_text()
             bare = service.with_entry(False)
             assert read_facts(text, service.name) == bare
+
+    def test_out_under_a_file_is_config_error(self, runner, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        result = runner.invoke(main, ["facts", corpus("role_update"), "--out", str(blocker / "out")])
+        assert result.exit_code == 2
+        assert result.output.startswith("privflow: ")
+        assert result.output.count("\n") == 1
 
     def test_facts_feed_a_scan(self, runner, tmp_path):
         # export role_update to facts, rebuild a corpus that consumes only facts files

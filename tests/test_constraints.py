@@ -25,9 +25,10 @@ from privflow.constraints import (
     emit_smtlib,
     eval_witness,
     translate_guards,
-    validate_smtlib,
 )
 from privflow.reasoner import GuardDescriptor
+
+from smtlib_check import validate_smtlib
 
 INT_DOMAIN = range(-8, 9)
 STR_LITERALS = ("A", "B")

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from privflow.crossflow import build_global_graph, match_channels, q_globalflow, q_user
+from privflow.crossflow import build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import call_callee
+from privflow.reasoner import Action, NextSearchAction, ScriptedOracle, _query_key
 from privflow.pipeline import (
     BudgetExhausted,
     CheckFinding,
@@ -54,6 +55,25 @@ class TestFindPrivilegedOps:
         ops = find_privileged_ops(role_update_program, oracle)
         assert len({op.element for op in ops}) == len(ops)
 
+    def test_malformed_proposals_do_not_derail_the_scan(self, role_update_program, oracle):
+        """An invalid regex or an unknown name mode burns a proposal, as an
+        unknown service does; the scan goes on to the same findings."""
+
+        class Malformed(ScriptedOracle):
+            def reason(self, task):
+                if isinstance(task, NextSearchAction) and task.round == 1:
+                    for args in (
+                        {"service": task.services[0], "pattern": "(", "mode": "regex"},
+                        {"service": task.services[0], "pattern": "update", "mode": "glob"},
+                    ):
+                        if _query_key("q_name", args) not in task.executed:
+                            return Action("q_name", args, "malformed proposal")
+                return super().reason(task)
+
+        stub = Malformed()
+        assert find_privileged_ops(role_update_program, stub) == find_privileged_ops(role_update_program, oracle)
+        assert scan(role_update_program, stub)["findings"] == scan(role_update_program, oracle)["findings"]
+
     def test_budget_exhaustion_carries_partial(self, role_update_program, oracle):
         tiny = Tracer(ScanBudget(max_tool_calls_per_phase=3))
         with pytest.raises(BudgetExhausted) as err:
@@ -64,7 +84,7 @@ class TestFindPrivilegedOps:
 class TestLocateChecks:
     def test_role_update_decorator_chain(self, role_update_program, oracle):
         _, flows = first_flow(role_update_program, oracle)
-        checks, contexts, context_ids = locate_checks(role_update_program, flows[0], oracle)
+        checks, contexts, context_ids = locate_checks(path_functions(role_update_program, flows[0]), oracle)
         by_class = {(c.name, c.classification) for c in checks}
         assert ("authn_session", "authn") in by_class
         assert ("authz", "authz") in by_class
@@ -76,7 +96,7 @@ class TestLocateChecks:
         _, flows = first_flow(order_payment_program, oracle)
         inline = []
         for flow in flows:
-            checks, _, _ = locate_checks(order_payment_program, flow, oracle)
+            checks, _, _ = locate_checks(path_functions(order_payment_program, flow), oracle)
             inline += [
                 c for c in checks if c.attachment == "inline" and c.authz_subtype == "ownership"
             ]
@@ -85,7 +105,7 @@ class TestLocateChecks:
     def test_plain_handler_has_no_checks(self, oracle):
         program = load_program(CORPORA / "exec_open")
         _, flows = first_flow(program, oracle)
-        checks, _, _ = locate_checks(program, flows[0], oracle)
+        checks, _, _ = locate_checks(path_functions(program, flows[0]), oracle)
         assert checks == []
 
     def test_check_finding_invariants(self):
@@ -98,14 +118,14 @@ class TestLocateChecks:
 class TestAssessFlow:
     def test_role_update_insufficient(self, role_update_program, oracle):
         privops, flows = first_flow(role_update_program, oracle)
-        checks, contexts, _ = locate_checks(role_update_program, flows[0], oracle)
+        checks, contexts, _ = locate_checks(path_functions(role_update_program, flows[0]), oracle)
         verdict = assess_flow(role_update_program, privops[0], checks, contexts, oracle)
         assert verdict.verdict == "insufficient_authz"
 
     def test_patched_protected(self, oracle):
         program = load_program(CORPORA / "role_update_patched")
         privops, flows = first_flow(program, oracle)
-        checks, contexts, _ = locate_checks(program, flows[0], oracle)
+        checks, contexts, _ = locate_checks(path_functions(program, flows[0]), oracle)
         verdict = assess_flow(program, privops[0], checks, contexts, oracle)
         assert verdict.verdict == "protected"
 
@@ -171,7 +191,7 @@ class TestScan:
         )
         program = load_program(tmp_path)
         privops, [flow] = first_flow(program, oracle)
-        checks, _, _ = locate_checks(program, flow, oracle)
+        checks, _, _ = locate_checks(path_functions(program, flow), oracle)
         assert {(c.name, c.service) for c in checks if c.classification == "authz"} == {("authz", "userprofile")}
         payload = scan(program, oracle)
         assert payload["findings"] == []
@@ -285,7 +305,6 @@ class TestScan:
                 verdict="protected",
                 feasibility="feasible",
                 rationale="r",
-                evidence=(),
                 constraint_status="sat",
             )
 

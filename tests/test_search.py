@@ -12,7 +12,6 @@ from privflow.search import (
     BadPattern,
     NotAFunction,
     UnknownElement,
-    build_flow_graph,
     call_sites_of,
     enclosing_function,
     get_location,
@@ -28,6 +27,7 @@ from privflow.search import (
 
 from conftest import (
     CORPORA,
+    build_flow_graph,
     build_random_service,
     build_tied_service,
     lower_snippet,

@@ -1,13 +1,20 @@
 """The benchmark's tracer patches privflow functions by name; a refactor
-that drops one of those names must fail here, not in a traced benchmark
-run."""
+that drops one of those names, or stops calling one, must fail here, not
+in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
+from conftest import CORPORA
+
+ROOT = Path(__file__).parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+WORKER = ROOT / "bench" / "worker.py"
 
 
 def test_traced_names_resolve(monkeypatch):
@@ -20,3 +27,22 @@ def test_traced_names_resolve(monkeypatch):
         module = importlib.import_module(module_name)
         for attr in attrs:
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_traced_worker_times_every_validation_layer():
+    """One traced analysis of role_update, run as the benchmark runs it:
+    each validation layer takes time and the per-task reasoner counts add
+    up to the total."""
+    job = {"corpora": [str(CORPORA / "role_update")], "budget": "default", "warmup": False, "trace": True, "analysis": 0}
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ as it is
+    proc = subprocess.run(
+        [sys.executable, str(WORKER), json.dumps(job)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    layers = result["layers"]
+    for name in ("constraints.extract.s", "pipeline.locate_checks.s", "pipeline.assess.s"):
+        assert layers[name] > 0, name
+    per_task = [value for name, value in layers.items() if name.startswith("reasoner.calls.")]
+    assert len(per_task) == 6
+    assert sum(per_task) == result["reasoner_calls"] > 0
