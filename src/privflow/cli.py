@@ -19,7 +19,7 @@ from .minisrv import LoweringError, ParseError
 from .model import ElementKind
 from .pipeline import BudgetExhausted, ProgramInvalid, ScanBudget, ScanOptions, find_privileged_ops
 from .pipeline import scan as run_scan
-from .reasoner import BackendUnavailable, RulesError, load_rules, make_reasoner
+from .reasoner import BackendUnavailable, RulesError, SchemaViolation, load_rules, make_reasoner
 from .report import ExitStatus, exit_status, render_report
 from .search import BadPattern, NotAFunction, UnknownElement, q_ast, q_cg, q_flow, q_name
 from .crossflow import build_global_graph, match_channels, to_dot
@@ -33,6 +33,7 @@ USER_ERRORS = (
     ProgramInvalid,
     RulesError,
     BackendUnavailable,
+    SchemaViolation,
     BadPattern,
     UnknownElement,
     NotAFunction,

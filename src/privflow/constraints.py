@@ -88,7 +88,6 @@ class Not:
 
 
 Atom = Union[IntCmp, IntVarCmp, StrLitCmp, StrVarCmp, BoolVar, BoolConst]
-TRUE = And(())
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,6 @@ class PathConstraint:
 
 
 class ConstraintError(ValueError):
-    pass
-
-
-class MissingVariable(Exception):
     pass
 
 
@@ -468,47 +463,6 @@ def check_sat(c: PathConstraint) -> SatResult:
     return Unsat()
 
 
-def eval_witness(c: PathConstraint, assignment: dict) -> bool:
-    """Concretely evaluate the formula under a full assignment."""
-    for name, _ in c.variables:
-        if name not in assignment:
-            raise MissingVariable(name)
-
-    def ev(f) -> bool:
-        if isinstance(f, IntCmp):
-            x = assignment[f.var]
-            return {
-                "==": x == f.value,
-                "!=": x != f.value,
-                "<": x < f.value,
-                "<=": x <= f.value,
-                ">": x > f.value,
-                ">=": x >= f.value,
-            }[f.op]
-        if isinstance(f, IntVarCmp):
-            same = assignment[f.left] == assignment[f.right]
-            return same if f.op == "==" else not same
-        if isinstance(f, StrLitCmp):
-            same = assignment[f.var] == f.value
-            return same if f.op == "==" else not same
-        if isinstance(f, StrVarCmp):
-            same = assignment[f.left] == assignment[f.right]
-            return same if f.op == "==" else not same
-        if isinstance(f, BoolVar):
-            return bool(assignment[f.var])
-        if isinstance(f, BoolConst):
-            return f.value
-        if isinstance(f, And):
-            return all(ev(i) for i in f.items)
-        if isinstance(f, Or):
-            return any(ev(i) for i in f.items)
-        if isinstance(f, Not):
-            return not ev(f.item)
-        raise ConstraintError(f"unsupported formula node {f!r}")
-
-    return ev(c.formula)
-
-
 # --- SMT-LIB emission -----------------------------------------------------------
 
 
@@ -562,29 +516,7 @@ def emit_smtlib(c: PathConstraint) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- JSON codec (remote-reasoner responses, report payloads) ---------------------
-
-
-def formula_to_json(f) -> list:
-    if isinstance(f, IntCmp):
-        return ["int_cmp", f.var, f.op, f.value]
-    if isinstance(f, IntVarCmp):
-        return ["int_var_cmp", f.left, f.op, f.right]
-    if isinstance(f, StrLitCmp):
-        return ["str_lit_cmp", f.var, f.op, f.value]
-    if isinstance(f, StrVarCmp):
-        return ["str_var_cmp", f.left, f.op, f.right]
-    if isinstance(f, BoolVar):
-        return ["bool_var", f.var]
-    if isinstance(f, BoolConst):
-        return ["bool_const", f.value]
-    if isinstance(f, And):
-        return ["and"] + [formula_to_json(i) for i in f.items]
-    if isinstance(f, Or):
-        return ["or"] + [formula_to_json(i) for i in f.items]
-    if isinstance(f, Not):
-        return ["not", formula_to_json(f.item)]
-    raise ConstraintError(f"unsupported formula node {f!r}")
+# --- JSON decoding (remote-reasoner responses) --------------------------------
 
 
 def formula_from_json(data) -> object:
@@ -612,13 +544,6 @@ def formula_from_json(data) -> object:
     raise ConstraintError(f"malformed formula node {data!r}")
 
 
-def constraint_to_json(c: PathConstraint) -> dict:
-    return {
-        "variables": [{"name": n, "type": t} for n, t in c.variables],
-        "formula": formula_to_json(c.formula),
-    }
-
-
 def constraint_from_json(data: dict) -> PathConstraint:
     variables = data.get("variables")
     if not isinstance(variables, list):
@@ -639,9 +564,8 @@ def constraint_from_json(data: dict) -> PathConstraint:
 def extract_path_constraints(groups, reasoner):
     """Ask the reasoner to translate the conditional guards protecting a
     flow, read from its ``crossflow.path_functions`` groups and taken in
-    source order; anything outside the fragment yields Skipped.
-
-    Returns (PathConstraint | None, skipped: bool, rationale).
+    source order. Returns the PathConstraint, or None when the reasoner
+    skipped the extraction (a guard outside the fragment).
     """
     from .reasoner import ExtractConstraints, GuardDescriptor
 
@@ -656,9 +580,7 @@ def extract_path_constraints(groups, reasoner):
         )
     )
     verdict = reasoner.reason(ExtractConstraints(guards=descriptors))
-    if verdict.skipped:
-        return None, True, verdict.rationale
-    return verdict.constraint, False, verdict.rationale
+    return None if verdict.skipped else verdict.constraint
 
 
 def _guard_var_types(service, guard_source: str) -> tuple[tuple[str, str], ...]:

@@ -21,6 +21,15 @@ from .search import FlowPath, enclosing_function, guard_chain, q_flow, service_i
 from .minisrv.lower import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
 
 
+#: ``record(tool, args, count)`` takes one tool call for the trace, which
+#: also meters the budget.
+Recorder = Callable[[str, dict, int], None]
+
+
+def unrecorded(tool: str, args: dict, count: int) -> None:
+    """The recorder of a caller that keeps no trace."""
+
+
 class NoEntryService(Exception):
     pass
 
@@ -240,27 +249,23 @@ def build_global_graph(
     program: Program,
     privops,
     channel_edges: list[ChannelEdge],
-    tracer: Callable[..., None] | None = None,
+    record: Recorder = unrecorded,
 ) -> GlobalGraph:
     """Two-phase construction: per-service source-to-sink/boundary flow
     edges, then the matched channel edges (``match_channels``) across
-    service boundaries. One flow search per source; the trace keeps one
-    ``q_flow`` record per (source, target) pair. Deterministic and
+    service boundaries. One flow search per source; ``record`` gets one
+    ``q_flow`` call per (source, target) pair. Deterministic and
     idempotent."""
     graph = GlobalGraph()
     privop_ids = {p.element for p in privops}
 
-    def trace(tool: str, args: dict, count: int) -> None:
-        if tracer is not None:
-            tracer(tool=tool, args=args, result_count=count)
-
     # Phase 1: intra-service reachability
     for service in sorted(program.services, key=lambda s: s.name):
         sources = q_source(service)
-        trace("q_source", {"service": service.name}, len(sources))
+        record("q_source", {"service": service.name}, len(sources))
         scan = q_inter(service)
         out_channels = [ch for ch in scan.channels if ch.direction == "out"]
-        trace("q_inter", {"service": service.name}, len(scan.channels))
+        record("q_inter", {"service": service.name}, len(scan.channels))
         local_privops = [eid for eid in sorted(privop_ids) if eid in service]
         targets = list(dict.fromkeys(local_privops + [ch.element for ch in out_channels]))
         for src in sources:
@@ -271,7 +276,7 @@ def build_global_graph(
             paths = {p.dst: p for p in q_flow(service, src.id, *dsts)}
             for dst in dsts:
                 path = paths.get(dst)
-                trace("q_flow", {"service": service.name, "from": src.id, "to": dst}, int(path is not None))
+                record("q_flow", {"service": service.name, "from": src.id, "to": dst}, int(path is not None))
                 if path is not None:
                     graph.nodes.add(dst)
                     graph.add_edge(GlobalEdge(src.id, dst, path))

@@ -35,7 +35,6 @@ from .model import (
 
 FORMAT_VERSION = 1
 MANIFEST_FILENAME = "privflow.manifest.json"
-FACTS_SUFFIX = ".facts.jsonl"
 
 
 class ManifestError(Exception):

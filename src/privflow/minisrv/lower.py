@@ -90,8 +90,6 @@ class _Lowerer:
         self.elements: dict[str, Element] = {}
         self.edges: set[Edge] = set()
         self.channels: list[Channel] = []
-        self.functions: dict[str, Element] = {}
-        self.fn_defs: dict[str, FuncDef] = {}
         self.consts: dict[str, Element] = {}
         self.const_values: dict[str, object] = {}
         self.scopes: dict[str, _FnScope] = {}
@@ -124,8 +122,6 @@ class _Lowerer:
         # regardless of definition order
         for fn in self.ast.functions():
             fn_el = self.new_element(ElementKind.FUNCTION, fn.name, fn, self.span_text(fn), "function")
-            self.functions[fn.name] = fn_el
-            self.fn_defs[fn.name] = fn
             scope = _FnScope(fn, fn_el)
             for p in fn.params:
                 p_el = self.new_element(ElementKind.PARAMETER, p.name, p, p.name)
@@ -169,13 +165,13 @@ class _Lowerer:
                 endpoints.append(ep)
             else:  # auth
                 check_name = dec.args[0].ident
-                check_el = self.functions.get(check_name)
-                if check_el is None:
+                check = self.scopes.get(check_name)
+                if check is None:
                     raise LoweringError(
                         Location(self.file, dec.line, dec.col),
                         f"@auth references undefined check function {check_name!r}",
                     )
-                self.edge(EdgeKind.CALLS, dec_el, check_el)
+                self.edge(EdgeKind.CALLS, dec_el, check.element)
 
         for stmt in fn.body:
             self.lower_stmt(stmt, fn_el, scope)
@@ -280,14 +276,13 @@ class _Lowerer:
             for src in sources:
                 self.edge(EdgeKind.DATAFLOW, src, call_el)
 
-        callee_fn = self.functions.get(call.callee)
-        if callee_fn is not None:
-            self.edge(EdgeKind.CALLS, call_el, callee_fn)
-            callee_scope = self.scopes[call.callee]
-            params = self.fn_defs[call.callee].params
+        callee = self.scopes.get(call.callee)
+        if callee is not None:
+            self.edge(EdgeKind.CALLS, call_el, callee.element)
+            params = callee.func.params
             for i, sources in enumerate(arg_sources):
                 if i < len(params):
-                    p_el = callee_scope.params[params[i].name]
+                    p_el = callee.params[params[i].name]
                     for src in sources:
                         self.edge(EdgeKind.DATAFLOW, src, p_el)
         elif call.callee.startswith("request."):

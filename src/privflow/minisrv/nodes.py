@@ -47,14 +47,10 @@ class Member(Node):
     base: str
     path: tuple[str, ...]  # attributes after the base
 
-    @property
-    def dotted(self) -> str:
-        return ".".join((self.base,) + self.path)
-
 
 @dataclass
 class Call(Node):
-    callee: str  # dotted path text, e.g. "update_role" or "request.param"
+    callee: str  # the called path as written, e.g. "update_role" or "request.param"
     args: list  # list of expressions
 
 

@@ -9,7 +9,9 @@ Flow counts are conserved through the funnel:
     initial = constraint_pruned + protected_dropped + findings + budget_truncated
 
 Every primitive and reasoner invocation is recorded in a replayable
-tool-call trace, which also enforces the per-phase call budget.
+tool-call trace, which also enforces the per-phase call budget. A reasoner
+task is recorded before it is asked, so the task whose record exhausts the
+budget is never asked.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from pathlib import Path
 
 from .constraints import check_sat, Sat, Unsat, emit_smtlib, extract_path_constraints
 from .crossflow import (
+    PATH_CAP,
     GlobalPath,
+    Recorder,
     ambiguous_matches,
     build_global_graph,
     match_channels,
@@ -30,6 +34,7 @@ from .crossflow import (
     q_globalflow,
     q_inter,
     q_user,
+    unrecorded,
 )
 from .model import Element, ElementKind, Program, Service, call_callee, validate_program
 from .reasoner import (
@@ -116,10 +121,9 @@ class Finding:
 class ScanBudget:
     max_tool_calls_per_phase: int = 40
     max_seconds: float = 600.0
-    max_flows: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.max_tool_calls_per_phase <= 0 or self.max_seconds <= 0 or self.max_flows <= 0:
+        if self.max_tool_calls_per_phase <= 0 or self.max_seconds <= 0:
             raise ValueError("budget limits must be positive")
 
 
@@ -261,8 +265,8 @@ def _find_privileged_ops(
             classified.add(el.id)
             source = get_source(service, el)
             tracer.record(PHASE_PRIVOPS, "get_source", {"service": service.name, "element": el.id}, 1)
-            verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
             tracer.record(PHASE_PRIVOPS, "reason", {"task": "ClassifyPrivileged", "element": el.id}, 1)
+            verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
             if verdict.category is None:
                 continue
             callers = q_cg(service, el.id, "callers")
@@ -294,7 +298,7 @@ def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[P
 def locate_checks(
     groups,
     reasoner,
-    tracer: Tracer | None = None,
+    record: Recorder = unrecorded,
     max_hops: int = 4,
 ) -> tuple[list[CheckFinding], list[str], set[str]]:
     """AuthN/authZ checks correlated with a flow.
@@ -302,21 +306,18 @@ def locate_checks(
     Reads the path's ``crossflow.path_functions`` groups. For every function
     on the path, collects decorator-attached check functions (following
     decorator -> check -> helper call chains up to ``max_hops``) and the
-    inline conditionals whose guarded block contains the flow. Returns
-    (checks, context snippets, context element ids).
+    inline conditionals whose guarded block contains the flow. Every tool
+    call goes to ``record(tool, args, count)``. Returns (checks, context
+    snippets, context element ids).
     """
     checks: list[CheckFinding] = []
     contexts: list[str] = []
     context_ids: set[str] = set()
     seen_candidates: set[str] = set()
 
-    def trace(tool: str, args: dict, count: int) -> None:
-        if tracer is not None:
-            tracer.record(PHASE_VALIDATION, tool, args, count)
-
     def classify(service: Service, task: ClassifyCheck) -> None:
+        record("reason", {"task": "ClassifyCheck", "element": task.element}, 1)
         verdict = reasoner.reason(task)
-        trace("reason", {"task": "ClassifyCheck", "element": task.element}, 1)
         if verdict.classification in ("authn", "authz"):
             checks.append(
                 CheckFinding(
@@ -338,9 +339,9 @@ def locate_checks(
                 continue
             seen_candidates.add(check_fn.id)
             source = get_source(service, check_fn)
-            trace("get_source", {"service": service.name, "element": check_fn.id}, 1)
+            record("get_source", {"service": service.name, "element": check_fn.id}, 1)
             context_ids.add(check_fn.id)
-            helper_sources = _helper_contexts(service, check_fn, max_hops - 1, context_ids, trace)
+            helper_sources = _helper_contexts(service, check_fn, max_hops - 1, context_ids, record)
             contexts.extend(helper_sources)
             task = ClassifyCheck(
                 element=check_fn.id, name=check_fn.name, source=source, attachment="decorator", context=tuple(helper_sources)
@@ -363,7 +364,9 @@ def _decorator_checks(service: Service, fn: Element) -> list[Element]:
     return sorted(checks, key=lambda e: e.sort_key)
 
 
-def _helper_contexts(service: Service, check_fn: Element, hops: int, context_ids: set[str], trace) -> list[str]:
+def _helper_contexts(
+    service: Service, check_fn: Element, hops: int, context_ids: set[str], record: Recorder
+) -> list[str]:
     """Sources of functions reachable from the check within the hop budget."""
     sources: list[str] = []
     if hops <= 0:
@@ -374,13 +377,13 @@ def _helper_contexts(service: Service, check_fn: Element, hops: int, context_ids
         nxt: list[str] = []
         for fid in frontier:
             callees = q_cg(service, fid, "callees")
-            trace("q_cg", {"service": service.name, "function": fid, "direction": "callees"}, len(callees))
+            record("q_cg", {"service": service.name, "function": fid, "direction": "callees"}, len(callees))
             for callee in callees:
                 if callee.id in visited:
                     continue
                 visited.add(callee.id)
                 sources.append(get_source(service, callee))
-                trace("get_source", {"service": service.name, "element": callee.id}, 1)
+                record("get_source", {"service": service.name, "element": callee.id}, 1)
                 context_ids.add(callee.id)
                 nxt.append(callee.id)
         frontier = nxt
@@ -447,6 +450,12 @@ def scan(
     violations = validate_program(program)
     if violations:
         raise ProgramInvalid(violations)
+    # an unwritable output fails the scan before any work is spent
+    smt_dir = Path(options.emit_smt_dir) if options.emit_smt_dir else None
+    if smt_dir is not None:
+        smt_dir.mkdir(parents=True, exist_ok=True)
+    if options.trace_path:
+        Path(options.trace_path).write_text("", encoding="utf-8")
 
     tracer = Tracer(budget)
     exhausted_reason: str | None = None
@@ -465,21 +474,17 @@ def scan(
             privops = list(exc.partial or [])
             raise
 
-        def flow_trace(tool: str, args: dict, result_count: int) -> None:
-            tracer.record(PHASE_FLOW, tool, args, result_count)
-
+        record_flow = functools.partial(tracer.record, PHASE_FLOW)
         matched = match_channels(program)
-        graph = build_global_graph(program, privops, matched, tracer=flow_trace)
+        graph = build_global_graph(program, privops, matched, record=record_flow)
         # a report whose budget ran out during the graph lists no channels
         channel_edges = matched
         for service in program.services:
             unresolved.extend(q_inter(service).unresolved)
         user_sources = q_user(program, reasoner)
-        tracer.record(PHASE_FLOW, "q_user", {"entry": program.manifest.entry_service()}, len(user_sources))
+        record_flow("q_user", {"entry": program.manifest.entry_service()}, len(user_sources))
         result = q_globalflow(graph, user_sources, privops)
-        tracer.record(
-            PHASE_FLOW, "q_globalflow", {"sources": len(user_sources), "sinks": len(privops)}, len(result.paths)
-        )
+        record_flow("q_globalflow", {"sources": len(user_sources), "sinks": len(privops)}, len(result.paths))
         flows = result.paths
         flows_truncated = result.truncated
     except BudgetExhausted as exc:
@@ -492,20 +497,13 @@ def scan(
     budget_truncated = 0
     full_context_ids: set[str] = set()
 
-    smt_dir = Path(options.emit_smt_dir) if options.emit_smt_dir else None
-    if smt_dir is not None:
-        smt_dir.mkdir(parents=True, exist_ok=True)
-
     if exhausted_reason is None:
         max_hops = 4 if options.on_demand_context else 1
+        record_validation = functools.partial(tracer.record, PHASE_VALIDATION)
         for index, flow in enumerate(flows):
-            if index >= budget.max_flows:
-                budget_truncated = len(flows) - index
-                exhausted_reason = f"{PHASE_VALIDATION}: exceeded {budget.max_flows} flows"
-                break
             try:
                 finding, status = _validate_flow(
-                    program, flow, ops_by_element, reasoner, tracer, max_hops, smt_dir, full_context_ids
+                    program, flow, ops_by_element, reasoner, record_validation, max_hops, smt_dir, full_context_ids
                 )
             except BudgetExhausted as exc:
                 budget_truncated = len(flows) - index
@@ -547,18 +545,18 @@ def _validate_flow(
     flow: GlobalPath,
     ops_by_element: dict[str, PrivilegedOperation],
     reasoner,
-    tracer: Tracer,
+    record: Recorder,
     max_hops: int,
     smt_dir: Path | None,
     context_ids: set[str],
 ):
     groups = path_functions(program, flow)
-    constraint, skipped, c_rationale = extract_path_constraints(groups, reasoner)
-    tracer.record(PHASE_VALIDATION, "reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
+    record("reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
+    constraint = extract_path_constraints(groups, reasoner)
 
     smt_file: str | None = None
     constraint_status = "skipped"
-    if not skipped and constraint is not None:
+    if constraint is not None:
         if smt_dir is not None:
             smt_file = f"{flow.id}.smt2"
             (smt_dir / smt_file).write_text(emit_smtlib(constraint), encoding="utf-8")
@@ -567,11 +565,11 @@ def _validate_flow(
             return None, "pruned"
         constraint_status = "sat" if isinstance(verdict, Sat) else "unknown"
 
-    checks, contexts, ctx_ids = locate_checks(groups, reasoner, tracer, max_hops=max_hops)
+    checks, contexts, ctx_ids = locate_checks(groups, reasoner, record, max_hops=max_hops)
     context_ids.update(ctx_ids)
     privop = ops_by_element[flow.sink]
+    record("reason", {"task": "AssessSufficiency", "flow": flow.id}, 1)
     sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
-    tracer.record(PHASE_VALIDATION, "reason", {"task": "AssessSufficiency", "flow": flow.id}, 1)
     if sufficiency.verdict == "protected":
         return None, "protected"
 
@@ -785,7 +783,7 @@ def _report_payload(
         "context_elements": sorted(context_ids),
         "budget": {
             "max_tool_calls_per_phase": budget.max_tool_calls_per_phase,
-            "max_flows": budget.max_flows,
+            "max_flows": PATH_CAP,
             "tool_calls": {phase: tracer.per_phase[phase] for phase in sorted(tracer.per_phase)},
             "exhausted": exhausted_reason is not None,
             "exhausted_reason": exhausted_reason,

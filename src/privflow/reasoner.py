@@ -19,6 +19,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import constraints as _constraints
@@ -165,38 +166,20 @@ class OracleRules:
     ownership_comparisons: tuple[str, ...]
     ownership_nouns: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "_critical_rx",
-            tuple(re.compile(p, re.IGNORECASE) for p in self.critical_action_patterns),
-        )
-        object.__setattr__(
-            self,
-            "_ownership_rx",
-            tuple(re.compile(p) for p in self.ownership_comparisons),
-        )
+    @cached_property
+    def critical_rx(self) -> tuple[re.Pattern, ...]:
+        return tuple(re.compile(p, re.IGNORECASE) for p in self.critical_action_patterns)
 
-    @property
-    def critical_rx(self):
-        return self._critical_rx
-
-    @property
-    def ownership_rx(self):
-        return self._ownership_rx
+    @cached_property
+    def ownership_rx(self) -> tuple[re.Pattern, ...]:
+        return tuple(re.compile(p) for p in self.ownership_comparisons)
 
 
-_RULES_FIELDS = {
-    "action_verbs": ("privileged", "action_verbs"),
-    "protected_state_nouns": ("privileged", "protected_state_nouns"),
-    "resource_nouns": ("privileged", "resource_nouns"),
-    "critical_action_patterns": ("privileged", "critical_action_patterns"),
-    "authn_patterns": ("checks", "authn_patterns"),
-    "authz_patterns": ("checks", "authz_patterns"),
-    "role_keywords": ("checks", "role_keywords"),
-    "permission_keywords": ("checks", "permission_keywords"),
-    "ownership_comparisons": ("checks", "ownership_comparisons"),
-    "ownership_nouns": ("sufficiency", "ownership_nouns"),
+#: The rules file's sections and their keys, each key an OracleRules field.
+_RULES_SECTIONS = {
+    "privileged": ("action_verbs", "protected_state_nouns", "resource_nouns", "critical_action_patterns"),
+    "checks": ("authn_patterns", "authz_patterns", "role_keywords", "permission_keywords", "ownership_comparisons"),
+    "sufficiency": ("ownership_nouns",),
 }
 
 
@@ -211,15 +194,16 @@ def load_rules(file: str | Path | None = None) -> OracleRules:
         raise RulesError("file", f"invalid JSON: {exc}")
 
     kwargs: dict[str, tuple[str, ...]] = {}
-    for attr, (section, key) in _RULES_FIELDS.items():
-        values = raw.get(section, {}).get(key)
-        dotted = f"{section}.{key}"
-        if not isinstance(values, list) or not values:
-            raise RulesError(dotted, "must be a non-empty list")
-        if not all(isinstance(v, str) and v for v in values):
-            raise RulesError(dotted, "entries must be non-empty strings")
-        kwargs[attr] = tuple(values)
-    for dotted, patterns in (
+    for section, keys in _RULES_SECTIONS.items():
+        for key in keys:
+            values = raw.get(section, {}).get(key)
+            rules_field = f"{section}.{key}"
+            if not isinstance(values, list) or not values:
+                raise RulesError(rules_field, "must be a non-empty list")
+            if not all(isinstance(v, str) and v for v in values):
+                raise RulesError(rules_field, "entries must be non-empty strings")
+            kwargs[key] = tuple(values)
+    for rules_field, patterns in (
         ("privileged.critical_action_patterns", kwargs["critical_action_patterns"]),
         ("checks.ownership_comparisons", kwargs["ownership_comparisons"]),
     ):
@@ -227,7 +211,7 @@ def load_rules(file: str | Path | None = None) -> OracleRules:
             try:
                 re.compile(p)
             except re.error as exc:
-                raise RulesError(dotted, f"pattern {p!r} does not compile: {exc}")
+                raise RulesError(rules_field, f"pattern {p!r} does not compile: {exc}")
     return OracleRules(**kwargs)
 
 
@@ -546,6 +530,8 @@ class RemoteReasoner:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             raise BackendUnavailable("backend response is not a chat completion")
+        if not isinstance(content, str):
+            raise BackendUnavailable("backend chat completion carries no text content")
         return content
 
 

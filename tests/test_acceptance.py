@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from privflow.constraints import Sat, Unknown, check_sat, eval_witness
+from privflow.constraints import Sat, Unknown, check_sat
 from privflow.crossflow import build_global_graph, match_channels, q_globalflow
 from privflow.load import load_program
 from privflow.pipeline import ScanOptions, scan
@@ -15,6 +15,7 @@ from privflow.report import render_report
 from privflow.reasoner import ScriptedOracle
 from privflow.search import q_flow
 
+from constraint_reference import eval_witness
 from conftest import (
     CORPORA,
     build_random_program,

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from privflow import reasoner
 from privflow.cli import main
 from privflow.report import ExitStatus, exit_status, render_report
 
@@ -94,6 +95,31 @@ class TestScanCommand:
         assert result.output.startswith("privflow: ")
         assert result.output.count("\n") == 1
         assert not trace.exists()
+
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "no text content"),
+            ("not json at all", "NextSearchAction: reply contains no JSON object"),
+        ],
+    )
+    def test_remote_backend_failure_is_config_error(self, runner, monkeypatch, content, message):
+        """A reply without text content and a reply that never fits the
+        schema (retries exhausted) each print one line and exit 2."""
+        monkeypatch.setenv("PRIVFLOW_ENDPOINT", "http://backend.invalid/v1/chat/completions")
+        monkeypatch.setenv("PRIVFLOW_MODEL", "test-model")
+        monkeypatch.setattr(reasoner.time, "sleep", lambda seconds: None)
+        monkeypatch.setattr(
+            reasoner,
+            "_requests_transport",
+            lambda url, headers, payload, timeout: (200, {"choices": [{"message": {"content": content}}]}),
+        )
+        result = runner.invoke(main, ["scan", corpus("role_update"), "--reasoner", "remote"])
+        assert result.exit_code == 2
+        assert result.output.startswith("privflow: ")
+        assert message in result.output
+        assert result.output.count("\n") == 1
 
 
 class TestQueryCommand:

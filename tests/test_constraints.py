@@ -10,7 +10,6 @@ from privflow.constraints import (
     ConstraintError,
     IntCmp,
     IntVarCmp,
-    MissingVariable,
     Not,
     Or,
     PathConstraint,
@@ -21,13 +20,12 @@ from privflow.constraints import (
     Unsat,
     check_sat,
     constraint_from_json,
-    constraint_to_json,
     emit_smtlib,
-    eval_witness,
     translate_guards,
 )
 from privflow.reasoner import GuardDescriptor
 
+from constraint_reference import MissingVariable, constraint_to_json, eval_witness
 from smtlib_check import validate_smtlib
 
 INT_DOMAIN = range(-8, 9)

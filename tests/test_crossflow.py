@@ -461,7 +461,10 @@ def _check_witnesses(program, privops):
     trace record replays to its recorded count. Returns the flow edges."""
     records = []
     graph = build_global_graph(
-        program, privops, match_channels(program), tracer=lambda **record: records.append(record)
+        program,
+        privops,
+        match_channels(program),
+        record=lambda tool, args, count: records.append({"tool": tool, "args": args, "result_count": count}),
     )
     flow_edges = [e for edges in graph.edges.values() for e in edges if not e.is_channel]
     for edge in flow_edges:

@@ -1,8 +1,9 @@
+import collections
 import json
 
 import pytest
 
-from privflow.crossflow import build_global_graph, match_channels, path_functions, q_globalflow, q_user
+from privflow.crossflow import PATH_CAP, build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import call_callee
 from privflow.reasoner import Action, NextSearchAction, ScriptedOracle, _query_key
@@ -21,6 +22,18 @@ from privflow.pipeline import (
 )
 
 from conftest import CORPORA
+
+
+class CountingOracle(ScriptedOracle):
+    """The scripted oracle, counting the tasks it is asked by task name."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = collections.Counter()
+
+    def reason(self, task):
+        self.calls[type(task).__name__] += 1
+        return super().reason(task)
 
 
 def first_flow(program, oracle, basic_sink=False):
@@ -252,12 +265,57 @@ class TestScan:
         assert payload["budget"]["exhausted"]
         assert payload["budget"]["exhausted_reason"]
 
-    def test_max_flows_budget_truncates(self, order_payment_program, oracle):
-        payload = scan(order_payment_program, oracle, budget=ScanBudget(max_flows=1))
+    def test_validation_budget_truncates(self, order_payment_program, oracle):
+        """A budget that runs out while validating truncates the flows
+        not yet validated, and the funnel still adds up."""
+        payload = scan(order_payment_program, oracle, budget=ScanBudget(max_tool_calls_per_phase=10))
         funnel = payload["funnel"]
+        assert payload["budget"]["exhausted_reason"] == "validation: exceeded 10 tool calls"
+        assert payload["budget"]["max_flows"] == PATH_CAP
         assert funnel["initial_flows"] == 2
         assert funnel["budget_truncated"] == 1
-        assert payload["budget"]["exhausted"]
+        assert funnel["initial_flows"] == (
+            funnel["constraint_pruned"] + funnel["protected_dropped"] + funnel["budget_truncated"] + funnel["findings"]
+        )
+
+    def test_exhausting_reason_record_asks_no_task(self, order_payment_program, tmp_path):
+        """Each reasoner task is recorded before it is asked, so the task
+        whose record exhausts the budget is never asked. Every other
+        recorded task is asked once; ConfirmUserSource tasks are covered by
+        one q_user record and left out."""
+        exhausted_on = set()
+        for calls in range(1, 16):
+            reasoner = CountingOracle()
+            trace = tmp_path / f"{calls}.jsonl"
+            payload = scan(
+                order_payment_program,
+                reasoner,
+                ScanBudget(max_tool_calls_per_phase=calls),
+                ScanOptions(trace_path=str(trace)),
+            )
+            records = [json.loads(line) for line in trace.read_text().splitlines()]
+            recorded = collections.Counter(r["args"]["task"] for r in records if r["tool"] == "reason")
+            if payload["budget"]["exhausted"] and records[-1]["tool"] == "reason":
+                task = records[-1]["args"]["task"]
+                exhausted_on.add(task)
+                recorded[task] -= 1
+            del reasoner.calls["ConfirmUserSource"]
+            assert reasoner.calls == +recorded, calls
+        assert exhausted_on >= {"ClassifyPrivileged", "ClassifyCheck", "AssessSufficiency"}
+
+    def test_unwritable_outputs_fail_before_any_work(self, role_update_program, tmp_path):
+        """A trace path in a missing directory and an SMT directory under a
+        regular file fail the scan before the reasoner is asked anything."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for options in (
+            ScanOptions(trace_path=str(tmp_path / "missing" / "t.jsonl")),
+            ScanOptions(emit_smt_dir=str(blocker / "smt")),
+        ):
+            reasoner = CountingOracle()
+            with pytest.raises(OSError):
+                scan(role_update_program, reasoner, options=options)
+            assert sum(reasoner.calls.values()) == 0
 
     def test_wall_clock_budget(self, role_update_program, oracle):
         payload = scan(role_update_program, oracle, budget=ScanBudget(max_seconds=1e-9))

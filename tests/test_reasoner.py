@@ -286,6 +286,12 @@ class TestRemoteReasoner:
         with pytest.raises(BackendUnavailable):
             backend.reason(ClassifyPrivileged("e1", "f", "fn f() { }"))
 
+    @pytest.mark.parametrize("content", [None, 42, ["{}"]])
+    def test_non_text_content_is_backend_unavailable(self, content):
+        backend = remote([_chat(content)], [])
+        with pytest.raises(BackendUnavailable):
+            backend.reason(ClassifyPrivileged("e1", "f", "fn f() { }"))
+
     def test_bad_category_rejected_by_schema(self):
         replies = [_chat('{"category": "mega", "rationale": "?"}')] * 3
         backend = remote(replies, [])

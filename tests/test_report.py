@@ -3,6 +3,8 @@ sort_keys=True) + "\\n"``; the stdlib call is the oracle here."""
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -123,3 +125,19 @@ def fanout_payload(tmp_path_factory, oracle):
 def test_render_matches_stdlib_on_a_large_report(fanout_payload):
     assert len(fanout_payload["findings"]) > 200
     assert render_report(fanout_payload, "json") == oracle_text(fanout_payload)
+
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "report-schema.md"
+
+
+def test_schema_doc_lists_the_report_fields(role_update_program, oracle):
+    """docs/report-schema.md names every top-level field of a report in its
+    table, and its finding example has a finding's keys."""
+    doc = SCHEMA_DOC.read_text(encoding="utf-8")
+    table = doc.split("Top-level fields:", 1)[1].split("\n\n", 2)[1]
+    documented = {name for row in table.splitlines()[2:] for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    example = json.loads(doc.split("```json\n", 1)[1].split("```", 1)[0])
+    payload = scan(role_update_program, oracle)
+    assert payload["findings"]
+    assert documented == set(payload)
+    assert set(example) == set(payload["findings"][0])
