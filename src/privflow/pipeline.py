@@ -8,10 +8,11 @@ Flow counts are conserved through the funnel:
 
     initial = constraint_pruned + protected_dropped + findings + budget_truncated
 
-Every primitive and reasoner invocation is recorded in a replayable
-tool-call trace, which also enforces the per-phase call budget. A reasoner
-task is recorded before it is asked, so the task whose record exhausts the
-budget is never asked.
+Every primitive call and reasoner task is recorded in a replayable
+tool-call trace, which also enforces the per-phase call budget. Every task
+is recorded; each distinct task reaches the backend once per scan, through
+the scan's ``reasoner.Memo``. A task is recorded before it is looked up, so
+the record that exhausts the budget asks the backend nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .reasoner import (
     CheckDescriptor,
     ClassifyCheck,
     ClassifyPrivileged,
+    Memo,
     NextSearchAction,
     _query_key,
 )
@@ -457,6 +459,7 @@ def scan(
     if options.trace_path:
         Path(options.trace_path).write_text("", encoding="utf-8")
 
+    reasoner = Memo(reasoner)
     tracer = Tracer(budget)
     exhausted_reason: str | None = None
 
@@ -518,7 +521,7 @@ def scan(
 
     payload = _report_payload(
         program=program,
-        reasoner_name=getattr(reasoner, "name", type(reasoner).__name__),
+        reasoner_name=reasoner.name,
         options=options,
         privops=privops,
         user_sources=user_sources,

@@ -8,7 +8,12 @@ Two backends answer the same closed set of reasoning tasks:
 * ``RemoteReasoner``: a chat-completion client with schema-validated
   responses, bounded retries, and auditable prompt templates.
 
-Tasks carry only serialized text and facts, never live object references.
+Tasks carry only serialized text and facts, never live object references:
+they are frozen, hashable dataclasses, and equal tasks ask the same
+question. ``Memo`` relies on that: wrapped around one backend for one scan,
+it asks each distinct task once and answers equal tasks with the stored
+verdict, so a remote backend answers a repeated task the same way (at a
+nonzero temperature, two asks could give two answers) and is paid once.
 """
 
 from __future__ import annotations
@@ -192,11 +197,16 @@ def load_rules(file: str | Path | None = None) -> OracleRules:
         raise RulesError("file", f"{path} does not exist")
     except json.JSONDecodeError as exc:
         raise RulesError("file", f"invalid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise RulesError("file", "top level must be a JSON object")
 
     kwargs: dict[str, tuple[str, ...]] = {}
     for section, keys in _RULES_SECTIONS.items():
+        entries = raw.get(section, {})
+        if not isinstance(entries, dict):
+            raise RulesError(section, "must be a JSON object")
         for key in keys:
-            values = raw.get(section, {}).get(key)
+            values = entries.get(key)
             rules_field = f"{section}.{key}"
             if not isinstance(values, list) or not values:
                 raise RulesError(rules_field, "must be a non-empty list")
@@ -614,6 +624,27 @@ def _parse_verdict(task, reply: str):
             raise ValueError("field 'args' must be an object")
         return Action(tool, args, rationale)
     raise TypeError(f"unsupported task {type(task).__name__}")
+
+
+# --- memo ------------------------------------------------------------------------
+
+
+class Memo:
+    """Per-scan verdict memo in front of one backend: each distinct task
+    reaches the backend once, and an equal task gets the stored verdict.
+    The key is the task alone, since one memo serves one backend. A task
+    whose ask raised stores nothing, so it is asked again next time."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.name = getattr(backend, "name", type(backend).__name__)
+        self._verdicts: dict = {}
+
+    def reason(self, task):
+        verdict = self._verdicts.get(task)
+        if verdict is None:
+            verdict = self._verdicts[task] = self.backend.reason(task)
+        return verdict
 
 
 def make_reasoner(kind: str, rules: OracleRules | None = None, remote: RemoteConfig | None = None):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -120,6 +121,46 @@ class TestScanCommand:
         assert result.output.startswith("privflow: ")
         assert message in result.output
         assert result.output.count("\n") == 1
+
+    def test_remote_backend_gets_each_distinct_prompt_once(self, runner, monkeypatch, tmp_path):
+        """The fan-out repeats its constraint and sufficiency tasks on all
+        256 paths; the remote backend receives each distinct prompt once."""
+        replies = {
+            "ClassifyPrivileged": {"category": "none"},
+            "ClassifyCheck": {"classification": "none", "subtype": "none"},
+            "AssessSufficiency": {"verdict": "unprotected"},
+            "ExtractConstraints": {"skip": True},
+            "ConfirmUserSource": {"is_user_source": True},
+            "NextSearchAction": {"tool": "finish", "args": {}},
+        }
+        prompts = []
+
+        def transport(url, headers, payload, timeout):
+            prompt = payload["messages"][1]["content"]
+            prompts.append(prompt)
+            task_name = re.search(r'"task": "(\w+)"', prompt).group(1)
+            reply = dict(replies[task_name], rationale=f"fake {task_name}")
+            return 200, {"choices": [{"message": {"content": json.dumps(reply)}}]}
+
+        monkeypatch.setenv("PRIVFLOW_ENDPOINT", "http://backend.invalid/v1/chat/completions")
+        monkeypatch.setenv("PRIVFLOW_MODEL", "test-model")
+        monkeypatch.setattr(reasoner, "_requests_transport", transport)
+        result = runner.invoke(
+            main, ["scan", str(write_fanout_corpus(tmp_path)), "--reasoner", "remote", "--budget-calls", "100000"]
+        )
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output)
+        assert payload["reasoner"] == "remote"
+        assert payload["funnel"]["findings"] == 256
+        assert len(prompts) == len(set(prompts)) > 0
+        assert payload["budget"]["tool_calls"]["validation"] > len(prompts)
+
+    def test_rules_file_of_wrong_shape_is_config_error(self, runner, tmp_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text("[]")
+        result = runner.invoke(main, ["scan", corpus("role_update"), "--rules", str(rules)])
+        assert result.exit_code == 2
+        assert result.output == "privflow: file: top level must be a JSON object\n"
 
 
 class TestQueryCommand:

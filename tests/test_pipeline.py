@@ -6,7 +6,7 @@ import pytest
 from privflow.crossflow import PATH_CAP, build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import call_callee
-from privflow.reasoner import Action, NextSearchAction, ScriptedOracle, _query_key
+from privflow.reasoner import Action, ConfirmUserSource, NextSearchAction, ScriptedOracle, _query_key
 from privflow.pipeline import (
     BudgetExhausted,
     CheckFinding,
@@ -278,30 +278,51 @@ class TestScan:
             funnel["constraint_pruned"] + funnel["protected_dropped"] + funnel["budget_truncated"] + funnel["findings"]
         )
 
-    def test_exhausting_reason_record_asks_no_task(self, order_payment_program, tmp_path):
-        """Each reasoner task is recorded before it is asked, so the task
-        whose record exhausts the budget is never asked. Every other
-        recorded task is asked once; ConfirmUserSource tasks are covered by
-        one q_user record and left out."""
+    def test_exhausting_reason_record_asks_no_task(self, order_payment_program, monkeypatch):
+        """Each reasoner task is recorded before it is asked, and each
+        distinct task is asked once per scan. So the backend is asked only
+        right after a task's record, never twice for one task, and never
+        after the record that exhausts the budget (an equal task asked
+        before it is answered without asking). ConfirmUserSource tasks are
+        covered by one q_user record and left out."""
+        timeline = []
+        record = Tracer.record
+
+        def logged_record(self, phase, tool, args, result_count):
+            timeline.append(("record", tool, args))
+            record(self, phase, tool, args, result_count)
+
+        class LoggingOracle(ScriptedOracle):
+            def reason(self, task):
+                if not isinstance(task, ConfirmUserSource):
+                    timeline.append(("ask", task))
+                return super().reason(task)
+
+        monkeypatch.setattr(Tracer, "record", logged_record)
         exhausted_on = set()
+        memo_hits = 0
         for calls in range(1, 16):
-            reasoner = CountingOracle()
-            trace = tmp_path / f"{calls}.jsonl"
-            payload = scan(
-                order_payment_program,
-                reasoner,
-                ScanBudget(max_tool_calls_per_phase=calls),
-                ScanOptions(trace_path=str(trace)),
-            )
-            records = [json.loads(line) for line in trace.read_text().splitlines()]
-            recorded = collections.Counter(r["args"]["task"] for r in records if r["tool"] == "reason")
-            if payload["budget"]["exhausted"] and records[-1]["tool"] == "reason":
-                task = records[-1]["args"]["task"]
-                exhausted_on.add(task)
-                recorded[task] -= 1
-            del reasoner.calls["ConfirmUserSource"]
-            assert reasoner.calls == +recorded, calls
+            timeline.clear()
+            payload = scan(order_payment_program, LoggingOracle(), ScanBudget(max_tool_calls_per_phase=calls))
+            asked = [e[1] for e in timeline if e[0] == "ask"]
+            assert len(asked) == len(set(asked)), calls
+            for before, entry in zip(timeline, timeline[1:]):
+                if entry[0] == "ask":
+                    assert before[:2] == ("record", "reason"), calls
+                    assert before[2]["task"] == type(entry[1]).__name__, calls
+            records = [e for e in timeline if e[0] == "record"]
+            recorded = collections.Counter(args["task"] for _, tool, args in records if tool == "reason")
+            if payload["budget"]["exhausted"]:
+                assert timeline[-1] is records[-1], calls
+                _, tool, args = records[-1]
+                if tool == "reason":
+                    exhausted_on.add(args["task"])
+                    recorded[args["task"]] -= 1
+            backend_calls = collections.Counter(type(task).__name__ for task in asked)
+            assert backend_calls <= recorded, calls
+            memo_hits += recorded.total() - backend_calls.total()
         assert exhausted_on >= {"ClassifyPrivileged", "ClassifyCheck", "AssessSufficiency"}
+        assert memo_hits > 0
 
     def test_unwritable_outputs_fail_before_any_work(self, role_update_program, tmp_path):
         """A trace path in a missing directory and an SMT directory under a

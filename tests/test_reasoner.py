@@ -1,8 +1,11 @@
+import collections
 import json
 
 import pytest
 
 from privflow.constraints import PathConstraint, StrLitCmp, And
+from privflow.load import load_program
+from privflow.pipeline import ScanBudget, ScanOptions, scan
 from privflow.reasoner import (
     Action,
     AssessSufficiency,
@@ -15,6 +18,7 @@ from privflow.reasoner import (
     ConstraintExtraction,
     ExtractConstraints,
     GuardDescriptor,
+    Memo,
     NextSearchAction,
     PrivilegedClass,
     RemoteConfig,
@@ -27,6 +31,8 @@ from privflow.reasoner import (
     load_rules,
     make_reasoner,
 )
+
+from conftest import CORPORA, write_fanout_corpus
 
 UPDATE_ROLE_SRC = 'fn update_role(u, r) {\n  userstore.save(u, r)\n}'
 CAN_SWITCH_SRC = 'fn can_switch_roles(u) {\n  r = db.read("select allowed")\n  return r\n}'
@@ -58,6 +64,25 @@ class TestRules:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RulesError):
             load_rules(tmp_path / "none.json")
+
+    @pytest.mark.parametrize(
+        "edit, rules_field",
+        [
+            (lambda raw: [], "file"),
+            (lambda raw: {**raw, "privileged": []}, "privileged"),
+            (lambda raw: {**raw, "checks": "authz"}, "checks"),
+            (lambda raw: {**raw, "sufficiency": {"ownership_nouns": {"order": 1}}}, "sufficiency.ownership_nouns"),
+        ],
+    )
+    def test_non_object_shapes_rejected(self, tmp_path, edit, rules_field):
+        """A top level, section or key of the wrong JSON type is a
+        RulesError naming it, not an AttributeError."""
+        raw = json.loads(__import__("privflow.reasoner", fromlist=["RULES_RESOURCE"]).RULES_RESOURCE.read_text())
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(edit(raw)))
+        with pytest.raises(RulesError) as err:
+            load_rules(path)
+        assert err.value.field == rules_field
 
     def test_custom_verb_flips_classification(self, tmp_path):
         oracle = ScriptedOracle()
@@ -327,3 +352,80 @@ class TestRemoteReasoner:
             make_reasoner("psychic")
         with pytest.raises(BackendUnavailable):
             make_reasoner("remote")  # no endpoint configured
+
+
+# --- per-scan verdict memo -------------------------------------------------------
+
+
+class TaskLog:
+    """A backend that logs every task it is asked and answers with the
+    scripted oracle, after raising the given failures on its first asks."""
+
+    def __init__(self, failures=()):
+        self.oracle = ScriptedOracle()
+        self.tasks = []
+        self.failures = list(failures)
+
+    def reason(self, task):
+        self.tasks.append(task)
+        if self.failures:
+            raise self.failures.pop(0)
+        return self.oracle.reason(task)
+
+
+class TestMemo:
+    def test_equal_task_asked_once(self):
+        backend = TaskLog()
+        memo = Memo(backend)
+        first = memo.reason(ClassifyPrivileged("e1", "update_role", UPDATE_ROLE_SRC))
+        again = memo.reason(ClassifyPrivileged("e1", "update_role", UPDATE_ROLE_SRC))
+        other = memo.reason(ClassifyPrivileged("e2", "update_role", UPDATE_ROLE_SRC))
+        assert again is first
+        assert other == first and other is not first
+        assert [t.element for t in backend.tasks] == ["e1", "e2"]
+
+    @pytest.mark.parametrize("error", [BackendUnavailable("HTTP 503"), SchemaViolation("ClassifyCheck: bad")])
+    def test_failure_is_not_stored(self, error):
+        backend = TaskLog(failures=[error, error])
+        memo = Memo(backend)
+        task = ClassifyCheck("e1", "authz", "fn authz() { }", "decorator")
+        for _ in range(2):
+            with pytest.raises(type(error)):
+                memo.reason(task)
+        verdict = memo.reason(task)
+        assert memo.reason(task) is verdict
+        assert backend.tasks == [task] * 3
+
+    def test_name_forwarded(self):
+        assert Memo(ScriptedOracle()).name == "scripted"
+        assert Memo(remote([], [])).name == "remote"
+        assert Memo(TaskLog()).name == "TaskLog"
+
+    @pytest.mark.parametrize("corpus", sorted(p.name for p in CORPORA.iterdir() if p.is_dir()))
+    @pytest.mark.parametrize(
+        "options",
+        [ScanOptions(), ScanOptions(basic_sink=True), ScanOptions(on_demand_context=False)],
+        ids=["default", "basic_sink", "no_odctx"],
+    )
+    def test_scan_never_repeats_a_task(self, corpus, options):
+        backend = TaskLog()
+        payload = scan(load_program(CORPORA / corpus), backend, options=options)
+        assert payload["reasoner"] == "TaskLog"
+        assert len(backend.tasks) == len(set(backend.tasks))
+
+    def test_fanout_asks_each_distinct_task_once(self, tmp_path):
+        """The fan-out's 256 paths share one ExtractConstraints and one
+        AssessSufficiency task and classify the same 16 endpoint guards:
+        2,579 tasks, 37 of them distinct. Each distinct task reaches the
+        backend once."""
+        backend = TaskLog()
+        payload = scan(load_program(write_fanout_corpus(tmp_path)), backend, ScanBudget(max_tool_calls_per_phase=10**9))
+        assert payload["funnel"]["findings"] == 256
+        assert len(backend.tasks) == len(set(backend.tasks))
+        assert collections.Counter(type(t).__name__ for t in backend.tasks) == {
+            "NextSearchAction": 17,
+            "ConfirmUserSource": 2,
+            "ClassifyCheck": 16,
+            "ExtractConstraints": 1,
+            "AssessSufficiency": 1,
+        }

@@ -30,10 +30,13 @@ def test_traced_names_resolve(monkeypatch):
 
 
 def test_traced_worker_times_every_validation_layer():
-    """One traced analysis of role_update, run as the benchmark runs it:
-    each validation layer takes time and the per-task reasoner counts add
-    up to the total."""
-    job = {"corpora": [str(CORPORA / "role_update")], "budget": "default", "warmup": False, "trace": True, "analysis": 0}
+    """One traced analysis of role_update and order_payment, run as the
+    benchmark runs it: each validation layer takes time, the per-task
+    reasoner counts add up to the total, and the backend is asked each
+    distinct task once (order_payment records one ClassifyCheck task
+    twice)."""
+    corpora = [str(CORPORA / "role_update"), str(CORPORA / "order_payment")]
+    job = {"corpora": corpora, "budget": "default", "warmup": False, "trace": True, "analysis": 0}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ as it is
     proc = subprocess.run(
         [sys.executable, str(WORKER), json.dumps(job)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
@@ -46,3 +49,4 @@ def test_traced_worker_times_every_validation_layer():
     per_task = [value for name, value in layers.items() if name.startswith("reasoner.calls.")]
     assert len(per_task) == 6
     assert sum(per_task) == result["reasoner_calls"] > 0
+    assert result["reasoner_calls"] == result["reasoner_distinct"]
