@@ -16,7 +16,7 @@ import click
 from .facts import FactsError, ManifestError, write_facts
 from .load import LoadError, load_program
 from .minisrv import LoweringError, ParseError
-from .model import ElementKind
+from .model import ElementKind, validate_program
 from .pipeline import BudgetExhausted, ProgramInvalid, ScanBudget, ScanOptions, find_privileged_ops
 from .pipeline import scan as run_scan
 from .reasoner import BackendUnavailable, RulesError, SchemaViolation, load_rules, make_reasoner
@@ -156,6 +156,9 @@ def graph(corpus, reasoner_kind, rules_file):
     exhausted = None
     try:
         program = load_program(corpus)
+        violations = validate_program(program)
+        if violations:
+            raise ProgramInvalid(violations)
         backend = _build_reasoner(reasoner_kind, rules_file)
         try:
             privops = find_privileged_ops(program, backend)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .model import ElementKind
+from .search import service_index
 
 CUBE_CAP = 4096
 INT_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -584,18 +584,11 @@ def extract_path_constraints(groups, reasoner):
 
 
 def _guard_var_types(service, guard_source: str) -> tuple[tuple[str, str], ...]:
+    """Each identifier of the guard with the type of the first variable or
+    parameter of that name declared in the service."""
+    types = service_index(service).var_types
     idents = sorted(set(re.findall(r"[A-Za-z_]\w*", _strip_strings(guard_source))))
-    out: list[tuple[str, str]] = []
-    for ident in idents:
-        if ident in ("true", "false"):
-            continue
-        found = "unknown"
-        for e in service.elements:
-            if e.name == ident and e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER):
-                found = e.inferred_type
-                break
-        out.append((ident, found))
-    return tuple(out)
+    return tuple([(ident, types.get(ident, "unknown")) for ident in idents if ident not in ("true", "false")])
 
 
 def _strip_strings(text: str) -> str:

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .model import Channel, Element, ElementKind, Program, Service, call_callee
-from .search import FlowPath, enclosing_function, guard_chain, q_flow, service_index
+from .search import FlowPath, q_flow, service_index
 from .minisrv.lower import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
 
 
@@ -49,6 +49,7 @@ class UnresolvedChannel:
 class InterScan(NamedTuple):
     channels: list[Channel]
     unresolved: list[UnresolvedChannel]
+    sources: list[Element]
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,7 @@ class ChannelEdge:
 
 def q_source(service: Service) -> list[Element]:
     """Untrusted data entry points: endpoints and message consumers."""
-    hits = [e for e in service.elements if e.kind is ElementKind.ENDPOINT]
-    for e in service.elements:
-        if e.kind is ElementKind.CALL and call_callee(e) in INBOUND_INTRINSICS:
-            hits.append(e)
-    return sorted(hits, key=lambda e: (e.location.file, e.location.line, e.location.col, e.id))
+    return list(_inter(service).sources)
 
 
 def q_user(program: Program, reasoner) -> list[Element]:
@@ -97,27 +94,35 @@ def q_inter(service: Service) -> InterScan:
     Outbound channels come from the stored constant-resolved identifiers;
     endpoint elements double as inbound HTTP channels. Call sites whose
     identifier did not resolve to a constant are reported as diagnostics,
-    not channels. The elements are walked on first use only; the scan is
-    kept on the service's index and each call returns fresh lists.
+    not channels. Each call returns fresh lists.
     """
+    return InterScan(*(list(part) for part in _inter(service)))
+
+
+def _inter(service: Service) -> InterScan:
+    """The service's sources and channels, from one element walk kept on
+    its index."""
     index = service_index(service)
     if index.inter is None:
         index.inter = _scan_inter(service)
-    channels, unresolved = index.inter
-    return InterScan(list(channels), list(unresolved))
+    return index.inter
 
 
 def _scan_inter(service: Service) -> InterScan:
     stored = {ch.element: ch for ch in service.channels}
     channels: list[Channel] = []
     unresolved: list[UnresolvedChannel] = []
+    sources: list[Element] = []
     for e in service.elements:
         if e.kind is ElementKind.ENDPOINT:
             channels.append(Channel(e.id, "in", "http", e.name))
+            sources.append(e)
             continue
         if e.kind is not ElementKind.CALL:
             continue
         callee = call_callee(e)
+        if callee in INBOUND_INTRINSICS:
+            sources.append(e)
         if callee in OUTBOUND_INTRINSICS or callee in INBOUND_INTRINSICS:
             ch = stored.get(e.id)
             if ch is not None:
@@ -126,7 +131,8 @@ def _scan_inter(service: Service) -> InterScan:
                 unresolved.append(UnresolvedChannel(service.name, e.id, callee))
     channels.sort()
     unresolved.sort(key=lambda u: (u.service, u.element))
-    return InterScan(channels, unresolved)
+    sources.sort(key=lambda e: (e.location.file, e.location.line, e.location.col, e.id))
+    return InterScan(channels, unresolved, sources)
 
 
 _SCHEME_RE = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
@@ -349,10 +355,11 @@ def path_functions(program: Program, path: GlobalPath) -> list[tuple[Service, El
         service = program.service(segment.service)
         if service is None:
             continue
+        index = service_index(service)
         for eid in segment.elements:
-            fn = enclosing_function(service, eid)
+            fn, chain = index.place(service, eid)
             guards = groups.setdefault((service.name, fn.id if fn else None), (service, fn, {}))[2]
-            for guard in guard_chain(service, eid):
+            for guard in chain:
                 guards.setdefault(guard.id, guard)
     return [(service, fn, tuple(guards.values())) for service, fn, guards in groups.values()]
 

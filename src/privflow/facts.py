@@ -70,7 +70,7 @@ def parse_manifest(raw: object) -> Manifest:
     if not isinstance(raw, dict):
         raise ManifestError("root", "manifest must be a JSON object")
     version = raw.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ManifestError("version", f"expected {FORMAT_VERSION}, got {version!r}")
 
     services_raw = raw.get("services")
@@ -94,15 +94,13 @@ def parse_manifest(raw: object) -> Manifest:
             raise ManifestError(f"{field}.facts", "must be a list of file names")
         if not sources and not facts:
             raise ManifestError(field, "a service needs sources and/or facts files")
-        services.append(
-            ManifestService(
-                name=name,
-                entry=bool(item.get("entry", False)),
-                base_url=str(item.get("base_url", "")),
-                sources=tuple(sources),
-                facts=tuple(facts),
-            )
-        )
+        entry = item.get("entry", False)
+        base_url = item.get("base_url", "")
+        if not isinstance(entry, bool):
+            raise ManifestError(f"{field}.entry", f"must be true or false, got {entry!r}")
+        if not isinstance(base_url, str):
+            raise ManifestError(f"{field}.base_url", f"must be a string, got {base_url!r}")
+        services.append(ManifestService(name, entry, base_url, tuple(sources), tuple(facts)))
 
     entries = [s.name for s in services if s.entry]
     if not entries:
@@ -205,7 +203,7 @@ def read_facts(stream: Iterable[str] | IO[str] | str, service_name: str) -> Serv
         if tag == "header":
             if saw_header:
                 raise FactsError(lineno, "duplicate header record")
-            if rec.get("version") != FORMAT_VERSION:
+            if type(rec.get("version")) is not int or rec["version"] != FORMAT_VERSION:
                 raise FactsError(lineno, f"unsupported version {rec.get('version')!r}")
             saw_header = True
             continue
@@ -243,53 +241,46 @@ def read_facts(stream: Iterable[str] | IO[str] | str, service_name: str) -> Serv
     return Service.build(service_name, elements, [e for _, e in edges], [c for _, c in channels])
 
 
-def _parse_element(rec: dict, lineno: int) -> Element:
-    for key in ("id", "service", "kind", "name", "file", "line", "col", "source", "type"):
+def _require(rec: dict, lineno: int, record: str, fields: tuple[str, ...], ints: tuple[str, ...]) -> None:
+    """Every field is present with its JSON type: ``ints`` are integers
+    (``true`` is not one), the others strings; nothing is coerced."""
+    for key in fields:
         if key not in rec:
-            raise FactsError(lineno, f"element record missing field {key!r}")
+            raise FactsError(lineno, f"{record} record missing field {key!r}")
+        want = int if key in ints else str
+        if type(rec[key]) is not want:
+            article = "an integer" if want is int else "a string"
+            raise FactsError(lineno, f"{record} field {key!r} must be {article}, got {rec[key]!r}")
+
+
+def _parse_element(rec: dict, lineno: int) -> Element:
+    _require(rec, lineno, "element", ("id", "service", "kind", "name", "file", "line", "col", "source", "type"), ("line", "col"))
     try:
         kind = ElementKind(rec["kind"])
     except ValueError:
         raise FactsError(lineno, f"unknown element kind {rec['kind']!r}")
     try:
         location = Location(rec["file"], rec["line"], rec["col"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FactsError(lineno, f"bad location: {exc}")
     try:
-        return Element(
-            id=str(rec["id"]),
-            service=str(rec["service"]),
-            kind=kind,
-            name=str(rec["name"]),
-            location=location,
-            source=str(rec["source"]),
-            inferred_type=str(rec["type"]),
-        )
+        return Element(rec["id"], rec["service"], kind, rec["name"], location, rec["source"], rec["type"])
     except ValueError as exc:
         raise FactsError(lineno, str(exc))
 
 
 def _parse_edge(rec: dict, lineno: int) -> Edge:
-    for key in ("kind", "from", "to"):
-        if key not in rec:
-            raise FactsError(lineno, f"edge record missing field {key!r}")
+    _require(rec, lineno, "edge", ("kind", "from", "to"), ())
     try:
         kind = EdgeKind(rec["kind"])
     except ValueError:
         raise FactsError(lineno, f"unknown edge kind {rec['kind']!r}")
-    return Edge(kind, str(rec["from"]), str(rec["to"]))
+    return Edge(kind, rec["from"], rec["to"])
 
 
 def _parse_channel(rec: dict, lineno: int) -> Channel:
-    for key in ("element", "direction", "protocol", "identifier"):
-        if key not in rec:
-            raise FactsError(lineno, f"channel record missing field {key!r}")
+    _require(rec, lineno, "channel", ("element", "direction", "protocol", "identifier"), ())
     try:
-        return Channel(
-            element=str(rec["element"]),
-            direction=str(rec["direction"]),
-            protocol=str(rec["protocol"]),
-            identifier=str(rec["identifier"]),
-        )
+        return Channel(rec["element"], rec["direction"], rec["protocol"], rec["identifier"])
     except ValueError as exc:
         raise FactsError(lineno, str(exc))

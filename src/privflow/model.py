@@ -222,6 +222,11 @@ class Program:
     def service(self, name: str) -> Service | None:
         return self._by_name.get(name)
 
+    def element(self, service: str, eid: str) -> Element | None:
+        """The element of that id in the named service, if both exist."""
+        s = self._by_name.get(service)
+        return s.element(eid) if s is not None else None
+
     def find_element(self, eid: str) -> tuple[Service, Element] | None:
         for s in self.services:
             e = s.element(eid)
@@ -245,14 +250,11 @@ def dangling_edge(service: str, edge: Edge, missing: str) -> IntegrityViolation:
     return IntegrityViolation("DanglingEdge", f"{service}: edge {edge.kind.value} {edge.src}->{edge.dst} references unknown id {missing}")
 
 
-def duplicate_id(service: str, eid: str) -> IntegrityViolation:
-    return IntegrityViolation("DuplicateId", f"{service}: element id {eid} occurs more than once")
-
-
 def validate_program(program: Program) -> list[IntegrityViolation]:
     """Return every invariant violation; an empty list means well-formed."""
     violations: list[IntegrityViolation] = []
     seen_names: set[str] = set()
+    owners: dict[str, str] = {}  # element id -> first service declaring it
     entries = [s.name for s in program.services if s.entry]
 
     for svc in program.services:
@@ -262,8 +264,12 @@ def validate_program(program: Program) -> list[IntegrityViolation]:
 
         ids: set[str] = set()
         for e in svc.elements:
+            owner = owners.setdefault(e.id, svc.name)
             if e.id in ids:
-                violations.append(duplicate_id(svc.name, e.id))
+                violations.append(IntegrityViolation("DuplicateId", f"{svc.name}: element id {e.id} occurs more than once"))
+            elif owner != svc.name:
+                detail = f"element id {e.id} is declared by services {owner} and {svc.name}"
+                violations.append(IntegrityViolation("DuplicateId", detail))
             ids.add(e.id)
             if e.service != svc.name:
                 violations.append(

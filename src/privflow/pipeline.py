@@ -93,6 +93,7 @@ class CheckFinding:
     authz_subtype: str  # role | permission | ownership | none
     attachment: str  # decorator | inline
     rationale: str
+    source: str
 
     def __post_init__(self) -> None:
         if self.classification == "authn" and self.authz_subtype != "none":
@@ -285,10 +286,9 @@ def _find_privileged_ops(
 
 def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[PrivilegedOperation]:
     def key(op: PrivilegedOperation):
-        placed = program.find_element(op.element)
-        if placed is None:
+        el = program.element(op.service, op.element)
+        if el is None:
             return (op.service, "", 0, 0, op.element)
-        _, el = placed
         return (op.service, el.location.file, el.location.line, el.location.col, op.element)
 
     return sorted(ops.values(), key=key)
@@ -330,13 +330,14 @@ def locate_checks(
                     authz_subtype=verdict.authz_subtype,
                     attachment=task.attachment,
                     rationale=verdict.rationale,
+                    source=task.source,
                 )
             )
 
     for service, fn, guards in groups:
         if fn is None:
             continue
-        for check_fn in _decorator_checks(service, fn):
+        for check_fn in service_index(service).decorator_checks.get(fn.id, ()):
             if check_fn.id in seen_candidates:
                 continue
             seen_candidates.add(check_fn.id)
@@ -356,14 +357,6 @@ def locate_checks(
             context_ids.add(cond.id)
             classify(service, ClassifyCheck(element=cond.id, name="", source=cond.source, attachment="inline"))
     return checks, contexts, context_ids
-
-
-def _decorator_checks(service: Service, fn: Element) -> list[Element]:
-    """Check functions the decorators of a function call."""
-    index = service_index(service)
-    targets = [service.element(t) for d in index.decorators.get(fn.id, ()) for t in index.call_targets.get(d, ())]
-    checks = [t for t in targets if t is not None and t.kind is ElementKind.FUNCTION]
-    return sorted(checks, key=lambda e: e.sort_key)
 
 
 def _helper_contexts(
@@ -405,16 +398,11 @@ def assess_flow(
     reasoner,
 ):
     """AssessSufficiency verdict for one flow; 'protected' exits the funnel."""
-    placed = program.find_element(privop.element)
-    source = placed[1].source if placed else ""
-    name = call_callee(placed[1]) if placed else ""
+    el = program.element(privop.service, privop.element)
+    source = el.source if el else ""
+    name = call_callee(el) if el else ""
     descriptors = tuple(
-        CheckDescriptor(
-            classification=c.classification,
-            subtype=c.authz_subtype,
-            name=c.name,
-            source=_check_source(program, c),
-        )
+        CheckDescriptor(classification=c.classification, subtype=c.authz_subtype, name=c.name, source=c.source)
         for c in checks
     )
     task = AssessSufficiency(
@@ -425,12 +413,6 @@ def assess_flow(
         contexts=tuple(contexts),
     )
     return reasoner.reason(task)
-
-
-def _check_source(program: Program, check: CheckFinding) -> str:
-    """The check's source text, looked up in the service it was found in."""
-    service = program.service(check.service)
-    return get_source(service, check.element) if service and check.element in service else ""
 
 
 # --- scan -----------------------------------------------------------------------------
@@ -651,8 +633,7 @@ def _report_payload(
     # finding that reaches it
     @functools.cache
     def op_dict(op: PrivilegedOperation) -> dict:
-        placed = program.find_element(op.element)
-        el = placed[1] if placed else None
+        el = program.element(op.service, op.element)
         return {
             "element": op.element,
             "service": op.service,
@@ -665,13 +646,9 @@ def _report_payload(
             "source": el.source if el else "",
         }
 
-    def element(service_name: str, eid: str) -> Element | None:
-        service = program.service(service_name)
-        return service.element(eid) if service else None
-
     @functools.cache
     def step(service_name: str, eid: str) -> dict:
-        el = element(service_name, eid)
+        el = program.element(service_name, eid)
         return {
             "element": eid,
             "kind": el.kind.value if el else "unknown",
@@ -681,7 +658,7 @@ def _report_payload(
 
     @functools.cache
     def evidence(service_name: str, eid: str) -> dict | None:
-        el = element(service_name, eid)
+        el = program.element(service_name, eid)
         if el is None:
             return None
         return {

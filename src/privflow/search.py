@@ -13,8 +13,9 @@ All operations are pure reads over an immutable Service:
 The primitives read a ``ServiceIndex``: the service's edges grouped by
 kind and endpoint in one pass, built on first use and stored on that
 Service object, so no query scans every edge and nothing outlives the
-Service. Per-element answers (enclosing function, guards) and the
-service's channel scan (``crossflow.q_inter``) are kept on it too. The
+Service. Every per-element and per-function fact validation reads
+(enclosing function, guards, decorator checks, variable types) and the
+service's source and channel scan are kept on it too. The
 frontend (or an external facts producer) emits def-use edges already
 saturated under the propagation rules, so the data-flow relation is their
 closure by construction.
@@ -75,71 +76,103 @@ def q_ast(service: Service, opkind: ElementKind | str) -> list[Element]:
 
 
 class ServiceIndex:
-    """The edges of one Service grouped for the search primitives.
+    """The edges and per-element facts of one Service, built for the search
+    primitives and validation.
 
     Lists keep edge order (edges are sorted), except that call sites are in
     source order and flow successors in ``((line, col), id)`` order, the
-    tie-break of ``q_flow``'s breadth-first search. ``function_of`` and
-    ``guards_of`` hold each element's enclosing function and guarding
-    conditionals (outermost first), filled on first query, so each
-    containment walk runs once per element. ``inter`` holds the service's
-    channel scan, filled by ``crossflow.q_inter`` on its first call.
+    tie-break of ``q_flow``'s breadth-first search. ``decorator_checks``
+    holds each decorated function's check functions (the functions its
+    decorators call, each once, in source order) and ``var_types`` the
+    inferred type of the first variable or parameter declared under each
+    name. ``placed`` holds each element's enclosing function and guarding
+    conditionals, filled on first query by one containment walk per
+    element. ``inter`` holds the service's element scan for sources and
+    channels, filled by ``crossflow`` on first use.
     """
 
     def __init__(self, service: Service):
         self.parent: dict[str, str] = {}
         self.children: dict[str, list[str]] = {}
         self.decorated: dict[str, str] = {}
-        self.decorators: dict[str, list[str]] = {}
-        self.call_targets: dict[str, list[str]] = {}
         self.flow_succ: dict[str, list[str]] = {}
-        self.function_of: dict[str, Element | None] = {}
-        self.guards_of: dict[str, tuple[Element, ...]] = {}
+        self.placed: dict[str, tuple[Element | None, tuple[Element, ...]]] = {}
         self.inter = None  # crossflow.InterScan
-        calls: list[tuple[str, str]] = []
+        decorators: dict[str, list[str]] = {}
+        call_targets: dict[str, list[str]] = {}
         for e in service.edges:
             if e.kind is EdgeKind.CONTAINS:
                 self.parent[e.dst] = e.src
                 self.children.setdefault(e.src, []).append(e.dst)
             elif e.kind is EdgeKind.DECORATES:
                 self.decorated.setdefault(e.src, e.dst)
-                self.decorators.setdefault(e.dst, []).append(e.src)
+                decorators.setdefault(e.dst, []).append(e.src)
             elif e.kind is EdgeKind.CALLS:
-                self.call_targets.setdefault(e.src, []).append(e.dst)
-                calls.append((e.src, e.dst))
+                call_targets.setdefault(e.src, []).append(e.dst)
             elif e.kind is EdgeKind.DATAFLOW:
                 self.flow_succ.setdefault(e.src, []).append(e.dst)
 
-        order = {e.id: ((e.location.line, e.location.col), e.id) for e in service.elements}
+        order: dict[str, tuple] = {}
+        self.var_types: dict[str, str] = {}
+        for e in service.elements:
+            order[e.id] = ((e.location.line, e.location.col), e.id)
+            if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER):
+                self.var_types.setdefault(e.name, e.inferred_type)
         for succ in self.flow_succ.values():
             succ.sort(key=lambda n: order.get(n, ((), n)))
+
+        self.decorator_checks: dict[str, list[Element]] = {}
+        for fn, decs in decorators.items():
+            targets = (service.element(t) for d in decs for t in call_targets.get(d, ()))
+            checks = {t.id: t for t in targets if t is not None and t.kind is ElementKind.FUNCTION}
+            self.decorator_checks[fn] = sorted(checks.values(), key=lambda e: e.sort_key)
 
         self.call_sites: dict[str, list[Element]] = {}
         self.callees: dict[str, set[str]] = {}
         self.callers: dict[str, set[str]] = {}
-        for src, dst in calls:
+        for src, dsts in call_targets.items():
             site = service.element(src)
-            if site is not None and site.kind is ElementKind.CALL:
-                self.call_sites.setdefault(dst, []).append(site)
-            target = service.element(dst)
-            if target is None or target.kind is not ElementKind.FUNCTION:
-                continue
-            caller = _enclosing_function(service, self, src)
-            if caller is not None:
-                self.callees.setdefault(caller.id, set()).add(dst)
-                self.callers.setdefault(dst, set()).add(caller.id)
+            for dst in dsts:
+                if site is not None and site.kind is ElementKind.CALL:
+                    self.call_sites.setdefault(dst, []).append(site)
+                target = service.element(dst)
+                if target is None or target.kind is not ElementKind.FUNCTION:
+                    continue
+                caller = self.place(service, src)[0]
+                if caller is not None:
+                    self.callees.setdefault(caller.id, set()).add(dst)
+                    self.callers.setdefault(dst, set()).add(caller.id)
         for sites in self.call_sites.values():
             sites.sort(key=_loc_key)
 
-    def ancestors(self, eid: str):
-        """Containment parents of an element, innermost first; stops after
-        as many steps as there are parents, so a cycle cannot loop."""
+    def place(self, service: Service, eid: str) -> tuple[Element | None, tuple[Element, ...]]:
+        """The element's enclosing function and the conditionals whose
+        guarded block contains it, outermost first; one containment walk per
+        element. A function encloses itself and a decorator resolves through
+        the function it decorates."""
+        if eid in self.placed:
+            return self.placed[eid]
+        fn = None
+        guards: list[Element] = []
         cur = eid
-        for _ in range(len(self.parent) + 1):
+        for _ in range(len(self.parent) + 1):  # bounded, so a cycle cannot loop
             cur = self.parent.get(cur)
             if cur is None:
-                return
-            yield cur
+                break
+            pel = service.element(cur)
+            if pel is None:
+                continue
+            if pel.kind is ElementKind.CONDITIONAL:
+                guards.append(pel)
+            elif pel.kind is ElementKind.FUNCTION and fn is None:
+                fn = pel
+        el = service.element(eid)
+        if el is None or el.kind is ElementKind.FUNCTION:
+            fn = el
+        elif el.kind is ElementKind.DECORATOR:
+            fn = service.element(self.decorated[eid]) if eid in self.decorated else None
+        self.placed[eid] = (fn, tuple(reversed(guards)))
+        return self.placed[eid]
 
 
 def service_index(service: Service) -> ServiceIndex:
@@ -254,46 +287,16 @@ def q_flow(service: Service, from_sel: str, *to_sels: str) -> list[FlowPath]:
 # --- call graph --------------------------------------------------------------
 
 
-def _enclosing_function(service: Service, index: ServiceIndex, eid: str) -> Element | None:
-    if eid not in index.function_of:
-        index.function_of[eid] = _find_enclosing_function(service, index, eid)
-    return index.function_of[eid]
-
-
-def _find_enclosing_function(service: Service, index: ServiceIndex, eid: str) -> Element | None:
-    el = service.element(eid)
-    if el is None:
-        return None
-    if el.kind is ElementKind.FUNCTION:
-        return el
-    if el.kind is ElementKind.DECORATOR:
-        target = index.decorated.get(eid)
-        return service.element(target) if target is not None else None
-    for pid in index.ancestors(eid):
-        pel = service.element(pid)
-        if pel is not None and pel.kind is ElementKind.FUNCTION:
-            return pel
-    return None
-
-
 def enclosing_function(service: Service, eid: str) -> Element | None:
     """The function an element belongs to. Decorators resolve through the
     function they decorate."""
-    return _enclosing_function(service, service_index(service), eid)
+    return service_index(service).place(service, eid)[0]
 
 
 def guard_chain(service: Service, eid: str) -> list[Element]:
     """Conditional elements whose guarded block contains the element,
     outermost first. The list is the caller's own."""
-    index = service_index(service)
-    if eid not in index.guards_of:
-        chain = []
-        for pid in index.ancestors(eid):
-            el = service.element(pid)
-            if el is not None and el.kind is ElementKind.CONDITIONAL:
-                chain.append(el)
-        index.guards_of[eid] = tuple(reversed(chain))
-    return list(index.guards_of[eid])
+    return list(service_index(service).place(service, eid)[1])
 
 
 def call_sites_of(service: Service, function_id: str) -> list[Element]:

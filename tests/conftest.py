@@ -285,3 +285,12 @@ def write_fanout_corpus(root: Path, services: int = 8, width: int = 2) -> Path:
     }
     (root / "privflow.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return root
+
+
+def scan_decorator_checks(service: Service, fn_id: str) -> list[Element]:
+    """The check functions a function's decorators call, each once, in
+    source order, read off a scan over all edges."""
+    decorators = [e.src for e in service.edges if e.kind is EdgeKind.DECORATES and e.dst == fn_id]
+    targets = [e.dst for d in decorators for e in service.edges if e.kind is EdgeKind.CALLS and e.src == d]
+    checks = [service.element(t) for t in dict.fromkeys(targets)]
+    return sorted((c for c in checks if c is not None and c.kind is ElementKind.FUNCTION), key=lambda e: e.sort_key)

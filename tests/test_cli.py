@@ -20,6 +20,42 @@ def corpus(name: str) -> str:
     return str(CORPORA / name)
 
 
+def element_record(eid: str, service: str, kind: str, file: str, line: int, source: str, name: str = "") -> dict:
+    return {
+        "rec": "element", "id": eid, "service": service, "kind": kind, "name": name,
+        "file": file, "line": line, "col": 1, "source": source, "type": "unknown",
+    }
+
+
+def write_facts_corpus(root, services: dict[str, list[dict]], edit=None) -> str:
+    """A corpus of facts-file services, the first the entry; each service's
+    records follow a version-1 header. ``edit`` may change the manifest
+    dict before it is written."""
+    names = list(services)
+    for name, records in services.items():
+        lines = [{"rec": "header", "version": 1}, *records]
+        (root / f"{name}.facts.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    manifest = {
+        "version": 1,
+        "services": [{"name": n, "entry": n == names[0], "facts": [f"{n}.facts.jsonl"]} for n in names],
+        "gateway_routes": [{"prefix": "/", "target": names[0]}],
+    }
+    if edit is not None:
+        edit(manifest)
+    (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return str(root)
+
+
+def endpoint_to_call(service: str, call: str) -> list[dict]:
+    """Endpoint ``e1`` whose input flows into call ``e2``."""
+    file = f"{service}.py"
+    return [
+        element_record("e1", service, "endpoint", file, 1, f'@route("POST", "/{service}")', name=f"/{service}"),
+        element_record("e2", service, "call", file, 3, call),
+        {"rec": "edge", "kind": "dataflow", "from": "e1", "to": "e2"},
+    ]
+
+
 class TestScanCommand:
     def test_role_update_reports_one_finding(self, runner):
         result = runner.invoke(main, ["scan", corpus("role_update"), "--reasoner", "scripted"])
@@ -53,6 +89,54 @@ class TestScanCommand:
         result = runner.invoke(main, ["scan", str(tmp_path)])
         assert result.exit_code == 2
         assert "Traceback" not in result.output
+
+    def test_element_id_declared_by_two_services_is_config_error(self, runner, tmp_path):
+        """Ids are unique across the program: service a's ``e2`` is a harmless
+        ``log`` call, b's is ``exec``; neither may stand in for the other."""
+        root = write_facts_corpus(tmp_path, {"a": endpoint_to_call("a", "log(v)"), "b": endpoint_to_call("b", "exec(v)")})
+        result = runner.invoke(main, ["scan", root])
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert "element id e1 is declared by services a and b" in result.output
+        assert "element id e2 is declared by services a and b" in result.output
+        graph = runner.invoke(main, ["graph", root])
+        assert (graph.exit_code, graph.output) == (2, result.output)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda m: m["services"][0].update(entry="false"), "services[0].entry"),
+            (lambda m: m.update(version=True), "version"),
+            (lambda m: m["services"][0].update(base_url=["x"]), "services[0].base_url"),
+        ],
+        ids=["entry-string", "version-bool", "base_url-list"],
+    )
+    def test_manifest_field_of_wrong_type_is_config_error(self, runner, tmp_path, edit, field):
+        root = write_facts_corpus(tmp_path, {"a": endpoint_to_call("a", "exec(v)")}, edit)
+        result = runner.invoke(main, ["scan", root])
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert f"privflow: {field}: " in result.output
+
+    @pytest.mark.parametrize(
+        "index, record, reason",
+        [
+            (0, {"rec": "header", "version": True}, "unsupported version True"),
+            (1, element_record("e1", "a", "endpoint", "a.py", True, "@route", name="/a"), "field 'line' must be an integer"),
+        ],
+        ids=["header-version-bool", "element-line-bool"],
+    )
+    def test_facts_field_of_wrong_type_is_config_error(self, runner, tmp_path, index, record, reason):
+        """The record at ``index`` of a valid facts file is replaced."""
+        root = write_facts_corpus(tmp_path, {"a": endpoint_to_call("a", "exec(v)")})
+        facts = tmp_path / "a.facts.jsonl"
+        lines = facts.read_text(encoding="utf-8").splitlines()
+        lines[index] = json.dumps(record)
+        facts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["scan", root])
+        assert result.exit_code == 2
+        assert result.output.count("\n") == 1
+        assert reason in result.output
 
     def test_md_format_shows_channel_identifier(self, runner):
         result = runner.invoke(main, ["scan", corpus("role_update"), "--format", "md"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privflow.facts import FactsError, ManifestError, parse_manifest, read_facts, read_manifest, write_facts
-from privflow.model import Channel, ElementKind, Service
+from privflow.model import Channel, Edge, EdgeKind, ElementKind, Service
 
 from conftest import CORPORA, build_random_service, lower_snippet, make_element
 
@@ -120,6 +120,29 @@ class TestFactsRoundTrip:
         with pytest.raises(FactsError) as err:
             read_facts(text, "s")
         assert "kind" in err.value.reason
+
+    @pytest.mark.parametrize(
+        "line, field, want",
+        [
+            (1, "id", 5),
+            (1, "name", None),
+            (1, "col", 1.0),
+            (2, "from", 7),
+            (3, "identifier", ["/x"]),
+        ],
+        ids=["element-id-int", "element-name-null", "element-col-float", "edge-from-int", "channel-identifier-list"],
+    )
+    def test_field_of_wrong_type_rejected(self, line, field, want):
+        """Fields keep their JSON type; nothing is coerced with str()."""
+        call = make_element("s", ElementKind.CALL, source="http_post(u, b)")
+        svc = Service.build("s", [call], [Edge(EdgeKind.CALLS, call.id, call.id)], [Channel(call.id, "out", "http", "/x")])
+        records = [json.loads(text) for text in write_facts(svc).splitlines()]
+        assert [r["rec"] for r in records] == ["header", "element", "edge", "channel"]
+        records[line][field] = want
+        with pytest.raises(FactsError) as err:
+            read_facts("\n".join(json.dumps(r) for r in records), "s")
+        assert err.value.line == line + 1
+        assert f"field {field!r} must be" in err.value.reason
 
     def test_duplicate_channel_rejected(self):
         el = make_element("s", ElementKind.CALL, source="http_post(u, b)")

@@ -13,11 +13,11 @@ from privflow.constraints import _guard_var_types, extract_path_constraints
 from privflow.crossflow import GlobalPath, build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service
-from privflow.pipeline import ScanBudget, _decorator_checks, find_privileged_ops, locate_checks, scan
+from privflow.pipeline import ScanBudget, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
 from privflow.search import FlowPath, enclosing_function, guard_chain
 
-from conftest import CORPORA, make_element, write_fanout_corpus
+from conftest import CORPORA, make_element, scan_decorator_checks, write_fanout_corpus
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
 GEN = Path(__file__).parent.parent / "bench" / "gen.py"
@@ -138,7 +138,7 @@ def old_candidates(program: Program, path: GlobalPath) -> list[tuple[str, str]]:
     order, seen = [], set()
     for service, fn, local_ids in groups.values():
         guards = {el.id: el for eid in local_ids for el in guard_chain(service, eid)}
-        candidates = [(c, "decorator") for c in _decorator_checks(service, fn)]
+        candidates = [(c, "decorator") for c in scan_decorator_checks(service, fn.id)]
         candidates += [(g, "inline") for g in sorted(guards.values(), key=lambda e: e.sort_key)]
         for el, attachment in candidates:
             if el.id not in seen:

@@ -123,9 +123,9 @@ class TestLocateChecks:
 
     def test_check_finding_invariants(self):
         with pytest.raises(ValueError):
-            CheckFinding("e", "s", "n", "authn", "role", "decorator", "r")
+            CheckFinding("e", "s", "n", "authn", "role", "decorator", "r", "src")
         with pytest.raises(ValueError):
-            CheckFinding("e", "s", "n", "authz", "none", "decorator", "r")
+            CheckFinding("e", "s", "n", "authz", "none", "decorator", "r", "src")
 
 
 class TestAssessFlow:

@@ -6,7 +6,10 @@ import weakref
 import pytest
 
 from privflow.load import load_program
-from privflow.model import EdgeKind, ElementKind, call_callee
+from privflow.constraints import _guard_var_types
+from privflow.crossflow import q_source
+from privflow.model import Edge, EdgeKind, ElementKind, Service, call_callee
+from privflow.minisrv.lower import INBOUND_INTRINSICS
 from privflow.pipeline import scan
 from privflow.search import (
     BadPattern,
@@ -31,8 +34,10 @@ from conftest import (
     build_random_service,
     build_tied_service,
     lower_snippet,
+    make_element,
     oracle_closure,
     reference_shortest_path,
+    scan_decorator_checks,
     shortest_path_counts,
 )
 
@@ -377,30 +382,138 @@ class TestServiceIndex:
 
     @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
     def test_primitives_match_edge_scans(self, corpus):
-        """Every index-backed primitive agrees with a scan over all edges."""
+        """Every index-backed primitive and table agrees with a scan over all
+        edges and elements."""
         for service in load_program(corpus).services:
-            calls = _edges(service, EdgeKind.CALLS)
-            for el in service.elements:
-                assert enclosing_function(service, el.id) == _scan_enclosing_function(service, el.id), el
-                assert guard_chain(service, el.id) == _scan_guard_chain(service, el.id), el
-                sites = [service.element(e.src) for e in calls if e.dst == el.id]
-                want_sites = sorted(
-                    (s for s in sites if s.kind is ElementKind.CALL),
-                    key=lambda s: (s.location.file, s.location.line, s.location.col, s.kind.value, s.id),
-                )
-                assert call_sites_of(service, el.id) == want_sites, el
-                if el.kind is not ElementKind.FUNCTION:
-                    continue
-                callees = {
-                    e.dst
-                    for e in calls
-                    if service.element(e.dst).kind is ElementKind.FUNCTION
-                    and _scan_enclosing_function(service, e.src) == el
-                }
-                callers = {
-                    caller.id
-                    for e in calls
-                    if e.dst == el.id and (caller := _scan_enclosing_function(service, e.src)) is not None
-                }
-                assert {f.id for f in q_cg(service, el.id, "callees")} == callees - {el.id}, el
-                assert {f.id for f in q_cg(service, el.id, "callers")} == callers - {el.id}, el
+            assert_index_matches_edge_scans(service)
+
+    def test_tables_match_edge_scans_on_generated_services(self):
+        rng = random.Random(907)
+        services = [build_random_service(rng, max_nodes=18) for _ in range(10)]
+        services += [build_tied_service(rng) for _ in range(10)]
+        services += [build_nested_service(rng) for _ in range(40)]
+        for service in services:
+            assert_index_matches_edge_scans(service)
+        nested = services[20:]
+        assert any(service_index(s).decorator_checks for s in nested)
+        assert any(len(service_index(s).var_types) < _declared_names(s) for s in nested)
+
+    def test_shared_decorator_and_shared_check(self):
+        """A decorator of two functions gives both its checks and resolves to
+        the first; two decorators calling one check list it once."""
+        f = make_element("svc", ElementKind.FUNCTION, name="f", line=1)
+        g = make_element("svc", ElementKind.FUNCTION, name="g", line=2)
+        check = make_element("svc", ElementKind.FUNCTION, name="check", line=3)
+        other = make_element("svc", ElementKind.FUNCTION, name="other", line=4)
+        both = make_element("svc", ElementKind.DECORATOR, name="both", line=5)
+        again = make_element("svc", ElementKind.DECORATOR, name="again", line=6)
+        edges = [
+            Edge(EdgeKind.DECORATES, both.id, f.id),
+            Edge(EdgeKind.DECORATES, both.id, g.id),
+            Edge(EdgeKind.DECORATES, again.id, g.id),
+            Edge(EdgeKind.CALLS, both.id, other.id),
+            Edge(EdgeKind.CALLS, both.id, check.id),
+            Edge(EdgeKind.CALLS, again.id, check.id),
+        ]
+        service = Service.build("svc", [f, g, check, other, both, again], edges)
+        decorated = [service.element(e.dst) for e in service.edges if e.kind is EdgeKind.DECORATES and e.src == both.id]
+        assert sorted(decorated, key=lambda e: e.name) == [f, g]
+        assert enclosing_function(service, both.id) == decorated[0]
+        assert service_index(service).decorator_checks == {f.id: [check, other], g.id: [check, other]}
+        assert_index_matches_edge_scans(service)
+
+
+def _declared_names(service):
+    return sum(1 for e in service.elements if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER))
+
+
+def _scan_var_type(service, name):
+    declared = (e for e in service.elements if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER))
+    return next((e.inferred_type for e in declared if e.name == name), "unknown")
+
+
+def assert_index_matches_edge_scans(service):
+    index = service_index(service)
+    calls = _edges(service, EdgeKind.CALLS)
+    declared = {e.name for e in service.elements if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER)}
+    assert index.var_types == {name: _scan_var_type(service, name) for name in declared}
+    idents = sorted(({e.name for e in service.elements if e.name.isidentifier()} | {"undeclared"}) - {"true", "false"})
+    guard = " == ".join(idents) + ' == "a b" == true'
+    assert _guard_var_types(service, guard) == tuple((name, _scan_var_type(service, name)) for name in idents)
+    sources = [
+        e for e in service.elements
+        if e.kind is ElementKind.ENDPOINT or (e.kind is ElementKind.CALL and call_callee(e) in INBOUND_INTRINSICS)
+    ]
+    assert q_source(service) == sorted(sources, key=lambda e: (e.location.file, e.location.line, e.location.col, e.id))
+    for el in service.elements:
+        fn, guards = _scan_enclosing_function(service, el.id), _scan_guard_chain(service, el.id)
+        assert index.place(service, el.id) == (fn, tuple(guards)), el
+        assert enclosing_function(service, el.id) == fn, el
+        assert guard_chain(service, el.id) == guards, el
+        assert index.decorator_checks.get(el.id, []) == scan_decorator_checks(service, el.id), el
+        sites = [service.element(e.src) for e in calls if e.dst == el.id]
+        want_sites = sorted(
+            (s for s in sites if s.kind is ElementKind.CALL),
+            key=lambda s: (s.location.file, s.location.line, s.location.col, s.kind.value, s.id),
+        )
+        assert call_sites_of(service, el.id) == want_sites, el
+        if el.kind is not ElementKind.FUNCTION:
+            continue
+        callees = {
+            e.dst
+            for e in calls
+            if service.element(e.dst).kind is ElementKind.FUNCTION and _scan_enclosing_function(service, e.src) == el
+        }
+        callers = {
+            caller.id
+            for e in calls
+            if e.dst == el.id and (caller := _scan_enclosing_function(service, e.src)) is not None
+        }
+        assert {f.id for f in q_cg(service, el.id, "callees")} == callees - {el.id}, el
+        assert {f.id for f in q_cg(service, el.id, "callers")} == callers - {el.id}, el
+
+
+NESTED_KINDS = (
+    ElementKind.FUNCTION,
+    ElementKind.CONDITIONAL,
+    ElementKind.VARIABLE,
+    ElementKind.PARAMETER,
+    ElementKind.CALL,
+    ElementKind.DECORATOR,
+    ElementKind.ENDPOINT,
+)
+
+
+def build_nested_service(rng, name: str = "nest") -> Service:
+    """Functions, conditionals, variables, parameters, calls, decorators and
+    endpoints in a random containment forest, declared out of creation
+    order and sharing positions. Variable and parameter names repeat with
+    differing types; decorators decorate one or two functions; decorators
+    and calls call functions and, now and then, other elements."""
+    n = rng.randint(3, 30)
+    elements, taken = [], set()
+    for i in range(n):
+        kind, line = rng.choice(NESTED_KINDS), rng.randint(1, n)
+        if (kind, line) in taken:
+            continue
+        taken.add((kind, line))
+        label = {ElementKind.CALL: "", ElementKind.CONDITIONAL: ""}.get(kind, f"{kind.value[0]}{i}")
+        if kind in (ElementKind.VARIABLE, ElementKind.PARAMETER):
+            label = rng.choice("abc")
+        source = rng.choice(('consume("t")', f"f{i}(x)")) if kind is ElementKind.CALL else ""
+        elements.append(make_element(name, kind, name=label, line=line, source=source,
+                                     itype=rng.choice(("int", "string", "unknown"))))
+    functions = [e for e in elements if e.kind is ElementKind.FUNCTION]
+    edges = []
+    for i in range(1, len(elements)):
+        if rng.random() < 0.8:
+            edges.append(Edge(EdgeKind.CONTAINS, elements[rng.randrange(i)].id, elements[i].id))
+    for el in elements:
+        if el.kind is ElementKind.DECORATOR and functions:
+            for fn in rng.sample(functions, min(len(functions), rng.randint(1, 2))):
+                edges.append(Edge(EdgeKind.DECORATES, el.id, fn.id))
+        if el.kind in (ElementKind.DECORATOR, ElementKind.CALL):
+            callees = rng.sample(functions, min(len(functions), rng.randint(0, 2)))
+            for callee in callees + ([rng.choice(elements)] if rng.random() < 0.3 else []):
+                edges.append(Edge(EdgeKind.CALLS, el.id, callee.id))
+    return Service.build(name, elements, edges)
