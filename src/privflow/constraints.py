@@ -21,7 +21,6 @@ only Unsat prunes.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -574,25 +573,13 @@ def extract_path_constraints(groups, reasoner):
         for guard in chain:
             guards.setdefault(guard.id, (service, guard))
     descriptors = tuple(
-        GuardDescriptor(source=guard.source, var_types=_guard_var_types(service, guard.source))
+        GuardDescriptor(source=guard.source, var_types=service_index(service).guard_var_types(guard))
         for service, guard in sorted(
             guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
         )
     )
     verdict = reasoner.reason(ExtractConstraints(guards=descriptors))
     return None if verdict.skipped else verdict.constraint
-
-
-def _guard_var_types(service, guard_source: str) -> tuple[tuple[str, str], ...]:
-    """Each identifier of the guard with the type of the first variable or
-    parameter of that name declared in the service."""
-    types = service_index(service).var_types
-    idents = sorted(set(re.findall(r"[A-Za-z_]\w*", _strip_strings(guard_source))))
-    return tuple([(ident, types.get(ident, "unknown")) for ident in idents if ident not in ("true", "false")])
-
-
-def _strip_strings(text: str) -> str:
-    return re.sub(r'"[^"]*"', '""', text)
 
 
 # --- MiniSrv guard translation (used by the scripted reasoner) -------------------

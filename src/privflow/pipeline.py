@@ -26,6 +26,7 @@ from pathlib import Path
 from .constraints import check_sat, Sat, Unsat, emit_smtlib, extract_path_constraints
 from .crossflow import (
     PATH_CAP,
+    ChannelEdge,
     GlobalPath,
     Recorder,
     ambiguous_matches,
@@ -126,7 +127,8 @@ class ScanBudget:
     max_seconds: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.max_tool_calls_per_phase <= 0 or self.max_seconds <= 0:
+        # written so that a NaN limit fails too
+        if not (self.max_tool_calls_per_phase > 0 and self.max_seconds > 0):
             raise ValueError("budget limits must be positive")
 
 
@@ -171,8 +173,10 @@ class Tracer:
         )
         if count > self.budget.max_tool_calls_per_phase:
             raise BudgetExhausted(phase, f"exceeded {self.budget.max_tool_calls_per_phase} tool calls")
-        if time.monotonic() - self.started > self.budget.max_seconds:
-            raise BudgetExhausted(phase, f"exceeded {self.budget.max_seconds:.0f}s wall clock")
+        limit = self.budget.max_seconds
+        if time.monotonic() - self.started > limit:
+            shown = f"{limit:.0f}" if float(limit).is_integer() else str(limit)
+            raise BudgetExhausted(phase, f"exceeded {shown}s wall clock")
 
     def write(self, path: str | Path) -> None:
         lines = [json.dumps(c, sort_keys=True) for c in self.calls]
@@ -426,9 +430,9 @@ def scan(
 ) -> dict:
     """Run the full pipeline and return the schema-versioned report payload.
 
-    Findings share one record per privileged operation and per path
-    element (step and evidence), so the payload is read-only: changing one
-    record would change it in every finding."""
+    Findings share one record per privileged operation, per path element
+    (step and evidence) and per path segment (hop), so the payload is
+    read-only: changing one record would change it in every finding."""
     budget = budget or ScanBudget()
     options = options or ScanOptions()
     violations = validate_program(program)
@@ -574,27 +578,6 @@ def _validate_flow(
 # --- report payload ---------------------------------------------------------------------
 
 
-def _path_dict(flow: GlobalPath, step) -> dict:
-    """The path's report record; ``step(service, element)`` gives each
-    element's step record."""
-    hops: list[dict] = []
-    for segment in flow.segments:
-        if isinstance(segment, FlowPath):
-            steps = [step(segment.service, eid) for eid in segment.elements]
-            hops.append({"type": "flow", "service": segment.service, "steps": steps})
-        else:  # ChannelEdge
-            hops.append(
-                {
-                    "type": "channel",
-                    "identifier": segment.identifier,
-                    "match": segment.match_rule,
-                    "from_service": segment.from_service,
-                    "to_service": segment.to_service,
-                }
-            )
-    return {"id": flow.id, "services": list(flow.services), "hops": hops}
-
-
 def _evidence(flow: GlobalPath, checks, record) -> list[dict]:
     """Verbatim sources of the elements on (or referenced from) the path,
     each element once; ``record(service, element)`` gives an element's
@@ -629,8 +612,8 @@ def _report_payload(
     exhausted_reason: str | None,
     context_ids: set[str],
 ) -> dict:
-    # one record per privileged operation and per element, shared by every
-    # finding that reaches it
+    # one record per privileged operation, per element and per path segment,
+    # shared by every finding that reaches it
     @functools.cache
     def op_dict(op: PrivilegedOperation) -> dict:
         el = program.element(op.service, op.element)
@@ -671,6 +654,19 @@ def _report_payload(
             "source": el.source,
         }
 
+    @functools.cache
+    def hop(segment: FlowPath | ChannelEdge) -> dict:
+        if isinstance(segment, FlowPath):
+            steps = [step(segment.service, eid) for eid in segment.elements]
+            return {"type": "flow", "service": segment.service, "steps": steps}
+        return {
+            "type": "channel",
+            "identifier": segment.identifier,
+            "match": segment.match_rule,
+            "from_service": segment.from_service,
+            "to_service": segment.to_service,
+        }
+
     def finding_dict(f: Finding) -> dict:
         return {
             "id": f.path.id,
@@ -678,7 +674,7 @@ def _report_payload(
             "feasibility": f.feasibility,
             "rationale": f.rationale,
             "privileged_operation": op_dict(f.privop),
-            "path": _path_dict(f.path, step),
+            "path": {"id": f.path.id, "services": list(f.path.services), "hops": [hop(s) for s in f.path.segments]},
             "checks": [
                 {
                     "element": c.element,

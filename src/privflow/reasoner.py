@@ -28,6 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import constraints as _constraints
+from .search import identifiers
 
 RULES_RESOURCE = Path(__file__).parent / "rules" / "oracle.rules.json"
 PROMPTS_DIR = Path(__file__).parent / "prompts"
@@ -393,7 +394,7 @@ class ScriptedOracle:
     def _sensitive_arguments(self, privop_source: str) -> list[str]:
         paren = privop_source.find("(")
         arg_text = privop_source[paren + 1 :] if paren >= 0 else privop_source
-        idents = _IDENT_RE.findall(_constraints._strip_strings(arg_text))
+        idents = identifiers(arg_text)
         nouns = set(self.rules.protected_state_nouns) | set(self.rules.resource_nouns)
         out: list[str] = []
         for ident in idents:

@@ -9,6 +9,14 @@ The JSON text is exactly ``json.dumps(payload, indent=2, sort_keys=True) +
 mode. Python walks only the containers that hold other containers. Every
 scalar, and every container holding only scalars, is encoded in one C call
 whose item separator carries the newline and indent of its depth.
+
+The pipeline shares records: every finding that reaches an element, an
+operation or a path segment holds the same dict. One render encodes each
+dict, list or tuple once per nesting depth. A memo local to the call maps
+``(id(member), depth)`` to the range of chunks its first rendering
+appended; the second meeting joins that range into text, which later
+meetings reuse. Ids stay unique only while the payload is alive and
+unchanged, so a payload must not be edited while it renders.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ def exit_status(payload: dict) -> ExitStatus:
 def render_report(payload: dict, fmt: str = "json") -> str:
     if fmt == "json":
         chunks: list[str] = []
-        _render_json(payload, 0, chunks.append)
+        _render_json(payload, 0, chunks, {})
         chunks.append("\n")
         return "".join(chunks)
     if fmt == "md":
@@ -86,9 +94,12 @@ def _holds_containers(values) -> bool:
     return not types <= _SCALARS and any(issubclass(t, _NESTED) for t in types)
 
 
-def _render_json(value, depth: int, out) -> None:
-    """Append ``value``'s text at nesting ``depth``. Python walks only the
-    containers that hold other containers."""
+def _render_json(value, depth: int, chunks: list[str], seen: dict) -> None:
+    """Append ``value``'s text at nesting ``depth`` to ``chunks``. Python
+    walks only the containers that hold other containers. ``seen`` maps
+    ``(id(member), depth)`` of each container member rendered so far to
+    the (start, end) range of chunks its rendering appended, or to its text
+    once it recurs."""
     if isinstance(value, dict):
         members = value.values()
     elif isinstance(value, (list, tuple)):
@@ -102,7 +113,7 @@ def _render_json(value, depth: int, out) -> None:
         text = "".join(encoder(value, 0))
         if len(text) > 2 and text[0] in "[{":
             text = f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
-        out(text)
+        chunks.append(text)
         return
     if isinstance(value, dict):
         # the stdlib sorts (key, value) pairs, then converts the keys
@@ -111,13 +122,23 @@ def _render_json(value, depth: int, out) -> None:
     else:
         items = [("", v) for v in value]
         opener, closer = "[", "]"
-    out(opener)
+    chunks.append(opener)
     sep = inner
     for prefix, member in items:
-        out(sep + prefix)
+        chunks.append(sep + prefix)
         sep = "," + inner
-        _render_json(member, depth + 1, out)
-    out(outer + closer)
+        key = (id(member), depth + 1)
+        done = seen.get(key)
+        if done is None:
+            start = len(chunks)
+            _render_json(member, depth + 1, chunks, seen)
+            if isinstance(member, _NESTED):
+                seen[key] = (start, len(chunks))
+        else:
+            if type(done) is tuple:
+                done = seen[key] = "".join(chunks[done[0] : done[1]])
+            chunks.append(done)
+    chunks.append(outer + closer)
 
 
 def _render_md(payload: dict) -> str:

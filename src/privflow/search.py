@@ -85,10 +85,11 @@ class ServiceIndex:
     holds each decorated function's check functions (the functions its
     decorators call, each once, in source order) and ``var_types`` the
     inferred type of the first variable or parameter declared under each
-    name. ``placed`` holds each element's enclosing function and guarding
-    conditionals, filled on first query by one containment walk per
-    element. ``inter`` holds the service's element scan for sources and
-    channels, filled by ``crossflow`` on first use.
+    name; ``guard_types`` holds each guard's identifiers typed from that
+    table, filled on first query. ``placed`` holds each element's enclosing
+    function and guarding conditionals, filled on first query by one
+    containment walk per element. ``inter`` holds the service's element
+    scan for sources and channels, filled by ``crossflow`` on first use.
     """
 
     def __init__(self, service: Service):
@@ -97,6 +98,7 @@ class ServiceIndex:
         self.decorated: dict[str, str] = {}
         self.flow_succ: dict[str, list[str]] = {}
         self.placed: dict[str, tuple[Element | None, tuple[Element, ...]]] = {}
+        self.guard_types: dict[str, tuple[tuple[str, str], ...]] = {}
         self.inter = None  # crossflow.InterScan
         decorators: dict[str, list[str]] = {}
         call_targets: dict[str, list[str]] = {}
@@ -173,6 +175,28 @@ class ServiceIndex:
             fn = service.element(self.decorated[eid]) if eid in self.decorated else None
         self.placed[eid] = (fn, tuple(reversed(guards)))
         return self.placed[eid]
+
+    def guard_var_types(self, guard: Element) -> tuple[tuple[str, str], ...]:
+        """Each identifier of the guard's source outside string literals,
+        ``true`` and ``false`` excepted, sorted, with the type of the first
+        variable or parameter declared under that name ("unknown" if none);
+        computed once per guard."""
+        types = self.guard_types.get(guard.id)
+        if types is None:
+            idents = set(identifiers(guard.source)) - {"true", "false"}
+            types = tuple([(ident, self.var_types.get(ident, "unknown")) for ident in sorted(idents)])
+            self.guard_types[guard.id] = types
+        return types
+
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+_STRING = re.compile(r'"[^"]*"')
+
+
+def identifiers(text: str) -> list[str]:
+    """The identifiers of a source text outside its string literals, in
+    order, repeats included."""
+    return _IDENTIFIER.findall(_STRING.sub('""', text))
 
 
 def service_index(service: Service) -> ServiceIndex:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -294,3 +295,12 @@ def scan_decorator_checks(service: Service, fn_id: str) -> list[Element]:
     targets = [e.dst for d in decorators for e in service.edges if e.kind is EdgeKind.CALLS and e.src == d]
     checks = [service.element(t) for t in dict.fromkeys(targets)]
     return sorted((c for c in checks if c is not None and c.kind is ElementKind.FUNCTION), key=lambda e: e.sort_key)
+
+
+def scan_guard_var_types(service: Service, source: str) -> tuple[tuple[str, str], ...]:
+    """Each identifier of a guard's source outside string literals, ``true``
+    and ``false`` excepted, sorted, with the type of the first variable or
+    parameter of that name, read off a scan over all elements."""
+    idents = set(re.findall(r"[A-Za-z_]\w*", re.sub(r'"[^"]*"', '""', source))) - {"true", "false"}
+    declared = [e for e in service.elements if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER)]
+    return tuple((name, next((e.inferred_type for e in declared if e.name == name), "unknown")) for name in sorted(idents))

@@ -1,10 +1,12 @@
+import itertools
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from privflow import reasoner
+from privflow import pipeline, reasoner
 from privflow.cli import main
 from privflow.report import ExitStatus, exit_status, render_report
 
@@ -147,6 +149,21 @@ class TestScanCommand:
     def test_budget_exhaustion_exit_code(self, runner):
         result = runner.invoke(main, ["scan", corpus("role_update"), "--budget-calls", "3"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("seconds", ["nan", "0", "-1"])
+    def test_non_positive_wall_clock_budget_is_config_error(self, runner, seconds):
+        result = runner.invoke(main, ["scan", corpus("role_update"), "--budget-seconds", seconds])
+        assert result.exit_code == 2
+        assert result.output == "privflow: budget limits must be positive\n"
+
+    def test_fractional_wall_clock_budget_named_as_given(self, runner, monkeypatch):
+        """A clock that moves 0.25 s per reading exhausts a 0.4 s budget,
+        and the report names the limit as it was given."""
+        ticks = itertools.count()
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: next(ticks) * 0.25))
+        result = runner.invoke(main, ["scan", corpus("role_update"), "--budget-seconds", "0.4"])
+        assert result.exit_code == 3
+        assert json.loads(result.output)["budget"]["exhausted_reason"].endswith(": exceeded 0.4s wall clock")
 
     def test_same_scan_renders_byte_identically(self, runner):
         first = runner.invoke(main, ["scan", corpus("role_update"), "--format", "json"])

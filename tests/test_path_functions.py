@@ -9,15 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from privflow.constraints import _guard_var_types, extract_path_constraints
+from privflow.constraints import extract_path_constraints
 from privflow.crossflow import GlobalPath, build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service
 from privflow.pipeline import ScanBudget, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
-from privflow.search import FlowPath, enclosing_function, guard_chain
+from privflow import search
+from privflow.search import FlowPath, enclosing_function, guard_chain, identifiers
 
-from conftest import CORPORA, make_element, scan_decorator_checks, write_fanout_corpus
+from conftest import CORPORA, make_element, scan_decorator_checks, scan_guard_var_types, write_fanout_corpus
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
 GEN = Path(__file__).parent.parent / "bench" / "gen.py"
@@ -119,7 +120,7 @@ def old_extract_task(program: Program, path: GlobalPath) -> ExtractConstraints:
                     guards.append((service, guard))
     guards.sort(key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col))
     return ExtractConstraints(
-        guards=tuple(GuardDescriptor(source=g.source, var_types=_guard_var_types(s, g.source)) for s, g in guards)
+        guards=tuple(GuardDescriptor(source=g.source, var_types=scan_guard_var_types(s, g.source)) for s, g in guards)
     )
 
 
@@ -233,3 +234,22 @@ def test_fanout_findings_share_one_record_per_element(tmp_path):
     ops = {id(op) for op in payload["privileged_operations"]}
     assert len(ops) == 2
     assert {id(f["privileged_operation"]) for f in findings} == ops
+
+
+def test_guard_types_computed_once_per_guard(tmp_path, monkeypatch):
+    """256 flows meet the fan-out's 16 guards 2,048 times; each guard's
+    identifiers are typed once."""
+    texts = []
+
+    def counting_identifiers(text):
+        texts.append(text)
+        return identifiers(text)
+
+    monkeypatch.setattr(search, "identifiers", counting_identifiers)
+    program = load_program(write_fanout_corpus(tmp_path))
+    payload = scan(program, ScriptedOracle(), OPEN)
+    assert len(payload["findings"]) == 256
+    guards = [e for s in program.services for e in s.elements if e.kind is ElementKind.CONDITIONAL]
+    assert len(guards) == 16
+    assert sorted(texts) == sorted(g.source for g in guards)
+    assert {eid for s in program.services for eid in search.service_index(s).guard_types} == {g.id for g in guards}

@@ -1,9 +1,12 @@
 import collections
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
 from privflow.crossflow import PATH_CAP, build_global_graph, match_channels, path_functions, q_globalflow, q_user
+from privflow import pipeline
 from privflow.load import load_program
 from privflow.model import call_callee
 from privflow.reasoner import Action, ConfirmUserSource, NextSearchAction, ScriptedOracle, _query_key
@@ -342,6 +345,27 @@ class TestScan:
         payload = scan(role_update_program, oracle, budget=ScanBudget(max_seconds=1e-9))
         assert payload["budget"]["exhausted"]
         assert "wall clock" in payload["budget"]["exhausted_reason"]
+
+    @pytest.mark.parametrize(
+        "limits", [{"max_seconds": math.nan}, {"max_seconds": 0}, {"max_seconds": -1.0}, {"max_tool_calls_per_phase": 0}]
+    )
+    def test_non_positive_limits_rejected(self, limits):
+        with pytest.raises(ValueError, match="budget limits must be positive"):
+            ScanBudget(**limits)
+
+    @pytest.mark.parametrize(
+        "limit, shown", [(0.4, "0.4"), (2.5, "2.5"), (3, "3"), (600.0, "600"), (1e9, "1000000000")]
+    )
+    def test_wall_clock_limit_named_as_given(self, monkeypatch, limit, shown):
+        now = [0.0]
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        tracer = Tracer(ScanBudget(max_seconds=limit))
+        now[0] = limit
+        tracer.record("flow", "q_flow", {}, 0)  # at the limit, not over it
+        now[0] = 2 * limit
+        with pytest.raises(BudgetExhausted) as exc:
+            tracer.record("flow", "q_flow", {}, 0)
+        assert exc.value.reason == f"exceeded {shown}s wall clock"
 
     def test_invalid_program_rejected(self, role_update_program, oracle):
         from privflow.model import Manifest, Program

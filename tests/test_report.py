@@ -116,6 +116,70 @@ def test_keys_outside_json_are_rejected():
         render_report({"a": [object()]}, "json")
 
 
+# Shared sub-objects: a container met again at the same or another depth
+# renders from the text or chunks of its first meeting. Scalars are kept
+# small here; the tests above cover their encoding.
+SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["", "a", 'q"\n']))
+
+
+def _small_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.sampled_from("abcd"), children, max_size=4),
+    )
+
+
+CONTAINERS = st.one_of(
+    st.builds(dict),
+    st.builds(list),
+    st.builds(tuple),
+    _small_containers(SMALL_SCALARS),
+    _small_containers(_small_containers(SMALL_SCALARS)),
+)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree whose leaves may be the very objects of a pool of
+    containers, placed so that the tree meets itself at one depth twice
+    and again deeper, and each pool member recurs at two depths."""
+    pool = draw(st.lists(CONTAINERS, min_size=1, max_size=4))
+    tree = draw(st.recursive(st.one_of(SMALL_SCALARS, st.sampled_from(pool)), _small_containers, max_leaves=16))
+    return {"a": tree, "b": tree, "pool": pool, "deeper": [pool, {"again": tree}, tuple(pool)]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_trees())
+def test_render_matches_stdlib_with_shared_members(value):
+    text = render_report(value, "json")
+    assert text == oracle_text(value)
+    assert render_report(value, "json") == text
+
+
+SCALAR_DICT = {"k": 1, "s": "x"}
+SCALAR_LIST = [1, "two", None]
+NESTED_DICT = {"inner": SCALAR_DICT, "list": [SCALAR_LIST, SCALAR_LIST]}
+NESTED_TUPLE = (NESTED_DICT, [NESTED_DICT])
+EMPTY_DICT, EMPTY_LIST, EMPTY_TUPLE = {}, [], ()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [SCALAR_DICT, SCALAR_DICT],
+        {"a": SCALAR_LIST, "b": SCALAR_LIST, "c": {"d": SCALAR_LIST}},
+        [EMPTY_DICT, EMPTY_LIST, EMPTY_TUPLE, [EMPTY_DICT, EMPTY_LIST, EMPTY_TUPLE], EMPTY_DICT],
+        [NESTED_DICT, NESTED_DICT, {"x": NESTED_DICT}, [[NESTED_DICT]]],
+        {"t": NESTED_TUPLE, "u": [NESTED_TUPLE, NESTED_TUPLE], "v": NESTED_DICT},
+        [SCALAR_LIST, [SCALAR_LIST, [SCALAR_LIST, [SCALAR_LIST]]], SCALAR_LIST],
+    ],
+    ids=["dict-same-depth", "list-two-depths", "empties", "nested-dict", "tuple-of-shared", "list-every-depth"],
+)
+def test_render_matches_stdlib_on_shared_examples(value):
+    assert render_report(value, "json") == oracle_text(value)
+
+
 @pytest.fixture(scope="module")
 def fanout_payload(tmp_path_factory, oracle):
     corpus = write_fanout_corpus(tmp_path_factory.mktemp("fanout"))
@@ -124,7 +188,28 @@ def fanout_payload(tmp_path_factory, oracle):
 
 def test_render_matches_stdlib_on_a_large_report(fanout_payload):
     assert len(fanout_payload["findings"]) > 200
-    assert render_report(fanout_payload, "json") == oracle_text(fanout_payload)
+    text = render_report(fanout_payload, "json")
+    assert text == oracle_text(fanout_payload)
+    assert render_report(fanout_payload, "json") == text
+
+
+def test_findings_share_the_hop_of_a_segment(fanout_payload):
+    """Every finding through one path segment holds the same hop record,
+    so a render encodes it once."""
+    by_segment: dict[tuple, list[dict]] = {}
+    for finding in fanout_payload["findings"]:
+        hops = finding["path"]["hops"]
+        for i, hop in enumerate(hops):
+            if hop["type"] == "flow":
+                key = ("flow", hop["service"], tuple(step["element"] for step in hop["steps"]))
+            else:  # a channel joins the last element before it to the first after it
+                ends = (hops[i - 1]["steps"][-1]["element"], hops[i + 1]["steps"][0]["element"])
+                key = ("channel", hop["identifier"], hop["match"], hop["from_service"], hop["to_service"], ends)
+            by_segment.setdefault(key, []).append(hop)
+    assert {key[0] for key in by_segment} == {"flow", "channel"}
+    assert max(len(hops) for hops in by_segment.values()) == len(fanout_payload["findings"]) // 2
+    for hops in by_segment.values():
+        assert all(hop is hops[0] for hop in hops)
 
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "report-schema.md"

@@ -6,7 +6,6 @@ import weakref
 import pytest
 
 from privflow.load import load_program
-from privflow.constraints import _guard_var_types
 from privflow.crossflow import q_source
 from privflow.model import Edge, EdgeKind, ElementKind, Service, call_callee
 from privflow.minisrv.lower import INBOUND_INTRINSICS
@@ -38,6 +37,7 @@ from conftest import (
     oracle_closure,
     reference_shortest_path,
     scan_decorator_checks,
+    scan_guard_var_types,
     shortest_path_counts,
 )
 
@@ -438,8 +438,11 @@ def assert_index_matches_edge_scans(service):
     declared = {e.name for e in service.elements if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER)}
     assert index.var_types == {name: _scan_var_type(service, name) for name in declared}
     idents = sorted(({e.name for e in service.elements if e.name.isidentifier()} | {"undeclared"}) - {"true", "false"})
-    guard = " == ".join(idents) + ' == "a b" == true'
-    assert _guard_var_types(service, guard) == tuple((name, _scan_var_type(service, name)) for name in idents)
+    source = " == ".join(idents) + ' == "a b" == true == false'
+    guard = make_element(service.name, ElementKind.CONDITIONAL, line=10**6, source=source)
+    assert index.guard_var_types(guard) == tuple((name, _scan_var_type(service, name)) for name in idents)
+    for cond in q_ast(service, ElementKind.CONDITIONAL):
+        assert index.guard_var_types(cond) == scan_guard_var_types(service, cond.source), cond
     sources = [
         e for e in service.elements
         if e.kind is ElementKind.ENDPOINT or (e.kind is ElementKind.CALL and call_callee(e) in INBOUND_INTRINSICS)
