@@ -21,6 +21,7 @@ only Unsat prunes.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -467,6 +468,35 @@ def check_sat(c: PathConstraint) -> SatResult:
 
 _SORTS = {"int": "Int", "string": "String", "bool": "Bool"}
 
+#: SMT-LIB 2.6 reserved words and command names, and the symbols the Core,
+#: Ints and Strings theories predefine (with the older string names solvers
+#: still accept). Declaring one of them clashes with the standard.
+_SMT_TAKEN = frozenset(
+    """
+    ! _ as BINARY DECIMAL HEXADECIMAL NUMERAL STRING exists forall let match par assert check-sat check-sat-assuming
+    declare-const declare-datatype declare-datatypes declare-fun declare-sort define-fun define-fun-rec
+    define-funs-rec define-sort echo exit get-assertions get-assignment get-info get-model get-option get-proof
+    get-unsat-assumptions get-unsat-core get-value pop push reset reset-assertions set-info set-logic set-option
+    Bool true false not => and or xor = distinct ite Int - + * div mod abs <= < >= > String RegLan char str.++
+    str.len str.< str.<= str.at str.substr str.prefixof str.suffixof str.contains str.indexof str.replace
+    str.replace_all str.replace_re str.replace_re_all str.is_digit str.to_code str.from_code str.to_int str.from_int
+    str.to_re str.in_re re.none re.all re.allchar re.++ re.union re.inter re.* re.comp re.diff re.+ re.opt re.range
+    re.^ re.loop str.to.re str.in.re str.to.int int.to.str
+    """.split()
+)
+# A simple symbol; a digit cannot start one, and "@" or "." starts a solver's.
+_SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!$%^&*_+=<>?/-][0-9A-Za-z~!@$%^&*_+=<>.?/-]*")
+
+
+def _symbol(name: str) -> str:
+    """The variable's SMT-LIB symbol: the name itself when it is a simple
+    symbol that SMT-LIB neither reserves nor predefines, else ``|v:NAME|``.
+    A name kept as it is never contains ``:``, so distinct names stay
+    distinct symbols."""
+    if _SIMPLE_SYMBOL.fullmatch(name) and name not in _SMT_TAKEN:
+        return name
+    return f"|v:{name}|"
+
 
 def _smt_str(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
@@ -475,18 +505,18 @@ def _smt_str(value: str) -> str:
 def _sexpr(f) -> str:
     if isinstance(f, IntCmp):
         op = {"==": "=", "!=": "distinct"}.get(f.op, f.op)
-        return f"({op} {f.var} {f.value})"
+        return f"({op} {_symbol(f.var)} {f.value})"
     if isinstance(f, IntVarCmp):
         op = "=" if f.op == "==" else "distinct"
-        return f"({op} {f.left} {f.right})"
+        return f"({op} {_symbol(f.left)} {_symbol(f.right)})"
     if isinstance(f, StrLitCmp):
         op = "=" if f.op == "==" else "distinct"
-        return f"({op} {f.var} {_smt_str(f.value)})"
+        return f"({op} {_symbol(f.var)} {_smt_str(f.value)})"
     if isinstance(f, StrVarCmp):
         op = "=" if f.op == "==" else "distinct"
-        return f"({op} {f.left} {f.right})"
+        return f"({op} {_symbol(f.left)} {_symbol(f.right)})"
     if isinstance(f, BoolVar):
-        return f.var
+        return _symbol(f.var)
     if isinstance(f, BoolConst):
         return "true" if f.value else "false"
     if isinstance(f, And):
@@ -500,10 +530,12 @@ def _sexpr(f) -> str:
 
 def emit_smtlib(c: PathConstraint) -> str:
     """SMT-LIB v2 text: sorted declarations, one assert per top-level
-    conjunct, trailing check-sat. Deterministic."""
+    conjunct, trailing check-sat. Deterministic. A variable whose name SMT-LIB
+    reserves or predefines, or that is no simple symbol, is emitted as
+    ``|v:NAME|``."""
     validate_constraint(c)
     lines = [
-        f"(declare-const {name} {_SORTS[t]})"
+        f"(declare-const {_symbol(name)} {_SORTS[t]})"
         for name, t in sorted(c.variables)
     ]
     if isinstance(c.formula, And):
@@ -551,7 +583,10 @@ def constraint_from_json(data: dict) -> PathConstraint:
     for v in variables:
         if not isinstance(v, dict) or "name" not in v or "type" not in v:
             raise ConstraintError(f"malformed variable entry {v!r}")
-        pairs.append((str(v["name"]), str(v["type"])))
+        name = str(v["name"])
+        if "|" in name or "\\" in name:
+            raise ConstraintError(f"variable name {name!r} has a character no SMT-LIB symbol can hold")
+        pairs.append((name, str(v["type"])))
     constraint = PathConstraint(tuple(sorted(pairs)), formula_from_json(data.get("formula")))
     validate_constraint(constraint)
     return constraint
@@ -573,7 +608,7 @@ def extract_path_constraints(groups, reasoner):
         for guard in chain:
             guards.setdefault(guard.id, (service, guard))
     descriptors = tuple(
-        GuardDescriptor(source=guard.source, var_types=service_index(service).guard_var_types(guard))
+        GuardDescriptor(source=guard.source, var_types=service_index(service).guard_types[guard.id])
         for service, guard in sorted(
             guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
         )

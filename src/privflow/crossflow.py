@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .model import Channel, Element, ElementKind, Program, Service, call_callee
-from .search import FlowPath, q_flow, service_index
-from .minisrv.lower import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
+from .reasoner import ConfirmUserSource
+from .search import FlowPath, InterScan, q_flow, service_index
 
 
 #: ``record(tool, args, count)`` takes one tool call for the trace, which
@@ -35,24 +35,6 @@ class NoEntryService(Exception):
 
 
 @dataclass(frozen=True)
-class UnresolvedChannel:
-    """Outbound or consumer call site whose identifier is not a constant."""
-
-    service: str
-    element: str
-    callee: str
-
-    def __str__(self) -> str:
-        return f"{self.service}: {self.callee} call {self.element} has a non-constant channel identifier"
-
-
-class InterScan(NamedTuple):
-    channels: list[Channel]
-    unresolved: list[UnresolvedChannel]
-    sources: list[Element]
-
-
-@dataclass(frozen=True)
 class ChannelEdge:
     """A matched (outbound call, receiving endpoint) pair."""
 
@@ -64,16 +46,14 @@ class ChannelEdge:
     match_rule: str  # "exact" | "wildcard"
 
 
-def q_source(service: Service) -> list[Element]:
+def q_source(service: Service) -> tuple[Element, ...]:
     """Untrusted data entry points: endpoints and message consumers."""
-    return list(_inter(service).sources)
+    return service_index(service).inter.sources
 
 
 def q_user(program: Program, reasoner) -> list[Element]:
     """External user inputs: entry-service sources confirmed against the
     gateway route table by the reasoner."""
-    from .reasoner import ConfirmUserSource  # local import to avoid a cycle
-
     entry_name = program.manifest.entry_service()
     entry = program.service(entry_name) if entry_name else None
     if entry is None:
@@ -94,45 +74,9 @@ def q_inter(service: Service) -> InterScan:
     Outbound channels come from the stored constant-resolved identifiers;
     endpoint elements double as inbound HTTP channels. Call sites whose
     identifier did not resolve to a constant are reported as diagnostics,
-    not channels. Each call returns fresh lists.
+    not channels.
     """
-    return InterScan(*(list(part) for part in _inter(service)))
-
-
-def _inter(service: Service) -> InterScan:
-    """The service's sources and channels, from one element walk kept on
-    its index."""
-    index = service_index(service)
-    if index.inter is None:
-        index.inter = _scan_inter(service)
-    return index.inter
-
-
-def _scan_inter(service: Service) -> InterScan:
-    stored = {ch.element: ch for ch in service.channels}
-    channels: list[Channel] = []
-    unresolved: list[UnresolvedChannel] = []
-    sources: list[Element] = []
-    for e in service.elements:
-        if e.kind is ElementKind.ENDPOINT:
-            channels.append(Channel(e.id, "in", "http", e.name))
-            sources.append(e)
-            continue
-        if e.kind is not ElementKind.CALL:
-            continue
-        callee = call_callee(e)
-        if callee in INBOUND_INTRINSICS:
-            sources.append(e)
-        if callee in OUTBOUND_INTRINSICS or callee in INBOUND_INTRINSICS:
-            ch = stored.get(e.id)
-            if ch is not None:
-                channels.append(ch)
-            else:
-                unresolved.append(UnresolvedChannel(service.name, e.id, callee))
-    channels.sort()
-    unresolved.sort(key=lambda u: (u.service, u.element))
-    sources.sort(key=lambda e: (e.location.file, e.location.line, e.location.col, e.id))
-    return InterScan(channels, unresolved, sources)
+    return service_index(service).inter
 
 
 _SCHEME_RE = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
@@ -320,10 +264,6 @@ class GlobalPath:
         return tuple(ids)
 
     @cached_property
-    def channel_edges(self) -> tuple[ChannelEdge, ...]:
-        return tuple(s for s in self.segments if isinstance(s, ChannelEdge))
-
-    @cached_property
     def flow_segments(self) -> tuple[FlowPath, ...]:
         return tuple(s for s in self.segments if isinstance(s, FlowPath))
 
@@ -357,7 +297,7 @@ def path_functions(program: Program, path: GlobalPath) -> list[tuple[Service, El
             continue
         index = service_index(service)
         for eid in segment.elements:
-            fn, chain = index.place(service, eid)
+            fn, chain = index.place(eid)
             guards = groups.setdefault((service.name, fn.id if fn else None), (service, fn, {}))[2]
             for guard in chain:
                 guards.setdefault(guard.id, guard)

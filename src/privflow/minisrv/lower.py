@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..model import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
 from ..model import Channel, Edge, EdgeKind, Element, ElementKind, Location, Service, element_id
 from .nodes import (
     Assign,
@@ -58,9 +59,6 @@ INTRINSIC_RETURNS = {
     "publish": "object",
     "exec": "object",
 }
-
-OUTBOUND_INTRINSICS = {"http_post": "http", "http_get": "http", "publish": "topic"}
-INBOUND_INTRINSICS = {"consume": "topic"}
 
 
 class LoweringError(Exception):

@@ -204,10 +204,10 @@ class _Parser:
     def _check_decorator(self, dec: Decorator) -> None:
         if dec.name == "route":
             ok = len(dec.args) == 2 and all(isinstance(a, StrLit) for a in dec.args)
-            if not ok:
+            if not ok or not dec.args[1].value:
                 raise ParseError(
                     Location(self.file, dec.line, dec.col),
-                    "@route takes (method, path) string literals",
+                    "@route path must be non-empty" if ok else "@route takes (method, path) string literals",
                     '@route("METHOD", "/path")',
                 )
         else:  # auth

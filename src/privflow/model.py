@@ -89,6 +89,8 @@ class Element:
     def __post_init__(self) -> None:
         if self.inferred_type not in TYPE_TAGS:
             raise ValueError(f"unknown type tag {self.inferred_type!r}")
+        if self.kind is ElementKind.ENDPOINT and not self.name:  # its route: the inbound channel's identifier
+            raise ValueError(f"endpoint {self.id} needs a non-empty name")
 
     @property
     def sort_key(self) -> tuple:
@@ -123,6 +125,13 @@ class Channel:
         if not self.identifier:
             raise ValueError("channel identifier must be non-empty")
 
+
+#: Callees that send to another service, by channel protocol. Their call
+#: sites are outbound channels.
+OUTBOUND_INTRINSICS = {"http_post": "http", "http_get": "http", "publish": "topic"}
+#: Callees that receive from another service, by channel protocol. Their
+#: call sites are inbound channels and untrusted sources, as endpoints are.
+INBOUND_INTRINSICS = {"consume": "topic"}
 
 _CALLEE_RE = re.compile(r"^\s*([A-Za-z_][\w.]*)\s*\(")
 
@@ -176,11 +185,6 @@ class Service:
 
     def __contains__(self, eid: str) -> bool:
         return eid in self._by_id
-
-    def with_entry(self, entry: bool) -> "Service":
-        if entry == self.entry:
-            return self
-        return Service(self.name, self.elements, self.edges, self.channels, entry)
 
 
 @dataclass(frozen=True, order=True)

@@ -14,19 +14,21 @@ The primitives read a ``ServiceIndex``: the service's edges grouped by
 kind and endpoint in one pass, built on first use and stored on that
 Service object, so no query scans every edge and nothing outlives the
 Service. Every per-element and per-function fact validation reads
-(enclosing function, guards, decorator checks, variable types) and the
-service's source and channel scan are kept on it too. The
-frontend (or an external facts producer) emits def-use edges already
-saturated under the propagation rules, so the data-flow relation is their
-closure by construction.
+(enclosing function, guards, guard types, decorator checks, variable
+types) and the service's sources and channels are built with it, so no
+fact is filled on first query. The frontend (or an external facts
+producer) emits def-use edges already saturated under the propagation
+rules, so the data-flow relation is their closure by construction.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import EdgeKind, Element, ElementKind, Location, Service
+from .model import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS, Channel, EdgeKind, Element, ElementKind, Location
+from .model import Service, call_callee
 
 
 class BadPattern(Exception):
@@ -75,59 +77,124 @@ def q_ast(service: Service, opkind: ElementKind | str) -> list[Element]:
     return sorted((e for e in service.elements if e.kind is kind), key=_loc_key)
 
 
-class ServiceIndex:
-    """The edges and per-element facts of one Service, built for the search
-    primitives and validation.
+@dataclass(frozen=True)
+class UnresolvedChannel:
+    """Outbound or consumer call site whose identifier is not a constant."""
 
-    Lists keep edge order (edges are sorted), except that call sites are in
-    source order and flow successors in ``((line, col), id)`` order, the
-    tie-break of ``q_flow``'s breadth-first search. ``decorator_checks``
-    holds each decorated function's check functions (the functions its
-    decorators call, each once, in source order) and ``var_types`` the
-    inferred type of the first variable or parameter declared under each
-    name; ``guard_types`` holds each guard's identifiers typed from that
-    table, filled on first query. ``placed`` holds each element's enclosing
-    function and guarding conditionals, filled on first query by one
-    containment walk per element. ``inter`` holds the service's element
-    scan for sources and channels, filled by ``crossflow`` on first use.
+    service: str
+    element: str
+    callee: str
+
+    def __str__(self) -> str:
+        return f"{self.service}: {self.callee} call {self.element} has a non-constant channel identifier"
+
+
+class InterScan(NamedTuple):
+    """A service's communication points: its channels, sorted; the channel
+    call sites whose identifier did not resolve to a constant; and its
+    untrusted sources (endpoints and consumer calls) in source order."""
+
+    channels: tuple[Channel, ...]
+    unresolved: tuple[UnresolvedChannel, ...]
+    sources: tuple[Element, ...]
+
+
+_NOWHERE: tuple[Element | None, tuple[Element, ...]] = (None, ())
+
+
+class ServiceIndex:
+    """The edges and per-element facts of one Service, all built by the
+    constructor. Lists keep edge order (edges are sorted), except that call
+    sites are in source order and flow successors in ``((line, col), id)``
+    order, the tie-break of ``q_flow``'s breadth-first search.
+
+    ``var_types`` maps each name to the type of the first variable or
+    parameter declared under it, ``inter`` holds the channels and sources,
+    and ``decorator_checks`` each decorated function's check functions (the
+    functions its decorators call, each once, in source order). One
+    top-down walk over ``contains``, from each element whose parent (its
+    last ``contains`` edge) is not an element, fills ``placed`` (see
+    ``place``) and ``guard_types``, each reached conditional's identifiers
+    typed from ``var_types``. It never reaches an element on or below a
+    cycle.
     """
 
     def __init__(self, service: Service):
-        self.parent: dict[str, str] = {}
-        self.children: dict[str, list[str]] = {}
-        self.decorated: dict[str, str] = {}
-        self.flow_succ: dict[str, list[str]] = {}
-        self.placed: dict[str, tuple[Element | None, tuple[Element, ...]]] = {}
-        self.guard_types: dict[str, tuple[tuple[str, str], ...]] = {}
-        self.inter = None  # crossflow.InterScan
+        parent: dict[str, str] = {}
+        decorated: dict[str, str] = {}
         decorators: dict[str, list[str]] = {}
         call_targets: dict[str, list[str]] = {}
+        self.children: dict[str, list[str]] = {}
+        self.flow_succ: dict[str, list[str]] = {}
         for e in service.edges:
             if e.kind is EdgeKind.CONTAINS:
-                self.parent[e.dst] = e.src
+                parent[e.dst] = e.src
                 self.children.setdefault(e.src, []).append(e.dst)
             elif e.kind is EdgeKind.DECORATES:
-                self.decorated.setdefault(e.src, e.dst)
+                decorated.setdefault(e.src, e.dst)
                 decorators.setdefault(e.dst, []).append(e.src)
             elif e.kind is EdgeKind.CALLS:
                 call_targets.setdefault(e.src, []).append(e.dst)
             elif e.kind is EdgeKind.DATAFLOW:
                 self.flow_succ.setdefault(e.src, []).append(e.dst)
 
+        stored = {ch.element: ch for ch in service.channels}
+        channels: list[Channel] = []
+        unresolved: list[UnresolvedChannel] = []
+        sources: list[Element] = []
         order: dict[str, tuple] = {}
         self.var_types: dict[str, str] = {}
         for e in service.elements:
             order[e.id] = ((e.location.line, e.location.col), e.id)
             if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER):
                 self.var_types.setdefault(e.name, e.inferred_type)
+            elif e.kind is ElementKind.ENDPOINT:
+                channels.append(Channel(e.id, "in", "http", e.name))
+                sources.append(e)
+            elif e.kind is ElementKind.CALL:
+                callee = call_callee(e)
+                if callee in INBOUND_INTRINSICS:
+                    sources.append(e)
+                if callee in OUTBOUND_INTRINSICS or callee in INBOUND_INTRINSICS:
+                    ch = stored.get(e.id)
+                    if ch is not None:
+                        channels.append(ch)
+                    else:
+                        unresolved.append(UnresolvedChannel(service.name, e.id, callee))
         for succ in self.flow_succ.values():
             succ.sort(key=lambda n: order.get(n, ((), n)))
+        self.inter = InterScan(
+            tuple(sorted(channels)),
+            tuple(sorted(unresolved, key=lambda u: u.element)),
+            tuple(sorted(sources, key=lambda e: (e.location.file, e.location.line, e.location.col, e.id))),
+        )
+
+        # A function places as itself, a decorator as the first function it
+        # decorates, any other element as its innermost function ancestor;
+        # each with all its conditional ancestors, outermost first.
+        self.placed: dict[str, tuple[Element | None, tuple[Element, ...]]] = {}
+        self.guard_types: dict[str, tuple[tuple[str, str], ...]] = {}
+        stack = [(e.id, _NOWHERE) for e in service.elements if parent.get(e.id) not in service]
+        while stack:
+            eid, inherited = stack.pop()
+            el = service.element(eid)
+            fn, guards = placed = inherited
+            if el.kind is ElementKind.FUNCTION:
+                placed = inherited = (el, guards)
+            elif el.kind is ElementKind.DECORATOR:
+                placed = (service.element(decorated.get(eid)), guards)
+            elif el.kind is ElementKind.CONDITIONAL:
+                idents = set(identifiers(el.source)) - {"true", "false"}
+                self.guard_types[eid] = tuple([(i, self.var_types.get(i, "unknown")) for i in sorted(idents)])
+                inherited = (fn, guards + (el,))
+            self.placed[eid] = placed
+            stack.extend((c, inherited) for c in self.children.get(eid, ()) if parent[c] == eid and c in service)
 
         self.decorator_checks: dict[str, list[Element]] = {}
-        for fn, decs in decorators.items():
+        for fn_id, decs in decorators.items():
             targets = (service.element(t) for d in decs for t in call_targets.get(d, ()))
             checks = {t.id: t for t in targets if t is not None and t.kind is ElementKind.FUNCTION}
-            self.decorator_checks[fn] = sorted(checks.values(), key=lambda e: e.sort_key)
+            self.decorator_checks[fn_id] = sorted(checks.values(), key=lambda e: e.sort_key)
 
         self.call_sites: dict[str, list[Element]] = {}
         self.callees: dict[str, set[str]] = {}
@@ -140,53 +207,18 @@ class ServiceIndex:
                 target = service.element(dst)
                 if target is None or target.kind is not ElementKind.FUNCTION:
                     continue
-                caller = self.place(service, src)[0]
+                caller = self.place(src)[0]
                 if caller is not None:
                     self.callees.setdefault(caller.id, set()).add(dst)
                     self.callers.setdefault(dst, set()).add(caller.id)
         for sites in self.call_sites.values():
             sites.sort(key=_loc_key)
 
-    def place(self, service: Service, eid: str) -> tuple[Element | None, tuple[Element, ...]]:
+    def place(self, eid: str) -> tuple[Element | None, tuple[Element, ...]]:
         """The element's enclosing function and the conditionals whose
-        guarded block contains it, outermost first; one containment walk per
-        element. A function encloses itself and a decorator resolves through
-        the function it decorates."""
-        if eid in self.placed:
-            return self.placed[eid]
-        fn = None
-        guards: list[Element] = []
-        cur = eid
-        for _ in range(len(self.parent) + 1):  # bounded, so a cycle cannot loop
-            cur = self.parent.get(cur)
-            if cur is None:
-                break
-            pel = service.element(cur)
-            if pel is None:
-                continue
-            if pel.kind is ElementKind.CONDITIONAL:
-                guards.append(pel)
-            elif pel.kind is ElementKind.FUNCTION and fn is None:
-                fn = pel
-        el = service.element(eid)
-        if el is None or el.kind is ElementKind.FUNCTION:
-            fn = el
-        elif el.kind is ElementKind.DECORATOR:
-            fn = service.element(self.decorated[eid]) if eid in self.decorated else None
-        self.placed[eid] = (fn, tuple(reversed(guards)))
-        return self.placed[eid]
-
-    def guard_var_types(self, guard: Element) -> tuple[tuple[str, str], ...]:
-        """Each identifier of the guard's source outside string literals,
-        ``true`` and ``false`` excepted, sorted, with the type of the first
-        variable or parameter declared under that name ("unknown" if none);
-        computed once per guard."""
-        types = self.guard_types.get(guard.id)
-        if types is None:
-            idents = set(identifiers(guard.source)) - {"true", "false"}
-            types = tuple([(ident, self.var_types.get(ident, "unknown")) for ident in sorted(idents)])
-            self.guard_types[guard.id] = types
-        return types
+        guarded block contains it, outermost first; ``(None, ())`` for an
+        unknown id or an element on or below a ``contains`` cycle."""
+        return self.placed.get(eid, _NOWHERE)
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -311,18 +343,6 @@ def q_flow(service: Service, from_sel: str, *to_sels: str) -> list[FlowPath]:
 # --- call graph --------------------------------------------------------------
 
 
-def enclosing_function(service: Service, eid: str) -> Element | None:
-    """The function an element belongs to. Decorators resolve through the
-    function they decorate."""
-    return service_index(service).place(service, eid)[0]
-
-
-def guard_chain(service: Service, eid: str) -> list[Element]:
-    """Conditional elements whose guarded block contains the element,
-    outermost first. The list is the caller's own."""
-    return list(service_index(service).place(service, eid)[1])
-
-
 def call_sites_of(service: Service, function_id: str) -> list[Element]:
     """Call elements whose resolved callee is the given function."""
     return list(service_index(service).call_sites.get(function_id, ()))
@@ -387,6 +407,8 @@ __all__ = [
     "NotAFunction",
     "NameMode",
     "FlowPath",
+    "InterScan",
+    "UnresolvedChannel",
     "ServiceIndex",
     "q_name",
     "q_ast",
@@ -394,8 +416,6 @@ __all__ = [
     "q_cg",
     "service_index",
     "resolve_selector",
-    "enclosing_function",
-    "guard_chain",
     "call_sites_of",
     "get_location",
     "get_source",

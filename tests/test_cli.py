@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from privflow.cli import main
 from privflow.report import ExitStatus, exit_status, render_report
 
 from conftest import CORPORA, write_fanout_corpus
+from smtlib_check import validate_smtlib
 
 
 @pytest.fixture()
@@ -181,6 +183,47 @@ class TestScanCommand:
         assert trace.exists()
         assert list(smt.glob("*.smt2"))
 
+    def test_smt_files_quote_names_smtlib_takes(self, runner, tmp_path):
+        """Guard variables named ``let``, ``not`` and ``mod`` are legal
+        MiniSrv identifiers but SMT-LIB words; the emitted file declares
+        them quoted and stays well-formed."""
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "svc.msv").write_text(
+            '@route("POST", "/run")\n'
+            "fn run() {\n"
+            '  let = request.param("mode")\n'
+            '  not = request.param("flag")\n'
+            '  mod = request.param("m")\n'
+            '  cmd = request.param("cmd")\n'
+            '  if let == "A" {\n'
+            '    if not != mod {\n'
+            "      exec(cmd)\n"
+            "    }\n"
+            "  }\n"
+            "}\n",
+            encoding="utf-8",
+        )
+        manifest = {
+            "version": 1,
+            "services": [{"name": "svc", "entry": True, "sources": ["svc.msv"]}],
+            "gateway_routes": [{"prefix": "/run", "target": "svc"}],
+        }
+        (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        smt = tmp_path / "smt"
+        result = runner.invoke(main, ["scan", str(root), "--emit-smt", str(smt)])
+        assert result.exit_code == 1, result.output
+        [path] = smt.glob("*.smt2")
+        assert path.read_text(encoding="utf-8") == (
+            "(declare-const |v:let| String)\n"
+            "(declare-const |v:mod| String)\n"
+            "(declare-const |v:not| String)\n"
+            '(assert (= |v:let| "A"))\n'
+            "(assert (distinct |v:not| |v:mod|))\n"
+            "(check-sat)\n"
+        )
+        assert validate_smtlib(path.read_text(encoding="utf-8")) == []
+
     def test_basic_sink_flag(self, runner):
         result = runner.invoke(main, ["scan", corpus("role_update"), "--basic-sink"])
         assert result.exit_code == 0
@@ -313,6 +356,25 @@ class TestQueryCommand:
         result = runner.invoke(main, ["query", corpus("role_update"), "--service", "usermgmt", "--op", "name"])
         assert result.exit_code == 2
 
+    def test_empty_route_rejected_by_scan_and_query_alike(self, runner, tmp_path):
+        """An empty route path is a parse error naming its decorator, for
+        ``scan`` and for every ``query`` operation."""
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "svc.msv").write_text('@route("GET", "")\nfn ping() { x = 1 }\n', encoding="utf-8")
+        manifest = {"version": 1, "services": [{"name": "svc", "entry": True, "sources": ["svc.msv"]}]}
+        (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        query = ["query", str(root), "--service", "svc"]
+        for args in (
+            ["scan", str(root)],
+            query + ["--op", "name", "--pattern", "ping"],
+            query + ["--op", "cg", "--function", "ping"],
+            query + ["--op", "flow", "--from", "ping", "--to", "ping"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, args
+            assert "svc.msv:1:1: @route path must be non-empty" in result.output, args
+
 
 class TestGraphCommand:
     def test_dot_output(self, runner):
@@ -346,7 +408,7 @@ class TestFactsCommand:
         program = load_program(CORPORA / "role_update")
         for service in program.services:
             text = (tmp_path / f"{service.name}.facts.jsonl").read_text()
-            bare = service.with_entry(False)
+            bare = replace(service, entry=False)
             assert read_facts(text, service.name) == bare
 
     def test_out_under_a_file_is_config_error(self, runner, tmp_path):

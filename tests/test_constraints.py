@@ -252,6 +252,28 @@ class TestEmit:
         assert '"say ""hi"""' in text
         assert validate_smtlib(text) == []
 
+    def test_taken_and_odd_names_are_quoted(self):
+        """A name SMT-LIB reserves or predefines, or one that is no simple
+        symbol, is declared and used as ``|v:NAME|``; the rest keep their
+        name, and distinct names stay distinct symbols."""
+        names = ["let", "not", "and", "ite", "mod", "Int", "v:let", "a b", "1x", "@x", "str.len", "x", "ok?"]
+        constraint = c([(n, "string") for n in names], And(tuple(StrLitCmp(n, "!=", "q") for n in names)))
+        text = emit_smtlib(constraint)
+        assert validate_smtlib(text) == []
+        for name in ("let", "not", "and", "ite", "mod", "Int", "v:let", "a b", "1x", "@x", "str.len"):
+            assert f"(declare-const |v:{name}| String)" in text
+            assert f"(distinct |v:{name}| " in text
+        assert "(declare-const x String)" in text and "(declare-const ok? String)" in text
+        declared = [line.split()[1] for line in text.splitlines() if line.startswith("(declare-const")]
+        assert len(set(declared)) == len(names)
+
+    def test_bool_and_int_names_are_quoted(self):
+        constraint = c([("or", "bool"), ("div", "int"), ("abs", "int")],
+                       And((BoolVar("or"), IntVarCmp("div", "==", "abs"), IntCmp("div", ">", 2))))
+        text = emit_smtlib(constraint)
+        assert validate_smtlib(text) == []
+        assert "(assert |v:or|)\n(assert (= |v:div| |v:abs|))\n(assert (> |v:div| 2))\n" in text
+
     def test_emitted_text_passes_checker(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -278,6 +300,21 @@ class TestSmtlibChecker:
     def test_bad_sort(self):
         assert validate_smtlib("(declare-const x Real)\n(check-sat)")
 
+    def test_quoted_symbol_is_the_bare_symbol(self):
+        assert validate_smtlib('(declare-const |v:let| String)\n(assert (= |v:let| "A"))\n(check-sat)') == []
+        assert validate_smtlib("(declare-const x Int)\n(assert (= |x| 1))\n(check-sat)") == []
+        assert any("duplicate" in p for p in validate_smtlib("(declare-const x Int)\n(declare-const |x| Int)\n(check-sat)"))
+
+    def test_reserved_or_predefined_declaration(self):
+        for name in ("let", "|let|", "not", "|not|", "distinct", "mod", "str.len", "Int"):
+            problems = validate_smtlib(f"(declare-const {name} String)\n(check-sat)")
+            assert any("reserved or predefined" in p for p in problems), name
+
+    def test_malformed_symbols(self):
+        assert validate_smtlib("(declare-const 1x Int)\n(check-sat)")
+        assert validate_smtlib("(declare-const |x Int)\n(check-sat)")
+        assert validate_smtlib("(declare-const |a\\b| Int)\n(check-sat)")
+
 
 class TestJsonCodec:
     def test_round_trip(self):
@@ -289,6 +326,12 @@ class TestJsonCodec:
     def test_malformed_rejected(self):
         with pytest.raises(ConstraintError):
             constraint_from_json({"variables": [], "formula": ["teleport", "x"]})
+
+    @pytest.mark.parametrize("name", ["a|b", "a\\b", "|"])
+    def test_name_no_symbol_can_hold_rejected(self, name):
+        data = {"variables": [{"name": name, "type": "bool"}], "formula": ["bool_var", name]}
+        with pytest.raises(ConstraintError):
+            constraint_from_json(data)
 
 
 class TestGuardTranslation:

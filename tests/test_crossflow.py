@@ -1,9 +1,10 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
-from privflow import crossflow
+from privflow import search
 from privflow.crossflow import (
     ChannelEdge,
     GlobalGraph,
@@ -53,7 +54,7 @@ class TestQSource:
 
     def test_no_sources(self):
         svc = lower_snippet("fn helper() { x = 1 }")
-        assert q_source(svc) == []
+        assert q_source(svc) == ()
 
     def test_routes_plus_consumer(self):
         svc = lower_snippet(
@@ -72,7 +73,7 @@ class TestQUser:
             service="gateway",
             file="gateway.msv",
         )
-        svc = svc.with_entry(True)
+        svc = replace(svc, entry=True)
         manifest = Manifest(
             1,
             (ManifestService("gateway", entry=True, sources=("gateway.msv",)),),
@@ -82,7 +83,7 @@ class TestQUser:
         assert [e.name for e in q_user(program, oracle)] == ["/api/updateProfile"]
 
     def test_zero_routes_zero_sources(self, oracle):
-        svc = lower_snippet('@route("GET", "/x") fn a() { x = 1 }', service="g", file="g.msv").with_entry(True)
+        svc = replace(lower_snippet('@route("GET", "/x") fn a() { x = 1 }', service="g", file="g.msv"), entry=True)
         manifest = Manifest(1, (ManifestService("g", entry=True, sources=("g.msv",)),), ())
         assert q_user(Program((svc,), manifest), oracle) == []
 
@@ -102,7 +103,7 @@ class TestQInter:
         scan = q_inter(svc)
         out = [c for c in scan.channels if c.direction == "out"]
         assert [c.identifier for c in out] == ["http://localhost:5000/setUserRole"]
-        assert scan.unresolved == []
+        assert scan.unresolved == ()
 
     def test_concatenated_constant(self, role_update_program):
         userprofile = role_update_program.service("userprofile")
@@ -116,28 +117,31 @@ class TestQInter:
         assert len(scan.unresolved) == 1
         assert scan.unresolved[0].callee == "http_post"
 
-    def test_repeated_calls_return_equal_fresh_lists(self):
+    def test_repeated_calls_return_one_immutable_scan(self):
         svc = lower_snippet(
             'const BASE = "http://b:8080"\n'
             '@route("POST", "/a") fn a() { u = request.param("u") http_post(BASE + "/x", u) http_post(u, u) }'
         )
         first = q_inter(svc)
-        second = q_inter(svc)
-        assert first == second
-        assert len(first.channels) == 2 and len(first.unresolved) == 1
-        assert first.channels is not second.channels and first.unresolved is not second.unresolved
-        first.channels.clear()
-        first.unresolved.append(first.unresolved[0])
-        assert q_inter(svc) == second
-        assert len(second.channels) == 2 and len(second.unresolved) == 1
+        assert q_inter(svc) is first
+        assert all(isinstance(part, tuple) for part in first)
+        assert len(first.channels) == 2 and len(first.unresolved) == 1 and len(first.sources) == 1
+        assert q_source(svc) is first.sources
 
     def test_scan_walks_each_service_once(self, corpora_root, oracle, monkeypatch):
-        walked = []
-        scan_inter = crossflow._scan_inter
-        monkeypatch.setattr(crossflow, "_scan_inter", lambda service: walked.append(service.name) or scan_inter(service))
+        """One scan builds one index per service, and the index's element
+        pass is the only walk over a service's elements."""
+        built = []
+
+        class CountingIndex(search.ServiceIndex):
+            def __init__(self, service):
+                built.append(service.name)
+                super().__init__(service)
+
+        monkeypatch.setattr(search, "ServiceIndex", CountingIndex)
         program = load_program(corpora_root / "role_update")
         scan(program, oracle)
-        assert sorted(walked) == sorted(s.name for s in program.services)
+        assert sorted(built) == sorted(s.name for s in program.services)
 
     def test_endpoints_are_in_channels(self, role_update_program):
         usermgmt = role_update_program.service("usermgmt")
@@ -177,9 +181,9 @@ class TestChannelMatching:
         from privflow.crossflow import ambiguous_matches
         from privflow.model import Channel, Edge
 
-        sender = lower_snippet(
+        sender = replace(lower_snippet(
             'fn f() { http_post("http://x:1/orders", "b") }', service="sender", file="sender.msv"
-        ).with_entry(True)
+        ), entry=True)
         a = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_a", file="a.msv")
         b = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_b", file="b.msv")
         manifest = Manifest(
@@ -276,8 +280,8 @@ class TestQGlobalflow:
         assert len(result.paths) == 1
         assert not result.truncated
         [path] = result.paths
-        assert len(path.channel_edges) == 1
-        assert path.channel_edges[0].identifier == "/setUserRole"
+        [hop] = [s for s in path.segments if isinstance(s, ChannelEdge)]
+        assert hop.identifier == "/setUserRole"
 
     def test_unreachable_sink_is_empty(self, oracle):
         program, privops = _single_service_program(reachable=False)
@@ -286,12 +290,12 @@ class TestQGlobalflow:
         assert q_globalflow(graph, sources, privops).paths == []
 
     def test_diamond_yields_two_paths(self, oracle):
-        svc = lower_snippet(
+        svc = replace(lower_snippet(
             '@route("POST", "/a") fn a() { x = request.param("v") db.write("k" + x) }\n'
             '@route("POST", "/b") fn b() { y = request.param("v") db.write("k" + y) }',
             service="d",
             file="d.msv",
-        ).with_entry(True)
+        ), entry=True)
         # two endpoints, two sinks; each endpoint reaches its own sink
         manifest = Manifest(1, (ManifestService("d", entry=True, sources=("d.msv",)),), (GatewayRoute("/", "d"),))
         program = Program((svc,), manifest)
@@ -342,12 +346,12 @@ class TestQGlobalflow:
             assert got == want
 
     def test_path_cap_sets_truncation_flag(self, oracle):
-        svc = lower_snippet(
+        svc = replace(lower_snippet(
             '@route("POST", "/a") fn a() { x = request.param("v") db.write("k" + x) }\n'
             '@route("POST", "/b") fn b() { y = request.param("v") db.write("k" + y) }',
             service="cap",
             file="cap.msv",
-        ).with_entry(True)
+        ), entry=True)
         manifest = Manifest(1, (ManifestService("cap", entry=True, sources=("cap.msv",)),), (GatewayRoute("/", "cap"),))
         program = Program((svc,), manifest)
         privops = find_privileged_ops(program, oracle, basic_sink=True)
@@ -404,7 +408,6 @@ def _check_path_facts(path):
     assert path.id == "p" + hashlib.sha1("\x1f".join(node_ids).encode("utf-8")).hexdigest()[:12]
     assert path.services == tuple(services)
     assert path.flow_segments == tuple(s for s in path.segments if isinstance(s, FlowPath))
-    assert path.channel_edges == tuple(s for s in path.segments if isinstance(s, ChannelEdge))
     first, last = path.segments[0], path.segments[-1]
     assert path.source == (first.elements[0] if isinstance(first, FlowPath) else first.from_element)
     assert path.sink == (last.elements[-1] if isinstance(last, FlowPath) else last.to_element)
@@ -423,7 +426,7 @@ def _single_service_program(reachable: bool = True):
         if reachable
         else '@route("POST", "/go") fn go() { v = request.param("v") }\nfn hidden() { db.write("x") }'
     )
-    svc = lower_snippet(text, service="solo", file="solo.msv").with_entry(True)
+    svc = replace(lower_snippet(text, service="solo", file="solo.msv"), entry=True)
     manifest = Manifest(
         1, (ManifestService("solo", entry=True, sources=("solo.msv",)),), (GatewayRoute("/", "solo"),)
     )

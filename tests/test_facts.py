@@ -144,6 +144,17 @@ class TestFactsRoundTrip:
         assert err.value.line == line + 1
         assert f"field {field!r} must be" in err.value.reason
 
+    def test_endpoint_without_name_rejected(self):
+        """An endpoint's name is its inbound channel's identifier."""
+        el = make_element("s", ElementKind.ENDPOINT, "/x")
+        text = write_facts(Service.build("s", [el])).replace('"name": "/x"', '"name": ""')
+        with pytest.raises(FactsError) as err:
+            read_facts(text, "s")
+        assert err.value.line == 2
+        assert err.value.reason == f"endpoint {el.id} needs a non-empty name"
+        with pytest.raises(ValueError, match="non-empty name"):
+            make_element("s", ElementKind.ENDPOINT)
+
     def test_duplicate_channel_rejected(self):
         el = make_element("s", ElementKind.CALL, source="http_post(u, b)")
         svc = Service.build("s", [el], channels=[Channel(el.id, "out", "http", "/x")])

@@ -61,6 +61,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_source('@route("POST") fn f() { x = 1 }', "svc", "t.msv")
 
+    def test_empty_route_path_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_source('fn g() { y = 2 }\n@route("POST", "") fn f() { x = 1 }', "svc", "t.msv")
+        assert (err.value.location.line, err.value.message) == (2, "@route path must be non-empty")
+
     def test_unterminated_string(self):
         with pytest.raises(ParseError):
             parse_source('fn f() { x = "oops }', "svc", "t.msv")

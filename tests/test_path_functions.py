@@ -16,7 +16,7 @@ from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, 
 from privflow.pipeline import ScanBudget, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
 from privflow import search
-from privflow.search import FlowPath, enclosing_function, guard_chain, identifiers
+from privflow.search import FlowPath, identifiers, service_index
 
 from conftest import CORPORA, make_element, scan_decorator_checks, scan_guard_var_types, write_fanout_corpus
 
@@ -114,7 +114,7 @@ def old_extract_task(program: Program, path: GlobalPath) -> ExtractConstraints:
         if service is None:
             continue
         for eid in segment.elements:
-            for guard in guard_chain(service, eid):
+            for guard in service_index(service).place(eid)[1]:
                 if guard.id not in seen:
                     seen.add(guard.id)
                     guards.append((service, guard))
@@ -133,12 +133,12 @@ def old_candidates(program: Program, path: GlobalPath) -> list[tuple[str, str]]:
         if service is None:
             continue
         for eid in segment.elements:
-            fn = enclosing_function(service, eid)
+            fn = service_index(service).place(eid)[0]
             if fn is not None:
                 groups.setdefault(fn.id, (service, fn, set()))[2].add(eid)
     order, seen = [], set()
     for service, fn, local_ids in groups.values():
-        guards = {el.id: el for eid in local_ids for el in guard_chain(service, eid)}
+        guards = {el.id: el for eid in local_ids for el in service_index(service).place(eid)[1]}
         candidates = [(c, "decorator") for c in scan_decorator_checks(service, fn.id)]
         candidates += [(g, "inline") for g in sorted(guards.values(), key=lambda e: e.sort_key)]
         for el, attachment in candidates:

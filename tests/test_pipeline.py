@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -371,7 +372,7 @@ class TestScan:
         from privflow.model import Manifest, Program
 
         manifest = Manifest(1, role_update_program.manifest.services, ())
-        broken = Program(tuple(s.with_entry(False) for s in role_update_program.services), manifest)
+        broken = Program(tuple(replace(s, entry=False) for s in role_update_program.services), manifest)
         with pytest.raises(ProgramInvalid):
             scan(broken, oracle)
 

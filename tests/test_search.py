@@ -7,19 +7,16 @@ import pytest
 
 from privflow.load import load_program
 from privflow.crossflow import q_source
-from privflow.model import Edge, EdgeKind, ElementKind, Service, call_callee
-from privflow.minisrv.lower import INBOUND_INTRINSICS
+from privflow.model import INBOUND_INTRINSICS, Edge, EdgeKind, ElementKind, Service, call_callee
 from privflow.pipeline import scan
 from privflow.search import (
     BadPattern,
     NotAFunction,
     UnknownElement,
     call_sites_of,
-    enclosing_function,
     get_location,
     get_source,
     get_type,
-    guard_chain,
     q_ast,
     q_cg,
     q_flow,
@@ -318,7 +315,7 @@ class TestProperties:
         usermgmt = role_update_program.service("usermgmt")
         update_role = by_name(usermgmt, "update_role")
         [site] = call_sites_of(usermgmt, update_role.id)
-        assert enclosing_function(usermgmt, site.id).name == "set_user_role"
+        assert service_index(usermgmt).place(site.id)[0].name == "set_user_role"
 
 
 def _edges(service, kind):
@@ -330,29 +327,33 @@ def _scan_parent(service, eid):
     return parents[-1] if parents else None
 
 
-def _scan_enclosing_function(service, eid):
-    el = service.element(eid)
-    if el.kind is ElementKind.FUNCTION:
-        return el
-    if el.kind is ElementKind.DECORATOR:
-        targets = [e.dst for e in _edges(service, EdgeKind.DECORATES) if e.src == eid]
-        return service.element(targets[0]) if targets else None
-    cur = _scan_parent(service, eid)
-    while cur is not None:
-        if service.element(cur).kind is ElementKind.FUNCTION:
-            return service.element(cur)
-        cur = _scan_parent(service, cur)
-    return None
-
-
-def _scan_guard_chain(service, eid):
-    chain = []
-    cur = _scan_parent(service, eid)
-    while cur is not None:
-        if service.element(cur).kind is ElementKind.CONDITIONAL:
-            chain.insert(0, service.element(cur))
+def _scan_ancestors(service, eid):
+    """The element's chain of last ``contains`` parents, innermost first, up
+    to the first parent that is not an element; None if the chain runs
+    into a cycle."""
+    chain, cur = [], _scan_parent(service, eid)
+    while cur is not None and cur in service:
+        if cur == eid or cur in (a.id for a in chain):
+            return None
+        chain.append(service.element(cur))
         cur = _scan_parent(service, cur)
     return chain
+
+
+def _scan_place(service, eid):
+    """The element's enclosing function and guards, outermost first, from
+    an upward scan of its ancestors over all edges."""
+    el = service.element(eid)
+    ancestors = None if el is None else _scan_ancestors(service, eid)
+    if ancestors is None:
+        return None, ()
+    guards = tuple(a for a in reversed(ancestors) if a.kind is ElementKind.CONDITIONAL)
+    if el.kind is ElementKind.FUNCTION:
+        return el, guards
+    if el.kind is ElementKind.DECORATOR:
+        targets = [e.dst for e in _edges(service, EdgeKind.DECORATES) if e.src == eid]
+        return (service.element(targets[0]) if targets else None), guards
+    return next((a for a in ancestors if a.kind is ElementKind.FUNCTION), None), guards
 
 
 class TestServiceIndex:
@@ -371,14 +372,32 @@ class TestServiceIndex:
         gc.collect()
         assert [r for r in refs if r() is not None] == []
 
-    def test_guard_chain_is_the_callers_own_list(self, corpora_root):
+    def test_place_returns_the_index_tuples(self, corpora_root):
         service = load_program(corpora_root / "infeasible").service("transfer")
         write = next(e for e in service.elements if e.kind is ElementKind.CALL and call_callee(e) == "db.write")
-        first = guard_chain(service, write.id)
-        second = guard_chain(service, write.id)
-        assert len(first) == 2 and first == second and first is not second
-        first.clear()
-        assert guard_chain(service, write.id) == second and len(second) == 2
+        index = service_index(service)
+        fn, guards = placed = index.place(write.id)
+        assert placed is index.place(write.id)
+        assert fn.name == "transfer" and isinstance(guards, tuple) and len(guards) == 2
+        assert index.place("e000000000000") == (None, ())
+
+    def test_contains_cycle_places_nothing_on_or_below_it(self):
+        """An element on or below a ``contains`` cycle has no function and
+        no guards; the rest of the service places as usual."""
+        names = ("f", "c", "v", "g", "d", "w", "s", "t")
+        kinds = (ElementKind.FUNCTION, ElementKind.CONDITIONAL, ElementKind.VARIABLE, ElementKind.FUNCTION,
+                 ElementKind.CONDITIONAL, ElementKind.VARIABLE, ElementKind.FUNCTION, ElementKind.VARIABLE)
+        sources = {"d": 'w == "x y" || false'}
+        el = {n: make_element("svc", k, name=n, line=i + 1, source=sources.get(n, ""))
+              for i, (n, k) in enumerate(zip(names, kinds))}
+        contains = [("f", "c"), ("c", "f"), ("c", "v"), ("g", "d"), ("d", "w"), ("s", "s"), ("s", "t")]
+        service = Service.build("svc", list(el.values()), [Edge(EdgeKind.CONTAINS, el[a].id, el[b].id) for a, b in contains])
+        index = service_index(service)
+        for n in ("f", "c", "v", "s", "t"):
+            assert index.place(el[n].id) == (None, ()), n
+        assert index.place(el["w"].id) == (el["g"], (el["d"],))
+        assert index.guard_types == {el["d"].id: (("w", "unknown"),)}
+        assert_index_matches_edge_scans(service)
 
     @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
     def test_primitives_match_edge_scans(self, corpus):
@@ -397,6 +416,11 @@ class TestServiceIndex:
         nested = services[20:]
         assert any(service_index(s).decorator_checks for s in nested)
         assert any(len(service_index(s).var_types) < _declared_names(s) for s in nested)
+        assert any(_two_parents(s) for s in nested)
+        assert any(_scan_ancestors(s, e.id) is None for s in nested for e in s.elements)
+        assert any(_decorator_child_differs(s) for s in nested)
+        assert any("false" in c.source for s in nested for c in q_ast(s, ElementKind.CONDITIONAL)
+                   if c.id in service_index(s).guard_types)
 
     def test_shared_decorator_and_shared_check(self):
         """A decorator of two functions gives both its checks and resolves to
@@ -418,13 +442,30 @@ class TestServiceIndex:
         service = Service.build("svc", [f, g, check, other, both, again], edges)
         decorated = [service.element(e.dst) for e in service.edges if e.kind is EdgeKind.DECORATES and e.src == both.id]
         assert sorted(decorated, key=lambda e: e.name) == [f, g]
-        assert enclosing_function(service, both.id) == decorated[0]
+        assert service_index(service).place(both.id) == (decorated[0], ())
         assert service_index(service).decorator_checks == {f.id: [check, other], g.id: [check, other]}
         assert_index_matches_edge_scans(service)
 
 
 def _declared_names(service):
     return sum(1 for e in service.elements if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER))
+
+
+def _two_parents(service):
+    children = [e.dst for e in _edges(service, EdgeKind.CONTAINS)]
+    return len(children) > len(set(children))
+
+
+def _decorator_child_differs(service):
+    """Whether some decorator's child places in another function than the
+    decorator."""
+    index = service_index(service)
+    return any(
+        service.element(e.src).kind is ElementKind.DECORATOR
+        and e.dst in index.placed
+        and index.place(e.dst)[0] != index.place(e.src)[0]
+        for e in _edges(service, EdgeKind.CONTAINS)
+    )
 
 
 def _scan_var_type(service, name):
@@ -437,22 +478,21 @@ def assert_index_matches_edge_scans(service):
     calls = _edges(service, EdgeKind.CALLS)
     declared = {e.name for e in service.elements if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER)}
     assert index.var_types == {name: _scan_var_type(service, name) for name in declared}
-    idents = sorted(({e.name for e in service.elements if e.name.isidentifier()} | {"undeclared"}) - {"true", "false"})
-    source = " == ".join(idents) + ' == "a b" == true == false'
-    guard = make_element(service.name, ElementKind.CONDITIONAL, line=10**6, source=source)
-    assert index.guard_var_types(guard) == tuple((name, _scan_var_type(service, name)) for name in idents)
-    for cond in q_ast(service, ElementKind.CONDITIONAL):
-        assert index.guard_var_types(cond) == scan_guard_var_types(service, cond.source), cond
+    reached = {e.id for e in service.elements if _scan_ancestors(service, e.id) is not None}
+    assert set(index.placed) == reached
+    conditionals = q_ast(service, ElementKind.CONDITIONAL)
+    assert set(index.guard_types) == {c.id for c in conditionals if c.id in reached}
+    for cond in conditionals:
+        if cond.id in reached:
+            assert index.guard_types[cond.id] == scan_guard_var_types(service, cond.source), cond
     sources = [
         e for e in service.elements
         if e.kind is ElementKind.ENDPOINT or (e.kind is ElementKind.CALL and call_callee(e) in INBOUND_INTRINSICS)
     ]
-    assert q_source(service) == sorted(sources, key=lambda e: (e.location.file, e.location.line, e.location.col, e.id))
+    assert q_source(service) == tuple(sorted(sources, key=lambda e: (e.location.file, e.location.line, e.location.col, e.id)))
+    assert index.place("unknown") == (None, ())
     for el in service.elements:
-        fn, guards = _scan_enclosing_function(service, el.id), _scan_guard_chain(service, el.id)
-        assert index.place(service, el.id) == (fn, tuple(guards)), el
-        assert enclosing_function(service, el.id) == fn, el
-        assert guard_chain(service, el.id) == guards, el
+        assert index.place(el.id) == _scan_place(service, el.id), el
         assert index.decorator_checks.get(el.id, []) == scan_decorator_checks(service, el.id), el
         sites = [service.element(e.src) for e in calls if e.dst == el.id]
         want_sites = sorted(
@@ -465,12 +505,12 @@ def assert_index_matches_edge_scans(service):
         callees = {
             e.dst
             for e in calls
-            if service.element(e.dst).kind is ElementKind.FUNCTION and _scan_enclosing_function(service, e.src) == el
+            if service.element(e.dst).kind is ElementKind.FUNCTION and _scan_place(service, e.src)[0] == el
         }
         callers = {
             caller.id
             for e in calls
-            if e.dst == el.id and (caller := _scan_enclosing_function(service, e.src)) is not None
+            if e.dst == el.id and (caller := _scan_place(service, e.src)[0]) is not None
         }
         assert {f.id for f in q_cg(service, el.id, "callees")} == callees - {el.id}, el
         assert {f.id for f in q_cg(service, el.id, "callers")} == callers - {el.id}, el
@@ -490,9 +530,12 @@ NESTED_KINDS = (
 def build_nested_service(rng, name: str = "nest") -> Service:
     """Functions, conditionals, variables, parameters, calls, decorators and
     endpoints in a random containment forest, declared out of creation
-    order and sharing positions. Variable and parameter names repeat with
-    differing types; decorators decorate one or two functions; decorators
-    and calls call functions and, now and then, other elements."""
+    order and sharing positions. Now and then an element gets a second
+    ``contains`` parent, which may close a cycle. Variable and parameter
+    names repeat with differing types and guards name declared and
+    undeclared variables; decorators decorate one or two functions;
+    decorators and calls call functions and, now and then, other
+    elements."""
     n = rng.randint(3, 30)
     elements, taken = [], set()
     for i in range(n):
@@ -503,7 +546,10 @@ def build_nested_service(rng, name: str = "nest") -> Service:
         label = {ElementKind.CALL: "", ElementKind.CONDITIONAL: ""}.get(kind, f"{kind.value[0]}{i}")
         if kind in (ElementKind.VARIABLE, ElementKind.PARAMETER):
             label = rng.choice("abc")
-        source = rng.choice(('consume("t")', f"f{i}(x)")) if kind is ElementKind.CALL else ""
+        source = {
+            ElementKind.CALL: rng.choice(('consume("t")', f"f{i}(x)")),
+            ElementKind.CONDITIONAL: rng.choice(('a == 1 && z != "b c"', "b == c", "true || false || a")),
+        }.get(kind, "")
         elements.append(make_element(name, kind, name=label, line=line, source=source,
                                      itype=rng.choice(("int", "string", "unknown"))))
     functions = [e for e in elements if e.kind is ElementKind.FUNCTION]
@@ -511,6 +557,8 @@ def build_nested_service(rng, name: str = "nest") -> Service:
     for i in range(1, len(elements)):
         if rng.random() < 0.8:
             edges.append(Edge(EdgeKind.CONTAINS, elements[rng.randrange(i)].id, elements[i].id))
+        if rng.random() < 0.15:
+            edges.append(Edge(EdgeKind.CONTAINS, rng.choice(elements).id, elements[i].id))
     for el in elements:
         if el.kind is ElementKind.DECORATOR and functions:
             for fn in rng.sample(functions, min(len(functions), rng.randint(1, 2))):

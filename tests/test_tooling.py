@@ -1,7 +1,9 @@
-"""The benchmark's tracer patches privflow functions by name; a refactor
-that drops one of those names, or stops calling one, must fail here, not
-in a traced benchmark run."""
+"""Tooling checks. The benchmark's tracer patches privflow functions by
+name; a refactor that drops one of those names, or stops calling one, must
+fail here, not in a traced benchmark run. The import direction between
+privflow's modules is pinned here too."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -13,6 +15,7 @@ from pathlib import Path
 from conftest import CORPORA
 
 ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "privflow"
 TRACER = ROOT / "bench" / "tracer.py"
 WORKER = ROOT / "bench" / "worker.py"
 
@@ -50,3 +53,41 @@ def test_traced_worker_times_every_validation_layer():
     assert len(per_task) == 6
     assert sum(per_task) == result["reasoner_calls"] > 0
     assert result["reasoner_calls"] == result["reasoner_distinct"]
+
+
+def _privflow_imports(path: Path) -> set[str]:
+    """The top-level privflow modules (``model``, ``minisrv``, ...) a source
+    file imports anywhere in it, relative or absolute."""
+    package = ["privflow", *path.relative_to(SRC).parent.parts]
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            if node.module:
+                targets = [base + node.module.split(".")]
+            else:
+                targets = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        found.update(t[1] for t in targets if len(t) > 1 and t[0] == "privflow")
+    return found
+
+
+def test_import_layers():
+    """``model`` is the bottom layer and ``search`` reads only it; the
+    MiniSrv frontend is imported only by the loader, the CLI and the
+    scripted oracle's guard parser in ``constraints``, so the engine runs on
+    facts from any frontend."""
+    imports = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts): _privflow_imports(path)
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert {"model", "search", "crossflow", "pipeline", "minisrv.lower"} <= imports.keys()
+    assert imports["model"] == set()
+    assert imports["search"] == {"model"}
+    frontend_users = {name for name, found in imports.items() if "minisrv" in found and not name.startswith("minisrv")}
+    assert frontend_users <= {"load", "cli", "constraints"}
+    assert "minisrv" in imports["load"] and "model" in imports["minisrv.lower"]
+
