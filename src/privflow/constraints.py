@@ -2,16 +2,24 @@
 
 The supported fragment:
 
-* atoms: ``var <cmp> int-constant`` for the six comparison operators,
-  ``int-var ==/!= int-var``, ``string-var ==/!= (string-literal | string-var)``,
-  bare boolean variables and boolean literals;
+* atoms, by shape:
+
+  * ``ConstCmp``: a variable compared with a constant. The constant's type
+    is the atom's sort: an ``int`` (not a ``bool``) takes any of the six
+    comparison operators, a ``str`` only ``==`` and ``!=``;
+  * ``VarCmp``: two variables of one declared type, ``int`` or ``string``,
+    compared with ``==`` or ``!=``;
+  * ``BoolVar``: a bare boolean variable;
+  * ``BoolConst``: a boolean literal;
+
 * formulas: closed under and / or / not.
 
 ``check_sat`` is complete for this fragment: NNF -> DNF with a cube cap
-(overflow answers Unknown), then per cube union-find over equalities,
-interval narrowing for integers, and a distinct-representative assignment
-for disequalities. Every Sat answer carries a witness; Unsat is only
-answered when no cube has a model.
+(overflow answers Unknown), then per cube and per sort union-find over
+equalities, a domain for each class (an integer interval minus forbidden
+values, or a bound or fresh string), and a distinct-value assignment for
+disequalities. Every Sat answer carries a witness; Unsat is only answered
+when no cube has a model.
 
 Flows whose guards fall outside the fragment are Skipped;
 skipped and Unknown flows are retained downstream as potential findings,
@@ -23,40 +31,37 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
-from .search import service_index
+from .minisrv import nodes
+from .minisrv.parser import ParseError, parse_expression
 
 CUBE_CAP = 4096
 INT_OPS = ("==", "!=", "<", "<=", ">", ">=")
 EQ_OPS = ("==", "!=")
+CONST_OPS = {"int": INT_OPS, "string": EQ_OPS}  # operators by constant sort
 
 # --- formula tree -------------------------------------------------------------
 
 
+def _const_sort(value) -> str | None:
+    """``int`` for an int that is not a bool, ``string`` for a str."""
+    return {int: "int", str: "string"}.get(type(value))
+
+
 @dataclass(frozen=True)
-class IntCmp:
+class ConstCmp:
     var: str
     op: str
-    value: int
+    value: int | str
+
+    @property
+    def sort(self) -> str | None:
+        return _const_sort(self.value)
 
 
 @dataclass(frozen=True)
-class IntVarCmp:
-    left: str
-    op: str  # == or !=
-    right: str
-
-
-@dataclass(frozen=True)
-class StrLitCmp:
-    var: str
-    op: str  # == or !=
-    value: str
-
-
-@dataclass(frozen=True)
-class StrVarCmp:
+class VarCmp:
     left: str
     op: str  # == or !=
     right: str
@@ -87,7 +92,7 @@ class Not:
     item: object
 
 
-Atom = Union[IntCmp, IntVarCmp, StrLitCmp, StrVarCmp, BoolVar, BoolConst]
+Atom = Union[ConstCmp, VarCmp, BoolVar, BoolConst]
 
 
 @dataclass(frozen=True)
@@ -121,24 +126,18 @@ def validate_constraint(c: PathConstraint) -> None:
             raise ConstraintError(f"variable {var!r} is {actual}, atom needs {t}")
 
     def walk(f) -> None:
-        if isinstance(f, IntCmp):
-            if f.op not in INT_OPS:
-                raise ConstraintError(f"bad int operator {f.op!r}")
-            need(f.var, "int")
-        elif isinstance(f, IntVarCmp):
+        if isinstance(f, ConstCmp):
+            if f.sort is None:
+                raise ConstraintError(f"unsupported constant {f.value!r}")
+            if f.op not in CONST_OPS[f.sort]:
+                raise ConstraintError(f"bad {f.sort} operator {f.op!r}")
+            need(f.var, f.sort)
+        elif isinstance(f, VarCmp):
             if f.op not in EQ_OPS:
-                raise ConstraintError(f"int variables compare only with ==/!=, got {f.op!r}")
-            need(f.left, "int")
-            need(f.right, "int")
-        elif isinstance(f, StrLitCmp):
-            if f.op not in EQ_OPS:
-                raise ConstraintError(f"strings compare only with ==/!=, got {f.op!r}")
-            need(f.var, "string")
-        elif isinstance(f, StrVarCmp):
-            if f.op not in EQ_OPS:
-                raise ConstraintError(f"strings compare only with ==/!=, got {f.op!r}")
-            need(f.left, "string")
-            need(f.right, "string")
+                raise ConstraintError(f"variables compare only with ==/!=, got {f.op!r}")
+            sort = types.get(f.left)
+            need(f.left, sort if sort in ("int", "string") else "int or string")
+            need(f.right, sort)
         elif isinstance(f, BoolVar):
             need(f.var, "bool")
         elif isinstance(f, BoolConst):
@@ -227,24 +226,20 @@ class _UnionFind:
             self.parent[hi] = lo
 
 
-_NEG_INT_OP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+_NEG_OP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _INF = float("inf")
 
 
 def _solve_cube(cube: list[tuple[Atom, bool]], types: dict[str, str]) -> dict | None:
     """Model of a conjunction of literals, or None if inconsistent."""
     bools: dict[str, bool] = {}
-    int_uf = _UnionFind()
-    str_uf = _UnionFind()
-    int_cmps: list[IntCmp] = []
-    int_neqs: list[tuple[str, str]] = []
-    str_binds: list[StrLitCmp] = []
-    str_neqs: list[tuple[str, str]] = []
+    solvers = {"int": _solve_ints, "string": _solve_strings}
+    ufs = {sort: _UnionFind() for sort in solvers}
+    consts: dict[str, list[tuple[str, str, object]]] = {sort: [] for sort in solvers}
+    neqs: dict[str, list[tuple[str, str]]] = {sort: [] for sort in solvers}
     for name, t in types.items():
-        if t == "int":
-            int_uf.add(name)
-        elif t == "string":
-            str_uf.add(name)
+        if t in ufs:
+            ufs[t].add(name)
 
     for atom, positive in cube:
         if isinstance(atom, BoolConst):
@@ -253,38 +248,21 @@ def _solve_cube(cube: list[tuple[Atom, bool]], types: dict[str, str]) -> dict | 
         elif isinstance(atom, BoolVar):
             if bools.setdefault(atom.var, positive) != positive:
                 return None
-        elif isinstance(atom, IntCmp):
-            op = atom.op if positive else _NEG_INT_OP[atom.op]
-            int_cmps.append(IntCmp(atom.var, op, atom.value))
-        elif isinstance(atom, IntVarCmp):
-            eq = (atom.op == "==") == positive
-            if eq:
-                int_uf.union(atom.left, atom.right)
+        elif isinstance(atom, ConstCmp):
+            consts[atom.sort].append((atom.var, atom.op if positive else _NEG_OP[atom.op], atom.value))
+        else:  # VarCmp: the right side has the left side's declared type
+            sort = types[atom.left]
+            if (atom.op == "==") == positive:
+                ufs[sort].union(atom.left, atom.right)
             else:
-                int_neqs.append((atom.left, atom.right))
-        elif isinstance(atom, StrLitCmp):
-            eq = (atom.op == "==") == positive
-            str_binds.append(StrLitCmp(atom.var, "==" if eq else "!=", atom.value))
-        elif isinstance(atom, StrVarCmp):
-            eq = (atom.op == "==") == positive
-            if eq:
-                str_uf.union(atom.left, atom.right)
-            else:
-                str_neqs.append((atom.left, atom.right))
-        else:  # pragma: no cover
-            raise ConstraintError(f"unexpected atom {atom!r}")
+                neqs[sort].append((atom.left, atom.right))
 
     witness: dict = dict(bools)
-
-    int_values = _solve_ints(int_uf, int_cmps, int_neqs)
-    if int_values is None:
-        return None
-    witness.update(int_values)
-
-    str_values = _solve_strings(str_uf, str_binds, str_neqs)
-    if str_values is None:
-        return None
-    witness.update(str_values)
+    for sort, solve in solvers.items():
+        values = solve(ufs[sort], consts[sort], neqs[sort])
+        if values is None:
+            return None
+        witness.update(values)
 
     for name, t in types.items():
         if name not in witness:
@@ -292,68 +270,29 @@ def _solve_cube(cube: list[tuple[Atom, bool]], types: dict[str, str]) -> dict | 
     return witness
 
 
-def _solve_ints(
-    uf: _UnionFind, cmps: list[IntCmp], neqs: list[tuple[str, str]]
-) -> dict[str, int] | None:
+def _solve_ints(uf: _UnionFind, cmps: list, neqs: list[tuple[str, str]]) -> dict[str, int] | None:
+    """Each class ranges over an interval minus its forbidden values, tried
+    upward. An unbounded class tries 10,001 values, starting at its lower
+    bound, 10,000 below its upper bound, or 0."""
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
     forbidden: dict[str, set[int]] = {}
+    for var, op, value in cmps:
+        r = uf.find(var)
+        if op == "!=":
+            forbidden.setdefault(r, set()).add(value)
+            continue
+        if op in ("==", ">=", ">"):
+            lo[r] = max(lo.get(r, -_INF), value + 1 if op == ">" else value)
+        if op in ("==", "<=", "<"):
+            hi[r] = min(hi.get(r, _INF), value - 1 if op == "<" else value)
 
-    def rep(v: str) -> str:
-        return uf.find(v)
-
-    for c in cmps:
-        r = rep(c.var)
-        lo.setdefault(r, -_INF)
-        hi.setdefault(r, _INF)
-        if c.op == "==":
-            lo[r] = max(lo[r], c.value)
-            hi[r] = min(hi[r], c.value)
-        elif c.op == "!=":
-            forbidden.setdefault(r, set()).add(c.value)
-        elif c.op == "<":
-            hi[r] = min(hi[r], c.value - 1)
-        elif c.op == "<=":
-            hi[r] = min(hi[r], c.value)
-        elif c.op == ">":
-            lo[r] = max(lo[r], c.value + 1)
-        else:  # >=
-            lo[r] = max(lo[r], c.value)
-
-    neq_edges: dict[str, set[str]] = {}
-    for a, b in neqs:
-        ra, rb = rep(a), rep(b)
-        if ra == rb:
-            return None
-        neq_edges.setdefault(ra, set()).add(rb)
-        neq_edges.setdefault(rb, set()).add(ra)
-
-    classes = sorted(set(rep(v) for v in uf.parent) | set(lo) | set(neq_edges))
-
-    def domain(r: str) -> tuple[float, float, set[int]]:
-        return (lo.get(r, -_INF), hi.get(r, _INF), forbidden.get(r, set()))
-
-    def domain_size(r: str) -> float:
-        dlo, dhi, bad = domain(r)
+    def domain(r: str):
+        dlo, dhi, bad = lo.get(r, -_INF), hi.get(r, _INF), forbidden.get(r, set())
         if dlo == -_INF or dhi == _INF:
-            return _INF
-        return max(0, dhi - dlo + 1 - sum(1 for b in bad if dlo <= b <= dhi))
-
-    for r in classes:
-        if domain_size(r) == 0:
-            return None
-
-    # distinct-representative assignment: exact search over tightly bounded
-    # classes, then greedy for classes whose domain exceeds their degree
-    assignment: dict[str, int] = {}
-    degree = {r: len(neq_edges.get(r, ())) for r in classes}
-    tight = [r for r in classes if domain_size(r) <= degree[r]]
-    flexible = sorted(
-        (r for r in classes if r not in tight), key=lambda r: (domain_size(r), r)
-    )
-
-    def candidates(r: str, limit: int | None = None) -> Iterable[int]:
-        dlo, dhi, bad = domain(r)
+            size = _INF
+        else:
+            size = max(0, dhi - dlo + 1 - sum(1 for b in bad if dlo <= b <= dhi))
         if dlo != -_INF:
             start = int(dlo)
         elif dhi != _INF:
@@ -361,90 +300,86 @@ def _solve_ints(
         else:
             start = 0
         stop = int(dhi) if dhi != _INF else start + 10_000
-        produced = 0
-        for v in range(start, stop + 1):
-            if v in bad:
-                continue
-            yield v
-            produced += 1
-            if limit is not None and produced >= limit:
-                return
+        return size, (v for v in range(start, stop + 1) if v not in bad)
 
-    def conflict(r: str, value: int) -> bool:
-        return any(assignment.get(n) == value for n in neq_edges.get(r, ()))
+    return _assign_distinct(uf, neqs, domain)
+
+
+def _solve_strings(uf: _UnionFind, binds: list, neqs: list[tuple[str, str]]) -> dict[str, str] | None:
+    """A class that ``==`` binds ranges over its one literal (none when it
+    is bound to two), any other over the unbounded ``fresh!i`` values; both
+    minus the literals it is ``!=``."""
+    bound: dict[str, set[str]] = {}
+    banned: dict[str, set[str]] = {}
+    for var, op, value in binds:
+        (bound if op == "==" else banned).setdefault(uf.find(var), set()).add(value)
+
+    def domain(r: str):
+        bad = banned.get(r, set())
+        if r not in bound:
+            return _INF, (s for s in map("fresh!{}".format, itertools.count()) if s not in bad)
+        values = list(bound[r] - bad) if len(bound[r]) == 1 else []
+        return len(values), iter(values)
+
+    return _assign_distinct(uf, neqs, domain)
+
+
+def _neq_edges(uf: _UnionFind, neqs: list[tuple[str, str]]) -> dict[str, set[str]] | None:
+    """The disequality graph over union-find classes, or None when a
+    disequality joins a class to itself."""
+    edges: dict[str, set[str]] = {}
+    for a, b in neqs:
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            return None
+        edges.setdefault(ra, set()).add(rb)
+        edges.setdefault(rb, set()).add(ra)
+    return edges
+
+
+def _assign_distinct(uf: _UnionFind, neqs: list[tuple[str, str]], domain) -> dict | None:
+    """A value for every variable of ``uf``, the same within a class and
+    different across each disequality, or None when there is none.
+    ``domain(r)`` gives class ``r``'s size and a fresh iterator over its
+    values, in the order they are tried. Classes whose domain is no larger
+    than their degree are searched exactly by backtracking; the rest, smallest
+    domain first, greedily take their first free value, which a domain larger
+    than the degree always leaves."""
+    edges = _neq_edges(uf, neqs)
+    if edges is None:
+        return None
+    classes = sorted({uf.find(v) for v in uf.parent})
+    size = {r: domain(r)[0] for r in classes}
+    if 0 in size.values():
+        return None
+    degree = {r: len(edges.get(r, ())) for r in classes}
+    tight = [r for r in classes if size[r] <= degree[r]]
+    flexible = sorted((r for r in classes if size[r] > degree[r]), key=lambda r: (size[r], r))
+    assignment: dict = {}
+
+    def free(r: str, value) -> bool:
+        return all(assignment.get(n) != value for n in edges.get(r, ()))
 
     def backtrack(idx: int) -> bool:
         if idx == len(tight):
             return True
         r = tight[idx]
-        for v in candidates(r):
-            if conflict(r, v):
-                continue
-            assignment[r] = v
-            if backtrack(idx + 1):
-                return True
-            del assignment[r]
+        for value in domain(r)[1]:
+            if free(r, value):
+                assignment[r] = value
+                if backtrack(idx + 1):
+                    return True
+                del assignment[r]
         return False
 
     if not backtrack(0):
         return None
     for r in flexible:
-        needed = degree[r] + 1
-        for v in candidates(r, limit=needed + len(forbidden.get(r, ()))):
-            if not conflict(r, v):
-                assignment[r] = v
-                break
-        else:  # pragma: no cover - domain > degree guarantees a value
+        value = next((v for v in domain(r)[1] if free(r, v)), None)
+        if value is None:  # pragma: no cover - domain > degree leaves a value
             return None
-
-    return {v: assignment[rep(v)] for v in uf.parent if rep(v) in assignment}
-
-
-def _solve_strings(
-    uf: _UnionFind, binds: list[StrLitCmp], neqs: list[tuple[str, str]]
-) -> dict[str, str] | None:
-    bound: dict[str, str] = {}
-    banned: dict[str, set[str]] = {}
-
-    for b in binds:
-        r = uf.find(b.var)
-        if b.op == "==":
-            if bound.setdefault(r, b.value) != b.value:
-                return None
-        else:
-            banned.setdefault(r, set()).add(b.value)
-
-    neq_edges: dict[str, set[str]] = {}
-    for a, b in neqs:
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
-            return None
-        neq_edges.setdefault(ra, set()).add(rb)
-        neq_edges.setdefault(rb, set()).add(ra)
-
-    classes = sorted(set(uf.find(v) for v in uf.parent) | set(bound) | set(neq_edges))
-    for r in classes:
-        if r in bound and bound[r] in banned.get(r, ()):
-            return None
-    for a, bs in neq_edges.items():
-        for b in bs:
-            if a in bound and b in bound and bound[a] == bound[b]:
-                return None
-
-    # unbound classes draw from an infinite domain: fresh distinct values
-    assignment = dict(bound)
-    for r in classes:
-        if r in assignment:
-            continue
-        taken = banned.get(r, set()) | {
-            assignment[n] for n in neq_edges.get(r, ()) if n in assignment
-        }
-        for i in itertools.count():
-            fresh = f"fresh!{i}"
-            if fresh not in taken:
-                assignment[r] = fresh
-                break
-    return {v: assignment[uf.find(v)] for v in uf.parent if uf.find(v) in assignment}
+        assignment[r] = value
+    return {v: assignment[uf.find(v)] for v in uf.parent}
 
 
 def check_sat(c: PathConstraint) -> SatResult:
@@ -502,19 +437,15 @@ def _smt_str(value: str) -> str:
     return '"' + value.replace('"', '""') + '"'
 
 
+_SMT_OPS = {"==": "=", "!=": "distinct"}
+
+
 def _sexpr(f) -> str:
-    if isinstance(f, IntCmp):
-        op = {"==": "=", "!=": "distinct"}.get(f.op, f.op)
-        return f"({op} {_symbol(f.var)} {f.value})"
-    if isinstance(f, IntVarCmp):
-        op = "=" if f.op == "==" else "distinct"
-        return f"({op} {_symbol(f.left)} {_symbol(f.right)})"
-    if isinstance(f, StrLitCmp):
-        op = "=" if f.op == "==" else "distinct"
-        return f"({op} {_symbol(f.var)} {_smt_str(f.value)})"
-    if isinstance(f, StrVarCmp):
-        op = "=" if f.op == "==" else "distinct"
-        return f"({op} {_symbol(f.left)} {_symbol(f.right)})"
+    if isinstance(f, ConstCmp):
+        value = _smt_str(f.value) if f.sort == "string" else f.value
+        return f"({_SMT_OPS.get(f.op, f.op)} {_symbol(f.var)} {value})"
+    if isinstance(f, VarCmp):
+        return f"({_SMT_OPS[f.op]} {_symbol(f.left)} {_symbol(f.right)})"
     if isinstance(f, BoolVar):
         return _symbol(f.var)
     if isinstance(f, BoolConst):
@@ -550,28 +481,41 @@ def emit_smtlib(c: PathConstraint) -> str:
 # --- JSON decoding (remote-reasoner responses) --------------------------------
 
 
-def formula_from_json(data) -> object:
+#: The reply format's comparison tags: the sort each compares in, and
+#: whether its right side is a variable (else a constant of that sort).
+_CMP_TAGS = {
+    "int_cmp": ("int", False),
+    "int_var_cmp": ("int", True),
+    "str_lit_cmp": ("string", False),
+    "str_var_cmp": ("string", True),
+}
+
+
+def formula_from_json(data, types: dict[str, str]) -> object:
+    """The formula of a reply. ``types`` holds the declared variable types;
+    a comparison over a declared variable of another sort than its tag's is
+    rejected."""
     if not isinstance(data, list) or not data:
         raise ConstraintError(f"formula node must be a non-empty list, got {data!r}")
     tag, rest = data[0], data[1:]
-    if tag == "int_cmp" and len(rest) == 3 and isinstance(rest[2], int) and not isinstance(rest[2], bool):
-        return IntCmp(str(rest[0]), str(rest[1]), rest[2])
-    if tag == "int_var_cmp" and len(rest) == 3:
-        return IntVarCmp(str(rest[0]), str(rest[1]), str(rest[2]))
-    if tag == "str_lit_cmp" and len(rest) == 3 and isinstance(rest[2], str):
-        return StrLitCmp(str(rest[0]), str(rest[1]), rest[2])
-    if tag == "str_var_cmp" and len(rest) == 3:
-        return StrVarCmp(str(rest[0]), str(rest[1]), str(rest[2]))
+    if isinstance(tag, str) and tag in _CMP_TAGS and len(rest) == 3:
+        sort, of_vars = _CMP_TAGS[tag]
+        var, op, other = str(rest[0]), str(rest[1]), rest[2]
+        if of_vars or _const_sort(other) == sort:
+            for name in (var, str(other)) if of_vars else (var,):
+                if types.get(name, sort) != sort:
+                    raise ConstraintError(f"variable {name!r} is {types[name]}, {tag} needs {sort}")
+            return VarCmp(var, op, str(other)) if of_vars else ConstCmp(var, op, other)
     if tag == "bool_var" and len(rest) == 1:
         return BoolVar(str(rest[0]))
     if tag == "bool_const" and len(rest) == 1 and isinstance(rest[0], bool):
         return BoolConst(rest[0])
     if tag == "and":
-        return And(tuple(formula_from_json(i) for i in rest))
+        return And(tuple(formula_from_json(i, types) for i in rest))
     if tag == "or":
-        return Or(tuple(formula_from_json(i) for i in rest))
+        return Or(tuple(formula_from_json(i, types) for i in rest))
     if tag == "not" and len(rest) == 1:
-        return Not(formula_from_json(rest[0]))
+        return Not(formula_from_json(rest[0], types))
     raise ConstraintError(f"malformed formula node {data!r}")
 
 
@@ -587,34 +531,10 @@ def constraint_from_json(data: dict) -> PathConstraint:
         if "|" in name or "\\" in name:
             raise ConstraintError(f"variable name {name!r} has a character no SMT-LIB symbol can hold")
         pairs.append((name, str(v["type"])))
-    constraint = PathConstraint(tuple(sorted(pairs)), formula_from_json(data.get("formula")))
+    declared = tuple(sorted(pairs))
+    constraint = PathConstraint(declared, formula_from_json(data.get("formula"), dict(declared)))
     validate_constraint(constraint)
     return constraint
-
-
-# --- guard extraction ------------------------------------------------------------
-
-
-def extract_path_constraints(groups, reasoner):
-    """Ask the reasoner to translate the conditional guards protecting a
-    flow, read from its ``crossflow.path_functions`` groups and taken in
-    source order. Returns the PathConstraint, or None when the reasoner
-    skipped the extraction (a guard outside the fragment).
-    """
-    from .reasoner import ExtractConstraints, GuardDescriptor
-
-    guards: dict[str, tuple] = {}
-    for service, _, chain in groups:
-        for guard in chain:
-            guards.setdefault(guard.id, (service, guard))
-    descriptors = tuple(
-        GuardDescriptor(source=guard.source, var_types=service_index(service).guard_types[guard.id])
-        for service, guard in sorted(
-            guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
-        )
-    )
-    verdict = reasoner.reason(ExtractConstraints(guards=descriptors))
-    return None if verdict.skipped else verdict.constraint
 
 
 # --- MiniSrv guard translation (used by the scripted reasoner) -------------------
@@ -624,9 +544,6 @@ def translate_guards(guards) -> tuple[PathConstraint | None, str]:
     """Direct syntactic translation of MiniSrv comparison guards into the
     fragment. Any construct outside it (calls, member access, arithmetic,
     untypable variables) skips the whole extraction."""
-    from .minisrv.parser import ParseError, parse_expression
-    from .minisrv import nodes
-
     types: dict[str, str] = {}
     hints: dict[str, str] = {}
     for g in guards:
@@ -671,14 +588,11 @@ def translate_guards(guards) -> tuple[PathConstraint | None, str]:
         if not isinstance(lhs, nodes.Name):
             return None
         var = lhs.ident
-        if isinstance(rhs, nodes.IntLit):
-            if not set_type(var, "int"):
+        if isinstance(rhs, (nodes.IntLit, nodes.StrLit)):
+            sort = _const_sort(rhs.value)
+            if op not in CONST_OPS[sort] or not set_type(var, sort):
                 return None
-            return IntCmp(var, op, rhs.value)
-        if isinstance(rhs, nodes.StrLit):
-            if op not in EQ_OPS or not set_type(var, "string"):
-                return None
-            return StrLitCmp(var, op, rhs.value)
+            return ConstCmp(var, op, rhs.value)
         if isinstance(rhs, nodes.BoolLit):
             if op not in EQ_OPS or not set_type(var, "bool"):
                 return None
@@ -692,8 +606,7 @@ def translate_guards(guards) -> tuple[PathConstraint | None, str]:
                 return None
             if not (set_type(var, t) and set_type(rhs.ident, t)):
                 return None
-            cls = IntVarCmp if t == "int" else StrVarCmp
-            return cls(var, op, rhs.ident)
+            return VarCmp(var, op, rhs.ident)
         return None
 
     conjuncts = []

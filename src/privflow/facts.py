@@ -83,6 +83,8 @@ def parse_manifest(raw: object) -> Manifest:
         if not isinstance(item, dict) or not isinstance(item.get("name"), str) or not item["name"]:
             raise ManifestError(field, "each service needs a non-empty name")
         name = item["name"]
+        if "/" in name or "\\" in name or name in (".", ".."):
+            raise ManifestError(f"{field}.name", f"service name {name!r} must not be '.' or '..' or contain '/' or '\\'")
         if name in names:
             raise ManifestError(field, f"duplicate service name {name!r}")
         names.add(name)

@@ -119,6 +119,8 @@ class _Lowerer:
         # declare every function and its parameters first so calls resolve
         # regardless of definition order
         for fn in self.ast.functions():
+            if fn.name in self.scopes:
+                raise LoweringError(Location(self.file, fn.line, fn.col), f"function {fn.name!r} is already defined")
             fn_el = self.new_element(ElementKind.FUNCTION, fn.name, fn, self.span_text(fn), "function")
             scope = _FnScope(fn, fn_el)
             for p in fn.params:

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constraints import check_sat, Sat, Unsat, emit_smtlib, extract_path_constraints
+from .constraints import check_sat, Sat, Unsat, emit_smtlib
 from .crossflow import (
     PATH_CAP,
     ChannelEdge,
@@ -44,6 +44,8 @@ from .reasoner import (
     CheckDescriptor,
     ClassifyCheck,
     ClassifyPrivileged,
+    ExtractConstraints,
+    GuardDescriptor,
     Memo,
     NextSearchAction,
     _query_key,
@@ -296,6 +298,29 @@ def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[P
         return (op.service, el.location.file, el.location.line, el.location.col, op.element)
 
     return sorted(ops.values(), key=key)
+
+
+# --- constraint extraction -----------------------------------------------------------
+
+
+def extract_path_constraints(groups, reasoner):
+    """Ask the reasoner to translate the conditional guards protecting a
+    flow, read from its ``crossflow.path_functions`` groups and taken in
+    source order. Returns the PathConstraint, or None when the reasoner
+    skipped the extraction (a guard outside the fragment).
+    """
+    guards: dict[str, tuple] = {}
+    for service, _, chain in groups:
+        for guard in chain:
+            guards.setdefault(guard.id, (service, guard))
+    descriptors = tuple(
+        GuardDescriptor(source=guard.source, var_types=service_index(service).guard_types[guard.id])
+        for service, guard in sorted(
+            guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
+        )
+    )
+    verdict = reasoner.reason(ExtractConstraints(guards=descriptors))
+    return None if verdict.skipped else verdict.constraint
 
 
 # --- check localization --------------------------------------------------------------

@@ -5,19 +5,21 @@ constraints, from remote-reasoner replies)."""
 
 from __future__ import annotations
 
+import operator
+
 from privflow.constraints import (
     And,
     BoolConst,
     BoolVar,
+    ConstCmp,
     ConstraintError,
-    IntCmp,
-    IntVarCmp,
     Not,
     Or,
     PathConstraint,
-    StrLitCmp,
-    StrVarCmp,
+    VarCmp,
 )
+
+OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class MissingVariable(Exception):
@@ -31,25 +33,10 @@ def eval_witness(c: PathConstraint, assignment: dict) -> bool:
             raise MissingVariable(name)
 
     def ev(f) -> bool:
-        if isinstance(f, IntCmp):
-            x = assignment[f.var]
-            return {
-                "==": x == f.value,
-                "!=": x != f.value,
-                "<": x < f.value,
-                "<=": x <= f.value,
-                ">": x > f.value,
-                ">=": x >= f.value,
-            }[f.op]
-        if isinstance(f, IntVarCmp):
-            same = assignment[f.left] == assignment[f.right]
-            return same if f.op == "==" else not same
-        if isinstance(f, StrLitCmp):
-            same = assignment[f.var] == f.value
-            return same if f.op == "==" else not same
-        if isinstance(f, StrVarCmp):
-            same = assignment[f.left] == assignment[f.right]
-            return same if f.op == "==" else not same
+        if isinstance(f, ConstCmp):
+            return OPS[f.op](assignment[f.var], f.value)
+        if isinstance(f, VarCmp):
+            return OPS[f.op](assignment[f.left], assignment[f.right])
         if isinstance(f, BoolVar):
             return bool(assignment[f.var])
         if isinstance(f, BoolConst):
@@ -65,31 +52,29 @@ def eval_witness(c: PathConstraint, assignment: dict) -> bool:
     return ev(c.formula)
 
 
-def formula_to_json(f) -> list:
-    if isinstance(f, IntCmp):
-        return ["int_cmp", f.var, f.op, f.value]
-    if isinstance(f, IntVarCmp):
-        return ["int_var_cmp", f.left, f.op, f.right]
-    if isinstance(f, StrLitCmp):
-        return ["str_lit_cmp", f.var, f.op, f.value]
-    if isinstance(f, StrVarCmp):
-        return ["str_var_cmp", f.left, f.op, f.right]
+def formula_to_json(f, types: dict[str, str]) -> list:
+    """The reply-format form of a formula; ``types`` gives a variable
+    comparison its tag."""
+    if isinstance(f, ConstCmp):
+        return ["int_cmp" if f.sort == "int" else "str_lit_cmp", f.var, f.op, f.value]
+    if isinstance(f, VarCmp):
+        return ["int_var_cmp" if types[f.left] == "int" else "str_var_cmp", f.left, f.op, f.right]
     if isinstance(f, BoolVar):
         return ["bool_var", f.var]
     if isinstance(f, BoolConst):
         return ["bool_const", f.value]
     if isinstance(f, And):
-        return ["and"] + [formula_to_json(i) for i in f.items]
+        return ["and"] + [formula_to_json(i, types) for i in f.items]
     if isinstance(f, Or):
-        return ["or"] + [formula_to_json(i) for i in f.items]
+        return ["or"] + [formula_to_json(i, types) for i in f.items]
     if isinstance(f, Not):
-        return ["not", formula_to_json(f.item)]
+        return ["not", formula_to_json(f.item, types)]
     raise ConstraintError(f"unsupported formula node {f!r}")
 
 
 def constraint_to_json(c: PathConstraint) -> dict:
     return {
         "variables": [{"name": n, "type": t} for n, t in c.variables],
-        "formula": formula_to_json(c.formula),
+        "formula": formula_to_json(c.formula, c.var_types()),
     }
 

@@ -142,6 +142,32 @@ class TestScanCommand:
         assert result.output.count("\n") == 1
         assert reason in result.output
 
+    def test_function_defined_twice_is_config_error(self, runner, tmp_path):
+        """A second ``fn handle`` would replace the first one's body, and the
+        routed ``exec`` of the first would go unseen; renamed, it is found."""
+
+        def scan_with_second(name):
+            root = tmp_path / name
+            root.mkdir()
+            (root / "svc.msv").write_text(
+                '@route("POST", "/run")\nfn handle() {\n  exec(request.param("cmd"))\n}\n'
+                f'@route("POST", "/ping")\nfn {name}() {{\n  x = 1\n}}\n',
+                encoding="utf-8",
+            )
+            manifest = {
+                "version": 1,
+                "services": [{"name": "svc", "entry": True, "sources": ["svc.msv"]}],
+                "gateway_routes": [{"prefix": "/run", "target": "svc"}],
+            }
+            (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+            return runner.invoke(main, ["scan", str(root)])
+
+        duplicate, renamed = scan_with_second("handle"), scan_with_second("ping")
+        assert duplicate.exit_code == 2
+        assert duplicate.output == "privflow: svc.msv:6:1: function 'handle' is already defined\n"
+        assert renamed.exit_code == 1
+        assert [f["verdict"] for f in json.loads(renamed.output)["findings"]] == ["unprotected"]
+
     def test_md_format_shows_channel_identifier(self, runner):
         result = runner.invoke(main, ["scan", corpus("role_update"), "--format", "md"])
         assert result.exit_code == 1
@@ -418,6 +444,22 @@ class TestFactsCommand:
         assert result.exit_code == 2
         assert result.output.startswith("privflow: ")
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
+    def test_service_name_that_is_no_file_name_is_config_error(self, runner, tmp_path, name):
+        """``facts`` writes ``NAME.facts.jsonl`` under ``--out``; a service
+        name that is a path would write outside it."""
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "svc.msv").write_text("fn ping() { x = 1 }\n", encoding="utf-8")
+        manifest = {"version": 1, "services": [{"name": name, "entry": True, "sources": ["svc.msv"]}]}
+        (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / "out" / "inner"
+        result = runner.invoke(main, ["facts", str(root), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith("privflow: services[0].name: ")
+        assert result.output.count("\n") == 1
+        assert not list((tmp_path / "out").rglob("*.facts.jsonl"))
 
     def test_facts_feed_a_scan(self, runner, tmp_path):
         # export role_update to facts, rebuild a corpus that consumes only facts files

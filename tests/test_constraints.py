@@ -7,17 +7,15 @@ from privflow.constraints import (
     And,
     BoolConst,
     BoolVar,
+    ConstCmp,
     ConstraintError,
-    IntCmp,
-    IntVarCmp,
     Not,
     Or,
     PathConstraint,
     Sat,
-    StrLitCmp,
-    StrVarCmp,
     Unknown,
     Unsat,
+    VarCmp,
     check_sat,
     constraint_from_json,
     emit_smtlib,
@@ -65,13 +63,13 @@ def random_constraint(rng: random.Random) -> PathConstraint:
         if kind == "int_cmp":
             # constants stay in [-6, 6] so satisfiable formulas keep a
             # model inside the enumeration domain
-            return IntCmp(rng.choice(by_type["int"]), rng.choice(("==", "!=", "<", "<=", ">", ">=")), rng.randint(-6, 6))
+            return ConstCmp(rng.choice(by_type["int"]), rng.choice(("==", "!=", "<", "<=", ">", ">=")), rng.randint(-6, 6))
         if kind == "int_var":
-            return IntVarCmp(by_type["int"][0], rng.choice(("==", "!=")), by_type["int"][1])
+            return VarCmp(by_type["int"][0], rng.choice(("==", "!=")), by_type["int"][1])
         if kind == "str_lit":
-            return StrLitCmp(rng.choice(by_type["string"]), rng.choice(("==", "!=")), rng.choice(STR_LITERALS))
+            return ConstCmp(rng.choice(by_type["string"]), rng.choice(("==", "!=")), rng.choice(STR_LITERALS))
         if kind == "str_var":
-            return StrVarCmp(by_type["string"][0], rng.choice(("==", "!=")), by_type["string"][1])
+            return VarCmp(by_type["string"][0], rng.choice(("==", "!=")), by_type["string"][1])
         if kind == "bool_var":
             return BoolVar(by_type["bool"][0])
         return BoolConst(rng.random() < 0.5)
@@ -115,13 +113,13 @@ class TestCheckSatExamples:
         assert isinstance(result, Sat)
 
     def test_contradictory_int_equalities(self):
-        constraint = c([("x", "int")], And((IntCmp("x", "==", 1), IntCmp("x", "==", 2))))
+        constraint = c([("x", "int")], And((ConstCmp("x", "==", 1), ConstCmp("x", "==", 2))))
         assert isinstance(check_sat(constraint), Unsat)
 
     def test_contradictory_string_literals(self):
         constraint = c(
             [("mode", "string")],
-            And((StrLitCmp("mode", "==", "A"), StrLitCmp("mode", "==", "B"))),
+            And((ConstCmp("mode", "==", "A"), ConstCmp("mode", "==", "B"))),
         )
         assert isinstance(check_sat(constraint), Unsat)
 
@@ -130,10 +128,10 @@ class TestCheckSatExamples:
             [("s", "string"), ("t", "string")],
             And(
                 (
-                    StrLitCmp("s", "!=", "A"),
-                    StrLitCmp("s", "!=", "B"),
-                    StrLitCmp("t", "!=", "A"),
-                    StrVarCmp("s", "!=", "t"),
+                    ConstCmp("s", "!=", "A"),
+                    ConstCmp("s", "!=", "B"),
+                    ConstCmp("t", "!=", "A"),
+                    VarCmp("s", "!=", "t"),
                 )
             ),
         )
@@ -147,10 +145,10 @@ class TestCheckSatExamples:
             [("x", "int"), ("y", "int")],
             And(
                 (
-                    IntCmp("x", ">=", 0),
-                    IntCmp("x", "<=", 1),
-                    IntCmp("y", "==", 0),
-                    IntVarCmp("x", "!=", "y"),
+                    ConstCmp("x", ">=", 0),
+                    ConstCmp("x", "<=", 1),
+                    ConstCmp("y", "==", 0),
+                    VarCmp("x", "!=", "y"),
                 )
             ),
         )
@@ -160,13 +158,13 @@ class TestCheckSatExamples:
 
     def test_pigeonhole_unsat(self):
         # three pairwise-distinct ints in a two-value interval
-        atoms = [IntCmp(v, ">=", 0) for v in "xyz"] + [IntCmp(v, "<=", 1) for v in "xyz"]
-        atoms += [IntVarCmp("x", "!=", "y"), IntVarCmp("x", "!=", "z"), IntVarCmp("y", "!=", "z")]
+        atoms = [ConstCmp(v, ">=", 0) for v in "xyz"] + [ConstCmp(v, "<=", 1) for v in "xyz"]
+        atoms += [VarCmp("x", "!=", "y"), VarCmp("x", "!=", "z"), VarCmp("y", "!=", "z")]
         constraint = c([("x", "int"), ("y", "int"), ("z", "int")], And(tuple(atoms)))
         assert isinstance(check_sat(constraint), Unsat)
 
     def test_cube_overflow_is_unknown(self):
-        pairs = tuple(Or((IntCmp("x", "==", i), IntCmp("x", "==", -i))) for i in range(1, 14))
+        pairs = tuple(Or((ConstCmp("x", "==", i), ConstCmp("x", "==", -i))) for i in range(1, 14))
         constraint = c([("x", "int")], And(pairs))
         assert isinstance(check_sat(constraint), Unknown)
 
@@ -176,10 +174,10 @@ class TestCheckSatExamples:
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(ConstraintError):
-            check_sat(c([("x", "string")], IntCmp("x", "==", 1)))
+            check_sat(c([("x", "string")], ConstCmp("x", "==", 1)))
 
     def test_negation_normalization(self):
-        constraint = c([("x", "int")], Not(Or((IntCmp("x", "<", 5), IntCmp("x", ">", 5)))))
+        constraint = c([("x", "int")], Not(Or((ConstCmp("x", "<", 5), ConstCmp("x", ">", 5)))))
         result = check_sat(constraint)
         assert isinstance(result, Sat)
         assert result.witness["x"] == 5
@@ -204,33 +202,33 @@ class TestRandomAgreement:
 
 class TestEvalWitness:
     def test_basic(self):
-        constraint = c([("x", "int")], IntCmp("x", "==", 1))
+        constraint = c([("x", "int")], ConstCmp("x", "==", 1))
         assert eval_witness(constraint, {"x": 1})
         assert not eval_witness(constraint, {"x": 2})
 
     def test_conjunction(self):
         constraint = c(
             [("x", "int"), ("y", "string")],
-            And((IntCmp("x", "==", 1), StrLitCmp("y", "!=", "a"))),
+            And((ConstCmp("x", "==", 1), ConstCmp("y", "!=", "a"))),
         )
         assert not eval_witness(constraint, {"x": 1, "y": "a"})
         assert eval_witness(constraint, {"x": 1, "y": "b"})
 
     def test_missing_variable(self):
-        constraint = c([("x", "int")], IntCmp("x", "==", 1))
+        constraint = c([("x", "int")], ConstCmp("x", "==", 1))
         with pytest.raises(MissingVariable):
             eval_witness(constraint, {})
 
 
 class TestEmit:
     def test_single_int_equality_layout(self):
-        text = emit_smtlib(c([("x", "int")], IntCmp("x", "==", 1)))
+        text = emit_smtlib(c([("x", "int")], ConstCmp("x", "==", 1)))
         assert text == "(declare-const x Int)\n(assert (= x 1))\n(check-sat)\n"
 
     def test_mixed_sorts_declared(self):
         constraint = c(
             [("n", "int"), ("mode", "string"), ("ok", "bool")],
-            And((IntCmp("n", ">", 0), StrLitCmp("mode", "==", "A"), BoolVar("ok"))),
+            And((ConstCmp("n", ">", 0), ConstCmp("mode", "==", "A"), BoolVar("ok"))),
         )
         text = emit_smtlib(constraint)
         assert "(declare-const mode String)" in text
@@ -243,11 +241,11 @@ class TestEmit:
         assert emit_smtlib(c((), And(()))) == "(check-sat)\n"
 
     def test_deterministic(self):
-        constraint = c([("x", "int")], Or((IntCmp("x", "<", 3), Not(IntCmp("x", "!=", 9)))))
+        constraint = c([("x", "int")], Or((ConstCmp("x", "<", 3), Not(ConstCmp("x", "!=", 9)))))
         assert emit_smtlib(constraint) == emit_smtlib(constraint)
 
     def test_string_escaping(self):
-        constraint = c([("s", "string")], StrLitCmp("s", "==", 'say "hi"'))
+        constraint = c([("s", "string")], ConstCmp("s", "==", 'say "hi"'))
         text = emit_smtlib(constraint)
         assert '"say ""hi"""' in text
         assert validate_smtlib(text) == []
@@ -257,7 +255,7 @@ class TestEmit:
         symbol, is declared and used as ``|v:NAME|``; the rest keep their
         name, and distinct names stay distinct symbols."""
         names = ["let", "not", "and", "ite", "mod", "Int", "v:let", "a b", "1x", "@x", "str.len", "x", "ok?"]
-        constraint = c([(n, "string") for n in names], And(tuple(StrLitCmp(n, "!=", "q") for n in names)))
+        constraint = c([(n, "string") for n in names], And(tuple(ConstCmp(n, "!=", "q") for n in names)))
         text = emit_smtlib(constraint)
         assert validate_smtlib(text) == []
         for name in ("let", "not", "and", "ite", "mod", "Int", "v:let", "a b", "1x", "@x", "str.len"):
@@ -269,7 +267,7 @@ class TestEmit:
 
     def test_bool_and_int_names_are_quoted(self):
         constraint = c([("or", "bool"), ("div", "int"), ("abs", "int")],
-                       And((BoolVar("or"), IntVarCmp("div", "==", "abs"), IntCmp("div", ">", 2))))
+                       And((BoolVar("or"), VarCmp("div", "==", "abs"), ConstCmp("div", ">", 2))))
         text = emit_smtlib(constraint)
         assert validate_smtlib(text) == []
         assert "(assert |v:or|)\n(assert (= |v:div| |v:abs|))\n(assert (> |v:div| 2))\n" in text
@@ -326,6 +324,18 @@ class TestJsonCodec:
     def test_malformed_rejected(self):
         with pytest.raises(ConstraintError):
             constraint_from_json({"variables": [], "formula": ["teleport", "x"]})
+        # a comparison tag names its sort; variables of another sort are rejected
+        for types, formula in [
+            ({"s": "string", "t": "string"}, ["int_var_cmp", "s", "==", "t"]),
+            ({"a": "bool", "b": "bool"}, ["int_var_cmp", "a", "!=", "b"]),
+            ({"n": "int", "s": "string"}, ["int_var_cmp", "n", "==", "s"]),
+            ({"m": "int", "n": "int"}, ["str_var_cmp", "m", "==", "n"]),
+            ({"s": "string"}, ["int_cmp", "s", "==", 1]),
+            ({"n": "int"}, ["str_lit_cmp", "n", "==", "A"]),
+        ]:
+            variables = [{"name": name, "type": t} for name, t in types.items()]
+            with pytest.raises(ConstraintError):
+                constraint_from_json({"variables": variables, "formula": formula})
 
     @pytest.mark.parametrize("name", ["a|b", "a\\b", "|"])
     def test_name_no_symbol_can_hold_rejected(self, name):

@@ -9,11 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from privflow.constraints import extract_path_constraints
 from privflow.crossflow import GlobalPath, build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service
-from privflow.pipeline import ScanBudget, find_privileged_ops, locate_checks, scan
+from privflow.pipeline import ScanBudget, extract_path_constraints, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
 from privflow import search
 from privflow.search import FlowPath, identifiers, service_index

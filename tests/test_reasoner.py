@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from privflow.constraints import PathConstraint, StrLitCmp, And
+from privflow.constraints import PathConstraint, ConstCmp, And
 from privflow.load import load_program
 from privflow.pipeline import ScanBudget, ScanOptions, scan
 from privflow.reasoner import (
@@ -343,7 +343,7 @@ class TestRemoteReasoner:
         verdict = backend.reason(ExtractConstraints((GuardDescriptor('mode == "A"', ()),)))
         assert not verdict.skipped
         assert verdict.constraint == PathConstraint(
-            (("mode", "string"),), And((StrLitCmp("mode", "==", "A"),))
+            (("mode", "string"),), And((ConstCmp("mode", "==", "A"),))
         )
 
     def test_make_reasoner_kinds(self):

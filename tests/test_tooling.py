@@ -76,17 +76,19 @@ def _privflow_imports(path: Path) -> set[str]:
 
 
 def test_import_layers():
-    """``model`` is the bottom layer and ``search`` reads only it; the
-    MiniSrv frontend is imported only by the loader, the CLI and the
-    scripted oracle's guard parser in ``constraints``, so the engine runs on
-    facts from any frontend."""
+    """``model`` is the bottom layer and ``search`` reads only it.
+    ``constraints`` imports no other stage, only the MiniSrv expression
+    parser that ``translate_guards``, the scripted oracle's guard parser,
+    uses. The frontend is imported only by the loader, the CLI and
+    ``constraints``, so the engine runs on facts from any frontend."""
     imports = {
         ".".join(path.relative_to(SRC).with_suffix("").parts): _privflow_imports(path)
         for path in sorted(SRC.rglob("*.py"))
     }
-    assert {"model", "search", "crossflow", "pipeline", "minisrv.lower"} <= imports.keys()
+    assert {"model", "search", "constraints", "crossflow", "pipeline", "minisrv.lower"} <= imports.keys()
     assert imports["model"] == set()
     assert imports["search"] == {"model"}
+    assert imports["constraints"] == {"minisrv"}
     frontend_users = {name for name, found in imports.items() if "minisrv" in found and not name.startswith("minisrv")}
     assert frontend_users <= {"load", "cli", "constraints"}
     assert "minisrv" in imports["load"] and "model" in imports["minisrv.lower"]
