@@ -47,11 +47,6 @@ def _fail(message: str) -> None:
     sys.exit(int(ExitStatus.CONFIG_ERROR))
 
 
-def _build_reasoner(kind: str, rules_file: str | None):
-    rules = load_rules(rules_file) if rules_file else None
-    return make_reasoner(kind, rules=rules)
-
-
 @click.group()
 @click.version_option(package_name="privflow", prog_name="privflow")
 def main() -> None:
@@ -73,7 +68,7 @@ def scan(corpus, reasoner_kind, rules_file, basic_sink, no_odctx, fmt, trace_pat
     """Scan a corpus directory for privilege-escalation flows."""
     try:
         program = load_program(corpus)
-        backend = _build_reasoner(reasoner_kind, rules_file)
+        backend = make_reasoner(reasoner_kind, load_rules(rules_file))
         budget = ScanBudget(max_tool_calls_per_phase=budget_calls, max_seconds=budget_seconds)
         options = ScanOptions(
             basic_sink=basic_sink,
@@ -159,7 +154,7 @@ def graph(corpus, reasoner_kind, rules_file):
         violations = validate_program(program)
         if violations:
             raise ProgramInvalid(violations)
-        backend = _build_reasoner(reasoner_kind, rules_file)
+        backend = make_reasoner(reasoner_kind, load_rules(rules_file))
         try:
             privops = find_privileged_ops(program, backend)
         except BudgetExhausted as exc:

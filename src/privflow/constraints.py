@@ -442,7 +442,8 @@ _SMT_OPS = {"==": "=", "!=": "distinct"}
 
 def _sexpr(f) -> str:
     if isinstance(f, ConstCmp):
-        value = _smt_str(f.value) if f.sort == "string" else f.value
+        # an SMT-LIB numeral is non-negative: -3 is written (- 3)
+        value = _smt_str(f.value) if f.sort == "string" else f.value if f.value >= 0 else f"(- {-f.value})"
         return f"({_SMT_OPS.get(f.op, f.op)} {_symbol(f.var)} {value})"
     if isinstance(f, VarCmp):
         return f"({_SMT_OPS[f.op]} {_symbol(f.left)} {_symbol(f.right)})"

@@ -354,7 +354,8 @@ def q_globalflow(graph: GlobalGraph, sources, sinks, cap: int = PATH_CAP) -> Glo
 
 
 def to_dot(graph: GlobalGraph, program: Program) -> str:
-    """Render the global graph in DOT text for inspection."""
+    """Render the global graph in DOT text for inspection. Every id and
+    label is a quoted DOT string, so a name holding a quote stays one."""
     def label(eid: str) -> str:
         placed = program.find_element(eid)
         if placed is None:
@@ -363,14 +364,17 @@ def to_dot(graph: GlobalGraph, program: Program) -> str:
         text = el.name or call_callee(el) or el.kind.value
         return f"{svc.name}:{text}"
 
+    def q(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
     lines = ["digraph privflow {"]
     for node in sorted(graph.nodes):
-        lines.append(f'  "{node}" [label="{label(node)}"];')
+        lines.append(f"  {q(node)} [label={q(label(node))}];")
     for src in sorted(graph.edges):
         for edge in graph.successors(src):
             if edge.is_channel:
-                lines.append(f'  "{edge.src}" -> "{edge.dst}" [style=dashed, label="{edge.witness.identifier}"];')
+                lines.append(f"  {q(edge.src)} -> {q(edge.dst)} [style=dashed, label={q(edge.witness.identifier)}];")
             else:
-                lines.append(f'  "{edge.src}" -> "{edge.dst}";')
+                lines.append(f"  {q(edge.src)} -> {q(edge.dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

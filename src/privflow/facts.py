@@ -90,10 +90,12 @@ def parse_manifest(raw: object) -> Manifest:
         names.add(name)
         sources = item.get("sources", [])
         facts = item.get("facts", [])
-        if not isinstance(sources, list) or not all(isinstance(s, str) for s in sources):
-            raise ManifestError(f"{field}.sources", "must be a list of file names")
-        if not isinstance(facts, list) or not all(isinstance(s, str) for s in facts):
-            raise ManifestError(f"{field}.facts", "must be a list of file names")
+        for key, files in (("sources", sources), ("facts", facts)):
+            if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+                raise ManifestError(f"{field}.{key}", "must be a list of file names")
+            for f in files:
+                if Path(f).is_absolute() or ".." in Path(f).parts:
+                    raise ManifestError(f"{field}.{key}", f"{f!r} must be a relative path with no '..' part")
         if not sources and not facts:
             raise ManifestError(field, "a service needs sources and/or facts files")
         entry = item.get("entry", False)

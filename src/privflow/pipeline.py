@@ -79,12 +79,8 @@ class ProgramInvalid(Exception):
 class PrivilegedOperation:
     element: str
     service: str
-    category: str  # sensitive-resource | security-critical-action | protected-state
+    category: str  # a reasoner.PrivilegedClass category
     rationale: str
-
-    def __post_init__(self) -> None:
-        if self.category not in ("sensitive-resource", "security-critical-action", "protected-state"):
-            raise ValueError(f"unknown privileged-operation category {self.category!r}")
 
 
 @dataclass(frozen=True)
@@ -92,17 +88,11 @@ class CheckFinding:
     element: str
     service: str
     name: str
-    classification: str  # authn | authz
-    authz_subtype: str  # role | permission | ownership | none
+    classification: str  # a reasoner.CheckClass classification other than none
+    authz_subtype: str  # the CheckClass's authz subtype
     attachment: str  # decorator | inline
     rationale: str
     source: str
-
-    def __post_init__(self) -> None:
-        if self.classification == "authn" and self.authz_subtype != "none":
-            raise ValueError("authn checks carry no authz subtype")
-        if self.classification == "authz" and self.authz_subtype == "none":
-            raise ValueError("authz checks need a subtype")
 
 
 @dataclass(frozen=True)
@@ -110,14 +100,14 @@ class Finding:
     path: GlobalPath
     privop: PrivilegedOperation
     checks: tuple[CheckFinding, ...]
-    verdict: str  # unprotected | missing_authz | insufficient_authz
+    verdict: str  # a reasoner.Sufficiency verdict other than protected
     feasibility: str  # feasible | unknown
     rationale: str
     constraint_status: str  # sat | unknown | skipped
     smt_file: str | None = None
 
     def __post_init__(self) -> None:
-        if self.verdict not in ("unprotected", "missing_authz", "insufficient_authz"):
+        if self.verdict == "protected":
             raise ValueError(f"finding verdict cannot be {self.verdict!r}")
         if self.feasibility not in ("feasible", "unknown"):
             raise ValueError(f"finding feasibility cannot be {self.feasibility!r}")
@@ -319,8 +309,7 @@ def extract_path_constraints(groups, reasoner):
             guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
         )
     )
-    verdict = reasoner.reason(ExtractConstraints(guards=descriptors))
-    return None if verdict.skipped else verdict.constraint
+    return reasoner.reason(ExtractConstraints(guards=descriptors)).constraint
 
 
 # --- check localization --------------------------------------------------------------
@@ -349,7 +338,7 @@ def locate_checks(
     def classify(service: Service, task: ClassifyCheck) -> None:
         record("reason", {"task": "ClassifyCheck", "element": task.element}, 1)
         verdict = reasoner.reason(task)
-        if verdict.classification in ("authn", "authz"):
+        if verdict.classification != "none":
             checks.append(
                 CheckFinding(
                     element=task.element,

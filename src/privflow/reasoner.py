@@ -23,8 +23,8 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass
+from functools import cached_property, singledispatchmethod
 from pathlib import Path
 
 from . import constraints as _constraints
@@ -33,7 +33,11 @@ from .search import identifiers
 RULES_RESOURCE = Path(__file__).parent / "rules" / "oracle.rules.json"
 PROMPTS_DIR = Path(__file__).parent / "prompts"
 
+# The verdict vocabularies; each verdict checks its fields against them.
 PRIVILEGED_CATEGORIES = ("sensitive-resource", "security-critical-action", "protected-state")
+CHECK_CLASSIFICATIONS = ("authn", "authz", "none")
+AUTHZ_SUBTYPES = ("role", "permission", "ownership", "none")
+SUFFICIENCY_VERDICTS = ("protected", "unprotected", "missing_authz", "insufficient_authz")
 
 
 class RulesError(Exception):
@@ -114,7 +118,17 @@ class NextSearchAction:
     tools: tuple[str, ...]
 
 
+#: Every task a backend answers; the remote prompt for one is the file named
+#: after it (``ClassifyPrivileged`` -> ``classify_privileged.md``).
+TASKS = (ClassifyPrivileged, ClassifyCheck, AssessSufficiency, ExtractConstraints, ConfirmUserSource, NextSearchAction)
+
+
 # --- verdicts ------------------------------------------------------------------
+
+
+def _check_vocabulary(field: str, value, allowed: tuple) -> None:
+    if value not in allowed:
+        raise ValueError(f"field {field!r} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,24 +136,35 @@ class PrivilegedClass:
     category: str | None  # one of PRIVILEGED_CATEGORIES, or None
     rationale: str
 
+    def __post_init__(self) -> None:
+        _check_vocabulary("category", self.category, PRIVILEGED_CATEGORIES + (None,))
+
 
 @dataclass(frozen=True)
 class CheckClass:
-    classification: str  # authn | authz | none
-    authz_subtype: str  # role | permission | ownership | none
+    classification: str  # one of CHECK_CLASSIFICATIONS
+    authz_subtype: str  # one of AUTHZ_SUBTYPES; "none" exactly when not authz
     rationale: str
+
+    def __post_init__(self) -> None:
+        _check_vocabulary("classification", self.classification, CHECK_CLASSIFICATIONS)
+        _check_vocabulary("authz_subtype", self.authz_subtype, AUTHZ_SUBTYPES)
+        if (self.classification == "authz") == (self.authz_subtype == "none"):
+            raise ValueError("authz checks need a subtype; other checks carry none")
 
 
 @dataclass(frozen=True)
 class Sufficiency:
-    verdict: str  # protected | unprotected | missing_authz | insufficient_authz
+    verdict: str  # one of SUFFICIENCY_VERDICTS
     rationale: str
+
+    def __post_init__(self) -> None:
+        _check_vocabulary("verdict", self.verdict, SUFFICIENCY_VERDICTS)
 
 
 @dataclass(frozen=True)
 class ConstraintExtraction:
-    skipped: bool
-    constraint: object | None  # constraints.PathConstraint when not skipped
+    constraint: object | None  # constraints.PathConstraint; None when skipped
     rationale: str
 
 
@@ -214,16 +239,16 @@ def load_rules(file: str | Path | None = None) -> OracleRules:
             if not all(isinstance(v, str) and v for v in values):
                 raise RulesError(rules_field, "entries must be non-empty strings")
             kwargs[key] = tuple(values)
-    for rules_field, patterns in (
-        ("privileged.critical_action_patterns", kwargs["critical_action_patterns"]),
-        ("checks.ownership_comparisons", kwargs["ownership_comparisons"]),
+    rules = OracleRules(**kwargs)
+    for rules_field, compiled in (
+        ("privileged.critical_action_patterns", "critical_rx"),
+        ("checks.ownership_comparisons", "ownership_rx"),
     ):
-        for p in patterns:
-            try:
-                re.compile(p)
-            except re.error as exc:
-                raise RulesError(rules_field, f"pattern {p!r} does not compile: {exc}")
-    return OracleRules(**kwargs)
+        try:
+            getattr(rules, compiled)
+        except re.error as exc:
+            raise RulesError(rules_field, f"pattern {exc.pattern!r} does not compile: {exc}")
+    return rules
 
 
 # --- scripted oracle --------------------------------------------------------------
@@ -250,23 +275,13 @@ class ScriptedOracle:
     def __init__(self, rules: OracleRules | None = None):
         self.rules = rules or load_rules()
 
+    @singledispatchmethod
     def reason(self, task):
-        if isinstance(task, ClassifyPrivileged):
-            return self._classify_privileged(task)
-        if isinstance(task, ClassifyCheck):
-            return self._classify_check(task)
-        if isinstance(task, AssessSufficiency):
-            return self._assess(task)
-        if isinstance(task, ExtractConstraints):
-            return self._extract(task)
-        if isinstance(task, ConfirmUserSource):
-            return self._confirm_user_source(task)
-        if isinstance(task, NextSearchAction):
-            return self._next_action(task)
         raise TypeError(f"unsupported task {type(task).__name__}")
 
     # ClassifyPrivileged: a name pairing an action verb with a protected-state
     # or resource noun, or matching a critical-action pattern, is privileged.
+    @reason.register
     def _classify_privileged(self, task: ClassifyPrivileged) -> PrivilegedClass:
         name = task.name or _first_identifier(task.source)
         tokens = set(split_identifier(name))
@@ -296,6 +311,7 @@ class ScriptedOracle:
     # own name is the strongest cue), then body/context-level authorization
     # keywords; body-level authentication cues (session/token reads appear
     # in nearly every check) come last.
+    @reason.register
     def _classify_check(self, task: ClassifyCheck) -> CheckClass:
         name = task.name
         source = task.source
@@ -344,6 +360,7 @@ class ScriptedOracle:
     # AssessSufficiency: an operation touching a named role/resource argument
     # is protected only by an authz check that references that argument (or
     # proves ownership); authn alone never suffices.
+    @reason.register
     def _assess(self, task: AssessSufficiency) -> Sufficiency:
         sensitive = self._sensitive_arguments(task.privop_source)
         authz = [c for c in task.checks if c.classification == "authz"]
@@ -415,12 +432,11 @@ class ScriptedOracle:
             return f"; missing ownership check for resource '{owned[0]}'"
         return ""
 
+    @reason.register
     def _extract(self, task: ExtractConstraints) -> ConstraintExtraction:
-        constraint, rationale = _constraints.translate_guards(task.guards)
-        if constraint is None:
-            return ConstraintExtraction(True, None, rationale)
-        return ConstraintExtraction(False, constraint, rationale)
+        return ConstraintExtraction(*_constraints.translate_guards(task.guards))
 
+    @reason.register
     def _confirm_user_source(self, task: ConfirmUserSource) -> UserSource:
         ident = task.identifier
         if not ident.startswith("/"):
@@ -432,6 +448,7 @@ class ScriptedOracle:
 
     # NextSearchAction: one verb query and one noun query per service per
     # round; a fresh round only while the previous one surfaced new ops.
+    @reason.register
     def _next_action(self, task: NextSearchAction) -> Action:
         verbs = "|".join(self.rules.action_verbs)
         nouns = "|".join(sorted(set(self.rules.protected_state_nouns) | set(self.rules.resource_nouns)))
@@ -469,31 +486,23 @@ def _path_has_prefix(path: str, prefix: str) -> bool:
 # --- remote backend -----------------------------------------------------------------
 
 
+TEMPERATURE = 0.2
+API_KEY_ENV = "PRIVFLOW_API_KEY"
+ATTEMPTS = 3
+TIMEOUT_S = 60.0
+
+
 @dataclass(frozen=True)
 class RemoteConfig:
     endpoint: str
     model: str
-    temperature: float = 0.2
-    api_key_env: str = "PRIVFLOW_API_KEY"
-    max_retries: int = 3
-    timeout: float = 60.0
     retry_backoff: float = 0.5  # seconds, grows linearly per attempt
-
-
-_TASK_PROMPTS = {
-    "ClassifyPrivileged": "classify_privileged.md",
-    "ClassifyCheck": "classify_check.md",
-    "AssessSufficiency": "assess_sufficiency.md",
-    "ExtractConstraints": "extract_constraints.md",
-    "ConfirmUserSource": "confirm_user_source.md",
-    "NextSearchAction": "next_search_action.md",
-}
 
 
 class RemoteReasoner:
     """Chat-completion backend. Responses must match a per-task JSON schema;
-    malformed replies are retried up to ``max_retries`` times, then raised as
-    SchemaViolation. Requests are serialized per scan."""
+    a malformed reply is asked again, up to ``ATTEMPTS`` asks, then raised
+    as SchemaViolation. Requests are serialized per scan."""
 
     name = "remote"
 
@@ -505,13 +514,13 @@ class RemoteReasoner:
 
     def reason(self, task):
         task_name = type(task).__name__
-        template_name = _TASK_PROMPTS.get(task_name)
-        if template_name is None:
+        if type(task) not in TASKS:
             raise TypeError(f"unsupported task {task_name}")
-        prompt = _load_prompt(template_name).replace("{task_json}", json.dumps(_task_payload(task), indent=2))
+        task_json = json.dumps({**asdict(task), "task": task_name}, indent=2)
+        prompt = _load_prompt("_".join(split_identifier(task_name)) + ".md").replace("{task_json}", task_json)
         last_error = "no attempts made"
         with self._lock:
-            for attempt in range(self.config.max_retries):
+            for attempt in range(ATTEMPTS):
                 if attempt and self.config.retry_backoff:
                     time.sleep(self.config.retry_backoff * attempt)
                 reply = self._complete(prompt)
@@ -522,10 +531,10 @@ class RemoteReasoner:
         raise SchemaViolation(f"{task_name}: {last_error}")
 
     def _complete(self, prompt: str) -> str:
-        api_key = os.environ.get(self.config.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         payload = {
             "model": self.config.model,
-            "temperature": self.config.temperature,
+            "temperature": TEMPERATURE,
             "messages": [
                 {"role": "system", "content": self._system},
                 {"role": "user", "content": prompt},
@@ -534,7 +543,7 @@ class RemoteReasoner:
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        status, body = self._transport(self.config.endpoint, headers, payload, self.config.timeout)
+        status, body = self._transport(self.config.endpoint, headers, payload, TIMEOUT_S)
         if status != 200:
             raise BackendUnavailable(f"backend returned HTTP {status}")
         try:
@@ -563,14 +572,6 @@ def _load_prompt(name: str) -> str:
     return (PROMPTS_DIR / name).read_text(encoding="utf-8")
 
 
-def _task_payload(task) -> dict:
-    from dataclasses import asdict
-
-    payload = asdict(task)
-    payload["task"] = type(task).__name__
-    return payload
-
-
 def _extract_json(reply: str) -> dict:
     start = reply.find("{")
     end = reply.rfind("}")
@@ -582,12 +583,10 @@ def _extract_json(reply: str) -> dict:
     return data
 
 
-def _require_str(data: dict, key: str, allowed: tuple[str, ...] | None = None) -> str:
+def _require_str(data: dict, key: str) -> str:
     value = data.get(key)
     if not isinstance(value, str) or not value:
         raise ValueError(f"field {key!r} must be a non-empty string")
-    if allowed is not None and value not in allowed:
-        raise ValueError(f"field {key!r} must be one of {allowed}, got {value!r}")
     return value
 
 
@@ -595,24 +594,17 @@ def _parse_verdict(task, reply: str):
     data = _extract_json(reply)
     rationale = _require_str(data, "rationale")
     if isinstance(task, ClassifyPrivileged):
-        category = _require_str(data, "category", PRIVILEGED_CATEGORIES + ("none",))
+        category = _require_str(data, "category")
         return PrivilegedClass(None if category == "none" else category, rationale)
     if isinstance(task, ClassifyCheck):
-        classification = _require_str(data, "classification", ("authn", "authz", "none"))
-        subtype = _require_str(data, "subtype", ("role", "permission", "ownership", "none"))
-        if classification != "authz":
-            subtype = "none"
-        elif subtype == "none":
-            raise ValueError("authz checks need a subtype")
-        return CheckClass(classification, subtype, rationale)
+        classification = _require_str(data, "classification")
+        subtype = _require_str(data, "subtype")
+        _check_vocabulary("subtype", subtype, AUTHZ_SUBTYPES)  # before a non-authz one is dropped
+        return CheckClass(classification, subtype if classification == "authz" else "none", rationale)
     if isinstance(task, AssessSufficiency):
-        verdict = _require_str(data, "verdict", ("protected", "unprotected", "missing_authz", "insufficient_authz"))
-        return Sufficiency(verdict, rationale)
+        return Sufficiency(_require_str(data, "verdict"), rationale)
     if isinstance(task, ExtractConstraints):
-        if data.get("skip"):
-            return ConstraintExtraction(True, None, rationale)
-        constraint = _constraints.constraint_from_json(data)
-        return ConstraintExtraction(False, constraint, rationale)
+        return ConstraintExtraction(None if data.get("skip") else _constraints.constraint_from_json(data), rationale)
     if isinstance(task, ConfirmUserSource):
         value = data.get("is_user_source")
         if not isinstance(value, bool):
@@ -648,17 +640,13 @@ class Memo:
         return verdict
 
 
-def make_reasoner(kind: str, rules: OracleRules | None = None, remote: RemoteConfig | None = None):
+def make_reasoner(kind: str, rules: OracleRules | None = None):
     if kind == "scripted":
         return ScriptedOracle(rules)
     if kind == "remote":
-        if remote is None:
-            endpoint = os.environ.get("PRIVFLOW_ENDPOINT", "")
-            model = os.environ.get("PRIVFLOW_MODEL", "")
-            if not endpoint or not model:
-                raise BackendUnavailable(
-                    "remote reasoner needs PRIVFLOW_ENDPOINT and PRIVFLOW_MODEL (or explicit config)"
-                )
-            remote = RemoteConfig(endpoint=endpoint, model=model)
-        return RemoteReasoner(remote)
+        endpoint = os.environ.get("PRIVFLOW_ENDPOINT", "")
+        model = os.environ.get("PRIVFLOW_MODEL", "")
+        if not endpoint or not model:
+            raise BackendUnavailable("remote reasoner needs PRIVFLOW_ENDPOINT and PRIVFLOW_MODEL")
+        return RemoteReasoner(RemoteConfig(endpoint=endpoint, model=model))
     raise ValueError(f"unknown reasoner kind {kind!r}")

@@ -98,7 +98,7 @@ def _check_term(term, declared: dict[str, str]) -> list[str]:
     if isinstance(term, str):
         if term in ("true", "false"):
             return []
-        if not isinstance(term, Quoted) and (term.startswith('"') or term.lstrip("-").isdigit()):
+        if not isinstance(term, Quoted) and (term.startswith('"') or term.isdigit()):
             return []
         if term not in declared:
             problems.append(f"undeclared symbol {term!r}")
@@ -106,6 +106,8 @@ def _check_term(term, declared: dict[str, str]) -> list[str]:
     if not isinstance(term, list) or not term:
         return [f"malformed term {term!r}"]
     head = term[0]
+    if head == "-" and len(term) == 2 and isinstance(term[1], str) and not isinstance(term[1], Quoted) and term[1].isdigit():
+        return []  # a negative integer constant
     if head not in _OPERATORS:
         return [f"unknown operator {head!r}"]
     if len(term) - 1 < _OPERATORS[head]:

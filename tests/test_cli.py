@@ -123,6 +123,34 @@ class TestScanCommand:
         assert f"privflow: {field}: " in result.output
 
     @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("sources", lambda outside: "../ops.msv"),
+            ("sources", lambda outside: "sub/../../ops.msv"),
+            ("sources", lambda outside: str(outside / "ops.msv")),
+            ("facts", lambda outside: str(outside / "ops.facts.jsonl")),
+        ],
+        ids=["sources-parent", "sources-nested-parent", "sources-absolute", "facts-absolute"],
+    )
+    def test_manifest_file_outside_the_corpus_is_config_error(self, runner, tmp_path, key, entry):
+        """A manifest lists files inside its corpus: an absolute entry or one
+        with a '..' part is rejected before anything is read."""
+        (tmp_path / "ops.msv").write_text((CORPORA / "exec_open" / "ops.msv").read_text(), encoding="utf-8")
+        (tmp_path / "ops.facts.jsonl").write_text('{"rec": "header", "version": 1}\n', encoding="utf-8")
+        entry = entry(tmp_path)
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "inside.msv").write_text("fn ping() { x = 1 }\n", encoding="utf-8")
+        service = {"name": "ops", "entry": True, "sources": ["inside.msv"], "facts": []}
+        service[key] = [entry]
+        manifest = {"version": 1, "services": [service], "gateway_routes": [{"prefix": "/run", "target": "ops"}]}
+        (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        result = runner.invoke(main, ["scan", str(root)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"privflow: services[0].{key}: {entry!r} ")
+        assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "index, record, reason",
         [
             (0, {"rec": "header", "version": True}, "unsupported version True"),
@@ -409,6 +437,32 @@ class TestGraphCommand:
         assert result.output.startswith("digraph")
         assert "/setUserRole" in result.output
         assert "style=dashed" in result.output
+
+    def test_quotes_in_names_stay_inside_dot_strings(self, runner, tmp_path):
+        """An endpoint name and a topic identifier holding quotes and a
+        backslash are escaped; every line stays one DOT statement."""
+        topic = 't"opic\\x'
+        a = [
+            element_record("a1", "a", "endpoint", "a.py", 1, '@route("POST", "/a")', name='/a"] ; x [label="y'),
+            element_record("a2", "a", "call", "a.py", 3, "publish(v)"),
+            {"rec": "edge", "kind": "dataflow", "from": "a1", "to": "a2"},
+            {"rec": "channel", "element": "a2", "direction": "out", "protocol": "topic", "identifier": topic},
+        ]
+        b = [
+            element_record("b1", "b", "call", "b.py", 1, "consume()"),
+            element_record("b2", "b", "call", "b.py", 3, "exec(v)"),
+            {"rec": "edge", "kind": "dataflow", "from": "b1", "to": "b2"},
+            {"rec": "channel", "element": "b1", "direction": "in", "protocol": "topic", "identifier": topic},
+        ]
+        result = runner.invoke(main, ["graph", write_facts_corpus(tmp_path, {"a": a, "b": b})])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert '  "a1" [label="a:/a\\"] ; x [label=\\"y"];' in lines
+        assert '  "a2" -> "b1" [style=dashed, label="t\\"opic\\\\x"];' in lines
+        string = r'"(?:[^"\\\n]|\\.)*"'
+        statement = rf"  {string}(?: -> {string})?(?: \[(?:style=dashed, )?label={string}\])?;"
+        assert lines[0] == "digraph privflow {" and lines[-1] == "}"
+        assert all(re.fullmatch(statement, line) for line in lines[1:-1]), lines
 
     def test_exhausted_privops_budget_prints_partial_graph(self, runner, tmp_path):
         # the 8x2 fan-out outruns the default privileged-operation budget

@@ -225,6 +225,10 @@ class TestEmit:
         text = emit_smtlib(c([("x", "int")], ConstCmp("x", "==", 1)))
         assert text == "(declare-const x Int)\n(assert (= x 1))\n(check-sat)\n"
 
+    def test_negative_constant_is_a_negated_numeral(self):
+        text = emit_smtlib(c([("x", "int")], ConstCmp("x", "<", -3)))
+        assert text == "(declare-const x Int)\n(assert (< x (- 3)))\n(check-sat)\n"
+
     def test_mixed_sorts_declared(self):
         constraint = c(
             [("n", "int"), ("mode", "string"), ("ok", "bool")],
@@ -280,6 +284,11 @@ class TestEmit:
 
 
 class TestSmtlibChecker:
+    def test_negative_numeral_is_negation(self):
+        """SMT-LIB numerals are non-negative: ``-3`` is a symbol."""
+        assert any("undeclared" in p for p in validate_smtlib("(declare-const x Int)\n(assert (< x -3))\n(check-sat)"))
+        assert validate_smtlib("(declare-const x Int)\n(assert (< x (- 3)))\n(check-sat)") == []
+
     def test_unbalanced(self):
         assert validate_smtlib("(check-sat")
         assert validate_smtlib("check-sat)")
@@ -364,6 +373,11 @@ class TestGuardTranslation:
         assert isinstance(result, Sat)
         assert 3 < result.witness["n"] < 9
         assert result.witness["active"] is True
+
+    def test_parenthesized_disjunction(self):
+        guards = (GuardDescriptor('(m == "A") || n == 1', (("m", "string"), ("n", "int"))),)
+        constraint, _ = translate_guards(guards)
+        assert constraint.formula == And((Or((ConstCmp("m", "==", "A"), ConstCmp("n", "==", 1))),))
 
     def test_call_in_guard_skips(self):
         constraint, reason = translate_guards((GuardDescriptor("is_admin(u)", ()),))

@@ -1,7 +1,7 @@
 import pytest
 
 from privflow.minisrv import LoweringError, ParseError, lower, parse_source
-from privflow.minisrv.nodes import Assign, FuncDef
+from privflow.minisrv.nodes import Assign, FuncDef, If, Return
 from privflow.model import EdgeKind, ElementKind
 
 from conftest import CORPORA, lower_snippet
@@ -73,6 +73,12 @@ class TestParser:
     def test_comments_and_juxtaposed_statements(self):
         ast = parse_source("// header\nfn f() { x = 1 y = x }", "svc", "t.msv")
         assert len(ast.items[0].body) == 2
+
+    def test_bare_return_has_no_value(self):
+        body = parse_source("fn f(g) { if g == 1 { return } y = 2 }", "svc", "t.msv").items[0].body
+        assert isinstance(body[0], If) and isinstance(body[1], Assign)
+        (ret,) = body[0].then_body
+        assert isinstance(ret, Return) and ret.value is None
 
 
 class TestLowering:

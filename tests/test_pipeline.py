@@ -10,10 +10,9 @@ from privflow.crossflow import PATH_CAP, build_global_graph, match_channels, pat
 from privflow import pipeline
 from privflow.load import load_program
 from privflow.model import call_callee
-from privflow.reasoner import Action, ConfirmUserSource, NextSearchAction, ScriptedOracle, _query_key
+from privflow.reasoner import Action, CheckClass, ConfirmUserSource, NextSearchAction, ScriptedOracle, _query_key
 from privflow.pipeline import (
     BudgetExhausted,
-    CheckFinding,
     Finding,
     ProgramInvalid,
     ScanBudget,
@@ -126,10 +125,13 @@ class TestLocateChecks:
         assert checks == []
 
     def test_check_finding_invariants(self):
-        with pytest.raises(ValueError):
-            CheckFinding("e", "s", "n", "authn", "role", "decorator", "r", "src")
-        with pytest.raises(ValueError):
-            CheckFinding("e", "s", "n", "authz", "none", "decorator", "r", "src")
+        """A CheckFinding takes its classification and subtype from a
+        CheckClass verdict, which rejects an authz check without a subtype,
+        a subtype on any other check, and values outside its vocabulary."""
+        bad = [("authn", "role"), ("none", "ownership"), ("authz", "none"), ("authz", "bogus"), ("admin", "none")]
+        for classification, subtype in bad:
+            with pytest.raises(ValueError):
+                CheckClass(classification, subtype, "r")
 
 
 class TestAssessFlow:

@@ -195,12 +195,11 @@ class TestConstraintsAndSources:
     def test_guard_translation(self, oracle):
         guards = (GuardDescriptor('mode == "A"', (("mode", "string"),)),)
         verdict = oracle.reason(ExtractConstraints(guards))
-        assert not verdict.skipped
+        assert verdict.constraint is not None
         assert verdict.constraint.variables == (("mode", "string"),)
 
     def test_helper_call_skips(self, oracle):
         verdict = oracle.reason(ExtractConstraints((GuardDescriptor("is_admin(u)", ()),)))
-        assert verdict.skipped
         assert verdict.constraint is None
 
     def test_confirm_user_source(self, oracle):
@@ -252,6 +251,18 @@ class TestScriptedDeterminism:
             oracle.reason(object())
 
 
+class TestVerdictVocabulary:
+    @pytest.mark.parametrize("category", ["none", "mega", ""])
+    def test_privileged_class_rejects_unknown_category(self, category):
+        with pytest.raises(ValueError):
+            PrivilegedClass(category, "r")
+
+    @pytest.mark.parametrize("verdict", ["none", "denied", "Protected"])
+    def test_sufficiency_rejects_unknown_verdict(self, verdict):
+        with pytest.raises(ValueError):
+            Sufficiency(verdict, "r")
+
+
 def _key(action):
     return "q_name:" + ",".join(f"{k}={action.args[k]}" for k in sorted(action.args))
 
@@ -261,7 +272,7 @@ def _key(action):
 
 def _fake_transport(replies, calls):
     def transport(url, headers, payload, timeout):
-        calls.append({"url": url, "headers": headers, "payload": payload})
+        calls.append({"url": url, "headers": headers, "payload": payload, "timeout": timeout})
         status, body = replies.pop(0)
         return status, body
 
@@ -317,11 +328,39 @@ class TestRemoteReasoner:
         with pytest.raises(BackendUnavailable):
             backend.reason(ClassifyPrivileged("e1", "f", "fn f() { }"))
 
-    def test_bad_category_rejected_by_schema(self):
-        replies = [_chat('{"category": "mega", "rationale": "?"}')] * 3
-        backend = remote(replies, [])
+    def test_api_key_sent_only_when_set(self, monkeypatch):
+        calls = []
+        reply = _chat('{"category": "none", "rationale": "plain helper"}')
+        backend = remote([reply, reply], calls)
+        task = ClassifyPrivileged("e1", "f", "fn f() { }")
+        monkeypatch.delenv("PRIVFLOW_API_KEY", raising=False)
+        backend.reason(task)
+        monkeypatch.setenv("PRIVFLOW_API_KEY", "sk-test")
+        backend.reason(task)
+        assert [c["headers"] for c in calls] == [
+            {"Content-Type": "application/json"},
+            {"Content-Type": "application/json", "Authorization": "Bearer sk-test"},
+        ]
+        assert [c["timeout"] for c in calls] == [60, 60]
+        assert {c["url"] for c in calls} == {"http://fake/v1/chat/completions"}
+
+    @pytest.mark.parametrize(
+        "task, reply",
+        [
+            (ClassifyPrivileged("e1", "f", "fn f() { }"), {"category": "mega"}),
+            (ClassifyCheck("e1", "g", "g()", "inline"), {"classification": "admin", "subtype": "none"}),
+            (ClassifyCheck("e1", "g", "g()", "inline"), {"classification": "authz", "subtype": "none"}),
+            (ClassifyCheck("e1", "g", "g()", "inline"), {"classification": "authn", "subtype": "bogus"}),
+            (AssessSufficiency("f", "f(x)", "protected-state", ()), {"verdict": "fine"}),
+        ],
+        ids=["category", "classification", "authz_without_subtype", "authn_bogus_subtype", "verdict"],
+    )
+    def test_bad_category_rejected_by_schema(self, task, reply):
+        calls = []
+        backend = remote([_chat(json.dumps({**reply, "rationale": "?"}))] * 3, calls)
         with pytest.raises(SchemaViolation):
-            backend.reason(ClassifyPrivileged("e1", "f", "fn f() { }"))
+            backend.reason(task)
+        assert len(calls) == 3
 
     def test_check_subtype_schema(self):
         backend = remote(
@@ -341,10 +380,15 @@ class TestRemoteReasoner:
         )
         backend = remote([_chat(content)], [])
         verdict = backend.reason(ExtractConstraints((GuardDescriptor('mode == "A"', ()),)))
-        assert not verdict.skipped
         assert verdict.constraint == PathConstraint(
             (("mode", "string"),), And((ConstCmp("mode", "==", "A"),))
         )
+
+    def test_unknown_task_rejected(self):
+        calls = []
+        with pytest.raises(TypeError):
+            remote([], calls).reason(object())
+        assert calls == []
 
     def test_make_reasoner_kinds(self):
         assert isinstance(make_reasoner("scripted"), ScriptedOracle)

@@ -381,6 +381,16 @@ class TestServiceIndex:
         assert fn.name == "transfer" and isinstance(guards, tuple) and len(guards) == 2
         assert index.place("e000000000000") == (None, ())
 
+    def test_else_branch_is_not_guarded(self):
+        """Else-branch statements hang off the conditional's parent, so
+        only the then-branch call carries the guard."""
+        service = lower_snippet("fn f(g) { if g { a() } else { b() } }")
+        index = service_index(service)
+        calls = {call_callee(e): e for e in service.elements if e.kind is ElementKind.CALL}
+        (cond,) = [e for e in service.elements if e.kind is ElementKind.CONDITIONAL]
+        assert index.place(calls["a"].id) == (by_name(service, "f"), (cond,))
+        assert index.place(calls["b"].id) == (by_name(service, "f"), ())
+
     def test_contains_cycle_places_nothing_on_or_below_it(self):
         """An element on or below a ``contains`` cycle has no function and
         no guards; the rest of the service places as usual."""

@@ -8,9 +8,23 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from privflow import reasoner
+from privflow.reasoner import (
+    AssessSufficiency,
+    ClassifyCheck,
+    ClassifyPrivileged,
+    ConfirmUserSource,
+    ExtractConstraints,
+    NextSearchAction,
+    RemoteConfig,
+    RemoteReasoner,
+    ScriptedOracle,
+)
 
 from conftest import CORPORA
 
@@ -93,3 +107,34 @@ def test_import_layers():
     assert frontend_users <= {"load", "cli", "constraints"}
     assert "minisrv" in imports["load"] and "model" in imports["minisrv.lower"]
 
+
+
+def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
+    """Each task in ``reasoner.TASKS`` has a remote prompt named after it
+    (``ClassifyPrivileged`` -> ``classify_privileged.md``), a scripted
+    answer and a remote parse, each giving the same verdict type; no other
+    type has a prompt or a scripted answer. A task added without one of
+    them fails here, not in a scan."""
+    samples = {
+        ClassifyPrivileged: (ClassifyPrivileged("e", "f", "fn f() { }"), {"category": "none"}),
+        ClassifyCheck: (ClassifyCheck("e", "g", "g()"), {"classification": "none", "subtype": "none"}),
+        AssessSufficiency: (AssessSufficiency("f", "f(x)", "protected-state", ()), {"verdict": "unprotected"}),
+        ExtractConstraints: (ExtractConstraints(()), {"skip": True}),
+        ConfirmUserSource: (ConfirmUserSource("/x", ("/x",)), {"is_user_source": True}),
+        NextSearchAction: (NextSearchAction(1, (), (), 0, ("finish",)), {"tool": "finish"}),
+    }
+    assert set(samples) == set(reasoner.TASKS)
+    prompts = {re.sub(r"(?<!^)(?=[A-Z])", "_", t.__name__).lower() + ".md" for t in reasoner.TASKS}
+    assert {p.name for p in reasoner.PROMPTS_DIR.glob("*.md")} == prompts | {"system.md"}
+    for name in prompts:
+        assert "{task_json}" in (reasoner.PROMPTS_DIR / name).read_text(encoding="utf-8"), name
+    assert set(ScriptedOracle.__dict__["reason"].dispatcher.registry) == {object, *reasoner.TASKS}
+
+    oracle = ScriptedOracle()
+    for task, reply in samples.values():
+        content = json.dumps({**reply, "rationale": "r"})
+        backend = RemoteReasoner(
+            RemoteConfig("http://fake/v1/chat/completions", "m", retry_backoff=0.0),
+            transport=lambda url, headers, payload, timeout: (200, {"choices": [{"message": {"content": content}}]}),
+        )
+        assert type(backend.reason(task)) is type(oracle.reason(task)), type(task).__name__
