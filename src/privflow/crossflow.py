@@ -99,11 +99,15 @@ def _is_wildcard_segment(seg: str) -> bool:
     return (seg.startswith("{") and seg.endswith("}")) or seg.startswith(":")
 
 
+def _segments(path: str) -> tuple[str, ...]:
+    return tuple(s for s in path.split("/") if s != "")
+
+
 def _http_paths_match(out_path: str, in_path: str) -> str | None:
     """Segment-wise comparison; endpoint wildcard segments match any one
     segment. Returns the match rule or None."""
-    out_segs = [s for s in out_path.split("/") if s != ""]
-    in_segs = [s for s in in_path.split("/") if s != ""]
+    out_segs = _segments(out_path)
+    in_segs = _segments(in_path)
     if len(out_segs) != len(in_segs):
         return None
     rule = "exact"
@@ -124,33 +128,52 @@ def channels_match(out_ch: Channel, in_ch: Channel) -> str | None:
     return _http_paths_match(normalize_http_identifier(out_ch.identifier), in_ch.identifier)
 
 
+def _channel_key(protocol: str, identifier: str) -> tuple:
+    """What a channel matches on when no wildcard is involved: its topic,
+    or the segments of its HTTP path."""
+    return (protocol, _segments(identifier) if protocol == "http" else identifier)
+
+
 def match_channels(program: Program) -> list[ChannelEdge]:
     """Every (outbound, inbound) channel pair that matches, across all
-    service pairs. Ambiguous outbound channels produce one edge per match."""
-    scans = {s.name: q_inter(s) for s in program.services}
-    edges: list[ChannelEdge] = []
-    for out_svc in program.services:
-        for out_ch in scans[out_svc.name].channels:
-            if out_ch.direction != "out":
+    service pairs. Ambiguous outbound channels produce one edge per match.
+
+    The inbound channels are indexed once: topics and wildcard-free HTTP
+    paths by their key, endpoints with a wildcard segment in a list that
+    each outbound channel checks through ``channels_match``."""
+    exact: dict[tuple, list[tuple[str, Channel]]] = {}
+    wildcard: list[tuple[str, Channel]] = []
+    outbound: list[tuple[str, Channel]] = []
+    for service in program.services:
+        for ch in q_inter(service).channels:
+            if ch.direction == "out":
+                outbound.append((service.name, ch))
                 continue
-            for in_svc in program.services:
-                if in_svc.name == out_svc.name:
-                    continue
-                for in_ch in scans[in_svc.name].channels:
-                    if in_ch.direction != "in":
-                        continue
-                    rule = channels_match(out_ch, in_ch)
-                    if rule is not None:
-                        edges.append(
-                            ChannelEdge(
-                                from_service=out_svc.name,
-                                from_element=out_ch.element,
-                                to_service=in_svc.name,
-                                to_element=in_ch.element,
-                                identifier=in_ch.identifier,
-                                match_rule=rule,
-                            )
-                        )
+            key = _channel_key(ch.protocol, ch.identifier)
+            if ch.protocol == "http" and any(map(_is_wildcard_segment, key[1])):
+                wildcard.append((service.name, ch))
+            else:
+                exact.setdefault(key, []).append((service.name, ch))
+    edges: list[ChannelEdge] = []
+    for out_name, out_ch in outbound:
+        identifier = out_ch.identifier
+        if out_ch.protocol == "http":
+            identifier = normalize_http_identifier(identifier)
+        hits = [(name, ch, "exact") for name, ch in exact.get(_channel_key(out_ch.protocol, identifier), ())]
+        hits += [(name, ch, rule) for name, ch in wildcard if (rule := channels_match(out_ch, ch))]
+        for in_name, in_ch, rule in hits:
+            if in_name != out_name:
+                edges.append(
+                    ChannelEdge(
+                        from_service=out_name,
+                        from_element=out_ch.element,
+                        to_service=in_name,
+                        to_element=in_ch.element,
+                        identifier=in_ch.identifier,
+                        match_rule=rule,
+                    )
+                )
+    # each (outbound, inbound) element pair matches once: the sort fixes the order
     edges.sort(key=lambda e: (e.from_service, e.from_element, e.to_service, e.to_element))
     return edges
 

@@ -131,12 +131,7 @@ class _Lowerer:
         for fn in self.ast.functions():
             self.lower_function(self.scopes[fn.name])
         self.wire_returns()
-        return Service.build(
-            self.service,
-            list(self.elements.values()),
-            sorted(self.edges),
-            self.channels,
-        )
+        return Service.build(self.service, list(self.elements.values()), self.edges, self.channels)
 
     def lower_const(self, item: ConstDef) -> None:
         lit = item.value

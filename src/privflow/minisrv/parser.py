@@ -5,6 +5,7 @@ No error recovery: the first token or grammar violation raises ParseError.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..model import Location
@@ -51,54 +52,43 @@ class Token:
     end: int
 
 
+#: Every lexeme after a run of blanks, one group per lexeme class (the
+#: ASCII grammar of docs/minisrv.md); ``lastindex`` names the group that
+#: matched, and each group ends where the match ends. Newlines and
+#: comments make no token; ``\Z`` ends the input.
+_NEWLINE, _COMMENT, _END, _STRING, _INT, _IDENT, _PUNCT = range(1, 8)
+_LEXEME_RE = re.compile(
+    r'[ \t\r]*(?:(\n)|(//[^\n]*)|(\Z)|("[^"\n]*")|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|('
+    + "|".join(re.escape(p) for p in PUNCT)
+    + "))"
+)
+_KINDS = {_STRING: "string", _INT: "int", _IDENT: "ident"}
+
+
 def _tokenize(text: str, file: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    match = _LEXEME_RE.match
+    pos = line_start = 0
+    line = 1
+    while True:
+        m = match(text, pos)
+        if m is None:
+            bad = len(text) - len(text[pos:].lstrip(" \t\r"))
+            where = Location(file, line, bad - line_start + 1)
+            if text[bad] == '"':
+                raise ParseError(where, "unterminated string literal", '"')
+            raise ParseError(where, f"unexpected character {text[bad]!r}")
+        group = m.lastindex
+        start, pos = m.span(group)
+        if group >= _STRING:
+            lexeme = text[start:pos]
+            tokens.append(Token(_KINDS.get(group, lexeme), lexeme, line, start - line_start + 1, start, pos))
+        elif group == _NEWLINE:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start, start_line, start_col = i, line, col
-        if ch == '"':
-            i += 1
-            while i < n and text[i] != '"' and text[i] != "\n":
-                i += 1
-            if i >= n or text[i] != '"':
-                raise ParseError(Location(file, start_line, start_col), "unterminated string literal", '"')
-            i += 1
-            tok = Token("string", text[start:i], start_line, start_col, start, i)
-        elif ch.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            tok = Token("int", text[start:i], start_line, start_col, start, i)
-        elif ch.isalpha() or ch == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tok = Token("ident", text[start:i], start_line, start_col, start, i)
-        else:
-            for p in PUNCT:
-                if text.startswith(p, i):
-                    i += len(p)
-                    tok = Token(p, p, start_line, start_col, start, i)
-                    break
-            else:
-                raise ParseError(Location(file, start_line, start_col), f"unexpected character {ch!r}")
-        col = start_col + (i - start)
-        tokens.append(tok)
-    tokens.append(Token("eof", "", line, col, n, n))
-    return tokens
+            line_start = pos
+        elif group == _END:
+            tokens.append(Token("eof", "", line, pos - line_start + 1, pos, pos))
+            return tokens
 
 
 class _Parser:

@@ -13,6 +13,8 @@ import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class ElementKind(str, Enum):
@@ -97,8 +99,16 @@ class Element:
         return (self.location.file, self.location.line, self.location.col, self.kind.value)
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+#: ``Element.sort_key`` then the id, as one flat tuple: ``Service.build``'s
+#: element order (a str-valued kind compares as its value).
+_element_order = attrgetter("location.file", "location.line", "location.col", "kind", "id")
+
+
+class Edge(NamedTuple):
+    """A typed relation between two element ids. A plain tuple, so sets and
+    sorts of edges run in C; edges order by ``(kind, src, dst)``, kinds by
+    their value."""
+
     kind: EdgeKind
     src: str
     dst: str
@@ -152,6 +162,8 @@ def call_callee(element: Element) -> str:
 class Service:
     """All facts for one service. Use :meth:`build` so collections are
     canonically ordered; structural equality and serialization depend on it.
+    ``build`` sorts each collection once: elements by ``(sort_key, id)``,
+    edges and channels, de-duplicated, by their fields.
     """
 
     name: str
@@ -174,7 +186,7 @@ class Service:
     ) -> "Service":
         return cls(
             name=name,
-            elements=tuple(sorted(elements, key=lambda e: (e.sort_key, e.id))),
+            elements=tuple(sorted(elements, key=_element_order)),
             edges=tuple(sorted(set(edges))),
             channels=tuple(sorted(set(channels))),
             entry=entry,

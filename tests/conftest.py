@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from privflow.model import (
 from privflow.reasoner import ScriptedOracle
 
 CORPORA = Path(__file__).parent / "corpora"
+BENCH_GEN = Path(__file__).parent.parent / "bench" / "gen.py"
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +52,19 @@ def role_update_program() -> Program:
 @pytest.fixture(scope="session")
 def order_payment_program() -> Program:
     return load_program(CORPORA / "order_payment")
+
+
+def bench_gen():
+    """``bench/gen.py``'s corpus generators, imported without writing under bench/."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("privflow_bench_gen", BENCH_GEN)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = saved
+    return gen
 
 
 def lower_snippet(text: str, service: str = "svc", file: str = "svc.msv") -> Service:

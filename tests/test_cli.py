@@ -94,6 +94,15 @@ class TestScanCommand:
         assert result.exit_code == 2
         assert "Traceback" not in result.output
 
+    def test_non_ascii_digit_is_one_located_parse_error(self, runner, tmp_path):
+        (tmp_path / "privflow.manifest.json").write_text(
+            json.dumps({"version": 1, "services": [{"name": "a", "entry": True, "sources": ["a.msv"]}], "gateway_routes": []})
+        )
+        (tmp_path / "a.msv").write_text("fn f() {\n  x = \u00b2\n}\n", encoding="utf-8")
+        result = runner.invoke(main, ["scan", str(tmp_path)])
+        assert result.exit_code == 2
+        assert result.output == "privflow: a.msv:2:7: unexpected character '\u00b2'\n"
+
     def test_element_id_declared_by_two_services_is_config_error(self, runner, tmp_path):
         """Ids are unique across the program: service a's ``e2`` is a harmless
         ``log`` call, b's is ``exec``; neither may stand in for the other."""

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privflow import search
 from privflow.crossflow import (
@@ -28,6 +30,7 @@ from privflow.model import (
     ManifestService,
     Program,
     ElementKind,
+    Service,
 )
 from privflow.pipeline import PrivilegedOperation, find_privileged_ops, scan
 from privflow.search import FlowPath, q_flow
@@ -37,6 +40,7 @@ from conftest import (
     build_random_program,
     build_tied_service,
     lower_snippet,
+    make_element,
     oracle_closure,
     reference_shortest_path,
     shortest_path_counts,
@@ -44,6 +48,23 @@ from conftest import (
 )
 
 CORPUS_DIRS = sorted(p for p in CORPORA.iterdir() if p.is_dir())
+
+# Channels for the pairwise-reference test. Outbound URLs with and without
+# scheme://host:port and a query, inbound paths, both with doubled and
+# trailing slashes, wildcard segments and literal braces; topics.
+HTTP_PATHS = st.tuples(
+    st.lists(st.sampled_from(["a", "b", "{x}", ":x", "{x", ""]), max_size=3).map("/".join),
+    st.sampled_from(["", "/", "//"]),
+).map(lambda parts: "/" + parts[0] + parts[1])
+CHANNEL_SPECS = st.one_of(
+    st.tuples(
+        st.just("out"),
+        st.just("http"),
+        st.tuples(st.sampled_from(["", "http://h:8080", "HTTPS://h"]), HTTP_PATHS, st.sampled_from(["", "?q=1", "?q=/a"])).map("".join),
+    ),
+    st.tuples(st.just("in"), st.just("http"), HTTP_PATHS),
+    st.tuples(st.sampled_from(["out", "in"]), st.just("topic"), st.sampled_from(["a", "b"])),
+)
 
 
 class TestQSource:
@@ -198,6 +219,17 @@ class TestChannelMatching:
         edges = match_channels(Program((sender, a, b), manifest))
         assert {e.to_service for e in edges} == {"recv_a", "recv_b"}
         assert len(ambiguous_matches(edges)) == 1
+
+    @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
+    def test_matches_pairwise_reference_on_corpora(self, corpus):
+        program = load_program(corpus)
+        assert match_channels(program) == pairwise_match_channels(program)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(CHANNEL_SPECS, max_size=6), min_size=2, max_size=3))
+    def test_matches_pairwise_reference_on_channel_sets(self, services):
+        program = channel_program(services)
+        assert match_channels(program) == pairwise_match_channels(program)
 
     def test_role_update_match(self, role_update_program):
         edges = match_channels(role_update_program)
@@ -482,6 +514,44 @@ def _check_witnesses(program, privops):
             replayed = q_flow(program.service(args["service"]), args["from"], args["to"])
             assert r["result_count"] == len(replayed), args
     return len(flow_edges)
+
+
+def pairwise_match_channels(program):
+    """``match_channels`` by brute force: every outbound x inbound channel
+    pair of two different services through ``channels_match``, in program
+    order, sorted by (from service, from element, to service, to element)."""
+    edges = []
+    for out_svc in program.services:
+        for out_ch in q_inter(out_svc).channels:
+            for in_svc in program.services:
+                for in_ch in q_inter(in_svc).channels:
+                    if out_ch.direction != "out" or in_ch.direction != "in" or in_svc.name == out_svc.name:
+                        continue
+                    rule = channels_match(out_ch, in_ch)
+                    if rule is not None:
+                        edges.append(ChannelEdge(out_svc.name, out_ch.element, in_svc.name, in_ch.element, in_ch.identifier, rule))
+    return sorted(edges, key=lambda e: (e.from_service, e.from_element, e.to_service, e.to_element))
+
+
+def channel_program(services):
+    """A program of one service per list of ``(direction, protocol,
+    identifier)``: an inbound HTTP channel becomes an endpoint, every other
+    channel sits on a call."""
+    built = []
+    for index, specs in enumerate(services):
+        name = f"s{index}"
+        elements, channels = [], []
+        for line, (direction, protocol, identifier) in enumerate(specs, start=1):
+            if (direction, protocol) == ("in", "http"):
+                elements.append(make_element(name, ElementKind.ENDPOINT, identifier, line=line))
+                continue
+            callee = {"http": "http_post", "topic": "publish" if direction == "out" else "consume"}[protocol]
+            call = make_element(name, ElementKind.CALL, line=line, source=f"{callee}(u)")
+            elements.append(call)
+            channels.append(Channel(call.id, direction, protocol, identifier))
+        built.append(Service.build(name, elements, (), channels, entry=index == 0))
+    manifest = Manifest(1, tuple(ManifestService(s.name, entry=s.entry, sources=(f"{s.name}.msv",)) for s in built))
+    return Program(tuple(built), manifest)
 
 
 def _edge_set(graph):

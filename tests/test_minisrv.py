@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privflow.minisrv import LoweringError, ParseError, lower, parse_source
 from privflow.minisrv.nodes import Assign, FuncDef, If, Return
+from privflow.minisrv.parser import PUNCT, _tokenize
 from privflow.model import EdgeKind, ElementKind
 
-from conftest import CORPORA, lower_snippet
+from conftest import CORPORA, bench_gen, lower_snippet
+from lexer_reference import _tokenize as reference_tokenize
 
 
 def names(service, kind):
@@ -79,6 +85,81 @@ class TestParser:
         assert isinstance(body[0], If) and isinstance(body[1], Assign)
         (ret,) = body[0].then_body
         assert isinstance(ret, Return) and ret.value is None
+
+
+# MiniSrv's ASCII alphabet, as lexeme pieces: every punctuator with the
+# one-character prefixes of the two-character ones, blanks, newlines,
+# comments and quotes.
+ASCII_PIECES = (*PUNCT, "!", "&", "|", "/", "//", '"', '""', '"a b"', " ", "\t", "\r", "\n", "\r\n", "0", "42")
+ASCII_CHARS = "".join(sorted(set("".join(ASCII_PIECES)) | set("azAZ_9#$'")))
+# without a lone quote, which would put the next string's text outside it
+QUOTE_BALANCED_PIECES = tuple(p for p in ASCII_PIECES if p != '"')
+IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+NON_ASCII = st.text(st.sampled_from("\u00e9\u00b2\u0663\u00a0\u4e2d\U0001f600 a"), max_size=4)
+NON_ASCII_STRINGS = NON_ASCII.map(lambda t: f'"{t}"')
+NON_ASCII_COMMENTS = NON_ASCII.map(lambda t: f"//{t}\n")
+
+
+def assert_tokens_match_reference(text: str) -> None:
+    """The lexer yields the reference's tokens, or its error, except that
+    the end of input sits after a trailing comment, not at its start."""
+    try:
+        expected = reference_tokenize(text, "a.msv")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            _tokenize(text, "a.msv")
+        assert (str(err.value), err.value.expected) == (str(exc), exc.expected)
+        return
+    last_line = text[text.rfind("\n") + 1 :]
+    end = expected[-1]
+    if end.col != len(last_line) + 1:
+        assert "//" in last_line
+        expected[-1] = replace(end, col=len(last_line) + 1)
+    assert _tokenize(text, "a.msv") == expected
+
+
+class TestLexer:
+    @pytest.mark.parametrize(
+        "text, where, char",
+        [
+            ("fn f() {\n  x = \u00b2 }", "a.msv:2:7", "\u00b2"),
+            ("fn f() {\n  x = \u0663 }", "a.msv:2:7", "\u0663"),
+            ("fn h\u00e9() { x = 1 }", "a.msv:1:5", "\u00e9"),
+            ("fn f() { x\u00a0= 1 }", "a.msv:1:11", "\u00a0"),
+        ],
+    )
+    def test_non_ascii_outside_strings_and_comments_is_rejected(self, text, where, char):
+        with pytest.raises(ParseError) as err:
+            parse_source(text, "svc", "a.msv")
+        assert str(err.value) == f"{where}: unexpected character {char!r}"
+
+    def test_non_ascii_inside_strings_and_comments_is_legal(self):
+        ast = parse_source('// caf\u00e9 \u00b2\nfn f() { x = "h\u00e9 \u0663" } // \u00e9', "svc", "a.msv")
+        assert ast.items[0].body[0].value.value == "h\u00e9 \u0663"
+
+    def test_end_of_input_after_a_trailing_comment_is_located_at_the_end(self):
+        with pytest.raises(ParseError) as err:
+            parse_source("fn f() {  // open", "svc", "a.msv")
+        assert str(err.value) == "a.msv:1:18: unexpected end of input (expected '}')"
+
+    def test_tokens_match_the_reference_on_corpora_and_bench_sources(self, tmp_path):
+        gen = bench_gen()
+        gen.chain(3, 4, 12, tmp_path / "chain")
+        gen.fanout(3, 8, 2, tmp_path / "fanout")
+        sources = sorted(CORPORA.rglob("*.msv")) + sorted(tmp_path.rglob("*.msv"))
+        assert {p.parent.name for p in sources} == {p.name for p in CORPORA.iterdir() if p.is_dir()} | {"chain", "fanout"}
+        for path in sources:
+            assert_tokens_match_reference(path.read_text(encoding="utf-8"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(ASCII_PIECES), IDENTS, st.text(ASCII_CHARS, max_size=3)), max_size=30))
+    def test_tokens_match_the_reference_on_ascii_text(self, pieces):
+        assert_tokens_match_reference("".join(pieces))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(QUOTE_BALANCED_PIECES), IDENTS, NON_ASCII_STRINGS, NON_ASCII_COMMENTS), max_size=20))
+    def test_non_ascii_strings_and_comments_match_the_reference(self, pieces):
+        assert_tokens_match_reference("".join(pieces))
 
 
 class TestLowering:

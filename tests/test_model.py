@@ -1,5 +1,9 @@
+import random
+from dataclasses import dataclass
+
 import pytest
 
+from privflow.load import load_program
 from privflow.model import (
     Edge,
     EdgeKind,
@@ -16,7 +20,16 @@ from privflow.model import (
     validate_program,
 )
 
-from conftest import make_element
+from conftest import CORPORA, build_random_program, build_random_service, build_tied_service, make_element
+
+
+@dataclass(frozen=True, order=True)
+class DataclassEdge:
+    """The order ``Edge`` had as an ordered dataclass: field by field."""
+
+    kind: EdgeKind
+    src: str
+    dst: str
 
 
 def two_service_program() -> Program:
@@ -114,3 +127,47 @@ def test_unknown_route_target_reported():
     )
     violations = validate_program(Program(program.services, manifest))
     assert any(v.kind == "UnknownRouteTarget" for v in violations)
+
+
+def assert_build_orders_as_reference(service: Service, rng: random.Random) -> None:
+    """``Service.build`` orders shuffled, partly repeated facts exactly as a
+    sort of elements by ``(sort_key, id)`` and of edges as dataclasses."""
+    elements = list(service.elements)
+    edges = list(service.edges) + list(service.edges[::3])
+    rng.shuffle(elements)
+    rng.shuffle(edges)
+    built = Service.build(service.name, elements, edges, service.channels, service.entry)
+    assert built.elements == tuple(sorted(elements, key=lambda e: (e.sort_key, e.id)))
+    assert built.edges == tuple(Edge(d.kind, d.src, d.dst) for d in sorted({DataclassEdge(*e) for e in edges}))
+    assert built == service
+
+
+@pytest.mark.parametrize("corpus", sorted(p.name for p in CORPORA.iterdir() if p.is_dir()))
+def test_build_orders_corpus_services_as_reference(corpus):
+    rng = random.Random(corpus)
+    for service in load_program(CORPORA / corpus).services:
+        assert_build_orders_as_reference(service, rng)
+
+
+def test_build_orders_generated_services_as_reference():
+    rng = random.Random(14)
+    for i in range(30):
+        assert_build_orders_as_reference(build_random_service(rng, f"r{i}"), rng)
+        assert_build_orders_as_reference(build_tied_service(rng, f"t{i}"), rng)
+        for service in build_random_program(rng, f"p{i}")[0].services:
+            assert_build_orders_as_reference(service, rng)
+
+
+def test_build_breaks_position_ties_by_id_and_edge_ties_by_destination():
+    """Elements at one position and of one kind order by id; edges of one
+    kind and source order by destination."""
+    loc = Location("gen.msv", 1, 1)
+    elements = [Element(eid, "a", ElementKind.CALL, "", loc, "f()") for eid in ("e3", "e1", "e2")]
+    edges = [Edge(EdgeKind.CONTAINS, "e1", dst) for dst in ("e3", "e2")] + [Edge(EdgeKind.CALLS, "e2", "e1")]
+    built = Service.build("a", elements, edges)
+    assert [e.id for e in built.elements] == ["e1", "e2", "e3"]
+    assert built.edges == (
+        Edge(EdgeKind.CALLS, "e2", "e1"),
+        Edge(EdgeKind.CONTAINS, "e1", "e2"),
+        Edge(EdgeKind.CONTAINS, "e1", "e3"),
+    )

@@ -2,9 +2,7 @@
 extraction and check localization, and the report shares one record per
 element. The old per-consumer walks are written out here as the reference."""
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -17,10 +15,9 @@ from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor
 from privflow import search
 from privflow.search import FlowPath, identifiers, service_index
 
-from conftest import CORPORA, make_element, scan_decorator_checks, scan_guard_var_types, write_fanout_corpus
+from conftest import CORPORA, bench_gen, make_element, scan_decorator_checks, scan_guard_var_types, write_fanout_corpus
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
-GEN = Path(__file__).parent.parent / "bench" / "gen.py"
 CORPUS_NAMES = sorted(p.name for p in CORPORA.iterdir() if p.is_dir())
 
 # A path that leaves store.handle for relay and comes back into it through
@@ -70,16 +67,8 @@ def write_reentry_corpus(root: Path) -> Path:
 
 
 def write_chain_corpus(root: Path) -> Path:
-    """``bench/gen.py``'s 4x12 chain, loaded without writing under bench/."""
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec = importlib.util.spec_from_file_location("privflow_bench_gen", GEN)
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
-    finally:
-        sys.dont_write_bytecode = saved
-    gen.chain(1, 4, 12, root)
+    """``bench/gen.py``'s 4x12 chain."""
+    bench_gen().chain(1, 4, 12, root)
     return root
 
 
