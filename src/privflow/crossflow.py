@@ -14,6 +14,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .model import Channel, Element, ElementKind, Program, Service, call_callee
@@ -44,6 +45,14 @@ class ChannelEdge:
     to_element: str
     identifier: str
     match_rule: str  # "exact" | "wildcard"
+
+    @property
+    def src(self) -> str:
+        return self.from_element
+
+    @property
+    def dst(self) -> str:
+        return self.to_element
 
 
 def q_source(service: Service) -> tuple[Element, ...]:
@@ -79,20 +88,16 @@ def q_inter(service: Service) -> InterScan:
     return service_index(service).inter
 
 
-_SCHEME_RE = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
+#: ``scheme://`` and the authority after it, which ends at the first
+#: ``/``, ``?`` or ``#``.
+_AUTHORITY_RE = re.compile(r"^[a-z][a-z0-9+.-]*://[^/?#]*", re.IGNORECASE)
 
 
 def normalize_http_identifier(identifier: str) -> str:
-    """Reduce a URL to its path: drop scheme://host:port and the query."""
-    value = identifier
-    if _SCHEME_RE.match(value):
-        rest = _SCHEME_RE.sub("", value)
-        slash = rest.find("/")
-        value = rest[slash:] if slash >= 0 else "/"
-    q = value.find("?")
-    if q >= 0:
-        value = value[:q]
-    return value or "/"
+    """Reduce a URL to its path: drop ``scheme://authority``, then the
+    query and the fragment; an empty path is ``/``."""
+    path = _AUTHORITY_RE.sub("", identifier, count=1)
+    return path.partition("?")[0].partition("#")[0] or "/"
 
 
 def _is_wildcard_segment(seg: str) -> bool:
@@ -187,32 +192,15 @@ def ambiguous_matches(edges: list[ChannelEdge]) -> list[str]:
     return sorted(el for el, svcs in targets.items() if len(svcs) > 1)
 
 
-@dataclass(frozen=True)
-class GlobalEdge:
-    src: str
-    dst: str
-    witness: FlowPath | ChannelEdge
-
-    @property
-    def is_channel(self) -> bool:
-        return isinstance(self.witness, ChannelEdge)
-
-
 @dataclass
 class GlobalGraph:
-    """Cross-service reachability graph. Nodes are element ids; every edge
-    carries a witness (an intra-service flow path or a channel match)."""
+    """Cross-service reachability graph. Nodes are element ids; ``edges``
+    maps a node to the witnesses of its out-edges, each an intra-service
+    flow path or a channel match (both have ``src`` and ``dst``), sorted
+    by destination, flow witnesses ahead of a channel to the same one."""
 
     nodes: set[str] = field(default_factory=set)
-    edges: dict[str, list[GlobalEdge]] = field(default_factory=dict)
-
-    def add_edge(self, edge: GlobalEdge) -> None:
-        bucket = self.edges.setdefault(edge.src, [])
-        if all(e.dst != edge.dst or e.is_channel != edge.is_channel for e in bucket):
-            bucket.append(edge)
-
-    def successors(self, eid: str) -> list[GlobalEdge]:
-        return sorted(self.edges.get(eid, []), key=lambda e: (e.dst, e.is_channel))
+    edges: dict[str, list[FlowPath | ChannelEdge]] = field(default_factory=dict)
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.edges.values())
@@ -227,8 +215,8 @@ def build_global_graph(
     """Two-phase construction: per-service source-to-sink/boundary flow
     edges, then the matched channel edges (``match_channels``) across
     service boundaries. One flow search per source; ``record`` gets one
-    ``q_flow`` call per (source, target) pair. Deterministic and
-    idempotent."""
+    ``q_flow`` call per (source, target) pair. Each node's witnesses are
+    sorted once, at the end. Deterministic and idempotent."""
     graph = GlobalGraph()
     privop_ids = {p.element for p in privops}
 
@@ -252,12 +240,14 @@ def build_global_graph(
                 record("q_flow", {"service": service.name, "from": src.id, "to": dst}, int(path is not None))
                 if path is not None:
                     graph.nodes.add(dst)
-                    graph.add_edge(GlobalEdge(src.id, dst, path))
+                    graph.edges.setdefault(src.id, []).append(path)
 
     # Phase 2: connect boundaries through matched channels
     for chedge in channel_edges:
-        graph.nodes.update((chedge.from_element, chedge.to_element))
-        graph.add_edge(GlobalEdge(chedge.from_element, chedge.to_element, chedge))
+        graph.nodes.update((chedge.src, chedge.dst))
+        graph.edges.setdefault(chedge.src, []).append(chedge)
+    for witnesses in graph.edges.values():
+        witnesses.sort(key=attrgetter("dst"))  # stable: flow witnesses stay first
     return graph
 
 
@@ -337,43 +327,38 @@ PATH_CAP = 10_000
 
 def q_globalflow(graph: GlobalGraph, sources, sinks, cap: int = PATH_CAP) -> GlobalFlows:
     """All simple paths from any source element to any privileged
-    operation, lexicographic by node id sequence, capped with a flag."""
-    source_ids = sorted({s.id for s in sources})
-    sink_ids = {op.element for op in sinks}
+    operation, lexicographic by the sequence of graph nodes they visit,
+    capped with a flag.
 
-    found: list[tuple[tuple[str, ...], tuple[GlobalEdge, ...]]] = []
+    A depth-first search over the destination-sorted witnesses finds them
+    in that order: a path before its extensions, siblings ascending."""
+    sink_ids = {op.element for op in sinks}
+    found: list[GlobalPath] = []
     truncated = False
 
-    def dfs(node: str, trail: list[str], edges: list[GlobalEdge], on_path: set[str]) -> bool:
+    def dfs(node: str, segments: list[FlowPath | ChannelEdge], on_path: set[str]) -> bool:
         nonlocal truncated
-        if node in sink_ids and edges:
+        if node in sink_ids and segments:
             if len(found) >= cap:
                 truncated = True
                 return False
-            found.append((tuple(trail), tuple(edges)))
-        for edge in graph.successors(node):
-            if edge.dst in on_path:
+            found.append(GlobalPath(tuple(segments)))
+        for witness in graph.edges.get(node, ()):
+            if witness.dst in on_path:
                 continue
-            trail.append(edge.dst)
-            edges.append(edge)
-            on_path.add(edge.dst)
-            ok = dfs(edge.dst, trail, edges, on_path)
-            on_path.discard(edge.dst)
-            edges.pop()
-            trail.pop()
+            segments.append(witness)
+            on_path.add(witness.dst)
+            ok = dfs(witness.dst, segments, on_path)
+            on_path.discard(witness.dst)
+            segments.pop()
             if not ok:
                 return False
         return True
 
-    for src in source_ids:
-        if src not in graph.nodes:
-            continue
-        if not dfs(src, [src], [], {src}):
+    for src in sorted({s.id for s in sources}):
+        if not dfs(src, [], {src}):
             break
-
-    found.sort(key=lambda item: (item[0], tuple(e.is_channel for e in item[1])))
-    paths = [GlobalPath(tuple(e.witness for e in edges)) for _, edges in found]
-    return GlobalFlows(paths, truncated)
+    return GlobalFlows(found, truncated)
 
 
 def to_dot(graph: GlobalGraph, program: Program) -> str:
@@ -394,10 +379,10 @@ def to_dot(graph: GlobalGraph, program: Program) -> str:
     for node in sorted(graph.nodes):
         lines.append(f"  {q(node)} [label={q(label(node))}];")
     for src in sorted(graph.edges):
-        for edge in graph.successors(src):
-            if edge.is_channel:
-                lines.append(f"  {q(edge.src)} -> {q(edge.dst)} [style=dashed, label={q(edge.witness.identifier)}];")
+        for witness in graph.edges[src]:
+            if isinstance(witness, ChannelEdge):
+                lines.append(f"  {q(src)} -> {q(witness.dst)} [style=dashed, label={q(witness.identifier)}];")
             else:
-                lines.append(f"  {q(edge.src)} -> {q(edge.dst)};")
+                lines.append(f"  {q(src)} -> {q(witness.dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

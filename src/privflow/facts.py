@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable
 
 from .model import (
     Channel,
@@ -176,16 +175,13 @@ def write_facts(service: Service) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_facts(stream: Iterable[str] | IO[str] | str, service_name: str) -> Service:
-    """Parse a facts record stream into a Service.
+def read_facts(text: str, service_name: str) -> Service:
+    """Parse the text of a facts file into a Service.
 
     Fails atomically: the first malformed record raises FactsError with its
     line number and nothing is returned.
     """
-    if isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in stream]
+    lines = text.splitlines()
 
     elements: list[Element] = []
     ids: set[str] = set()

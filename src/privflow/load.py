@@ -8,11 +8,12 @@ channel for the same element is an ingest error.
 
 from __future__ import annotations
 
+import heapq
 from pathlib import Path
 
 from .facts import MANIFEST_FILENAME, read_facts, read_manifest
 from .minisrv import lower, parse_source
-from .model import Channel, Edge, Element, Program, Service
+from .model import Program, Service, element_order
 
 
 class LoadError(Exception):
@@ -27,10 +28,12 @@ def load_program(root: str | Path) -> Program:
 
 
 def _load_service(root: Path, spec) -> Service:
-    elements: list[Element] = []
+    """Lower or read each part, then merge the parts' canonically ordered
+    collections: element ids, and so edges and channels, are unique across
+    parts, which makes the merge the collections ``Service.build`` would
+    sort the concatenated parts into."""
+    parts: list[Service] = []
     ids: set[str] = set()
-    edges: list[Edge] = []
-    channels: list[Channel] = []
     channel_elements: set[str] = set()
 
     def merge(part: Service, origin: str) -> None:
@@ -38,13 +41,11 @@ def _load_service(root: Path, spec) -> Service:
             if el.id in ids:
                 raise LoadError(f"{spec.name}: duplicate element id {el.id} while merging {origin}")
             ids.add(el.id)
-            elements.append(el)
-        edges.extend(part.edges)
         for ch in part.channels:
             if ch.element in channel_elements:
                 raise LoadError(f"{spec.name}: duplicate channel for element {ch.element} in {origin}")
             channel_elements.add(ch.element)
-            channels.append(ch)
+        parts.append(part)
 
     for source_file in spec.sources:
         path = root / source_file
@@ -60,4 +61,10 @@ def _load_service(root: Path, spec) -> Service:
             raise LoadError(f"{spec.name}: facts file {path} does not exist")
         merge(read_facts(path.read_text(encoding="utf-8"), spec.name), facts_file)
 
-    return Service.build(spec.name, elements, edges, channels, entry=spec.entry)
+    return Service(
+        spec.name,
+        tuple(heapq.merge(*(part.elements for part in parts), key=element_order)),
+        tuple(heapq.merge(*(part.edges for part in parts))),
+        tuple(heapq.merge(*(part.channels for part in parts))),
+        entry=spec.entry,
+    )

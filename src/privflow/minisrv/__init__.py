@@ -1,49 +1,11 @@
 """MiniSrv frontend: parses `.msv` sources and lowers them to code facts.
 
 MiniSrv is the small service language used to author analysis corpora.
-The grammar reference lives in ``docs/minisrv.md``.
+The grammar reference lives in ``docs/minisrv.md``; the AST node classes
+are in ``privflow.minisrv.nodes``.
 """
 
-from .nodes import (
-    Assign,
-    BinOp,
-    BoolLit,
-    Call,
-    CallStmt,
-    ConstDef,
-    Decorator,
-    FuncDef,
-    If,
-    IntLit,
-    Member,
-    MiniSrvAst,
-    Name,
-    Param,
-    Return,
-    StrLit,
-)
 from .parser import ParseError, parse_source
 from .lower import LoweringError, lower
 
-__all__ = [
-    "MiniSrvAst",
-    "ConstDef",
-    "FuncDef",
-    "Decorator",
-    "Param",
-    "Assign",
-    "CallStmt",
-    "If",
-    "Return",
-    "IntLit",
-    "StrLit",
-    "BoolLit",
-    "Name",
-    "Member",
-    "Call",
-    "BinOp",
-    "ParseError",
-    "parse_source",
-    "LoweringError",
-    "lower",
-]
+__all__ = ["ParseError", "parse_source", "LoweringError", "lower"]

@@ -94,14 +94,11 @@ class Element:
         if self.kind is ElementKind.ENDPOINT and not self.name:  # its route: the inbound channel's identifier
             raise ValueError(f"endpoint {self.id} needs a non-empty name")
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.location.file, self.location.line, self.location.col, self.kind.value)
 
-
-#: ``Element.sort_key`` then the id, as one flat tuple: ``Service.build``'s
-#: element order (a str-valued kind compares as its value).
-_element_order = attrgetter("location.file", "location.line", "location.col", "kind", "id")
+#: The one element order, a flat key ``(file, line, col, kind, id)`` (a
+#: str-valued kind compares as its value): ``Service.build`` sorts by it,
+#: so every search result read off ``Service.elements`` follows it.
+element_order = attrgetter("location.file", "location.line", "location.col", "kind", "id")
 
 
 class Edge(NamedTuple):
@@ -161,8 +158,9 @@ def call_callee(element: Element) -> str:
 @dataclass(frozen=True)
 class Service:
     """All facts for one service. Use :meth:`build` so collections are
-    canonically ordered; structural equality and serialization depend on it.
-    ``build`` sorts each collection once: elements by ``(sort_key, id)``,
+    canonically ordered; structural equality, serialization and the order
+    of every search result (which follows ``elements``) depend on it.
+    ``build`` sorts each collection once: elements by ``element_order``,
     edges and channels, de-duplicated, by their fields.
     """
 
@@ -186,7 +184,7 @@ class Service:
     ) -> "Service":
         return cls(
             name=name,
-            elements=tuple(sorted(elements, key=_element_order)),
+            elements=tuple(sorted(elements, key=element_order)),
             edges=tuple(sorted(set(edges))),
             channels=tuple(sorted(set(channels))),
             entry=entry,
@@ -262,10 +260,6 @@ class IntegrityViolation:
         return f"{self.kind}: {self.detail}" if self.detail else self.kind
 
 
-def dangling_edge(service: str, edge: Edge, missing: str) -> IntegrityViolation:
-    return IntegrityViolation("DanglingEdge", f"{service}: edge {edge.kind.value} {edge.src}->{edge.dst} references unknown id {missing}")
-
-
 def validate_program(program: Program) -> list[IntegrityViolation]:
     """Return every invariant violation; an empty list means well-formed."""
     violations: list[IntegrityViolation] = []
@@ -294,7 +288,8 @@ def validate_program(program: Program) -> list[IntegrityViolation]:
         for edge in svc.edges:
             for endpoint in (edge.src, edge.dst):
                 if endpoint not in ids:
-                    violations.append(dangling_edge(svc.name, edge, endpoint))
+                    detail = f"{svc.name}: edge {edge.kind.value} {edge.src}->{edge.dst} references unknown id {endpoint}"
+                    violations.append(IntegrityViolation("DanglingEdge", detail))
         for ch in svc.channels:
             if ch.element not in ids:
                 violations.append(

@@ -38,7 +38,7 @@ from .crossflow import (
     q_user,
     unrecorded,
 )
-from .model import Element, ElementKind, Program, Service, call_callee, validate_program
+from .model import Element, ElementKind, Program, Service, call_callee, element_order, validate_program
 from .reasoner import (
     AssessSufficiency,
     CheckDescriptor,
@@ -368,7 +368,7 @@ def locate_checks(
                 element=check_fn.id, name=check_fn.name, source=source, attachment="decorator", context=tuple(helper_sources)
             )
             classify(service, task)
-        for cond in sorted(guards, key=lambda e: e.sort_key):
+        for cond in sorted(guards, key=element_order):
             if cond.id in seen_candidates:
                 continue
             seen_candidates.add(cond.id)

@@ -19,6 +19,13 @@ types) and the service's sources and channels are built with it, so no
 fact is filled on first query. The frontend (or an external facts
 producer) emits def-use edges already saturated under the propagation
 rules, so the data-flow relation is their closure by construction.
+
+Orders are decided where the data is built. ``Service.build`` sorts the
+elements by ``model.element_order``, so ``q_name``, ``q_ast`` and
+``resolve_selector`` filter ``Service.elements`` and sort nothing; the
+index sorts call sites and decorator checks by ``element_order`` once,
+when it is built; ``q_cg`` and a function's flow proxies, gathered from
+several tables, are sorted by it per query.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS, Channel, EdgeKind, Element, ElementKind, Location
-from .model import Service, call_callee
+from .model import Service, call_callee, element_order
 
 
 class BadPattern(Exception):
@@ -50,31 +57,26 @@ class NameMode:
     REGEX = "regex"
 
 
-def _loc_key(e: Element) -> tuple:
-    return (e.location.file, e.location.line, e.location.col, e.kind.value, e.id)
-
-
 def q_name(service: Service, pattern: str, mode: str = NameMode.EXACT) -> list[Element]:
-    """All elements whose name matches; anonymous elements never match."""
+    """All elements whose name matches, in ``Service.elements`` order;
+    anonymous elements never match."""
     if not pattern:
         raise BadPattern("empty pattern")
     if mode == NameMode.EXACT:
-        hits = [e for e in service.elements if e.name and e.name == pattern]
-    elif mode == NameMode.REGEX:
+        return [e for e in service.elements if e.name and e.name == pattern]
+    if mode == NameMode.REGEX:
         try:
             rx = re.compile(pattern)
         except re.error as exc:
             raise BadPattern(f"invalid regex {pattern!r}: {exc}")
-        hits = [e for e in service.elements if e.name and rx.fullmatch(e.name)]
-    else:
-        raise BadPattern(f"unknown name mode {mode!r}")
-    return sorted(hits, key=_loc_key)
+        return [e for e in service.elements if e.name and rx.fullmatch(e.name)]
+    raise BadPattern(f"unknown name mode {mode!r}")
 
 
 def q_ast(service: Service, opkind: ElementKind | str) -> list[Element]:
-    """All elements of one syntactic kind, in source order."""
+    """All elements of one syntactic kind, in ``Service.elements`` order."""
     kind = ElementKind(opkind)
-    return sorted((e for e in service.elements if e.kind is kind), key=_loc_key)
+    return [e for e in service.elements if e.kind is kind]
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,12 @@ _NOWHERE: tuple[Element | None, tuple[Element, ...]] = (None, ())
 
 
 class ServiceIndex:
-    """The edges and per-element facts of one Service, all built by the
-    constructor. Lists keep edge order (edges are sorted), except that call
-    sites are in source order and flow successors in ``((line, col), id)``
-    order, the tie-break of ``q_flow``'s breadth-first search.
+    """The edges and per-element facts of one Service, all built and
+    ordered by the constructor: lists keep edge order (edges are sorted),
+    except that call sites and decorator checks are sorted by
+    ``element_order``, flow successors by ``((line, col), id)``, the
+    tie-break of ``q_flow``'s breadth-first search, and sources by
+    ``(file, line, col, id)``.
 
     ``var_types`` maps each name to the type of the first variable or
     parameter declared under it, ``inter`` holds the channels and sources,
@@ -194,7 +198,7 @@ class ServiceIndex:
         for fn_id, decs in decorators.items():
             targets = (service.element(t) for d in decs for t in call_targets.get(d, ()))
             checks = {t.id: t for t in targets if t is not None and t.kind is ElementKind.FUNCTION}
-            self.decorator_checks[fn_id] = sorted(checks.values(), key=lambda e: e.sort_key)
+            self.decorator_checks[fn_id] = sorted(checks.values(), key=element_order)
 
         self.call_sites: dict[str, list[Element]] = {}
         self.callees: dict[str, set[str]] = {}
@@ -212,7 +216,7 @@ class ServiceIndex:
                     self.callees.setdefault(caller.id, set()).add(dst)
                     self.callers.setdefault(dst, set()).add(caller.id)
         for sites in self.call_sites.values():
-            sites.sort(key=_loc_key)
+            sites.sort(key=element_order)
 
     def place(self, eid: str) -> tuple[Element | None, tuple[Element, ...]]:
         """The element's enclosing function and the conditionals whose
@@ -265,14 +269,15 @@ class FlowPath:
 
 
 def resolve_selector(service: Service, selector: str) -> list[Element]:
-    """Resolve an element selector (id or name) to matching elements."""
+    """Resolve an element selector (id or name) to matching elements, in
+    ``Service.elements`` order."""
     el = service.element(selector)
     if el is not None:
         return [el]
     hits = [e for e in service.elements if e.name and e.name == selector]
     if not hits:
         raise UnknownElement(f"{service.name}: no element matches selector {selector!r}")
-    return sorted(hits, key=_loc_key)
+    return hits
 
 
 def _shortest_paths(index: ServiceIndex, src: str, dsts: list[str]) -> dict[str, list[str]]:
@@ -315,7 +320,7 @@ def _flow_nodes(service: Service, el: Element) -> list[Element]:
         child = service.element(cid)
         if child is not None and child.kind is ElementKind.PARAMETER:
             proxies.append(child)
-    return sorted(proxies, key=_loc_key)
+    return sorted(proxies, key=element_order)
 
 
 def q_flow(service: Service, from_sel: str, *to_sels: str) -> list[FlowPath]:
@@ -373,7 +378,7 @@ def q_cg(service: Service, function: str, direction: str, depth: int = 1) -> lis
             break
     reached -= {el.id for el in starts}
     found = [service.element(eid) for eid in reached]
-    return sorted((e for e in found if e is not None), key=_loc_key)
+    return sorted((e for e in found if e is not None), key=element_order)
 
 
 # --- property functions -------------------------------------------------------

@@ -22,6 +22,7 @@ from privflow.model import (
     Program,
     Service,
     element_id,
+    element_order,
 )
 from privflow.reasoner import ScriptedOracle
 
@@ -310,7 +311,7 @@ def scan_decorator_checks(service: Service, fn_id: str) -> list[Element]:
     decorators = [e.src for e in service.edges if e.kind is EdgeKind.DECORATES and e.dst == fn_id]
     targets = [e.dst for d in decorators for e in service.edges if e.kind is EdgeKind.CALLS and e.src == d]
     checks = [service.element(t) for t in dict.fromkeys(targets)]
-    return sorted((c for c in checks if c is not None and c.kind is ElementKind.FUNCTION), key=lambda e: e.sort_key)
+    return sorted((c for c in checks if c is not None and c.kind is ElementKind.FUNCTION), key=element_order)
 
 
 def scan_guard_var_types(service: Service, source: str) -> tuple[tuple[str, str], ...]:

@@ -60,7 +60,11 @@ CHANNEL_SPECS = st.one_of(
     st.tuples(
         st.just("out"),
         st.just("http"),
-        st.tuples(st.sampled_from(["", "http://h:8080", "HTTPS://h"]), HTTP_PATHS, st.sampled_from(["", "?q=1", "?q=/a"])).map("".join),
+        st.tuples(
+            st.sampled_from(["", "http://h:8080", "HTTPS://h"]),
+            HTTP_PATHS,
+            st.sampled_from(["", "?q=1", "?q=/a", "#/a", "?q=1#f"]),
+        ).map("".join),
     ),
     st.tuples(st.just("in"), st.just("http"), HTTP_PATHS),
     st.tuples(st.sampled_from(["out", "in"]), st.just("topic"), st.sampled_from(["a", "b"])),
@@ -176,6 +180,18 @@ class TestChannelMatching:
         assert normalize_http_identifier("https://svc.internal/a/b?x=1") == "/a/b"
         assert normalize_http_identifier("/already/bare") == "/already/bare"
 
+    def test_authority_ends_at_query_or_fragment(self):
+        assert normalize_http_identifier("http://h?x=/a") == "/"
+        assert normalize_http_identifier("http://h#/a") == "/"
+        assert normalize_http_identifier("http://h:8080?x=/a/b#/c") == "/"
+        assert normalize_http_identifier("http://h") == "/"
+
+    def test_path_drops_query_and_fragment(self):
+        assert normalize_http_identifier("http://h/a#top") == "/a"
+        assert normalize_http_identifier("http://h/a#top?x=1") == "/a"
+        assert normalize_http_identifier("http://h/a?x=1#top") == "/a"
+        assert normalize_http_identifier("/a/b#top") == "/a/b"
+
     def test_exact_match(self):
         out = Channel("e1", "out", "http", "http://localhost:5000/setUserRole")
         inn = Channel("e2", "in", "http", "/setUserRole")
@@ -251,7 +267,7 @@ class TestGlobalGraph:
     def test_no_inter_calls_only_intra_edges(self, oracle):
         program, privops = _single_service_program()
         graph = build_global_graph(program, privops, match_channels(program))
-        assert all(not e.is_channel for edges in graph.edges.values() for e in edges)
+        assert not any(isinstance(w, ChannelEdge) for witnesses in graph.edges.values() for w in witnesses)
 
     def test_deterministic_and_idempotent(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
@@ -278,6 +294,25 @@ class TestGlobalGraph:
             program, privops = build_random_program(rng, f"w{i}")
             flow_edges += _check_witnesses(program, privops)
         assert flow_edges > 100
+
+    @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
+    def test_witnesses_sorted_by_distinct_destination_on_corpora(self, corpus, oracle):
+        program = load_program(corpus)
+        privops = find_privileged_ops(program, oracle)
+        _check_sorted_witnesses(build_global_graph(program, privops, match_channels(program)))
+
+    def test_witnesses_sorted_by_distinct_destination_on_random_programs(self):
+        rng = random.Random(5150)
+        edges = 0
+        for i in range(20):
+            program, privops = build_random_program(rng, f"o{i}")
+            edges += _check_sorted_witnesses(build_global_graph(program, privops, match_channels(program)))
+        assert edges > 100
+
+    def test_witnesses_sorted_by_distinct_destination_on_fanout(self, tmp_path, oracle):
+        program = load_program(write_fanout_corpus(tmp_path))
+        privops = find_privileged_ops(program, oracle, basic_sink=True)
+        assert _check_sorted_witnesses(build_global_graph(program, privops, match_channels(program))) > 16
 
     def test_witnesses_match_per_pair_search_with_tied_paths(self):
         rng = random.Random(1618)
@@ -353,15 +388,13 @@ class TestQGlobalflow:
             graph = build_global_graph(program, privops, match_channels(program))
             sources = [e for s in program.services if s.entry for e in _endpoints(s)]
             baseline = len(q_globalflow(graph, sources, privops).paths)
-            channel_edges = [
-                (src, e) for src, edges in graph.edges.items() for e in edges if e.is_channel
-            ]
-            for src, edge in channel_edges:
+            channel_edges = [w for witnesses in graph.edges.values() for w in witnesses if isinstance(w, ChannelEdge)]
+            for edge in channel_edges:
                 pruned = GlobalGraph(
                     nodes=set(graph.nodes),
                     edges={
-                        s: [e for e in edges if e is not edge]
-                        for s, edges in graph.edges.items()
+                        s: [w for w in witnesses if w is not edge]
+                        for s, witnesses in graph.edges.items()
                     },
                 )
                 assert len(q_globalflow(pruned, sources, privops).paths) <= baseline
@@ -376,6 +409,29 @@ class TestQGlobalflow:
             got = {(p.source, p.sink) for p in paths}
             want = _oracle_pairs(graph, sources, privops)
             assert got == want
+
+    @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
+    def test_paths_equal_all_simple_paths_on_corpora(self, corpus, oracle):
+        program = load_program(corpus)
+        privops = find_privileged_ops(program, oracle)
+        graph = build_global_graph(program, privops, match_channels(program))
+        _check_all_simple_paths(graph, q_user(program, oracle), privops)
+
+    def test_paths_equal_all_simple_paths_on_random_programs(self):
+        rng = random.Random(8086)
+        total = 0
+        for i in range(20):
+            program, privops = build_random_program(rng, f"a{i}")
+            graph = build_global_graph(program, privops, match_channels(program))
+            sources = [e for s in program.services for e in _endpoints(s)]
+            total += _check_all_simple_paths(graph, sources, privops)
+        assert total > 50
+
+    def test_paths_equal_all_simple_paths_on_fanout(self, tmp_path, oracle):
+        program = load_program(write_fanout_corpus(tmp_path))
+        privops = find_privileged_ops(program, oracle, basic_sink=True)
+        graph = build_global_graph(program, privops, match_channels(program))
+        assert _check_all_simple_paths(graph, q_user(program, oracle), privops) == 256
 
     def test_path_cap_sets_truncation_flag(self, oracle):
         svc = replace(lower_snippet(
@@ -501,10 +557,10 @@ def _check_witnesses(program, privops):
         match_channels(program),
         record=lambda tool, args, count: records.append({"tool": tool, "args": args, "result_count": count}),
     )
-    flow_edges = [e for edges in graph.edges.values() for e in edges if not e.is_channel]
+    flow_edges = [w for witnesses in graph.edges.values() for w in witnesses if isinstance(w, FlowPath)]
     for edge in flow_edges:
-        service = program.service(edge.witness.service)
-        assert list(edge.witness.elements) == reference_shortest_path(service, edge.src, edge.dst)
+        service = program.service(edge.service)
+        assert list(edge.elements) == reference_shortest_path(service, edge.src, edge.dst)
     pairs = [(r["args"]["from"], r["args"]["to"]) for r in records if r["tool"] == "q_flow"]
     assert len(pairs) == len(set(pairs))
     assert {(e.src, e.dst) for e in flow_edges} <= set(pairs)
@@ -514,6 +570,61 @@ def _check_witnesses(program, privops):
             replayed = q_flow(program.service(args["service"]), args["from"], args["to"])
             assert r["result_count"] == len(replayed), args
     return len(flow_edges)
+
+
+def _check_sorted_witnesses(graph):
+    """Each node's witnesses start at it and have distinct destinations in
+    ascending order. Returns the number of witnesses."""
+    for node, witnesses in graph.edges.items():
+        assert all(w.src == node for w in witnesses)
+        dsts = [w.dst for w in witnesses]
+        assert all(a < b for a, b in zip(dsts, dsts[1:])), node
+    return graph.edge_count()
+
+
+def _all_simple_paths(graph, sources, sinks):
+    """Every simple path of at least one edge from a source to a sink, as a
+    tuple of witnesses, by brute force over the graph's unordered edge set."""
+    by_src = {}
+    for witnesses in graph.edges.values():
+        for w in witnesses:
+            by_src.setdefault(w.src, set()).add(w)
+    sink_ids = {op.element for op in sinks}
+    found = []
+
+    def extend(node, segments, visited):
+        if segments and node in sink_ids:
+            found.append(tuple(segments))
+        for w in by_src.get(node, ()):
+            if w.dst not in visited:
+                extend(w.dst, segments + [w], visited | {w.dst})
+
+    for src in {s.id for s in sources}:
+        extend(src, [], {src})
+    return found
+
+
+def _graph_nodes(segments):
+    """The graph nodes a path visits: its source, then each hop's end. A
+    path's ``node_ids`` also hold the elements inside its flow segments."""
+    return (segments[0].src,) + tuple(w.dst for w in segments)
+
+
+def _check_all_simple_paths(graph, sources, sinks):
+    """``q_globalflow`` finds every simple path from a source to a sink, in
+    strictly increasing order of the graph nodes they visit, and a cap
+    keeps a prefix of that order. Returns the number of paths."""
+    result = q_globalflow(graph, sources, sinks)
+    visits = [_graph_nodes(p.segments) for p in result.paths]
+    assert all(a < b for a, b in zip(visits, visits[1:]))
+    want = sorted(_all_simple_paths(graph, sources, sinks), key=_graph_nodes)
+    assert [p.segments for p in result.paths] == want
+    assert not result.truncated
+    if len(want) > 1:
+        capped = q_globalflow(graph, sources, sinks, cap=len(want) // 2)
+        assert capped.truncated
+        assert capped.paths == result.paths[: len(want) // 2]
+    return len(want)
 
 
 def pairwise_match_channels(program):
@@ -556,7 +667,7 @@ def channel_program(services):
 
 def _edge_set(graph):
     return {
-        (src, e.dst, e.is_channel) for src, edges in graph.edges.items() for e in edges
+        (src, w.dst, isinstance(w, ChannelEdge)) for src, witnesses in graph.edges.items() for w in witnesses
     }
 
 

@@ -196,3 +196,65 @@ class TestFactsRoundTrip:
         a = build_random_service(random.Random(7))
         b = build_random_service(random.Random(7))
         assert write_facts(a) == write_facts(b)
+
+
+class TestLoadMerge:
+    """``load_program`` merges a service's already-ordered parts instead of
+    sorting them again: the result equals ``Service.build`` over the
+    concatenated parts."""
+
+    SOURCES = ("userprofile.msv", "usermgmt.msv")
+
+    def _facts_part(self, rng):
+        """Random facts sharing the sources' files at columns the lowered
+        elements never use, so their positions interleave without an id
+        collision; one call carries a channel."""
+        elements = [
+            make_element(
+                "svc",
+                rng.choice((ElementKind.VARIABLE, ElementKind.CALL, ElementKind.FUNCTION)),
+                name=rng.choice(("", "role", "body")),
+                line=rng.randint(1, 30),
+                col=90 + i,
+                file=rng.choice(self.SOURCES + ("extra.msv",)),
+            )
+            for i in range(rng.randint(1, 25))
+        ]
+        edges = [
+            Edge(rng.choice(list(EdgeKind)), rng.choice(elements).id, rng.choice(elements).id)
+            for _ in range(rng.randint(0, 30))
+        ]
+        calls = [e for e in elements if e.kind is ElementKind.CALL]
+        channels = [Channel(calls[0].id, "out", "topic", "t")] if calls else []
+        return Service.build("svc", elements, edges, channels)
+
+    def test_source_and_facts_parts_equal_one_build(self, tmp_path):
+        import random
+
+        from privflow.load import load_program
+
+        lowered = [
+            lower_snippet((CORPORA / "role_update" / name).read_text(), "svc", name) for name in self.SOURCES
+        ]
+        for name in self.SOURCES:
+            (tmp_path / name).write_text((CORPORA / "role_update" / name).read_text())
+        manifest = {"version": 1, "services": [{"name": "svc", "entry": True, "sources": list(self.SOURCES), "facts": ["svc.facts.jsonl"]}]}
+        (tmp_path / "privflow.manifest.json").write_text(json.dumps(manifest))
+        rng = random.Random(1515)
+        interleaved = 0
+        for _ in range(20):
+            facts = self._facts_part(rng)
+            (tmp_path / "svc.facts.jsonl").write_text(write_facts(facts))
+            parts = lowered + [facts]
+            want = Service.build(
+                "svc",
+                [e for p in parts for e in p.elements],
+                [e for p in parts for e in p.edges],
+                [c for p in parts for c in p.channels],
+                entry=True,
+            )
+            [got] = load_program(tmp_path).services
+            assert got == want
+            from_facts = [e.id in facts for e in got.elements]
+            interleaved += sum(a != b for a, b in zip(from_facts, from_facts[1:])) > 2
+        assert interleaved > 10

@@ -17,6 +17,7 @@ from privflow.model import (
     Service,
     call_callee,
     element_id,
+    element_order,
     validate_program,
 )
 
@@ -131,13 +132,18 @@ def test_unknown_route_target_reported():
 
 def assert_build_orders_as_reference(service: Service, rng: random.Random) -> None:
     """``Service.build`` orders shuffled, partly repeated facts exactly as a
-    sort of elements by ``(sort_key, id)`` and of edges as dataclasses."""
+    sort of elements by ``(file, line, col, kind value, id)``, which
+    ``element_order`` is, and of edges as dataclasses."""
     elements = list(service.elements)
     edges = list(service.edges) + list(service.edges[::3])
     rng.shuffle(elements)
     rng.shuffle(edges)
     built = Service.build(service.name, elements, edges, service.channels, service.entry)
-    assert built.elements == tuple(sorted(elements, key=lambda e: (e.sort_key, e.id)))
+    def reference(e):
+        return (e.location.file, e.location.line, e.location.col, e.kind.value, e.id)
+
+    assert all(element_order(e) == reference(e) for e in elements)
+    assert built.elements == tuple(sorted(elements, key=reference))
     assert built.edges == tuple(Edge(d.kind, d.src, d.dst) for d in sorted({DataclassEdge(*e) for e in edges}))
     assert built == service
 

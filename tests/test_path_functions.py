@@ -9,7 +9,7 @@ import pytest
 
 from privflow.crossflow import GlobalPath, build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
-from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service
+from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, element_order
 from privflow.pipeline import ScanBudget, extract_path_constraints, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
 from privflow import search
@@ -128,7 +128,7 @@ def old_candidates(program: Program, path: GlobalPath) -> list[tuple[str, str]]:
     for service, fn, local_ids in groups.values():
         guards = {el.id: el for eid in local_ids for el in service_index(service).place(eid)[1]}
         candidates = [(c, "decorator") for c in scan_decorator_checks(service, fn.id)]
-        candidates += [(g, "inline") for g in sorted(guards.values(), key=lambda e: e.sort_key)]
+        candidates += [(g, "inline") for g in sorted(guards.values(), key=element_order)]
         for el, attachment in candidates:
             if el.id not in seen:
                 seen.add(el.id)

@@ -7,7 +7,7 @@ import pytest
 
 from privflow.load import load_program
 from privflow.crossflow import q_source
-from privflow.model import INBOUND_INTRINSICS, Edge, EdgeKind, ElementKind, Service, call_callee
+from privflow.model import INBOUND_INTRINSICS, Edge, EdgeKind, ElementKind, Service, call_callee, element_order
 from privflow.pipeline import scan
 from privflow.search import (
     BadPattern,
@@ -21,6 +21,7 @@ from privflow.search import (
     q_cg,
     q_flow,
     q_name,
+    resolve_selector,
     service_index,
 )
 
@@ -109,6 +110,46 @@ class TestQAst:
         hits = q_ast(usermgmt, ElementKind.CALL)
         keys = [(e.location.file, e.location.line, e.location.col) for e in hits]
         assert keys == sorted(keys)
+
+
+def assert_results_in_element_order(service):
+    """``q_name``, ``q_ast``, ``resolve_selector``, ``q_cg`` and
+    ``call_sites_of`` return each element once, in ``element_order``, and
+    the first three return exactly the elements they filter for."""
+
+    def in_order(hits):
+        keys = [element_order(e) for e in hits]
+        return all(a < b for a, b in zip(keys, keys[1:]))
+
+    named = [e for e in service.elements if e.name]
+    assert in_order(named)
+    assert q_name(service, ".*", "regex") == named
+    for name in {e.name for e in named}:
+        want = [e for e in named if e.name == name]
+        assert q_name(service, name) == want
+        if service.element(name) is None:
+            assert resolve_selector(service, name) == want
+    for kind in ElementKind:
+        assert q_ast(service, kind) == sorted((e for e in service.elements if e.kind is kind), key=element_order)
+    for el in service.elements:
+        assert in_order(call_sites_of(service, el.id))
+        if el.kind is ElementKind.FUNCTION:
+            for direction in ("callers", "callees"):
+                for depth in (1, 3):
+                    assert in_order(q_cg(service, el.id, direction, depth))
+
+
+class TestResultOrder:
+    @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
+    def test_corpora(self, corpus):
+        for service in load_program(corpus).services:
+            assert_results_in_element_order(service)
+
+    def test_generated_services(self):
+        rng = random.Random(1729)
+        for i in range(20):
+            assert_results_in_element_order(build_random_service(rng, f"r{i}"))
+            assert_results_in_element_order(build_nested_service(rng, f"n{i}"))
 
 
 class TestFlowGraph:
