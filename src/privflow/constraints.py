@@ -51,6 +51,8 @@ def _const_sort(value) -> str | None:
 
 @dataclass(frozen=True)
 class ConstCmp:
+    """A variable compared with a constant; its sort is the constant's type."""
+
     var: str
     op: str
     value: int | str
@@ -62,6 +64,8 @@ class ConstCmp:
 
 @dataclass(frozen=True)
 class VarCmp:
+    """Two variables of one declared sort compared for (in)equality."""
+
     left: str
     op: str  # == or !=
     right: str
@@ -69,26 +73,36 @@ class VarCmp:
 
 @dataclass(frozen=True)
 class BoolVar:
+    """A boolean variable, true as an atom."""
+
     var: str
 
 
 @dataclass(frozen=True)
 class BoolConst:
+    """A boolean constant."""
+
     value: bool
 
 
 @dataclass(frozen=True)
 class And:
+    """Conjunction of its items."""
+
     items: tuple
 
 
 @dataclass(frozen=True)
 class Or:
+    """Disjunction of its items."""
+
     items: tuple
 
 
 @dataclass(frozen=True)
 class Not:
+    """Negation of its item."""
+
     item: object
 
 
@@ -158,16 +172,20 @@ def validate_constraint(c: PathConstraint) -> None:
 
 @dataclass(frozen=True)
 class Sat:
+    """A satisfying assignment: variable name to value."""
+
     witness: dict
 
 
 @dataclass(frozen=True)
 class Unsat:
-    pass
+    """The constraint has no satisfying assignment."""
 
 
 @dataclass(frozen=True)
 class Unknown:
+    """The checker could not decide, and says why."""
+
     reason: str
 
 

@@ -35,8 +35,7 @@ class NoEntryService(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ChannelEdge:
+class ChannelEdge(NamedTuple):
     """A matched (outbound call, receiving endpoint) pair."""
 
     from_service: str

@@ -70,6 +70,8 @@ class LoweringError(Exception):
 
 @dataclass
 class _FnScope:
+    """One function's lowering state, filled while its body is lowered."""
+
     func: FuncDef
     element: Element
     params: dict[str, Element] = field(default_factory=dict)

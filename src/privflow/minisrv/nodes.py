@@ -2,60 +2,68 @@
 
 Every node remembers its 1-based (line, col) start position and the half-open
 ``span`` of byte offsets it covers in the original text, so lowering can emit
-verbatim source slices.
+verbatim source slices. Nodes are named tuples whose first three fields are
+``line, col, span``; the lowering and the guard translator tell them apart by
+type, never by comparing nodes of different types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Node:
-    line: int
-    col: int
-    span: tuple[int, int]  # (start offset, end offset) in the source text
-
+from typing import NamedTuple
 
 # --- expressions -----------------------------------------------------------
 
 
-@dataclass
-class IntLit(Node):
+class IntLit(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]  # (start offset, end offset) in the source text
     value: int
 
 
-@dataclass
-class StrLit(Node):
+class StrLit(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     value: str
 
 
-@dataclass
-class BoolLit(Node):
+class BoolLit(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     value: bool
 
 
-@dataclass
-class Name(Node):
+class Name(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     ident: str
 
 
-@dataclass
-class Member(Node):
+class Member(NamedTuple):
     """Dotted path used as a value, e.g. ``order.user_id``."""
 
+    line: int
+    col: int
+    span: tuple[int, int]
     base: str
     path: tuple[str, ...]  # attributes after the base
 
 
-@dataclass
-class Call(Node):
+class Call(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     callee: str  # the called path as written, e.g. "update_role" or "request.param"
     args: list  # list of expressions
 
 
-@dataclass
-class BinOp(Node):
+class BinOp(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     op: str
     lhs: object
     rhs: object
@@ -64,65 +72,80 @@ class BinOp(Node):
 # --- statements ------------------------------------------------------------
 
 
-@dataclass
-class Assign(Node):
+class Assign(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     target: str
     value: object
 
 
-@dataclass
-class CallStmt(Node):
+class CallStmt(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     call: Call
 
 
-@dataclass
-class If(Node):
+class If(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     cond: object
     cond_span: tuple[int, int]
     then_body: list
     else_body: list
 
 
-@dataclass
-class Return(Node):
+class Return(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     value: object | None
 
 
 # --- items -----------------------------------------------------------------
 
 
-@dataclass
-class Decorator(Node):
+class Decorator(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     name: str  # "route" | "auth"
     args: list  # literals for route, Name for auth
 
 
-@dataclass
-class ConstDef(Node):
+class ConstDef(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     name: str
     value: object  # literal expression
 
 
-@dataclass
-class FuncDef(Node):
+class FuncDef(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     name: str
     decorators: list[Decorator]
     params: list["Param"]
     body: list
 
 
-@dataclass
-class Param(Node):
+class Param(NamedTuple):
+    line: int
+    col: int
+    span: tuple[int, int]
     name: str
 
 
-@dataclass
-class MiniSrvAst:
+class MiniSrvAst(NamedTuple):
     """Parsed source file: a list of const and function definitions."""
 
     file: str
     text: str
-    items: list = field(default_factory=list)
+    items: list
 
     def functions(self) -> list[FuncDef]:
         return [i for i in self.items if isinstance(i, FuncDef)]

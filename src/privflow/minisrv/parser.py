@@ -6,7 +6,7 @@ No error recovery: the first token or grammar violation raises ParseError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..model import Location
 from .nodes import (
@@ -42,8 +42,7 @@ class ParseError(Exception):
         super().__init__(f"{location}: {message}{suffix}")
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | punctuation text | "eof"
     text: str
     line: int
@@ -67,6 +66,7 @@ _KINDS = {_STRING: "string", _INT: "int", _IDENT: "ident"}
 
 def _tokenize(text: str, file: str) -> list[Token]:
     tokens: list[Token] = []
+    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
     match = _LEXEME_RE.match
     pos = line_start = 0
     line = 1
@@ -82,7 +82,7 @@ def _tokenize(text: str, file: str) -> list[Token]:
         start, pos = m.span(group)
         if group >= _STRING:
             lexeme = text[start:pos]
-            tokens.append(Token(_KINDS.get(group, lexeme), lexeme, line, start - line_start + 1, start, pos))
+            tokens.append(new(Token, (_KINDS.get(group, lexeme), lexeme, line, start - line_start + 1, start, pos)))
         elif group == _NEWLINE:
             line += 1
             line_start = pos
@@ -96,6 +96,7 @@ class _Parser:
         self.text = text
         self.file = file
         self.tokens = _tokenize(text, file)
+        self.kinds = [t.kind for t in self.tokens]  # what ``at`` reads, one list index per test
         self.pos = 0
 
     # -- token plumbing ------------------------------------------------
@@ -122,7 +123,7 @@ class _Parser:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.cur.kind == kind
+        return self.kinds[self.pos] == kind
 
     def at_keyword(self, word: str) -> bool:
         return self.cur.kind == "ident" and self.cur.text == word
@@ -130,15 +131,15 @@ class _Parser:
     # -- grammar -------------------------------------------------------
 
     def parse_file(self) -> MiniSrvAst:
-        ast = MiniSrvAst(file=self.file, text=self.text)
+        items: list = []
         while not self.at("eof"):
             if self.at_keyword("const"):
-                ast.items.append(self.const_def())
+                items.append(self.const_def())
             elif self.at("@") or self.at_keyword("fn"):
-                ast.items.append(self.func_def())
+                items.append(self.func_def())
             else:
                 raise self.error(f"unexpected {self.cur.text!r}", "'const', 'fn' or a decorator")
-        return ast
+        return MiniSrvAst(self.file, self.text, items)
 
     def const_def(self) -> ConstDef:
         kw = self.eat("ident")  # const

@@ -5,6 +5,15 @@ Each service is a flat bag of ``Element`` records (functions, variables,
 calls, literals, endpoints, ...) connected by typed ``Edge`` records.
 Everything is frozen after construction so analyses can share it freely
 across threads.
+
+The record rule, for every package module: a plain record is a
+``typing.NamedTuple``, which is several times cheaper to create at import
+than a dataclass. A record stays a ``@dataclass`` (with a docstring, so the
+class is not given one through ``inspect.signature``) when it is mutated,
+validates in ``__post_init__``, holds derived state, is read by
+``dataclasses.asdict``, or could meet a field-equal record of another type
+in ``==``, a hash or a memo key, or in a report payload, which writes a
+tuple as a JSON array.
 """
 
 from __future__ import annotations
@@ -197,14 +206,16 @@ class Service:
         return eid in self._by_id
 
 
-@dataclass(frozen=True, order=True)
-class GatewayRoute:
+class GatewayRoute(NamedTuple):
+    """A manifest gateway route: requests under ``prefix`` go to ``target``."""
+
     prefix: str
     target: str
 
 
-@dataclass(frozen=True)
-class ManifestService:
+class ManifestService(NamedTuple):
+    """One service entry of the manifest, with its source and facts files."""
+
     name: str
     entry: bool = False
     base_url: str = ""
@@ -212,8 +223,9 @@ class ManifestService:
     facts: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
+    """The application manifest: its services and gateway routes."""
+
     version: int
     services: tuple[ManifestService, ...]
     gateway_routes: tuple[GatewayRoute, ...] = ()
@@ -227,6 +239,8 @@ class Manifest:
 
 @dataclass(frozen=True)
 class Program:
+    """The services of one corpus and its manifest."""
+
     services: tuple[Service, ...]
     manifest: Manifest
 
@@ -249,8 +263,7 @@ class Program:
         return None
 
 
-@dataclass(frozen=True)
-class IntegrityViolation:
+class IntegrityViolation(NamedTuple):
     """A well-formedness defect found in a Program. Data, not an exception."""
 
     kind: str

@@ -22,6 +22,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .constraints import check_sat, Sat, Unsat, emit_smtlib
 from .crossflow import (
@@ -75,16 +76,18 @@ class ProgramInvalid(Exception):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-@dataclass(frozen=True)
-class PrivilegedOperation:
+class PrivilegedOperation(NamedTuple):
+    """A call site found privileged, with its category and why."""
+
     element: str
     service: str
     category: str  # a reasoner.PrivilegedClass category
     rationale: str
 
 
-@dataclass(frozen=True)
-class CheckFinding:
+class CheckFinding(NamedTuple):
+    """An authentication or authorization check located on a flow."""
+
     element: str
     service: str
     name: str
@@ -97,6 +100,9 @@ class CheckFinding:
 
 @dataclass(frozen=True)
 class Finding:
+    """A flow that reached a privileged operation without a sufficient
+    check: its path, operation, located checks and verdict."""
+
     path: GlobalPath
     privop: PrivilegedOperation
     checks: tuple[CheckFinding, ...]
@@ -115,6 +121,8 @@ class Finding:
 
 @dataclass(frozen=True)
 class ScanBudget:
+    """Per-phase tool-call and wall-clock limits of one scan."""
+
     max_tool_calls_per_phase: int = 40
     max_seconds: float = 600.0
 
@@ -126,6 +134,8 @@ class ScanBudget:
 
 @dataclass
 class ScanOptions:
+    """What a scan looks for and where it writes its side outputs."""
+
     basic_sink: bool = False
     on_demand_context: bool = True
     emit_smt_dir: str | None = None

@@ -5,8 +5,10 @@ Two backends answer the same closed set of reasoning tasks:
 * ``ScriptedOracle``: a deterministic, rules-driven stand-in used by the
   whole offline test suite. Identical (rules, task) input produces a
   byte-identical verdict.
-* ``RemoteReasoner``: a chat-completion client with schema-validated
-  responses, bounded retries, and auditable prompt templates.
+* ``remote.RemoteReasoner``: a chat-completion client with
+  schema-validated responses, bounded retries, and auditable prompt
+  templates. ``make_reasoner`` imports ``privflow.remote`` only when it is
+  chosen.
 
 Tasks carry only serialized text and facts, never live object references:
 they are frozen, hashable dataclasses, and equal tasks ask the same
@@ -19,19 +21,16 @@ nonzero temperature, two asks could give two answers) and is paid once.
 from __future__ import annotations
 
 import json
-import os
 import re
-import threading
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, singledispatchmethod
 from pathlib import Path
+from typing import NamedTuple
 
 from . import constraints as _constraints
 from .search import identifiers
 
 RULES_RESOURCE = Path(__file__).parent / "rules" / "oracle.rules.json"
-PROMPTS_DIR = Path(__file__).parent / "prompts"
 
 # The verdict vocabularies; each verdict checks its fields against them.
 PRIVILEGED_CATEGORIES = ("sensitive-resource", "security-critical-action", "protected-state")
@@ -60,6 +59,8 @@ class SchemaViolation(Exception):
 
 @dataclass(frozen=True)
 class ClassifyPrivileged:
+    """Is this function a privileged operation, and of which category?"""
+
     element: str
     name: str
     source: str
@@ -68,6 +69,8 @@ class ClassifyPrivileged:
 
 @dataclass(frozen=True)
 class ClassifyCheck:
+    """Is this decorator check or inline guard an authN or authZ check?"""
+
     element: str
     name: str
     source: str
@@ -77,6 +80,8 @@ class ClassifyCheck:
 
 @dataclass(frozen=True)
 class CheckDescriptor:
+    """A located check as an ``AssessSufficiency`` task shows it."""
+
     classification: str
     subtype: str
     name: str
@@ -85,6 +90,8 @@ class CheckDescriptor:
 
 @dataclass(frozen=True)
 class AssessSufficiency:
+    """Do the located checks suffice for this privileged operation?"""
+
     privop_name: str
     privop_source: str
     privop_category: str
@@ -94,23 +101,31 @@ class AssessSufficiency:
 
 @dataclass(frozen=True)
 class GuardDescriptor:
+    """A guard's source with its identifiers' declared types."""
+
     source: str
     var_types: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
 class ExtractConstraints:
+    """Translate a flow's guards into a path constraint."""
+
     guards: tuple[GuardDescriptor, ...]
 
 
 @dataclass(frozen=True)
 class ConfirmUserSource:
+    """Is this entry-service source reachable through a gateway route?"""
+
     identifier: str
     route_prefixes: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class NextSearchAction:
+    """Which search to run next in the privileged-operation loop."""
+
     round: int
     services: tuple[str, ...]
     executed: tuple[str, ...]
@@ -133,6 +148,8 @@ def _check_vocabulary(field: str, value, allowed: tuple) -> None:
 
 @dataclass(frozen=True)
 class PrivilegedClass:
+    """Verdict of ``ClassifyPrivileged``: a category, or None."""
+
     category: str | None  # one of PRIVILEGED_CATEGORIES, or None
     rationale: str
 
@@ -142,6 +159,8 @@ class PrivilegedClass:
 
 @dataclass(frozen=True)
 class CheckClass:
+    """Verdict of ``ClassifyCheck``: the check's class and authZ subtype."""
+
     classification: str  # one of CHECK_CLASSIFICATIONS
     authz_subtype: str  # one of AUTHZ_SUBTYPES; "none" exactly when not authz
     rationale: str
@@ -155,6 +174,8 @@ class CheckClass:
 
 @dataclass(frozen=True)
 class Sufficiency:
+    """Verdict of ``AssessSufficiency``."""
+
     verdict: str  # one of SUFFICIENCY_VERDICTS
     rationale: str
 
@@ -162,20 +183,23 @@ class Sufficiency:
         _check_vocabulary("verdict", self.verdict, SUFFICIENCY_VERDICTS)
 
 
-@dataclass(frozen=True)
-class ConstraintExtraction:
+class ConstraintExtraction(NamedTuple):
+    """Verdict of ``ExtractConstraints``."""
+
     constraint: object | None  # constraints.PathConstraint; None when skipped
     rationale: str
 
 
-@dataclass(frozen=True)
-class UserSource:
+class UserSource(NamedTuple):
+    """Verdict of ``ConfirmUserSource``."""
+
     is_user_source: bool
     rationale: str
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
+    """Verdict of ``NextSearchAction``: the next tool and its arguments."""
+
     tool: str  # a proposed search, "new_round", or "finish"
     args: dict
     rationale: str
@@ -186,6 +210,8 @@ class Action:
 
 @dataclass(frozen=True)
 class OracleRules:
+    """The scripted oracle's keyword and pattern lists."""
+
     action_verbs: tuple[str, ...]
     protected_state_nouns: tuple[str, ...]
     resource_nouns: tuple[str, ...]
@@ -483,142 +509,6 @@ def _path_has_prefix(path: str, prefix: str) -> bool:
     return segs[: len(p_segs)] == p_segs
 
 
-# --- remote backend -----------------------------------------------------------------
-
-
-TEMPERATURE = 0.2
-API_KEY_ENV = "PRIVFLOW_API_KEY"
-ATTEMPTS = 3
-TIMEOUT_S = 60.0
-
-
-@dataclass(frozen=True)
-class RemoteConfig:
-    endpoint: str
-    model: str
-    retry_backoff: float = 0.5  # seconds, grows linearly per attempt
-
-
-class RemoteReasoner:
-    """Chat-completion backend. Responses must match a per-task JSON schema;
-    a malformed reply is asked again, up to ``ATTEMPTS`` asks, then raised
-    as SchemaViolation. Requests are serialized per scan."""
-
-    name = "remote"
-
-    def __init__(self, config: RemoteConfig, transport=None):
-        self.config = config
-        self._transport = transport or _requests_transport
-        self._lock = threading.Lock()
-        self._system = _load_prompt("system.md")
-
-    def reason(self, task):
-        task_name = type(task).__name__
-        if type(task) not in TASKS:
-            raise TypeError(f"unsupported task {task_name}")
-        task_json = json.dumps({**asdict(task), "task": task_name}, indent=2)
-        prompt = _load_prompt("_".join(split_identifier(task_name)) + ".md").replace("{task_json}", task_json)
-        last_error = "no attempts made"
-        with self._lock:
-            for attempt in range(ATTEMPTS):
-                if attempt and self.config.retry_backoff:
-                    time.sleep(self.config.retry_backoff * attempt)
-                reply = self._complete(prompt)
-                try:
-                    return _parse_verdict(task, reply)
-                except (ValueError, KeyError, TypeError) as exc:
-                    last_error = str(exc)
-        raise SchemaViolation(f"{task_name}: {last_error}")
-
-    def _complete(self, prompt: str) -> str:
-        api_key = os.environ.get(API_KEY_ENV, "")
-        payload = {
-            "model": self.config.model,
-            "temperature": TEMPERATURE,
-            "messages": [
-                {"role": "system", "content": self._system},
-                {"role": "user", "content": prompt},
-            ],
-        }
-        headers = {"Content-Type": "application/json"}
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        status, body = self._transport(self.config.endpoint, headers, payload, TIMEOUT_S)
-        if status != 200:
-            raise BackendUnavailable(f"backend returned HTTP {status}")
-        try:
-            content = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise BackendUnavailable("backend response is not a chat completion")
-        if not isinstance(content, str):
-            raise BackendUnavailable("backend chat completion carries no text content")
-        return content
-
-
-def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
-    import requests
-
-    try:
-        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
-        raise BackendUnavailable(str(exc))
-    try:
-        return resp.status_code, resp.json()
-    except ValueError:
-        return resp.status_code, {}
-
-
-def _load_prompt(name: str) -> str:
-    return (PROMPTS_DIR / name).read_text(encoding="utf-8")
-
-
-def _extract_json(reply: str) -> dict:
-    start = reply.find("{")
-    end = reply.rfind("}")
-    if start < 0 or end <= start:
-        raise ValueError("reply contains no JSON object")
-    data = json.loads(reply[start : end + 1])
-    if not isinstance(data, dict):
-        raise ValueError("reply JSON must be an object")
-    return data
-
-
-def _require_str(data: dict, key: str) -> str:
-    value = data.get(key)
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"field {key!r} must be a non-empty string")
-    return value
-
-
-def _parse_verdict(task, reply: str):
-    data = _extract_json(reply)
-    rationale = _require_str(data, "rationale")
-    if isinstance(task, ClassifyPrivileged):
-        category = _require_str(data, "category")
-        return PrivilegedClass(None if category == "none" else category, rationale)
-    if isinstance(task, ClassifyCheck):
-        classification = _require_str(data, "classification")
-        subtype = _require_str(data, "subtype")
-        _check_vocabulary("subtype", subtype, AUTHZ_SUBTYPES)  # before a non-authz one is dropped
-        return CheckClass(classification, subtype if classification == "authz" else "none", rationale)
-    if isinstance(task, AssessSufficiency):
-        return Sufficiency(_require_str(data, "verdict"), rationale)
-    if isinstance(task, ExtractConstraints):
-        return ConstraintExtraction(None if data.get("skip") else _constraints.constraint_from_json(data), rationale)
-    if isinstance(task, ConfirmUserSource):
-        value = data.get("is_user_source")
-        if not isinstance(value, bool):
-            raise ValueError("field 'is_user_source' must be a boolean")
-        return UserSource(value, rationale)
-    if isinstance(task, NextSearchAction):
-        tool = _require_str(data, "tool")
-        args = data.get("args", {})
-        if not isinstance(args, dict):
-            raise ValueError("field 'args' must be an object")
-        return Action(tool, args, rationale)
-    raise TypeError(f"unsupported task {type(task).__name__}")
-
-
 # --- memo ------------------------------------------------------------------------
 
 
@@ -644,9 +534,7 @@ def make_reasoner(kind: str, rules: OracleRules | None = None):
     if kind == "scripted":
         return ScriptedOracle(rules)
     if kind == "remote":
-        endpoint = os.environ.get("PRIVFLOW_ENDPOINT", "")
-        model = os.environ.get("PRIVFLOW_MODEL", "")
-        if not endpoint or not model:
-            raise BackendUnavailable("remote reasoner needs PRIVFLOW_ENDPOINT and PRIVFLOW_MODEL")
-        return RemoteReasoner(RemoteConfig(endpoint=endpoint, model=model))
+        from .remote import from_environment  # loaded only when chosen
+
+        return from_environment()
     raise ValueError(f"unknown reasoner kind {kind!r}")

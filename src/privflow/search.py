@@ -79,8 +79,7 @@ def q_ast(service: Service, opkind: ElementKind | str) -> list[Element]:
     return [e for e in service.elements if e.kind is kind]
 
 
-@dataclass(frozen=True)
-class UnresolvedChannel:
+class UnresolvedChannel(NamedTuple):
     """Outbound or consumer call site whose identifier is not a constant."""
 
     service: str

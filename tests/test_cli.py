@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from privflow import pipeline, reasoner
+from privflow import pipeline, remote
 from privflow.cli import main
 from privflow.report import ExitStatus, exit_status, render_report
 
@@ -317,9 +317,9 @@ class TestScanCommand:
         schema (retries exhausted) each print one line and exit 2."""
         monkeypatch.setenv("PRIVFLOW_ENDPOINT", "http://backend.invalid/v1/chat/completions")
         monkeypatch.setenv("PRIVFLOW_MODEL", "test-model")
-        monkeypatch.setattr(reasoner.time, "sleep", lambda seconds: None)
+        monkeypatch.setattr(remote.time, "sleep", lambda seconds: None)
         monkeypatch.setattr(
-            reasoner,
+            remote,
             "_requests_transport",
             lambda url, headers, payload, timeout: (200, {"choices": [{"message": {"content": content}}]}),
         )
@@ -351,7 +351,7 @@ class TestScanCommand:
 
         monkeypatch.setenv("PRIVFLOW_ENDPOINT", "http://backend.invalid/v1/chat/completions")
         monkeypatch.setenv("PRIVFLOW_MODEL", "test-model")
-        monkeypatch.setattr(reasoner, "_requests_transport", transport)
+        monkeypatch.setattr(remote, "_requests_transport", transport)
         result = runner.invoke(
             main, ["scan", str(write_fanout_corpus(tmp_path)), "--reasoner", "remote", "--budget-calls", "100000"]
         )

@@ -401,3 +401,31 @@ class TestGuardTranslation:
         constraint, _ = translate_guards((GuardDescriptor("n == m", (("n", "int"), ("m", "int"))),))
         assert constraint is not None
         assert dict(constraint.variables) == {"n": "int", "m": "int"}
+
+
+class TestRecordsKeepTheirType:
+    """Formula nodes and checker results stay dataclasses: as named tuples,
+    ``And((a, b)) == Or((a, b))``, and field-equal atoms of different
+    shapes would share one dict key."""
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (And((BoolVar("a"), BoolVar("b"))), Or((BoolVar("a"), BoolVar("b")))),
+            (ConstCmp("x", "==", "y"), VarCmp("x", "==", "y")),
+            (BoolVar("a"), Not("a")),
+            (BoolConst(True), Not(True)),
+            (Unknown("r"), BoolVar("r")),
+        ],
+        ids=["and-or", "const-var", "boolvar-not", "boolconst-not", "unknown-boolvar"],
+    )
+    def test_field_equal_records_of_two_types_differ(self, left, right):
+        assert left != right
+        assert len({left: 1, right: 2}) == 2
+
+    def test_checker_results_differ(self):
+        witness = {"x": 1}
+        assert Sat(witness) != Unknown(witness)
+        assert Unsat() != () and Unsat() != Unknown("")
+        assert len({Unsat(): 1, Unknown("r"): 2, (): 3}) == 3
+        assert Unsat() == Unsat() and hash(Unsat()) == hash(Unsat())

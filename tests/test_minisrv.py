@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +56,7 @@ class TestParser:
         first = parse_source(text, "svc", "u.msv")
         second = parse_source(text, "svc", "u.msv")
         assert first.items == second.items
+        assert repr(first.items) == repr(second.items)  # nodes compare as tuples; the repr names each type
 
     def test_unknown_decorator_rejected(self):
         with pytest.raises(ParseError):
@@ -114,7 +113,7 @@ def assert_tokens_match_reference(text: str) -> None:
     end = expected[-1]
     if end.col != len(last_line) + 1:
         assert "//" in last_line
-        expected[-1] = replace(end, col=len(last_line) + 1)
+        expected[-1] = end._replace(col=len(last_line) + 1)
     assert _tokenize(text, "a.msv") == expected
 
 

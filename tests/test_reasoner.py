@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 
 import pytest
@@ -21,16 +22,17 @@ from privflow.reasoner import (
     Memo,
     NextSearchAction,
     PrivilegedClass,
-    RemoteConfig,
-    RemoteReasoner,
     RulesError,
     SchemaViolation,
     ScriptedOracle,
     Sufficiency,
+    TASKS,
     UserSource,
     load_rules,
     make_reasoner,
+    split_identifier,
 )
+from privflow.remote import PROMPTS_DIR, RemoteConfig, RemoteReasoner
 
 from conftest import CORPORA, write_fanout_corpus
 
@@ -396,6 +398,106 @@ class TestRemoteReasoner:
             make_reasoner("psychic")
         with pytest.raises(BackendUnavailable):
             make_reasoner("remote")  # no endpoint configured
+
+    def test_make_reasoner_remote_from_environment(self, monkeypatch):
+        monkeypatch.setenv("PRIVFLOW_ENDPOINT", "http://fake/v1/chat/completions")
+        monkeypatch.setenv("PRIVFLOW_MODEL", "test-model")
+        backend = make_reasoner("remote")
+        assert isinstance(backend, RemoteReasoner)
+        assert backend.config == RemoteConfig("http://fake/v1/chat/completions", "test-model")
+
+
+# One sample of each task, with every field set; each descriptor tuple holds
+# two descriptors, and one source holds a non-ASCII character.
+PROMPT_SAMPLES = {
+    "ClassifyPrivileged": (
+        ClassifyPrivileged("e1", "update_role", UPDATE_ROLE_SRC, context=("fn audit() {\n  log(\"café\")\n}",)),
+        {"category": "protected-state"},
+    ),
+    "ClassifyCheck": (
+        ClassifyCheck("e2", "can_switch_roles", CAN_SWITCH_SRC, attachment="decorator", context=(AUTHN_SRC,)),
+        {"classification": "authz", "subtype": "role"},
+    ),
+    "AssessSufficiency": (
+        AssessSufficiency(
+            "userstore.save",
+            "userstore.save(u, r)",
+            "protected-state",
+            checks=(
+                CheckDescriptor("authz", "role", "can_switch_roles", CAN_SWITCH_SRC),
+                CheckDescriptor("authn", "none", "authn_session", AUTHN_SRC),
+            ),
+            contexts=(AUTHN_SRC,),
+        ),
+        {"verdict": "insufficient_authz"},
+    ),
+    "ExtractConstraints": (
+        ExtractConstraints(
+            (
+                GuardDescriptor('role == "admin" && n > 2', (("n", "int"), ("role", "string"))),
+                GuardDescriptor("ok", (("ok", "bool"),)),
+            )
+        ),
+        {"skip": True},
+    ),
+    "ConfirmUserSource": (ConfirmUserSource("/api/users", ("/api", "/admin")), {"is_user_source": True}),
+    "NextSearchAction": (
+        NextSearchAction(
+            2,
+            ("gateway", "usermgmt"),
+            ("q_name:mode=regex,pattern=(?i)(update).*,service=usermgmt",),
+            1,
+            ("q_name", "new_round", "finish"),
+        ),
+        {"tool": "finish", "args": {}},
+    ),
+}
+
+# sha256 of each sample's user message, taken from the code before the
+# remote backend left ``reasoner``; a task field that stops serialising as a
+# JSON object (say, a descriptor turned into a tuple) changes its digest.
+PROMPT_DIGESTS = {
+    "AssessSufficiency": "6c1786903e36af51af9962eb879f8c859459a9bbeabdd9e6948a0079e8d86cbe",
+    "ClassifyCheck": "bc295b7359b625159a95bd9a233283dc933d04032187b5275abc0104896ee580",
+    "ClassifyPrivileged": "b6cdc52f57021e8898fb01bec54993b1dc7c55c9b2e9d3df30f571abd9f56265",
+    "ConfirmUserSource": "196fd1809b4e127cc98c0edad257afb474f1f473f7c4c0d917595c56ff75427d",
+    "ExtractConstraints": "ca56aa676268b42c9e4387a4815775c60a09edb9806d143568a47524b2314139",
+    "NextSearchAction": "7476acac36841c7c37f73c46f5802b7090aa9d576643c1d8f0bbb171737a9512",
+}
+
+
+def _user_message(task, reply) -> str:
+    calls = []
+    backend = remote([_chat(json.dumps({**reply, "rationale": "r"}))], calls)
+    backend.reason(task)
+    assert len(calls) == 1
+    return calls[0]["payload"]["messages"][1]["content"]
+
+
+class TestRemotePrompts:
+    def test_samples_cover_every_task(self):
+        assert {type(task) for task, _ in PROMPT_SAMPLES.values()} == set(TASKS)
+        assert set(PROMPT_SAMPLES) == {t.__name__ for t in TASKS} == set(PROMPT_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(PROMPT_SAMPLES))
+    def test_user_message_is_byte_identical(self, name):
+        message = _user_message(*PROMPT_SAMPLES[name])
+        assert hashlib.sha256(message.encode("utf-8")).hexdigest() == PROMPT_DIGESTS[name]
+
+    def test_descriptors_are_json_objects(self):
+        """The nested descriptors reach the prompt as objects with named
+        fields, not as arrays."""
+        for name, key, fields in (
+            ("AssessSufficiency", "checks", ["classification", "name", "source", "subtype"]),
+            ("ExtractConstraints", "guards", ["source", "var_types"]),
+        ):
+            message = _user_message(*PROMPT_SAMPLES[name])
+            template = (PROMPTS_DIR / ("_".join(split_identifier(name)) + ".md")).read_text(encoding="utf-8")
+            before, after = template.split("{task_json}")
+            assert message.startswith(before) and message.endswith(after)
+            task_json = json.loads(message[len(before) : len(message) - len(after)])
+            assert task_json["task"] == name
+            assert [sorted(d) for d in task_json[key]] == [fields, fields]
 
 
 # --- per-scan verdict memo -------------------------------------------------------

@@ -21,10 +21,9 @@ from privflow.reasoner import (
     ConfirmUserSource,
     ExtractConstraints,
     NextSearchAction,
-    RemoteConfig,
-    RemoteReasoner,
     ScriptedOracle,
 )
+from privflow.remote import PROMPTS_DIR, RemoteConfig, RemoteReasoner
 
 from conftest import CORPORA
 
@@ -125,9 +124,9 @@ def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
     }
     assert set(samples) == set(reasoner.TASKS)
     prompts = {re.sub(r"(?<!^)(?=[A-Z])", "_", t.__name__).lower() + ".md" for t in reasoner.TASKS}
-    assert {p.name for p in reasoner.PROMPTS_DIR.glob("*.md")} == prompts | {"system.md"}
+    assert {p.name for p in PROMPTS_DIR.glob("*.md")} == prompts | {"system.md"}
     for name in prompts:
-        assert "{task_json}" in (reasoner.PROMPTS_DIR / name).read_text(encoding="utf-8"), name
+        assert "{task_json}" in (PROMPTS_DIR / name).read_text(encoding="utf-8"), name
     assert set(ScriptedOracle.__dict__["reason"].dispatcher.registry) == {object, *reasoner.TASKS}
 
     oracle = ScriptedOracle()
@@ -138,3 +137,47 @@ def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
             transport=lambda url, headers, payload, timeout: (200, {"choices": [{"message": {"content": content}}]}),
         )
         assert type(backend.reason(task)) is type(oracle.reason(task)), type(task).__name__
+
+
+#: privflow classes that are dataclasses once a scripted scan's modules are
+#: loaded; every other record is a named tuple (see ``privflow.model``).
+MAX_STARTUP_DATACLASSES = 35
+
+_STARTUP_PROBE = """
+import json, sys
+import privflow.load, privflow.pipeline, privflow.report
+from privflow.reasoner import ScriptedOracle
+
+def dataclasses_loaded():
+    return [
+        cls
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("privflow")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in cls.__dict__
+    ]
+
+ScriptedOracle()
+loaded = {name: name in sys.modules for name in ("privflow.remote", "requests")}
+count = len(dataclasses_loaded())
+import privflow.remote
+undocumented = [c.__qualname__ for c in dataclasses_loaded() if c.__doc__.startswith(c.__name__ + "(")]
+print(json.dumps({"loaded": loaded, "dataclasses": count, "undocumented": undocumented}))
+"""
+
+
+def test_scripted_start_up_builds_no_remote_backend_and_few_dataclasses():
+    """A fresh interpreter that loads what a scripted scan needs neither
+    imports the remote backend nor ``requests``, and builds at most
+    ``MAX_STARTUP_DATACLASSES`` privflow dataclasses: a dataclass costs
+    several times a named tuple to create at import. Every dataclass has
+    its own docstring; without one, ``dataclass`` renders a signature."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == {"privflow.remote": False, "requests": False}
+    assert result["dataclasses"] <= MAX_STARTUP_DATACLASSES
+    assert result["undocumented"] == []
