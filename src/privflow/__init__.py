@@ -18,10 +18,24 @@ from .model import (
     Service,
     validate_program,
 )
-from .pipeline import Finding, PrivilegedOperation, ScanBudget, ScanOptions, scan
-from .reasoner import ScriptedOracle, load_rules
 
 __version__ = "0.1.0"
+
+_PIPELINE = ("Finding", "PrivilegedOperation", "ScanBudget", "ScanOptions", "scan")
+_REASONER = ("ScriptedOracle", "load_rules")
+
+
+def __getattr__(name: str):
+    """Import the scan engine on first use of one of its re-exports, so
+    ``import privflow.search`` (or a ``privflow query``) does not build it."""
+    if name in _PIPELINE:
+        from . import pipeline as module
+    elif name in _REASONER:
+        from . import reasoner as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value
 
 __all__ = [
     "Channel",

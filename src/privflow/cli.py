@@ -3,6 +3,9 @@
 Exit codes: 0 clean, 1 findings present, 2 configuration or ingest error,
 3 budget exhausted with partial results. User errors print one-line
 diagnostics, never stack traces.
+
+The scan engine (``pipeline``, ``crossflow``, ``reasoner``) is imported by
+the commands that run it, so ``query`` and ``facts`` start without it.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ from .facts import FactsError, ManifestError, write_facts
 from .load import LoadError, load_program
 from .minisrv import LoweringError, ParseError
 from .model import ElementKind, validate_program
-from .pipeline import BudgetExhausted, ProgramInvalid, ScanBudget, ScanOptions, find_privileged_ops
-from .pipeline import scan as run_scan
-from .reasoner import BackendUnavailable, RulesError, SchemaViolation, load_rules, make_reasoner
 from .report import ExitStatus, exit_status, render_report
 from .search import BadPattern, NotAFunction, UnknownElement, q_ast, q_cg, q_flow, q_name
-from .crossflow import build_global_graph, match_channels, to_dot
 
 USER_ERRORS = (
     ManifestError,
@@ -30,16 +29,20 @@ USER_ERRORS = (
     ParseError,
     LoweringError,
     LoadError,
-    ProgramInvalid,
-    RulesError,
-    BackendUnavailable,
-    SchemaViolation,
     BadPattern,
     UnknownElement,
     NotAFunction,
     ValueError,
     OSError,
 )
+
+
+def _engine_errors() -> tuple[type[Exception], ...]:
+    """The user errors the scan engine adds, for the commands that run it."""
+    from .pipeline import ProgramInvalid
+    from .reasoner import BackendUnavailable, RulesError, SchemaViolation
+
+    return (ProgramInvalid, RulesError, BackendUnavailable, SchemaViolation)
 
 
 def _fail(message: str) -> None:
@@ -66,6 +69,10 @@ def main() -> None:
 @click.option("--budget-seconds", type=float, default=600.0, show_default=True, help="Wall-clock limit")
 def scan(corpus, reasoner_kind, rules_file, basic_sink, no_odctx, fmt, trace_path, emit_smt, budget_calls, budget_seconds):
     """Scan a corpus directory for privilege-escalation flows."""
+    from .pipeline import ScanBudget, ScanOptions
+    from .pipeline import scan as run_scan
+    from .reasoner import load_rules, make_reasoner
+
     try:
         program = load_program(corpus)
         backend = make_reasoner(reasoner_kind, load_rules(rules_file))
@@ -77,7 +84,7 @@ def scan(corpus, reasoner_kind, rules_file, basic_sink, no_odctx, fmt, trace_pat
             trace_path=trace_path,
         )
         payload = run_scan(program, backend, budget, options)
-    except USER_ERRORS as exc:
+    except USER_ERRORS + _engine_errors() as exc:
         _fail(str(exc))
         return
     click.echo(render_report(payload, fmt), nl=False)
@@ -148,6 +155,10 @@ def _element_row(e) -> dict:
 @click.option("--rules", "rules_file", type=click.Path(exists=True, dir_okay=False), default=None)
 def graph(corpus, reasoner_kind, rules_file):
     """Dump the global reachability graph in DOT format."""
+    from .crossflow import build_global_graph, match_channels, to_dot
+    from .pipeline import BudgetExhausted, ProgramInvalid, find_privileged_ops
+    from .reasoner import load_rules, make_reasoner
+
     exhausted = None
     try:
         program = load_program(corpus)
@@ -160,7 +171,7 @@ def graph(corpus, reasoner_kind, rules_file):
         except BudgetExhausted as exc:
             privops, exhausted = exc.partial, exc
         g = build_global_graph(program, privops, match_channels(program))
-    except USER_ERRORS as exc:
+    except USER_ERRORS + _engine_errors() as exc:
         _fail(str(exc))
         return
     click.echo(to_dot(g, program), nl=False)

@@ -4,16 +4,19 @@ Builds the global reachability graph in two phases: per-service flow edges
 from untrusted sources to privileged operations and outbound communication
 call sites, then channel edges connecting outbound call sites to the
 receiving endpoints. Global paths alternate intra-service flow witnesses
-with channel hops. ``path_functions`` is the one walk over a path's
-elements that validation reads: its functions and their guards.
+with channel hops; a path's derived facts (node ids, id, flow segments,
+services) are fixed when it is built. ``segment_functions`` is the one
+walk over a flow segment's elements: its functions and their guards.
+``path_functions`` merges its segments' groups into the path's, which
+validation reads.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -253,31 +256,35 @@ def build_global_graph(
 @dataclass(frozen=True)
 class GlobalPath:
     """Alternating intra-service flow segments and channel hops, from a user
-    source to a privileged operation. Derived facts are computed on first
-    read and kept; equality and hashing use ``segments`` alone."""
+    source to a privileged operation. Derived facts are set when the path
+    is built; equality and hashing use ``segments`` alone."""
 
     segments: tuple[FlowPath | ChannelEdge, ...]
+    node_ids: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    id: str = field(init=False, compare=False, repr=False)
+    flow_segments: tuple[FlowPath, ...] = field(init=False, compare=False, repr=False)
+    services: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("GlobalPath needs at least one segment")
-
-    @cached_property
-    def id(self) -> str:
-        key = "\x1f".join(self.node_ids)
-        return "p" + hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
-
-    @cached_property
-    def node_ids(self) -> tuple[str, ...]:
         ids: list[str] = []
+        flow_segments: list[FlowPath] = []
+        services: list[str] = []
         for seg in self.segments:
-            chain = seg.elements if isinstance(seg, FlowPath) else (seg.from_element, seg.to_element)
+            if isinstance(seg, FlowPath):
+                chain = seg.elements
+                flow_segments.append(seg)
+                if not services or services[-1] != seg.service:
+                    services.append(seg.service)
+            else:
+                chain = (seg.from_element, seg.to_element)
             ids.extend(chain[1:] if ids and ids[-1] == chain[0] else chain)
-        return tuple(ids)
-
-    @cached_property
-    def flow_segments(self) -> tuple[FlowPath, ...]:
-        return tuple(s for s in self.segments if isinstance(s, FlowPath))
+        init = object.__setattr__  # the record is frozen once built
+        init(self, "node_ids", tuple(ids))
+        init(self, "id", "p" + hashlib.sha1("\x1f".join(ids).encode("utf-8")).hexdigest()[:12])
+        init(self, "flow_segments", tuple(flow_segments))
+        init(self, "services", tuple(services))
 
     @property
     def source(self) -> str:
@@ -287,33 +294,58 @@ class GlobalPath:
     def sink(self) -> str:
         return self.node_ids[-1]
 
-    @cached_property
-    def services(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for seg in self.flow_segments:
-            if not seen or seen[-1] != seg.service:
-                seen.append(seg.service)
-        return tuple(seen)
+
+#: ``(service, function, guards)``: the path elements that share an
+#: enclosing function (None outside any function), told by that function
+#: and the conditionals whose block holds one of them.
+FunctionGroup = tuple[Service, Element | None, tuple[Element, ...]]
 
 
-def path_functions(program: Program, path: GlobalPath) -> list[tuple[Service, Element | None, tuple[Element, ...]]]:
+def segment_functions(program: Program, segment: FlowPath) -> tuple[FunctionGroup, ...]:
+    """One flow segment's elements grouped by enclosing function, in order
+    of first visit. ``guards`` are the conditionals whose block holds an
+    element of the group, each element's outermost first, each listed once.
+    The elements outside any function form a group whose function is None;
+    a segment of an unknown service has no groups."""
+    service = program.service(segment.service)
+    if service is None:
+        return ()
+    place = service_index(service).place
+    groups: dict[str | None, tuple[Element | None, dict[str, Element]]] = {}
+    for eid in segment.elements:
+        fn, chain = place(eid)
+        guards = groups.setdefault(fn.id if fn else None, (fn, {}))[1]
+        for guard in chain:
+            guards.setdefault(guard.id, guard)
+    return tuple((service, fn, tuple(guards.values())) for fn, guards in groups.values())
+
+
+def path_functions(
+    program: Program,
+    path: GlobalPath,
+    groups_of: Callable[[FlowPath], tuple[FunctionGroup, ...]] | None = None,
+) -> list[FunctionGroup]:
     """The path's elements grouped by enclosing function, in order of first
-    visit: one ``(service, function, guards)`` per group. ``guards`` are the
-    conditionals whose block holds an element of the group, each element's
-    outermost first, each listed once. The elements of a service that lie
-    outside any function form a group whose function is None."""
-    groups: dict[tuple[str, str | None], tuple[Service, Element | None, dict[str, Element]]] = {}
+    visit, each group's guards in order of first appearance: the segments'
+    ``segment_functions`` groups merged in segment order. A service's
+    function met in two segments is one group.
+
+    ``groups_of(segment)`` gives a segment's groups; a scan passes one that
+    keeps them, so a segment shared by many paths is walked once."""
+    if groups_of is None:
+        groups_of = functools.partial(segment_functions, program)
+    merged: dict[tuple[str, str | None], FunctionGroup] = {}
     for segment in path.flow_segments:
-        service = program.service(segment.service)
-        if service is None:
-            continue
-        index = service_index(service)
-        for eid in segment.elements:
-            fn, chain = index.place(eid)
-            guards = groups.setdefault((service.name, fn.id if fn else None), (service, fn, {}))[2]
-            for guard in chain:
-                guards.setdefault(guard.id, guard)
-    return [(service, fn, tuple(guards.values())) for service, fn, guards in groups.values()]
+        for group in groups_of(segment):
+            service, fn, guards = group
+            key = (service.name, fn.id if fn else None)
+            known = merged.get(key)
+            if known is None:
+                merged[key] = group
+            else:  # the function was met in an earlier segment
+                guards = {guard.id: guard for guard in (*known[2], *guards)}
+                merged[key] = (service, fn, tuple(guards.values()))
+    return list(merged.values())
 
 
 class GlobalFlows(NamedTuple):

@@ -13,6 +13,12 @@ tool-call trace, which also enforces the per-phase call budget. Every task
 is recorded; each distinct task reaches the backend once per scan, through
 the scan's ``reasoner.Memo``. A task is recorded before it is looked up, so
 the record that exhausts the budget asks the backend nothing.
+
+Paths share most of their segments, and their guards often translate to
+one constraint. So validation keeps, for the length of one scan, each
+segment's function groups and evidence entries and each distinct
+constraint's ``check_sat`` verdict; every flow still records its own tool
+calls and writes its own SMT file.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .constraints import check_sat, Sat, Unsat, emit_smtlib
 from .crossflow import (
@@ -37,6 +43,7 @@ from .crossflow import (
     q_globalflow,
     q_inter,
     q_user,
+    segment_functions,
     unrecorded,
 )
 from .model import Element, ElementKind, Program, Service, call_callee, element_order, validate_program
@@ -513,10 +520,15 @@ def scan(
     if exhausted_reason is None:
         max_hops = 4 if options.on_demand_context else 1
         record_validation = functools.partial(tracer.record, PHASE_VALIDATION)
+        # paths share segments and constraints: each segment is walked and
+        # each distinct constraint decided once per scan
+        groups_of = functools.cache(functools.partial(segment_functions, program))
+        decide = functools.cache(check_sat)
         for index, flow in enumerate(flows):
             try:
                 finding, status = _validate_flow(
-                    program, flow, ops_by_element, reasoner, record_validation, max_hops, smt_dir, full_context_ids
+                    program, flow, ops_by_element, reasoner, record_validation, max_hops, smt_dir, full_context_ids,
+                    groups_of, decide,
                 )
             except BudgetExhausted as exc:
                 budget_truncated = len(flows) - index
@@ -562,8 +574,13 @@ def _validate_flow(
     max_hops: int,
     smt_dir: Path | None,
     context_ids: set[str],
+    groups_of: Callable,
+    decide: Callable,
 ):
-    groups = path_functions(program, flow)
+    """One flow through the funnel. ``groups_of(segment)`` gives a
+    segment's ``crossflow.segment_functions`` groups and ``decide`` is
+    ``check_sat``; the scan passes both memoized."""
+    groups = path_functions(program, flow, groups_of)
     record("reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
     constraint = extract_path_constraints(groups, reasoner)
 
@@ -573,7 +590,7 @@ def _validate_flow(
         if smt_dir is not None:
             smt_file = f"{flow.id}.smt2"
             (smt_dir / smt_file).write_text(emit_smtlib(constraint), encoding="utf-8")
-        verdict = check_sat(constraint)
+        verdict = decide(constraint)
         if isinstance(verdict, Unsat):
             return None, "pruned"
         constraint_status = "sat" if isinstance(verdict, Sat) else "unknown"
@@ -602,18 +619,22 @@ def _validate_flow(
 # --- report payload ---------------------------------------------------------------------
 
 
-def _evidence(flow: GlobalPath, checks, record) -> list[dict]:
+def _evidence(flow: GlobalPath, checks, segment_records, record) -> list[dict]:
     """Verbatim sources of the elements on (or referenced from) the path,
-    each element once; ``record(service, element)`` gives an element's
-    evidence record, None for an unknown element."""
-    located: dict[str, str] = {}  # element -> service, first mention kept
+    each element once, at its first mention. ``record(service, element)``
+    gives an element's evidence record, None for an unknown element, and
+    ``segment_records(segment)`` maps a segment's elements to theirs.
+
+    A valid program declares each element id in one service, so a later
+    mention of an element carries the record of its first, and ``update``
+    keeps the first mention's place."""
+    located: dict[str, dict | None] = {}
     for segment in flow.flow_segments:
-        for eid in segment.elements:
-            located.setdefault(eid, segment.service)
+        located.update(segment_records(segment))
     for check in checks:
-        located.setdefault(check.element, check.service)
-    entries = (record(service_name, eid) for eid, service_name in located.items())
-    return [entry for entry in entries if entry is not None]
+        if check.element not in located:
+            located[check.element] = record(check.service, check.element)
+    return [entry for entry in located.values() if entry is not None]
 
 
 def _report_payload(
@@ -679,6 +700,10 @@ def _report_payload(
         }
 
     @functools.cache
+    def segment_evidence(segment: FlowPath) -> dict[str, dict | None]:
+        return {eid: evidence(segment.service, eid) for eid in segment.elements}
+
+    @functools.cache
     def hop(segment: FlowPath | ChannelEdge) -> dict:
         if isinstance(segment, FlowPath):
             steps = [step(segment.service, eid) for eid in segment.elements]
@@ -712,7 +737,7 @@ def _report_payload(
                 for c in f.checks
             ],
             "constraint": {"status": f.constraint_status, "smt_file": f.smt_file},
-            "evidence": _evidence(f.path, f.checks, evidence),
+            "evidence": _evidence(f.path, f.checks, segment_evidence, evidence),
         }
 
     def finding_sort_key(fd: dict):

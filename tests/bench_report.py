@@ -1,6 +1,6 @@
-"""Micro-benchmarks on a 256-flow fan-out scan: JSON report rendering, with
-the stdlib's indented encoder as the reference, and check localization
-(the path's function walk included) over every flow.
+"""Micro-benchmarks on a 256-flow fan-out scan: the whole scan, JSON
+report rendering, with the stdlib's indented encoder as the reference, and
+check localization (the path's function walk included) over every flow.
 
 The file name does not match ``test_*.py``, so the default test run does
 not collect it. Run it with
@@ -32,6 +32,14 @@ def fanout(tmp_path_factory):
     payload = scan(program, oracle, budget)
     assert len(flows) == len(payload["findings"]) == 256
     return program, oracle, flows, payload
+
+
+def test_scan_every_flow(benchmark, fanout):
+    """One scan of all 256 flows, validation and the report payload
+    included; the program's service indexes are already built."""
+    program, oracle, _, payload = fanout
+    budget = ScanBudget(max_tool_calls_per_phase=10**9)
+    assert benchmark(scan, program, oracle, budget) == payload
 
 
 def test_render_json(benchmark, fanout):

@@ -1,13 +1,24 @@
 """One walk per flow: ``crossflow.path_functions`` feeds both constraint
 extraction and check localization, and the report shares one record per
-element. The old per-consumer walks are written out here as the reference."""
+element. The old per-consumer walks, and the per-element path walk that
+the per-segment groups replaced, are written out here as the reference."""
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from privflow.crossflow import GlobalPath, build_global_graph, match_channels, path_functions, q_globalflow, q_user
+from privflow import pipeline
+from privflow.crossflow import (
+    GlobalPath,
+    build_global_graph,
+    match_channels,
+    path_functions,
+    q_globalflow,
+    q_user,
+    segment_functions,
+)
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, element_order
 from privflow.pipeline import ScanBudget, extract_path_constraints, find_privileged_ops, locate_checks, scan
@@ -73,7 +84,12 @@ def write_chain_corpus(root: Path) -> Path:
 
 
 def load_case(name: str, root: Path) -> Program:
-    writers = {"fanout": write_fanout_corpus, "chain": write_chain_corpus, "reentry": write_reentry_corpus}
+    writers = {
+        "fanout": write_fanout_corpus,
+        "fanout4x2": lambda root: write_fanout_corpus(root, 4, 2),
+        "chain": write_chain_corpus,
+        "reentry": write_reentry_corpus,
+    }
     return load_program(writers[name](root) if name in writers else CORPORA / name)
 
 
@@ -92,6 +108,64 @@ class Recorder:
     def reason(self, task):
         self.tasks.append(task)
         return self.inner.reason(task)
+
+
+def per_element_groups(program: Program, path: GlobalPath):
+    """``path_functions`` as one walk over every element of the path, in
+    path order: groups in order of first visit, guards in order of first
+    appearance."""
+    groups = {}
+    for segment in path.flow_segments:
+        service = program.service(segment.service)
+        if service is None:
+            continue
+        index = service_index(service)
+        for eid in segment.elements:
+            fn, chain = index.place(eid)
+            guards = groups.setdefault((service.name, fn.id if fn else None), (service, fn, {}))[2]
+            for guard in chain:
+                guards.setdefault(guard.id, guard)
+    return [(service, fn, tuple(guards.values())) for service, fn, guards in groups.values()]
+
+
+@pytest.mark.parametrize("case", CORPUS_NAMES + ["fanout4x2", "reentry"])
+def test_segment_groups_merge_to_the_per_element_walk(case, tmp_path):
+    """Merging each segment's groups in segment order gives the per-element
+    walk's groups, whether the segments' groups are kept (as a scan keeps
+    them) or walked afresh. ``reentry`` meets one function in two segments
+    with another service's segment between."""
+    program = load_case(case, tmp_path)
+    flows = all_flows(program)
+    assert len(flows) == {"fanout4x2": 16, "reentry": 1}.get(case, len(flows))
+    kept = functools.cache(functools.partial(segment_functions, program))
+    for flow in flows:
+        expected = per_element_groups(program, flow)
+        assert path_functions(program, flow) == expected
+        assert path_functions(program, flow, kept) == expected
+
+
+def test_scan_walks_each_segment_and_decides_each_constraint_once(tmp_path, monkeypatch):
+    """256 fan-out flows visit 2,048 segments, 30 of them distinct, and
+    share one constraint: a scan walks each distinct segment once and
+    calls ``check_sat`` once."""
+    walked, decided = [], []
+    real_check_sat = pipeline.check_sat
+
+    def counting_segment_functions(program, segment):
+        walked.append(segment)
+        return segment_functions(program, segment)
+
+    def counting_check_sat(constraint):
+        decided.append(constraint)
+        return real_check_sat(constraint)
+
+    monkeypatch.setattr(pipeline, "segment_functions", counting_segment_functions)
+    monkeypatch.setattr(pipeline, "check_sat", counting_check_sat)
+    program = load_program(write_fanout_corpus(tmp_path))
+    payload = scan(program, ScriptedOracle(), OPEN)
+    assert payload["funnel"]["findings"] == 256
+    assert len(walked) == len(set(walked)) == 30
+    assert len(decided) == 1
 
 
 def old_extract_task(program: Program, path: GlobalPath) -> ExtractConstraints:

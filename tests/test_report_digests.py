@@ -9,7 +9,11 @@ Covered outputs:
   ``on_demand_context=False``;
 * the same three outputs of ``role_update`` with ``basic_sink`` at 4 and 6
   tool calls per phase. Both run out of budget in the flow phase, the first
-  before channel matching (no matched channels), the second after it (one).
+  before channel matching (no matched channels), the second after it (one);
+* the three outputs and every ``emit_smt_dir`` file of a scan of
+  ``conftest.write_fanout_corpus(root, 4, 2)`` at an open budget
+  (``SHARED``): 16 flows through 4 guarded services, which share their
+  segments and their constraint. Each corpus above has at most 2 flows.
 
 The trace is written to ``trace.jsonl`` in the working directory, so the
 report's ``trace_file`` field is the same on every machine.
@@ -37,6 +41,8 @@ from privflow.pipeline import ScanBudget, ScanOptions, scan
 from privflow.reasoner import ScriptedOracle
 from privflow.report import render_report
 
+from conftest import write_fanout_corpus
+
 CORPORA = Path(__file__).resolve().parent / "corpora"
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 TRACE = "trace.jsonl"
@@ -44,6 +50,8 @@ TRACE = "trace.jsonl"
 VARIANTS = {"default": {}, "basic_sink": {"basic_sink": True}, "no_odctx": {"on_demand_context": False}}
 # case name -> (tool calls per phase, matched channels in the partial report)
 PARTIAL = {"role_update/basic_sink/budget4": (4, 0), "role_update/basic_sink/budget6": (6, 1)}
+SHARED = "fanout4x2/open/emit_smt"
+SMT_DIR = "smt"
 
 
 def _cases() -> dict[str, tuple[Path, dict, ScanBudget]]:
@@ -72,6 +80,20 @@ def _digests(corpus: Path, options: dict, budget: ScanBudget) -> tuple[dict[str,
     return digests, payload
 
 
+def _shared_digests() -> dict[str, str]:
+    """Digests of the ``SHARED`` scan's outputs, one ``smt/<file>`` entry
+    per SMT file; writes the corpus, ``TRACE`` and ``SMT_DIR`` in the
+    working directory."""
+    corpus = Path("fanout")
+    corpus.mkdir()
+    write_fanout_corpus(corpus, 4, 2)
+    digests, payload = _digests(corpus, {"emit_smt_dir": SMT_DIR}, ScanBudget(max_tool_calls_per_phase=10**9))
+    assert payload["funnel"]["findings"] == 16
+    for path in sorted(Path(SMT_DIR).iterdir()):
+        digests[f"{SMT_DIR}/{path.name}"] = _sha(path.read_text(encoding="utf-8"))
+    return digests
+
+
 CASES = _cases()
 
 
@@ -85,13 +107,21 @@ def test_outputs_match_checked_in_digests(name, tmp_path, monkeypatch):
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
 
 
+def test_shared_segment_outputs_match_checked_in_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = _shared_digests()
+    assert len([name for name in digests if name.startswith(SMT_DIR + "/")]) == 16
+    assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[SHARED]
+
+
 def test_digests_cover_exactly_the_cases():
-    assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
+    assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted([*CASES, SHARED])
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         table = {name: _digests(*CASES[name])[0] for name in sorted(CASES)}
+        table[SHARED] = _shared_digests()
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)

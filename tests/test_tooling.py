@@ -181,3 +181,51 @@ def test_scripted_start_up_builds_no_remote_backend_and_few_dataclasses():
     assert result["loaded"] == {"privflow.remote": False, "requests": False}
     assert result["dataclasses"] <= MAX_STARTUP_DATACLASSES
     assert result["undocumented"] == []
+
+
+#: the scan engine: what a ``privflow query`` or ``facts`` process never runs
+ENGINE_MODULES = ("privflow.pipeline", "privflow.constraints", "privflow.crossflow", "privflow.reasoner")
+
+_QUERY_PROBE = """
+import contextlib, io, json, sys
+engine = {engine!r}
+import privflow.search
+after_import = [name for name in engine if name in sys.modules]
+from privflow.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["query", {corpus!r}, "--service", "usermgmt", "--op", "name", "--pattern", "set.*", "--mode", "regex"],
+         standalone_mode=False)
+after_query = [name for name in engine if name in sys.modules]
+print(json.dumps({{"after_import": after_import, "after_query": after_query, "rows": len(out.getvalue().splitlines())}}))
+"""
+
+
+def test_search_and_query_start_without_the_scan_engine():
+    """``import privflow.search`` and a ``query`` run through the CLI load
+    none of the scan engine's modules: the package resolves its ``scan``
+    and reasoner re-exports on first use, and the CLI imports the engine
+    inside ``scan`` and ``graph`` only."""
+    probe = _QUERY_PROBE.format(engine=ENGINE_MODULES, corpus=str(CORPORA / "role_update"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rows"] > 0
+    assert result["after_import"] == result["after_query"] == []
+
+
+def test_package_re_exports_resolve_on_first_use():
+    import privflow
+    from privflow import pipeline
+
+    assert privflow.scan is pipeline.scan and privflow.ScanBudget is pipeline.ScanBudget
+    assert privflow.ScriptedOracle is ScriptedOracle and privflow.load_rules is reasoner.load_rules
+    for name in privflow.__all__:
+        getattr(privflow, name)
+    try:
+        privflow.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("privflow.no_such_name resolved")
