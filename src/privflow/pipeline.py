@@ -16,9 +16,11 @@ the record that exhausts the budget asks the backend nothing.
 
 Paths share most of their segments, and their guards often translate to
 one constraint. So validation keeps, for the length of one scan, each
-segment's function groups and evidence entries and each distinct
-constraint's ``check_sat`` verdict; every flow still records its own tool
-calls and writes its own SMT file.
+segment's function groups, hop and evidence entries, and each distinct
+constraint's ``check_sat`` verdict and SMT-LIB text; every flow still
+records its own tool calls and writes its own SMT file. The flows share
+their segment objects, so the per-segment tables find a segment by
+identity rather than by hashing it.
 """
 
 from __future__ import annotations
@@ -462,8 +464,9 @@ def scan(
     """Run the full pipeline and return the schema-versioned report payload.
 
     Findings share one record per privileged operation, per path element
-    (step and evidence) and per path segment (hop), so the payload is
-    read-only: changing one record would change it in every finding."""
+    (step and evidence), per path segment (hop) and per distinct service
+    list, check list and constraint status, so the payload is read-only:
+    changing one record would change it in every finding."""
     budget = budget or ScanBudget()
     options = options or ScanOptions()
     violations = validate_program(program)
@@ -520,15 +523,25 @@ def scan(
     if exhausted_reason is None:
         max_hops = 4 if options.on_demand_context else 1
         record_validation = functools.partial(tracer.record, PHASE_VALIDATION)
-        # paths share segments and constraints: each segment is walked and
-        # each distinct constraint decided once per scan
-        groups_of = functools.cache(functools.partial(segment_functions, program))
+        # paths share segments and constraints: each segment is walked, and
+        # each distinct constraint decided and written out, once per scan.
+        # The flows share their segment objects, so a segment is found
+        # again by identity, without hashing it.
+        groups: dict[int, tuple] = {}
+
+        def groups_of(segment: FlowPath) -> tuple:
+            found = groups.get(id(segment))
+            if found is None:
+                found = groups[id(segment)] = segment_functions(program, segment)
+            return found
+
         decide = functools.cache(check_sat)
+        smt_text = functools.cache(emit_smtlib)
         for index, flow in enumerate(flows):
             try:
                 finding, status = _validate_flow(
                     program, flow, ops_by_element, reasoner, record_validation, max_hops, smt_dir, full_context_ids,
-                    groups_of, decide,
+                    groups_of, decide, smt_text,
                 )
             except BudgetExhausted as exc:
                 budget_truncated = len(flows) - index
@@ -576,10 +589,12 @@ def _validate_flow(
     context_ids: set[str],
     groups_of: Callable,
     decide: Callable,
+    smt_text: Callable,
 ):
     """One flow through the funnel. ``groups_of(segment)`` gives a
-    segment's ``crossflow.segment_functions`` groups and ``decide`` is
-    ``check_sat``; the scan passes both memoized."""
+    segment's ``crossflow.segment_functions`` groups, ``decide`` is
+    ``check_sat`` and ``smt_text`` is ``emit_smtlib``; the scan passes all
+    three memoized."""
     groups = path_functions(program, flow, groups_of)
     record("reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
     constraint = extract_path_constraints(groups, reasoner)
@@ -589,7 +604,7 @@ def _validate_flow(
     if constraint is not None:
         if smt_dir is not None:
             smt_file = f"{flow.id}.smt2"
-            (smt_dir / smt_file).write_text(emit_smtlib(constraint), encoding="utf-8")
+            (smt_dir / smt_file).write_text(smt_text(constraint), encoding="utf-8")
         verdict = decide(constraint)
         if isinstance(verdict, Unsat):
             return None, "pruned"
@@ -619,22 +634,23 @@ def _validate_flow(
 # --- report payload ---------------------------------------------------------------------
 
 
-def _evidence(flow: GlobalPath, checks, segment_records, record) -> list[dict]:
+def _evidence(flow: GlobalPath, checks, segment_records: dict[int, dict], record) -> list[dict]:
     """Verbatim sources of the elements on (or referenced from) the path,
     each element once, at its first mention. ``record(service, element)``
     gives an element's evidence record, None for an unknown element, and
-    ``segment_records(segment)`` maps a segment's elements to theirs.
+    ``segment_records[id(segment)]`` maps a flow segment's elements to
+    theirs.
 
     A valid program declares each element id in one service, so a later
     mention of an element carries the record of its first, and ``update``
     keeps the first mention's place."""
     located: dict[str, dict | None] = {}
-    for segment in flow.flow_segments:
-        located.update(segment_records(segment))
+    for records in map(segment_records.__getitem__, map(id, flow.flow_segments)):
+        located.update(records)
     for check in checks:
         if check.element not in located:
             located[check.element] = record(check.service, check.element)
-    return [entry for entry in located.values() if entry is not None]
+    return [*filter(None, located.values())]  # a record is a non-empty dict
 
 
 def _report_payload(
@@ -657,8 +673,9 @@ def _report_payload(
     exhausted_reason: str | None,
     context_ids: set[str],
 ) -> dict:
-    # one record per privileged operation, per element and per path segment,
-    # shared by every finding that reaches it
+    # one record per privileged operation, per element, per path segment and
+    # per distinct service list, check list and constraint status, shared by
+    # every finding that has it
     @functools.cache
     def op_dict(op: PrivilegedOperation) -> dict:
         el = program.element(op.service, op.element)
@@ -699,11 +716,6 @@ def _report_payload(
             "source": el.source,
         }
 
-    @functools.cache
-    def segment_evidence(segment: FlowPath) -> dict[str, dict | None]:
-        return {eid: evidence(segment.service, eid) for eid in segment.elements}
-
-    @functools.cache
     def hop(segment: FlowPath | ChannelEdge) -> dict:
         if isinstance(segment, FlowPath):
             steps = [step(segment.service, eid) for eid in segment.elements]
@@ -716,6 +728,40 @@ def _report_payload(
             "to_service": segment.to_service,
         }
 
+    # the findings share their segment objects: each distinct segment's hop
+    # and evidence records are built once, then found again by identity,
+    # without hashing the segment
+    segments = {id(segment): segment for f in findings for segment in f.path.segments}
+    hops = {key: hop(segment) for key, segment in segments.items()}
+    segment_records = {
+        key: {eid: evidence(segment.service, eid) for eid in segment.elements}
+        for key, segment in segments.items()
+        if isinstance(segment, FlowPath)
+    }
+
+    @functools.cache
+    def services(names: tuple[str, ...]) -> list[str]:
+        return list(names)
+
+    @functools.cache
+    def check_dicts(checks: tuple[CheckFinding, ...]) -> list[dict]:
+        return [
+            {
+                "element": c.element,
+                "service": c.service,
+                "name": c.name,
+                "classification": c.classification,
+                "authz_subtype": c.authz_subtype,
+                "attachment": c.attachment,
+                "rationale": c.rationale,
+            }
+            for c in checks
+        ]
+
+    @functools.cache
+    def constraint(status: str, smt_file: str | None) -> dict:
+        return {"status": status, "smt_file": smt_file}
+
     def finding_dict(f: Finding) -> dict:
         return {
             "id": f.path.id,
@@ -723,21 +769,14 @@ def _report_payload(
             "feasibility": f.feasibility,
             "rationale": f.rationale,
             "privileged_operation": op_dict(f.privop),
-            "path": {"id": f.path.id, "services": list(f.path.services), "hops": [hop(s) for s in f.path.segments]},
-            "checks": [
-                {
-                    "element": c.element,
-                    "service": c.service,
-                    "name": c.name,
-                    "classification": c.classification,
-                    "authz_subtype": c.authz_subtype,
-                    "attachment": c.attachment,
-                    "rationale": c.rationale,
-                }
-                for c in f.checks
-            ],
-            "constraint": {"status": f.constraint_status, "smt_file": f.smt_file},
-            "evidence": _evidence(f.path, f.checks, segment_evidence, evidence),
+            "path": {
+                "id": f.path.id,
+                "services": services(f.path.services),
+                "hops": [*map(hops.__getitem__, map(id, f.path.segments))],
+            },
+            "checks": check_dicts(f.checks),
+            "constraint": constraint(f.constraint_status, f.smt_file),
+            "evidence": _evidence(f.path, f.checks, segment_records, evidence),
         }
 
     def finding_sort_key(fd: dict):

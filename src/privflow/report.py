@@ -12,11 +12,17 @@ whose item separator carries the newline and indent of its depth.
 
 The pipeline shares records: every finding that reaches an element, an
 operation or a path segment holds the same dict. One render encodes each
-dict, list or tuple once per nesting depth. A memo local to the call maps
-``(id(member), depth)`` to the range of chunks its first rendering
-appended; the second meeting joins that range into text, which later
-meetings reuse. Ids stay unique only while the payload is alive and
-unchanged, so a payload must not be edited while it renders.
+dict, list or tuple once per nesting depth. A memo local to the call holds
+one table per depth, which maps ``id(member)`` to the range of chunks its
+first rendering appended; the second meeting joins that range into text,
+which later meetings reuse. A list or tuple whose members were all
+rendered at their depth (a finding's hops and evidence) takes one lookup
+per member and extends the chunks with references to the memo's texts
+between separators: chunks hold references to memo texts, never copies
+joined from them. Exact ``str`` members are encoded inline, and each
+distinct member type is tested once per container. Ids stay unique only
+while the payload is alive and unchanged, so a payload must not be edited
+while it renders.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def exit_status(payload: dict) -> ExitStatus:
 def render_report(payload: dict, fmt: str = "json") -> str:
     if fmt == "json":
         chunks: list[str] = []
-        _render_json(payload, 0, chunks, {})
+        _render_json(payload, 0, chunks, [], {})
         chunks.append("\n")
         return "".join(chunks)
     if fmt == "md":
@@ -78,36 +84,65 @@ def _level(depth: int) -> tuple:
     return encoder, inner, "\n" + "  " * depth
 
 
-def _key(key) -> str:
-    """A dict key as the stdlib converts it, quoted."""
+def _key_text(key, keys: dict[str, str]) -> str:
+    """A dict key as the stdlib converts it, quoted, and the ``": "`` after
+    it; kept in ``keys`` when the key is exactly a ``str``. A key that is
+    no ``str`` never equals a kept one, and a ``str`` subclass that equals
+    one has its characters, so a lookup in ``keys`` finds no wrong text."""
     if isinstance(key, str):
-        return encode_basestring_ascii(key)
+        text = encode_basestring_ascii(key) + ": "
+        if type(key) is str:
+            keys[key] = text
+        return text
     if key is None or isinstance(key, (int, float)):
         encoder = _level(0)[0]
-        return encode_basestring_ascii("".join(encoder(key, 0)))
+        return encode_basestring_ascii("".join(encoder(key, 0))) + ": "
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _holds_containers(values) -> bool:
-    """Whether any of the values is a dict, list or tuple."""
+def _nested_types(values) -> set:
+    """The types of the values that are dicts, lists or tuples; each
+    distinct type is tested once."""
     types = set(map(type, values))
-    return not types <= _SCALARS and any(issubclass(t, _NESTED) for t in types)
+    if types <= _SCALARS:
+        return set()
+    return {t for t in types if issubclass(t, _NESTED)}
 
 
-def _render_json(value, depth: int, chunks: list[str], seen: dict) -> None:
+def _render_json(value, depth: int, chunks: list[str], seen: list[dict], keys: dict[str, str]) -> None:
     """Append ``value``'s text at nesting ``depth`` to ``chunks``. Python
-    walks only the containers that hold other containers. ``seen`` maps
-    ``(id(member), depth)`` of each container member rendered so far to
-    the (start, end) range of chunks its rendering appended, or to its text
-    once it recurs."""
+    walks only the containers that hold other containers. ``seen[d]`` maps
+    ``id(member)`` of each container member rendered so far at depth ``d``
+    to the (start, end) range of chunks its rendering appended, or to its
+    text once it recurs. ``keys`` maps each ``str`` dict key met so far to
+    its quoted text and the ``": "`` after it."""
+    encoder, inner, outer = _level(depth)
+    while len(seen) <= depth + 1:
+        seen.append({})
+    memo = seen[depth + 1]
     if isinstance(value, dict):
         members = value.values()
     elif isinstance(value, (list, tuple)):
         members = value
+        texts = [*map(memo.get, map(id, value))]
+        if texts and None not in texts:
+            # every member was rendered at this depth: the chunks take
+            # references to their texts, first joining those met once
+            if tuple in map(type, texts):
+                for i, done in enumerate(texts):
+                    if type(done) is tuple:
+                        texts[i] = memo[id(value[i])] = "".join(chunks[done[0] : done[1]])
+            parts = ["," + inner] * (2 * len(texts))
+            parts[0] = inner
+            parts[1::2] = texts
+            chunks.append("[")
+            chunks += parts
+            chunks.append(outer + "]")
+            return
     else:
         members = ()
-    encoder, inner, outer = _level(depth)
-    if not _holds_containers(members):
+    nested = _nested_types(members)
+    if not nested:
         # the C encoder flushes its buffer into a new chunk every 100,000
         # pieces, so a long container comes back in several chunks
         text = "".join(encoder(value, 0))
@@ -117,27 +152,32 @@ def _render_json(value, depth: int, chunks: list[str], seen: dict) -> None:
         return
     if isinstance(value, dict):
         # the stdlib sorts (key, value) pairs, then converts the keys
-        items = [(_key(k) + ": ", v) for k, v in sorted(value.items())]
+        items = [(keys.get(k) or _key_text(k, keys), v) for k, v in sorted(value.items())]
         opener, closer = "{", "}"
     else:
         items = [("", v) for v in value]
         opener, closer = "[", "]"
     chunks.append(opener)
-    sep = inner
+    sep, comma = inner, "," + inner
     for prefix, member in items:
-        chunks.append(sep + prefix)
-        sep = "," + inner
-        key = (id(member), depth + 1)
-        done = seen.get(key)
-        if done is None:
-            start = len(chunks)
-            _render_json(member, depth + 1, chunks, seen)
-            if isinstance(member, _NESTED):
-                seen[key] = (start, len(chunks))
+        kind = type(member)
+        if kind is str:
+            chunks.append(sep + prefix + encode_basestring_ascii(member))
+        elif kind not in nested:
+            chunks.append(sep + prefix)
+            chunks += encoder(member, 0)  # a scalar's text is the same at any depth
         else:
-            if type(done) is tuple:
-                done = seen[key] = "".join(chunks[done[0] : done[1]])
-            chunks.append(done)
+            chunks.append(sep + prefix)
+            done = memo.get(id(member))
+            if done is None:
+                start = len(chunks)
+                _render_json(member, depth + 1, chunks, seen, keys)
+                memo[id(member)] = (start, len(chunks))
+            else:
+                if type(done) is tuple:
+                    done = memo[id(member)] = "".join(chunks[done[0] : done[1]])
+                chunks.append(done)
+        sep = comma
     chunks.append(outer + closer)
 
 

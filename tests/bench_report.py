@@ -1,6 +1,8 @@
-"""Micro-benchmarks on a 256-flow fan-out scan: the whole scan, JSON
-report rendering, with the stdlib's indented encoder as the reference, and
-check localization (the path's function walk included) over every flow.
+"""Micro-benchmarks on a 256-flow fan-out scan: the whole scan, the path
+search, JSON report rendering, with the stdlib's indented encoder as the
+reference, and check localization (the path's function walk included)
+over every flow; and on ``bench/gen.py``'s 4x12 chain, the report payload
+built from a finished scan's results and rendered.
 
 The file name does not match ``test_*.py``, so the default test run does
 not collect it. Run it with
@@ -12,13 +14,14 @@ import json
 
 import pytest
 
+from privflow import pipeline
 from privflow.crossflow import build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.pipeline import ScanBudget, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ScriptedOracle
 from privflow.report import render_report
 
-from conftest import write_fanout_corpus
+from conftest import bench_gen, write_fanout_corpus
 
 
 @pytest.fixture(scope="module")
@@ -28,18 +31,46 @@ def fanout(tmp_path_factory):
     budget = ScanBudget(max_tool_calls_per_phase=10**9)
     privops = find_privileged_ops(program, oracle, budget)
     graph = build_global_graph(program, privops, match_channels(program))
-    flows = q_globalflow(graph, q_user(program, oracle), privops).paths
+    sources = q_user(program, oracle)
+    flows = q_globalflow(graph, sources, privops).paths
     payload = scan(program, oracle, budget)
     assert len(flows) == len(payload["findings"]) == 256
-    return program, oracle, flows, payload
+    return program, oracle, flows, payload, (graph, sources, privops)
+
+
+@pytest.fixture(scope="module")
+def chain_payload_inputs(tmp_path_factory):
+    """The keyword arguments that a scan of the 4x12 chain passes to
+    ``pipeline._report_payload``, and the payload it returns."""
+    root = tmp_path_factory.mktemp("chain")
+    bench_gen().chain(1, 4, 12, root)
+    calls = []
+    real = pipeline._report_payload
+
+    def keep(**kwargs):
+        calls.append(kwargs)
+        return real(**kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_report_payload", keep)
+        payload = scan(load_program(root), ScriptedOracle(), ScanBudget(max_tool_calls_per_phase=10**9))
+    assert len(payload["findings"]) == 48
+    return calls[0], payload
 
 
 def test_scan_every_flow(benchmark, fanout):
     """One scan of all 256 flows, validation and the report payload
     included; the program's service indexes are already built."""
-    program, oracle, _, payload = fanout
+    program, oracle, _, payload, _ = fanout
     budget = ScanBudget(max_tool_calls_per_phase=10**9)
     assert benchmark(scan, program, oracle, budget) == payload
+
+
+def test_search_every_path(benchmark, fanout):
+    """``q_globalflow`` over the fan-out graph: 256 paths, each with its
+    node ids, id, flow segments and services."""
+    graph, sources, privops = fanout[4]
+    assert benchmark(q_globalflow, graph, sources, privops).paths == fanout[2]
 
 
 def test_render_json(benchmark, fanout):
@@ -53,6 +84,14 @@ def test_render_json_stdlib_reference(benchmark, fanout):
 
 
 def test_locate_checks_every_flow(benchmark, fanout):
-    program, oracle, flows, _ = fanout
+    program, oracle, flows, _, _ = fanout
     results = benchmark(lambda: [locate_checks(path_functions(program, flow), oracle) for flow in flows])
     assert len(results) == len(flows)
+
+
+def test_chain_payload_and_render(benchmark, chain_payload_inputs):
+    """``_report_payload`` from a finished 48-finding chain scan, then its
+    JSON text."""
+    inputs, payload = chain_payload_inputs
+    text = benchmark(lambda: render_report(pipeline._report_payload(**inputs), "json"))
+    assert text == render_report(payload, "json")

@@ -32,11 +32,12 @@ from privflow.model import (
     ElementKind,
     Service,
 )
-from privflow.pipeline import PrivilegedOperation, find_privileged_ops, scan
+from privflow.pipeline import PrivilegedOperation, ScanBudget, find_privileged_ops, scan
 from privflow.search import FlowPath, q_flow
 
 from conftest import (
     CORPORA,
+    bench_gen,
     build_random_program,
     build_tied_service,
     lower_snippet,
@@ -48,6 +49,7 @@ from conftest import (
 )
 
 CORPUS_DIRS = sorted(p for p in CORPORA.iterdir() if p.is_dir())
+OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
 
 # Channels for the pairwise-reference test. Outbound URLs with and without
 # scheme://host:port and a query, inbound paths, both with doubled and
@@ -464,6 +466,34 @@ class TestQGlobalflow:
         assert len(paths) == 256
         for path in paths:
             _check_path_facts(path)
+
+    @pytest.mark.parametrize(
+        "case", [p.name for p in CORPUS_DIRS] + ["gen-chain4x12", "gen-fanout8x2", "fanout"]
+    )
+    def test_facts_grown_along_the_search_match_a_path_built_alone(self, case, tmp_path, oracle):
+        """The search grows each path's facts along the prefix it shares
+        with its siblings; a path built from its segments alone derives
+        the same ones."""
+        writers = {
+            "gen-chain4x12": lambda: bench_gen().chain(1, 4, 12, tmp_path),
+            "gen-fanout8x2": lambda: bench_gen().fanout(1, 8, 2, tmp_path),
+            "fanout": lambda: write_fanout_corpus(tmp_path),
+        }
+        if case in writers:
+            writers[case]()
+        program = load_program(tmp_path if case in writers else CORPORA / case)
+        privops = find_privileged_ops(program, oracle, OPEN_BUDGET)
+        graph = build_global_graph(program, privops, match_channels(program))
+        paths = q_globalflow(graph, q_user(program, oracle), privops).paths
+        assert len(paths) == {"gen-chain4x12": 48, "gen-fanout8x2": 256, "fanout": 256}.get(case, len(paths))
+        for path in paths:
+            alone = GlobalPath(path.segments)
+            assert (path.node_ids, path.id, path.flow_segments, path.services) == (
+                alone.node_ids,
+                alone.id,
+                alone.flow_segments,
+                alone.services,
+            )
 
     def test_dot_rendering(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)

@@ -4,6 +4,7 @@ sort_keys=True) + "\\n"``; the stdlib call is the oracle here."""
 import json
 import math
 import re
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import pytest
@@ -142,11 +143,20 @@ CONTAINERS = st.one_of(
 @st.composite
 def shared_trees(draw):
     """A tree whose leaves may be the very objects of a pool of
-    containers, placed so that the tree meets itself at one depth twice
-    and again deeper, and each pool member recurs at two depths."""
+    containers, or lists and tuples made only of them, placed so that the
+    tree meets itself at one depth twice and again deeper, and each pool
+    member recurs at two depths."""
     pool = draw(st.lists(CONTAINERS, min_size=1, max_size=4))
-    tree = draw(st.recursive(st.one_of(SMALL_SCALARS, st.sampled_from(pool)), _small_containers, max_leaves=16))
-    return {"a": tree, "b": tree, "pool": pool, "deeper": [pool, {"again": tree}, tuple(pool)]}
+    of_pool = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    leaves = st.one_of(SMALL_SCALARS, st.sampled_from(pool), of_pool, of_pool.map(tuple))
+    tree = draw(st.recursive(leaves, _small_containers, max_leaves=16))
+    return {
+        "a": tree,
+        "b": tree,
+        "pool": pool,
+        "deeper": [pool, {"again": tree}, tuple(pool)],
+        "of_pool": draw(st.lists(of_pool, max_size=3)),
+    }
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,6 +190,46 @@ def test_render_matches_stdlib_on_shared_examples(value):
     assert render_report(value, "json") == oracle_text(value)
 
 
+# A list or tuple whose members were all rendered at its members' depth
+# takes their texts by reference; the others render member by member.
+SHARED_A = {"a": 1, "s": "x"}
+SHARED_B = {"b": [2, 3], "c": {"d": None}}
+SHARED_C = {"c": [SHARED_A]}
+SHARED_LIST = [SHARED_A, SHARED_B]
+SHARED_TUPLE = (SHARED_A, SHARED_B)
+
+
+class Role(str, Enum):
+    ADMIN = "admin"
+    USER = "user"
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [[SHARED_A, SHARED_B], [SHARED_B, SHARED_A], [SHARED_A, SHARED_A, SHARED_B]],
+        {"x": [SHARED_A], "y": [SHARED_A, SHARED_C], "z": [SHARED_C, SHARED_A, {"fresh": [1]}, SHARED_B]},
+        {"x": SHARED_LIST, "y": [SHARED_LIST, {"z": SHARED_LIST}], "w": SHARED_LIST, "v": [[SHARED_LIST]]},
+        [SHARED_TUPLE, (SHARED_B, SHARED_A), [SHARED_TUPLE, SHARED_TUPLE], {"t": (SHARED_A,)}],
+        [
+            [Role.ADMIN, Level.HIGH, True, 1, "s", 2.5, None, SHARED_A],
+            [SHARED_A, Role.USER, False, Level.LOW],
+            {"role": Role.ADMIN, "level": Level.LOW, "flag": True, "n": 0, "sub": SHARED_A, Role.USER: [SHARED_A]},
+        ],
+    ],
+    ids=["all-rendered", "some-rendered", "one-list-two-depths", "tuples-of-shared", "str-int-bool-subclasses"],
+)
+def test_render_matches_stdlib_on_lists_of_rendered_members(value):
+    text = render_report(value, "json")
+    assert text == oracle_text(value)
+    assert render_report(value, "json") == text
+
+
 @pytest.fixture(scope="module")
 def fanout_payload(tmp_path_factory, oracle):
     corpus = write_fanout_corpus(tmp_path_factory.mktemp("fanout"))
@@ -210,6 +260,19 @@ def test_findings_share_the_hop_of_a_segment(fanout_payload):
     assert max(len(hops) for hops in by_segment.values()) == len(fanout_payload["findings"]) // 2
     for hops in by_segment.values():
         assert all(hop is hops[0] for hop in hops)
+
+
+def test_findings_share_equal_service_check_and_constraint_records(fanout_payload):
+    """Findings whose service lists, check lists or constraint statuses are
+    equal hold one record of each, so a render encodes it once."""
+    findings = fanout_payload["findings"]
+    for records in (
+        [f["path"]["services"] for f in findings],
+        [f["checks"] for f in findings],
+        [f["constraint"] for f in findings],
+    ):
+        assert all(record == records[0] for record in records)
+        assert all(record is records[0] for record in records)
 
 
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "report-schema.md"

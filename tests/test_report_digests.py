@@ -36,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from privflow import pipeline
 from privflow.load import load_program
 from privflow.pipeline import ScanBudget, ScanOptions, scan
 from privflow.reasoner import ScriptedOracle
@@ -112,6 +113,30 @@ def test_shared_segment_outputs_match_checked_in_digests(tmp_path, monkeypatch):
     digests = _shared_digests()
     assert len([name for name in digests if name.startswith(SMT_DIR + "/")]) == 16
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[SHARED]
+
+
+def test_shared_scan_renders_each_distinct_constraint_once(tmp_path, monkeypatch):
+    """The ``SHARED`` scan's flows share their constraint: its SMT-LIB
+    text is rendered once per distinct constraint, and still written to
+    one file per flow with the checked-in digests."""
+    extracted, rendered = [], []
+    real_extract, real_emit = pipeline.extract_path_constraints, pipeline.emit_smtlib
+
+    def counting_extract(groups, reasoner):
+        extracted.append(real_extract(groups, reasoner))
+        return extracted[-1]
+
+    def counting_emit(constraint):
+        rendered.append(constraint)
+        return real_emit(constraint)
+
+    monkeypatch.setattr(pipeline, "extract_path_constraints", counting_extract)
+    monkeypatch.setattr(pipeline, "emit_smtlib", counting_emit)
+    monkeypatch.chdir(tmp_path)
+    digests = _shared_digests()
+    assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[SHARED]
+    assert len(extracted) == 16
+    assert len(rendered) == len(set(rendered)) == len(set(extracted)) == 1
 
 
 def test_digests_cover_exactly_the_cases():
