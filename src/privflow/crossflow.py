@@ -5,13 +5,13 @@ from untrusted sources to privileged operations and outbound communication
 call sites, then channel edges connecting outbound call sites to the
 receiving endpoints. Global paths alternate intra-service flow witnesses
 with channel hops; a path's derived facts (node ids, id, flow segments,
-services) are fixed when it is built. ``q_globalflow`` grows them along its
-search, one segment at a time, so paths that share a prefix share its
-work; a path built alone folds the same step over its segments.
-``segment_functions`` is the one
-walk over a flow segment's elements: its functions and their guards.
-``path_functions`` merges its segments' groups into the path's, which
-validation reads.
+services) are fixed when it is built, in one pass over its segments.
+Segments are plain values (``FlowPath`` and ``ChannelEdge`` are named
+tuples), so paths that share a segment hold equal ones, and per-segment
+work can be kept in a cache keyed by the segment itself.
+``segment_functions`` is the one walk over a flow segment's elements: its
+functions and their guards. ``path_functions`` merges its segments' groups
+into the path's, which validation reads.
 """
 
 from __future__ import annotations
@@ -256,44 +256,13 @@ def build_global_graph(
     return graph
 
 
-#: ``(node_ids, flow_segments, services, digest)`` of a path prefix:
-#: ``digest`` is the ``hashlib.sha1`` state of its node ids joined by ``\x1f``.
-PathFacts = tuple[tuple[str, ...], tuple[FlowPath, ...], tuple[str, ...], object]
-
-
-def _grow(facts: PathFacts | None, segment: FlowPath | ChannelEdge) -> PathFacts:
-    """The facts of a path prefix (None: the empty one) extended by one
-    segment. A segment that starts where the prefix ends does not repeat
-    that node. The prefix's digest is copied, never updated, so prefixes
-    that share a parent each grow their own."""
-    if facts is None:
-        node_ids = flow_segments = services = ()
-        digest = hashlib.sha1()
-    else:
-        node_ids, flow_segments, services, digest = facts
-        digest = digest.copy()
-    if isinstance(segment, FlowPath):
-        chain = segment.elements
-        flow_segments += (segment,)
-        if not services or services[-1] != segment.service:
-            services += (segment.service,)
-    else:
-        chain = (segment.from_element, segment.to_element)
-    if node_ids and node_ids[-1] == chain[0]:
-        chain = chain[1:]
-    text = "\x1f".join(chain)
-    if node_ids and chain:
-        text = "\x1f" + text
-    digest.update(text.encode("utf-8"))
-    return node_ids + chain, flow_segments, services, digest
-
-
 @dataclass(frozen=True)
 class GlobalPath:
     """Alternating intra-service flow segments and channel hops, from a user
     source to a privileged operation. Derived facts are set when the path
-    is built, by the ``_grow`` steps that ``q_globalflow`` takes along its
-    search; equality and hashing use ``segments`` alone."""
+    is built, in one pass over its segments; equality and hashing use
+    ``segments`` alone. ``node_ids`` lists each node once where a segment
+    starts at the node the previous one ends at, and ``id`` hashes them."""
 
     segments: tuple[FlowPath | ChannelEdge, ...]
     node_ids: tuple[str, ...] = field(init=False, compare=False, repr=False)
@@ -304,10 +273,23 @@ class GlobalPath:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("GlobalPath needs at least one segment")
-        facts = None
+        ids: list[str] = []
+        flow_segments: list[FlowPath] = []
+        services: list[str] = []
         for segment in self.segments:
-            facts = _grow(facts, segment)
-        _set_facts(self, facts)
+            if isinstance(segment, FlowPath):
+                chain = segment.elements
+                flow_segments.append(segment)
+                if not services or services[-1] != segment.service:
+                    services.append(segment.service)
+            else:
+                chain = (segment.from_element, segment.to_element)
+            ids.extend(chain[1:] if ids and ids[-1] == chain[0] else chain)
+        init = object.__setattr__  # the record is frozen once built
+        init(self, "node_ids", tuple(ids))
+        init(self, "id", "p" + hashlib.sha1("\x1f".join(ids).encode("utf-8")).hexdigest()[:12])
+        init(self, "flow_segments", tuple(flow_segments))
+        init(self, "services", tuple(services))
 
     @property
     def source(self) -> str:
@@ -316,17 +298,6 @@ class GlobalPath:
     @property
     def sink(self) -> str:
         return self.node_ids[-1]
-
-
-def _set_facts(path: GlobalPath, facts: PathFacts) -> GlobalPath:
-    """Set a path's derived facts from those of its whole segment chain."""
-    node_ids, flow_segments, services, digest = facts
-    init = object.__setattr__  # the record is frozen once built
-    init(path, "node_ids", node_ids)
-    init(path, "id", "p" + digest.hexdigest()[:12])
-    init(path, "flow_segments", flow_segments)
-    init(path, "services", services)
-    return path
 
 
 #: ``(service, function, guards)``: the path elements that share an
@@ -401,24 +372,20 @@ def q_globalflow(graph: GlobalGraph, sources, sinks, cap: int = PATH_CAP) -> Glo
     found: list[GlobalPath] = []
     truncated = False
 
-    def dfs(node: str, segments: list[FlowPath | ChannelEdge], on_path: set[str], facts: PathFacts | None) -> bool:
+    def dfs(node: str, segments: list[FlowPath | ChannelEdge], on_path: set[str]) -> bool:
         nonlocal truncated
         if node in sink_ids and segments:
             if len(found) >= cap:
                 truncated = True
                 return False
-            # the facts were grown along the search: set them without
-            # deriving them again from the segments
-            path = object.__new__(GlobalPath)
-            object.__setattr__(path, "segments", tuple(segments))
-            found.append(_set_facts(path, facts))
+            found.append(GlobalPath(tuple(segments)))
         for witness in graph.edges.get(node, ()):
             dst = witness.dst
             if dst in on_path:
                 continue
             segments.append(witness)
             on_path.add(dst)
-            ok = dfs(dst, segments, on_path, _grow(facts, witness))
+            ok = dfs(dst, segments, on_path)
             on_path.discard(dst)
             segments.pop()
             if not ok:
@@ -426,7 +393,7 @@ def q_globalflow(graph: GlobalGraph, sources, sinks, cap: int = PATH_CAP) -> Glo
         return True
 
     for src in sorted({s.id for s in sources}):
-        if not dfs(src, [], {src}, None):
+        if not dfs(src, [], {src}):
             break
     return GlobalFlows(found, truncated)
 

@@ -17,10 +17,9 @@ the record that exhausts the budget asks the backend nothing.
 Paths share most of their segments, and their guards often translate to
 one constraint. So validation keeps, for the length of one scan, each
 segment's function groups, hop and evidence entries, and each distinct
-constraint's ``check_sat`` verdict and SMT-LIB text; every flow still
-records its own tool calls and writes its own SMT file. The flows share
-their segment objects, so the per-segment tables find a segment by
-identity rather than by hashing it.
+constraint's ``check_sat`` verdict and SMT-LIB text, each in a cache
+keyed by the segment or constraint value; every flow still records its own
+tool calls and writes its own SMT file.
 """
 
 from __future__ import annotations
@@ -524,17 +523,8 @@ def scan(
         max_hops = 4 if options.on_demand_context else 1
         record_validation = functools.partial(tracer.record, PHASE_VALIDATION)
         # paths share segments and constraints: each segment is walked, and
-        # each distinct constraint decided and written out, once per scan.
-        # The flows share their segment objects, so a segment is found
-        # again by identity, without hashing it.
-        groups: dict[int, tuple] = {}
-
-        def groups_of(segment: FlowPath) -> tuple:
-            found = groups.get(id(segment))
-            if found is None:
-                found = groups[id(segment)] = segment_functions(program, segment)
-            return found
-
+        # each distinct constraint decided and written out, once per scan
+        groups_of = functools.cache(functools.partial(segment_functions, program))
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
         for index, flow in enumerate(flows):
@@ -634,18 +624,17 @@ def _validate_flow(
 # --- report payload ---------------------------------------------------------------------
 
 
-def _evidence(flow: GlobalPath, checks, segment_records: dict[int, dict], record) -> list[dict]:
+def _evidence(flow: GlobalPath, checks, segment_records: Callable, record) -> list[dict]:
     """Verbatim sources of the elements on (or referenced from) the path,
     each element once, at its first mention. ``record(service, element)``
     gives an element's evidence record, None for an unknown element, and
-    ``segment_records[id(segment)]`` maps a flow segment's elements to
-    theirs.
+    ``segment_records(segment)`` maps a flow segment's elements to theirs.
 
     A valid program declares each element id in one service, so a later
     mention of an element carries the record of its first, and ``update``
     keeps the first mention's place."""
     located: dict[str, dict | None] = {}
-    for records in map(segment_records.__getitem__, map(id, flow.flow_segments)):
+    for records in map(segment_records, flow.flow_segments):
         located.update(records)
     for check in checks:
         if check.element not in located:
@@ -716,6 +705,7 @@ def _report_payload(
             "source": el.source,
         }
 
+    @functools.cache
     def hop(segment: FlowPath | ChannelEdge) -> dict:
         if isinstance(segment, FlowPath):
             steps = [step(segment.service, eid) for eid in segment.elements]
@@ -728,16 +718,9 @@ def _report_payload(
             "to_service": segment.to_service,
         }
 
-    # the findings share their segment objects: each distinct segment's hop
-    # and evidence records are built once, then found again by identity,
-    # without hashing the segment
-    segments = {id(segment): segment for f in findings for segment in f.path.segments}
-    hops = {key: hop(segment) for key, segment in segments.items()}
-    segment_records = {
-        key: {eid: evidence(segment.service, eid) for eid in segment.elements}
-        for key, segment in segments.items()
-        if isinstance(segment, FlowPath)
-    }
+    @functools.cache
+    def segment_records(segment: FlowPath) -> dict[str, dict | None]:
+        return {eid: evidence(segment.service, eid) for eid in segment.elements}
 
     @functools.cache
     def services(names: tuple[str, ...]) -> list[str]:
@@ -772,7 +755,7 @@ def _report_payload(
             "path": {
                 "id": f.path.id,
                 "services": services(f.path.services),
-                "hops": [*map(hops.__getitem__, map(id, f.path.segments))],
+                "hops": [*map(hop, f.path.segments)],
             },
             "checks": check_dicts(f.checks),
             "constraint": constraint(f.constraint_status, f.smt_file),

@@ -6,7 +6,8 @@ All operations are pure reads over an immutable Service:
 * ``q_ast``: lookup by element kind;
 * ``q_flow``: shortest data-propagation paths from one selector to
   several, one breadth-first search per source. A ``FlowPath`` is a
-  service and the element ids of one path; a hop is a consecutive pair;
+  named tuple of a service and the element ids of one path, so it is
+  compared and hashed by value; a hop is a consecutive pair;
 * ``q_cg``: bidirectional call-graph traversal with a depth bound;
 * ``get_location`` / ``get_source`` / ``get_type``: element properties.
 
@@ -31,7 +32,6 @@ several tables, are sorted by it per query.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS, Channel, EdgeKind, Element, ElementKind, Location
@@ -246,17 +246,12 @@ def service_index(service: Service) -> ServiceIndex:
     return index
 
 
-@dataclass(frozen=True)
-class FlowPath:
+class FlowPath(NamedTuple):
     """A data propagation witness in one service: element ids from source
     to sink. Each consecutive pair of elements is a data-flow edge."""
 
     service: str
     elements: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.elements) < 1:
-            raise ValueError("FlowPath needs at least one element")
 
     @property
     def src(self) -> str:

@@ -471,9 +471,9 @@ class TestQGlobalflow:
         "case", [p.name for p in CORPUS_DIRS] + ["gen-chain4x12", "gen-fanout8x2", "fanout"]
     )
     def test_facts_grown_along_the_search_match_a_path_built_alone(self, case, tmp_path, oracle):
-        """The search grows each path's facts along the prefix it shares
-        with its siblings; a path built from its segments alone derives
-        the same ones."""
+        """Every path the search finds, on every corpus and on the
+        benchmark's shapes, carries the facts recomputed from its segments,
+        as a path built from its segments alone does."""
         writers = {
             "gen-chain4x12": lambda: bench_gen().chain(1, 4, 12, tmp_path),
             "gen-fanout8x2": lambda: bench_gen().fanout(1, 8, 2, tmp_path),
@@ -487,13 +487,7 @@ class TestQGlobalflow:
         paths = q_globalflow(graph, q_user(program, oracle), privops).paths
         assert len(paths) == {"gen-chain4x12": 48, "gen-fanout8x2": 256, "fanout": 256}.get(case, len(paths))
         for path in paths:
-            alone = GlobalPath(path.segments)
-            assert (path.node_ids, path.id, path.flow_segments, path.services) == (
-                alone.node_ids,
-                alone.id,
-                alone.flow_segments,
-                alone.services,
-            )
+            _check_path_facts(path)
 
     def test_dot_rendering(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)

@@ -13,7 +13,11 @@ Covered outputs:
 * the three outputs and every ``emit_smt_dir`` file of a scan of
   ``conftest.write_fanout_corpus(root, 4, 2)`` at an open budget
   (``SHARED``): 16 flows through 4 guarded services, which share their
-  segments and their constraint. Each corpus above has at most 2 flows.
+  segments and their constraint. Each corpus above has at most 2 flows;
+* the JSON report and the trace of a scan of the benchmark's own corpora
+  (``GENERATED``), ``bench/gen.py``'s chain 4x12 and fan-out 8x2 with
+  seed 1 at an open budget: 48 and 256 flows, whose path ids pin every
+  path's node ids.
 
 The trace is written to ``trace.jsonl`` in the working directory, so the
 report's ``trace_file`` field is the same on every machine.
@@ -42,7 +46,7 @@ from privflow.pipeline import ScanBudget, ScanOptions, scan
 from privflow.reasoner import ScriptedOracle
 from privflow.report import render_report
 
-from conftest import write_fanout_corpus
+from conftest import bench_gen, write_fanout_corpus
 
 CORPORA = Path(__file__).resolve().parent / "corpora"
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
@@ -53,6 +57,9 @@ VARIANTS = {"default": {}, "basic_sink": {"basic_sink": True}, "no_odctx": {"on_
 PARTIAL = {"role_update/basic_sink/budget4": (4, 0), "role_update/basic_sink/budget6": (6, 1)}
 SHARED = "fanout4x2/open/emit_smt"
 SMT_DIR = "smt"
+OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
+# case name -> (``bench/gen.py`` generator, its shape arguments, findings)
+GENERATED = {"gen/chain4x12/open": ("chain", (4, 12), 48), "gen/fanout8x2/open": ("fanout", (8, 2), 256)}
 
 
 def _cases() -> dict[str, tuple[Path, dict, ScanBudget]]:
@@ -88,11 +95,22 @@ def _shared_digests() -> dict[str, str]:
     corpus = Path("fanout")
     corpus.mkdir()
     write_fanout_corpus(corpus, 4, 2)
-    digests, payload = _digests(corpus, {"emit_smt_dir": SMT_DIR}, ScanBudget(max_tool_calls_per_phase=10**9))
+    digests, payload = _digests(corpus, {"emit_smt_dir": SMT_DIR}, OPEN_BUDGET)
     assert payload["funnel"]["findings"] == 16
     for path in sorted(Path(SMT_DIR).iterdir()):
         digests[f"{SMT_DIR}/{path.name}"] = _sha(path.read_text(encoding="utf-8"))
     return digests
+
+
+def _generated_digests(name: str) -> dict[str, str]:
+    """Digests of the JSON report and the trace of the ``GENERATED`` scan
+    ``name``; writes the corpus and ``TRACE`` in the working directory."""
+    generator, shape, findings = GENERATED[name]
+    corpus = Path("corpus")
+    getattr(bench_gen(), generator)(1, *shape, corpus)
+    digests, payload = _digests(corpus, {}, OPEN_BUDGET)
+    assert payload["funnel"]["findings"] == findings
+    return {key: digests[key] for key in ("json", "trace")}
 
 
 CASES = _cases()
@@ -139,8 +157,14 @@ def test_shared_scan_renders_each_distinct_constraint_once(tmp_path, monkeypatch
     assert len(rendered) == len(set(rendered)) == len(set(extracted)) == 1
 
 
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_outputs_match_checked_in_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _generated_digests(name) == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+
+
 def test_digests_cover_exactly_the_cases():
-    assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted([*CASES, SHARED])
+    assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted([*CASES, SHARED, *GENERATED])
 
 
 if __name__ == "__main__":
@@ -148,5 +172,6 @@ if __name__ == "__main__":
         os.chdir(work)
         table = {name: _digests(*CASES[name])[0] for name in sorted(CASES)}
         table[SHARED] = _shared_digests()
+        table.update((name, _generated_digests(name)) for name in GENERATED)
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)

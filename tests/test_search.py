@@ -227,6 +227,15 @@ class TestQFlow:
             for hop in zip(p.elements, p.elements[1:]):
                 assert hop in graph.edges
 
+    def test_paths_are_values(self, role_update_program):
+        """Two searches return equal, distinct paths that hash alike, so a
+        cache keyed by a path finds it whichever search built it."""
+        usermgmt = role_update_program.service("usermgmt")
+        first, second = q_flow(usermgmt, "request", "update_role"), q_flow(usermgmt, "request", "update_role")
+        for a, b in zip(first, second, strict=True):
+            assert a == b and hash(a) == hash(b) and a is not b
+            assert a == (usermgmt.name, a.elements) and (a.src, a.dst) == (a.elements[0], a.elements[-1])
+
 
 class TestSharedSearch:
     """One breadth-first search per source finds, for every destination,

@@ -141,7 +141,7 @@ def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
 
 #: privflow classes that are dataclasses once a scripted scan's modules are
 #: loaded; every other record is a named tuple (see ``privflow.model``).
-MAX_STARTUP_DATACLASSES = 35
+MAX_STARTUP_DATACLASSES = 34
 
 _STARTUP_PROBE = """
 import json, sys
