@@ -16,10 +16,18 @@ the record that exhausts the budget asks the backend nothing.
 
 Paths share most of their segments, and their guards often translate to
 one constraint. So validation keeps, for the length of one scan, each
-segment's function groups, hop and evidence entries, and each distinct
-constraint's ``check_sat`` verdict and SMT-LIB text, each in a cache
-keyed by the segment or constraint value; every flow still records its own
-tool calls and writes its own SMT file.
+segment's function groups, check summary, hop and evidence entries, and
+each distinct constraint's ``check_sat`` verdict and SMT-LIB text, each in
+a cache keyed by the segment or constraint value.
+
+Validation runs once per path class. A flow's class is its sink plus, per
+flow segment, the function groups that can carry a check (see
+``ServiceIndex.check_relevant``), and every flow of one class gives
+constraint extraction, check location and the sufficiency assessment the
+same inputs. The class's first flow runs them; each later flow takes the
+stored outcome and replays the class's tool calls under its own flow id,
+so every flow still records its own tool calls, in the same order and
+against the same budget, and writes its own SMT file.
 """
 
 from __future__ import annotations
@@ -163,33 +171,41 @@ class Tracer:
 
     def __init__(self, budget: ScanBudget):
         self.budget = budget
-        self.calls: list[dict] = []
+        # (phase, tool, args, result count, monotonic time) per call
+        self.calls: list[tuple] = []
         self.per_phase: dict[str, int] = {}
         self.started = time.monotonic()
 
     def record(self, phase: str, tool: str, args: dict, result_count: int) -> None:
         count = self.per_phase.get(phase, 0) + 1
         self.per_phase[phase] = count
-        # timing lives only here, never in the report body
-        self.calls.append(
-            {
-                "seq": len(self.calls) + 1,
-                "phase": phase,
-                "tool": tool,
-                "args": args,
-                "result_count": result_count,
-                "elapsed_ms": round((time.monotonic() - self.started) * 1000, 3),
-            }
-        )
+        now = time.monotonic()
+        # timing lives only in the trace, never in the report body
+        self.calls.append((phase, tool, args, result_count, now))
         if count > self.budget.max_tool_calls_per_phase:
             raise BudgetExhausted(phase, f"exceeded {self.budget.max_tool_calls_per_phase} tool calls")
         limit = self.budget.max_seconds
-        if time.monotonic() - self.started > limit:
+        if now - self.started > limit:
             shown = f"{limit:.0f}" if float(limit).is_integer() else str(limit)
             raise BudgetExhausted(phase, f"exceeded {shown}s wall clock")
 
     def write(self, path: str | Path) -> None:
-        lines = [json.dumps(c, sort_keys=True) for c in self.calls]
+        """One JSON line per recorded call, built here: a scan that writes
+        no trace builds none."""
+        lines = [
+            json.dumps(
+                {
+                    "seq": seq,
+                    "phase": phase,
+                    "tool": tool,
+                    "args": args,
+                    "result_count": result_count,
+                    "elapsed_ms": round((at - self.started) * 1000, 3),
+                },
+                sort_keys=True,
+            )
+            for seq, (phase, tool, args, result_count, at) in enumerate(self.calls, 1)
+        ]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
@@ -462,6 +478,10 @@ def scan(
 ) -> dict:
     """Run the full pipeline and return the schema-versioned report payload.
 
+    Each path class is validated once, by its first flow; every other flow
+    of the class takes its outcome and replays its validation records
+    under its own flow id (see ``_validate_path``).
+
     Findings share one record per privileged operation, per path element
     (step and evidence), per path segment (hop) and per distinct service
     list, check list and constraint status, so the payload is read-only:
@@ -522,24 +542,29 @@ def scan(
     if exhausted_reason is None:
         max_hops = 4 if options.on_demand_context else 1
         record_validation = functools.partial(tracer.record, PHASE_VALIDATION)
-        # paths share segments and constraints: each segment is walked, and
-        # each distinct constraint decided and written out, once per scan
+        # paths share segments, constraints and whole outcomes: each segment
+        # is walked and summarized, each distinct constraint decided and
+        # written out, and each path class validated, once per scan
         groups_of = functools.cache(functools.partial(segment_functions, program))
+        summary_of = functools.cache(functools.partial(_check_summary, groups_of))
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
+        classes: dict[tuple, tuple] = {}
         for index, flow in enumerate(flows):
+            key = (flow.sink, *map(summary_of, flow.flow_segments))
             try:
-                finding, status = _validate_flow(
-                    program, flow, ops_by_element, reasoner, record_validation, max_hops, smt_dir, full_context_ids,
-                    groups_of, decide, smt_text,
+                outcome, finding = _validate_path(
+                    program, flow, classes.get(key), ops_by_element[flow.sink], reasoner, record_validation,
+                    max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text,
                 )
             except BudgetExhausted as exc:
                 budget_truncated = len(flows) - index
                 exhausted_reason = str(exc)
                 break
-            if status == "pruned":
+            classes[key] = outcome
+            if outcome[1] == "pruned":
                 pruned.append(flow.id)
-            elif status == "protected":
+            elif finding is None:
                 dropped.append(flow.id)
             else:
                 findings.append(finding)
@@ -568,10 +593,25 @@ def scan(
     return payload
 
 
-def _validate_flow(
+def _check_summary(groups_of: Callable, segment: FlowPath) -> tuple:
+    """A flow segment's share of its path's class key: its
+    ``groups_of(segment)`` groups whose function is in its service's
+    ``ServiceIndex.check_relevant``, each as (service name, function id or
+    None, guard ids), in order. A relevant function is kept when the
+    segment reaches it unguarded too, since that fixes where
+    ``path_functions`` places its group among the others."""
+    return tuple(
+        (service.name, fn.id if fn else None, tuple(guard.id for guard in guards))
+        for service, fn, guards in groups_of(segment)
+        if (fn.id if fn else None) in service_index(service).check_relevant
+    )
+
+
+def _validate_path(
     program: Program,
     flow: GlobalPath,
-    ops_by_element: dict[str, PrivilegedOperation],
+    known: tuple | None,
+    privop: PrivilegedOperation,
     reasoner,
     record: Recorder,
     max_hops: int,
@@ -581,44 +621,68 @@ def _validate_flow(
     decide: Callable,
     smt_text: Callable,
 ):
-    """One flow through the funnel. ``groups_of(segment)`` gives a
+    """One flow through the funnel; returns its class record and its
+    Finding, None for a pruned or protected flow.
+
+    Flows of one class (one sink, one ``_check_summary`` per segment) pass
+    ``extract_path_constraints``, ``locate_checks`` and ``assess_flow`` the
+    same inputs. So the class's first flow (``known`` None) runs them and
+    returns the class record: (constraint, constraint status,
+    ``locate_checks``' tool calls, checks, sufficiency). A later flow passes
+    that record as ``known``, and records its own tool calls, replaying the
+    class's, in the same order and with the same budget checks. The class's
+    first flow already added its context ids. ``groups_of(segment)`` gives a
     segment's ``crossflow.segment_functions`` groups, ``decide`` is
     ``check_sat`` and ``smt_text`` is ``emit_smtlib``; the scan passes all
     three memoized."""
-    groups = path_functions(program, flow, groups_of)
     record("reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
-    constraint = extract_path_constraints(groups, reasoner)
+    if known is None:
+        groups = path_functions(program, flow, groups_of)
+        constraint = extract_path_constraints(groups, reasoner)
+        status = "skipped"
+        if constraint is not None:
+            verdict = decide(constraint)
+            status = "pruned" if isinstance(verdict, Unsat) else "sat" if isinstance(verdict, Sat) else "unknown"
+    else:
+        constraint, status, calls, checks, sufficiency = known
 
     smt_file: str | None = None
-    constraint_status = "skipped"
-    if constraint is not None:
-        if smt_dir is not None:
-            smt_file = f"{flow.id}.smt2"
-            (smt_dir / smt_file).write_text(smt_text(constraint), encoding="utf-8")
-        verdict = decide(constraint)
-        if isinstance(verdict, Unsat):
-            return None, "pruned"
-        constraint_status = "sat" if isinstance(verdict, Sat) else "unknown"
+    if constraint is not None and smt_dir is not None:
+        smt_file = f"{flow.id}.smt2"
+        (smt_dir / smt_file).write_text(smt_text(constraint), encoding="utf-8")
+    if status == "pruned":
+        return known or (constraint, status, (), (), None), None
 
-    checks, contexts, ctx_ids = locate_checks(groups, reasoner, record, max_hops=max_hops)
-    context_ids.update(ctx_ids)
-    privop = ops_by_element[flow.sink]
+    if known is None:
+        calls = []
+
+        def capture(tool: str, args: dict, count: int) -> None:
+            calls.append((tool, args, count))
+            record(tool, args, count)
+
+        checks, contexts, ctx_ids = locate_checks(groups, reasoner, capture, max_hops=max_hops)
+        context_ids.update(ctx_ids)
+    else:
+        for call in calls:
+            record(*call)
     record("reason", {"task": "AssessSufficiency", "flow": flow.id}, 1)
-    sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
+    if known is None:
+        sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
+        known = (constraint, status, tuple(calls), tuple(checks), sufficiency)
     if sufficiency.verdict == "protected":
-        return None, "protected"
+        return known, None
 
     finding = Finding(
         path=flow,
         privop=privop,
         checks=tuple(checks),
         verdict=sufficiency.verdict,
-        feasibility="feasible" if constraint_status == "sat" else "unknown",
+        feasibility="feasible" if status == "sat" else "unknown",
         rationale=sufficiency.rationale,
-        constraint_status=constraint_status,
+        constraint_status=status,
         smt_file=smt_file,
     )
-    return finding, "finding"
+    return known, finding
 
 
 # --- report payload ---------------------------------------------------------------------

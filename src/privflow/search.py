@@ -16,10 +16,11 @@ kind and endpoint in one pass, built on first use and stored on that
 Service object, so no query scans every edge and nothing outlives the
 Service. Every per-element and per-function fact validation reads
 (enclosing function, guards, guard types, decorator checks, variable
-types) and the service's sources and channels are built with it, so no
-fact is filled on first query. The frontend (or an external facts
-producer) emits def-use edges already saturated under the propagation
-rules, so the data-flow relation is their closure by construction.
+types, check-relevant functions) and the service's sources and channels
+are built with it, so no fact is filled on first query. The frontend (or
+an external facts producer) emits def-use edges already saturated under
+the propagation rules, so the data-flow relation is their closure by
+construction.
 
 Orders are decided where the data is built. ``Service.build`` sorts the
 elements by ``model.element_order``, so ``q_name``, ``q_ast`` and
@@ -120,6 +121,13 @@ class ServiceIndex:
     ``place``) and ``guard_types``, each reached conditional's identifiers
     typed from ``var_types``. It never reaches an element on or below a
     cycle.
+
+    ``check_relevant`` holds the ids of the functions whose
+    ``crossflow.segment_functions`` groups can carry a check candidate:
+    those with decorator checks, and those (None for code outside every
+    function) that the walk places an element in under a conditional. Any
+    other function's group has no guards and no decorator checks, so
+    validation reads nothing from it.
     """
 
     def __init__(self, service: Service):
@@ -177,6 +185,7 @@ class ServiceIndex:
         # each with all its conditional ancestors, outermost first.
         self.placed: dict[str, tuple[Element | None, tuple[Element, ...]]] = {}
         self.guard_types: dict[str, tuple[tuple[str, str], ...]] = {}
+        self.check_relevant: set[str | None] = set()
         stack = [(e.id, _NOWHERE) for e in service.elements if parent.get(e.id) not in service]
         while stack:
             eid, inherited = stack.pop()
@@ -191,6 +200,8 @@ class ServiceIndex:
                 self.guard_types[eid] = tuple([(i, self.var_types.get(i, "unknown")) for i in sorted(idents)])
                 inherited = (fn, guards + (el,))
             self.placed[eid] = placed
+            if placed[1]:
+                self.check_relevant.add(placed[0].id if placed[0] else None)
             stack.extend((c, inherited) for c in self.children.get(eid, ()) if parent[c] == eid and c in service)
 
         self.decorator_checks: dict[str, list[Element]] = {}
@@ -198,6 +209,8 @@ class ServiceIndex:
             targets = (service.element(t) for d in decs for t in call_targets.get(d, ()))
             checks = {t.id: t for t in targets if t is not None and t.kind is ElementKind.FUNCTION}
             self.decorator_checks[fn_id] = sorted(checks.values(), key=element_order)
+            if checks:
+                self.check_relevant.add(fn_id)
 
         self.call_sites: dict[str, list[Element]] = {}
         self.callees: dict[str, set[str]] = {}

@@ -31,6 +31,7 @@ and says which outputs changed and why.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import os
@@ -155,6 +156,33 @@ def test_shared_scan_renders_each_distinct_constraint_once(tmp_path, monkeypatch
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[SHARED]
     assert len(extracted) == 16
     assert len(rendered) == len(set(rendered)) == len(set(extracted)) == 1
+
+
+def test_generated_fanout_validates_each_path_class_once(tmp_path, monkeypatch):
+    """The 256 flows of fan-out 8x2 form 2 path classes, one per sink: a
+    scan validates each class once and replays it for the class's other
+    flows. Every flow still records its own 2 validation tool calls, and
+    the outputs keep their checked-in digests."""
+    called = collections.Counter()
+
+    def counting(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            called[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("extract_path_constraints", "locate_checks", "assess_flow"):
+        monkeypatch.setattr(pipeline, name, counting(name))
+    monkeypatch.chdir(tmp_path)
+    name = "gen/fanout8x2/open"
+    assert _generated_digests(name) == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    assert called == {"extract_path_constraints": 2, "locate_checks": 2, "assess_flow": 2}
+    records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
+    validation = collections.Counter(r["args"]["task"] for r in records if r["phase"] == "validation")
+    assert validation == {"ExtractConstraints": 256, "AssessSufficiency": 256}
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))

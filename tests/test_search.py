@@ -390,6 +390,15 @@ def _scan_ancestors(service, eid):
     return chain
 
 
+def _relevant_by_an_outer_guard(service) -> bool:
+    index = service_index(service)
+    holders = {index.place(c.id)[0] for c in q_ast(service, ElementKind.CONDITIONAL)}
+    return any(
+        fn.id in index.check_relevant and fn not in holders and not index.decorator_checks.get(fn.id)
+        for fn in q_ast(service, ElementKind.FUNCTION)
+    )
+
+
 def _scan_place(service, eid):
     """The element's enclosing function and guards, outermost first, from
     an upward scan of its ancestors over all edges."""
@@ -481,6 +490,9 @@ class TestServiceIndex:
         assert any(_decorator_child_differs(s) for s in nested)
         assert any("false" in c.source for s in nested for c in q_ast(s, ElementKind.CONDITIONAL)
                    if c.id in service_index(s).guard_types)
+        # a function inside another's conditional holds no conditional of
+        # its own, but its elements carry that guard
+        assert any(_relevant_by_an_outer_guard(s) for s in nested)
 
     def test_shared_decorator_and_shared_check(self):
         """A decorator of two functions gives both its checks and resolves to
@@ -551,6 +563,10 @@ def assert_index_matches_edge_scans(service):
     ]
     assert q_source(service) == tuple(sorted(sources, key=lambda e: (e.location.file, e.location.line, e.location.col, e.id)))
     assert index.place("unknown") == (None, ())
+    guarded = (_scan_place(service, e.id) for e in service.elements)
+    relevant = {fn.id if fn else None for fn, guards in guarded if guards}
+    relevant |= {e.id for e in service.elements if scan_decorator_checks(service, e.id)}
+    assert index.check_relevant == relevant
     for el in service.elements:
         assert index.place(el.id) == _scan_place(service, el.id), el
         assert index.decorator_checks.get(el.id, []) == scan_decorator_checks(service, el.id), el
