@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Union
 
 from .minisrv import nodes
 from .minisrv.parser import ParseError, parse_expression
+from .model import Record
 
 CUBE_CAP = 4096
 INT_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -49,72 +49,88 @@ def _const_sort(value) -> str | None:
     return {int: "int", str: "string"}.get(type(value))
 
 
-@dataclass(frozen=True)
-class ConstCmp:
+class ConstCmp(Record):
     """A variable compared with a constant; its sort is the constant's type."""
 
-    var: str
-    op: str
-    value: int | str
+    __slots__ = ("var", "op", "value")
+
+    def __init__(self, var: str, op: str, value: int | str) -> None:
+        self.var = var
+        self.op = op
+        self.value = value
 
     @property
     def sort(self) -> str | None:
         return _const_sort(self.value)
 
 
-@dataclass(frozen=True)
-class VarCmp:
+class VarCmp(Record):
     """Two variables of one declared sort compared for (in)equality."""
 
-    left: str
-    op: str  # == or !=
-    right: str
+    __slots__ = ("left", "op", "right")
+
+    def __init__(self, left: str, op: str, right: str) -> None:
+        self.left = left
+        self.op = op  # == or !=
+        self.right = right
 
 
-@dataclass(frozen=True)
-class BoolVar:
+class BoolVar(Record):
     """A boolean variable, true as an atom."""
 
-    var: str
+    __slots__ = ("var",)
+
+    def __init__(self, var: str) -> None:
+        self.var = var
 
 
-@dataclass(frozen=True)
-class BoolConst:
+class BoolConst(Record):
     """A boolean constant."""
 
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     """Conjunction of its items."""
 
-    items: tuple
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple) -> None:
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     """Disjunction of its items."""
 
-    items: tuple
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple) -> None:
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     """Negation of its item."""
 
-    item: object
+    __slots__ = ("item",)
+
+    def __init__(self, item) -> None:
+        self.item = item
 
 
 Atom = Union[ConstCmp, VarCmp, BoolVar, BoolConst]
 
 
-@dataclass(frozen=True)
-class PathConstraint:
+class PathConstraint(Record):
     """Typed variables plus a boolean combination of fragment atoms."""
 
-    variables: tuple[tuple[str, str], ...]  # (name, "int"|"string"|"bool")
-    formula: object
+    __slots__ = ("variables", "formula")
+
+    def __init__(self, variables: tuple[tuple[str, str], ...], formula) -> None:
+        self.variables = variables  # (name, "int"|"string"|"bool")
+        self.formula = formula
 
     def var_types(self) -> dict[str, str]:
         return dict(self.variables)
@@ -170,23 +186,28 @@ def validate_constraint(c: PathConstraint) -> None:
 # --- satisfiability ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sat:
+class Sat(Record):
     """A satisfying assignment: variable name to value."""
 
-    witness: dict
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: dict) -> None:
+        self.witness = witness
 
 
-@dataclass(frozen=True)
-class Unsat:
+class Unsat(Record):
     """The constraint has no satisfying assignment."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Unknown:
+
+class Unknown(Record):
     """The checker could not decide, and says why."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
 
 
 SatResult = Union[Sat, Unsat, Unknown]

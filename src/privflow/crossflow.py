@@ -19,11 +19,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .model import Channel, Element, ElementKind, Program, Service, call_callee
+from .model import Channel, Element, ElementKind, Program, Record, Service, call_callee
 from .reasoner import ConfirmUserSource
 from .search import FlowPath, InterScan, q_flow, service_index
 
@@ -197,15 +196,19 @@ def ambiguous_matches(edges: list[ChannelEdge]) -> list[str]:
     return sorted(el for el, svcs in targets.items() if len(svcs) > 1)
 
 
-@dataclass
 class GlobalGraph:
     """Cross-service reachability graph. Nodes are element ids; ``edges``
     maps a node to the witnesses of its out-edges, each an intra-service
     flow path or a channel match (both have ``src`` and ``dst``), sorted
     by destination, flow witnesses ahead of a channel to the same one."""
 
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[str, list[FlowPath | ChannelEdge]] = field(default_factory=dict)
+    __slots__ = ("nodes", "edges")
+
+    def __init__(
+        self, nodes: set[str] | None = None, edges: dict[str, list[FlowPath | ChannelEdge]] | None = None
+    ) -> None:
+        self.nodes = set() if nodes is None else nodes
+        self.edges = {} if edges is None else edges
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.edges.values())
@@ -256,27 +259,23 @@ def build_global_graph(
     return graph
 
 
-@dataclass(frozen=True)
-class GlobalPath:
+class GlobalPath(Record):
     """Alternating intra-service flow segments and channel hops, from a user
     source to a privileged operation. Derived facts are set when the path
     is built, in one pass over its segments; equality and hashing use
     ``segments`` alone. ``node_ids`` lists each node once where a segment
     starts at the node the previous one ends at, and ``id`` hashes them."""
 
-    segments: tuple[FlowPath | ChannelEdge, ...]
-    node_ids: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    id: str = field(init=False, compare=False, repr=False)
-    flow_segments: tuple[FlowPath, ...] = field(init=False, compare=False, repr=False)
-    services: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("segments",)
+    __slots__ = ("segments", "node_ids", "id", "flow_segments", "services")
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    def __init__(self, segments: tuple[FlowPath | ChannelEdge, ...]) -> None:
+        if not segments:
             raise ValueError("GlobalPath needs at least one segment")
         ids: list[str] = []
         flow_segments: list[FlowPath] = []
         services: list[str] = []
-        for segment in self.segments:
+        for segment in segments:
             if isinstance(segment, FlowPath):
                 chain = segment.elements
                 flow_segments.append(segment)
@@ -285,11 +284,11 @@ class GlobalPath:
             else:
                 chain = (segment.from_element, segment.to_element)
             ids.extend(chain[1:] if ids and ids[-1] == chain[0] else chain)
-        init = object.__setattr__  # the record is frozen once built
-        init(self, "node_ids", tuple(ids))
-        init(self, "id", "p" + hashlib.sha1("\x1f".join(ids).encode("utf-8")).hexdigest()[:12])
-        init(self, "flow_segments", tuple(flow_segments))
-        init(self, "services", tuple(services))
+        self.segments = segments
+        self.node_ids = tuple(ids)
+        self.id = "p" + hashlib.sha1("\x1f".join(ids).encode("utf-8")).hexdigest()[:12]
+        self.flow_segments = tuple(flow_segments)
+        self.services = tuple(services)
 
     @property
     def source(self) -> str:
@@ -354,6 +353,8 @@ def path_functions(
 
 
 class GlobalFlows(NamedTuple):
+    """The paths ``q_globalflow`` found, and whether the cap cut them off."""
+
     paths: list[GlobalPath]
     truncated: bool
 
@@ -367,35 +368,33 @@ def q_globalflow(graph: GlobalGraph, sources, sinks, cap: int = PATH_CAP) -> Glo
     capped with a flag.
 
     A depth-first search over the destination-sorted witnesses finds them
-    in that order: a path before its extensions, siblings ascending."""
+    in that order: a path before its extensions, siblings ascending. It is
+    a loop over a stack of witness iterators, one per node on the current
+    path, so no closure holds the paths it builds."""
     sink_ids = {op.element for op in sinks}
     found: list[GlobalPath] = []
-    truncated = False
-
-    def dfs(node: str, segments: list[FlowPath | ChannelEdge], on_path: set[str]) -> bool:
-        nonlocal truncated
-        if node in sink_ids and segments:
-            if len(found) >= cap:
-                truncated = True
-                return False
-            found.append(GlobalPath(tuple(segments)))
-        for witness in graph.edges.get(node, ()):
+    for src in sorted({s.id for s in sources}):
+        segments: list[FlowPath | ChannelEdge] = []
+        on_path = {src}
+        stack = [iter(graph.edges.get(src, ()))]
+        while stack:
+            witness = next(stack[-1], None)
+            if witness is None:  # every out-edge of the node is done
+                stack.pop()
+                if segments:
+                    on_path.discard(segments.pop().dst)
+                continue
             dst = witness.dst
             if dst in on_path:
                 continue
             segments.append(witness)
             on_path.add(dst)
-            ok = dfs(dst, segments, on_path)
-            on_path.discard(dst)
-            segments.pop()
-            if not ok:
-                return False
-        return True
-
-    for src in sorted({s.id for s in sources}):
-        if not dfs(src, [], {src}):
-            break
-    return GlobalFlows(found, truncated)
+            if dst in sink_ids:
+                if len(found) >= cap:
+                    return GlobalFlows(found, True)
+                found.append(GlobalPath(tuple(segments)))
+            stack.append(iter(graph.edges.get(dst, ())))
+    return GlobalFlows(found, False)
 
 
 def to_dot(graph: GlobalGraph, program: Program) -> str:

@@ -26,8 +26,6 @@ Service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..model import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
 from ..model import Channel, Edge, EdgeKind, Element, ElementKind, Location, Service, element_id
 from .nodes import (
@@ -68,18 +66,20 @@ class LoweringError(Exception):
         super().__init__(f"{location}: {message}")
 
 
-@dataclass
 class _FnScope:
     """One function's lowering state, filled while its body is lowered."""
 
-    func: FuncDef
-    element: Element
-    params: dict[str, Element] = field(default_factory=dict)
-    locals: dict[str, Element] = field(default_factory=dict)
-    request_var: Element | None = None
-    var_types: dict[str, str] = field(default_factory=dict)
-    assignments: dict[str, list] = field(default_factory=dict)  # name -> rhs exprs
-    return_sources: list[str] = field(default_factory=list)
+    __slots__ = ("func", "element", "params", "locals", "request_var", "var_types", "assignments", "return_sources")
+
+    def __init__(self, func: FuncDef, element: Element) -> None:
+        self.func = func
+        self.element = element
+        self.params: dict[str, Element] = {}
+        self.locals: dict[str, Element] = {}
+        self.request_var: Element | None = None
+        self.var_types: dict[str, str] = {}
+        self.assignments: dict[str, list] = {}  # name -> rhs exprs
+        self.return_sources: list[str] = []
 
 
 class _Lowerer:

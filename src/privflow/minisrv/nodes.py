@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 
 class IntLit(NamedTuple):
+    """An integer literal."""
+
     line: int
     col: int
     span: tuple[int, int]  # (start offset, end offset) in the source text
@@ -22,6 +24,8 @@ class IntLit(NamedTuple):
 
 
 class StrLit(NamedTuple):
+    """A string literal; ``value`` is its text without the quotes."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -29,6 +33,8 @@ class StrLit(NamedTuple):
 
 
 class BoolLit(NamedTuple):
+    """``true`` or ``false``."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -36,6 +42,8 @@ class BoolLit(NamedTuple):
 
 
 class Name(NamedTuple):
+    """A bare identifier used as a value."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -53,6 +61,8 @@ class Member(NamedTuple):
 
 
 class Call(NamedTuple):
+    """A call expression."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -61,6 +71,8 @@ class Call(NamedTuple):
 
 
 class BinOp(NamedTuple):
+    """A binary operation: a comparison, ``&&``, ``||`` or ``+``."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -73,6 +85,8 @@ class BinOp(NamedTuple):
 
 
 class Assign(NamedTuple):
+    """``target = value``."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -81,6 +95,8 @@ class Assign(NamedTuple):
 
 
 class CallStmt(NamedTuple):
+    """A call used as a statement."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -88,6 +104,8 @@ class CallStmt(NamedTuple):
 
 
 class If(NamedTuple):
+    """A conditional; ``cond_span`` covers its guard expression."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -98,6 +116,8 @@ class If(NamedTuple):
 
 
 class Return(NamedTuple):
+    """``return``, with or without a value."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -108,6 +128,8 @@ class Return(NamedTuple):
 
 
 class Decorator(NamedTuple):
+    """``@route(...)`` or ``@auth(...)`` on a function."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -116,6 +138,8 @@ class Decorator(NamedTuple):
 
 
 class ConstDef(NamedTuple):
+    """A top-level ``const NAME = literal``."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -124,6 +148,8 @@ class ConstDef(NamedTuple):
 
 
 class FuncDef(NamedTuple):
+    """A function definition with its decorators, parameters and body."""
+
     line: int
     col: int
     span: tuple[int, int]
@@ -134,6 +160,8 @@ class FuncDef(NamedTuple):
 
 
 class Param(NamedTuple):
+    """One function parameter."""
+
     line: int
     col: int
     span: tuple[int, int]

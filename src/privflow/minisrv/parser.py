@@ -43,6 +43,8 @@ class ParseError(Exception):
 
 
 class Token(NamedTuple):
+    """One lexeme with its 1-based position and its half-open offsets."""
+
     kind: str  # "ident" | "int" | "string" | punctuation text | "eof"
     text: str
     line: int

@@ -3,24 +3,39 @@
 A ``Program`` is a set of ``Service`` objects plus the application manifest.
 Each service is a flat bag of ``Element`` records (functions, variables,
 calls, literals, endpoints, ...) connected by typed ``Edge`` records.
-Everything is frozen after construction so analyses can share it freely
+Nothing is written after construction, so analyses can share it freely
 across threads.
 
-The record rule, for every package module: a plain record is a
-``typing.NamedTuple``, which is several times cheaper to create at import
-than a dataclass. A record stays a ``@dataclass`` (with a docstring, so the
-class is not given one through ``inspect.signature``) when it is mutated,
-validates in ``__post_init__``, holds derived state, is read by
-``dataclasses.asdict``, or could meet a field-equal record of another type
-in ``==``, a hash or a memo key, or in a report payload, which writes a
-tuple as a JSON array.
+The record rule, for every module: no record is a dataclass and no module
+imports ``dataclasses``, whose class builds and imports (``inspect``,
+``ast``, ``dis``, ``tokenize``) cost a cold start more than the analysis of a
+small corpus. A record is one of three kinds, chosen by what its records do:
+
+* a ``typing.NamedTuple`` when it is a plain value that never meets a
+  field-equal record of another type in ``==``, a hash, a memo key or a
+  report payload (which writes a tuple as a JSON array): edges, flow
+  segments, AST nodes, tokens, manifest entries;
+* a ``Record`` subclass otherwise: a ``__slots__`` class whose own
+  ``__init__`` validates and derives, built once per class at a small
+  fraction of a named tuple's cost and read as fast as a dataclass. It is
+  equal only to a record of its own type, so the formula nodes, the checker
+  results, the reasoner tasks and their descriptors never meet a field-equal
+  record of another type; the records read most in a scan (``Element``,
+  ``Location``, ``Service``, ``Program``, ``GlobalPath``) are records of
+  this kind for their fast field reads. An ``OrderedRecord`` also sorts by
+  its fields;
+* a plain class with ``__slots__`` when its records are mutated (the global
+  graph, scan options, a function's lowering state): it is neither hashed nor
+  compared by value.
+
+Records are not written after ``__init__``. Every record class has its own
+docstring.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
@@ -48,23 +63,72 @@ class EdgeKind(str, Enum):
     DECORATES = "decorates"
 
 
+class Record:
+    """Base of the ``__slots__`` record classes. A subclass lists its fields
+    in ``__slots__``, or in ``_fields`` when it keeps derived state in
+    further slots, and writes an ``__init__`` that takes the fields in that
+    order. Equality and the hash read the type and the fields, so two
+    records are equal only when they are of one type with equal fields;
+    ``repr`` shows the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        cls._key = property(attrgetter("__class__", *cls._fields))
+
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, Record) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built by ``__init__``."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+
+class OrderedRecord(Record):
+    """A record that sorts among records of its type by its fields, in order."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self._key < other._key if type(other) is type(self) else NotImplemented
+
+    def __le__(self, other):
+        return self._key <= other._key if type(other) is type(self) else NotImplemented
+
+    def __gt__(self, other):
+        return self._key > other._key if type(other) is type(self) else NotImplemented
+
+    def __ge__(self, other):
+        return self._key >= other._key if type(other) is type(self) else NotImplemented
+
+
 #: Closed vocabulary for Element.inferred_type.
 TYPE_TAGS = frozenset({"int", "string", "bool", "object", "function", "unknown"})
 
 
-@dataclass(frozen=True, order=True)
-class Location:
+class Location(OrderedRecord):
     """1-based source position of an element."""
 
-    file: str
-    line: int
-    col: int
+    __slots__ = ("file", "line", "col")
 
-    def __post_init__(self) -> None:
-        if not self.file:
+    def __init__(self, file: str, line: int, col: int) -> None:
+        if not file:
             raise ValueError("Location.file must be non-empty")
-        if self.line < 1 or self.col < 1:
-            raise ValueError(f"Location line/col must be >= 1, got {self.line}:{self.col}")
+        if line < 1 or col < 1:
+            raise ValueError(f"Location line/col must be >= 1, got {line}:{col}")
+        self.file = file
+        self.line = line
+        self.col = col
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
@@ -80,8 +144,7 @@ def element_id(service: str, file: str, line: int, col: int, kind: ElementKind) 
     return "e" + hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """One named or anonymous code fact.
 
     Anonymous elements (calls, literals, field accesses, statement markers)
@@ -89,19 +152,29 @@ class Element:
     ``source`` is the verbatim text the element spans.
     """
 
-    id: str
-    service: str
-    kind: ElementKind
-    name: str
-    location: Location
-    source: str
-    inferred_type: str = "unknown"
+    __slots__ = ("id", "service", "kind", "name", "location", "source", "inferred_type")
 
-    def __post_init__(self) -> None:
-        if self.inferred_type not in TYPE_TAGS:
-            raise ValueError(f"unknown type tag {self.inferred_type!r}")
-        if self.kind is ElementKind.ENDPOINT and not self.name:  # its route: the inbound channel's identifier
-            raise ValueError(f"endpoint {self.id} needs a non-empty name")
+    def __init__(
+        self,
+        id: str,
+        service: str,
+        kind: ElementKind,
+        name: str,
+        location: Location,
+        source: str,
+        inferred_type: str = "unknown",
+    ) -> None:
+        if inferred_type not in TYPE_TAGS:
+            raise ValueError(f"unknown type tag {inferred_type!r}")
+        if kind is ElementKind.ENDPOINT and not name:  # its route: the inbound channel's identifier
+            raise ValueError(f"endpoint {id} needs a non-empty name")
+        self.id = id
+        self.service = service
+        self.kind = kind
+        self.name = name
+        self.location = location
+        self.source = source
+        self.inferred_type = inferred_type
 
 
 #: The one element order, a flat key ``(file, line, col, kind, id)`` (a
@@ -120,26 +193,26 @@ class Edge(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True, order=True)
-class Channel:
+class Channel(OrderedRecord):
     """An inter-service communication point with its resolved identifier.
 
     ``element`` is the call-site element for outbound calls and message
     consumers, and the endpoint element for inbound HTTP routes.
     """
 
-    element: str
-    direction: str  # "out" | "in"
-    protocol: str  # "http" | "topic"
-    identifier: str
+    __slots__ = ("element", "direction", "protocol", "identifier")
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("out", "in"):
-            raise ValueError(f"channel direction must be out|in, got {self.direction!r}")
-        if self.protocol not in ("http", "topic"):
-            raise ValueError(f"channel protocol must be http|topic, got {self.protocol!r}")
-        if not self.identifier:
+    def __init__(self, element: str, direction: str, protocol: str, identifier: str) -> None:
+        if direction not in ("out", "in"):
+            raise ValueError(f"channel direction must be out|in, got {direction!r}")
+        if protocol not in ("http", "topic"):
+            raise ValueError(f"channel protocol must be http|topic, got {protocol!r}")
+        if not identifier:
             raise ValueError("channel identifier must be non-empty")
+        self.element = element
+        self.direction = direction
+        self.protocol = protocol
+        self.identifier = identifier
 
 
 #: Callees that send to another service, by channel protocol. Their call
@@ -164,23 +237,35 @@ def call_callee(element: Element) -> str:
     return m.group(1) if m else ""
 
 
-@dataclass(frozen=True)
-class Service:
+class Service(Record):
     """All facts for one service. Use :meth:`build` so collections are
     canonically ordered; structural equality, serialization and the order
     of every search result (which follows ``elements``) depend on it.
     ``build`` sorts each collection once: elements by ``element_order``,
-    edges and channels, de-duplicated, by their fields.
+    edges and channels, de-duplicated, by their fields. ``replace`` gives
+    a copy with some fields changed. ``_index`` holds the service's
+    ``search.ServiceIndex`` once it is built; a service can be weakly
+    referenced.
     """
 
-    name: str
-    elements: tuple[Element, ...]
-    edges: tuple[Edge, ...]
-    channels: tuple[Channel, ...] = ()
-    entry: bool = False
+    _fields = ("name", "elements", "edges", "channels", "entry")
+    __slots__ = (*_fields, "_by_id", "_index", "__weakref__")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_id", {e.id: e for e in self.elements})
+    def __init__(
+        self,
+        name: str,
+        elements: tuple[Element, ...],
+        edges: tuple[Edge, ...],
+        channels: tuple[Channel, ...] = (),
+        entry: bool = False,
+    ) -> None:
+        self.name = name
+        self.elements = elements
+        self.edges = edges
+        self.channels = channels
+        self.entry = entry
+        self._by_id = {e.id: e for e in elements}
+        self._index = None
 
     @classmethod
     def build(
@@ -237,15 +322,16 @@ class Manifest(NamedTuple):
         return None
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """The services of one corpus and its manifest."""
 
-    services: tuple[Service, ...]
-    manifest: Manifest
+    _fields = ("services", "manifest")
+    __slots__ = (*_fields, "_by_name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", {s.name: s for s in self.services})
+    def __init__(self, services: tuple[Service, ...], manifest: Manifest) -> None:
+        self.services = services
+        self.manifest = manifest
+        self._by_name = {s.name: s for s in services}
 
     def service(self, name: str) -> Service | None:
         return self._by_name.get(name)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -55,7 +54,7 @@ from .crossflow import (
     segment_functions,
     unrecorded,
 )
-from .model import Element, ElementKind, Program, Service, call_callee, element_order, validate_program
+from .model import Element, ElementKind, Program, Record, Service, call_callee, element_order, validate_program
 from .reasoner import (
     AssessSufficiency,
     CheckDescriptor,
@@ -114,48 +113,66 @@ class CheckFinding(NamedTuple):
     source: str
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """A flow that reached a privileged operation without a sufficient
     check: its path, operation, located checks and verdict."""
 
-    path: GlobalPath
-    privop: PrivilegedOperation
-    checks: tuple[CheckFinding, ...]
-    verdict: str  # a reasoner.Sufficiency verdict other than protected
-    feasibility: str  # feasible | unknown
-    rationale: str
-    constraint_status: str  # sat | unknown | skipped
-    smt_file: str | None = None
+    __slots__ = ("path", "privop", "checks", "verdict", "feasibility", "rationale", "constraint_status", "smt_file")
 
-    def __post_init__(self) -> None:
-        if self.verdict == "protected":
-            raise ValueError(f"finding verdict cannot be {self.verdict!r}")
-        if self.feasibility not in ("feasible", "unknown"):
-            raise ValueError(f"finding feasibility cannot be {self.feasibility!r}")
+    def __init__(
+        self,
+        path: GlobalPath,
+        privop: PrivilegedOperation,
+        checks: tuple[CheckFinding, ...],
+        verdict: str,
+        feasibility: str,
+        rationale: str,
+        constraint_status: str,
+        smt_file: str | None = None,
+    ) -> None:
+        if verdict == "protected":
+            raise ValueError(f"finding verdict cannot be {verdict!r}")
+        if feasibility not in ("feasible", "unknown"):
+            raise ValueError(f"finding feasibility cannot be {feasibility!r}")
+        self.path = path
+        self.privop = privop
+        self.checks = checks
+        self.verdict = verdict  # a reasoner.Sufficiency verdict other than protected
+        self.feasibility = feasibility  # feasible | unknown
+        self.rationale = rationale
+        self.constraint_status = constraint_status  # sat | unknown | skipped
+        self.smt_file = smt_file
 
 
-@dataclass(frozen=True)
-class ScanBudget:
+class ScanBudget(Record):
     """Per-phase tool-call and wall-clock limits of one scan."""
 
-    max_tool_calls_per_phase: int = 40
-    max_seconds: float = 600.0
+    __slots__ = ("max_tool_calls_per_phase", "max_seconds")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_tool_calls_per_phase: int = 40, max_seconds: float = 600.0) -> None:
         # written so that a NaN limit fails too
-        if not (self.max_tool_calls_per_phase > 0 and self.max_seconds > 0):
+        if not (max_tool_calls_per_phase > 0 and max_seconds > 0):
             raise ValueError("budget limits must be positive")
+        self.max_tool_calls_per_phase = max_tool_calls_per_phase
+        self.max_seconds = max_seconds
 
 
-@dataclass
 class ScanOptions:
     """What a scan looks for and where it writes its side outputs."""
 
-    basic_sink: bool = False
-    on_demand_context: bool = True
-    emit_smt_dir: str | None = None
-    trace_path: str | None = None
+    __slots__ = ("basic_sink", "on_demand_context", "emit_smt_dir", "trace_path")
+
+    def __init__(
+        self,
+        basic_sink: bool = False,
+        on_demand_context: bool = True,
+        emit_smt_dir: str | None = None,
+        trace_path: str | None = None,
+    ) -> None:
+        self.basic_sink = basic_sink
+        self.on_demand_context = on_demand_context
+        self.emit_smt_dir = emit_smt_dir
+        self.trace_path = trace_path
 
 
 class BudgetExhausted(Exception):

@@ -11,8 +11,8 @@ Two backends answer the same closed set of reasoning tasks:
   chosen.
 
 Tasks carry only serialized text and facts, never live object references:
-they are frozen, hashable dataclasses, and equal tasks ask the same
-question. ``Memo`` relies on that: wrapped around one backend for one scan,
+they are hashable records (``model.Record``), equal only to a task of their
+own type with equal fields, and equal tasks ask the same question. ``Memo`` relies on that: wrapped around one backend for one scan,
 it asks each distinct task once and answers equal tasks with the stored
 verdict, so a remote backend answers a repeated task the same way (at a
 nonzero temperature, two asks could give two answers) and is paid once.
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property, singledispatchmethod
 from pathlib import Path
 from typing import NamedTuple
 
 from . import constraints as _constraints
+from .model import Record
 from .search import identifiers
 
 RULES_RESOURCE = Path(__file__).parent / "rules" / "oracle.rules.json"
@@ -57,80 +57,112 @@ class SchemaViolation(Exception):
 # --- tasks ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassifyPrivileged:
+class ClassifyPrivileged(Record):
     """Is this function a privileged operation, and of which category?"""
 
-    element: str
-    name: str
-    source: str
-    context: tuple[str, ...] = ()
+    __slots__ = ("element", "name", "source", "context")
+
+    def __init__(self, element: str, name: str, source: str, context: tuple[str, ...] = ()) -> None:
+        self.element = element
+        self.name = name
+        self.source = source
+        self.context = context
 
 
-@dataclass(frozen=True)
-class ClassifyCheck:
+class ClassifyCheck(Record):
     """Is this decorator check or inline guard an authN or authZ check?"""
 
-    element: str
-    name: str
-    source: str
-    attachment: str = "inline"  # decorator | inline
-    context: tuple[str, ...] = ()
+    __slots__ = ("element", "name", "source", "attachment", "context")
+
+    def __init__(
+        self, element: str, name: str, source: str, attachment: str = "inline", context: tuple[str, ...] = ()
+    ) -> None:
+        self.element = element
+        self.name = name
+        self.source = source
+        self.attachment = attachment  # decorator | inline
+        self.context = context
 
 
-@dataclass(frozen=True)
-class CheckDescriptor:
+class CheckDescriptor(Record):
     """A located check as an ``AssessSufficiency`` task shows it."""
 
-    classification: str
-    subtype: str
-    name: str
-    source: str
+    __slots__ = ("classification", "subtype", "name", "source")
+
+    def __init__(self, classification: str, subtype: str, name: str, source: str) -> None:
+        self.classification = classification
+        self.subtype = subtype
+        self.name = name
+        self.source = source
 
 
-@dataclass(frozen=True)
-class AssessSufficiency:
+class AssessSufficiency(Record):
     """Do the located checks suffice for this privileged operation?"""
 
-    privop_name: str
-    privop_source: str
-    privop_category: str
-    checks: tuple[CheckDescriptor, ...]
-    contexts: tuple[str, ...] = ()
+    __slots__ = ("privop_name", "privop_source", "privop_category", "checks", "contexts")
+
+    def __init__(
+        self,
+        privop_name: str,
+        privop_source: str,
+        privop_category: str,
+        checks: tuple[CheckDescriptor, ...],
+        contexts: tuple[str, ...] = (),
+    ) -> None:
+        self.privop_name = privop_name
+        self.privop_source = privop_source
+        self.privop_category = privop_category
+        self.checks = checks
+        self.contexts = contexts
 
 
-@dataclass(frozen=True)
-class GuardDescriptor:
+class GuardDescriptor(Record):
     """A guard's source with its identifiers' declared types."""
 
-    source: str
-    var_types: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("source", "var_types")
+
+    def __init__(self, source: str, var_types: tuple[tuple[str, str], ...] = ()) -> None:
+        self.source = source
+        self.var_types = var_types
 
 
-@dataclass(frozen=True)
-class ExtractConstraints:
+class ExtractConstraints(Record):
     """Translate a flow's guards into a path constraint."""
 
-    guards: tuple[GuardDescriptor, ...]
+    __slots__ = ("guards",)
+
+    def __init__(self, guards: tuple[GuardDescriptor, ...]) -> None:
+        self.guards = guards
 
 
-@dataclass(frozen=True)
-class ConfirmUserSource:
+class ConfirmUserSource(Record):
     """Is this entry-service source reachable through a gateway route?"""
 
-    identifier: str
-    route_prefixes: tuple[str, ...]
+    __slots__ = ("identifier", "route_prefixes")
+
+    def __init__(self, identifier: str, route_prefixes: tuple[str, ...]) -> None:
+        self.identifier = identifier
+        self.route_prefixes = route_prefixes
 
 
-@dataclass(frozen=True)
-class NextSearchAction:
+class NextSearchAction(Record):
     """Which search to run next in the privileged-operation loop."""
 
-    round: int
-    services: tuple[str, ...]
-    executed: tuple[str, ...]
-    new_ops_this_round: int
-    tools: tuple[str, ...]
+    __slots__ = ("round", "services", "executed", "new_ops_this_round", "tools")
+
+    def __init__(
+        self,
+        round: int,
+        services: tuple[str, ...],
+        executed: tuple[str, ...],
+        new_ops_this_round: int,
+        tools: tuple[str, ...],
+    ) -> None:
+        self.round = round
+        self.services = services
+        self.executed = executed
+        self.new_ops_this_round = new_ops_this_round
+        self.tools = tools
 
 
 #: Every task a backend answers; the remote prompt for one is the file named
@@ -146,41 +178,41 @@ def _check_vocabulary(field: str, value, allowed: tuple) -> None:
         raise ValueError(f"field {field!r} must be one of {allowed}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PrivilegedClass:
+class PrivilegedClass(Record):
     """Verdict of ``ClassifyPrivileged``: a category, or None."""
 
-    category: str | None  # one of PRIVILEGED_CATEGORIES, or None
-    rationale: str
+    __slots__ = ("category", "rationale")
 
-    def __post_init__(self) -> None:
-        _check_vocabulary("category", self.category, PRIVILEGED_CATEGORIES + (None,))
+    def __init__(self, category: str | None, rationale: str) -> None:
+        _check_vocabulary("category", category, PRIVILEGED_CATEGORIES + (None,))
+        self.category = category  # one of PRIVILEGED_CATEGORIES, or None
+        self.rationale = rationale
 
 
-@dataclass(frozen=True)
-class CheckClass:
+class CheckClass(Record):
     """Verdict of ``ClassifyCheck``: the check's class and authZ subtype."""
 
-    classification: str  # one of CHECK_CLASSIFICATIONS
-    authz_subtype: str  # one of AUTHZ_SUBTYPES; "none" exactly when not authz
-    rationale: str
+    __slots__ = ("classification", "authz_subtype", "rationale")
 
-    def __post_init__(self) -> None:
-        _check_vocabulary("classification", self.classification, CHECK_CLASSIFICATIONS)
-        _check_vocabulary("authz_subtype", self.authz_subtype, AUTHZ_SUBTYPES)
-        if (self.classification == "authz") == (self.authz_subtype == "none"):
+    def __init__(self, classification: str, authz_subtype: str, rationale: str) -> None:
+        _check_vocabulary("classification", classification, CHECK_CLASSIFICATIONS)
+        _check_vocabulary("authz_subtype", authz_subtype, AUTHZ_SUBTYPES)
+        if (classification == "authz") == (authz_subtype == "none"):
             raise ValueError("authz checks need a subtype; other checks carry none")
+        self.classification = classification  # one of CHECK_CLASSIFICATIONS
+        self.authz_subtype = authz_subtype  # one of AUTHZ_SUBTYPES; "none" exactly when not authz
+        self.rationale = rationale
 
 
-@dataclass(frozen=True)
-class Sufficiency:
+class Sufficiency(Record):
     """Verdict of ``AssessSufficiency``."""
 
-    verdict: str  # one of SUFFICIENCY_VERDICTS
-    rationale: str
+    __slots__ = ("verdict", "rationale")
 
-    def __post_init__(self) -> None:
-        _check_vocabulary("verdict", self.verdict, SUFFICIENCY_VERDICTS)
+    def __init__(self, verdict: str, rationale: str) -> None:
+        _check_vocabulary("verdict", verdict, SUFFICIENCY_VERDICTS)
+        self.verdict = verdict  # one of SUFFICIENCY_VERDICTS
+        self.rationale = rationale
 
 
 class ConstraintExtraction(NamedTuple):
@@ -208,20 +240,47 @@ class Action(NamedTuple):
 # --- rules ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleRules:
-    """The scripted oracle's keyword and pattern lists."""
+class OracleRules(Record):
+    """The scripted oracle's keyword and pattern lists. Its patterns are
+    compiled on first use and kept in the instance's ``__dict__``;
+    ``load_rules`` compiles them when it loads the rules."""
 
-    action_verbs: tuple[str, ...]
-    protected_state_nouns: tuple[str, ...]
-    resource_nouns: tuple[str, ...]
-    critical_action_patterns: tuple[str, ...]
-    authn_patterns: tuple[str, ...]
-    authz_patterns: tuple[str, ...]
-    role_keywords: tuple[str, ...]
-    permission_keywords: tuple[str, ...]
-    ownership_comparisons: tuple[str, ...]
-    ownership_nouns: tuple[str, ...]
+    _fields = (
+        "action_verbs",
+        "protected_state_nouns",
+        "resource_nouns",
+        "critical_action_patterns",
+        "authn_patterns",
+        "authz_patterns",
+        "role_keywords",
+        "permission_keywords",
+        "ownership_comparisons",
+        "ownership_nouns",
+    )
+
+    def __init__(
+        self,
+        action_verbs: tuple[str, ...],
+        protected_state_nouns: tuple[str, ...],
+        resource_nouns: tuple[str, ...],
+        critical_action_patterns: tuple[str, ...],
+        authn_patterns: tuple[str, ...],
+        authz_patterns: tuple[str, ...],
+        role_keywords: tuple[str, ...],
+        permission_keywords: tuple[str, ...],
+        ownership_comparisons: tuple[str, ...],
+        ownership_nouns: tuple[str, ...],
+    ) -> None:
+        self.action_verbs = action_verbs
+        self.protected_state_nouns = protected_state_nouns
+        self.resource_nouns = resource_nouns
+        self.critical_action_patterns = critical_action_patterns
+        self.authn_patterns = authn_patterns
+        self.authz_patterns = authz_patterns
+        self.role_keywords = role_keywords
+        self.permission_keywords = permission_keywords
+        self.ownership_comparisons = ownership_comparisons
+        self.ownership_nouns = ownership_nouns
 
     @cached_property
     def critical_rx(self) -> tuple[re.Pattern, ...]:

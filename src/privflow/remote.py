@@ -4,9 +4,9 @@ templates.
 
 ``reasoner.make_reasoner`` imports this module only when the remote
 backend is chosen, so a scan with the scripted oracle never loads it.
-Each task is sent as its fields in JSON (``dataclasses.asdict``) inside the
-prompt file named after the task (``ClassifyPrivileged`` ->
-``classify_privileged.md``).
+Each task is sent as its fields in JSON (``task_fields``: a record as an
+object of its fields, in order) inside the prompt file named after the task
+(``ClassifyPrivileged`` -> ``classify_privileged.md``).
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import constraints as _constraints
+from .model import Record
 from .reasoner import (
     AUTHZ_SUBTYPES,
     TASKS,
@@ -47,13 +47,15 @@ ATTEMPTS = 3
 TIMEOUT_S = 60.0
 
 
-@dataclass(frozen=True)
-class RemoteConfig:
+class RemoteConfig(Record):
     """Where the chat-completion backend is and which model answers."""
 
-    endpoint: str
-    model: str
-    retry_backoff: float = 0.5  # seconds, grows linearly per attempt
+    __slots__ = ("endpoint", "model", "retry_backoff")
+
+    def __init__(self, endpoint: str, model: str, retry_backoff: float = 0.5) -> None:
+        self.endpoint = endpoint
+        self.model = model
+        self.retry_backoff = retry_backoff  # seconds, grows linearly per attempt
 
 
 class RemoteReasoner:
@@ -73,7 +75,7 @@ class RemoteReasoner:
         task_name = type(task).__name__
         if type(task) not in TASKS:
             raise TypeError(f"unsupported task {task_name}")
-        task_json = json.dumps({**asdict(task), "task": task_name}, indent=2)
+        task_json = json.dumps({**task_fields(task), "task": task_name}, indent=2)
         prompt = _load_prompt("_".join(split_identifier(task_name)) + ".md").replace("{task_json}", task_json)
         last_error = "no attempts made"
         with self._lock:
@@ -110,6 +112,16 @@ class RemoteReasoner:
         if not isinstance(content, str):
             raise BackendUnavailable("backend chat completion carries no text content")
         return content
+
+
+def task_fields(value):
+    """A task as JSON-ready data: each record (the task, its descriptors) an
+    object of its fields in order, each tuple a list."""
+    if isinstance(value, Record):
+        return {name: task_fields(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        return [task_fields(item) for item in value]
+    return value
 
 
 def from_environment() -> RemoteReasoner:

@@ -252,10 +252,9 @@ def service_index(service: Service) -> ServiceIndex:
 
     Threads racing on first use may each build one; the indexes are equal
     and the last one stored is kept."""
-    index = service.__dict__.get("_index")
+    index = service._index
     if index is None:
-        index = ServiceIndex(service)
-        object.__setattr__(service, "_index", index)
+        index = service._index = ServiceIndex(service)
     return index
 
 

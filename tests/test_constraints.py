@@ -21,7 +21,15 @@ from privflow.constraints import (
     emit_smtlib,
     translate_guards,
 )
-from privflow.reasoner import GuardDescriptor
+from privflow.reasoner import (
+    AssessSufficiency,
+    CheckDescriptor,
+    ClassifyCheck,
+    ClassifyPrivileged,
+    ConfirmUserSource,
+    GuardDescriptor,
+    Memo,
+)
 
 from constraint_reference import MissingVariable, constraint_to_json, eval_witness
 from smtlib_check import validate_smtlib
@@ -403,25 +411,55 @@ class TestGuardTranslation:
         assert dict(constraint.variables) == {"n": "int", "m": "int"}
 
 
-class TestRecordsKeepTheirType:
-    """Formula nodes and checker results stay dataclasses: as named tuples,
-    ``And((a, b)) == Or((a, b))``, and field-equal atoms of different
-    shapes would share one dict key."""
+#: Field-equal records of two types: formula nodes, checker results,
+#: reasoner tasks and their descriptors.
+FIELD_EQUAL_PAIRS = {
+    "and-or": (And((BoolVar("a"), BoolVar("b"))), Or((BoolVar("a"), BoolVar("b")))),
+    "const-var": (ConstCmp("x", "==", "y"), VarCmp("x", "==", "y")),
+    "boolvar-not": (BoolVar("a"), Not("a")),
+    "boolconst-not": (BoolConst(True), Not(True)),
+    "unknown-boolvar": (Unknown("r"), BoolVar("r")),
+    "source-guard": (ConfirmUserSource("a", ()), GuardDescriptor("a", ())),
+    "check-assess": (ClassifyCheck("a", "b", "c", "d", ()), AssessSufficiency("a", "b", "c", "d", ())),
+    "privileged-descriptor": (ClassifyPrivileged("a", "b", "c", "d"), CheckDescriptor("a", "b", "c", "d")),
+}
 
-    @pytest.mark.parametrize(
-        "left, right",
-        [
-            (And((BoolVar("a"), BoolVar("b"))), Or((BoolVar("a"), BoolVar("b")))),
-            (ConstCmp("x", "==", "y"), VarCmp("x", "==", "y")),
-            (BoolVar("a"), Not("a")),
-            (BoolConst(True), Not(True)),
-            (Unknown("r"), BoolVar("r")),
-        ],
-        ids=["and-or", "const-var", "boolvar-not", "boolconst-not", "unknown-boolvar"],
-    )
+
+class TestRecordsKeepTheirType:
+    """A formula node, a checker result, a reasoner task or a task's
+    descriptor equals only a record of its own type. Otherwise
+    ``And((a, b)) == Or((a, b))``, field-equal atoms of different shapes
+    would share one dict key, and a memo would answer a task with the
+    verdict of a field-equal task of another type."""
+
+    @pytest.mark.parametrize("left, right", FIELD_EQUAL_PAIRS.values(), ids=FIELD_EQUAL_PAIRS.keys())
     def test_field_equal_records_of_two_types_differ(self, left, right):
-        assert left != right
+        assert not left == right and left != right
+        assert not right == left and right != left
         assert len({left: 1, right: 2}) == 2
+
+    @pytest.mark.parametrize("left, right", FIELD_EQUAL_PAIRS.values(), ids=FIELD_EQUAL_PAIRS.keys())
+    def test_equal_records_of_one_type_are_one_key(self, left, right):
+        for record in (left, right):
+            twin = record.replace()
+            assert twin is not record and twin == record and not twin != record
+            assert hash(twin) == hash(record) and len({record: 1, twin: 2}) == 1
+
+    @pytest.mark.parametrize("pair", ["source-guard", "check-assess", "privileged-descriptor"])
+    def test_memo_asks_both_records_of_a_field_equal_pair(self, pair):
+        asked = []
+
+        class Counting:
+            def reason(self, task):
+                asked.append(task)
+                return f"verdict {len(asked)}"
+
+        memo = Memo(Counting())
+        left, right = FIELD_EQUAL_PAIRS[pair]
+        assert [memo.reason(left), memo.reason(right), memo.reason(left), memo.reason(right)] == [
+            "verdict 1", "verdict 2", "verdict 1", "verdict 2"
+        ]
+        assert [type(task) for task in asked] == [type(left), type(right)]
 
     def test_checker_results_differ(self):
         witness = {"x": 1}

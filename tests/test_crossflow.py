@@ -1,6 +1,6 @@
+import gc
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +31,10 @@ from privflow.model import (
     Program,
     ElementKind,
     Service,
+    call_callee,
 )
 from privflow.pipeline import PrivilegedOperation, ScanBudget, find_privileged_ops, scan
-from privflow.search import FlowPath, q_flow
+from privflow.search import FlowPath, UnresolvedChannel, q_flow
 
 from conftest import (
     CORPORA,
@@ -100,7 +101,7 @@ class TestQUser:
             service="gateway",
             file="gateway.msv",
         )
-        svc = replace(svc, entry=True)
+        svc = svc.replace(entry=True)
         manifest = Manifest(
             1,
             (ManifestService("gateway", entry=True, sources=("gateway.msv",)),),
@@ -110,7 +111,7 @@ class TestQUser:
         assert [e.name for e in q_user(program, oracle)] == ["/api/updateProfile"]
 
     def test_zero_routes_zero_sources(self, oracle):
-        svc = replace(lower_snippet('@route("GET", "/x") fn a() { x = 1 }', service="g", file="g.msv"), entry=True)
+        svc = lower_snippet('@route("GET", "/x") fn a() { x = 1 }', service="g", file="g.msv").replace(entry=True)
         manifest = Manifest(1, (ManifestService("g", entry=True, sources=("g.msv",)),), ())
         assert q_user(Program((svc,), manifest), oracle) == []
 
@@ -143,6 +144,24 @@ class TestQInter:
         assert [c for c in scan.channels if c.direction == "out"] == []
         assert len(scan.unresolved) == 1
         assert scan.unresolved[0].callee == "http_post"
+
+    def test_runtime_base_url_is_reported_unresolved(self, oracle):
+        """A base URL read at run time leaves the call site's identifier
+        unresolved: ``q_inter`` lists the site and the report says so. Only
+        the diagnostic is pinned here, not which flows the scan finds."""
+        svc = lower_snippet(
+            '@route("POST", "/role") fn f() { base = session.get("url") body = request.param("b") '
+            'http_post(base + "/x", body) }',
+            service="front",
+            file="front.msv",
+        ).replace(entry=True)
+        (site,) = [e for e in svc.elements if call_callee(e) == "http_post"]
+        assert q_inter(svc).unresolved == (UnresolvedChannel("front", site.id, "http_post"),)
+        text = f"front: http_post call {site.id} has a non-constant channel identifier"
+        assert str(q_inter(svc).unresolved[0]) == text
+        manifest = Manifest(1, (ManifestService("front", entry=True, sources=("front.msv",)),), (GatewayRoute("/", "front"),))
+        payload = scan(Program((svc,), manifest), oracle)
+        assert payload["channels"]["unresolved"] == [text]
 
     def test_repeated_calls_return_one_immutable_scan(self):
         svc = lower_snippet(
@@ -220,9 +239,9 @@ class TestChannelMatching:
         from privflow.crossflow import ambiguous_matches
         from privflow.model import Channel, Edge
 
-        sender = replace(lower_snippet(
+        sender = lower_snippet(
             'fn f() { http_post("http://x:1/orders", "b") }', service="sender", file="sender.msv"
-        ), entry=True)
+        ).replace(entry=True)
         a = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_a", file="a.msv")
         b = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_b", file="b.msv")
         manifest = Manifest(
@@ -359,12 +378,12 @@ class TestQGlobalflow:
         assert q_globalflow(graph, sources, privops).paths == []
 
     def test_diamond_yields_two_paths(self, oracle):
-        svc = replace(lower_snippet(
+        svc = lower_snippet(
             '@route("POST", "/a") fn a() { x = request.param("v") db.write("k" + x) }\n'
             '@route("POST", "/b") fn b() { y = request.param("v") db.write("k" + y) }',
             service="d",
             file="d.msv",
-        ), entry=True)
+        ).replace(entry=True)
         # two endpoints, two sinks; each endpoint reaches its own sink
         manifest = Manifest(1, (ManifestService("d", entry=True, sources=("d.msv",)),), (GatewayRoute("/", "d"),))
         program = Program((svc,), manifest)
@@ -436,12 +455,12 @@ class TestQGlobalflow:
         assert _check_all_simple_paths(graph, q_user(program, oracle), privops) == 256
 
     def test_path_cap_sets_truncation_flag(self, oracle):
-        svc = replace(lower_snippet(
+        svc = lower_snippet(
             '@route("POST", "/a") fn a() { x = request.param("v") db.write("k" + x) }\n'
             '@route("POST", "/b") fn b() { y = request.param("v") db.write("k" + y) }',
             service="cap",
             file="cap.msv",
-        ), entry=True)
+        ).replace(entry=True)
         manifest = Manifest(1, (ManifestService("cap", entry=True, sources=("cap.msv",)),), (GatewayRoute("/", "cap"),))
         program = Program((svc,), manifest)
         privops = find_privileged_ops(program, oracle, basic_sink=True)
@@ -488,6 +507,26 @@ class TestQGlobalflow:
         assert len(paths) == {"gen-chain4x12": 48, "gen-fanout8x2": 256, "fanout": 256}.get(case, len(paths))
         for path in paths:
             _check_path_facts(path)
+
+    def test_a_scan_leaves_no_path_to_the_cyclic_collector(self, tmp_path, oracle):
+        """The search holds its paths in no reference cycle, so a scan's
+        paths are freed with its payload, not by the cyclic collector."""
+        bench_gen().fanout(1, 8, 2, tmp_path)
+        program = load_program(tmp_path)
+        gc.collect()
+        gc.disable()
+        try:
+            payload = scan(program, oracle, OPEN_BUDGET)
+            assert payload["funnel"]["initial_flows"] == 256
+            del payload
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            paths = [obj for obj in gc.garbage if isinstance(obj, GlobalPath)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert paths == []
 
     def test_dot_rendering(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
@@ -538,7 +577,7 @@ def _single_service_program(reachable: bool = True):
         if reachable
         else '@route("POST", "/go") fn go() { v = request.param("v") }\nfn hidden() { db.write("x") }'
     )
-    svc = replace(lower_snippet(text, service="solo", file="solo.msv"), entry=True)
+    svc = lower_snippet(text, service="solo", file="solo.msv").replace(entry=True)
     manifest = Manifest(
         1, (ManifestService("solo", entry=True, sources=("solo.msv",)),), (GatewayRoute("/", "solo"),)
     )

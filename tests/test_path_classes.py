@@ -164,7 +164,7 @@ def test_two_meetings_flows_are_two_classes(tmp_path):
 
 @pytest.mark.parametrize("case", CORPUS_NAMES + [*GENERATED])
 def test_scan_never_hashes_or_compares_a_service(case, tmp_path, monkeypatch):
-    """A Service's dataclass hash and equality walk all of its elements,
+    """A Service's hash and equality walk all of its elements,
     so no scan table is keyed by one."""
     program = load_case(case, tmp_path)
     used = []

@@ -1,7 +1,6 @@
 import collections
 import json
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -374,7 +373,7 @@ class TestScan:
         from privflow.model import Manifest, Program
 
         manifest = Manifest(1, role_update_program.manifest.services, ())
-        broken = Program(tuple(replace(s, entry=False) for s in role_update_program.services), manifest)
+        broken = Program(tuple(s.replace(entry=False) for s in role_update_program.services), manifest)
         with pytest.raises(ProgramInvalid):
             scan(broken, oracle)
 

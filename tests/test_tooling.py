@@ -90,10 +90,11 @@ def _privflow_imports(path: Path) -> set[str]:
 
 def test_import_layers():
     """``model`` is the bottom layer and ``search`` reads only it.
-    ``constraints`` imports no other stage, only the MiniSrv expression
-    parser that ``translate_guards``, the scripted oracle's guard parser,
-    uses. The frontend is imported only by the loader, the CLI and
-    ``constraints``, so the engine runs on facts from any frontend."""
+    ``constraints`` imports no other stage: only ``model`` (its records are
+    ``model.Record``s) and the MiniSrv expression parser that
+    ``translate_guards``, the scripted oracle's guard parser, uses. The
+    frontend is imported only by the loader, the CLI and ``constraints``,
+    so the engine runs on facts from any frontend."""
     imports = {
         ".".join(path.relative_to(SRC).with_suffix("").parts): _privflow_imports(path)
         for path in sorted(SRC.rglob("*.py"))
@@ -101,7 +102,7 @@ def test_import_layers():
     assert {"model", "search", "constraints", "crossflow", "pipeline", "minisrv.lower"} <= imports.keys()
     assert imports["model"] == set()
     assert imports["search"] == {"model"}
-    assert imports["constraints"] == {"minisrv"}
+    assert imports["constraints"] == {"model", "minisrv"}
     frontend_users = {name for name, found in imports.items() if "minisrv" in found and not name.startswith("minisrv")}
     assert frontend_users <= {"load", "cli", "constraints"}
     assert "minisrv" in imports["load"] and "model" in imports["minisrv.lower"]
@@ -140,46 +141,57 @@ def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
 
 
 #: privflow classes that are dataclasses once a scripted scan's modules are
-#: loaded; every other record is a named tuple (see ``privflow.model``).
-MAX_STARTUP_DATACLASSES = 34
+#: loaded; every record is a named tuple, a ``model.Record`` or a plain
+#: class (see ``privflow.model``).
+MAX_STARTUP_DATACLASSES = 0
 
 _STARTUP_PROBE = """
 import json, sys
 import privflow.load, privflow.pipeline, privflow.report
 from privflow.reasoner import ScriptedOracle
 
-def dataclasses_loaded():
+def classes():
     return [
         cls
         for name, module in sorted(sys.modules.items())
         if name.startswith("privflow")
         for cls in vars(module).values()
-        if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in cls.__dict__
+        if isinstance(cls, type) and cls.__module__ == name
     ]
 
+def is_record(cls):
+    return "__slots__" in cls.__dict__ or "_fields" in cls.__dict__
+
 ScriptedOracle()
-loaded = {name: name in sys.modules for name in ("privflow.remote", "requests")}
-count = len(dataclasses_loaded())
+loaded = {name: name in sys.modules for name in ("privflow.remote", "requests", "dataclasses", "inspect")}
+count = sum("__dataclass_fields__" in cls.__dict__ for cls in classes())
 import privflow.remote
-undocumented = [c.__qualname__ for c in dataclasses_loaded() if c.__doc__.startswith(c.__name__ + "(")]
-print(json.dumps({"loaded": loaded, "dataclasses": count, "undocumented": undocumented}))
+records = [cls for cls in classes() if is_record(cls)]
+undocumented = [
+    cls.__qualname__ for cls in records if not cls.__dict__.get("__doc__") or cls.__doc__.startswith(cls.__name__ + "(")
+]
+print(json.dumps({"loaded": loaded, "dataclasses": count, "records": len(records), "undocumented": undocumented}))
 """
 
 
-def test_scripted_start_up_builds_no_remote_backend_and_few_dataclasses():
-    """A fresh interpreter that loads what a scripted scan needs neither
-    imports the remote backend nor ``requests``, and builds at most
-    ``MAX_STARTUP_DATACLASSES`` privflow dataclasses: a dataclass costs
-    several times a named tuple to create at import. Every dataclass has
-    its own docstring; without one, ``dataclass`` renders a signature."""
+def test_scripted_start_up_builds_no_remote_backend_and_no_dataclass():
+    """A fresh interpreter that loads what a scripted scan needs imports
+    neither the remote backend nor ``requests``, builds no privflow
+    dataclass, and imports neither ``dataclasses`` nor ``inspect``, which
+    ``dataclasses`` loads: a dataclass costs several times a named tuple to
+    build, and a named tuple about ten times a ``__slots__`` class. Every
+    record class (named tuple, ``model.Record`` or other ``__slots__``
+    class) has its own docstring; a named tuple without one gets
+    ``Name(field, ...)``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["loaded"] == {"privflow.remote": False, "requests": False}
+    assert result["loaded"] == {"privflow.remote": False, "requests": False, "dataclasses": False, "inspect": False}
     assert result["dataclasses"] <= MAX_STARTUP_DATACLASSES
+    assert result["records"] > 50
     assert result["undocumented"] == []
 
 
