@@ -1,13 +1,14 @@
 import gc
 import random
 import re
+import shutil
 import weakref
 
 import pytest
 
 from privflow.load import load_program
 from privflow.crossflow import q_source
-from privflow.model import INBOUND_INTRINSICS, Edge, EdgeKind, ElementKind, Service, call_callee, element_order
+from privflow.model import INBOUND_INTRINSICS, Edge, EdgeKind, Element, ElementKind, Service, call_callee, element_order
 from privflow.pipeline import scan
 from privflow.search import (
     BadPattern,
@@ -430,6 +431,29 @@ class TestServiceIndex:
         del program
         gc.collect()
         assert [r for r in refs if r() is not None] == []
+
+    def test_reloaded_services_and_replaced_parts_are_released(self, corpora_root, oracle, tmp_path):
+        """The loader's memo keeps the parts of each file last loaded, not
+        the programs built from them: two loads of one corpus, each scanned,
+        both die with their programs, and the elements of a file that was
+        edited are released by the next load."""
+        corpus = shutil.copytree(corpora_root / "role_update", tmp_path / "role_update")
+        manifest = corpus / "privflow.manifest.json"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace('"usermgmt"', '"usermgmt_reload"'), encoding="utf-8")
+        programs = [load_program(corpus) for _ in range(2)]
+        for program in programs:
+            scan(program, oracle)
+        refs = [weakref.ref(s) for program in programs for s in program.services]
+        old_ids = {e.id for e in programs[0].service("usermgmt_reload").elements}
+        del programs, program
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
+        source = corpus / "usermgmt.msv"
+        source.write_text("// edited\n" + source.read_text(encoding="utf-8"), encoding="utf-8")
+        stale = old_ids - {e.id for e in load_program(corpus).service("usermgmt_reload").elements}
+        assert stale
+        gc.collect()
+        assert [o for o in gc.get_objects() if isinstance(o, Element) and o.id in stale] == []
 
     def test_place_returns_the_index_tuples(self, corpora_root):
         service = load_program(corpora_root / "infeasible").service("transfer")
