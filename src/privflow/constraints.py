@@ -147,40 +147,41 @@ def validate_constraint(c: PathConstraint) -> None:
     for name, t in c.variables:
         if t not in ("int", "string", "bool"):
             raise ConstraintError(f"variable {name!r} has unsupported type {t!r}")
+    _validate_formula(c.formula, types)
 
-    def need(var: str, t: str) -> None:
-        actual = types.get(var)
-        if actual is None:
-            raise ConstraintError(f"atom references undeclared variable {var!r}")
-        if actual != t:
-            raise ConstraintError(f"variable {var!r} is {actual}, atom needs {t}")
 
-    def walk(f) -> None:
-        if isinstance(f, ConstCmp):
-            if f.sort is None:
-                raise ConstraintError(f"unsupported constant {f.value!r}")
-            if f.op not in CONST_OPS[f.sort]:
-                raise ConstraintError(f"bad {f.sort} operator {f.op!r}")
-            need(f.var, f.sort)
-        elif isinstance(f, VarCmp):
-            if f.op not in EQ_OPS:
-                raise ConstraintError(f"variables compare only with ==/!=, got {f.op!r}")
-            sort = types.get(f.left)
-            need(f.left, sort if sort in ("int", "string") else "int or string")
-            need(f.right, sort)
-        elif isinstance(f, BoolVar):
-            need(f.var, "bool")
-        elif isinstance(f, BoolConst):
-            pass
-        elif isinstance(f, (And, Or)):
-            for item in f.items:
-                walk(item)
-        elif isinstance(f, Not):
-            walk(f.item)
-        else:
-            raise ConstraintError(f"unsupported formula node {f!r}")
+def _need(types: dict[str, str], var: str, t: str) -> None:
+    actual = types.get(var)
+    if actual is None:
+        raise ConstraintError(f"atom references undeclared variable {var!r}")
+    if actual != t:
+        raise ConstraintError(f"variable {var!r} is {actual}, atom needs {t}")
 
-    walk(c.formula)
+
+def _validate_formula(f, types: dict[str, str]) -> None:
+    if isinstance(f, ConstCmp):
+        if f.sort is None:
+            raise ConstraintError(f"unsupported constant {f.value!r}")
+        if f.op not in CONST_OPS[f.sort]:
+            raise ConstraintError(f"bad {f.sort} operator {f.op!r}")
+        _need(types, f.var, f.sort)
+    elif isinstance(f, VarCmp):
+        if f.op not in EQ_OPS:
+            raise ConstraintError(f"variables compare only with ==/!=, got {f.op!r}")
+        sort = types.get(f.left)
+        _need(types, f.left, sort if sort in ("int", "string") else "int or string")
+        _need(types, f.right, sort)
+    elif isinstance(f, BoolVar):
+        _need(types, f.var, "bool")
+    elif isinstance(f, BoolConst):
+        pass
+    elif isinstance(f, (And, Or)):
+        for item in f.items:
+            _validate_formula(item, types)
+    elif isinstance(f, Not):
+        _validate_formula(f.item, types)
+    else:
+        raise ConstraintError(f"unsupported formula node {f!r}")
 
 
 # --- satisfiability ------------------------------------------------------------
@@ -395,30 +396,34 @@ def _assign_distinct(uf: _UnionFind, neqs: list[tuple[str, str]], domain) -> dic
     tight = [r for r in classes if size[r] <= degree[r]]
     flexible = sorted((r for r in classes if size[r] > degree[r]), key=lambda r: (size[r], r))
     assignment: dict = {}
-
-    def free(r: str, value) -> bool:
-        return all(assignment.get(n) != value for n in edges.get(r, ()))
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(tight):
-            return True
-        r = tight[idx]
-        for value in domain(r)[1]:
-            if free(r, value):
-                assignment[r] = value
-                if backtrack(idx + 1):
-                    return True
-                del assignment[r]
-        return False
-
-    if not backtrack(0):
+    if not _backtrack(tight, 0, domain, edges, assignment):
         return None
     for r in flexible:
-        value = next((v for v in domain(r)[1] if free(r, v)), None)
+        value = next((v for v in domain(r)[1] if _free(edges, assignment, r, v)), None)
         if value is None:  # pragma: no cover - domain > degree leaves a value
             return None
         assignment[r] = value
     return {v: assignment[uf.find(v)] for v in uf.parent}
+
+
+def _free(edges: dict[str, set[str]], assignment: dict, r: str, value) -> bool:
+    """No neighbour of class ``r`` in the disequality graph has ``value``."""
+    return all(assignment.get(n) != value for n in edges.get(r, ()))
+
+
+def _backtrack(tight: list[str], idx: int, domain, edges: dict[str, set[str]], assignment: dict) -> bool:
+    """Extend ``assignment`` to ``tight[idx:]``, each class its first value
+    that leaves the rest assignable; False when none does."""
+    if idx == len(tight):
+        return True
+    r = tight[idx]
+    for value in domain(r)[1]:
+        if _free(edges, assignment, r, value):
+            assignment[r] = value
+            if _backtrack(tight, idx + 1, domain, edges, assignment):
+                return True
+            del assignment[r]
+    return False
 
 
 def check_sat(c: PathConstraint) -> SatResult:
@@ -584,43 +589,69 @@ def translate_guards(guards) -> tuple[PathConstraint | None, str]:
     """Direct syntactic translation of MiniSrv comparison guards into the
     fragment. Any construct outside it (calls, member access, arithmetic,
     untypable variables) skips the whole extraction."""
-    types: dict[str, str] = {}
     hints: dict[str, str] = {}
     for g in guards:
         for name, t in g.var_types:
             if t in ("int", "string", "bool"):
                 hints[name] = t
 
-    def fail(reason: str) -> tuple[None, str]:
-        return None, reason
+    translation = _GuardTranslation(hints)
+    conjuncts = []
+    for g in guards:
+        try:
+            expr = parse_expression(g.source)
+        except ParseError:
+            return None, f"guard {g.source!r} is not a plain expression"
+        formula = translation.formula(expr)
+        if formula is None:
+            return None, f"guard {g.source!r} falls outside the constraint fragment"
+        conjuncts.append(formula)
 
-    def set_type(name: str, t: str) -> bool:
-        known = types.get(name) or hints.get(name)
+    constraint = PathConstraint(
+        variables=tuple(sorted(translation.types.items())),
+        formula=And(tuple(conjuncts)),
+    )
+    return constraint, f"translated {len(conjuncts)} guard(s)"
+
+
+class _GuardTranslation:
+    """The state of one ``translate_guards`` call: the type each variable
+    is fixed to so far, and the types the guards' variables are declared
+    with. ``formula`` gives an expression's fragment formula, or None."""
+
+    __slots__ = ("types", "hints")
+
+    def __init__(self, hints: dict[str, str]) -> None:
+        self.types: dict[str, str] = {}
+        self.hints = hints
+
+    def set_type(self, name: str, t: str) -> bool:
+        known = self.types.get(name) or self.hints.get(name)
         if known is not None and known != t:
             return False
-        types[name] = t
+        self.types[name] = t
         return True
 
-    def tr(expr):
+    def formula(self, expr):
         if isinstance(expr, nodes.BinOp) and expr.op in ("&&", "||"):
-            left = tr(expr.lhs)
-            right = tr(expr.rhs)
+            left = self.formula(expr.lhs)
+            right = self.formula(expr.rhs)
             if left is None or right is None:
                 return None
             return And((left, right)) if expr.op == "&&" else Or((left, right))
         if isinstance(expr, nodes.BinOp) and expr.op in INT_OPS:
-            return tr_cmp(expr)
+            return self.comparison(expr)
         if isinstance(expr, nodes.Name):
-            if not set_type(expr.ident, hints.get(expr.ident, "bool")):
+            if not self.set_type(expr.ident, self.hints.get(expr.ident, "bool")):
                 return None
-            if types.get(expr.ident) != "bool":
+            if self.types.get(expr.ident) != "bool":
                 return None
             return BoolVar(expr.ident)
         if isinstance(expr, nodes.BoolLit):
             return BoolConst(expr.value)
         return None
 
-    def tr_cmp(expr):
+    def comparison(self, expr):
         lhs, rhs, op = expr.lhs, expr.rhs, expr.op
         if isinstance(rhs, nodes.Name) and not isinstance(lhs, nodes.Name):
             lhs, rhs = rhs, lhs  # normalize constant to the right
@@ -630,38 +661,22 @@ def translate_guards(guards) -> tuple[PathConstraint | None, str]:
         var = lhs.ident
         if isinstance(rhs, (nodes.IntLit, nodes.StrLit)):
             sort = _const_sort(rhs.value)
-            if op not in CONST_OPS[sort] or not set_type(var, sort):
+            if op not in CONST_OPS[sort] or not self.set_type(var, sort):
                 return None
             return ConstCmp(var, op, rhs.value)
         if isinstance(rhs, nodes.BoolLit):
-            if op not in EQ_OPS or not set_type(var, "bool"):
+            if op not in EQ_OPS or not self.set_type(var, "bool"):
                 return None
             positive = (op == "==") == rhs.value
             return BoolVar(var) if positive else Not(BoolVar(var))
         if isinstance(rhs, nodes.Name):
             if op not in EQ_OPS:
                 return None
+            types, hints = self.types, self.hints
             t = types.get(var) or hints.get(var) or types.get(rhs.ident) or hints.get(rhs.ident)
             if t not in ("int", "string"):
                 return None
-            if not (set_type(var, t) and set_type(rhs.ident, t)):
+            if not (self.set_type(var, t) and self.set_type(rhs.ident, t)):
                 return None
             return VarCmp(var, op, rhs.ident)
         return None
-
-    conjuncts = []
-    for g in guards:
-        try:
-            expr = parse_expression(g.source)
-        except ParseError:
-            return fail(f"guard {g.source!r} is not a plain expression")
-        formula = tr(expr)
-        if formula is None:
-            return fail(f"guard {g.source!r} falls outside the constraint fragment")
-        conjuncts.append(formula)
-
-    constraint = PathConstraint(
-        variables=tuple(sorted(types.items())),
-        formula=And(tuple(conjuncts)),
-    )
-    return constraint, f"translated {len(conjuncts)} guard(s)"

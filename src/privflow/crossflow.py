@@ -24,16 +24,31 @@ from typing import Callable, NamedTuple
 
 from .model import Channel, Element, ElementKind, Program, Record, Service, call_callee
 from .reasoner import ConfirmUserSource
-from .search import FlowPath, InterScan, q_flow, service_index
+from .search import FlowPath, InterScan, flow_sinks, q_flow, service_index
 
 
 #: ``record(tool, args, count)`` takes one tool call for the trace, which
 #: also meters the budget.
 Recorder = Callable[[str, dict, int], None]
 
+#: ``record_search(service, source, targets, reached)`` takes one flow
+#: search: its service, its source, the targets it sought, in order, and
+#: the ids of those it reached. It stands for one ``q_flow`` tool call per
+#: target (``search_records``).
+SearchRecorder = Callable[[str, str, tuple[str, ...], list[str]], None]
 
-def unrecorded(tool: str, args: dict, count: int) -> None:
-    """The recorder of a caller that keeps no trace."""
+
+def unrecorded(*call) -> None:
+    """The recorder, and the search recorder, of a caller that keeps no
+    trace."""
+
+
+def search_records(service: str, source: str, targets: tuple[str, ...], reached: list[str]):
+    """The ``(tool, args, count)`` tool calls one flow search stands for:
+    a ``q_flow`` call per target, in order, counting the paths found."""
+    reached = set(reached)
+    for dst in targets:
+        yield "q_flow", {"service": service, "from": source, "to": dst}, int(dst in reached)
 
 
 class NoEntryService(Exception):
@@ -219,43 +234,53 @@ def build_global_graph(
     privops,
     channel_edges: list[ChannelEdge],
     record: Recorder = unrecorded,
+    record_search: SearchRecorder = unrecorded,
 ) -> GlobalGraph:
     """Two-phase construction: per-service source-to-sink/boundary flow
     edges, then the matched channel edges (``match_channels``) across
-    service boundaries. One flow search per source; ``record`` gets one
-    ``q_flow`` call per (source, target) pair. Each node's witnesses are
-    sorted once, at the end. Deterministic and idempotent."""
+    service boundaries. A service's targets, the privileged operations of
+    that service (``PrivilegedOperation.service``) and its outbound channel
+    call sites, are resolved once, then one flow search runs per source.
+    ``record_search`` gets each search, which stands for one ``q_flow``
+    call per (source, target) pair (``search_records``), and ``record``
+    gets the other calls. Each node's witnesses are sorted once, at the
+    end. Deterministic and idempotent."""
     graph = GlobalGraph()
-    privop_ids = {p.element for p in privops}
+    privops_of: dict[str, set[str]] = {}
+    for op in privops:
+        privops_of.setdefault(op.service, set()).add(op.element)
 
     # Phase 1: intra-service reachability
     for service in sorted(program.services, key=lambda s: s.name):
         sources = q_source(service)
         record("q_source", {"service": service.name}, len(sources))
         scan = q_inter(service)
-        out_channels = [ch for ch in scan.channels if ch.direction == "out"]
+        out_channels = [ch.element for ch in scan.channels if ch.direction == "out"]
         record("q_inter", {"service": service.name}, len(scan.channels))
-        local_privops = [eid for eid in sorted(privop_ids) if eid in service]
-        targets = list(dict.fromkeys(local_privops + [ch.element for ch in out_channels]))
+        # privileged operations and channels are call sites, not functions,
+        # so each target resolves to itself and the trace names the targets
+        local_privops = sorted(eid for eid in privops_of.get(service.name, ()) if eid in service)
+        targets = flow_sinks(service, *local_privops, *out_channels)
+        target_ids = set(targets)
         for src in sources:
             graph.nodes.add(src.id)
-            dsts = [dst for dst in targets if dst != src.id]
-            # privileged operations and channels are call sites, not
-            # functions, so a target's one flow node is itself
-            paths = {p.dst: p for p in q_flow(service, src.id, *dsts)}
-            for dst in dsts:
-                path = paths.get(dst)
-                record("q_flow", {"service": service.name, "from": src.id, "to": dst}, int(path is not None))
-                if path is not None:
-                    graph.nodes.add(dst)
-                    graph.edges.setdefault(src.id, []).append(path)
+            dsts = targets if src.id not in target_ids else tuple(dst for dst in targets if dst != src.id)
+            if not dsts:
+                continue
+            paths = q_flow(service, src.id, sinks=dsts)
+            reached = [path.dst for path in paths]
+            record_search(service.name, src.id, dsts, reached)
+            if paths:
+                graph.nodes.update(reached)
+                graph.edges.setdefault(src.id, []).extend(paths)
 
     # Phase 2: connect boundaries through matched channels
     for chedge in channel_edges:
         graph.nodes.update((chedge.src, chedge.dst))
         graph.edges.setdefault(chedge.src, []).append(chedge)
     for witnesses in graph.edges.values():
-        witnesses.sort(key=attrgetter("dst"))  # stable: flow witnesses stay first
+        if len(witnesses) > 1:
+            witnesses.sort(key=attrgetter("dst"))  # stable: flow witnesses stay first
     return graph
 
 

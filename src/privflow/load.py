@@ -2,8 +2,9 @@
 
 A corpus is a directory holding ``privflow.manifest.json`` plus the MiniSrv
 sources (``*.msv``) and/or facts files (``*.facts.jsonl``) each service
-declares. Supplied and frontend-derived channels are merged; a duplicate
-channel for the same element is an ingest error.
+declares. Supplied and frontend-derived channels are merged. An element id
+repeated across a service's files is an ingest error, and so is a channel
+repeated within a facts file (``read_facts``).
 
 Each file's frontend output is memoized for the life of the process, so a
 process that loads a corpus again (a test session, a daemon, a warm rescan)
@@ -17,9 +18,9 @@ the memo holds at most one part per key, the one last loaded. A file that
 fails to parse, lower or read stores nothing and raises again on the next
 load. Only immutable records are shared between loads: the ``Element``,
 ``Edge`` and ``Channel`` records, and the tuples holding them when a service
-has one file. The merge, with its duplicate checks, and each ``Service`` and
-the ``Program`` are fresh on every load, so each service gets its own
-``search.ServiceIndex`` and dies with its program.
+has one file. The merge, with its check for an element id repeated across
+files, and each ``Service`` and the ``Program`` are fresh on every load, so
+each service gets its own ``search.ServiceIndex`` and dies with its program.
 """
 
 from __future__ import annotations
@@ -80,27 +81,24 @@ def _load_service(root: Path, spec) -> Service:
     collections: element ids, and so edges and channels, are unique across
     parts, which makes the merge the collections ``Service.build`` would
     sort the concatenated parts into. A service of one part takes that
-    part's collections as they are."""
+    part's collections as they are.
+
+    Within a part, element ids are unique by construction (``lower`` keys
+    its elements by id, ``read_facts`` rejects a repeat), and so are channel
+    elements, so only a repeat across parts is checked. A channel names an
+    element of its own part, so a channel repeated across parts repeats
+    that element's id first."""
+    files = [("source", file) for file in spec.sources] + [("facts", file) for file in spec.facts]
     parts: list[Part] = []
     ids: set[str] = set()
-    channel_elements: set[str] = set()
-
-    def merge(part: Part, origin: str) -> None:
-        elements, _, channels = part
-        for el in elements:
-            if el.id in ids:
-                raise LoadError(f"{spec.name}: duplicate element id {el.id} while merging {origin}")
-            ids.add(el.id)
-        for ch in channels:
-            if ch.element in channel_elements:
-                raise LoadError(f"{spec.name}: duplicate channel for element {ch.element} in {origin}")
-            channel_elements.add(ch.element)
+    for kind, file in files:
+        part = _part(kind, spec, root, file)
+        if len(files) > 1:
+            for el in part[0]:
+                if el.id in ids:
+                    raise LoadError(f"{spec.name}: duplicate element id {el.id} while merging {file}")
+                ids.add(el.id)
         parts.append(part)
-
-    for source_file in spec.sources:
-        merge(_part("source", spec, root, source_file), source_file)
-    for facts_file in spec.facts:
-        merge(_part("facts", spec, root, facts_file), facts_file)
 
     elements, edges, channels = zip(*parts)
     return Service(spec.name, _merged(elements, element_order), _merged(edges), _merged(channels), entry=spec.entry)

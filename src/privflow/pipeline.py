@@ -51,6 +51,7 @@ from .crossflow import (
     q_globalflow,
     q_inter,
     q_user,
+    search_records,
     segment_functions,
     unrecorded,
 )
@@ -184,27 +185,56 @@ class BudgetExhausted(Exception):
 
 
 class Tracer:
-    """Tool-call audit log; also the budget meter."""
+    """Tool-call audit log; also the budget meter.
+
+    A flow search is kept as one entry, ``(phase, None, search, count,
+    time)`` with ``search`` the ``(service, source, targets, reached)`` that
+    ``record_search`` took, and metered as the ``count`` per-pair ``q_flow``
+    calls it stands for; ``write`` expands it into their records."""
 
     def __init__(self, budget: ScanBudget):
         self.budget = budget
-        # (phase, tool, args, result count, monotonic time) per call
+        # (phase, tool, args, result count, monotonic time) per call or search
         self.calls: list[tuple] = []
         self.per_phase: dict[str, int] = {}
         self.started = time.monotonic()
 
     def record(self, phase: str, tool: str, args: dict, result_count: int) -> None:
-        count = self.per_phase.get(phase, 0) + 1
-        self.per_phase[phase] = count
-        now = time.monotonic()
         # timing lives only in the trace, never in the report body
-        self.calls.append((phase, tool, args, result_count, now))
+        self._meter(phase, 1, (phase, tool, args, result_count, time.monotonic()))
+
+    def record_search(self, phase: str, service: str, source: str, targets: tuple[str, ...], reached: list[str]) -> None:
+        """One flow search, as ``len(targets)`` calls. When the budget runs
+        out inside it, the entry keeps the targets up to the one over the
+        limit, as many calls as ``record`` would have kept."""
+        if targets:
+            over = self.per_phase.get(phase, 0) + len(targets) - self.budget.max_tool_calls_per_phase
+            if over > 0:
+                targets = targets[: len(targets) - over + 1]
+            search = (service, source, targets, reached)
+            self._meter(phase, len(targets), (phase, None, search, len(targets), time.monotonic()))
+
+    def _meter(self, phase: str, calls: int, entry: tuple) -> None:
+        """Keep ``entry``, which stands for ``calls`` tool calls, then raise
+        if the phase's calls or the wall clock are over the budget."""
+        count = self.per_phase.get(phase, 0) + calls
+        self.per_phase[phase] = count
+        self.calls.append(entry)
         if count > self.budget.max_tool_calls_per_phase:
             raise BudgetExhausted(phase, f"exceeded {self.budget.max_tool_calls_per_phase} tool calls")
         limit = self.budget.max_seconds
-        if now - self.started > limit:
+        if entry[-1] - self.started > limit:
             shown = f"{limit:.0f}" if float(limit).is_integer() else str(limit)
             raise BudgetExhausted(phase, f"exceeded {shown}s wall clock")
+
+    def _expanded(self):
+        """Every recorded call, a flow search's per-pair calls in its place."""
+        for phase, tool, args, result_count, at in self.calls:
+            if tool is not None:
+                yield phase, tool, args, result_count, at
+            else:
+                for tool, pair, found in search_records(*args):
+                    yield phase, tool, pair, found, at
 
     def write(self, path: str | Path) -> None:
         """One JSON line per recorded call, built here: a scan that writes
@@ -221,7 +251,7 @@ class Tracer:
                 },
                 sort_keys=True,
             )
-            for seq, (phase, tool, args, result_count, at) in enumerate(self.calls, 1)
+            for seq, (phase, tool, args, result_count, at) in enumerate(self._expanded(), 1)
         ]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
@@ -535,7 +565,9 @@ def scan(
 
         record_flow = functools.partial(tracer.record, PHASE_FLOW)
         matched = match_channels(program)
-        graph = build_global_graph(program, privops, matched, record=record_flow)
+        graph = build_global_graph(
+            program, privops, matched, record=record_flow, record_search=functools.partial(tracer.record_search, PHASE_FLOW)
+        )
         # a report whose budget ran out during the graph lists no channels
         channel_edges = matched
         for service in program.services:

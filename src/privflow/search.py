@@ -131,38 +131,42 @@ class ServiceIndex:
     """
 
     def __init__(self, service: Service):
+        # the element table and the edge tuples are read directly: this runs
+        # once per service, over every element and edge
+        by_id = service._by_id
         parent: dict[str, str] = {}
         decorated: dict[str, str] = {}
         decorators: dict[str, list[str]] = {}
         call_targets: dict[str, list[str]] = {}
         self.children: dict[str, list[str]] = {}
         self.flow_succ: dict[str, list[str]] = {}
-        for e in service.edges:
-            if e.kind is EdgeKind.CONTAINS:
-                parent[e.dst] = e.src
-                self.children.setdefault(e.src, []).append(e.dst)
-            elif e.kind is EdgeKind.DECORATES:
-                decorated.setdefault(e.src, e.dst)
-                decorators.setdefault(e.dst, []).append(e.src)
-            elif e.kind is EdgeKind.CALLS:
-                call_targets.setdefault(e.src, []).append(e.dst)
-            elif e.kind is EdgeKind.DATAFLOW:
-                self.flow_succ.setdefault(e.src, []).append(e.dst)
+        contains, decorates, calls, dataflow = EdgeKind.CONTAINS, EdgeKind.DECORATES, EdgeKind.CALLS, EdgeKind.DATAFLOW
+        for kind, src, dst in service.edges:
+            if kind is contains:
+                parent[dst] = src
+                self.children.setdefault(src, []).append(dst)
+            elif kind is decorates:
+                decorated.setdefault(src, dst)
+                decorators.setdefault(dst, []).append(src)
+            elif kind is calls:
+                call_targets.setdefault(src, []).append(dst)
+            elif kind is dataflow:
+                self.flow_succ.setdefault(src, []).append(dst)
 
         stored = {ch.element: ch for ch in service.channels}
         channels: list[Channel] = []
         unresolved: list[UnresolvedChannel] = []
         sources: list[Element] = []
-        order: dict[str, tuple] = {}
         self.var_types: dict[str, str] = {}
+        typed = (ElementKind.VARIABLE, ElementKind.PARAMETER)
         for e in service.elements:
-            order[e.id] = ((e.location.line, e.location.col), e.id)
-            if e.kind in (ElementKind.VARIABLE, ElementKind.PARAMETER):
+            kind = e.kind
+            if kind in typed:
                 self.var_types.setdefault(e.name, e.inferred_type)
-            elif e.kind is ElementKind.ENDPOINT:
+            elif kind is ElementKind.ENDPOINT:
                 channels.append(Channel(e.id, "in", "http", e.name))
                 sources.append(e)
-            elif e.kind is ElementKind.CALL:
+            elif kind is ElementKind.CALL:
                 callee = call_callee(e)
                 if callee in INBOUND_INTRINSICS:
                     sources.append(e)
@@ -172,8 +176,14 @@ class ServiceIndex:
                         channels.append(ch)
                     else:
                         unresolved.append(UnresolvedChannel(service.name, e.id, callee))
+
+        def position(eid: str) -> tuple:
+            el = by_id.get(eid)
+            return ((el.location.line, el.location.col), eid) if el is not None else ((), eid)
+
         for succ in self.flow_succ.values():
-            succ.sort(key=lambda n: order.get(n, ((), n)))
+            if len(succ) > 1:
+                succ.sort(key=position)
         self.inter = InterScan(
             tuple(sorted(channels)),
             tuple(sorted(unresolved, key=lambda u: u.element)),
@@ -186,27 +196,30 @@ class ServiceIndex:
         self.placed: dict[str, tuple[Element | None, tuple[Element, ...]]] = {}
         self.guard_types: dict[str, tuple[tuple[str, str], ...]] = {}
         self.check_relevant: set[str | None] = set()
-        stack = [(e.id, _NOWHERE) for e in service.elements if parent.get(e.id) not in service]
+        stack = [(e.id, _NOWHERE) for e in service.elements if parent.get(e.id) not in by_id]
         while stack:
             eid, inherited = stack.pop()
-            el = service.element(eid)
+            el = by_id[eid]
             fn, guards = placed = inherited
-            if el.kind is ElementKind.FUNCTION:
+            kind = el.kind
+            if kind is ElementKind.FUNCTION:
                 placed = inherited = (el, guards)
-            elif el.kind is ElementKind.DECORATOR:
-                placed = (service.element(decorated.get(eid)), guards)
-            elif el.kind is ElementKind.CONDITIONAL:
+            elif kind is ElementKind.DECORATOR:
+                placed = (by_id.get(decorated.get(eid)), guards)
+            elif kind is ElementKind.CONDITIONAL:
                 idents = set(identifiers(el.source)) - {"true", "false"}
                 self.guard_types[eid] = tuple([(i, self.var_types.get(i, "unknown")) for i in sorted(idents)])
                 inherited = (fn, guards + (el,))
             self.placed[eid] = placed
             if placed[1]:
                 self.check_relevant.add(placed[0].id if placed[0] else None)
-            stack.extend((c, inherited) for c in self.children.get(eid, ()) if parent[c] == eid and c in service)
+            children = self.children.get(eid)
+            if children:
+                stack.extend((c, inherited) for c in children if parent[c] == eid and c in by_id)
 
         self.decorator_checks: dict[str, list[Element]] = {}
         for fn_id, decs in decorators.items():
-            targets = (service.element(t) for d in decs for t in call_targets.get(d, ()))
+            targets = (by_id.get(t) for d in decs for t in call_targets.get(d, ()))
             checks = {t.id: t for t in targets if t is not None and t.kind is ElementKind.FUNCTION}
             self.decorator_checks[fn_id] = sorted(checks.values(), key=element_order)
             if checks:
@@ -216,19 +229,20 @@ class ServiceIndex:
         self.callees: dict[str, set[str]] = {}
         self.callers: dict[str, set[str]] = {}
         for src, dsts in call_targets.items():
-            site = service.element(src)
+            site = by_id.get(src)
             for dst in dsts:
                 if site is not None and site.kind is ElementKind.CALL:
                     self.call_sites.setdefault(dst, []).append(site)
-                target = service.element(dst)
+                target = by_id.get(dst)
                 if target is None or target.kind is not ElementKind.FUNCTION:
                     continue
-                caller = self.place(src)[0]
+                caller = self.placed.get(src, _NOWHERE)[0]
                 if caller is not None:
                     self.callees.setdefault(caller.id, set()).add(dst)
                     self.callers.setdefault(dst, set()).add(caller.id)
         for sites in self.call_sites.values():
-            sites.sort(key=element_order)
+            if len(sites) > 1:
+                sites.sort(key=element_order)
 
     def place(self, eid: str) -> tuple[Element | None, tuple[Element, ...]]:
         """The element's enclosing function and the conditionals whose
@@ -286,32 +300,42 @@ def resolve_selector(service: Service, selector: str) -> list[Element]:
     return hits
 
 
-def _shortest_paths(index: ServiceIndex, src: str, dsts: list[str]) -> dict[str, list[str]]:
-    """One BFS from ``src``: the shortest path to each reached destination.
+def _shortest_paths(index: ServiceIndex, src: str, dsts: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """One BFS from ``src``: the shortest path to each reached destination,
+    in ``dsts`` order. It stops once every destination is reached.
 
     Neighbor ties are broken by source position. A node's predecessor is
     fixed when the search first reaches it, which does not depend on the
     destinations sought, so each path is the one a search for that
     destination alone would find."""
-    wanted = set(dsts)
+    left = set(dsts)
+    reached = []
+    if src in left:
+        left.remove(src)
+        reached.append(src)
     prev: dict[str, str | None] = {src: None}
-    left = wanted - {src}
-    frontier = [src]
-    while frontier and left:
-        nxt: list[str] = []
-        for node in frontier:
-            for succ in index.flow_succ.get(node, ()):
-                if succ not in prev:
-                    prev[succ] = node
-                    left.discard(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    paths = {}
-    for dst in wanted & prev.keys():
-        path = [dst]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        paths[dst] = path[::-1]
+    successors = index.flow_succ.get
+    queue = [src]
+    for node in queue:  # the queue grows while it is read: first in, first out
+        if not left:
+            break
+        for succ in successors(node, ()):
+            if succ not in prev:
+                prev[succ] = node
+                queue.append(succ)
+                if succ in left:
+                    left.remove(succ)
+                    reached.append(succ)
+    if len(reached) > 1:
+        reached.sort(key=dsts.index)
+    paths = []
+    for node in reached:
+        path = []
+        while node is not None:
+            path.append(node)
+            node = prev[node]
+        path.reverse()
+        paths.append(tuple(path))
     return paths
 
 
@@ -329,26 +353,39 @@ def _flow_nodes(service: Service, el: Element) -> list[Element]:
     return sorted(proxies, key=element_order)
 
 
-def q_flow(service: Service, from_sel: str, *to_sels: str) -> list[FlowPath]:
+def _flow_node_ids(service: Service, selector: str) -> list[str]:
+    """The ids of the flow nodes of every element the selector resolves to.
+    An element id names the element; one that is no function is its own
+    flow node."""
+    el = service.element(selector)
+    if el is not None and el.kind is not ElementKind.FUNCTION:
+        return [selector]
+    return [n.id for el in resolve_selector(service, selector) for n in _flow_nodes(service, el)]
+
+
+def flow_sinks(service: Service, *sels: str) -> tuple[str, ...]:
+    """The flow nodes the selectors resolve to, each once, in selector and
+    then node order: the sinks ``q_flow`` searches for."""
+    return tuple(dict.fromkeys(nid for sel in sels for nid in _flow_node_ids(service, sel)))
+
+
+def q_flow(service: Service, from_sel: str, *to_sels: str, sinks: tuple[str, ...] | None = None) -> list[FlowPath]:
     """Shortest data-flow path from every source to every sink the
     selectors resolve to, one breadth-first search per source node.
 
-    Paths come per source node, in selector and then sink order; unreachable
-    pairs contribute nothing and an empty list means no flow.
+    ``sinks`` may be given instead of the selectors, as ``flow_sinks``
+    resolved them, so that searches from many sources to the same sinks
+    resolve them once. Paths come per source node, in selector and then
+    sink order; unreachable pairs contribute nothing and an empty list
+    means no flow.
     """
-    sources = [n for el in resolve_selector(service, from_sel) for n in _flow_nodes(service, el)]
-    sinks = list(
-        dict.fromkeys(n.id for sel in to_sels for el in resolve_selector(service, sel) for n in _flow_nodes(service, el))
-    )
+    if sinks is None:
+        sinks = flow_sinks(service, *to_sels)
+    elif to_sels:
+        raise TypeError("q_flow takes sink selectors or resolved sinks, not both")
+    sources = dict.fromkeys(_flow_node_ids(service, from_sel))
     index = service_index(service)
-    paths: list[FlowPath] = []
-    for src in dict.fromkeys(n.id for n in sources):
-        found = _shortest_paths(index, src, sinks)
-        for dst in sinks:
-            chain = found.get(dst)
-            if chain is not None:
-                paths.append(FlowPath(service.name, tuple(chain)))
-    return paths
+    return [FlowPath(service.name, chain) for src in sources for chain in _shortest_paths(index, src, sinks)]
 
 
 # --- call graph --------------------------------------------------------------
@@ -425,6 +462,7 @@ __all__ = [
     "q_ast",
     "q_flow",
     "q_cg",
+    "flow_sinks",
     "service_index",
     "resolve_selector",
     "call_sites_of",

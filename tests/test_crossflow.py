@@ -1,12 +1,13 @@
 import gc
 import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privflow import search
+from privflow import crossflow, search
 from privflow.crossflow import (
     ChannelEdge,
     GlobalGraph,
@@ -20,6 +21,7 @@ from privflow.crossflow import (
     q_inter,
     q_source,
     q_user,
+    search_records,
     to_dot,
 )
 from privflow.load import load_program
@@ -33,7 +35,7 @@ from privflow.model import (
     Service,
     call_callee,
 )
-from privflow.pipeline import PrivilegedOperation, ScanBudget, find_privileged_ops, scan
+from privflow.pipeline import PrivilegedOperation, ScanBudget, ScanOptions, find_privileged_ops, scan
 from privflow.search import FlowPath, UnresolvedChannel, q_flow
 
 from conftest import (
@@ -335,6 +337,35 @@ class TestGlobalGraph:
         privops = find_privileged_ops(program, oracle, basic_sink=True)
         assert _check_sorted_witnesses(build_global_graph(program, privops, match_channels(program))) > 16
 
+    def test_scan_searches_once_per_source_and_resolves_targets_once(self, tmp_path, oracle, monkeypatch):
+        """A chain 4x12 scan runs one flow search per source (48) and
+        resolves each service's targets once (4), not once per (source,
+        target) pair. Its trace still holds one ``q_flow`` record per pair."""
+        calls = {"q_flow": [], "flow_sinks": []}
+
+        def counting(name):
+            real = getattr(crossflow, name)
+
+            def wrapper(service, *args, **kwargs):
+                calls[name].append(service.name)
+                return real(service, *args, **kwargs)
+
+            monkeypatch.setattr(crossflow, name, wrapper)
+
+        counting("q_flow")
+        counting("flow_sinks")
+        bench_gen().chain(1, 4, 12, tmp_path / "corpus")
+        program = load_program(tmp_path / "corpus")
+        trace = tmp_path / "trace.jsonl"
+        scan(program, oracle, OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
+        names = sorted(service.name for service in program.services)
+        assert calls["flow_sinks"] == names
+        assert calls["q_flow"] == [name for name in names for _ in range(12)]
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        pairs = [(r["args"]["from"], r["args"]["to"]) for r in records if r["tool"] == "q_flow"]
+        # 12 writes and 12 outbound calls per service, none in the last one
+        assert len(pairs) == len(set(pairs)) == 3 * 12 * 24 + 12 * 12 == 1008
+
     def test_witnesses_match_per_pair_search_with_tied_paths(self):
         rng = random.Random(1618)
         flow_edges = tied = 0
@@ -528,6 +559,33 @@ class TestQGlobalflow:
             gc.enable()
         assert paths == []
 
+    @pytest.mark.parametrize("corpus", ["chain4x12", "fanout8x2", "infeasible", "order_payment"])
+    def test_a_scan_leaves_nothing_to_the_cyclic_collector(self, corpus, tmp_path, oracle):
+        """No object a scan makes is in a reference cycle: the path search,
+        constraint translation, validation and the satisfiability search
+        keep no self-referencing closure, so everything a scan leaves is
+        freed with its payload."""
+        if corpus == "chain4x12":
+            bench_gen().chain(1, 4, 12, tmp_path)
+        elif corpus == "fanout8x2":
+            bench_gen().fanout(1, 8, 2, tmp_path)
+        program = load_program(CORPORA / corpus if corpus in ("infeasible", "order_payment") else tmp_path)
+        scan(program, oracle, OPEN_BUDGET)  # first-use imports and module tables are not the scan's
+        gc.collect()
+        gc.disable()
+        try:
+            payload = scan(program, oracle, OPEN_BUDGET)
+            assert payload["funnel"]["initial_flows"] > 0
+            del payload
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == []
+
     def test_dot_rendering(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
         graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
@@ -618,20 +676,19 @@ def _check_witnesses(program, privops):
         program,
         privops,
         match_channels(program),
-        record=lambda tool, args, count: records.append({"tool": tool, "args": args, "result_count": count}),
+        record_search=lambda *search: records.extend(search_records(*search)),
     )
     flow_edges = [w for witnesses in graph.edges.values() for w in witnesses if isinstance(w, FlowPath)]
     for edge in flow_edges:
         service = program.service(edge.service)
         assert list(edge.elements) == reference_shortest_path(service, edge.src, edge.dst)
-    pairs = [(r["args"]["from"], r["args"]["to"]) for r in records if r["tool"] == "q_flow"]
+    pairs = [(args["from"], args["to"]) for _, args, _ in records]
     assert len(pairs) == len(set(pairs))
     assert {(e.src, e.dst) for e in flow_edges} <= set(pairs)
-    for r in records:
-        if r["tool"] == "q_flow":
-            args = r["args"]
-            replayed = q_flow(program.service(args["service"]), args["from"], args["to"])
-            assert r["result_count"] == len(replayed), args
+    for tool, args, count in records:
+        assert tool == "q_flow"
+        replayed = q_flow(program.service(args["service"]), args["from"], args["to"])
+        assert count == len(replayed), args
     return len(flow_edges)
 
 

@@ -5,7 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from privflow.crossflow import PATH_CAP, build_global_graph, match_channels, path_functions, q_globalflow, q_user
+from privflow.crossflow import (
+    PATH_CAP,
+    build_global_graph,
+    match_channels,
+    path_functions,
+    q_globalflow,
+    q_user,
+    search_records,
+)
 from privflow import pipeline
 from privflow.load import load_program
 from privflow.model import call_callee
@@ -368,6 +376,36 @@ class TestScan:
         with pytest.raises(BudgetExhausted) as exc:
             tracer.record("flow", "q_flow", {}, 0)
         assert exc.value.reason == f"exceeded {shown}s wall clock"
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 6, 7])
+    def test_flow_search_meters_one_call_per_target(self, tmp_path, limit):
+        """A flow search is one entry metered as one call per target: the
+        budget runs out at the same target, with the same records written,
+        as when each (source, target) pair is recorded on its own."""
+        search = ("svc", "s", ("t1", "t2", "t3", "t4", "t5"), ["t2", "t5"])
+
+        def run(by_search: bool):
+            tracer = Tracer(ScanBudget(max_tool_calls_per_phase=limit))
+            tracer.record("flow", "q_source", {"service": "svc"}, 1)
+            exhausted = None
+            try:
+                if by_search:
+                    tracer.record_search("flow", *search)
+                else:
+                    for call in search_records(*search):
+                        tracer.record("flow", *call)
+            except BudgetExhausted as exc:
+                exhausted = str(exc)
+            tracer.write(tmp_path / "trace.jsonl")
+            records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
+            for record in records:
+                del record["elapsed_ms"]
+            return exhausted, records, tracer.per_phase
+
+        exhausted, records, per_phase = run(by_search=True)
+        assert (exhausted, records, per_phase) == run(by_search=False)
+        assert (exhausted is None) == (limit > 5)
+        assert len(records) == per_phase["flow"] == min(limit + 1, 6)
 
     def test_invalid_program_rejected(self, role_update_program, oracle):
         from privflow.model import Manifest, Program

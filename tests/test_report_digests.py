@@ -17,7 +17,11 @@ Covered outputs:
 * the JSON report and the trace of a scan of the benchmark's own corpora
   (``GENERATED``), ``bench/gen.py``'s chain 4x12 and fan-out 8x2 with
   seed 1 at an open budget: 48 and 256 flows, whose path ids pin every
-  path's node ids.
+  path's node ids. The same two corpora also run out of budget in the
+  flow phase: chain 4x12 at 41, 517 and 1012 and fan-out 8x2 at 70 tool
+  calls per phase stop inside one source's flow search, between two of
+  its per-pair ``q_flow`` records; chain 4x12 at 1017 and fan-out 8x2 at
+  77 stop at the phase's last record, ``q_globalflow``.
 
 The trace is written to ``trace.jsonl`` in the working directory, so the
 report's ``trace_file`` field is the same on every machine.
@@ -59,8 +63,18 @@ PARTIAL = {"role_update/basic_sink/budget4": (4, 0), "role_update/basic_sink/bud
 SHARED = "fanout4x2/open/emit_smt"
 SMT_DIR = "smt"
 OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
-# case name -> (``bench/gen.py`` generator, its shape arguments, findings)
-GENERATED = {"gen/chain4x12/open": ("chain", (4, 12), 48), "gen/fanout8x2/open": ("fanout", (8, 2), 256)}
+# case name -> (``bench/gen.py`` generator, its shape arguments, tool calls
+# per phase, findings); a scan that runs out of budget has none
+GENERATED = {
+    "gen/chain4x12/open": ("chain", (4, 12), 10**9, 48),
+    "gen/fanout8x2/open": ("fanout", (8, 2), 10**9, 256),
+    "gen/chain4x12/budget41": ("chain", (4, 12), 41, 0),
+    "gen/chain4x12/budget517": ("chain", (4, 12), 517, 0),
+    "gen/chain4x12/budget1012": ("chain", (4, 12), 1012, 0),
+    "gen/chain4x12/budget1017": ("chain", (4, 12), 1017, 0),
+    "gen/fanout8x2/budget70": ("fanout", (8, 2), 70, 0),
+    "gen/fanout8x2/budget77": ("fanout", (8, 2), 77, 0),
+}
 
 
 def _cases() -> dict[str, tuple[Path, dict, ScanBudget]]:
@@ -106,11 +120,14 @@ def _shared_digests() -> dict[str, str]:
 def _generated_digests(name: str) -> dict[str, str]:
     """Digests of the JSON report and the trace of the ``GENERATED`` scan
     ``name``; writes the corpus and ``TRACE`` in the working directory."""
-    generator, shape, findings = GENERATED[name]
+    generator, shape, calls, findings = GENERATED[name]
     corpus = Path("corpus")
     getattr(bench_gen(), generator)(1, *shape, corpus)
-    digests, payload = _digests(corpus, {}, OPEN_BUDGET)
+    digests, payload = _digests(corpus, {}, ScanBudget(max_tool_calls_per_phase=calls))
     assert payload["funnel"]["findings"] == findings
+    if findings == 0:
+        assert payload["budget"]["exhausted_reason"] == f"flow: exceeded {calls} tool calls"
+        assert payload["budget"]["tool_calls"]["flow"] == calls + 1
     return {key: digests[key] for key in ("json", "trace")}
 
 
@@ -189,6 +206,36 @@ def test_generated_fanout_validates_each_path_class_once(tmp_path, monkeypatch):
 def test_generated_outputs_match_checked_in_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _generated_digests(name) == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+
+
+@pytest.mark.parametrize(
+    "name, last_tool",
+    [
+        ("gen/chain4x12/budget41", "q_flow"),
+        ("gen/chain4x12/budget517", "q_flow"),
+        ("gen/chain4x12/budget1012", "q_flow"),
+        ("gen/fanout8x2/budget70", "q_flow"),
+        ("gen/chain4x12/budget1017", "q_globalflow"),
+        ("gen/fanout8x2/budget77", "q_globalflow"),
+    ],
+)
+def test_generated_budgets_run_out_where_their_digests_say(name, last_tool, tmp_path, monkeypatch):
+    """Where each budgeted ``GENERATED`` scan stops: a ``q_flow`` budget
+    runs out inside one source's flow search, after a record of the same
+    source and before the rest of its pairs, which a scan of the same
+    corpus at an open budget records."""
+    monkeypatch.chdir(tmp_path)
+    _generated_digests(name)
+    records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
+    last = records[-1]
+    assert (last["phase"], last["tool"]) == ("flow", last_tool)
+    if last_tool == "q_flow":
+        source = (last["args"]["service"], last["args"]["from"])
+        assert (records[-2]["args"].get("service"), records[-2]["args"].get("from")) == source
+        scan(load_program("corpus"), ScriptedOracle(), OPEN_BUDGET, ScanOptions(trace_path="open.jsonl"))
+        pairs = [json.loads(line)["args"] for line in Path("open.jsonl").read_text(encoding="utf-8").splitlines()]
+        searched = [args["to"] for args in pairs if (args.get("service"), args.get("from")) == source]
+        assert searched.index(last["args"]["to"]) < len(searched) - 1
 
 
 def test_digests_cover_exactly_the_cases():

@@ -15,6 +15,7 @@ from privflow.search import (
     NotAFunction,
     UnknownElement,
     call_sites_of,
+    flow_sinks,
     get_location,
     get_source,
     get_type,
@@ -204,6 +205,11 @@ class TestQFlow:
         with pytest.raises(UnknownElement):
             q_flow(role_update_program.service("usermgmt"), "ghost", "update_role")
 
+    def test_selectors_and_resolved_sinks_are_exclusive(self, role_update_program):
+        usermgmt = role_update_program.service("usermgmt")
+        with pytest.raises(TypeError):
+            q_flow(usermgmt, "request", "role", sinks=flow_sinks(usermgmt, "update_role"))
+
     def test_unreachable_is_empty(self):
         svc = lower_snippet("fn f() { x = 1 }\nfn g() { y = 2 }")
         assert q_flow(svc, "x", "y") == []
@@ -245,8 +251,10 @@ class TestSharedSearch:
     @staticmethod
     def _check(service):
         ids = [e.id for e in service.elements]
+        sinks = flow_sinks(service, *ids)
         for a in ids:
             paths = q_flow(service, a, *ids)
+            assert q_flow(service, a, sinks=sinks) == paths, a
             together = {(p.src, p.dst): p for p in paths}
             assert len(together) == len(paths), a
             # a call site is reached through its own id and its callee's

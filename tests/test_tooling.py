@@ -47,10 +47,11 @@ def test_traced_names_resolve(monkeypatch):
 
 def test_traced_worker_times_every_validation_layer():
     """One traced analysis of role_update and order_payment, run as the
-    benchmark runs it: each validation layer takes time, the per-task
-    reasoner counts add up to the total, and the backend is asked each
-    distinct task once (order_payment records one ClassifyCheck task
-    twice)."""
+    benchmark runs it: each validation layer and the graph's layers take
+    time, the graph's flow searches go through the traced
+    ``crossflow.q_flow``, the per-task reasoner counts add up to the total,
+    and the backend is asked each distinct task once (order_payment
+    records one ClassifyCheck task twice)."""
     corpora = [str(CORPORA / "role_update"), str(CORPORA / "order_payment")]
     job = {"corpora": corpora, "budget": "default", "warmup": False, "trace": True, "analysis": 0}
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ as it is
@@ -60,7 +61,15 @@ def test_traced_worker_times_every_validation_layer():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     layers = result["layers"]
-    for name in ("constraints.extract.s", "pipeline.locate_checks.s", "pipeline.assess.s"):
+    for name in (
+        "constraints.extract.s",
+        "pipeline.locate_checks.s",
+        "pipeline.assess.s",
+        "crossflow.graph.s",
+        "crossflow.match_channels.s",
+        "search.q_flow.s",
+        "search.q_flow.calls",
+    ):
         assert layers[name] > 0, name
     per_task = [value for name, value in layers.items() if name.startswith("reasoner.calls.")]
     assert len(per_task) == 6
