@@ -21,7 +21,7 @@ from .model import (
 
 __version__ = "0.1.0"
 
-_PIPELINE = ("Finding", "PrivilegedOperation", "ScanBudget", "ScanOptions", "scan")
+_PIPELINE = ("PrivilegedOperation", "ScanBudget", "ScanOptions", "scan")
 _REASONER = ("ScriptedOracle", "load_rules")
 
 
@@ -48,7 +48,6 @@ __all__ = [
     "Program",
     "Service",
     "validate_program",
-    "Finding",
     "PrivilegedOperation",
     "ScanBudget",
     "ScanOptions",

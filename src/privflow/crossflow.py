@@ -51,10 +51,6 @@ def search_records(service: str, source: str, targets: tuple[str, ...], reached:
         yield "q_flow", {"service": service, "from": source, "to": dst}, int(dst in reached)
 
 
-class NoEntryService(Exception):
-    pass
-
-
 class ChannelEdge(NamedTuple):
     """A matched (outbound call, receiving endpoint) pair."""
 
@@ -80,19 +76,23 @@ def q_source(service: Service) -> tuple[Element, ...]:
 
 
 def q_user(program: Program, reasoner) -> list[Element]:
-    """External user inputs: entry-service sources confirmed against the
-    gateway route table by the reasoner."""
-    entry_name = program.manifest.entry_service()
-    entry = program.service(entry_name) if entry_name else None
-    if entry is None:
-        raise NoEntryService("program has no entry service")
-    prefixes = tuple(r.prefix for r in program.manifest.gateway_routes)
+    """External user inputs: the sources of every service a gateway route
+    targets, each confirmed by the reasoner against the prefixes of the
+    routes to its service. Services come in program order, which is
+    manifest order; a service no route targets has no user source."""
+    prefixes: dict[str, tuple[str, ...]] = {}
+    for route in program.manifest.gateway_routes:
+        prefixes[route.target] = (*prefixes.get(route.target, ()), route.prefix)
     confirmed = []
-    for src in q_source(entry):
-        identifier = src.name if src.kind is ElementKind.ENDPOINT else call_callee(src)
-        verdict = reasoner.reason(ConfirmUserSource(identifier=identifier, route_prefixes=prefixes))
-        if verdict.is_user_source:
-            confirmed.append(src)
+    for service in program.services:
+        routed = prefixes.get(service.name)
+        if routed is None:
+            continue
+        for src in q_source(service):
+            identifier = src.name if src.kind is ElementKind.ENDPOINT else call_callee(src)
+            verdict = reasoner.reason(ConfirmUserSource(identifier=identifier, route_prefixes=routed))
+            if verdict.is_user_source:
+                confirmed.append(src)
     return confirmed
 
 

@@ -68,7 +68,7 @@ def _part(kind: str, spec, root: Path, file: str) -> Part:
         part = stored[1]
     else:
         if kind == "source":
-            service = lower(parse_source(text, spec.name, file), spec.name)
+            service = lower(parse_source(text, file), spec.name)
         else:
             service = read_facts(text, spec.name)
         part = (service.elements, service.edges, service.channels)
@@ -101,7 +101,7 @@ def _load_service(root: Path, spec) -> Service:
         parts.append(part)
 
     elements, edges, channels = zip(*parts)
-    return Service(spec.name, _merged(elements, element_order), _merged(edges), _merged(channels), entry=spec.entry)
+    return Service(spec.name, _merged(elements, element_order), _merged(edges), _merged(channels))
 
 
 def _merged(collections: tuple[tuple, ...], key=None) -> tuple:

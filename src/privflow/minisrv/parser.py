@@ -362,9 +362,8 @@ def _end(node) -> int:
     return node.span[1]
 
 
-def parse_source(text: str, service_name: str, file: str) -> MiniSrvAst:
+def parse_source(text: str, file: str) -> MiniSrvAst:
     """Parse MiniSrv source text; raises ParseError on the first violation."""
-    del service_name  # parsing is service-independent; kept for call symmetry
     return _Parser(text, file).parse_file()
 
 

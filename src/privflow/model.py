@@ -22,8 +22,7 @@ small corpus. A record is one of three kinds, chosen by what its records do:
   results, the reasoner tasks and their descriptors never meet a field-equal
   record of another type; the records read most in a scan (``Element``,
   ``Location``, ``Service``, ``Program``, ``GlobalPath``) are records of
-  this kind for their fast field reads. An ``OrderedRecord`` also sorts by
-  its fields;
+  this kind for their fast field reads;
 * a plain class with ``__slots__`` when its records are mutated (the global
   graph, scan options, a function's lowering state): it is neither hashed nor
   compared by value.
@@ -89,34 +88,12 @@ class Record:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
 
-    def replace(self, **changes):
-        """A copy with the named fields changed, built by ``__init__``."""
-        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
-
-
-class OrderedRecord(Record):
-    """A record that sorts among records of its type by its fields, in order."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return self._key < other._key if type(other) is type(self) else NotImplemented
-
-    def __le__(self, other):
-        return self._key <= other._key if type(other) is type(self) else NotImplemented
-
-    def __gt__(self, other):
-        return self._key > other._key if type(other) is type(self) else NotImplemented
-
-    def __ge__(self, other):
-        return self._key >= other._key if type(other) is type(self) else NotImplemented
-
 
 #: Closed vocabulary for Element.inferred_type.
 TYPE_TAGS = frozenset({"int", "string", "bool", "object", "function", "unknown"})
 
 
-class Location(OrderedRecord):
+class Location(Record):
     """1-based source position of an element."""
 
     __slots__ = ("file", "line", "col")
@@ -193,11 +170,12 @@ class Edge(NamedTuple):
     dst: str
 
 
-class Channel(OrderedRecord):
+class Channel(Record):
     """An inter-service communication point with its resolved identifier.
 
     ``element`` is the call-site element for outbound calls and message
-    consumers, and the endpoint element for inbound HTTP routes.
+    consumers, and the endpoint element for inbound HTTP routes. Channels
+    sort among themselves by their fields, in order.
     """
 
     __slots__ = ("element", "direction", "protocol", "identifier")
@@ -213,6 +191,9 @@ class Channel(OrderedRecord):
         self.direction = direction
         self.protocol = protocol
         self.identifier = identifier
+
+    def __lt__(self, other):
+        return self._key < other._key if type(other) is type(self) else NotImplemented
 
 
 #: Callees that send to another service, by channel protocol. Their call
@@ -242,13 +223,13 @@ class Service(Record):
     canonically ordered; structural equality, serialization and the order
     of every search result (which follows ``elements``) depend on it.
     ``build`` sorts each collection once: elements by ``element_order``,
-    edges and channels, de-duplicated, by their fields. ``replace`` gives
-    a copy with some fields changed. ``_index`` holds the service's
-    ``search.ServiceIndex`` once it is built; a service can be weakly
-    referenced.
+    edges and channels, de-duplicated, by their fields. ``_index`` holds
+    the service's ``search.ServiceIndex`` once it is built; a service can be
+    weakly referenced. Which service is the entry is the manifest's to say
+    (``Manifest.entry_service``).
     """
 
-    _fields = ("name", "elements", "edges", "channels", "entry")
+    _fields = ("name", "elements", "edges", "channels")
     __slots__ = (*_fields, "_by_id", "_index", "__weakref__")
 
     def __init__(
@@ -257,13 +238,11 @@ class Service(Record):
         elements: tuple[Element, ...],
         edges: tuple[Edge, ...],
         channels: tuple[Channel, ...] = (),
-        entry: bool = False,
     ) -> None:
         self.name = name
         self.elements = elements
         self.edges = edges
         self.channels = channels
-        self.entry = entry
         self._by_id = {e.id: e for e in elements}
         self._index = None
 
@@ -274,14 +253,12 @@ class Service(Record):
         elements: list[Element] | tuple[Element, ...],
         edges: list[Edge] | tuple[Edge, ...] = (),
         channels: list[Channel] | tuple[Channel, ...] = (),
-        entry: bool = False,
     ) -> "Service":
         return cls(
             name=name,
             elements=tuple(sorted(elements, key=element_order)),
             edges=tuple(sorted(set(edges))),
             channels=tuple(sorted(set(channels))),
-            entry=entry,
         )
 
     def element(self, eid: str) -> Element | None:
@@ -364,7 +341,7 @@ def validate_program(program: Program) -> list[IntegrityViolation]:
     violations: list[IntegrityViolation] = []
     seen_names: set[str] = set()
     owners: dict[str, str] = {}  # element id -> first service declaring it
-    entries = [s.name for s in program.services if s.entry]
+    entries = [s.name for s in program.manifest.services if s.entry]
 
     for svc in program.services:
         if svc.name in seen_names:
@@ -400,9 +377,8 @@ def validate_program(program: Program) -> list[IntegrityViolation]:
     elif len(entries) > 1:
         violations.append(IntegrityViolation("MultipleEntryServices", ", ".join(sorted(entries))))
 
-    manifest_names = {s.name for s in program.manifest.services}
     for route in program.manifest.gateway_routes:
-        if route.target not in manifest_names:
+        if route.target not in seen_names:
             violations.append(
                 IntegrityViolation("UnknownRouteTarget", f"route {route.prefix} -> {route.target}")
             )

@@ -24,10 +24,12 @@ Validation runs once per path class. A flow's class is its sink plus, per
 flow segment, the function groups that can carry a check (see
 ``ServiceIndex.check_relevant``), and every flow of one class gives
 constraint extraction, check location and the sufficiency assessment the
-same inputs. The class's first flow runs them; each later flow takes the
-stored outcome and replays the class's tool calls under its own flow id,
-so every flow still records its own tool calls, in the same order and
-against the same budget, and writes its own SMT file.
+same inputs. The class's first flow runs them and keeps their outcome as
+the class's ``PathClass``; each later flow takes it and replays the
+class's tool calls under its own flow id, so every flow still records its
+own tool calls, in the same order and against the same budget, and writes
+its own SMT file. A flow leaves the funnel as its class says: pruned,
+protected, or a finding with the class's checks and verdict.
 """
 
 from __future__ import annotations
@@ -114,35 +116,18 @@ class CheckFinding(NamedTuple):
     source: str
 
 
-class Finding(Record):
-    """A flow that reached a privileged operation without a sufficient
-    check: its path, operation, located checks and verdict."""
+class PathClass(NamedTuple):
+    """What validation made of one path class, shared by every flow of the
+    class: its constraint (None when extraction was skipped) and that
+    constraint's status, ``locate_checks``' tool calls as ``(tool, args,
+    count)``, the checks located and the ``AssessSufficiency`` verdict. A
+    pruned class has no calls, no checks and no verdict."""
 
-    __slots__ = ("path", "privop", "checks", "verdict", "feasibility", "rationale", "constraint_status", "smt_file")
-
-    def __init__(
-        self,
-        path: GlobalPath,
-        privop: PrivilegedOperation,
-        checks: tuple[CheckFinding, ...],
-        verdict: str,
-        feasibility: str,
-        rationale: str,
-        constraint_status: str,
-        smt_file: str | None = None,
-    ) -> None:
-        if verdict == "protected":
-            raise ValueError(f"finding verdict cannot be {verdict!r}")
-        if feasibility not in ("feasible", "unknown"):
-            raise ValueError(f"finding feasibility cannot be {feasibility!r}")
-        self.path = path
-        self.privop = privop
-        self.checks = checks
-        self.verdict = verdict  # a reasoner.Sufficiency verdict other than protected
-        self.feasibility = feasibility  # feasible | unknown
-        self.rationale = rationale
-        self.constraint_status = constraint_status  # sat | unknown | skipped
-        self.smt_file = smt_file
+    constraint: object  # a reasoner PathConstraint, or None
+    status: str  # pruned | sat | unknown | skipped
+    calls: tuple[tuple[str, dict, int], ...]
+    checks: tuple[CheckFinding, ...]
+    sufficiency: object  # a reasoner.Sufficiency, None when pruned
 
 
 class ScanBudget(Record):
@@ -274,99 +259,91 @@ def find_privileged_ops(
     tracer = tracer or Tracer(budget or ScanBudget())
     ops: dict[str, PrivilegedOperation] = {}
     try:
-        return _find_privileged_ops(program, reasoner, tracer, basic_sink, ops)
+        services = sorted(program.services, key=lambda s: s.name)
+        for service in services:
+            calls = q_ast(service, ElementKind.CALL)
+            tracer.record(PHASE_PRIVOPS, "q_ast", {"service": service.name, "kind": "call"}, len(calls))
+            for c in calls:
+                callee = call_callee(c)
+                if callee in BASELINE_SINKS:
+                    ops[c.id] = PrivilegedOperation(
+                        c.id, service.name, "security-critical-action", f"standard sink intrinsic '{callee}'"
+                    )
+        if basic_sink:
+            return _sorted_ops(program, ops)
+
+        classified: set[str] = set()
+        executed: list[str] = []
+        round_no = 1
+        new_this_round = 0
+        service_names = tuple(s.name for s in services)
+
+        while True:
+            task = NextSearchAction(
+                round=round_no,
+                services=service_names,
+                executed=tuple(executed),
+                new_ops_this_round=new_this_round,
+                tools=("q_name", "new_round", "finish"),
+            )
+            tracer.record(PHASE_PRIVOPS, "reason", {"task": "NextSearchAction", "round": round_no}, 1)
+            action = reasoner.reason(task)
+            if action.tool == "finish":
+                break
+            if action.tool == "new_round":
+                round_no += 1
+                new_this_round = 0
+                executed = []
+                continue
+            if action.tool != "q_name":
+                # an off-vocabulary proposal burns budget but cannot derail the scan
+                executed.append(f"{action.tool}:?")
+                continue
+
+            service = program.service(str(action.args.get("service", "")))
+            pattern = str(action.args.get("pattern", ""))
+            mode = str(action.args.get("mode", "regex"))
+            executed.append(_query_key("q_name", action.args))
+            if service is None or not pattern:
+                continue
+            try:
+                results = q_name(service, pattern, mode)
+            except BadPattern:
+                continue
+            tracer.record(
+                PHASE_PRIVOPS, "q_name", {"service": service.name, "pattern": pattern, "mode": mode}, len(results)
+            )
+
+            for el in results:
+                if el.kind is not ElementKind.FUNCTION or el.id in classified:
+                    continue
+                classified.add(el.id)
+                source = get_source(service, el)
+                tracer.record(PHASE_PRIVOPS, "get_source", {"service": service.name, "element": el.id}, 1)
+                tracer.record(PHASE_PRIVOPS, "reason", {"task": "ClassifyPrivileged", "element": el.id}, 1)
+                verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
+                if verdict.category is None:
+                    continue
+                callers = q_cg(service, el.id, "callers")
+                tracer.record(
+                    PHASE_PRIVOPS, "q_cg", {"service": service.name, "function": el.name, "direction": "callers"}, len(callers)
+                )
+                for site in call_sites_of(service, el.id):
+                    if site.id in ops:
+                        continue
+                    ops[site.id] = PrivilegedOperation(
+                        site.id, service.name, verdict.category, f"call to {el.name}: {verdict.rationale}"
+                    )
+                    new_this_round += 1
     except BudgetExhausted as exc:
         raise BudgetExhausted(exc.phase, exc.reason, partial=_sorted_ops(program, ops))
-
-
-def _find_privileged_ops(
-    program: Program,
-    reasoner,
-    tracer: Tracer,
-    basic_sink: bool,
-    ops: dict[str, PrivilegedOperation],
-) -> list[PrivilegedOperation]:
-    services = sorted(program.services, key=lambda s: s.name)
-    for service in services:
-        calls = q_ast(service, ElementKind.CALL)
-        tracer.record(PHASE_PRIVOPS, "q_ast", {"service": service.name, "kind": "call"}, len(calls))
-        for c in calls:
-            callee = call_callee(c)
-            if callee in BASELINE_SINKS:
-                ops[c.id] = PrivilegedOperation(
-                    c.id, service.name, "security-critical-action", f"standard sink intrinsic '{callee}'"
-                )
-    if basic_sink:
-        return _sorted_ops(program, ops)
-
-    classified: set[str] = set()
-    executed: list[str] = []
-    round_no = 1
-    new_this_round = 0
-    service_names = tuple(s.name for s in services)
-
-    while True:
-        task = NextSearchAction(
-            round=round_no,
-            services=service_names,
-            executed=tuple(executed),
-            new_ops_this_round=new_this_round,
-            tools=("q_name", "new_round", "finish"),
-        )
-        tracer.record(PHASE_PRIVOPS, "reason", {"task": "NextSearchAction", "round": round_no}, 1)
-        action = reasoner.reason(task)
-        if action.tool == "finish":
-            break
-        if action.tool == "new_round":
-            round_no += 1
-            new_this_round = 0
-            executed = []
-            continue
-        if action.tool != "q_name":
-            # an off-vocabulary proposal burns budget but cannot derail the scan
-            executed.append(f"{action.tool}:?")
-            continue
-
-        service = program.service(str(action.args.get("service", "")))
-        pattern = str(action.args.get("pattern", ""))
-        mode = str(action.args.get("mode", "regex"))
-        executed.append(_query_key("q_name", action.args))
-        if service is None or not pattern:
-            continue
-        try:
-            results = q_name(service, pattern, mode)
-        except BadPattern:
-            continue
-        tracer.record(PHASE_PRIVOPS, "q_name", {"service": service.name, "pattern": pattern, "mode": mode}, len(results))
-
-        for el in results:
-            if el.kind is not ElementKind.FUNCTION or el.id in classified:
-                continue
-            classified.add(el.id)
-            source = get_source(service, el)
-            tracer.record(PHASE_PRIVOPS, "get_source", {"service": service.name, "element": el.id}, 1)
-            tracer.record(PHASE_PRIVOPS, "reason", {"task": "ClassifyPrivileged", "element": el.id}, 1)
-            verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
-            if verdict.category is None:
-                continue
-            callers = q_cg(service, el.id, "callers")
-            tracer.record(PHASE_PRIVOPS, "q_cg", {"service": service.name, "function": el.name, "direction": "callers"}, len(callers))
-            for site in call_sites_of(service, el.id):
-                if site.id in ops:
-                    continue
-                ops[site.id] = PrivilegedOperation(
-                    site.id, service.name, verdict.category, f"call to {el.name}: {verdict.rationale}"
-                )
-                new_this_round += 1
     return _sorted_ops(program, ops)
 
 
 def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[PrivilegedOperation]:
     def key(op: PrivilegedOperation):
-        el = program.element(op.service, op.element)
-        if el is None:
-            return (op.service, "", 0, 0, op.element)
-        return (op.service, el.location.file, el.location.line, el.location.col, op.element)
+        location = program.element(op.service, op.element).location
+        return (op.service, location.file, location.line, location.col, op.element)
 
     return sorted(ops.values(), key=key)
 
@@ -526,8 +503,9 @@ def scan(
     """Run the full pipeline and return the schema-versioned report payload.
 
     Each path class is validated once, by its first flow; every other flow
-    of the class takes its outcome and replays its validation records
-    under its own flow id (see ``_validate_path``).
+    of the class takes its ``PathClass`` and replays its validation records
+    under its own flow id (see ``_validate_path``). Each flow is then put
+    with the pruned, the protected or the findings by its class.
 
     Findings share one record per privileged operation, per path element
     (step and evidence), per path segment (hop) and per distinct service
@@ -582,7 +560,7 @@ def scan(
         exhausted_reason = str(exc)
 
     ops_by_element = {op.element: op for op in privops}
-    findings: list[Finding] = []
+    findings: list[tuple[GlobalPath, PathClass, str | None]] = []  # (flow, its class, its SMT file)
     pruned: list[str] = []
     dropped: list[str] = []
     budget_truncated = 0
@@ -598,11 +576,11 @@ def scan(
         summary_of = functools.cache(functools.partial(_check_summary, groups_of))
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
-        classes: dict[tuple, tuple] = {}
+        classes: dict[tuple, PathClass] = {}
         for index, flow in enumerate(flows):
             key = (flow.sink, *map(summary_of, flow.flow_segments))
             try:
-                outcome, finding = _validate_path(
+                path_class, smt_file = _validate_path(
                     program, flow, classes.get(key), ops_by_element[flow.sink], reasoner, record_validation,
                     max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text,
                 )
@@ -610,13 +588,13 @@ def scan(
                 budget_truncated = len(flows) - index
                 exhausted_reason = str(exc)
                 break
-            classes[key] = outcome
-            if outcome[1] == "pruned":
+            classes[key] = path_class
+            if path_class.status == "pruned":
                 pruned.append(flow.id)
-            elif finding is None:
+            elif path_class.sufficiency.verdict == "protected":
                 dropped.append(flow.id)
             else:
-                findings.append(finding)
+                findings.append((flow, path_class, smt_file))
 
     payload = _report_payload(
         program=program,
@@ -659,7 +637,7 @@ def _check_summary(groups_of: Callable, segment: FlowPath) -> tuple:
 def _validate_path(
     program: Program,
     flow: GlobalPath,
-    known: tuple | None,
+    known: PathClass | None,
     privop: PrivilegedOperation,
     reasoner,
     record: Recorder,
@@ -669,21 +647,20 @@ def _validate_path(
     groups_of: Callable,
     decide: Callable,
     smt_text: Callable,
-):
-    """One flow through the funnel; returns its class record and its
-    Finding, None for a pruned or protected flow.
+) -> tuple[PathClass, str | None]:
+    """One flow through the funnel; returns its class's ``PathClass`` and
+    the name of the SMT file written for the flow, None when none was.
 
     Flows of one class (one sink, one ``_check_summary`` per segment) pass
     ``extract_path_constraints``, ``locate_checks`` and ``assess_flow`` the
     same inputs. So the class's first flow (``known`` None) runs them and
-    returns the class record: (constraint, constraint status,
-    ``locate_checks``' tool calls, checks, sufficiency). A later flow passes
-    that record as ``known``, and records its own tool calls, replaying the
-    class's, in the same order and with the same budget checks. The class's
-    first flow already added its context ids. ``groups_of(segment)`` gives a
-    segment's ``crossflow.segment_functions`` groups, ``decide`` is
-    ``check_sat`` and ``smt_text`` is ``emit_smtlib``; the scan passes all
-    three memoized."""
+    returns the class's ``PathClass``. A later flow passes that as
+    ``known``, and records its own tool calls, replaying the class's, in the
+    same order and with the same budget checks. The class's first flow
+    already added its context ids, before its ``AssessSufficiency`` record.
+    ``groups_of(segment)`` gives a segment's ``crossflow.segment_functions``
+    groups, ``decide`` is ``check_sat`` and ``smt_text`` is
+    ``emit_smtlib``; the scan passes all three memoized."""
     record("reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
     if known is None:
         groups = path_functions(program, flow, groups_of)
@@ -693,14 +670,14 @@ def _validate_path(
             verdict = decide(constraint)
             status = "pruned" if isinstance(verdict, Unsat) else "sat" if isinstance(verdict, Sat) else "unknown"
     else:
-        constraint, status, calls, checks, sufficiency = known
+        constraint, status = known.constraint, known.status
 
     smt_file: str | None = None
     if constraint is not None and smt_dir is not None:
         smt_file = f"{flow.id}.smt2"
         (smt_dir / smt_file).write_text(smt_text(constraint), encoding="utf-8")
     if status == "pruned":
-        return known or (constraint, status, (), (), None), None
+        return known or PathClass(constraint, status, (), (), None), smt_file
 
     if known is None:
         calls = []
@@ -712,26 +689,13 @@ def _validate_path(
         checks, contexts, ctx_ids = locate_checks(groups, reasoner, capture, max_hops=max_hops)
         context_ids.update(ctx_ids)
     else:
-        for call in calls:
+        for call in known.calls:
             record(*call)
     record("reason", {"task": "AssessSufficiency", "flow": flow.id}, 1)
     if known is None:
         sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
-        known = (constraint, status, tuple(calls), tuple(checks), sufficiency)
-    if sufficiency.verdict == "protected":
-        return known, None
-
-    finding = Finding(
-        path=flow,
-        privop=privop,
-        checks=tuple(checks),
-        verdict=sufficiency.verdict,
-        feasibility="feasible" if status == "sat" else "unknown",
-        rationale=sufficiency.rationale,
-        constraint_status=status,
-        smt_file=smt_file,
-    )
-    return known, finding
+        known = PathClass(constraint, status, tuple(calls), tuple(checks), sufficiency)
+    return known, smt_file
 
 
 # --- report payload ---------------------------------------------------------------------
@@ -769,15 +733,19 @@ def _report_payload(
     pruned,
     dropped,
     budget_truncated: int,
-    findings,
+    findings: list[tuple[GlobalPath, PathClass, str | None]],
     tracer: Tracer,
     budget: ScanBudget,
     exhausted_reason: str | None,
     context_ids: set[str],
 ) -> dict:
+    """The report of a scan. Each finding is built from its flow, its
+    flow's ``PathClass`` and its SMT file."""
     # one record per privileged operation, per element, per path segment and
     # per distinct service list, check list and constraint status, shared by
     # every finding that has it
+    ops_by_element = {op.element: op for op in privops}
+
     @functools.cache
     def op_dict(op: PrivilegedOperation) -> dict:
         el = program.element(op.service, op.element)
@@ -858,28 +826,28 @@ def _report_payload(
     def constraint(status: str, smt_file: str | None) -> dict:
         return {"status": status, "smt_file": smt_file}
 
-    def finding_dict(f: Finding) -> dict:
+    def finding_dict(flow: GlobalPath, path_class: PathClass, smt_file: str | None) -> dict:
         return {
-            "id": f.path.id,
-            "verdict": f.verdict,
-            "feasibility": f.feasibility,
-            "rationale": f.rationale,
-            "privileged_operation": op_dict(f.privop),
+            "id": flow.id,
+            "verdict": path_class.sufficiency.verdict,
+            "feasibility": "feasible" if path_class.status == "sat" else "unknown",
+            "rationale": path_class.sufficiency.rationale,
+            "privileged_operation": op_dict(ops_by_element[flow.sink]),
             "path": {
-                "id": f.path.id,
-                "services": services(f.path.services),
-                "hops": [*map(hop, f.path.segments)],
+                "id": flow.id,
+                "services": services(flow.services),
+                "hops": [*map(hop, flow.segments)],
             },
-            "checks": check_dicts(f.checks),
-            "constraint": constraint(f.constraint_status, f.smt_file),
-            "evidence": _evidence(f.path, f.checks, segment_records, evidence),
+            "checks": check_dicts(path_class.checks),
+            "constraint": constraint(path_class.status, smt_file),
+            "evidence": _evidence(flow, path_class.checks, segment_records, evidence),
         }
 
     def finding_sort_key(fd: dict):
         op = fd["privileged_operation"]
         return (op["service"], op["file"], op["line"], fd["id"])
 
-    finding_dicts = sorted((finding_dict(f) for f in findings), key=finding_sort_key)
+    finding_dicts = sorted((finding_dict(*finding) for finding in findings), key=finding_sort_key)
 
     funnel = {
         "initial_flows": len(flows),
@@ -897,6 +865,7 @@ def _report_payload(
     def source_name(el: Element) -> str:
         return el.name or call_callee(el) or el.kind.value
 
+    entry = program.manifest.entry_service()
     payload = {
         "schema": 1,
         "tool": "privflow",
@@ -906,11 +875,11 @@ def _report_payload(
             "on_demand_context": options.on_demand_context,
         },
         "program": {
-            "entry_service": program.manifest.entry_service(),
+            "entry_service": entry,
             "services": [
                 {
                     "name": s.name,
-                    "entry": s.entry,
+                    "entry": s.name == entry,
                     "elements": len(s.elements),
                     "edges": len(s.edges),
                     "channels": len(s.channels),

@@ -70,7 +70,7 @@ def bench_gen():
 
 def lower_snippet(text: str, service: str = "svc", file: str = "svc.msv") -> Service:
     """Parse and lower an inline MiniSrv snippet."""
-    return lower(parse_source(text, service, file), service)
+    return lower(parse_source(text, file), service)
 
 
 def make_element(
@@ -209,7 +209,7 @@ def build_tied_service(rng, name: str = "tied") -> Service:
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b and kinds[b] is not ElementKind.ENDPOINT:
             edges.append(Edge(EdgeKind.DATAFLOW, elements[a].id, elements[b].id))
-    return Service.build(name, elements, edges, entry=True)
+    return Service.build(name, elements, edges)
 
 
 def build_random_program(rng, tag: str) -> tuple[Program, list]:
@@ -261,12 +261,12 @@ def build_random_program(rng, tag: str) -> tuple[Program, list]:
             # endpoints only emit flow; call results may flow onward
             if a != b and elements[b].kind is not ElementKind.ENDPOINT:
                 edges.append(Edge(EdgeKind.DATAFLOW, elements[a].id, elements[b].id))
-        services.append(Service.build(sname, elements, edges, channels, entry=(si == 0)))
+        services.append(Service.build(sname, elements, edges, channels))
 
     manifest = Manifest(
         version=1,
         services=tuple(
-            ManifestService(name=s.name, entry=s.entry, sources=(f"{s.name}.msv",)) for s in services
+            ManifestService(name=s.name, entry=si == 0, sources=(f"{s.name}.msv",)) for si, s in enumerate(services)
         ),
         gateway_routes=(GatewayRoute("/", names[0]),),
     )

@@ -209,7 +209,7 @@ def test_criterion_6_flow_oracle_equivalence(oracle):
     for i in range(50):
         program, privops = build_random_program(rng, f"acc{i}")
         graph = build_global_graph(program, privops, match_channels(program))
-        entry = next(s for s in program.services if s.entry)
+        entry = program.service(program.manifest.entry_service())
         sources = [e for e in entry.elements if e.kind.value == "endpoint"]
         paths = q_globalflow(graph, sources, privops).paths
         got = {(p.source, p.sink) for p in paths}

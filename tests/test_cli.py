@@ -496,8 +496,7 @@ class TestFactsCommand:
         program = load_program(CORPORA / "role_update")
         for service in program.services:
             text = (tmp_path / f"{service.name}.facts.jsonl").read_text()
-            bare = service.replace(entry=False)
-            assert read_facts(text, service.name) == bare
+            assert read_facts(text, service.name) == service
 
     def test_out_under_a_file_is_config_error(self, runner, tmp_path):
         blocker = tmp_path / "file"

@@ -441,7 +441,7 @@ class TestRecordsKeepTheirType:
     @pytest.mark.parametrize("left, right", FIELD_EQUAL_PAIRS.values(), ids=FIELD_EQUAL_PAIRS.keys())
     def test_equal_records_of_one_type_are_one_key(self, left, right):
         for record in (left, right):
-            twin = record.replace()
+            twin = type(record)(*(getattr(record, name) for name in record._fields))
             assert twin is not record and twin == record and not twin != record
             assert hash(twin) == hash(record) and len({record: 1, twin: 2}) == 1
 

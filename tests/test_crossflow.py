@@ -12,7 +12,6 @@ from privflow.crossflow import (
     ChannelEdge,
     GlobalGraph,
     GlobalPath,
-    NoEntryService,
     build_global_graph,
     channels_match,
     match_channels,
@@ -36,6 +35,7 @@ from privflow.model import (
     call_callee,
 )
 from privflow.pipeline import PrivilegedOperation, ScanBudget, ScanOptions, find_privileged_ops, scan
+from privflow.report import ExitStatus, exit_status
 from privflow.search import FlowPath, UnresolvedChannel, q_flow
 
 from conftest import (
@@ -103,7 +103,6 @@ class TestQUser:
             service="gateway",
             file="gateway.msv",
         )
-        svc = svc.replace(entry=True)
         manifest = Manifest(
             1,
             (ManifestService("gateway", entry=True, sources=("gateway.msv",)),),
@@ -112,19 +111,76 @@ class TestQUser:
         program = Program((svc,), manifest)
         assert [e.name for e in q_user(program, oracle)] == ["/api/updateProfile"]
 
-    def test_zero_routes_zero_sources(self, oracle):
-        svc = lower_snippet('@route("GET", "/x") fn a() { x = 1 }', service="g", file="g.msv").replace(entry=True)
+    def test_zero_routes_zero_sources(self):
+        """A service no route targets has no user source, and its sources
+        are not put to the reasoner."""
+        asked = []
+
+        class Refusing:
+            def reason(self, task):
+                asked.append(task)
+                raise AssertionError("no task expected")
+
+        svc = lower_snippet('@route("GET", "/x") fn a() { x = 1 }', service="g", file="g.msv")
         manifest = Manifest(1, (ManifestService("g", entry=True, sources=("g.msv",)),), ())
-        assert q_user(Program((svc,), manifest), oracle) == []
+        assert q_user(Program((svc,), manifest), Refusing()) == []
+        assert asked == []
 
     def test_role_update_user_source(self, role_update_program, oracle):
         assert [e.name for e in q_user(role_update_program, oracle)] == ["/updateProfile"]
 
-    def test_no_entry_service(self, oracle):
-        svc = lower_snippet("fn f() { x = 1 }", service="s", file="s.msv")
-        manifest = Manifest(1, (ManifestService("s", sources=("s.msv",)),), ())
-        with pytest.raises(NoEntryService):
-            q_user(Program((svc,), manifest), oracle)
+    def test_each_routed_service_checked_against_its_own_routes(self, oracle):
+        """Every service a route targets contributes the sources its own
+        routes' prefixes cover, whether it is the entry or not, in program
+        order; a prefix routed to another service covers nothing here."""
+        front = lower_snippet(
+            '@route("POST", "/api/a") fn a() { x = 1 }\n@route("POST", "/internal/b") fn b() { y = 1 }',
+            service="front",
+            file="front.msv",
+        )
+        back = lower_snippet(
+            '@route("POST", "/internal/c") fn c() { x = 1 }\n@route("POST", "/admin/d") fn d() { y = 1 }\n'
+            '@route("POST", "/api/e") fn e() { z = 1 }',
+            service="back",
+            file="back.msv",
+        )
+        hidden = lower_snippet('@route("POST", "/api/f") fn f() { x = 1 }', service="hidden", file="hidden.msv")
+        manifest = Manifest(
+            1,
+            (
+                ManifestService("front", entry=True, sources=("front.msv",)),
+                ManifestService("back", sources=("back.msv",)),
+                ManifestService("hidden", sources=("hidden.msv",)),
+            ),
+            (GatewayRoute("/internal", "back"), GatewayRoute("/api", "front"), GatewayRoute("/admin", "back")),
+        )
+        program = Program((front, back, hidden), manifest)
+        assert [(e.service, e.name) for e in q_user(program, oracle)] == [
+            ("front", "/api/a"),
+            ("back", "/internal/c"),
+            ("back", "/admin/d"),
+        ]
+
+    def test_gateway_routed_internal_service_is_attack_surface(self, oracle):
+        """``gateway_exposed`` routes ``/internal`` to ``back``, whose
+        ``exec`` runs with no check of its own: the flow from that endpoint
+        is a finding, while the guarded flow through ``front`` stays
+        protected. ``gateway_internal`` has no such route and is clean."""
+        payload = scan(load_program(CORPORA / "gateway_exposed"), oracle)
+        assert [e["name"] for e in payload["user_sources"]] == ["/ops/run", "/internal/run"]
+        assert [
+            (f["privileged_operation"]["service"], f["privileged_operation"]["name"], f["verdict"], f["path"]["services"])
+            for f in payload["findings"]
+        ] == [("back", "exec", "unprotected", ["back"])]
+        assert payload["funnel"] == {
+            "initial_flows": 2, "constraint_pruned": 0, "protected_dropped": 1, "budget_truncated": 0, "findings": 1
+        }
+        assert exit_status(payload) is ExitStatus.FINDINGS
+
+        payload = scan(load_program(CORPORA / "gateway_internal"), oracle)
+        assert [e["name"] for e in payload["user_sources"]] == ["/ops/run"]
+        assert payload["funnel"]["protected_dropped"] == 1 and payload["findings"] == []
+        assert exit_status(payload) is ExitStatus.CLEAN
 
 
 class TestQInter:
@@ -156,7 +212,7 @@ class TestQInter:
             'http_post(base + "/x", body) }',
             service="front",
             file="front.msv",
-        ).replace(entry=True)
+        )
         (site,) = [e for e in svc.elements if call_callee(e) == "http_post"]
         assert q_inter(svc).unresolved == (UnresolvedChannel("front", site.id, "http_post"),)
         text = f"front: http_post call {site.id} has a non-constant channel identifier"
@@ -243,7 +299,7 @@ class TestChannelMatching:
 
         sender = lower_snippet(
             'fn f() { http_post("http://x:1/orders", "b") }', service="sender", file="sender.msv"
-        ).replace(entry=True)
+        )
         a = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_a", file="a.msv")
         b = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_b", file="b.msv")
         manifest = Manifest(
@@ -414,7 +470,7 @@ class TestQGlobalflow:
             '@route("POST", "/b") fn b() { y = request.param("v") db.write("k" + y) }',
             service="d",
             file="d.msv",
-        ).replace(entry=True)
+        )
         # two endpoints, two sinks; each endpoint reaches its own sink
         manifest = Manifest(1, (ManifestService("d", entry=True, sources=("d.msv",)),), (GatewayRoute("/", "d"),))
         program = Program((svc,), manifest)
@@ -438,7 +494,7 @@ class TestQGlobalflow:
         for i in range(8):
             program, privops = build_random_program(rng, f"m{i}")
             graph = build_global_graph(program, privops, match_channels(program))
-            sources = [e for s in program.services if s.entry for e in _endpoints(s)]
+            sources = _endpoints(program.service(program.manifest.entry_service()))
             baseline = len(q_globalflow(graph, sources, privops).paths)
             channel_edges = [w for witnesses in graph.edges.values() for w in witnesses if isinstance(w, ChannelEdge)]
             for edge in channel_edges:
@@ -456,7 +512,7 @@ class TestQGlobalflow:
         for i in range(12):
             program, privops = build_random_program(rng, f"t{i}")
             graph = build_global_graph(program, privops, match_channels(program))
-            sources = [e for s in program.services if s.entry for e in _endpoints(s)]
+            sources = _endpoints(program.service(program.manifest.entry_service()))
             paths = q_globalflow(graph, sources, privops).paths
             got = {(p.source, p.sink) for p in paths}
             want = _oracle_pairs(graph, sources, privops)
@@ -491,7 +547,7 @@ class TestQGlobalflow:
             '@route("POST", "/b") fn b() { y = request.param("v") db.write("k" + y) }',
             service="cap",
             file="cap.msv",
-        ).replace(entry=True)
+        )
         manifest = Manifest(1, (ManifestService("cap", entry=True, sources=("cap.msv",)),), (GatewayRoute("/", "cap"),))
         program = Program((svc,), manifest)
         privops = find_privileged_ops(program, oracle, basic_sink=True)
@@ -635,7 +691,7 @@ def _single_service_program(reachable: bool = True):
         if reachable
         else '@route("POST", "/go") fn go() { v = request.param("v") }\nfn hidden() { db.write("x") }'
     )
-    svc = lower_snippet(text, service="solo", file="solo.msv").replace(entry=True)
+    svc = lower_snippet(text, service="solo", file="solo.msv")
     manifest = Manifest(
         1, (ManifestService("solo", entry=True, sources=("solo.msv",)),), (GatewayRoute("/", "solo"),)
     )
@@ -780,8 +836,10 @@ def channel_program(services):
             call = make_element(name, ElementKind.CALL, line=line, source=f"{callee}(u)")
             elements.append(call)
             channels.append(Channel(call.id, direction, protocol, identifier))
-        built.append(Service.build(name, elements, (), channels, entry=index == 0))
-    manifest = Manifest(1, tuple(ManifestService(s.name, entry=s.entry, sources=(f"{s.name}.msv",)) for s in built))
+        built.append(Service.build(name, elements, (), channels))
+    manifest = Manifest(
+        1, tuple(ManifestService(s.name, entry=index == 0, sources=(f"{s.name}.msv",)) for index, s in enumerate(built))
+    )
     return Program(tuple(built), manifest)
 
 

@@ -251,7 +251,6 @@ class TestLoadMerge:
                 [e for p in parts for e in p.elements],
                 [e for p in parts for e in p.edges],
                 [c for p in parts for c in p.channels],
-                entry=True,
             )
             [got] = load_program(tmp_path).services
             assert got == want

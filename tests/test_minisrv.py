@@ -25,7 +25,7 @@ def dataflow(service):
 
 class TestParser:
     def test_minimal_function(self):
-        ast = parse_source("fn f() { x = 1 }", "svc", "t.msv")
+        ast = parse_source("fn f() { x = 1 }", "t.msv")
         assert len(ast.items) == 1
         fn = ast.items[0]
         assert isinstance(fn, FuncDef) and fn.name == "f"
@@ -33,18 +33,18 @@ class TestParser:
 
     def test_malformed_parameter_list(self):
         with pytest.raises(ParseError) as err:
-            parse_source("fn f( {", "svc", "t.msv")
+            parse_source("fn f( {", "t.msv")
         assert err.value.location.line == 1
         assert "parameter" in err.value.expected or ")" in err.value.expected
 
     def test_first_error_position_wins(self):
         with pytest.raises(ParseError) as err:
-            parse_source("fn f() { x = }\nfn g( {", "svc", "t.msv")
+            parse_source("fn f() { x = }\nfn g( {", "t.msv")
         assert err.value.location.line == 1
 
     def test_role_route_route_structure(self):
         text = (CORPORA / "role_update" / "usermgmt.msv").read_text()
-        ast = parse_source(text, "usermgmt", "usermgmt.msv")
+        ast = parse_source(text, "usermgmt.msv")
         routed = [f for f in ast.functions() if any(d.name == "route" for d in f.decorators)]
         assert len(routed) == 1
         route = next(d for d in routed[0].decorators if d.name == "route")
@@ -53,34 +53,34 @@ class TestParser:
 
     def test_reparse_yields_equal_ast(self):
         text = (CORPORA / "role_update" / "userprofile.msv").read_text()
-        first = parse_source(text, "svc", "u.msv")
-        second = parse_source(text, "svc", "u.msv")
+        first = parse_source(text, "u.msv")
+        second = parse_source(text, "u.msv")
         assert first.items == second.items
         assert repr(first.items) == repr(second.items)  # nodes compare as tuples; the repr names each type
 
     def test_unknown_decorator_rejected(self):
         with pytest.raises(ParseError):
-            parse_source('@cache() fn f() { x = 1 }', "svc", "t.msv")
+            parse_source('@cache() fn f() { x = 1 }', "t.msv")
 
     def test_route_arity_enforced(self):
         with pytest.raises(ParseError):
-            parse_source('@route("POST") fn f() { x = 1 }', "svc", "t.msv")
+            parse_source('@route("POST") fn f() { x = 1 }', "t.msv")
 
     def test_empty_route_path_rejected(self):
         with pytest.raises(ParseError) as err:
-            parse_source('fn g() { y = 2 }\n@route("POST", "") fn f() { x = 1 }', "svc", "t.msv")
+            parse_source('fn g() { y = 2 }\n@route("POST", "") fn f() { x = 1 }', "t.msv")
         assert (err.value.location.line, err.value.message) == (2, "@route path must be non-empty")
 
     def test_unterminated_string(self):
         with pytest.raises(ParseError):
-            parse_source('fn f() { x = "oops }', "svc", "t.msv")
+            parse_source('fn f() { x = "oops }', "t.msv")
 
     def test_comments_and_juxtaposed_statements(self):
-        ast = parse_source("// header\nfn f() { x = 1 y = x }", "svc", "t.msv")
+        ast = parse_source("// header\nfn f() { x = 1 y = x }", "t.msv")
         assert len(ast.items[0].body) == 2
 
     def test_bare_return_has_no_value(self):
-        body = parse_source("fn f(g) { if g == 1 { return } y = 2 }", "svc", "t.msv").items[0].body
+        body = parse_source("fn f(g) { if g == 1 { return } y = 2 }", "t.msv").items[0].body
         assert isinstance(body[0], If) and isinstance(body[1], Assign)
         (ret,) = body[0].then_body
         assert isinstance(ret, Return) and ret.value is None
@@ -129,16 +129,16 @@ class TestLexer:
     )
     def test_non_ascii_outside_strings_and_comments_is_rejected(self, text, where, char):
         with pytest.raises(ParseError) as err:
-            parse_source(text, "svc", "a.msv")
+            parse_source(text, "a.msv")
         assert str(err.value) == f"{where}: unexpected character {char!r}"
 
     def test_non_ascii_inside_strings_and_comments_is_legal(self):
-        ast = parse_source('// caf\u00e9 \u00b2\nfn f() { x = "h\u00e9 \u0663" } // \u00e9', "svc", "a.msv")
+        ast = parse_source('// caf\u00e9 \u00b2\nfn f() { x = "h\u00e9 \u0663" } // \u00e9', "a.msv")
         assert ast.items[0].body[0].value.value == "h\u00e9 \u0663"
 
     def test_end_of_input_after_a_trailing_comment_is_located_at_the_end(self):
         with pytest.raises(ParseError) as err:
-            parse_source("fn f() {  // open", "svc", "a.msv")
+            parse_source("fn f() {  // open", "a.msv")
         assert str(err.value) == "a.msv:1:18: unexpected end of input (expected '}')"
 
     def test_tokens_match_the_reference_on_corpora_and_bench_sources(self, tmp_path):
@@ -204,13 +204,13 @@ class TestLowering:
 
     def test_lowering_is_deterministic(self):
         text = (CORPORA / "role_update" / "usermgmt.msv").read_text()
-        first = lower(parse_source(text, "usermgmt", "usermgmt.msv"), "usermgmt")
-        second = lower(parse_source(text, "usermgmt", "usermgmt.msv"), "usermgmt")
+        first = lower(parse_source(text, "usermgmt.msv"), "usermgmt")
+        second = lower(parse_source(text, "usermgmt.msv"), "usermgmt")
         assert first == second
 
     def test_one_statement_element_per_statement(self):
         text = (CORPORA / "order_payment" / "mall.msv").read_text()
-        ast = parse_source(text, "mall", "mall.msv")
+        ast = parse_source(text, "mall.msv")
         svc = lower(ast, "mall")
 
         def count_statements(body):

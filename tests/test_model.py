@@ -34,7 +34,7 @@ class DataclassEdge:
 
 
 def two_service_program() -> Program:
-    a = Service.build("a", [make_element("a", ElementKind.FUNCTION, "f", line=1)], entry=True)
+    a = Service.build("a", [make_element("a", ElementKind.FUNCTION, "f", line=1)])
     b = Service.build("b", [make_element("b", ElementKind.FUNCTION, "g", line=1)])
     manifest = Manifest(
         version=1,
@@ -54,7 +54,6 @@ def test_dangling_edge_reported():
         name="a",
         elements=(el,),
         edges=(Edge(EdgeKind.CALLS, el.id, "e99"),),
-        entry=True,
     )
     manifest = Manifest(1, (ManifestService("a", entry=True, sources=("a.msv",)),), ())
     violations = validate_program(Program((svc,), manifest))
@@ -69,8 +68,8 @@ def test_no_entry_service_reported():
 
 
 def test_multiple_entry_services_reported():
-    a = Service.build("a", [make_element("a", ElementKind.FUNCTION, "f")], entry=True)
-    b = Service.build("b", [make_element("b", ElementKind.FUNCTION, "g")], entry=True)
+    a = Service.build("a", [make_element("a", ElementKind.FUNCTION, "f")])
+    b = Service.build("b", [make_element("b", ElementKind.FUNCTION, "g")])
     manifest = Manifest(
         1,
         (ManifestService("a", entry=True, sources=("a.msv",)), ManifestService("b", entry=True, sources=("b.msv",))),
@@ -82,7 +81,7 @@ def test_multiple_entry_services_reported():
 
 def test_duplicate_element_id_reported():
     el = make_element("a", ElementKind.FUNCTION, "f")
-    svc = Service(name="a", elements=(el, el), edges=(), entry=True)
+    svc = Service(name="a", elements=(el, el), edges=())
     manifest = Manifest(1, (ManifestService("a", entry=True, sources=("a.msv",)),), ())
     violations = validate_program(Program((svc,), manifest))
     assert any(v.kind == "DuplicateId" for v in violations)
@@ -138,7 +137,7 @@ def assert_build_orders_as_reference(service: Service, rng: random.Random) -> No
     edges = list(service.edges) + list(service.edges[::3])
     rng.shuffle(elements)
     rng.shuffle(edges)
-    built = Service.build(service.name, elements, edges, service.channels, service.entry)
+    built = Service.build(service.name, elements, edges, service.channels)
     def reference(e):
         return (e.location.file, e.location.line, e.location.col, e.kind.value, e.id)
 

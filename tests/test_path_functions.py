@@ -256,7 +256,6 @@ def test_guard_over_functionless_and_function_elements():
         "svc",
         [guard, loose, fn, inner],
         [Edge(EdgeKind.CONTAINS, a.id, b.id) for a, b in contains] + [Edge(EdgeKind.DATAFLOW, loose.id, inner.id)],
-        entry=True,
     )
     manifest = Manifest(1, (ManifestService("svc", entry=True),), (GatewayRoute("/", "svc"),))
     program = Program((service,), manifest)

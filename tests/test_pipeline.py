@@ -20,7 +20,6 @@ from privflow.model import call_callee
 from privflow.reasoner import Action, CheckClass, ConfirmUserSource, NextSearchAction, ScriptedOracle, _query_key
 from privflow.pipeline import (
     BudgetExhausted,
-    Finding,
     ProgramInvalid,
     ScanBudget,
     ScanOptions,
@@ -410,8 +409,8 @@ class TestScan:
     def test_invalid_program_rejected(self, role_update_program, oracle):
         from privflow.model import Manifest, Program
 
-        manifest = Manifest(1, role_update_program.manifest.services, ())
-        broken = Program(tuple(s.replace(entry=False) for s in role_update_program.services), manifest)
+        manifest = Manifest(1, tuple(s._replace(entry=False) for s in role_update_program.manifest.services), ())
+        broken = Program(role_update_program.services, manifest)
         with pytest.raises(ProgramInvalid):
             scan(broken, oracle)
 
@@ -438,16 +437,4 @@ class TestScan:
         for finding in payload["findings"]:
             assert finding["verdict"] != "protected"
             assert finding["feasibility"] in ("feasible", "unknown")
-
-    def test_finding_type_invariants(self):
-        with pytest.raises(ValueError):
-            Finding(
-                path=None,
-                privop=None,
-                checks=(),
-                verdict="protected",
-                feasibility="feasible",
-                rationale="r",
-                constraint_status="sat",
-            )
 

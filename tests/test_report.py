@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privflow.load import load_program
+from privflow.model import GatewayRoute, Manifest, ManifestService, Program
 from privflow.pipeline import ScanBudget, scan
 from privflow.report import render_report
 
-from conftest import write_fanout_corpus
+from conftest import lower_snippet, write_fanout_corpus
 
 OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
 
@@ -289,3 +290,37 @@ def test_schema_doc_lists_the_report_fields(role_update_program, oracle):
     assert payload["findings"]
     assert documented == set(payload)
     assert set(example) == set(payload["findings"][0])
+
+
+def test_markdown_lists_unresolved_and_ambiguous_channels(oracle):
+    """The Markdown report's Diagnostics section names the channel whose
+    identifier is read at run time and the outbound call that matches
+    endpoints in two services, one line each."""
+    front = lower_snippet(
+        '@route("POST", "/role") fn f() { base = session.get("url") body = request.param("b") '
+        'http_post(base + "/x", body) }\n'
+        'fn g() { http_post("http://x:1/orders", "b") }',
+        service="front",
+        file="front.msv",
+    )
+    recv_a = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_a", file="a.msv")
+    recv_b = lower_snippet('@route("POST", "/orders") fn h() { x = 1 }', service="recv_b", file="b.msv")
+    unresolved, ambiguous = (
+        next(e.id for e in front.elements if e.source.startswith(prefix))
+        for prefix in ('http_post(base', 'http_post("http://x:1/orders"')
+    )
+    manifest = Manifest(
+        1,
+        (
+            ManifestService("front", entry=True, sources=("front.msv",)),
+            ManifestService("recv_a", sources=("a.msv",)),
+            ManifestService("recv_b", sources=("b.msv",)),
+        ),
+        (GatewayRoute("/", "front"),),
+    )
+    text = render_report(scan(Program((front, recv_a, recv_b), manifest), oracle), "md")
+    diagnostics = text.split("## Diagnostics\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert diagnostics == [
+        f"- unresolved channel: front: http_post call {unresolved} has a non-constant channel identifier",
+        f"- ambiguous channel match from element {ambiguous}",
+    ]

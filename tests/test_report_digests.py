@@ -21,7 +21,13 @@ Covered outputs:
   flow phase: chain 4x12 at 41, 517 and 1012 and fan-out 8x2 at 70 tool
   calls per phase stop inside one source's flow search, between two of
   its per-pair ``q_flow`` records; chain 4x12 at 1017 and fan-out 8x2 at
-  77 stop at the phase's last record, ``q_globalflow``.
+  77 stop at the phase's last record, ``q_globalflow``;
+* the three outputs of ``class_replay`` (``REPLAY``), whose two flows form
+  one path class with a non-empty ``locate_checks`` call list, which the
+  second flow replays: at an open budget, and with ``basic_sink`` at 7, 9
+  and 15 tool calls per phase. These run out at the first flow's
+  ``AssessSufficiency`` record, at the first replayed call and at the
+  second flow's ``AssessSufficiency`` record.
 
 The trace is written to ``trace.jsonl`` in the working directory, so the
 report's ``trace_file`` field is the same on every machine.
@@ -77,6 +83,15 @@ GENERATED = {
 }
 
 
+# case name -> (options, tool calls per phase) of a ``class_replay`` scan
+REPLAY = {
+    "class_replay/open": ({}, 10**9),
+    "class_replay/basic_sink/budget7": (VARIANTS["basic_sink"], 7),
+    "class_replay/basic_sink/budget9": (VARIANTS["basic_sink"], 9),
+    "class_replay/basic_sink/budget15": (VARIANTS["basic_sink"], 15),
+}
+
+
 def _cases() -> dict[str, tuple[Path, dict, ScanBudget]]:
     cases = {}
     for corpus in sorted(p for p in CORPORA.iterdir() if p.is_dir()):
@@ -84,6 +99,8 @@ def _cases() -> dict[str, tuple[Path, dict, ScanBudget]]:
             cases[f"{corpus.name}/{variant}"] = (corpus, options, ScanBudget())
     for name, (calls, _) in PARTIAL.items():
         cases[name] = (CORPORA / "role_update", VARIANTS["basic_sink"], ScanBudget(max_tool_calls_per_phase=calls))
+    for name, (options, calls) in REPLAY.items():
+        cases[name] = (CORPORA / "class_replay", options, ScanBudget(max_tool_calls_per_phase=calls))
     return cases
 
 
@@ -236,6 +253,66 @@ def test_generated_budgets_run_out_where_their_digests_say(name, last_tool, tmp_
         pairs = [json.loads(line)["args"] for line in Path("open.jsonl").read_text(encoding="utf-8").splitlines()]
         searched = [args["to"] for args in pairs if (args.get("service"), args.get("from")) == source]
         assert searched.index(last["args"]["to"]) < len(searched) - 1
+
+
+def _validation_records() -> list[tuple]:
+    """The validation records of ``TRACE`` as (tool, args)."""
+    records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
+    return [(r["tool"], r["args"]) for r in records if r["phase"] == "validation"]
+
+
+def test_class_replay_replays_the_located_calls(tmp_path, monkeypatch):
+    """``class_replay``'s two flows are one path class: ``locate_checks``
+    runs once, for the first flow, and the second flow records the same
+    non-empty list of calls, in the same order, between its own
+    ``ExtractConstraints`` and ``AssessSufficiency`` records."""
+    called = collections.Counter()
+    real = pipeline.locate_checks
+
+    def counting(*args, **kwargs):
+        called["locate_checks"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "locate_checks", counting)
+    monkeypatch.chdir(tmp_path)
+    digests, payload = _digests(*CASES["class_replay/open"])
+    assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))["class_replay/open"]
+    assert called == {"locate_checks": 1}
+    assert [f["verdict"] for f in payload["findings"]] == ["missing_authz", "missing_authz"]
+    records = _validation_records()
+    assert len(records) == 16
+    first, second = records[:8], records[8:]
+    assert [tool for tool, _ in first[1:-1]] == ["get_source", "q_cg", "get_source", "q_cg", "reason", "reason"]
+    assert first[1:-1] == second[1:-1]
+    flows = [args["flow"] for tool, args in (first[0], first[-1], second[0], second[-1])]
+    assert flows[0] == flows[1] != flows[2] == flows[3]
+
+
+@pytest.mark.parametrize(
+    "name, last_task",
+    [
+        ("class_replay/basic_sink/budget7", "AssessSufficiency"),
+        ("class_replay/basic_sink/budget9", None),
+        ("class_replay/basic_sink/budget15", "AssessSufficiency"),
+    ],
+)
+def test_class_replay_budgets_run_out_where_their_digests_say(name, last_task, tmp_path, monkeypatch):
+    """Where each budgeted ``class_replay`` scan stops: at the first flow's
+    ``AssessSufficiency`` record, by which the class's 3 context elements
+    are listed; at the first call the second flow replays; and at the
+    second flow's ``AssessSufficiency`` record."""
+    monkeypatch.chdir(tmp_path)
+    digests, payload = _digests(*CASES[name])
+    assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    calls = REPLAY[name][1]
+    assert payload["budget"]["exhausted_reason"] == f"validation: exceeded {calls} tool calls"
+    assert payload["budget"]["tool_calls"] == {"flow": 6, "privileged_ops": 1, "validation": calls + 1}
+    assert len(payload["context_elements"]) == 3
+    records = _validation_records()
+    if last_task is None:  # the replayed call: the first flow's first located call
+        assert records[-1] == records[1]
+    else:
+        assert (records[-1][0], records[-1][1]["task"]) == ("reason", last_task)
 
 
 def test_digests_cover_exactly_the_cases():

@@ -254,3 +254,27 @@ def test_package_re_exports_resolve_on_first_use():
         assert "no_such_name" in str(exc)
     else:
         raise AssertionError("privflow.no_such_name resolved")
+
+
+def test_labelled_workload_corpora_are_pinned():
+    """``tests/corpora/bench.json`` defines the benchmark's ``labelled``
+    workload: ``bench/run.py`` scans exactly these corpora, in this order,
+    and scores each report against its labels. Changing the list is a change to the
+    benchmark's definition, to be made with the benchmark's own changes,
+    so a regression corpus added under ``tests/corpora`` stays out of it."""
+    bench = json.loads((CORPORA / "bench.json").read_text(encoding="utf-8"))
+    assert [corpus["path"] for corpus in bench["corpora"]] == [
+        "role_update",
+        "order_payment",
+        "exec_open",
+        "topic_grant",
+        "account_update",
+        "wildcard_cancel",
+        "perm_delete",
+        "role_update_patched",
+        "infeasible",
+        "ownership_cancel",
+        "unreachable",
+        "admin_guarded",
+        "logging_only",
+    ]
