@@ -124,13 +124,15 @@ Atom = Union[ConstCmp, VarCmp, BoolVar, BoolConst]
 
 
 class PathConstraint(Record):
-    """Typed variables plus a boolean combination of fragment atoms."""
+    """Typed variables plus a boolean combination of fragment atoms, valid
+    once built: ``__init__`` raises ``ConstraintError`` otherwise."""
 
     __slots__ = ("variables", "formula")
 
     def __init__(self, variables: tuple[tuple[str, str], ...], formula) -> None:
         self.variables = variables  # (name, "int"|"string"|"bool")
         self.formula = formula
+        validate_constraint(self)
 
     def var_types(self) -> dict[str, str]:
         return dict(self.variables)
@@ -429,7 +431,6 @@ def _backtrack(tight: list[str], idx: int, domain, edges: dict[str, set[str]], a
 def check_sat(c: PathConstraint) -> SatResult:
     """Decide the constraint within the fragment. Sat always carries a
     witness; Unsat only when no bounded cube has a model."""
-    validate_constraint(c)
     types = c.var_types()
     try:
         cubes = _dnf(c.formula, True)
@@ -499,9 +500,7 @@ def _sexpr(f) -> str:
         return "true" if not f.items else f"(and {' '.join(_sexpr(i) for i in f.items)})"
     if isinstance(f, Or):
         return "false" if not f.items else f"(or {' '.join(_sexpr(i) for i in f.items)})"
-    if isinstance(f, Not):
-        return f"(not {_sexpr(f.item)})"
-    raise ConstraintError(f"unsupported formula node {f!r}")
+    return f"(not {_sexpr(f.item)})"  # a Not: the constraint was validated when built
 
 
 def emit_smtlib(c: PathConstraint) -> str:
@@ -509,7 +508,6 @@ def emit_smtlib(c: PathConstraint) -> str:
     conjunct, trailing check-sat. Deterministic. A variable whose name SMT-LIB
     reserves or predefines, or that is no simple symbol, is emitted as
     ``|v:NAME|``."""
-    validate_constraint(c)
     lines = [
         f"(declare-const {_symbol(name)} {_SORTS[t]})"
         for name, t in sorted(c.variables)
@@ -577,9 +575,7 @@ def constraint_from_json(data: dict) -> PathConstraint:
             raise ConstraintError(f"variable name {name!r} has a character no SMT-LIB symbol can hold")
         pairs.append((name, str(v["type"])))
     declared = tuple(sorted(pairs))
-    constraint = PathConstraint(declared, formula_from_json(data.get("formula"), dict(declared)))
-    validate_constraint(constraint)
-    return constraint
+    return PathConstraint(declared, formula_from_json(data.get("formula"), dict(declared)))
 
 
 # --- MiniSrv guard translation (used by the scripted reasoner) -------------------

@@ -78,8 +78,9 @@ def q_source(service: Service) -> tuple[Element, ...]:
 def q_user(program: Program, reasoner) -> list[Element]:
     """External user inputs: the sources of every service a gateway route
     targets, each confirmed by the reasoner against the prefixes of the
-    routes to its service. Services come in program order, which is
-    manifest order; a service no route targets has no user source."""
+    routes to its service. Services come in program order, which
+    ``validate_program`` makes manifest order; a service no route targets
+    has no user source."""
     prefixes: dict[str, tuple[str, ...]] = {}
     for route in program.manifest.gateway_routes:
         prefixes[route.target] = (*prefixes.get(route.target, ()), route.prefix)
@@ -259,8 +260,7 @@ def build_global_graph(
         record("q_inter", {"service": service.name}, len(scan.channels))
         # privileged operations and channels are call sites, not functions,
         # so each target resolves to itself and the trace names the targets
-        local_privops = sorted(eid for eid in privops_of.get(service.name, ()) if eid in service)
-        targets = flow_sinks(service, *local_privops, *out_channels)
+        targets = flow_sinks(service, *sorted(privops_of.get(service.name, ())), *out_channels)
         target_ids = set(targets)
         for src in sources:
             graph.nodes.add(src.id)
@@ -334,11 +334,8 @@ def segment_functions(program: Program, segment: FlowPath) -> tuple[FunctionGrou
     """One flow segment's elements grouped by enclosing function, in order
     of first visit. ``guards`` are the conditionals whose block holds an
     element of the group, each element's outermost first, each listed once.
-    The elements outside any function form a group whose function is None;
-    a segment of an unknown service has no groups."""
+    The elements outside any function form a group whose function is None."""
     service = program.service(segment.service)
-    if service is None:
-        return ()
     place = service_index(service).place
     groups: dict[str | None, tuple[Element | None, dict[str, Element]]] = {}
     for eid in segment.elements:
@@ -426,10 +423,7 @@ def to_dot(graph: GlobalGraph, program: Program) -> str:
     """Render the global graph in DOT text for inspection. Every id and
     label is a quoted DOT string, so a name holding a quote stays one."""
     def label(eid: str) -> str:
-        placed = program.find_element(eid)
-        if placed is None:
-            return eid
-        svc, el = placed
+        svc, el = program.find_element(eid)
         text = el.name or call_callee(el) or el.kind.value
         return f"{svc.name}:{text}"
 

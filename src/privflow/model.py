@@ -27,8 +27,9 @@ small corpus. A record is one of three kinds, chosen by what its records do:
   graph, scan options, a function's lowering state): it is neither hashed nor
   compared by value.
 
-Records are not written after ``__init__``. Every record class has its own
-docstring.
+Records are not written after ``__init__``, and one whose ``__init__``
+validates (a ``constraints.PathConstraint``) is valid once it is built:
+nothing that reads it checks again. Every record class has its own docstring.
 """
 
 from __future__ import annotations
@@ -337,7 +338,10 @@ class IntegrityViolation(NamedTuple):
 
 
 def validate_program(program: Program) -> list[IntegrityViolation]:
-    """Return every invariant violation; an empty list means well-formed."""
+    """Return every invariant violation; an empty list means well-formed.
+    The manifest must list exactly the program's services, in program order
+    (``ManifestMismatch``). ``scan`` calls this first; no later stage checks
+    these facts again."""
     violations: list[IntegrityViolation] = []
     seen_names: set[str] = set()
     owners: dict[str, str] = {}  # element id -> first service declaring it
@@ -372,6 +376,10 @@ def validate_program(program: Program) -> list[IntegrityViolation]:
                     IntegrityViolation("DanglingChannel", f"{svc.name}: channel references unknown id {ch.element}")
                 )
 
+    listed = [s.name for s in program.manifest.services]
+    names = [s.name for s in program.services]
+    if listed != names:
+        violations.append(IntegrityViolation("ManifestMismatch", f"manifest lists {listed}, program has {names}"))
     if not entries:
         violations.append(IntegrityViolation("NoEntryService", ""))
     elif len(entries) > 1:

@@ -247,16 +247,16 @@ class Tracer:
 def find_privileged_ops(
     program: Program,
     reasoner,
-    budget: ScanBudget | None = None,
     tracer: Tracer | None = None,
     basic_sink: bool = False,
 ) -> list[PrivilegedOperation]:
     """Baseline sink intrinsics plus reasoner-proposed searches, classified
     one candidate at a time, until a full round adds nothing new.
 
-    On budget exhaustion the raised BudgetExhausted carries the partial
+    ``tracer`` meters the calls, by default against ``ScanBudget()``. On
+    budget exhaustion the raised BudgetExhausted carries the partial
     operation list."""
-    tracer = tracer or Tracer(budget or ScanBudget())
+    tracer = tracer or Tracer(ScanBudget())
     ops: dict[str, PrivilegedOperation] = {}
     try:
         services = sorted(program.services, key=lambda s: s.name)
@@ -475,15 +475,13 @@ def assess_flow(
 ):
     """AssessSufficiency verdict for one flow; 'protected' exits the funnel."""
     el = program.element(privop.service, privop.element)
-    source = el.source if el else ""
-    name = call_callee(el) if el else ""
     descriptors = tuple(
         CheckDescriptor(classification=c.classification, subtype=c.authz_subtype, name=c.name, source=c.source)
         for c in checks
     )
     task = AssessSufficiency(
-        privop_name=name or source,
-        privop_source=source,
+        privop_name=call_callee(el) or el.source,
+        privop_source=el.source,
         privop_category=privop.category,
         checks=descriptors,
         contexts=tuple(contexts),
@@ -704,19 +702,19 @@ def _validate_path(
 def _evidence(flow: GlobalPath, checks, segment_records: Callable, record) -> list[dict]:
     """Verbatim sources of the elements on (or referenced from) the path,
     each element once, at its first mention. ``record(service, element)``
-    gives an element's evidence record, None for an unknown element, and
-    ``segment_records(segment)`` maps a flow segment's elements to theirs.
+    gives an element's evidence record and ``segment_records(segment)``
+    maps a flow segment's elements to theirs.
 
     A valid program declares each element id in one service, so a later
     mention of an element carries the record of its first, and ``update``
     keeps the first mention's place."""
-    located: dict[str, dict | None] = {}
+    located: dict[str, dict] = {}
     for records in map(segment_records, flow.flow_segments):
         located.update(records)
     for check in checks:
         if check.element not in located:
             located[check.element] = record(check.service, check.element)
-    return [*filter(None, located.values())]  # a record is a non-empty dict
+    return list(located.values())
 
 
 def _report_payload(
@@ -752,13 +750,13 @@ def _report_payload(
         return {
             "element": op.element,
             "service": op.service,
-            "name": call_callee(el) if el else "",
+            "name": call_callee(el),
             "category": op.category,
             "rationale": op.rationale,
-            "file": el.location.file if el else "",
-            "line": el.location.line if el else 0,
-            "col": el.location.col if el else 0,
-            "source": el.source if el else "",
+            "file": el.location.file,
+            "line": el.location.line,
+            "col": el.location.col,
+            "source": el.source,
         }
 
     @functools.cache
@@ -766,16 +764,14 @@ def _report_payload(
         el = program.element(service_name, eid)
         return {
             "element": eid,
-            "kind": el.kind.value if el else "unknown",
-            "name": (el.name or call_callee(el)) if el else "",
-            "line": el.location.line if el else 0,
+            "kind": el.kind.value,
+            "name": el.name or call_callee(el),
+            "line": el.location.line,
         }
 
     @functools.cache
-    def evidence(service_name: str, eid: str) -> dict | None:
+    def evidence(service_name: str, eid: str) -> dict:
         el = program.element(service_name, eid)
-        if el is None:
-            return None
         return {
             "element": eid,
             "service": service_name,
@@ -800,7 +796,7 @@ def _report_payload(
         }
 
     @functools.cache
-    def segment_records(segment: FlowPath) -> dict[str, dict | None]:
+    def segment_records(segment: FlowPath) -> dict[str, dict]:
         return {eid: evidence(segment.service, eid) for eid in segment.elements}
 
     @functools.cache

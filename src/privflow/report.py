@@ -3,6 +3,8 @@
 The JSON payload produced by the pipeline is the single source of truth
 (schema field pinned at 1); markdown is derived from it, never computed
 separately. Reports carry no timestamps so equal scans render byte-identically.
+``exit_status`` and the markdown renderer read the payload's keys directly:
+their one producer, ``pipeline._report_payload``, always writes them.
 
 The JSON text is exactly ``json.dumps(payload, indent=2, sort_keys=True) +
 "\n"``, produced mostly by the stdlib's C encoder, which has no indented
@@ -41,9 +43,9 @@ class ExitStatus(IntEnum):
 
 
 def exit_status(payload: dict) -> ExitStatus:
-    if payload.get("budget", {}).get("exhausted"):
+    if payload["budget"]["exhausted"]:
         return ExitStatus.BUDGET_EXHAUSTED
-    if payload.get("findings"):
+    if payload["findings"]:
         return ExitStatus.FINDINGS
     return ExitStatus.CLEAN
 
@@ -187,36 +189,36 @@ def _render_md(payload: dict) -> str:
 
     out("# privflow scan report")
     out("")
-    program = payload.get("program", {})
-    out(f"Entry service: `{program.get('entry_service')}`; reasoner: {payload.get('reasoner')}")
+    program = payload["program"]
+    out(f"Entry service: `{program['entry_service']}`; reasoner: {payload['reasoner']}")
     out("")
     out("| service | elements | edges | channels |")
     out("|---|---|---|---|")
-    for svc in program.get("services", []):
-        marker = " (entry)" if svc.get("entry") else ""
+    for svc in program["services"]:
+        marker = " (entry)" if svc["entry"] else ""
         out(f"| {svc['name']}{marker} | {svc['elements']} | {svc['edges']} | {svc['channels']} |")
     out("")
 
-    ops = payload.get("privileged_operations", [])
+    ops = payload["privileged_operations"]
     out(f"## Privileged operations ({len(ops)})")
     out("")
     for op in ops:
         out(f"- `{op['name'] or op['source']}` [{op['category']}] at {op['file']}:{op['line']} in {op['service']}: {op['rationale']}")
     out("")
 
-    funnel = payload.get("funnel", {})
+    funnel = payload["funnel"]
     out("## Funnel")
     out("")
     out(
-        f"{funnel.get('initial_flows', 0)} initial flows: "
-        f"{funnel.get('constraint_pruned', 0)} constraint-pruned, "
-        f"{funnel.get('protected_dropped', 0)} protected-dropped, "
-        f"{funnel.get('budget_truncated', 0)} budget-truncated, "
-        f"{funnel.get('findings', 0)} findings."
+        f"{funnel['initial_flows']} initial flows: "
+        f"{funnel['constraint_pruned']} constraint-pruned, "
+        f"{funnel['protected_dropped']} protected-dropped, "
+        f"{funnel['budget_truncated']} budget-truncated, "
+        f"{funnel['findings']} findings."
     )
     out("")
 
-    findings = payload.get("findings", [])
+    findings = payload["findings"]
     out(f"## Findings ({len(findings)})")
     for i, finding in enumerate(findings, start=1):
         op = finding["privileged_operation"]
@@ -237,7 +239,7 @@ def _render_md(payload: dict) -> str:
                     f"  - => channel \"{hop['identifier']}\" ({hop['match']}) "
                     f"{hop['from_service']} to {hop['to_service']}"
                 )
-        checks = finding.get("checks", [])
+        checks = finding["checks"]
         if checks:
             out("- Checks found on path:")
             for c in checks:
@@ -246,12 +248,12 @@ def _render_md(payload: dict) -> str:
                 out(f"  - {c['attachment']} `{label}`: {c['classification']}{subtype}: {c['rationale']}")
         else:
             out("- Checks found on path: none")
-        out(f"- Evidence snippets: {len(finding.get('evidence', []))}")
+        out(f"- Evidence snippets: {len(finding['evidence'])}")
     out("")
 
-    channels = payload.get("channels", {})
-    unresolved = channels.get("unresolved", [])
-    ambiguous = channels.get("ambiguous", [])
+    channels = payload["channels"]
+    unresolved = channels["unresolved"]
+    ambiguous = channels["ambiguous"]
     if unresolved or ambiguous:
         out("## Diagnostics")
         out("")
@@ -261,7 +263,7 @@ def _render_md(payload: dict) -> str:
             out(f"- ambiguous channel match from element {a}")
         out("")
 
-    budget = payload.get("budget", {})
-    calls = ", ".join(f"{k}={v}" for k, v in sorted(budget.get("tool_calls", {}).items()))
-    out(f"Budget: {calls or 'no tool calls'}; exhausted: {budget.get('exhausted', False)}")
+    budget = payload["budget"]
+    calls = ", ".join(f"{k}={v}" for k, v in sorted(budget["tool_calls"].items()))
+    out(f"Budget: {calls or 'no tool calls'}; exhausted: {budget['exhausted']}")
     return "\n".join(lines) + "\n"

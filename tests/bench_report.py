@@ -17,7 +17,7 @@ import pytest
 from privflow import pipeline
 from privflow.crossflow import build_global_graph, match_channels, path_functions, q_globalflow, q_user
 from privflow.load import load_program
-from privflow.pipeline import ScanBudget, find_privileged_ops, locate_checks, scan
+from privflow.pipeline import ScanBudget, Tracer, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ScriptedOracle
 from privflow.report import render_report
 
@@ -29,7 +29,7 @@ def fanout(tmp_path_factory):
     program = load_program(write_fanout_corpus(tmp_path_factory.mktemp("fanout")))
     oracle = ScriptedOracle()
     budget = ScanBudget(max_tool_calls_per_phase=10**9)
-    privops = find_privileged_ops(program, oracle, budget)
+    privops = find_privileged_ops(program, oracle, tracer=Tracer(budget))
     graph = build_global_graph(program, privops, match_channels(program))
     sources = q_user(program, oracle)
     flows = q_globalflow(graph, sources, privops).paths

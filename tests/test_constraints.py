@@ -177,12 +177,13 @@ class TestCheckSatExamples:
         assert isinstance(check_sat(constraint), Unknown)
 
     def test_undeclared_variable_rejected(self):
+        """A constraint validates itself when built, before any check."""
         with pytest.raises(ConstraintError):
-            check_sat(c((), BoolVar("ghost")))
+            c((), BoolVar("ghost"))
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(ConstraintError):
-            check_sat(c([("x", "string")], ConstCmp("x", "==", 1)))
+            c([("x", "string")], ConstCmp("x", "==", 1))
 
     def test_negation_normalization(self):
         constraint = c([("x", "int")], Not(Or((ConstCmp("x", "<", 5), ConstCmp("x", ">", 5)))))
@@ -404,6 +405,16 @@ class TestGuardTranslation:
         constraint, _ = translate_guards(())
         assert constraint == PathConstraint((), And(()))
         assert isinstance(check_sat(constraint), Sat)
+
+    def test_bare_name_of_another_type_skips(self):
+        constraint, reason = translate_guards((GuardDescriptor("n", (("n", "int"),)),))
+        assert (constraint, reason) == (None, "guard 'n' falls outside the constraint fragment")
+        constraint, _ = translate_guards((GuardDescriptor("n == 1 && n", ()),))  # n is an int by then
+        assert constraint is None
+
+    def test_guard_that_does_not_parse_skips(self):
+        constraint, reason = translate_guards((GuardDescriptor("n ==", (("n", "int"),)),))
+        assert (constraint, reason) == (None, "guard 'n ==' is not a plain expression")
 
     def test_var_type_hint_respected(self):
         constraint, _ = translate_guards((GuardDescriptor("n == m", (("n", "int"), ("m", "int"))),))

@@ -34,7 +34,7 @@ from privflow.model import (
     Service,
     call_callee,
 )
-from privflow.pipeline import PrivilegedOperation, ScanBudget, ScanOptions, find_privileged_ops, scan
+from privflow.pipeline import PrivilegedOperation, ScanBudget, ScanOptions, Tracer, find_privileged_ops, scan
 from privflow.report import ExitStatus, exit_status
 from privflow.search import FlowPath, UnresolvedChannel, q_flow
 
@@ -588,7 +588,7 @@ class TestQGlobalflow:
         if case in writers:
             writers[case]()
         program = load_program(tmp_path if case in writers else CORPORA / case)
-        privops = find_privileged_ops(program, oracle, OPEN_BUDGET)
+        privops = find_privileged_ops(program, oracle, tracer=Tracer(OPEN_BUDGET))
         graph = build_global_graph(program, privops, match_channels(program))
         paths = q_globalflow(graph, q_user(program, oracle), privops).paths
         assert len(paths) == {"gen-chain4x12": 48, "gen-fanout8x2": 256, "fanout": 256}.get(case, len(paths))

@@ -4,12 +4,16 @@ from dataclasses import dataclass
 import pytest
 
 from privflow.load import load_program
+from privflow.pipeline import ProgramInvalid, scan
+from privflow.reasoner import ScriptedOracle
 from privflow.model import (
+    Channel,
     Edge,
     EdgeKind,
     Element,
     ElementKind,
     GatewayRoute,
+    IntegrityViolation,
     Location,
     Manifest,
     ManifestService,
@@ -127,6 +131,60 @@ def test_unknown_route_target_reported():
     )
     violations = validate_program(Program(program.services, manifest))
     assert any(v.kind == "UnknownRouteTarget" for v in violations)
+
+
+def test_duplicate_service_reported():
+    a = Service.build("a", [make_element("a", ElementKind.FUNCTION, "f")])
+    manifest = Manifest(1, (ManifestService("a", entry=True), ManifestService("a")), ())
+    assert [v.kind for v in validate_program(Program((a, a), manifest))] == ["DuplicateService"]
+
+
+def test_foreign_element_reported():
+    svc = Service.build("a", [make_element("b", ElementKind.FUNCTION, "f")])
+    manifest = Manifest(1, (ManifestService("a", entry=True),), ())
+    assert [v.kind for v in validate_program(Program((svc,), manifest))] == ["ForeignElement"]
+
+
+def test_dangling_channel_reported():
+    el = make_element("a", ElementKind.CALL, source='http_post("/x", b)')
+    svc = Service.build("a", [el], channels=[Channel("e99", "out", "http", "/x")])
+    manifest = Manifest(1, (ManifestService("a", entry=True),), ())
+    violations = validate_program(Program((svc,), manifest))
+    assert [(v.kind, v.detail) for v in violations] == [("DanglingChannel", "a: channel references unknown id e99")]
+
+
+#: Manifests that do not list exactly the services of a program holding
+#: only ``exec_open``'s ``ops``: a service it lacks flagged as the entry
+#: before it, and that service alone with no routes.
+MISMATCHED_MANIFESTS = {
+    "ghost-and-ops": (
+        (ManifestService("ghost", entry=True), ManifestService("ops", sources=("ops.msv",))),
+        (GatewayRoute("/run", "ops"),),
+    ),
+    "ghost-only": ((ManifestService("ghost", entry=True),), ()),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED_MANIFESTS)
+def test_manifest_mismatch_reported(case):
+    """The manifest must list exactly the program's services, in order, so
+    its entry and route targets name services the program has; a scan
+    refuses such a program before any work."""
+    ops = load_program(CORPORA / "exec_open").service("ops")
+    services, routes = MISMATCHED_MANIFESTS[case]
+    program = Program((ops,), Manifest(1, services, routes))
+    listed = [s.name for s in services]
+    expected = [IntegrityViolation("ManifestMismatch", f"manifest lists {listed}, program has ['ops']")]
+    assert validate_program(program) == expected
+    with pytest.raises(ProgramInvalid) as err:
+        scan(program, ScriptedOracle())
+    assert err.value.violations == expected
+
+
+def test_manifest_order_is_program_order():
+    program = two_service_program()
+    swapped = Program(program.services[::-1], program.manifest)
+    assert [v.kind for v in validate_program(swapped)] == ["ManifestMismatch"]
 
 
 def assert_build_orders_as_reference(service: Service, rng: random.Random) -> None:

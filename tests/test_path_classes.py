@@ -15,6 +15,7 @@ from privflow.model import Program, Service
 from privflow.pipeline import (
     ScanBudget,
     ScanOptions,
+    Tracer,
     assess_flow,
     extract_path_constraints,
     find_privileged_ops,
@@ -141,7 +142,7 @@ def test_each_flow_gets_its_own_outcome(case, on_demand_context, tmp_path):
     program = load_case(case, tmp_path)
     payload = scan(program, ScriptedOracle(), OPEN, ScanOptions(on_demand_context=on_demand_context))
     assert not payload["budget"]["exhausted"]
-    privops = find_privileged_ops(program, ScriptedOracle(), OPEN)
+    privops = find_privileged_ops(program, ScriptedOracle(), tracer=Tracer(OPEN))
     ops = {op.element: op for op in privops}
     flows = all_flows(program, privops)
     assert len(flows) == {"chain4x12": 48, "fanout8x2": 256, "guarded_fanout": 256, "two_meetings": 2}.get(case, len(flows))

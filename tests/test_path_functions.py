@@ -21,7 +21,7 @@ from privflow.crossflow import (
 )
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, element_order
-from privflow.pipeline import ScanBudget, extract_path_constraints, find_privileged_ops, locate_checks, scan
+from privflow.pipeline import ScanBudget, Tracer, extract_path_constraints, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
 from privflow import search
 from privflow.search import FlowPath, identifiers, service_index
@@ -95,7 +95,7 @@ def load_case(name: str, root: Path) -> Program:
 
 def all_flows(program: Program) -> list[GlobalPath]:
     oracle = ScriptedOracle()
-    privops = find_privileged_ops(program, oracle, OPEN)
+    privops = find_privileged_ops(program, oracle, tracer=Tracer(OPEN))
     graph = build_global_graph(program, privops, match_channels(program))
     return q_globalflow(graph, q_user(program, oracle), privops).paths
 

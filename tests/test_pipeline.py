@@ -45,6 +45,20 @@ class CountingOracle(ScriptedOracle):
         return super().reason(task)
 
 
+def _ops_corpus(root, body: str, params: str = ""):
+    """A one-service corpus under ``root``: service ``ops``, routed at
+    ``/``, with the handler ``run(params)`` of ``POST /run`` holding
+    ``body``."""
+    manifest = {
+        "version": 1,
+        "services": [{"name": "ops", "entry": True, "sources": ["ops.msv"]}],
+        "gateway_routes": [{"prefix": "/", "target": "ops"}],
+    }
+    (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (root / "ops.msv").write_text(f'@route("POST", "/run")\nfn run({params}) {{\n  {body}\n}}\n', encoding="utf-8")
+    return load_program(root)
+
+
 def first_flow(program, oracle, basic_sink=False):
     privops = find_privileged_ops(program, oracle, basic_sink=basic_sink)
     graph = build_global_graph(program, privops, match_channels(program))
@@ -78,18 +92,23 @@ class TestFindPrivilegedOps:
         assert len({op.element for op in ops}) == len(ops)
 
     def test_malformed_proposals_do_not_derail_the_scan(self, role_update_program, oracle):
-        """An invalid regex or an unknown name mode burns a proposal, as an
-        unknown service does; the scan goes on to the same findings."""
+        """An invalid regex, an unknown name mode, an unknown service, an
+        empty pattern or an off-vocabulary tool burns a proposal; the scan
+        goes on to the same findings."""
 
         class Malformed(ScriptedOracle):
             def reason(self, task):
                 if isinstance(task, NextSearchAction) and task.round == 1:
-                    for args in (
-                        {"service": task.services[0], "pattern": "(", "mode": "regex"},
-                        {"service": task.services[0], "pattern": "update", "mode": "glob"},
+                    for tool, args in (
+                        ("q_name", {"service": task.services[0], "pattern": "(", "mode": "regex"}),
+                        ("q_name", {"service": task.services[0], "pattern": "update", "mode": "glob"}),
+                        ("q_name", {"service": "ghost", "pattern": "update", "mode": "regex"}),
+                        ("q_name", {"service": task.services[0], "pattern": "", "mode": "regex"}),
+                        ("teleport", {}),
                     ):
-                        if _query_key("q_name", args) not in task.executed:
-                            return Action("q_name", args, "malformed proposal")
+                        key = _query_key(tool, args) if tool == "q_name" else f"{tool}:?"
+                        if key not in task.executed:
+                            return Action(tool, args, "malformed proposal")
                 return super().reason(task)
 
         stub = Malformed()
@@ -405,6 +424,23 @@ class TestScan:
         assert (exhausted, records, per_phase) == run(by_search=False)
         assert (exhausted is None) == (limit > 5)
         assert len(records) == per_phase["flow"] == min(limit + 1, 6)
+
+    def test_bare_boolean_guard_is_feasible(self, oracle, tmp_path):
+        body = 'cmd = request.param("cmd")\n  on = true\n  if on {\n    exec(cmd)\n  }'
+        [finding] = scan(_ops_corpus(tmp_path, body), oracle)["findings"]
+        assert (finding["verdict"], finding["constraint"]["status"]) == ("unprotected", "sat")
+
+    def test_false_guard_prunes(self, oracle, tmp_path):
+        body = 'c = request.param("c")\n  if false {\n    exec(c)\n  }'
+        funnel = scan(_ops_corpus(tmp_path, body), oracle)["funnel"]
+        assert funnel["initial_flows"] == funnel["constraint_pruned"] == 1
+
+    def test_route_handler_parameters_carry_the_request(self, oracle, tmp_path):
+        """A route's endpoint flows into its handler's parameters."""
+        payload = scan(_ops_corpus(tmp_path, "exec(cmd)", params="cmd"), oracle)
+        [finding] = payload["findings"]
+        assert finding["verdict"] == "unprotected"
+        assert [step["name"] for step in finding["path"]["hops"][0]["steps"]] == ["/run", "cmd", "exec"]
 
     def test_invalid_program_rejected(self, role_update_program, oracle):
         from privflow.model import Manifest, Program

@@ -183,6 +183,13 @@ class TestAssessSufficiency:
         assert verdict.verdict == "missing_authz"
         assert "ownership" in verdict.rationale
 
+    def test_ownership_protects_unreferenced_sensitive_args(self, oracle):
+        """An ownership check protects an operation on a sensitive argument
+        it never names."""
+        checks = [CheckDescriptor("authz", "ownership", "", "order.user_id == current")]
+        verdict = oracle.reason(self._task(checks))
+        assert verdict == Sufficiency("protected", "authorization establishes resource ownership for 'update_role'")
+
     def test_ownership_check_protects_unnamed_args(self, oracle):
         task = AssessSufficiency(
             privop_name="db.write",

@@ -6,6 +6,7 @@ privflow's modules is pinned here too."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 from privflow import reasoner
+from privflow.model import Record
 from privflow.reasoner import (
     AssessSufficiency,
     ClassifyCheck,
@@ -206,6 +208,24 @@ def test_scripted_start_up_builds_no_remote_backend_and_no_dataclass():
     assert result["dataclasses"] <= MAX_STARTUP_DATACLASSES
     assert result["records"] > 50
     assert result["undocumented"] == []
+
+
+def test_record_constructors_take_their_fields_in_order():
+    """``Record``'s ``repr``, ``==`` and hash and ``remote.task_fields`` read
+    ``_fields`` as what the constructor took, so every ``model.Record``
+    subclass that writes an ``__init__`` takes exactly its fields, in order."""
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        importlib.import_module(".".join(("privflow", *parts)).removesuffix(".__init__"))
+    records, pending = [], [Record]
+    while pending:
+        subclasses = [cls for cls in pending.pop().__subclasses__() if cls.__module__.startswith("privflow.")]
+        records += subclasses
+        pending += subclasses
+    with_init = [cls for cls in records if "__init__" in cls.__dict__]
+    assert len(with_init) >= 30
+    for cls in with_init:
+        assert tuple(inspect.signature(cls.__init__).parameters)[1:] == cls._fields, cls.__qualname__
 
 
 #: the scan engine: what a ``privflow query`` or ``facts`` process never runs
