@@ -61,7 +61,12 @@ def main() -> None:
 @click.option("--reasoner", "reasoner_kind", type=click.Choice(["scripted", "remote"]), default="scripted", show_default=True)
 @click.option("--rules", "rules_file", type=click.Path(exists=True, dir_okay=False), default=None, help="Oracle rules file")
 @click.option("--basic-sink", is_flag=True, help="Only standard sink intrinsics, no discovered operations")
-@click.option("--no-odctx", is_flag=True, help="Single one-shot context retrieval instead of on-demand")
+@click.option(
+    "--no-odctx",
+    is_flag=True,
+    help="Classify each decorator check from its own source alone, without the sources of the functions it calls "
+    "(up to 3 call hops)",
+)
 @click.option("--format", "fmt", type=click.Choice(["json", "md"]), default="json", show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None, help="Write the tool-call trace (JSON lines)")
 @click.option("--emit-smt", "emit_smt", type=click.Path(file_okay=False), default=None, help="Dump per-flow SMT-LIB files into this directory")

@@ -50,14 +50,10 @@ def _const_sort(value) -> str | None:
 
 
 class ConstCmp(Record):
-    """A variable compared with a constant; its sort is the constant's type."""
+    """A variable compared with a constant; its sort is the constant's type,
+    and ``op`` is one of that sort's ``CONST_OPS``."""
 
     __slots__ = ("var", "op", "value")
-
-    def __init__(self, var: str, op: str, value: int | str) -> None:
-        self.var = var
-        self.op = op
-        self.value = value
 
     @property
     def sort(self) -> str | None:
@@ -65,14 +61,10 @@ class ConstCmp(Record):
 
 
 class VarCmp(Record):
-    """Two variables of one declared sort compared for (in)equality."""
+    """Two variables of one declared sort compared for (in)equality:
+    ``op`` is ``==`` or ``!=``."""
 
     __slots__ = ("left", "op", "right")
-
-    def __init__(self, left: str, op: str, right: str) -> None:
-        self.left = left
-        self.op = op  # == or !=
-        self.right = right
 
 
 class BoolVar(Record):
@@ -80,17 +72,11 @@ class BoolVar(Record):
 
     __slots__ = ("var",)
 
-    def __init__(self, var: str) -> None:
-        self.var = var
-
 
 class BoolConst(Record):
     """A boolean constant."""
 
     __slots__ = ("value",)
-
-    def __init__(self, value: bool) -> None:
-        self.value = value
 
 
 class And(Record):
@@ -98,26 +84,17 @@ class And(Record):
 
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple) -> None:
-        self.items = items
-
 
 class Or(Record):
     """Disjunction of its items."""
 
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple) -> None:
-        self.items = items
-
 
 class Not(Record):
     """Negation of its item."""
 
     __slots__ = ("item",)
-
-    def __init__(self, item) -> None:
-        self.item = item
 
 
 Atom = Union[ConstCmp, VarCmp, BoolVar, BoolConst]
@@ -194,9 +171,6 @@ class Sat(Record):
 
     __slots__ = ("witness",)
 
-    def __init__(self, witness: dict) -> None:
-        self.witness = witness
-
 
 class Unsat(Record):
     """The constraint has no satisfying assignment."""
@@ -208,9 +182,6 @@ class Unknown(Record):
     """The checker could not decide, and says why."""
 
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
 
 
 SatResult = Union[Sat, Unsat, Unknown]

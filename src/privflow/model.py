@@ -15,21 +15,25 @@ small corpus. A record is one of three kinds, chosen by what its records do:
   field-equal record of another type in ``==``, a hash, a memo key or a
   report payload (which writes a tuple as a JSON array): edges, flow
   segments, AST nodes, tokens, manifest entries;
-* a ``Record`` subclass otherwise: a ``__slots__`` class whose own
-  ``__init__`` validates and derives, built once per class at a small
-  fraction of a named tuple's cost and read as fast as a dataclass. It is
-  equal only to a record of its own type, so the formula nodes, the checker
-  results, the reasoner tasks and their descriptors never meet a field-equal
-  record of another type; the records read most in a scan (``Element``,
-  ``Location``, ``Service``, ``Program``, ``GlobalPath``) are records of
-  this kind for their fast field reads;
+* a ``Record`` subclass otherwise: a ``__slots__`` class read as fast as a
+  dataclass. A record that only stores its fields declares them once, in
+  ``__slots__`` (and its trailing defaults in ``_defaults``), and
+  ``Record`` compiles its constructor, which makes the class cost about
+  as much to build as a named tuple; one that validates or derives writes
+  its own ``__init__`` and costs a small fraction of that. It is equal
+  only to a record of its own type, so the formula nodes, the checker
+  results, the reasoner tasks and their descriptors never meet a
+  field-equal record of another type; the records read most in a scan
+  (``Element``, ``Location``, ``Service``, ``Program``, ``GlobalPath``) are
+  records of this kind for their fast field reads;
 * a plain class with ``__slots__`` when its records are mutated (the global
-  graph, scan options, a function's lowering state): it is neither hashed nor
-  compared by value.
+  graph, a function's lowering state): it is neither hashed nor compared
+  by value.
 
 Records are not written after ``__init__``, and one whose ``__init__``
 validates (a ``constraints.PathConstraint``) is valid once it is built:
-nothing that reads it checks again. Every record class has its own docstring.
+nothing that reads it checks again. Every record class has its own docstring,
+which names the values a field takes when they are a closed set.
 """
 
 from __future__ import annotations
@@ -66,18 +70,24 @@ class EdgeKind(str, Enum):
 class Record:
     """Base of the ``__slots__`` record classes. A subclass lists its fields
     in ``__slots__``, or in ``_fields`` when it keeps derived state in
-    further slots, and writes an ``__init__`` that takes the fields in that
-    order. Equality and the hash read the type and the fields, so two
-    records are equal only when they are of one type with equal fields;
-    ``repr`` shows the fields."""
+    further slots. One that writes no ``__init__`` gets one, built when the
+    class is created, that takes the fields in order and stores each; the
+    trailing fields named in ``_defaults``, in order, default to its values.
+    One that validates or derives writes an ``__init__`` that takes the
+    fields in that order. Equality and the hash read the type and the
+    fields, so two records are equal only when they are of one type with
+    equal fields; ``repr`` shows the fields."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
         cls._key = property(attrgetter("__class__", *cls._fields))
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _storing_init(cls)
 
     def __eq__(self, other):
         return self._key == other._key if isinstance(other, Record) else NotImplemented
@@ -88,6 +98,23 @@ class Record:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
+
+
+def _storing_init(cls: type[Record]):
+    """An ``__init__`` for ``cls`` that stores each field under its name.
+    It is compiled from the field names, as ``collections.namedtuple``
+    compiles ``__new__``, so a construction runs what a hand-written
+    constructor would."""
+    fields, defaults = cls._fields, cls._defaults
+    if tuple(defaults) != fields[len(fields) - len(defaults) :]:
+        raise TypeError(f"{cls.__name__}._defaults must name its trailing fields, in order")
+    body = "".join(f"\n    self.{name} = {name}" for name in fields) or "\n    pass"
+    namespace: dict = {}
+    exec(f"def __init__({', '.join(('self', *fields))}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults.values()) or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 #: Closed vocabulary for Element.inferred_type.

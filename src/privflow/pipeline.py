@@ -143,22 +143,11 @@ class ScanBudget(Record):
         self.max_seconds = max_seconds
 
 
-class ScanOptions:
+class ScanOptions(Record):
     """What a scan looks for and where it writes its side outputs."""
 
     __slots__ = ("basic_sink", "on_demand_context", "emit_smt_dir", "trace_path")
-
-    def __init__(
-        self,
-        basic_sink: bool = False,
-        on_demand_context: bool = True,
-        emit_smt_dir: str | None = None,
-        trace_path: str | None = None,
-    ) -> None:
-        self.basic_sink = basic_sink
-        self.on_demand_context = on_demand_context
-        self.emit_smt_dir = emit_smt_dir
-        self.trace_path = trace_path
+    _defaults = {"basic_sink": False, "on_demand_context": True, "emit_smt_dir": None, "trace_path": None}
 
 
 class BudgetExhausted(Exception):

@@ -61,27 +61,15 @@ class ClassifyPrivileged(Record):
     """Is this function a privileged operation, and of which category?"""
 
     __slots__ = ("element", "name", "source", "context")
-
-    def __init__(self, element: str, name: str, source: str, context: tuple[str, ...] = ()) -> None:
-        self.element = element
-        self.name = name
-        self.source = source
-        self.context = context
+    _defaults = {"context": ()}
 
 
 class ClassifyCheck(Record):
-    """Is this decorator check or inline guard an authN or authZ check?"""
+    """Is this decorator check or inline guard an authN or authZ check?
+    ``attachment`` is ``decorator`` or ``inline``."""
 
     __slots__ = ("element", "name", "source", "attachment", "context")
-
-    def __init__(
-        self, element: str, name: str, source: str, attachment: str = "inline", context: tuple[str, ...] = ()
-    ) -> None:
-        self.element = element
-        self.name = name
-        self.source = source
-        self.attachment = attachment  # decorator | inline
-        self.context = context
+    _defaults = {"attachment": "inline", "context": ()}
 
 
 class CheckDescriptor(Record):
@@ -89,50 +77,28 @@ class CheckDescriptor(Record):
 
     __slots__ = ("classification", "subtype", "name", "source")
 
-    def __init__(self, classification: str, subtype: str, name: str, source: str) -> None:
-        self.classification = classification
-        self.subtype = subtype
-        self.name = name
-        self.source = source
-
 
 class AssessSufficiency(Record):
-    """Do the located checks suffice for this privileged operation?"""
+    """Do the located checks (``CheckDescriptor``s) suffice for this
+    privileged operation?"""
 
     __slots__ = ("privop_name", "privop_source", "privop_category", "checks", "contexts")
-
-    def __init__(
-        self,
-        privop_name: str,
-        privop_source: str,
-        privop_category: str,
-        checks: tuple[CheckDescriptor, ...],
-        contexts: tuple[str, ...] = (),
-    ) -> None:
-        self.privop_name = privop_name
-        self.privop_source = privop_source
-        self.privop_category = privop_category
-        self.checks = checks
-        self.contexts = contexts
+    _defaults = {"contexts": ()}
 
 
 class GuardDescriptor(Record):
-    """A guard's source with its identifiers' declared types."""
+    """A guard's source with its identifiers' declared types, as
+    ``(name, type)`` pairs."""
 
     __slots__ = ("source", "var_types")
-
-    def __init__(self, source: str, var_types: tuple[tuple[str, str], ...] = ()) -> None:
-        self.source = source
-        self.var_types = var_types
+    _defaults = {"var_types": ()}
 
 
 class ExtractConstraints(Record):
-    """Translate a flow's guards into a path constraint."""
+    """Translate a flow's guards (``GuardDescriptor``s) into a path
+    constraint."""
 
     __slots__ = ("guards",)
-
-    def __init__(self, guards: tuple[GuardDescriptor, ...]) -> None:
-        self.guards = guards
 
 
 class ConfirmUserSource(Record):
@@ -140,29 +106,11 @@ class ConfirmUserSource(Record):
 
     __slots__ = ("identifier", "route_prefixes")
 
-    def __init__(self, identifier: str, route_prefixes: tuple[str, ...]) -> None:
-        self.identifier = identifier
-        self.route_prefixes = route_prefixes
-
 
 class NextSearchAction(Record):
     """Which search to run next in the privileged-operation loop."""
 
     __slots__ = ("round", "services", "executed", "new_ops_this_round", "tools")
-
-    def __init__(
-        self,
-        round: int,
-        services: tuple[str, ...],
-        executed: tuple[str, ...],
-        new_ops_this_round: int,
-        tools: tuple[str, ...],
-    ) -> None:
-        self.round = round
-        self.services = services
-        self.executed = executed
-        self.new_ops_this_round = new_ops_this_round
-        self.tools = tools
 
 
 #: Every task a backend answers; the remote prompt for one is the file named
@@ -240,47 +188,21 @@ class Action(NamedTuple):
 # --- rules ----------------------------------------------------------------------
 
 
+#: The rules file's sections and their keys, each key an OracleRules field.
+_RULES_SECTIONS = {
+    "privileged": ("action_verbs", "protected_state_nouns", "resource_nouns", "critical_action_patterns"),
+    "checks": ("authn_patterns", "authz_patterns", "role_keywords", "permission_keywords", "ownership_comparisons"),
+    "sufficiency": ("ownership_nouns",),
+}
+
+
 class OracleRules(Record):
-    """The scripted oracle's keyword and pattern lists. Its patterns are
-    compiled on first use and kept in the instance's ``__dict__``;
-    ``load_rules`` compiles them when it loads the rules."""
+    """The scripted oracle's keyword and pattern lists, one field per key of
+    ``_RULES_SECTIONS``, in order. Its patterns are compiled on first use
+    and kept in the instance's ``__dict__``; ``load_rules`` compiles them
+    when it loads the rules."""
 
-    _fields = (
-        "action_verbs",
-        "protected_state_nouns",
-        "resource_nouns",
-        "critical_action_patterns",
-        "authn_patterns",
-        "authz_patterns",
-        "role_keywords",
-        "permission_keywords",
-        "ownership_comparisons",
-        "ownership_nouns",
-    )
-
-    def __init__(
-        self,
-        action_verbs: tuple[str, ...],
-        protected_state_nouns: tuple[str, ...],
-        resource_nouns: tuple[str, ...],
-        critical_action_patterns: tuple[str, ...],
-        authn_patterns: tuple[str, ...],
-        authz_patterns: tuple[str, ...],
-        role_keywords: tuple[str, ...],
-        permission_keywords: tuple[str, ...],
-        ownership_comparisons: tuple[str, ...],
-        ownership_nouns: tuple[str, ...],
-    ) -> None:
-        self.action_verbs = action_verbs
-        self.protected_state_nouns = protected_state_nouns
-        self.resource_nouns = resource_nouns
-        self.critical_action_patterns = critical_action_patterns
-        self.authn_patterns = authn_patterns
-        self.authz_patterns = authz_patterns
-        self.role_keywords = role_keywords
-        self.permission_keywords = permission_keywords
-        self.ownership_comparisons = ownership_comparisons
-        self.ownership_nouns = ownership_nouns
+    _fields = tuple(key for keys in _RULES_SECTIONS.values() for key in keys)
 
     @cached_property
     def critical_rx(self) -> tuple[re.Pattern, ...]:
@@ -289,14 +211,6 @@ class OracleRules(Record):
     @cached_property
     def ownership_rx(self) -> tuple[re.Pattern, ...]:
         return tuple(re.compile(p) for p in self.ownership_comparisons)
-
-
-#: The rules file's sections and their keys, each key an OracleRules field.
-_RULES_SECTIONS = {
-    "privileged": ("action_verbs", "protected_state_nouns", "resource_nouns", "critical_action_patterns"),
-    "checks": ("authn_patterns", "authz_patterns", "role_keywords", "permission_keywords", "ownership_comparisons"),
-    "sufficiency": ("ownership_nouns",),
-}
 
 
 def load_rules(file: str | Path | None = None) -> OracleRules:
@@ -510,7 +424,7 @@ class ScriptedOracle:
         if has_ownership:
             return ""
         tokens: set[str] = set()
-        for ident in _IDENT_RE.findall(privop_source.lower()):
+        for ident in _IDENT_RE.findall(privop_source):
             tokens.update(split_identifier(ident))
         owned = sorted(tokens & set(self.rules.ownership_nouns))
         if owned:

@@ -45,17 +45,14 @@ TEMPERATURE = 0.2
 API_KEY_ENV = "PRIVFLOW_API_KEY"
 ATTEMPTS = 3
 TIMEOUT_S = 60.0
+#: seconds slept before the second ask; the wait grows linearly per ask
+RETRY_BACKOFF_S = 0.5
 
 
 class RemoteConfig(Record):
     """Where the chat-completion backend is and which model answers."""
 
-    __slots__ = ("endpoint", "model", "retry_backoff")
-
-    def __init__(self, endpoint: str, model: str, retry_backoff: float = 0.5) -> None:
-        self.endpoint = endpoint
-        self.model = model
-        self.retry_backoff = retry_backoff  # seconds, grows linearly per attempt
+    __slots__ = ("endpoint", "model")
 
 
 class RemoteReasoner:
@@ -80,8 +77,8 @@ class RemoteReasoner:
         last_error = "no attempts made"
         with self._lock:
             for attempt in range(ATTEMPTS):
-                if attempt and self.config.retry_backoff:
-                    time.sleep(self.config.retry_backoff * attempt)
+                if attempt:
+                    time.sleep(RETRY_BACKOFF_S * attempt)
                 reply = self._complete(prompt)
                 try:
                     return _parse_verdict(task, reply)
@@ -152,14 +149,13 @@ def _load_prompt(name: str) -> str:
 
 
 def _extract_json(reply: str) -> dict:
+    """The reply's JSON object, from its first ``{`` to its last ``}``: what
+    parses from there is an object, or raises."""
     start = reply.find("{")
     end = reply.rfind("}")
     if start < 0 or end <= start:
         raise ValueError("reply contains no JSON object")
-    data = json.loads(reply[start : end + 1])
-    if not isinstance(data, dict):
-        raise ValueError("reply JSON must be an object")
-    return data
+    return json.loads(reply[start : end + 1])
 
 
 def _require_str(data: dict, key: str) -> str:

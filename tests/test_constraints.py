@@ -332,6 +332,11 @@ class TestSmtlibChecker:
         assert validate_smtlib("(declare-const |a\\b| Int)\n(check-sat)")
 
 
+def _reply(formula, **types) -> dict:
+    """A reply's constraint JSON: ``formula`` over variables of ``types``."""
+    return {"variables": [{"name": name, "type": t} for name, t in types.items()], "formula": formula}
+
+
 class TestJsonCodec:
     def test_round_trip(self):
         rng = random.Random(11)
@@ -354,6 +359,36 @@ class TestJsonCodec:
             variables = [{"name": name, "type": t} for name, t in types.items()]
             with pytest.raises(ConstraintError):
                 constraint_from_json({"variables": variables, "formula": formula})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"variables": [], "formula": "x"}, "formula node must be a non-empty list, got 'x'"),
+            ({"formula": ["and"]}, "constraint JSON needs a 'variables' list"),
+            ({"variables": [{"name": "x"}]}, "malformed variable entry {'name': 'x'}"),
+            (_reply(["and"], x="float"), "variable 'x' has unsupported type 'float'"),
+            (_reply(["int_cmp", "n", "~", 1], n="int"), "bad int operator '~'"),
+            (_reply(["int_var_cmp", "m", "<", "n"], m="int", n="int"), "variables compare only with ==/!=, got '<'"),
+        ],
+        ids=["node_not_list", "no_variables", "bad_variable", "unsupported_type", "bad_operator", "ordered_var_cmp"],
+    )
+    def test_reply_errors(self, data, message):
+        """Each way a reply's constraint is malformed raises one
+        ``ConstraintError`` that says why."""
+        with pytest.raises(ConstraintError) as err:
+            constraint_from_json(data)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [(ConstCmp("x", "==", 1.5), "unsupported constant 1.5"), ("junk", "unsupported formula node 'junk'")],
+        ids=["unsupported_constant", "unknown_node"],
+    )
+    def test_errors_no_reply_reaches(self, formula, message):
+        """Two formulas no reply decodes to are rejected when built."""
+        with pytest.raises(ConstraintError) as err:
+            PathConstraint((("x", "int"),), formula)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("name", ["a|b", "a\\b", "|"])
     def test_name_no_symbol_can_hold_rejected(self, name):

@@ -86,6 +86,115 @@ class TestManifest:
             assert manifest.entry_service() is not None
 
 
+_ONE_SERVICE = {"name": "a", "entry": True, "sources": ["a.msv"]}
+
+
+def _manifest(*services, **fields) -> dict:
+    return {"version": 1, "services": list(services), **fields}
+
+
+@pytest.mark.parametrize(
+    "text, field, reason",
+    [
+        ("{", "file", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[]", "root", "manifest must be a JSON object"),
+        (_manifest(), "services", "must be a non-empty list"),
+        (_manifest({"entry": True, "sources": ["a.msv"]}), "services[0]", "each service needs a non-empty name"),
+        (_manifest(_ONE_SERVICE, {"name": "a", "sources": ["b.msv"]}), "services[1]", "duplicate service name 'a'"),
+        (_manifest({**_ONE_SERVICE, "sources": "a.msv"}), "services[0].sources", "must be a list of file names"),
+        (_manifest({**_ONE_SERVICE, "facts": {"a": 1}}), "services[0].facts", "must be a list of file names"),
+        (_manifest({**_ONE_SERVICE, "entry": False}), "services", "no entry service declared"),
+        (_manifest(_ONE_SERVICE, gateway_routes={}), "gateway_routes", "must be a list"),
+        (_manifest(_ONE_SERVICE, gateway_routes=["/a"]), "gateway_routes[0]", "each route must be an object"),
+    ],
+    ids=[
+        "invalid_json",
+        "root_not_object",
+        "no_services",
+        "service_without_name",
+        "duplicate_service",
+        "sources_not_list",
+        "facts_not_list",
+        "no_entry",
+        "routes_not_list",
+        "route_not_object",
+    ],
+)
+def test_manifest_errors(tmp_path, text, field, reason):
+    """Each way a manifest file is malformed names its field and reason."""
+    path = tmp_path / "privflow.manifest.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text), encoding="utf-8")
+    with pytest.raises(ManifestError) as err:
+        read_manifest(path)
+    assert (err.value.field, err.value.reason) == (field, reason)
+
+
+_HEADER = {"rec": "header", "version": 1}
+_ELEMENT = {
+    "rec": "element",
+    "id": "e1",
+    "service": "s",
+    "kind": "variable",
+    "name": "x",
+    "file": "f",
+    "line": 1,
+    "col": 1,
+    "source": "x",
+    "type": "unknown",
+}
+
+
+def _facts(*records) -> str:
+    """A facts file of ``records``, each a JSON object or a raw line."""
+    return "\n".join(r if isinstance(r, str) else json.dumps(r) for r in records) + "\n"
+
+
+def _channel(element: str, direction: str) -> dict:
+    return {"rec": "channel", "element": element, "direction": direction, "protocol": "http", "identifier": "/x"}
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        (_facts(_HEADER, "{oops"), 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+        (_facts(_HEADER, {"kind": "x"}), 2, "record must be an object with a 'rec' tag"),
+        (_facts(_HEADER, _HEADER), 2, "duplicate header record"),
+        (_facts(_HEADER, _ELEMENT, _ELEMENT), 3, "duplicate element id e1"),
+        ("\n  \n\n", 1, "missing header record"),
+        (_facts(_HEADER, _channel("e9", "in")), 2, "channel references unknown element e9"),
+        (
+            _facts(_HEADER, {key: value for key, value in _ELEMENT.items() if key != "source"}),
+            2,
+            "element record missing field 'source'",
+        ),
+        (_facts(_HEADER, {**_ELEMENT, "line": 0}), 2, "bad location: Location line/col must be >= 1, got 0:1"),
+        (
+            _facts(_HEADER, _ELEMENT, {"rec": "edge", "kind": "jumps", "from": "e1", "to": "e1"}),
+            3,
+            "unknown edge kind 'jumps'",
+        ),
+        (_facts(_HEADER, _ELEMENT, _channel("e1", "up")), 3, "channel direction must be out|in, got 'up'"),
+    ],
+    ids=[
+        "invalid_json",
+        "no_rec_tag",
+        "duplicate_header",
+        "duplicate_element",
+        "blank_lines",
+        "channel_on_unknown_element",
+        "missing_field",
+        "bad_location",
+        "unknown_edge_kind",
+        "bad_channel_direction",
+    ],
+)
+def test_facts_errors(text, line, reason):
+    """Each way a facts file is malformed names its line and reason."""
+    with pytest.raises(FactsError) as err:
+        read_facts(text, "s")
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
 class TestFactsRoundTrip:
     def test_empty_stream_is_empty_service(self):
         svc = read_facts("", "empty")

@@ -1,12 +1,14 @@
 import collections
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from privflow.crossflow import (
     PATH_CAP,
+    GlobalPath,
     build_global_graph,
     match_channels,
     path_functions,
@@ -16,7 +18,7 @@ from privflow.crossflow import (
 )
 from privflow import pipeline
 from privflow.load import load_program
-from privflow.model import call_callee
+from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, call_callee
 from privflow.reasoner import Action, CheckClass, ConfirmUserSource, NextSearchAction, ScriptedOracle, _query_key
 from privflow.pipeline import (
     BudgetExhausted,
@@ -29,34 +31,43 @@ from privflow.pipeline import (
     locate_checks,
     scan,
 )
+from privflow.search import FlowPath
 
-from conftest import CORPORA
+from conftest import CORPORA, make_element
 
 
 class CountingOracle(ScriptedOracle):
-    """The scripted oracle, counting the tasks it is asked by task name."""
+    """The scripted oracle, keeping the tasks it is asked and counting them
+    by task name."""
 
     def __init__(self):
         super().__init__()
         self.calls = collections.Counter()
+        self.tasks = []
 
     def reason(self, task):
         self.calls[type(task).__name__] += 1
+        self.tasks.append(task)
         return super().reason(task)
 
 
-def _ops_corpus(root, body: str, params: str = ""):
+def _service_corpus(root, source: str):
     """A one-service corpus under ``root``: service ``ops``, routed at
-    ``/``, with the handler ``run(params)`` of ``POST /run`` holding
-    ``body``."""
+    ``/``, whose one file holds ``source``."""
     manifest = {
         "version": 1,
         "services": [{"name": "ops", "entry": True, "sources": ["ops.msv"]}],
         "gateway_routes": [{"prefix": "/", "target": "ops"}],
     }
     (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    (root / "ops.msv").write_text(f'@route("POST", "/run")\nfn run({params}) {{\n  {body}\n}}\n', encoding="utf-8")
+    (root / "ops.msv").write_text(source, encoding="utf-8")
     return load_program(root)
+
+
+def _ops_corpus(root, body: str, params: str = ""):
+    """A one-service corpus (``_service_corpus``) whose handler ``run(params)``
+    of ``POST /run`` holds ``body``."""
+    return _service_corpus(root, f'@route("POST", "/run")\nfn run({params}) {{\n  {body}\n}}\n')
 
 
 def first_flow(program, oracle, basic_sink=False):
@@ -157,6 +168,66 @@ class TestLocateChecks:
         for classification, subtype in bad:
             with pytest.raises(ValueError):
                 CheckClass(classification, subtype, "r")
+
+    def test_check_on_two_functions_of_a_path_is_classified_once(self, tmp_path):
+        """A check that decorates two functions of one path is one
+        candidate: it is fetched and classified in the first function's
+        group only."""
+        program = _service_corpus(
+            tmp_path,
+            'fn has_session() {\n  return session.get("token") != ""\n}\n\n'
+            "@auth(has_session)\nfn stage(x) {\n  exec(x)\n}\n\n"
+            '@route("POST", "/run")\n@auth(has_session)\nfn run() {\n  stage(request.param("x"))\n}\n',
+        )
+        _, [flow] = first_flow(program, ScriptedOracle())
+        groups = path_functions(program, flow)
+        assert [fn.name for _, fn, _ in groups] == ["run", "stage"]
+        oracle, calls = CountingOracle(), []
+        checks, _, context_ids = locate_checks(groups, oracle, lambda tool, args, count: calls.append(tool))
+        assert [(c.name, c.attachment) for c in checks] == [("has_session", "decorator")]
+        assert oracle.calls == {"ClassifyCheck": 1}
+        assert calls.count("get_source") == 1 and len(context_ids) == 1
+
+    def test_guard_over_two_functions_is_classified_once(self):
+        """A conditional whose block holds two functions of the path (a
+        facts file can write one) is in both functions' groups and is
+        classified once."""
+        guard = make_element("svc", ElementKind.CONDITIONAL, line=1, source="admin")
+        f = make_element("svc", ElementKind.FUNCTION, name="f", line=2)
+        x = make_element("svc", ElementKind.VARIABLE, name="x", line=3)
+        g = make_element("svc", ElementKind.FUNCTION, name="g", line=4)
+        y = make_element("svc", ElementKind.VARIABLE, name="y", line=5)
+        contains = [(guard, f), (guard, g), (f, x), (g, y)]
+        edges = [Edge(EdgeKind.CONTAINS, a.id, b.id) for a, b in contains] + [Edge(EdgeKind.DATAFLOW, x.id, y.id)]
+        service = Service.build("svc", [guard, f, x, g, y], edges)
+        program = Program((service,), Manifest(1, (ManifestService("svc", entry=True),), (GatewayRoute("/", "svc"),)))
+        groups = path_functions(program, GlobalPath((FlowPath("svc", (x.id, y.id)),)))
+        assert [(fn.name, guards) for _, fn, guards in groups] == [("f", (guard,)), ("g", (guard,))]
+        oracle = CountingOracle()
+        _, _, context_ids = locate_checks(groups, oracle)
+        assert [(task.element, task.attachment) for task in oracle.tasks] == [(guard.id, "inline")]
+        assert context_ids == {guard.id}
+
+    def test_helper_reached_twice_is_one_context(self, tmp_path):
+        """A check whose helpers form a diamond (``check`` calls ``left``
+        and ``right``, both call ``token``) retrieves the shared helper's
+        source once."""
+        program = _service_corpus(
+            tmp_path,
+            'fn token() {\n  return session.get("token")\n}\n\n'
+            "fn left() {\n  return token()\n}\n\n"
+            "fn right() {\n  return token()\n}\n\n"
+            'fn check() {\n  return left() == right()\n}\n\n'
+            '@route("POST", "/run")\n@auth(check)\nfn run() {\n  exec(request.param("x"))\n}\n',
+        )
+        _, [flow] = first_flow(program, ScriptedOracle())
+        oracle = CountingOracle()
+        _, contexts, context_ids = locate_checks(path_functions(program, flow), oracle)
+        names = [re.match(r"fn (\w+)", source).group(1) for source in contexts]
+        assert sorted(names) == ["left", "right", "token"]
+        assert len(context_ids) == 4
+        [task] = oracle.tasks
+        assert task.context == tuple(contexts)
 
 
 class TestAssessFlow:

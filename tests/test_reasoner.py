@@ -32,7 +32,7 @@ from privflow.reasoner import (
     make_reasoner,
     split_identifier,
 )
-from privflow.remote import PROMPTS_DIR, RemoteConfig, RemoteReasoner
+from privflow.remote import PROMPTS_DIR, RETRY_BACKOFF_S, RemoteConfig, RemoteReasoner, _parse_verdict
 
 from conftest import CORPORA, write_fanout_corpus
 
@@ -183,6 +183,15 @@ class TestAssessSufficiency:
         assert verdict.verdict == "missing_authz"
         assert "ownership" in verdict.rationale
 
+    @pytest.mark.parametrize("source", ["cancel_order(no)", "cancelOrder(no)"])
+    def test_ownership_note_splits_snake_and_camel_case(self, oracle, source):
+        task = AssessSufficiency("cancel", source, "sensitive-resource", ())
+        verdict = oracle.reason(task)
+        assert verdict == Sufficiency(
+            "unprotected",
+            "no authentication or authorization checks guard 'cancel'; missing ownership check for resource 'order'",
+        )
+
     def test_ownership_protects_unreferenced_sensitive_args(self, oracle):
         """An ownership check protects an operation on a sensitive argument
         it never names."""
@@ -292,13 +301,19 @@ def _chat(content):
     return 200, {"choices": [{"message": {"content": content}}]}
 
 
-def remote(replies, calls, **kwargs):
-    kwargs.setdefault("retry_backoff", 0.0)
-    config = RemoteConfig(endpoint="http://fake/v1/chat/completions", model="test-model", **kwargs)
+def remote(replies, calls):
+    config = RemoteConfig(endpoint="http://fake/v1/chat/completions", model="test-model")
     return RemoteReasoner(config, transport=_fake_transport(replies, calls))
 
 
 class TestRemoteReasoner:
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        """The backoff waits, recorded instead of slept."""
+        waits = []
+        monkeypatch.setattr("privflow.remote.time.sleep", waits.append)
+        return waits
+
     def test_valid_classification_parsed(self):
         calls = []
         backend = remote([_chat('{"category": "protected-state", "rationale": "changes roles"}')], calls)
@@ -309,13 +324,14 @@ class TestRemoteReasoner:
         assert payload["temperature"] == 0.2
         assert payload["messages"][0]["role"] == "system"
 
-    def test_malformed_reply_retried_then_schema_violation(self):
+    def test_malformed_reply_retried_then_schema_violation(self, sleeps):
         calls = []
         bad = _chat("not json at all")
         backend = remote([bad, bad, bad], calls)
         with pytest.raises(SchemaViolation):
             backend.reason(ClassifyPrivileged("e1", "f", "fn f() { }"))
         assert len(calls) == 3
+        assert sleeps == [RETRY_BACKOFF_S, 2 * RETRY_BACKOFF_S]
 
     def test_retry_recovers_on_second_attempt(self):
         calls = []
@@ -392,6 +408,35 @@ class TestRemoteReasoner:
         assert verdict.constraint == PathConstraint(
             (("mode", "string"),), And((ConstCmp("mode", "==", "A"),))
         )
+
+    @pytest.mark.parametrize(
+        "task, reply, message",
+        [
+            (ClassifyPrivileged("e1", "f", "fn f() { }"), "[1, 2]", "reply contains no JSON object"),
+            (
+                ClassifyPrivileged("e1", "f", "fn f() { }"),
+                '{"category": "none"}',
+                "field 'rationale' must be a non-empty string",
+            ),
+            (
+                ConfirmUserSource("/x", ("/x",)),
+                '{"is_user_source": "yes", "rationale": "r"}',
+                "field 'is_user_source' must be a boolean",
+            ),
+            (
+                NextSearchAction(1, (), (), 0, ("finish",)),
+                '{"tool": "finish", "args": [], "rationale": "r"}',
+                "field 'args' must be an object",
+            ),
+        ],
+        ids=["not_an_object", "no_rationale", "non_boolean_source", "non_object_args"],
+    )
+    def test_reply_errors(self, task, reply, message):
+        """Each way a reply breaks its task's schema raises one
+        ``ValueError`` that says why, which ``reason`` asks again for."""
+        with pytest.raises(ValueError) as err:
+            _parse_verdict(task, reply)
+        assert str(err.value) == message
 
     def test_unknown_task_rejected(self):
         calls = []

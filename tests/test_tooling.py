@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 from privflow import reasoner
@@ -149,7 +150,7 @@ def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
     for task, reply in samples.values():
         content = json.dumps({**reply, "rationale": "r"})
         backend = RemoteReasoner(
-            RemoteConfig("http://fake/v1/chat/completions", "m", retry_backoff=0.0),
+            RemoteConfig("http://fake/v1/chat/completions", "m"),
             transport=lambda url, headers, payload, timeout: (200, {"choices": [{"message": {"content": content}}]}),
         )
         assert type(backend.reason(task)) is type(oracle.reason(task)), type(task).__name__
@@ -226,6 +227,70 @@ def test_record_constructors_take_their_fields_in_order():
     assert len(with_init) >= 30
     for cls in with_init:
         assert tuple(inspect.signature(cls.__init__).parameters)[1:] == cls._fields, cls.__qualname__
+
+
+def _privflow_records() -> list[type]:
+    """Every ``model.Record`` subclass in privflow, once each module is loaded."""
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        importlib.import_module(".".join(("privflow", *parts)).removesuffix(".__init__"))
+    records, pending = [], [Record]
+    while pending:
+        subclasses = [cls for cls in pending.pop().__subclasses__() if cls.__module__.startswith("privflow.")]
+        records += subclasses
+        pending += subclasses
+    return records
+
+
+def _only_stores_its_parameters(init: ast.FunctionDef) -> bool:
+    """Whether each statement of ``init`` (a docstring aside) is
+    ``self.name = name`` for one of its parameters."""
+    params = {arg.arg for arg in init.args.args[1:]}
+    body = [stmt for stmt in init.body if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
+    return all(
+        isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(target := stmt.targets[0], ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+        and isinstance(stmt.value, ast.Name)
+        and stmt.value.id == target.attr
+        and target.attr in params
+        for stmt in body
+    )
+
+
+def test_no_record_writes_a_constructor_that_only_stores_its_fields():
+    """``Record`` builds the constructor of a record that only stores its
+    fields, so its fields are declared once; a hand-written ``__init__``
+    validates or derives. The built constructor takes the fields in order,
+    the trailing ones defaulting to the class's ``_defaults``."""
+    written, built = [], []
+    for cls in _privflow_records():
+        init = cls.__dict__["__init__"]
+        (built if init.__code__.co_filename == "<string>" else written).append(cls)
+    assert len(written) >= 10 and len(built) >= 20
+    for cls in written:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__dict__["__init__"])))
+        assert not _only_stores_its_parameters(tree.body[0]), cls.__qualname__
+    for cls in built:
+        init = cls.__dict__["__init__"]
+        assert init.__code__.co_varnames[1 : init.__code__.co_argcount] == cls._fields, cls.__qualname__
+        assert init.__defaults__ == (tuple(cls._defaults.values()) or None), cls.__qualname__
+        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def test_only_stores_its_parameters_tells_a_field_store_from_a_derivation():
+    stores = ("def __init__(self, a, b):\n self.a = a\n self.b = b", 'def __init__(self, a):\n """Doc."""\n self.a = a')
+    derives = (
+        "def __init__(self, a):\n self.a = a\n check(a)",
+        "def __init__(self, a):\n self.a = tuple(a)",
+        "def __init__(self, a, b):\n self.a = b",
+        "def __init__(self, a):\n self.a = a\n self.n = n",
+        "def __init__(self, a):\n other.a = a",
+    )
+    for source in stores + derives:
+        assert _only_stores_its_parameters(ast.parse(source).body[0]) == (source in stores), source
 
 
 #: the scan engine: what a ``privflow query`` or ``facts`` process never runs
