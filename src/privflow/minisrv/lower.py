@@ -33,7 +33,6 @@ from .nodes import (
     BinOp,
     BoolLit,
     Call,
-    CallStmt,
     ConstDef,
     FuncDef,
     If,
@@ -98,7 +97,7 @@ class _Lowerer:
     # -- element helpers -------------------------------------------------
 
     def new_element(self, kind: ElementKind, name: str, node, source: str, itype: str = "unknown") -> Element:
-        loc = Location(self.file, node.line, node.col)
+        loc = self.ast.location(node)
         eid = element_id(self.service, self.file, loc.line, loc.col, kind)
         existing = self.elements.get(eid)
         if existing is not None:
@@ -122,7 +121,7 @@ class _Lowerer:
         # regardless of definition order
         for fn in self.ast.functions():
             if fn.name in self.scopes:
-                raise LoweringError(Location(self.file, fn.line, fn.col), f"function {fn.name!r} is already defined")
+                raise LoweringError(self.ast.location(fn), f"function {fn.name!r} is already defined")
             fn_el = self.new_element(ElementKind.FUNCTION, fn.name, fn, self.span_text(fn), "function")
             scope = _FnScope(fn, fn_el)
             for p in fn.params:
@@ -165,8 +164,7 @@ class _Lowerer:
                 check = self.scopes.get(check_name)
                 if check is None:
                     raise LoweringError(
-                        Location(self.file, dec.line, dec.col),
-                        f"@auth references undefined check function {check_name!r}",
+                        self.ast.location(dec), f"@auth references undefined check function {check_name!r}"
                     )
                 self.edge(EdgeKind.CALLS, dec_el, check.element)
 
@@ -204,13 +202,12 @@ class _Lowerer:
                     var.id, var.service, var.kind, var.name, var.location, var.source, rhs_type
                 )
             scope.assignments.setdefault(stmt.target, []).append(stmt.value)
-        elif isinstance(stmt, CallStmt):
-            _, tops = self.lower_expr(stmt.call, scope)
+        elif isinstance(stmt, Call):
+            _, tops = self.lower_call(stmt, scope)
             for top in tops:
                 self.edge(EdgeKind.CONTAINS, parent, top)
         elif isinstance(stmt, If):
-            guard_text = self.ast.text[stmt.cond_span[0] : stmt.cond_span[1]]
-            cond_el = self.new_element(ElementKind.CONDITIONAL, "", stmt, guard_text)
+            cond_el = self.new_element(ElementKind.CONDITIONAL, "", stmt, self.span_text(stmt.cond))
             self.edge(EdgeKind.CONTAINS, parent, cond_el)
             _, guard_tops = self.lower_expr(stmt.cond, scope)
             for top in guard_tops:
@@ -228,7 +225,7 @@ class _Lowerer:
                     self.edge(EdgeKind.CONTAINS, ret_el, top)
                 scope.return_sources.extend(s.id for s in sources)
         else:  # pragma: no cover - parser only produces the above
-            raise LoweringError(Location(self.file, stmt.line, stmt.col), f"unsupported statement {stmt!r}")
+            raise LoweringError(self.ast.location(stmt), f"unsupported statement {stmt!r}")
 
     # -- expressions --------------------------------------------------------
 
@@ -257,7 +254,7 @@ class _Lowerer:
             # comparisons and boolean operators guard control flow; they do
             # not carry the operand data onward
             return [], tops
-        raise LoweringError(Location(self.file, expr.line, expr.col), f"unsupported expression {expr!r}")
+        raise LoweringError(self.ast.location(expr), f"unsupported expression {expr!r}")
 
     def lower_call(self, call: Call, scope: _FnScope) -> tuple[list[Element], list[Element]]:
         itype = INTRINSIC_RETURNS.get(call.callee, "unknown")

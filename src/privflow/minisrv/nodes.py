@@ -1,182 +1,133 @@
 """AST node types for MiniSrv.
 
-Every node remembers its 1-based (line, col) start position and the half-open
-``span`` of byte offsets it covers in the original text, so lowering can emit
-verbatim source slices. Nodes are named tuples whose first three fields are
-``line, col, span``; the lowering and the guard translator tell them apart by
-type, never by comparing nodes of different types.
+Every node's one position is ``span``, the half-open pair of character
+offsets it covers in the original text, so lowering can emit verbatim
+source slices. Its 1-based line and column come from the file's line
+table (``MiniSrvAst.location``). Nodes are ``model.Record``s that only
+store their fields; the lowering and the guard translator tell them apart
+by type.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from bisect import bisect_right
+
+from ..model import Location, Record
 
 # --- expressions -----------------------------------------------------------
 
 
-class IntLit(NamedTuple):
+class IntLit(Record):
     """An integer literal."""
 
-    line: int
-    col: int
-    span: tuple[int, int]  # (start offset, end offset) in the source text
-    value: int
+    __slots__ = ("span", "value")
 
 
-class StrLit(NamedTuple):
+class StrLit(Record):
     """A string literal; ``value`` is its text without the quotes."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    value: str
+    __slots__ = ("span", "value")
 
 
-class BoolLit(NamedTuple):
+class BoolLit(Record):
     """``true`` or ``false``."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    value: bool
+    __slots__ = ("span", "value")
 
 
-class Name(NamedTuple):
+class Name(Record):
     """A bare identifier used as a value."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    ident: str
+    __slots__ = ("span", "ident")
 
 
-class Member(NamedTuple):
-    """Dotted path used as a value, e.g. ``order.user_id``."""
+class Member(Record):
+    """Dotted path used as a value, e.g. ``order.user_id``; ``path`` holds
+    the attributes after ``base``."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    base: str
-    path: tuple[str, ...]  # attributes after the base
+    __slots__ = ("span", "base", "path")
 
 
-class Call(NamedTuple):
-    """A call expression."""
+class Call(Record):
+    """A call, as an expression or as a statement; ``callee`` is the called
+    path as written, e.g. ``update_role`` or ``request.param``."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    callee: str  # the called path as written, e.g. "update_role" or "request.param"
-    args: list  # list of expressions
+    __slots__ = ("span", "callee", "args")
 
 
-class BinOp(NamedTuple):
+class BinOp(Record):
     """A binary operation: a comparison, ``&&``, ``||`` or ``+``."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    op: str
-    lhs: object
-    rhs: object
+    __slots__ = ("span", "op", "lhs", "rhs")
 
 
 # --- statements ------------------------------------------------------------
 
 
-class Assign(NamedTuple):
+class Assign(Record):
     """``target = value``."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    target: str
-    value: object
+    __slots__ = ("span", "target", "value")
 
 
-class CallStmt(NamedTuple):
-    """A call used as a statement."""
+class If(Record):
+    """A conditional with its guard expression and both branches."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    call: Call
+    __slots__ = ("span", "cond", "then_body", "else_body")
 
 
-class If(NamedTuple):
-    """A conditional; ``cond_span`` covers its guard expression."""
+class Return(Record):
+    """``return``, with a value or with None."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    cond: object
-    cond_span: tuple[int, int]
-    then_body: list
-    else_body: list
-
-
-class Return(NamedTuple):
-    """``return``, with or without a value."""
-
-    line: int
-    col: int
-    span: tuple[int, int]
-    value: object | None
+    __slots__ = ("span", "value")
 
 
 # --- items -----------------------------------------------------------------
 
 
-class Decorator(NamedTuple):
-    """``@route(...)`` or ``@auth(...)`` on a function."""
+class Decorator(Record):
+    """``@route(...)`` or ``@auth(...)`` on a function; ``name`` is "route"
+    or "auth", ``args`` two string literals for route and one Name for auth."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    name: str  # "route" | "auth"
-    args: list  # literals for route, Name for auth
+    __slots__ = ("span", "name", "args")
 
 
-class ConstDef(NamedTuple):
+class ConstDef(Record):
     """A top-level ``const NAME = literal``."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    name: str
-    value: object  # literal expression
+    __slots__ = ("span", "name", "value")
 
 
-class FuncDef(NamedTuple):
+class FuncDef(Record):
     """A function definition with its decorators, parameters and body."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    name: str
-    decorators: list[Decorator]
-    params: list["Param"]
-    body: list
+    __slots__ = ("span", "name", "decorators", "params", "body")
 
 
-class Param(NamedTuple):
+class Param(Record):
     """One function parameter."""
 
-    line: int
-    col: int
-    span: tuple[int, int]
-    name: str
+    __slots__ = ("span", "name")
 
 
-class MiniSrvAst(NamedTuple):
-    """Parsed source file: a list of const and function definitions."""
+class MiniSrvAst(Record):
+    """Parsed source file: its const and function definitions, and its line
+    table ``lines``, the offset at which each line starts."""
 
-    file: str
-    text: str
-    items: list
+    __slots__ = ("file", "text", "items", "lines")
 
     def functions(self) -> list[FuncDef]:
         return [i for i in self.items if isinstance(i, FuncDef)]
 
     def consts(self) -> list[ConstDef]:
         return [i for i in self.items if isinstance(i, ConstDef)]
+
+    def location(self, node) -> Location:
+        return locate(self.file, self.lines, node.span[0])
+
+
+def locate(file: str, lines: list[int], offset: int) -> Location:
+    """The 1-based line and column of ``offset`` in a file whose lines
+    start at the offsets ``lines``."""
+    line = bisect_right(lines, offset)
+    return Location(file, line, offset - lines[line - 1] + 1)

@@ -14,7 +14,6 @@ from .nodes import (
     BinOp,
     BoolLit,
     Call,
-    CallStmt,
     ConstDef,
     Decorator,
     FuncDef,
@@ -26,11 +25,28 @@ from .nodes import (
     Param,
     Return,
     StrLit,
+    locate,
 )
 
 KEYWORDS = {"const", "fn", "if", "else", "return", "true", "false"}
 PUNCT = ("==", "!=", "<=", ">=", "&&", "||", "@", "(", ")", "{", "}", ",", ".", "=", "<", ">", "+")
 DECORATOR_NAMES = {"route", "auth"}
+
+#: The deepest nesting a source may hold. Each pair of parentheses, each
+#: ``if``'s branches and each binary operator's operands sit one level
+#: deeper than what encloses them (docs/minisrv.md), so bounding the levels
+#: bounds the recursion of the parser and of every walk over the nodes it
+#: builds.
+MAX_DEPTH = 64
+
+#: The binary operators, loosest binding first, each with whether it chains
+#: left-associatively (``a + b + c``); a comparison takes one operator.
+BINARY_OPERATORS = (
+    (("||",), True),
+    (("&&",), True),
+    (("==", "!=", "<", "<=", ">", ">="), False),
+    (("+",), True),
+)
 
 
 class ParseError(Exception):
@@ -66,8 +82,11 @@ _LEXEME_RE = re.compile(
 _KINDS = {_STRING: "string", _INT: "int", _IDENT: "ident"}
 
 
-def _tokenize(text: str, file: str) -> list[Token]:
+def _tokenize(text: str, file: str) -> tuple[list[Token], list[int]]:
+    """The tokens of ``text`` and its line table, the offset at which each
+    line starts; ``\\n`` is the one line break."""
     tokens: list[Token] = []
+    lines = [0]
     new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
     match = _LEXEME_RE.match
     pos = line_start = 0
@@ -88,18 +107,21 @@ def _tokenize(text: str, file: str) -> list[Token]:
         elif group == _NEWLINE:
             line += 1
             line_start = pos
+            lines.append(pos)
         elif group == _END:
             tokens.append(Token("eof", "", line, pos - line_start + 1, pos, pos))
-            return tokens
+            return tokens, lines
 
 
 class _Parser:
     def __init__(self, text: str, file: str):
         self.text = text
         self.file = file
-        self.tokens = _tokenize(text, file)
-        self.kinds = [t.kind for t in self.tokens]  # what ``at`` reads, one list index per test
+        self.tokens, self.lines = _tokenize(text, file)
+        self.kinds = [t.kind for t in self.tokens]  # what ``at`` and ``expr`` read, one list index per test
         self.pos = 0
+        self.depth = 0  # the levels that enclose the current token
+        self.peak = 0  # the deepest level reached in the innermost ``expr`` call
 
     # -- token plumbing ------------------------------------------------
 
@@ -107,14 +129,9 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def peek(self, offset: int = 1) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
     def error(self, message: str, expected: str = "", tok: Token | None = None) -> ParseError:
         tok = tok or self.cur
-        line = max(1, tok.line)
-        col = max(1, tok.col)
-        return ParseError(Location(self.file, line, col), message, expected)
+        return ParseError(Location(self.file, tok.line, tok.col), message, expected)
 
     def eat(self, kind: str, expected: str | None = None) -> Token:
         tok = self.cur
@@ -130,6 +147,33 @@ class _Parser:
     def at_keyword(self, word: str) -> bool:
         return self.cur.kind == "ident" and self.cur.text == word
 
+    def reach(self, depth: int, tok: Token) -> None:
+        """Note that what is parsed at ``tok`` sits ``depth`` levels deep."""
+        if depth > MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", tok=tok)
+        if depth > self.peak:
+            self.peak = depth
+
+    def open_level(self, tok: Token) -> None:
+        """Enter one more level at ``tok``; the caller leaves it with
+        ``self.depth -= 1``."""
+        self.depth += 1
+        self.reach(self.depth, tok)
+
+    def comma_list(self, item) -> tuple[list, Token]:
+        """``"(" (item ("," item)*)? ")"``: the items, each parsed by
+        ``item()``, and the closing token."""
+        self.open_level(self.eat("(", "'('"))
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.pos += 1
+                items.append(item())
+        close = self.eat(")", "')'")
+        self.depth -= 1
+        return items, close
+
     # -- grammar -------------------------------------------------------
 
     def parse_file(self) -> MiniSrvAst:
@@ -141,7 +185,7 @@ class _Parser:
                 items.append(self.func_def())
             else:
                 raise self.error(f"unexpected {self.cur.text!r}", "'const', 'fn' or a decorator")
-        return MiniSrvAst(self.file, self.text, items)
+        return MiniSrvAst(self.file, self.text, items, self.lines)
 
     def const_def(self) -> ConstDef:
         kw = self.eat("ident")  # const
@@ -150,7 +194,7 @@ class _Parser:
             raise self.error("keyword cannot name a constant", "identifier", name)
         self.eat("=", "'='")
         value = self.literal()
-        return ConstDef(kw.line, kw.col, (kw.start, value.span[1]), name.text, value)
+        return ConstDef((kw.start, value.span[1]), name.text, value)
 
     def func_def(self) -> FuncDef:
         decorators = []
@@ -161,36 +205,21 @@ class _Parser:
             raise self.error(f"unexpected {self.cur.text!r}", "'fn'")
         self.pos += 1
         name = self.eat("ident", "function name")
-        self.eat("(", "'('")
-        params: list[Param] = []
-        if not self.at(")"):
-            while True:
-                p = self.eat("ident", "parameter name")
-                params.append(Param(p.line, p.col, (p.start, p.end), p.text))
-                if self.at(","):
-                    self.pos += 1
-                    continue
-                break
-        self.eat(")", "')'")
+        params, _ = self.comma_list(self.param)
         body, end = self.block()
-        return FuncDef(fn.line, fn.col, (fn.start, end), name.text, decorators, params, body)
+        return FuncDef((fn.start, end), name.text, decorators, params, body)
+
+    def param(self) -> Param:
+        p = self.eat("ident", "parameter name")
+        return Param((p.start, p.end), p.text)
 
     def decorator(self) -> Decorator:
         at = self.eat("@")
         name = self.eat("ident", "decorator name")
         if name.text not in DECORATOR_NAMES:
             raise self.error(f"unknown decorator {name.text!r}", "'route' or 'auth'", name)
-        self.eat("(", "'('")
-        args = []
-        if not self.at(")"):
-            while True:
-                args.append(self.decorator_arg())
-                if self.at(","):
-                    self.pos += 1
-                    continue
-                break
-        close = self.eat(")", "')'")
-        dec = Decorator(at.line, at.col, (at.start, close.end), name.text, args)
+        args, close = self.comma_list(self.decorator_arg)
+        dec = Decorator((at.start, close.end), name.text, args)
         self._check_decorator(dec)
         return dec
 
@@ -199,7 +228,7 @@ class _Parser:
             ok = len(dec.args) == 2 and all(isinstance(a, StrLit) for a in dec.args)
             if not ok or not dec.args[1].value:
                 raise ParseError(
-                    Location(self.file, dec.line, dec.col),
+                    locate(self.file, self.lines, dec.span[0]),
                     "@route path must be non-empty" if ok else "@route takes (method, path) string literals",
                     '@route("METHOD", "/path")',
                 )
@@ -207,7 +236,7 @@ class _Parser:
             ok = len(dec.args) == 1 and isinstance(dec.args[0], Name)
             if not ok:
                 raise ParseError(
-                    Location(self.file, dec.line, dec.col),
+                    locate(self.file, self.lines, dec.span[0]),
                     "@auth takes one check-function name",
                     "@auth(check_fn)",
                 )
@@ -218,7 +247,7 @@ class _Parser:
             return self.literal()
         if tok.kind == "ident":
             self.pos += 1
-            return Name(tok.line, tok.col, (tok.start, tok.end), tok.text)
+            return Name((tok.start, tok.end), tok.text)
         raise self.error(f"unexpected {tok.text!r}", "literal or identifier")
 
     def block(self) -> tuple[list, int]:
@@ -238,25 +267,26 @@ class _Parser:
             return self.return_stmt()
         if self.at("ident") and self.cur.text not in KEYWORDS:
             # assignment (IDENT '=') or a bare call statement
-            if self.peek().kind == "=":
+            if self.kinds[self.pos + 1] == "=":  # an identifier is never the last token
                 target = self.eat("ident")
                 self.eat("=")
                 value = self.expr()
-                return Assign(target.line, target.col, (target.start, _end(value)), target.text, value)
-            call = self.path_call(require_call=True)
-            return CallStmt(call.line, call.col, call.span, call)
+                return Assign((target.start, value.span[1]), target.text, value)
+            return self.path_call(require_call=True)
         raise self.error(f"unexpected {self.cur.text or 'end of input'!r}", "statement")
 
     def if_stmt(self) -> If:
         kw = self.cur
         self.pos += 1
         cond = self.expr()
+        self.open_level(kw)  # the branches sit one level deeper than the guard
         then_body, end = self.block()
         else_body: list = []
         if self.at_keyword("else"):
             self.pos += 1
             else_body, end = self.block()
-        return If(kw.line, kw.col, (kw.start, end), cond, (cond.span[0], cond.span[1]), then_body, else_body)
+        self.depth -= 1
+        return If((kw.start, end), cond, then_body, else_body)
 
     def return_stmt(self) -> Return:
         kw = self.cur
@@ -265,42 +295,30 @@ class _Parser:
             self.at("ident") and self.cur.text not in (KEYWORDS - {"true", "false"})
         ):
             value = self.expr()
-            return Return(kw.line, kw.col, (kw.start, _end(value)), value)
-        return Return(kw.line, kw.col, (kw.start, kw.end), None)
+            return Return((kw.start, value.span[1]), value)
+        return Return((kw.start, kw.end), None)
 
-    # expressions, loosest binding first: || then && then comparison then +
-
-    def expr(self):
-        node = self.and_expr()
-        while self.at("||"):
-            self.pos += 1
-            rhs = self.and_expr()
-            node = BinOp(node.line, node.col, (node.span[0], _end(rhs)), "||", node, rhs)
-        return node
-
-    def and_expr(self):
-        node = self.cmp_expr()
-        while self.at("&&"):
-            self.pos += 1
-            rhs = self.cmp_expr()
-            node = BinOp(node.line, node.col, (node.span[0], _end(rhs)), "&&", node, rhs)
-        return node
-
-    def cmp_expr(self):
-        node = self.add_expr()
-        if self.cur.kind in ("==", "!=", "<", "<=", ">", ">="):
+    def expr(self, level: int = 0):
+        """An expression whose operators bind at ``BINARY_OPERATORS[level]``
+        or tighter, as a left-deep BinOp tree. Each operator puts the
+        operands before it one level deeper than they were."""
+        if level == len(BINARY_OPERATORS):
+            return self.primary()
+        ops, chains = BINARY_OPERATORS[level]
+        outer_peak, self.peak = self.peak, self.depth
+        node = self.expr(level + 1)
+        while self.kinds[self.pos] in ops:
             op = self.cur
             self.pos += 1
-            rhs = self.add_expr()
-            node = BinOp(node.line, node.col, (node.span[0], _end(rhs)), op.kind, node, rhs)
-        return node
-
-    def add_expr(self):
-        node = self.primary()
-        while self.at("+"):
-            self.pos += 1
-            rhs = self.primary()
-            node = BinOp(node.line, node.col, (node.span[0], _end(rhs)), "+", node, rhs)
+            self.reach(self.peak + 1, op)
+            self.depth += 1
+            rhs = self.expr(level + 1)
+            self.depth -= 1
+            node = BinOp((node.span[0], rhs.span[1]), op.kind, node, rhs)
+            if not chains:
+                break
+        if outer_peak > self.peak:
+            self.peak = outer_peak
         return node
 
     def primary(self):
@@ -309,8 +327,10 @@ class _Parser:
             return self.literal()
         if tok.kind == "(":
             self.pos += 1
+            self.open_level(tok)
             node = self.expr()
             self.eat(")", "')'")
+            self.depth -= 1
             return node
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             return self.path_call(require_call=False)
@@ -320,13 +340,13 @@ class _Parser:
         tok = self.cur
         if tok.kind == "int":
             self.pos += 1
-            return IntLit(tok.line, tok.col, (tok.start, tok.end), int(tok.text))
+            return IntLit((tok.start, tok.end), int(tok.text))
         if tok.kind == "string":
             self.pos += 1
-            return StrLit(tok.line, tok.col, (tok.start, tok.end), tok.text[1:-1])
+            return StrLit((tok.start, tok.end), tok.text[1:-1])
         if tok.kind == "ident" and tok.text in ("true", "false"):
             self.pos += 1
-            return BoolLit(tok.line, tok.col, (tok.start, tok.end), tok.text == "true")
+            return BoolLit((tok.start, tok.end), tok.text == "true")
         raise self.error(f"unexpected {tok.text!r}", "literal")
 
     def path_call(self, require_call: bool):
@@ -340,26 +360,13 @@ class _Parser:
             parts.append(attr.text)
             end = attr.end
         if self.at("("):
-            self.pos += 1
-            args = []
-            if not self.at(")"):
-                while True:
-                    args.append(self.expr())
-                    if self.at(","):
-                        self.pos += 1
-                        continue
-                    break
-            close = self.eat(")", "')'")
-            return Call(first.line, first.col, (first.start, close.end), ".".join(parts), args)
+            args, close = self.comma_list(self.expr)
+            return Call((first.start, close.end), ".".join(parts), args)
         if require_call:
             raise self.error(f"unexpected {self.cur.text or 'end of input'!r}", "'(' or '='")
         if len(parts) == 1:
-            return Name(first.line, first.col, (first.start, end), parts[0])
-        return Member(first.line, first.col, (first.start, end), parts[0], tuple(parts[1:]))
-
-
-def _end(node) -> int:
-    return node.span[1]
+            return Name((first.start, end), parts[0])
+        return Member((first.start, end), parts[0], tuple(parts[1:]))
 
 
 def parse_source(text: str, file: str) -> MiniSrvAst:

@@ -9,26 +9,29 @@ across threads.
 The record rule, for every module: no record is a dataclass and no module
 imports ``dataclasses``, whose class builds and imports (``inspect``,
 ``ast``, ``dis``, ``tokenize``) cost a cold start more than the analysis of a
-small corpus. A record is one of three kinds, chosen by what its records do:
+small corpus. A record is one of three kinds, chosen by what it is for:
 
-* a ``typing.NamedTuple`` when it is a plain value that never meets a
-  field-equal record of another type in ``==``, a hash, a memo key or a
-  report payload (which writes a tuple as a JSON array): edges, flow
-  segments, AST nodes, tokens, manifest entries;
-* a ``Record`` subclass otherwise: a ``__slots__`` class read as fast as a
-  dataclass. A record that only stores its fields declares them once, in
-  ``__slots__`` (and its trailing defaults in ``_defaults``), and
-  ``Record`` compiles its constructor, which makes the class cost about
-  as much to build as a named tuple; one that validates or derives writes
-  its own ``__init__`` and costs a small fraction of that. It is equal
-  only to a record of its own type, so the formula nodes, the checker
-  results, the reasoner tasks and their descriptors never meet a
-  field-equal record of another type; the records read most in a scan
-  (``Element``, ``Location``, ``Service``, ``Program``, ``GlobalPath``) are
-  records of this kind for their fast field reads;
-* a plain class with ``__slots__`` when its records are mutated (the global
-  graph, a function's lowering state): it is neither hashed nor compared
-  by value.
+* a ``typing.NamedTuple`` for a small plain value that is used whole:
+  compared, hashed, sorted or unpacked in C, and built by few classes, each
+  of which never meets a field-equal record of another type in ``==``, a
+  hash, a memo key or a report payload (which writes a tuple as a JSON
+  array): edges, flow segments, tokens, manifest entries;
+* a ``Record`` subclass for a record that is read field by field, that is
+  one of a family of many classes, or that must equal only a record of its
+  own type: a ``__slots__`` class, whose field reads Python 3.11
+  specializes as it does not a named tuple's, equal and hashed by its type
+  and fields. The fourteen MiniSrv AST node classes (read field by field
+  by the lowering), the formula nodes, the checker results, the reasoner
+  tasks and their descriptors are of this kind, as are the records read
+  most in a scan (``Element``,
+  ``Location``, ``Service``, ``Program``, ``GlobalPath``). A record that
+  only stores its fields declares them once, in ``__slots__`` (and its
+  trailing defaults in ``_defaults``), and ``Record`` compiles its
+  constructor, so the class builds in less time than a named tuple; one
+  that validates or derives writes its own ``__init__``;
+* a plain class with ``__slots__`` for a record that is mutated (the
+  global graph, a function's lowering state): it is neither hashed nor
+  compared by value.
 
 Records are not written after ``__init__``, and one whose ``__init__``
 validates (a ``constraints.PathConstraint``) is valid once it is built:

@@ -491,8 +491,10 @@ def scan(
 
     Each path class is validated once, by its first flow; every other flow
     of the class takes its ``PathClass`` and replays its validation records
-    under its own flow id (see ``_validate_path``). Each flow is then put
-    with the pruned, the protected or the findings by its class.
+    under its own flow id (see ``_validate_path``). Each validated flow's
+    outcome, the flow with its ``PathClass`` and its SMT file, goes to
+    ``_report_payload``, which puts the flow with the pruned, the protected
+    or the findings by its class.
 
     Findings share one record per privileged operation, per path element
     (step and evidence), per path segment (hop) and per distinct service
@@ -522,12 +524,7 @@ def scan(
     unresolved = []
 
     try:
-        try:
-            privops = find_privileged_ops(program, reasoner, tracer=tracer, basic_sink=options.basic_sink)
-        except BudgetExhausted as exc:
-            privops = list(exc.partial or [])
-            raise
-
+        privops = find_privileged_ops(program, reasoner, tracer=tracer, basic_sink=options.basic_sink)
         record_flow = functools.partial(tracer.record, PHASE_FLOW)
         matched = match_channels(program)
         graph = build_global_graph(
@@ -544,13 +541,12 @@ def scan(
         flows = result.paths
         flows_truncated = result.truncated
     except BudgetExhausted as exc:
+        if exc.partial is not None:
+            privops = list(exc.partial)
         exhausted_reason = str(exc)
 
     ops_by_element = {op.element: op for op in privops}
-    findings: list[tuple[GlobalPath, PathClass, str | None]] = []  # (flow, its class, its SMT file)
-    pruned: list[str] = []
-    dropped: list[str] = []
-    budget_truncated = 0
+    outcomes: list[tuple[GlobalPath, PathClass, str | None]] = []  # (flow, its class, its SMT file)
     full_context_ids: set[str] = set()
 
     if exhausted_reason is None:
@@ -564,7 +560,7 @@ def scan(
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
         classes: dict[tuple, PathClass] = {}
-        for index, flow in enumerate(flows):
+        for flow in flows:
             key = (flow.sink, *map(summary_of, flow.flow_segments))
             try:
                 path_class, smt_file = _validate_path(
@@ -572,16 +568,10 @@ def scan(
                     max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text,
                 )
             except BudgetExhausted as exc:
-                budget_truncated = len(flows) - index
                 exhausted_reason = str(exc)
                 break
             classes[key] = path_class
-            if path_class.status == "pruned":
-                pruned.append(flow.id)
-            elif path_class.sufficiency.verdict == "protected":
-                dropped.append(flow.id)
-            else:
-                findings.append((flow, path_class, smt_file))
+            outcomes.append((flow, path_class, smt_file))
 
     payload = _report_payload(
         program=program,
@@ -593,10 +583,7 @@ def scan(
         unresolved=unresolved,
         flows=flows,
         flows_truncated=flows_truncated,
-        pruned=pruned,
-        dropped=dropped,
-        budget_truncated=budget_truncated,
-        findings=findings,
+        outcomes=outcomes,
         tracer=tracer,
         budget=budget,
         exhausted_reason=exhausted_reason,
@@ -717,17 +704,17 @@ def _report_payload(
     unresolved,
     flows,
     flows_truncated: bool,
-    pruned,
-    dropped,
-    budget_truncated: int,
-    findings: list[tuple[GlobalPath, PathClass, str | None]],
+    outcomes: list[tuple[GlobalPath, PathClass, str | None]],
     tracer: Tracer,
     budget: ScanBudget,
     exhausted_reason: str | None,
     context_ids: set[str],
 ) -> dict:
-    """The report of a scan. Each finding is built from its flow, its
-    flow's ``PathClass`` and its SMT file."""
+    """The report of a scan. ``outcomes`` holds each validated flow, in
+    flow order, with its class's ``PathClass`` and its SMT file; the flows
+    after the last of them were cut by the budget. A flow whose class is
+    pruned or protected leaves the funnel, and every other flow is a
+    finding built from those three."""
     # one record per privileged operation, per element, per path segment and
     # per distinct service list, check list and constraint status, shared by
     # every finding that has it
@@ -832,13 +819,23 @@ def _report_payload(
         op = fd["privileged_operation"]
         return (op["service"], op["file"], op["line"], fd["id"])
 
-    finding_dicts = sorted((finding_dict(*finding) for finding in findings), key=finding_sort_key)
+    pruned: list[str] = []
+    protected: list[str] = []
+    finding_dicts: list[dict] = []
+    for flow, path_class, smt_file in outcomes:
+        if path_class.status == "pruned":
+            pruned.append(flow.id)
+        elif path_class.sufficiency.verdict == "protected":
+            protected.append(flow.id)
+        else:
+            finding_dicts.append(finding_dict(flow, path_class, smt_file))
+    finding_dicts.sort(key=finding_sort_key)
 
     funnel = {
         "initial_flows": len(flows),
         "constraint_pruned": len(pruned),
-        "protected_dropped": len(dropped),
-        "budget_truncated": budget_truncated,
+        "protected_dropped": len(protected),
+        "budget_truncated": len(flows) - len(outcomes),
         "findings": len(finding_dicts),
     }
     accounted = (
@@ -892,7 +889,7 @@ def _report_payload(
         "funnel": funnel,
         "flows_truncated_at_cap": flows_truncated,
         "pruned_flows": sorted(pruned),
-        "protected_flows": sorted(dropped),
+        "protected_flows": sorted(protected),
         "findings": finding_dicts,
         "context_elements": sorted(context_ids),
         "budget": {

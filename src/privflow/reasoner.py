@@ -254,11 +254,15 @@ def load_rules(file: str | Path | None = None) -> OracleRules:
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
-_CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
+#: A camelCase word break: before an uppercase letter that follows a
+#: lowercase letter or a digit, or that ends an uppercase run and starts a
+#: lowercase word (``HTTP|Order``).
+_CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
 def split_identifier(name: str) -> list[str]:
-    """snake_case and camelCase identifier tokens, lowercased."""
+    """snake_case and camelCase identifier tokens, lowercased:
+    ``cancelHTTPOrder`` is ``cancel``, ``http``, ``order``."""
     parts: list[str] = []
     for chunk in name.split("_"):
         if chunk:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from privflow import pipeline, remote
 from privflow.cli import main
+from privflow.minisrv.parser import MAX_DEPTH
 from privflow.report import ExitStatus, exit_status, render_report
 
 from conftest import CORPORA, write_fanout_corpus
@@ -57,6 +58,28 @@ def endpoint_to_call(service: str, call: str) -> list[dict]:
         element_record("e2", service, "call", file, 3, call),
         {"rec": "edge", "kind": "dataflow", "from": "e1", "to": "e2"},
     ]
+
+
+def deep_corpus(root, shape: str, levels: int) -> str:
+    """A one-service corpus whose handler writes its request input to
+    ``db.write`` through an assignment nested ``levels`` deep: inside that
+    many parentheses, inside that many ``if`` branches, or at the bottom
+    of a ``+`` chain of that many operators."""
+    if shape == "parens":
+        body = "  x = " + "(" * levels + "v" + ")" * levels + "\n"
+    elif shape == "ifs":
+        body = 'if v == "a" {\n' * levels + "  x = v\n" + "}\n" * levels
+    else:
+        body = "  x = " + " + ".join(["v"] * (levels + 1)) + "\n"
+    source = '@route("POST", "/p")\nfn h() {\n  v = request.param("v")\n' + body + "  db.write(x)\n}\n"
+    (root / "a.msv").write_text(source, encoding="utf-8")
+    manifest = {
+        "version": 1,
+        "services": [{"name": "a", "entry": True, "sources": ["a.msv"]}],
+        "gateway_routes": [{"prefix": "/", "target": "a"}],
+    }
+    (root / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return str(root)
 
 
 class TestScanCommand:
@@ -367,6 +390,32 @@ class TestScanCommand:
         result = runner.invoke(main, ["scan", corpus("role_update"), "--rules", str(rules)])
         assert result.exit_code == 2
         assert result.output == "privflow: file: top level must be a JSON object\n"
+
+    @pytest.mark.parametrize("shape", ["parens", "ifs", "chain"])
+    def test_nesting_at_the_bound_scans(self, runner, tmp_path, shape):
+        result = runner.invoke(main, ["scan", deep_corpus(tmp_path, shape, MAX_DEPTH), "--budget-calls", "1000"])
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output)
+        assert payload["funnel"]["findings"] == 1
+        (finding,) = payload["findings"]
+        assert finding["privileged_operation"]["source"] == "db.write(x)"
+        assert finding["constraint"]["status"] == "sat"
+
+    @pytest.mark.parametrize(
+        "shape, levels, where",
+        [
+            ("parens", MAX_DEPTH + 1, "a.msv:4:71"),  # the 65th "("
+            ("ifs", MAX_DEPTH + 1, "a.msv:68:6"),  # the "==" of the 65th "if", inside 64 branches
+            ("chain", MAX_DEPTH + 1, "a.msv:4:265"),  # the 65th "+"
+            ("parens", 200, "a.msv:4:71"),
+            ("ifs", 330, "a.msv:68:6"),
+            ("chain", 599, "a.msv:4:265"),
+        ],
+    )
+    def test_nesting_past_the_bound_is_one_located_parse_error(self, runner, tmp_path, shape, levels, where):
+        result = runner.invoke(main, ["scan", deep_corpus(tmp_path, shape, levels)])
+        assert result.exit_code == 2
+        assert result.output == f"privflow: {where}: nesting deeper than {MAX_DEPTH} levels\n"
 
 
 class TestQueryCommand:

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privflow.minisrv import LoweringError, ParseError, lower, parse_source
-from privflow.minisrv.nodes import Assign, FuncDef, If, Return
-from privflow.minisrv.parser import PUNCT, _tokenize
-from privflow.model import EdgeKind, ElementKind
+from privflow.minisrv import LoweringError, ParseError, lower, nodes, parse_source
+from privflow.minisrv.nodes import Assign, Call, FuncDef, If, Return, locate
+from privflow.minisrv.parser import MAX_DEPTH, PUNCT, _tokenize
+from privflow.model import EdgeKind, ElementKind, Location, Record
 
 from conftest import CORPORA, bench_gen, lower_snippet
 from lexer_reference import _tokenize as reference_tokenize
@@ -56,7 +56,7 @@ class TestParser:
         first = parse_source(text, "u.msv")
         second = parse_source(text, "u.msv")
         assert first.items == second.items
-        assert repr(first.items) == repr(second.items)  # nodes compare as tuples; the repr names each type
+        assert repr(first.items) == repr(second.items)
 
     def test_unknown_decorator_rejected(self):
         with pytest.raises(ParseError):
@@ -84,6 +84,55 @@ class TestParser:
         assert isinstance(body[0], If) and isinstance(body[1], Assign)
         (ret,) = body[0].then_body
         assert isinstance(ret, Return) and ret.value is None
+
+    def test_nodes_are_records_positioned_by_span_alone(self):
+        classes = [c for c in vars(nodes).values() if isinstance(c, type) and c.__module__ == nodes.__name__]
+        assert len(classes) == 15
+        for cls in classes:
+            assert issubclass(cls, Record) and not issubclass(cls, tuple)
+            assert cls._fields == cls.__slots__, cls
+            assert not {"line", "col"} & set(cls._fields), cls
+            assert cls is nodes.MiniSrvAst or cls._fields[0] == "span", cls
+
+    def test_nesting_counts_every_enclosing_level(self):
+        """Call arguments, parentheses, ``if`` branches and binary operators
+        share one bound; a guard sits at its ``if``'s own level."""
+        def nested_calls(levels):
+            return "fn f(p) { x = " + "f(" * levels + "p" + ")" * levels + " }"
+
+        svc = lower_snippet(nested_calls(MAX_DEPTH))
+        assert len(names(svc, ElementKind.CALL)) == MAX_DEPTH
+        # 31 branches, 31 parentheses, an argument list and a "+": 64 levels
+        mixed = "fn f(p) {" + " if (p == 1) || p {" * 31 + " x = " + "(" * 31 + "f(p + 1)" + ")" * 31 + " }" * 31 + " }"
+        assert MAX_DEPTH == 64
+        assert lower_snippet(mixed).elements
+        for text in (nested_calls(MAX_DEPTH + 1), mixed.replace("f(p + 1)", "f((p + 1))")):
+            with pytest.raises(ParseError) as err:
+                parse_source(text, "t.msv")
+            assert err.value.message == f"nesting deeper than {MAX_DEPTH} levels"
+
+    def test_bare_call_statement_is_its_call(self):
+        text = "fn f(x) { g(x) }"
+        (stmt,) = parse_source(text, "t.msv").items[0].body
+        assert isinstance(stmt, Call) and text[slice(*stmt.span)] == "g(x)"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('fn f() { }\n  @route("GET") fn g() { }', "t.msv:2:3"),
+            ('fn f() { }\r\n\t@auth() fn g() { }', "t.msv:2:2"),
+            ('// caf\u00e9 \u4e2d\n fn f() { }  @auth(1) fn g() { }', "t.msv:2:14"),
+        ],
+    )
+    def test_decorator_error_is_located_at_its_at_sign(self, text, where):
+        with pytest.raises(ParseError) as err:
+            parse_source(text, "t.msv")
+        assert str(err.value.location) == where
+
+    def test_lowering_error_is_located_by_the_line_table(self):
+        with pytest.raises(LoweringError) as err:
+            lower_snippet('// caf\u00e9\r\nfn f() { }\n\n  \u0020fn f() { }')
+        assert str(err.value) == "svc.msv:4:4: function 'f' is already defined"
 
 
 # MiniSrv's ASCII alphabet, as lexeme pieces: every punctuator with the
@@ -114,7 +163,27 @@ def assert_tokens_match_reference(text: str) -> None:
     if end.col != len(last_line) + 1:
         assert "//" in last_line
         expected[-1] = end._replace(col=len(last_line) + 1)
-    assert _tokenize(text, "a.msv") == expected
+    assert _tokenize(text, "a.msv")[0] == expected
+
+
+def corpus_and_bench_sources(tmp_path):
+    """Every MiniSrv source of ``tests/corpora`` and of the chain 4x12 and
+    fan-out 8x2 corpora ``bench/gen.py`` writes under ``tmp_path``."""
+    gen = bench_gen()
+    gen.chain(3, 4, 12, tmp_path / "chain")
+    gen.fanout(3, 8, 2, tmp_path / "fanout")
+    sources = sorted(CORPORA.rglob("*.msv")) + sorted(tmp_path.rglob("*.msv"))
+    assert {p.parent.name for p in sources} == {p.name for p in CORPORA.iterdir() if p.is_dir()} | {"chain", "fanout"}
+    return sources
+
+
+def assert_line_table_locates_tokens(text: str) -> None:
+    """The lexer's line table maps each token's start offset to the
+    token's own line and column."""
+    tokens, lines = _tokenize(text, "a.msv")
+    assert lines[0] == 0 and len(lines) == text.count("\n") + 1
+    for token in tokens:
+        assert locate("a.msv", lines, token.start) == Location("a.msv", token.line, token.col), token
 
 
 class TestLexer:
@@ -142,13 +211,24 @@ class TestLexer:
         assert str(err.value) == "a.msv:1:18: unexpected end of input (expected '}')"
 
     def test_tokens_match_the_reference_on_corpora_and_bench_sources(self, tmp_path):
-        gen = bench_gen()
-        gen.chain(3, 4, 12, tmp_path / "chain")
-        gen.fanout(3, 8, 2, tmp_path / "fanout")
-        sources = sorted(CORPORA.rglob("*.msv")) + sorted(tmp_path.rglob("*.msv"))
-        assert {p.parent.name for p in sources} == {p.name for p in CORPORA.iterdir() if p.is_dir()} | {"chain", "fanout"}
-        for path in sources:
+        for path in corpus_and_bench_sources(tmp_path):
             assert_tokens_match_reference(path.read_text(encoding="utf-8"))
+
+    def test_line_table_locates_every_token_of_corpora_and_bench_sources(self, tmp_path):
+        for path in corpus_and_bench_sources(tmp_path):
+            assert_line_table_locates_tokens(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'fn f() {\r\n  x = "a"\r\n\r\n\ty = x // z\r\n}\r\n',
+            '// caf\u00e9 \u4e2d\U0001f600\nfn f() { x = "\u00e9\u00b2" y = 1 }\n  z\n',
+            "\n\n",
+            "",
+        ],
+    )
+    def test_line_table_locates_every_token(self, text):
+        assert_line_table_locates_tokens(text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(ASCII_PIECES), IDENTS, st.text(ASCII_CHARS, max_size=3)), max_size=30))
@@ -230,9 +310,14 @@ class TestLowering:
             1
             for f in ast.functions()
             for stmt in _walk_statements(f.body)
-            if type(stmt).__name__ == "CallStmt"
+            if isinstance(stmt, Call)
         )
         assert len(stmt_elements) + toplevel_calls == statement_count
+
+    def test_conditional_source_is_its_guard(self):
+        svc = lower_snippet("fn f(x) {\n  if x == 1 && y { z = 1 } else { z = 2 }\n}")
+        (cond,) = [e for e in svc.elements if e.kind is ElementKind.CONDITIONAL]
+        assert (cond.source, cond.location.line, cond.location.col) == ("x == 1 && y", 2, 3)
 
     def test_route_function_yields_endpoint(self):
         svc = lower_snippet('@route("GET", "/ping") fn ping() { x = 1 }')

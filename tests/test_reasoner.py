@@ -117,6 +117,33 @@ class TestClassifyPrivileged:
         verdict = oracle.reason(ClassifyPrivileged("e1", "update_account", "fn update_account(a, d) { }"))
         assert verdict.category == "sensitive-resource"
 
+    @pytest.mark.parametrize("name", ["resetPassword", "resetACLPassword", "reset_acl_password"])
+    def test_acronym_does_not_hide_the_next_word(self, oracle, name):
+        verdict = oracle.reason(ClassifyPrivileged("e1", name, "x"))
+        assert verdict.category == "protected-state"
+
+
+@pytest.mark.parametrize(
+    "name, parts",
+    [
+        ("update_role", ["update", "role"]),
+        ("cancelOrder", ["cancel", "order"]),
+        ("cancelHTTPOrder", ["cancel", "http", "order"]),
+        ("resetACLPassword", ["reset", "acl", "password"]),
+        ("HTTPServer", ["http", "server"]),
+        ("getHTTP", ["get", "http"]),
+        ("sha1Digest", ["sha1", "digest"]),
+        ("PRE_PAY", ["pre", "pay"]),
+        ("CANCELED", ["canceled"]),
+        ("_private__name_", ["private", "name"]),
+    ],
+)
+def test_split_identifier(name, parts):
+    """Words break at ``_``, before an uppercase letter after a lowercase
+    letter or digit, and before the last letter of an uppercase run that a
+    lowercase letter follows; an all-caps word stays whole."""
+    assert split_identifier(name) == parts
+
 
 class TestClassifyCheck:
     def test_authz_function_with_role_helper(self, oracle):
@@ -183,7 +210,7 @@ class TestAssessSufficiency:
         assert verdict.verdict == "missing_authz"
         assert "ownership" in verdict.rationale
 
-    @pytest.mark.parametrize("source", ["cancel_order(no)", "cancelOrder(no)"])
+    @pytest.mark.parametrize("source", ["cancel_order(no)", "cancelOrder(no)", "cancelHTTPOrder(no)"])
     def test_ownership_note_splits_snake_and_camel_case(self, oracle, source):
         task = AssessSufficiency("cancel", source, "sensitive-resource", ())
         verdict = oracle.reason(task)

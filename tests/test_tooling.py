@@ -109,7 +109,7 @@ def test_import_layers():
     so the engine runs on facts from any frontend. The loader (and its
     per-file memo) reads only the frontend, the facts reader and ``model``,
     so ``privflow query`` and ``privflow facts`` never import the scan
-    engine."""
+    engine. The MiniSrv parser and its AST nodes import only ``model``."""
     imports = {
         ".".join(path.relative_to(SRC).with_suffix("").parts): _privflow_imports(path)
         for path in sorted(SRC.rglob("*.py"))
@@ -122,6 +122,9 @@ def test_import_layers():
     frontend_users = {name for name, found in imports.items() if "minisrv" in found and not name.startswith("minisrv")}
     assert frontend_users <= {"load", "cli", "constraints"}
     assert "model" in imports["minisrv.lower"]
+    # the parser's "minisrv" is its sibling ``minisrv.nodes``
+    assert imports["minisrv.nodes"] == {"model"}
+    assert imports["minisrv.parser"] == {"minisrv", "model"}
 
 
 
