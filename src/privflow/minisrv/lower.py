@@ -26,6 +26,8 @@ Service.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from ..model import INBOUND_INTRINSICS, OUTBOUND_INTRINSICS
 from ..model import Channel, Edge, EdgeKind, Element, ElementKind, Location, Service, element_id
 from .nodes import (
@@ -348,29 +350,33 @@ class _Lowerer:
         if protocol is None or not call.args:
             return
         direction = "out" if call.callee in OUTBOUND_INTRINSICS else "in"
-        ident = self.resolve_constant(call.args[0], scope, set())
+        ident = self.resolve_constant(call.args[0], scope)
         if isinstance(ident, str) and ident:
             self.channels.append(Channel(call_el.id, direction, protocol, ident))
 
-    def resolve_constant(self, expr, scope: _FnScope, visiting: set[str]) -> str | None:
-        """Backward walk from an expression to the string constant it denotes."""
-        if isinstance(expr, StrLit):
-            return expr.value
-        if isinstance(expr, BinOp) and expr.op == "+":
-            lhs = self.resolve_constant(expr.lhs, scope, visiting)
-            rhs = self.resolve_constant(expr.rhs, scope, visiting)
-            if lhs is not None and rhs is not None:
-                return lhs + rhs
-            return None
-        if isinstance(expr, Name):
+    def resolve_constant(self, expr, scope: _FnScope, visiting: Iterable[str] = ()) -> str | None:
+        """Backward walk from an expression to the string constant it
+        denotes. A chain of copies, each name assigned once, is followed in
+        a loop, so only ``+`` recurses, as deep as the parser's nesting
+        bound. A name already followed, in ``visiting`` or in this chain,
+        is a cycle and denotes nothing."""
+        followed = set(visiting)
+        while isinstance(expr, Name):
             if expr.ident in self.const_values:
                 v = self.const_values[expr.ident]
                 return v if isinstance(v, str) else None
-            if expr.ident in visiting:
-                return None
             assigns = scope.assignments.get(expr.ident, [])
-            if len(assigns) == 1:
-                return self.resolve_constant(assigns[0], scope, visiting | {expr.ident})
+            if expr.ident in followed or len(assigns) != 1:
+                return None
+            followed.add(expr.ident)
+            expr = assigns[0]
+        if isinstance(expr, StrLit):
+            return expr.value
+        if isinstance(expr, BinOp) and expr.op == "+":
+            lhs = self.resolve_constant(expr.lhs, scope, followed)
+            rhs = self.resolve_constant(expr.rhs, scope, followed)
+            if lhs is not None and rhs is not None:
+                return lhs + rhs
         return None
 
 

@@ -147,6 +147,12 @@ class _Parser:
     def at_keyword(self, word: str) -> bool:
         return self.cur.kind == "ident" and self.cur.text == word
 
+    def consumed_end(self) -> int:
+        """The end offset of the last token consumed. A node that ends
+        with a parenthesised operand ends here, at its ``)``, not where
+        the operand's own node ends."""
+        return self.tokens[self.pos - 1].end
+
     def reach(self, depth: int, tok: Token) -> None:
         """Note that what is parsed at ``tok`` sits ``depth`` levels deep."""
         if depth > MAX_DEPTH:
@@ -271,7 +277,7 @@ class _Parser:
                 target = self.eat("ident")
                 self.eat("=")
                 value = self.expr()
-                return Assign((target.start, value.span[1]), target.text, value)
+                return Assign((target.start, self.consumed_end()), target.text, value)
             return self.path_call(require_call=True)
         raise self.error(f"unexpected {self.cur.text or 'end of input'!r}", "statement")
 
@@ -295,17 +301,20 @@ class _Parser:
             self.at("ident") and self.cur.text not in (KEYWORDS - {"true", "false"})
         ):
             value = self.expr()
-            return Return((kw.start, value.span[1]), value)
+            return Return((kw.start, self.consumed_end()), value)
         return Return((kw.start, kw.end), None)
 
     def expr(self, level: int = 0):
         """An expression whose operators bind at ``BINARY_OPERATORS[level]``
         or tighter, as a left-deep BinOp tree. Each operator puts the
-        operands before it one level deeper than they were."""
+        operands before it one level deeper than they were. A BinOp's span
+        runs from its first token to its last, so it holds the parentheses
+        of an operand at either end."""
         if level == len(BINARY_OPERATORS):
             return self.primary()
         ops, chains = BINARY_OPERATORS[level]
         outer_peak, self.peak = self.peak, self.depth
+        start = self.cur.start
         node = self.expr(level + 1)
         while self.kinds[self.pos] in ops:
             op = self.cur
@@ -314,7 +323,7 @@ class _Parser:
             self.depth += 1
             rhs = self.expr(level + 1)
             self.depth -= 1
-            node = BinOp((node.span[0], rhs.span[1]), op.kind, node, rhs)
+            node = BinOp((start, self.consumed_end()), op.kind, node, rhs)
             if not chains:
                 break
         if outer_peak > self.peak:

@@ -11,8 +11,10 @@ Flow counts are conserved through the funnel:
 Every primitive call and reasoner task is recorded in a replayable
 tool-call trace, which also enforces the per-phase call budget. Every task
 is recorded; each distinct task reaches the backend once per scan, through
-the scan's ``reasoner.Memo``. A task is recorded before it is looked up, so
-the record that exhausts the budget asks the backend nothing.
+the scan's ``reasoner.Memo``, which answers itself the constraint of a flow
+with no guard and the sufficiency of a sink with no check. A task is
+recorded before it is looked up, so the record that exhausts the budget
+asks the backend nothing.
 
 Paths share most of their segments, and their guards often translate to
 one constraint. So validation keeps, for the length of one scan, each

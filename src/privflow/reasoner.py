@@ -16,13 +16,16 @@ own type with equal fields, and equal tasks ask the same question. ``Memo`` reli
 it asks each distinct task once and answers equal tasks with the stored
 verdict, so a remote backend answers a repeated task the same way (at a
 nonzero temperature, two asks could give two answers) and is paid once.
+``Memo`` also answers the two tasks whose one sound answer the program
+fixes, so no backend is asked them: a flow with no guard has the empty
+constraint, and a sink with no check is ``unprotected``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import cached_property, singledispatchmethod
+from functools import cache, cached_property, singledispatchmethod
 from pathlib import Path
 from typing import NamedTuple
 
@@ -214,8 +217,12 @@ class OracleRules(Record):
 
 
 def load_rules(file: str | Path | None = None) -> OracleRules:
-    """Load and validate oracle rules; defaults ship with the package."""
-    path = Path(file) if file is not None else RULES_RESOURCE
+    """Load and validate oracle rules. Without a file, the rules that ship
+    with the package, loaded once per process: every caller shares that
+    object, so it must not be changed."""
+    if file is None:
+        return _shipped_rules()
+    path = Path(file)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -248,6 +255,11 @@ def load_rules(file: str | Path | None = None) -> OracleRules:
         except re.error as exc:
             raise RulesError(rules_field, f"pattern {exc.pattern!r} does not compile: {exc}")
     return rules
+
+
+@cache
+def _shipped_rules() -> OracleRules:
+    return load_rules(RULES_RESOURCE)
 
 
 # --- scripted oracle --------------------------------------------------------------
@@ -493,17 +505,29 @@ class Memo:
     """Per-scan verdict memo in front of one backend: each distinct task
     reaches the backend once, and an equal task gets the stored verdict.
     The key is the task alone, since one memo serves one backend. A task
-    whose ask raised stores nothing, so it is asked again next time."""
+    whose ask raised stores nothing, so it is asked again next time.
+
+    Two tasks never reach the backend, since the program leaves them one
+    sound answer: an ``ExtractConstraints`` with no guard (the empty
+    conjunction) and an ``AssessSufficiency`` with no check
+    (``unprotected``). The scripted oracle's code answers them, with the
+    backend's rules when it is a ``ScriptedOracle`` and the shipped rules
+    otherwise, so the verdict and its rationale are the scripted ones."""
 
     def __init__(self, backend):
         self.backend = backend
         self.name = getattr(backend, "name", type(backend).__name__)
         self._verdicts: dict = {}
+        self._scripted = ScriptedOracle(backend.rules if isinstance(backend, ScriptedOracle) else None)
 
     def reason(self, task):
         verdict = self._verdicts.get(task)
         if verdict is None:
-            verdict = self._verdicts[task] = self.backend.reason(task)
+            decided = (
+                type(task) is ExtractConstraints and not task.guards
+                or type(task) is AssessSufficiency and not task.checks
+            )
+            verdict = self._verdicts[task] = (self._scripted if decided else self.backend).reason(task)
         return verdict
 
 

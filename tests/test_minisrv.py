@@ -1,11 +1,16 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privflow.load import load_program
 from privflow.minisrv import LoweringError, ParseError, lower, nodes, parse_source
 from privflow.minisrv.nodes import Assign, Call, FuncDef, If, Return, locate
 from privflow.minisrv.parser import MAX_DEPTH, PUNCT, _tokenize
 from privflow.model import EdgeKind, ElementKind, Location, Record
+from privflow.pipeline import scan
+from privflow.reasoner import ScriptedOracle
 
 from conftest import CORPORA, bench_gen, lower_snippet
 from lexer_reference import _tokenize as reference_tokenize
@@ -336,6 +341,41 @@ class TestLowering:
         )
         assert len(svc.channels) == 1
         assert svc.channels[0].identifier == "http://h:1/x"
+
+    def test_parenthesised_operand_stays_in_its_enclosing_source(self):
+        svc = lower_snippet("fn f(n) {\n  x = (n + 1)\n  if (n == 1) && n == 2 { y = 1 }\n  return (n)\n}")
+        statements = (ElementKind.ASSIGNMENT, ElementKind.CONDITIONAL, ElementKind.RETURN_STMT)
+        assert [e.source for e in svc.elements if e.kind in statements] == [
+            "x = (n + 1)", "(n == 1) && n == 2", "y = 1", "return (n)"
+        ]
+
+    def test_a_parenthesised_contradiction_is_pruned(self, tmp_path):
+        (tmp_path / "transfer.msv").write_text(
+            '@route("POST", "/transfer")\n'
+            "fn transfer() {\n"
+            '  mode = request.param("mode")\n'
+            '  if (mode == "A") && mode == "B" {\n'
+            '    db.write("insert into transfers values (" + mode + ")")\n'
+            "  }\n"
+            "}\n"
+        )
+        (tmp_path / "privflow.manifest.json").write_text(json.dumps({
+            "version": 1,
+            "services": [{"name": "transfer", "entry": True, "base_url": "http://localhost:1", "sources": ["transfer.msv"]}],
+            "gateway_routes": [{"prefix": "/transfer", "target": "transfer"}],
+        }))
+        payload = scan(load_program(tmp_path), ScriptedOracle())
+        assert (payload["funnel"]["initial_flows"], payload["funnel"]["constraint_pruned"]) == (1, 1)
+
+    @pytest.mark.parametrize("copies", [1, 1000])
+    def test_a_channel_resolves_through_chained_copies(self, copies):
+        chain = " ".join(f"a{i} = a{i - 1}" for i in range(1, copies + 1))
+        svc = lower_snippet(f'fn f() {{ a0 = "/x" {chain} http_post(a{copies}, 1) }}')
+        assert [c.identifier for c in svc.channels] == ["/x"]
+
+    @pytest.mark.parametrize("cycle", ["a = b b = a", 'a = b + "/x" b = a', "a = a"])
+    def test_a_copy_cycle_resolves_to_no_channel(self, cycle):
+        assert lower_snippet(f"fn f() {{ {cycle} http_post(a, 1) }}").channels == ()
 
     def test_variable_type_inference(self):
         svc = lower_snippet('fn f() { role = request.param("role") n = 1 c = n }')

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from privflow.constraints import PathConstraint, ConstCmp, And
+from privflow.constraints import PathConstraint, ConstCmp, And, BoolVar, Not
 from privflow.load import load_program
 from privflow.pipeline import ScanBudget, ScanOptions, scan
 from privflow.reasoner import (
@@ -34,7 +34,7 @@ from privflow.reasoner import (
 )
 from privflow.remote import PROMPTS_DIR, RETRY_BACKOFF_S, RemoteConfig, RemoteReasoner, _parse_verdict
 
-from conftest import CORPORA, write_fanout_corpus
+from conftest import CORPORA, bench_gen, write_fanout_corpus
 
 UPDATE_ROLE_SRC = 'fn update_role(u, r) {\n  userstore.save(u, r)\n}'
 CAN_SWITCH_SRC = 'fn can_switch_roles(u) {\n  r = db.read("select allowed")\n  return r\n}'
@@ -642,7 +642,9 @@ class TestMemo:
         """The fan-out's 256 paths share one ExtractConstraints and one
         AssessSufficiency task and classify the same 16 endpoint guards:
         2,579 tasks, 37 of them distinct. Each distinct task reaches the
-        backend once."""
+        backend once, but for the AssessSufficiency: every guard
+        classifies as ``none``, so it holds no check and the memo answers
+        it."""
         backend = TaskLog()
         payload = scan(load_program(write_fanout_corpus(tmp_path)), backend, ScanBudget(max_tool_calls_per_phase=10**9))
         assert payload["funnel"]["findings"] == 256
@@ -652,5 +654,77 @@ class TestMemo:
             "ConfirmUserSource": 2,
             "ClassifyCheck": 16,
             "ExtractConstraints": 1,
-            "AssessSufficiency": 1,
         }
+
+
+OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
+
+
+class ProtectsEverything(ScriptedOracle):
+    """A backend that guesses ``protected`` for every sink."""
+
+    def reason(self, task):
+        if isinstance(task, AssessSufficiency):
+            return Sufficiency("protected", "guessed")
+        return super().reason(task)
+
+
+class PrunesEverything(ScriptedOracle):
+    """A backend that guesses a contradiction for every flow's guards."""
+
+    def reason(self, task):
+        if isinstance(task, ExtractConstraints):
+            ghost = BoolVar("ghost")
+            return ConstraintExtraction(PathConstraint((("ghost", "bool"),), And((ghost, Not(ghost)))), "guessed")
+        return super().reason(task)
+
+
+class TestDecidedTasks:
+    """A flow with no guard and a sink with no check have one sound answer
+    each, which the scan's memo gives without asking the backend."""
+
+    @pytest.mark.parametrize(
+        "corpus", [p.name for p in sorted(CORPORA.iterdir()) if p.is_dir()] + ["gen-chain4x12", "gen-fanout8x2"]
+    )
+    def test_no_backend_is_asked_what_the_program_decides(self, corpus, tmp_path):
+        if corpus == "gen-chain4x12":
+            bench_gen().chain(1, 4, 12, tmp_path)
+        elif corpus == "gen-fanout8x2":
+            bench_gen().fanout(1, 8, 2, tmp_path)
+        backend = TaskLog()
+        payload = scan(load_program(tmp_path if corpus.startswith("gen-") else CORPORA / corpus), backend, OPEN_BUDGET)
+        assert not payload["budget"]["exhausted"]
+        assert not [t for t in backend.tasks if isinstance(t, ExtractConstraints) and not t.guards]
+        assert not [t for t in backend.tasks if isinstance(t, AssessSufficiency) and not t.checks]
+        if corpus == "gen-chain4x12":
+            assert len(backend.tasks) == 21 and payload["funnel"]["findings"] == 48
+
+    @pytest.mark.parametrize("backend", [ProtectsEverything(), PrunesEverything()], ids=lambda b: type(b).__name__)
+    def test_a_guess_cannot_drop_an_unchecked_unguarded_flow(self, backend):
+        payload = scan(load_program(CORPORA / "exec_open"), backend)
+        assert payload["funnel"] == {
+            "initial_flows": 1, "constraint_pruned": 0, "protected_dropped": 0, "budget_truncated": 0, "findings": 1
+        }
+        (finding,) = payload["findings"]
+        assert (finding["verdict"], finding["feasibility"]) == ("unprotected", "feasible")
+        assert finding["rationale"] == "no authentication or authorization checks guard 'exec'"
+
+    def test_the_decided_verdict_reads_the_backends_rules(self, tmp_path):
+        raw = json.loads((__import__("privflow.reasoner", fromlist=["RULES_RESOURCE"]).RULES_RESOURCE).read_text())
+        raw["sufficiency"]["ownership_nouns"] = ["status"]
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(raw))
+        payload = scan(load_program(CORPORA / "wildcard_cancel"), ScriptedOracle(load_rules(path)))
+        (finding,) = payload["findings"]
+        assert finding["rationale"] == (
+            "no authentication or authorization checks guard 'db.write'; missing ownership check for resource 'status'"
+        )
+
+    def test_shipped_rules_are_loaded_once(self, tmp_path):
+        assert ScriptedOracle().rules is ScriptedOracle().rules is load_rules()
+        path = tmp_path / "rules.json"
+        path.write_text((__import__("privflow.reasoner", fromlist=["RULES_RESOURCE"]).RULES_RESOURCE).read_text())
+        assert load_rules(path) is not load_rules(path)
+        path.write_text("[]")
+        with pytest.raises(RulesError):
+            load_rules(path)
