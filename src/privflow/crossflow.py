@@ -78,9 +78,12 @@ def q_source(service: Service) -> tuple[Element, ...]:
 def q_user(program: Program, reasoner) -> list[Element]:
     """External user inputs: the sources of every service a gateway route
     targets, each confirmed by the reasoner against the prefixes of the
-    routes to its service. Services come in program order, which
-    ``validate_program`` makes manifest order; a service no route targets
-    has no user source."""
+    routes to its service, one task per source. Under a scan's
+    ``reasoner.Memo`` an endpoint path one of those prefixes covers is
+    confirmed without a backend call; an uncovered path and a ``consume``
+    source are the backend's to answer. Services come in program order,
+    which ``validate_program`` makes manifest order; a service no route
+    targets has no user source."""
     prefixes: dict[str, tuple[str, ...]] = {}
     for route in program.manifest.gateway_routes:
         prefixes[route.target] = (*prefixes.get(route.target, ()), route.prefix)

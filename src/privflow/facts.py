@@ -264,9 +264,12 @@ def _parse_element(rec: dict, lineno: int) -> Element:
     except ValueError as exc:
         raise FactsError(lineno, f"bad location: {exc}")
     try:
-        return Element(rec["id"], rec["service"], kind, rec["name"], location, rec["source"], rec["type"])
+        element = Element(rec["id"], rec["service"], kind, rec["name"], location, rec["source"], rec["type"])
     except ValueError as exc:
         raise FactsError(lineno, str(exc))
+    if kind is ElementKind.ENDPOINT and not element.name.startswith("/"):
+        raise FactsError(lineno, f"endpoint {element.id} route path must start with '/', got {element.name!r}")
+    return element
 
 
 def _parse_edge(rec: dict, lineno: int) -> Edge:

@@ -232,12 +232,14 @@ class _Parser:
     def _check_decorator(self, dec: Decorator) -> None:
         if dec.name == "route":
             ok = len(dec.args) == 2 and all(isinstance(a, StrLit) for a in dec.args)
-            if not ok or not dec.args[1].value:
-                raise ParseError(
-                    locate(self.file, self.lines, dec.span[0]),
-                    "@route path must be non-empty" if ok else "@route takes (method, path) string literals",
-                    '@route("METHOD", "/path")',
+            path = dec.args[1].value if ok else ""
+            if not path.startswith("/"):
+                message = (
+                    "@route takes (method, path) string literals" if not ok
+                    else "@route path must be non-empty" if not path
+                    else f"@route path must start with '/', got {path!r}"
                 )
+                raise ParseError(locate(self.file, self.lines, dec.span[0]), message, '@route("METHOD", "/path")')
         else:  # auth
             ok = len(dec.args) == 1 and isinstance(dec.args[0], Name)
             if not ok:

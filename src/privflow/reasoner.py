@@ -16,9 +16,10 @@ own type with equal fields, and equal tasks ask the same question. ``Memo`` reli
 it asks each distinct task once and answers equal tasks with the stored
 verdict, so a remote backend answers a repeated task the same way (at a
 nonzero temperature, two asks could give two answers) and is paid once.
-``Memo`` also answers the two tasks whose one sound answer the program
+``Memo`` also answers the three tasks whose one sound answer the program
 fixes, so no backend is asked them: a flow with no guard has the empty
-constraint, and a sink with no check is ``unprotected``.
+constraint, a sink with no check is ``unprotected``, and an endpoint path a
+gateway route prefix covers is a user source.
 """
 
 from __future__ import annotations
@@ -456,9 +457,9 @@ class ScriptedOracle:
         ident = task.identifier
         if not ident.startswith("/"):
             return UserSource(False, f"'{ident}' is not a gateway-routed path")
-        for prefix in task.route_prefixes:
-            if _path_has_prefix(ident, prefix):
-                return UserSource(True, f"'{ident}' is routed by gateway prefix '{prefix}'")
+        prefix = covering_prefix(task)
+        if prefix is not None:
+            return UserSource(True, f"'{ident}' is routed by gateway prefix '{prefix}'")
         return UserSource(False, f"no gateway route prefix covers '{ident}'")
 
     # NextSearchAction: one verb query and one noun query per service per
@@ -490,12 +491,18 @@ def _first_identifier(source: str) -> str:
     return m.group(0) if m else ""
 
 
-def _path_has_prefix(path: str, prefix: str) -> bool:
-    p_segs = [s for s in prefix.split("/") if s]
-    segs = [s for s in path.split("/") if s]
-    if len(p_segs) > len(segs):
-        return False
-    return segs[: len(p_segs)] == p_segs
+def covering_prefix(task: ConfirmUserSource) -> str | None:
+    """The first of the task's route prefixes that covers its identifier
+    segment by segment, or None; only an endpoint path (``/...``) can be
+    covered (a ``consume`` source never is)."""
+    if not task.identifier.startswith("/"):
+        return None
+    segs = [s for s in task.identifier.split("/") if s]
+    for prefix in task.route_prefixes:
+        p_segs = [s for s in prefix.split("/") if s]
+        if segs[: len(p_segs)] == p_segs:
+            return prefix
+    return None
 
 
 # --- memo ------------------------------------------------------------------------
@@ -507,12 +514,14 @@ class Memo:
     The key is the task alone, since one memo serves one backend. A task
     whose ask raised stores nothing, so it is asked again next time.
 
-    Two tasks never reach the backend, since the program leaves them one
+    Three tasks never reach the backend, since the program leaves them one
     sound answer: an ``ExtractConstraints`` with no guard (the empty
-    conjunction) and an ``AssessSufficiency`` with no check
-    (``unprotected``). The scripted oracle's code answers them, with the
-    backend's rules when it is a ``ScriptedOracle`` and the shipped rules
-    otherwise, so the verdict and its rationale are the scripted ones."""
+    conjunction), an ``AssessSufficiency`` with no check (``unprotected``)
+    and a ``ConfirmUserSource`` whose endpoint path a route prefix covers
+    (a user source: "no" would drop a flow the manifest exposes). The
+    scripted oracle's code answers them, with the backend's rules when it
+    is a ``ScriptedOracle`` and the shipped rules otherwise, so the verdict
+    and its rationale are the scripted ones."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -526,6 +535,7 @@ class Memo:
             decided = (
                 type(task) is ExtractConstraints and not task.guards
                 or type(task) is AssessSufficiency and not task.checks
+                or type(task) is ConfirmUserSource and covering_prefix(task) is not None
             )
             verdict = self._verdicts[task] = (self._scripted if decided else self.backend).reason(task)
         return verdict

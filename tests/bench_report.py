@@ -5,7 +5,8 @@ over every flow; and on ``bench/gen.py``'s 4x12 chain, the report payload
 built from a finished scan's results and rendered.
 
 The file name does not match ``test_*.py``, so the default test run does
-not collect it. Run it with
+not collect it; ``tests/test_tooling.py`` runs it once, untimed, to keep it
+passing. Time it with
 
     PYTHONPATH=src python -m pytest tests/bench_report.py
 """

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import shutil
 from types import SimpleNamespace
 
 import pytest
@@ -353,7 +354,8 @@ class TestScanCommand:
 
     def test_remote_backend_gets_each_distinct_prompt_once(self, runner, monkeypatch, tmp_path):
         """The fan-out repeats its constraint and sufficiency tasks on all
-        256 paths; the remote backend receives each distinct prompt once."""
+        256 paths; the remote backend receives each distinct prompt once,
+        and none for an entry endpoint a route prefix covers."""
         replies = {
             "ClassifyPrivileged": {"category": "none"},
             "ClassifyCheck": {"classification": "none", "subtype": "none"},
@@ -382,7 +384,35 @@ class TestScanCommand:
         assert payload["reasoner"] == "remote"
         assert payload["funnel"]["findings"] == 256
         assert len(prompts) == len(set(prompts)) > 0
+        assert not [p for p in prompts if '"task": "ConfirmUserSource"' in p]
         assert payload["budget"]["tool_calls"]["validation"] > len(prompts)
+
+    def test_remote_no_cannot_drop_a_routed_endpoint(self, runner, monkeypatch):
+        """A remote reply of "not a user source" never reaches a covered
+        endpoint: ``exec_open``'s ``/run`` stays a user source and its
+        finding stands."""
+        replies = {
+            "ClassifyPrivileged": {"category": "security-critical-action"},
+            "ConfirmUserSource": {"is_user_source": False},
+            "NextSearchAction": {"tool": "finish", "args": {}},
+        }
+        tasks = []
+
+        def transport(url, headers, payload, timeout):
+            task_name = re.search(r'"task": "(\w+)"', payload["messages"][1]["content"]).group(1)
+            tasks.append(task_name)
+            reply = dict(replies[task_name], rationale=f"fake {task_name}")
+            return 200, {"choices": [{"message": {"content": json.dumps(reply)}}]}
+
+        monkeypatch.setenv("PRIVFLOW_ENDPOINT", "http://backend.invalid/v1/chat/completions")
+        monkeypatch.setenv("PRIVFLOW_MODEL", "test-model")
+        monkeypatch.setattr(remote, "_requests_transport", transport)
+        result = runner.invoke(main, ["scan", corpus("exec_open"), "--reasoner", "remote"])
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output)
+        assert "ConfirmUserSource" not in tasks
+        assert [s["name"] for s in payload["user_sources"]] == ["/run"]
+        assert payload["funnel"]["findings"] == 1
 
     def test_rules_file_of_wrong_shape_is_config_error(self, runner, tmp_path):
         rules = tmp_path / "rules.json"
@@ -485,6 +515,19 @@ class TestQueryCommand:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, args
             assert "svc.msv:1:1: @route path must be non-empty" in result.output, args
+
+    def test_relative_route_is_a_located_parse_error(self, runner, tmp_path):
+        """A route path must start with '/', as a route prefix does: a
+        relative ``"run"`` no prefix covers would scan to 0 flows and exit 0."""
+        root = tmp_path / "exec_open"
+        shutil.copytree(CORPORA / "exec_open", root)
+        source = root / "ops.msv"
+        source.write_text(source.read_text().replace('"/run"', '"run"'))
+        result = runner.invoke(main, ["scan", str(root)])
+        assert result.exit_code == 2
+        assert result.output == (
+            "privflow: ops.msv:2:1: @route path must start with '/', got 'run' (expected @route(\"METHOD\", \"/path\"))\n"
+        )
 
 
 class TestGraphCommand:

@@ -174,6 +174,11 @@ def _channel(element: str, direction: str) -> dict:
             "unknown edge kind 'jumps'",
         ),
         (_facts(_HEADER, _ELEMENT, _channel("e1", "up")), 3, "channel direction must be out|in, got 'up'"),
+        (
+            _facts(_HEADER, _ELEMENT, {**_ELEMENT, "id": "e2", "kind": "endpoint", "name": "run"}),
+            3,
+            "endpoint e2 route path must start with '/', got 'run'",
+        ),
     ],
     ids=[
         "invalid_json",
@@ -186,6 +191,7 @@ def _channel(element: str, direction: str) -> dict:
         "bad_location",
         "unknown_edge_kind",
         "bad_channel_direction",
+        "relative_endpoint",
     ],
 )
 def test_facts_errors(text, line, reason):

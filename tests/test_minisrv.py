@@ -76,6 +76,11 @@ class TestParser:
             parse_source('fn g() { y = 2 }\n@route("POST", "") fn f() { x = 1 }', "t.msv")
         assert (err.value.location.line, err.value.message) == (2, "@route path must be non-empty")
 
+    def test_relative_route_path_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_source('fn g() { y = 2 }\n@route("POST", "run") fn f() { x = 1 }', "t.msv")
+        assert (err.value.location.line, err.value.message) == (2, "@route path must start with '/', got 'run'")
+
     def test_unterminated_string(self):
         with pytest.raises(ParseError):
             parse_source('fn f() { x = "oops }', "t.msv")

@@ -28,6 +28,7 @@ from privflow.reasoner import (
     Sufficiency,
     TASKS,
     UserSource,
+    covering_prefix,
     load_rules,
     make_reasoner,
     split_identifier,
@@ -642,16 +643,16 @@ class TestMemo:
         """The fan-out's 256 paths share one ExtractConstraints and one
         AssessSufficiency task and classify the same 16 endpoint guards:
         2,579 tasks, 37 of them distinct. Each distinct task reaches the
-        backend once, but for the AssessSufficiency: every guard
-        classifies as ``none``, so it holds no check and the memo answers
-        it."""
+        backend once, but for the AssessSufficiency and the two
+        ConfirmUserSource tasks: every guard classifies as ``none``, so the
+        sink holds no check, and a route prefix covers each entry endpoint,
+        so the memo answers them."""
         backend = TaskLog()
         payload = scan(load_program(write_fanout_corpus(tmp_path)), backend, ScanBudget(max_tool_calls_per_phase=10**9))
         assert payload["funnel"]["findings"] == 256
         assert len(backend.tasks) == len(set(backend.tasks))
         assert collections.Counter(type(t).__name__ for t in backend.tasks) == {
             "NextSearchAction": 17,
-            "ConfirmUserSource": 2,
             "ClassifyCheck": 16,
             "ExtractConstraints": 1,
         }
@@ -679,9 +680,19 @@ class PrunesEverything(ScriptedOracle):
         return super().reason(task)
 
 
+class RejectsEverySource(ScriptedOracle):
+    """A backend that guesses that no source is user input."""
+
+    def reason(self, task):
+        if isinstance(task, ConfirmUserSource):
+            return UserSource(False, "guessed")
+        return super().reason(task)
+
+
 class TestDecidedTasks:
-    """A flow with no guard and a sink with no check have one sound answer
-    each, which the scan's memo gives without asking the backend."""
+    """A flow with no guard, a sink with no check and an endpoint a route
+    prefix covers have one sound answer each, which the scan's memo gives
+    without asking the backend."""
 
     @pytest.mark.parametrize(
         "corpus", [p.name for p in sorted(CORPORA.iterdir()) if p.is_dir()] + ["gen-chain4x12", "gen-fanout8x2"]
@@ -696,8 +707,9 @@ class TestDecidedTasks:
         assert not payload["budget"]["exhausted"]
         assert not [t for t in backend.tasks if isinstance(t, ExtractConstraints) and not t.guards]
         assert not [t for t in backend.tasks if isinstance(t, AssessSufficiency) and not t.checks]
+        assert not [t for t in backend.tasks if isinstance(t, ConfirmUserSource) and covering_prefix(t)]
         if corpus == "gen-chain4x12":
-            assert len(backend.tasks) == 21 and payload["funnel"]["findings"] == 48
+            assert len(backend.tasks) == 9 and payload["funnel"]["findings"] == 48
 
     @pytest.mark.parametrize("backend", [ProtectsEverything(), PrunesEverything()], ids=lambda b: type(b).__name__)
     def test_a_guess_cannot_drop_an_unchecked_unguarded_flow(self, backend):
@@ -708,6 +720,33 @@ class TestDecidedTasks:
         (finding,) = payload["findings"]
         assert (finding["verdict"], finding["feasibility"]) == ("unprotected", "feasible")
         assert finding["rationale"] == "no authentication or authorization checks guard 'exec'"
+
+    @pytest.mark.parametrize("corpus", ["exec_open", "role_update"])
+    def test_a_guess_cannot_drop_a_routed_endpoint(self, corpus):
+        program = load_program(CORPORA / corpus)
+        expected = scan(program, ScriptedOracle())
+        payload = scan(program, RejectsEverySource())
+        assert payload["funnel"]["findings"] >= 1
+        assert (payload["funnel"], payload["findings"]) == (expected["funnel"], expected["findings"])
+
+    def test_an_uncovered_path_and_a_consumer_reach_the_backend(self, tmp_path):
+        (tmp_path / "api.msv").write_text(
+            '@route("POST", "/api/run")\nfn run() {\n  exec(request.param("cmd"))\n}\n'
+            '@route("POST", "/other")\nfn other() {\n  exec(request.param("cmd"))\n}\n'
+            'fn work() {\n  exec(consume("jobs"))\n}\n',
+            encoding="utf-8",
+        )
+        manifest = {
+            "version": 1,
+            "services": [{"name": "api", "entry": True, "sources": ["api.msv"]}],
+            "gateway_routes": [{"prefix": "/api", "target": "api"}],
+        }
+        (tmp_path / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        backend = TaskLog()
+        payload = scan(load_program(tmp_path), backend)
+        asked = [t for t in backend.tasks if isinstance(t, ConfirmUserSource)]
+        assert asked == [ConfirmUserSource("/other", ("/api",)), ConfirmUserSource("consume", ("/api",))]
+        assert [f["evidence"][0]["name"] for f in payload["findings"]] == ["/api/run"]
 
     def test_the_decided_verdict_reads_the_backends_rules(self, tmp_path):
         raw = json.loads((__import__("privflow.reasoner", fromlist=["RULES_RESOURCE"]).RULES_RESOURCE).read_text())

@@ -296,6 +296,17 @@ def test_only_stores_its_parameters_tells_a_field_store_from_a_derivation():
         assert _only_stores_its_parameters(ast.parse(source).body[0]) == (source in stores), source
 
 
+def test_bench_report_passes():
+    """The micro-benchmarks in ``tests/bench_report.py``, which the default
+    run does not collect, still pass when each runs once, untimed."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave the tree as it is
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--benchmark-disable", "-p", "no:cacheprovider", "tests/bench_report.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 #: the scan engine: what a ``privflow query`` or ``facts`` process never runs
 ENGINE_MODULES = ("privflow.pipeline", "privflow.constraints", "privflow.crossflow", "privflow.reasoner")
 
