@@ -22,7 +22,7 @@ import re
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .model import Channel, Element, ElementKind, Program, Record, Service, call_callee
+from .model import Channel, Element, ElementKind, Program, Record, Service, call_callee, is_wildcard_segment
 from .reasoner import ConfirmUserSource
 from .search import FlowPath, InterScan, flow_sinks, q_flow, service_index
 
@@ -123,10 +123,6 @@ def normalize_http_identifier(identifier: str) -> str:
     return path.partition("?")[0].partition("#")[0] or "/"
 
 
-def _is_wildcard_segment(seg: str) -> bool:
-    return (seg.startswith("{") and seg.endswith("}")) or seg.startswith(":")
-
-
 def _segments(path: str) -> tuple[str, ...]:
     return tuple(s for s in path.split("/") if s != "")
 
@@ -140,7 +136,7 @@ def _http_paths_match(out_path: str, in_path: str) -> str | None:
         return None
     rule = "exact"
     for o, i in zip(out_segs, in_segs):
-        if _is_wildcard_segment(i):
+        if is_wildcard_segment(i):
             rule = "wildcard"
             continue
         if o != i:
@@ -178,7 +174,7 @@ def match_channels(program: Program) -> list[ChannelEdge]:
                 outbound.append((service.name, ch))
                 continue
             key = _channel_key(ch.protocol, ch.identifier)
-            if ch.protocol == "http" and any(map(_is_wildcard_segment, key[1])):
+            if ch.protocol == "http" and any(map(is_wildcard_segment, key[1])):
                 wildcard.append((service.name, ch))
             else:
                 exact.setdefault(key, []).append((service.name, ch))

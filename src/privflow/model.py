@@ -227,6 +227,12 @@ class Channel(Record):
         return self._key < other._key if type(other) is type(self) else NotImplemented
 
 
+def is_wildcard_segment(seg: str) -> bool:
+    """An endpoint path segment written ``{x}`` or ``:x``, which matches any
+    one segment: of a channel's path, or of a gateway route prefix."""
+    return (seg.startswith("{") and seg.endswith("}")) or seg.startswith(":")
+
+
 #: Callees that send to another service, by channel protocol. Their call
 #: sites are outbound channels.
 OUTBOUND_INTRINSICS = {"http_post": "http", "http_get": "http", "publish": "topic"}

@@ -37,6 +37,7 @@ protected, or a finding with the class's checks and verdict.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import time
 from pathlib import Path
@@ -241,8 +242,15 @@ def find_privileged_ops(
     tracer: Tracer | None = None,
     basic_sink: bool = False,
 ) -> list[PrivilegedOperation]:
-    """Baseline sink intrinsics plus reasoner-proposed searches, classified
+    """Baseline sink intrinsics plus reasoner-planned searches, classified
     one candidate at a time, until a full round adds nothing new.
+
+    Each round asks the reasoner once for its plan, the round's queries,
+    and runs them in order; an empty plan ends the loop, and so does a
+    round that adds no operation, whatever the next plan would be. The
+    trace keeps the ``reason`` records of a one-query-per-ask protocol: one
+    before the plan (its first query), one before each later query and,
+    after a non-empty plan, one for the round's end.
 
     ``tracer`` meters the calls, by default against ``ScanBudget()``. On
     budget exhaustion the raised BudgetExhausted carries the partial
@@ -265,67 +273,64 @@ def find_privileged_ops(
 
         classified: set[str] = set()
         executed: list[str] = []
-        round_no = 1
-        new_this_round = 0
+        added: list[str] = []
         service_names = tuple(s.name for s in services)
-
-        while True:
-            task = NextSearchAction(
-                round=round_no,
-                services=service_names,
-                executed=tuple(executed),
-                new_ops_this_round=new_this_round,
-                tools=("q_name", "new_round", "finish"),
-            )
-            tracer.record(PHASE_PRIVOPS, "reason", {"task": "NextSearchAction", "round": round_no}, 1)
-            action = reasoner.reason(task)
-            if action.tool == "finish":
-                break
-            if action.tool == "new_round":
-                round_no += 1
-                new_this_round = 0
-                executed = []
-                continue
-            if action.tool != "q_name":
-                # an off-vocabulary proposal burns budget but cannot derail the scan
-                executed.append(f"{action.tool}:?")
-                continue
-
-            service = program.service(str(action.args.get("service", "")))
-            pattern = str(action.args.get("pattern", ""))
-            mode = str(action.args.get("mode", "regex"))
-            executed.append(_query_key("q_name", action.args))
-            if service is None or not pattern:
-                continue
-            try:
-                results = q_name(service, pattern, mode)
-            except BadPattern:
-                continue
-            tracer.record(
-                PHASE_PRIVOPS, "q_name", {"service": service.name, "pattern": pattern, "mode": mode}, len(results)
-            )
-
-            for el in results:
-                if el.kind is not ElementKind.FUNCTION or el.id in classified:
+        for round_no in itertools.count(1):
+            step_args = {"task": "NextSearchAction", "round": round_no}
+            tracer.record(PHASE_PRIVOPS, "reason", step_args, 1)
+            task = NextSearchAction(round_no, service_names, tuple(executed), tuple(added), tools=("q_name",))
+            plan = reasoner.reason(task)
+            added = []
+            for step, action in enumerate(plan):
+                if step:
+                    tracer.record(PHASE_PRIVOPS, "reason", step_args, 1)
+                if action.tool != "q_name":
+                    # an off-vocabulary query burns its step but cannot derail the scan
+                    executed.append(f"{action.tool}:?")
                     continue
-                classified.add(el.id)
-                source = get_source(service, el)
-                tracer.record(PHASE_PRIVOPS, "get_source", {"service": service.name, "element": el.id}, 1)
-                tracer.record(PHASE_PRIVOPS, "reason", {"task": "ClassifyPrivileged", "element": el.id}, 1)
-                verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
-                if verdict.category is None:
+
+                service = program.service(str(action.args.get("service", "")))
+                pattern = str(action.args.get("pattern", ""))
+                mode = str(action.args.get("mode", "regex"))
+                executed.append(_query_key("q_name", action.args))
+                if service is None or not pattern:
                     continue
-                callers = q_cg(service, el.id, "callers")
+                try:
+                    results = q_name(service, pattern, mode)
+                except BadPattern:
+                    continue
                 tracer.record(
-                    PHASE_PRIVOPS, "q_cg", {"service": service.name, "function": el.name, "direction": "callers"}, len(callers)
+                    PHASE_PRIVOPS, "q_name", {"service": service.name, "pattern": pattern, "mode": mode}, len(results)
                 )
-                for site in call_sites_of(service, el.id):
-                    if site.id in ops:
+
+                for el in results:
+                    if el.kind is not ElementKind.FUNCTION or el.id in classified:
                         continue
-                    ops[site.id] = PrivilegedOperation(
-                        site.id, service.name, verdict.category, f"call to {el.name}: {verdict.rationale}"
+                    classified.add(el.id)
+                    source = get_source(service, el)
+                    tracer.record(PHASE_PRIVOPS, "get_source", {"service": service.name, "element": el.id}, 1)
+                    tracer.record(PHASE_PRIVOPS, "reason", {"task": "ClassifyPrivileged", "element": el.id}, 1)
+                    verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
+                    if verdict.category is None:
+                        continue
+                    callers = q_cg(service, el.id, "callers")
+                    tracer.record(
+                        PHASE_PRIVOPS,
+                        "q_cg",
+                        {"service": service.name, "function": el.name, "direction": "callers"},
+                        len(callers),
                     )
-                    new_this_round += 1
+                    sites = [site for site in call_sites_of(service, el.id) if site.id not in ops]
+                    for site in sites:
+                        ops[site.id] = PrivilegedOperation(
+                            site.id, service.name, verdict.category, f"call to {el.name}: {verdict.rationale}"
+                        )
+                    if sites:
+                        added.append(f"{service.name}:{el.name}")
+            if plan:
+                tracer.record(PHASE_PRIVOPS, "reason", step_args, 1)  # the round's end
+            if not added:
+                break
     except BudgetExhausted as exc:
         raise BudgetExhausted(exc.phase, exc.reason, partial=_sorted_ops(program, ops))
     return _sorted_ops(program, ops)

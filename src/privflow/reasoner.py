@@ -18,8 +18,9 @@ verdict, so a remote backend answers a repeated task the same way (at a
 nonzero temperature, two asks could give two answers) and is paid once.
 ``Memo`` also answers the three tasks whose one sound answer the program
 fixes, so no backend is asked them: a flow with no guard has the empty
-constraint, a sink with no check is ``unprotected``, and an endpoint path a
-gateway route prefix covers is a user source.
+constraint, a sink with no authorization check is ``unprotected`` or
+``missing_authz``, and an endpoint path a gateway route prefix covers is a
+user source.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import constraints as _constraints
-from .model import Record
+from .model import Record, is_wildcard_segment
 from .search import identifiers
 
 RULES_RESOURCE = Path(__file__).parent / "rules" / "oracle.rules.json"
@@ -112,9 +113,13 @@ class ConfirmUserSource(Record):
 
 
 class NextSearchAction(Record):
-    """Which search to run next in the privileged-operation loop."""
+    """Which searches to run in this round of the privileged-operation
+    loop: ``executed`` holds the query keys of the earlier rounds and
+    ``added_ops`` the operations the previous round added, as
+    ``service:callee``. The verdict is the round's plan, a tuple of
+    ``Action``s run in order; an empty plan finishes the loop."""
 
-    __slots__ = ("round", "services", "executed", "new_ops_this_round", "tools")
+    __slots__ = ("round", "services", "executed", "added_ops", "tools")
 
 
 #: Every task a backend answers; the remote prompt for one is the file named
@@ -182,9 +187,9 @@ class UserSource(NamedTuple):
 
 
 class Action(NamedTuple):
-    """Verdict of ``NextSearchAction``: the next tool and its arguments."""
+    """One query of a ``NextSearchAction`` plan: a tool and its arguments."""
 
-    tool: str  # a proposed search, "new_round", or "finish"
+    tool: str  # one of the task's tools; any other burns its step
     args: dict
     rationale: str
 
@@ -462,24 +467,18 @@ class ScriptedOracle:
             return UserSource(True, f"'{ident}' is routed by gateway prefix '{prefix}'")
         return UserSource(False, f"no gateway route prefix covers '{ident}'")
 
-    # NextSearchAction: one verb query and one noun query per service per
-    # round; a fresh round only while the previous one surfaced new ops.
+    # NextSearchAction: one verb query and one noun query per service, the
+    # same plan every round; the loop stops after a round that adds nothing.
     @reason.register
-    def _next_action(self, task: NextSearchAction) -> Action:
+    def _next_action(self, task: NextSearchAction) -> tuple[Action, ...]:
         verbs = "|".join(self.rules.action_verbs)
         nouns = "|".join(sorted(set(self.rules.protected_state_nouns) | set(self.rules.resource_nouns)))
-        plan: list[tuple[str, dict]] = []
+        plan: list[Action] = []
         for service in task.services:
-            plan.append(("q_name", {"service": service, "pattern": f"(?i)({verbs}).*", "mode": "regex"}))
-            plan.append(("q_name", {"service": service, "pattern": f"(?i).*({nouns}).*", "mode": "regex"}))
-        executed = set(task.executed)
-        for tool, args in plan:
-            key = _query_key(tool, args)
-            if key not in executed:
-                return Action(tool, args, f"round {task.round}: propose {key}")
-        if task.new_ops_this_round > 0:
-            return Action("new_round", {}, f"round {task.round} found {task.new_ops_this_round} new ops; search again")
-        return Action("finish", {}, f"round {task.round} completed with no new privileged operations")
+            for pattern in (f"(?i)({verbs}).*", f"(?i).*({nouns}).*"):
+                args = {"service": service, "pattern": pattern, "mode": "regex"}
+                plan.append(Action("q_name", args, f"round {task.round}: propose {_query_key('q_name', args)}"))
+        return tuple(plan)
 
 
 def _query_key(tool: str, args: dict) -> str:
@@ -493,14 +492,15 @@ def _first_identifier(source: str) -> str:
 
 def covering_prefix(task: ConfirmUserSource) -> str | None:
     """The first of the task's route prefixes that covers its identifier
-    segment by segment, or None; only an endpoint path (``/...``) can be
-    covered (a ``consume`` source never is)."""
+    segment by segment, or None; an endpoint segment written ``{x}`` or
+    ``:x`` covers any prefix segment. Only an endpoint path (``/...``) can
+    be covered (a ``consume`` source never is)."""
     if not task.identifier.startswith("/"):
         return None
     segs = [s for s in task.identifier.split("/") if s]
     for prefix in task.route_prefixes:
         p_segs = [s for s in prefix.split("/") if s]
-        if segs[: len(p_segs)] == p_segs:
+        if len(segs) >= len(p_segs) and all(s == p or is_wildcard_segment(s) for s, p in zip(segs, p_segs)):
             return prefix
     return None
 
@@ -516,12 +516,15 @@ class Memo:
 
     Three tasks never reach the backend, since the program leaves them one
     sound answer: an ``ExtractConstraints`` with no guard (the empty
-    conjunction), an ``AssessSufficiency`` with no check (``unprotected``)
-    and a ``ConfirmUserSource`` whose endpoint path a route prefix covers
-    (a user source: "no" would drop a flow the manifest exposes). The
-    scripted oracle's code answers them, with the backend's rules when it
-    is a ``ScriptedOracle`` and the shipped rules otherwise, so the verdict
-    and its rationale are the scripted ones."""
+    conjunction), an ``AssessSufficiency`` with no authorization check
+    (``unprotected`` with no check, ``missing_authz`` with authentication
+    only: "protected" would drop a flow nothing authorizes) and a
+    ``ConfirmUserSource`` whose endpoint path a route prefix covers (a user
+    source: "no" would drop a flow the manifest exposes). The scripted
+    oracle's code answers them, with the backend's rules when it is a
+    ``ScriptedOracle`` and the shipped rules otherwise, so the verdict and
+    its rationale are the scripted ones. A ``NextSearchAction`` carries its
+    round, so each round's plan reaches the backend once."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -534,7 +537,7 @@ class Memo:
         if verdict is None:
             decided = (
                 type(task) is ExtractConstraints and not task.guards
-                or type(task) is AssessSufficiency and not task.checks
+                or type(task) is AssessSufficiency and not any(c.classification == "authz" for c in task.checks)
                 or type(task) is ConfirmUserSource and covering_prefix(task) is not None
             )
             verdict = self._verdicts[task] = (self._scripted if decided else self.backend).reason(task)

@@ -186,9 +186,16 @@ def _parse_verdict(task, reply: str):
             raise ValueError("field 'is_user_source' must be a boolean")
         return UserSource(value, rationale)
     if isinstance(task, NextSearchAction):
-        tool = _require_str(data, "tool")
-        args = data.get("args", {})
-        if not isinstance(args, dict):
-            raise ValueError("field 'args' must be an object")
-        return Action(tool, args, rationale)
+        queries = data.get("queries")
+        if not isinstance(queries, list):
+            raise ValueError("field 'queries' must be a list")
+        plan = []
+        for entry in queries:
+            if not isinstance(entry, dict):
+                raise ValueError("each entry of 'queries' must be an object")
+            args = entry.get("args", {})
+            if not isinstance(args, dict):
+                raise ValueError("field 'args' must be an object")
+            plan.append(Action(_require_str(entry, "tool"), args, rationale))
+        return tuple(plan)
     raise TypeError(f"unsupported task {type(task).__name__}")

@@ -362,7 +362,7 @@ class TestScanCommand:
             "AssessSufficiency": {"verdict": "unprotected"},
             "ExtractConstraints": {"skip": True},
             "ConfirmUserSource": {"is_user_source": True},
-            "NextSearchAction": {"tool": "finish", "args": {}},
+            "NextSearchAction": {"queries": []},
         }
         prompts = []
 
@@ -394,7 +394,7 @@ class TestScanCommand:
         replies = {
             "ClassifyPrivileged": {"category": "security-critical-action"},
             "ConfirmUserSource": {"is_user_source": False},
-            "NextSearchAction": {"tool": "finish", "args": {}},
+            "NextSearchAction": {"queries": []},
         }
         tasks = []
 

@@ -457,6 +457,10 @@ class TestGuardTranslation:
         assert dict(constraint.variables) == {"n": "int", "m": "int"}
 
 
+#: An authorization check, so an ``AssessSufficiency`` that holds it reaches
+#: the backend behind a ``Memo``.
+AUTHZ_CHECKS = (CheckDescriptor("authz", "role", "n", "s"),)
+
 #: Field-equal records of two types: formula nodes, checker results,
 #: reasoner tasks and their descriptors.
 FIELD_EQUAL_PAIRS = {
@@ -466,7 +470,10 @@ FIELD_EQUAL_PAIRS = {
     "boolconst-not": (BoolConst(True), Not(True)),
     "unknown-boolvar": (Unknown("r"), BoolVar("r")),
     "source-guard": (ConfirmUserSource("a", ()), GuardDescriptor("a", ())),
-    "check-assess": (ClassifyCheck("a", "b", "c", "d", ()), AssessSufficiency("a", "b", "c", "d", ())),
+    "check-assess": (
+        ClassifyCheck("a", "b", "c", AUTHZ_CHECKS, ()),
+        AssessSufficiency("a", "b", "c", AUTHZ_CHECKS, ()),
+    ),
     "privileged-descriptor": (ClassifyPrivileged("a", "b", "c", "d"), CheckDescriptor("a", "b", "c", "d")),
 }
 

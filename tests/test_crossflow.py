@@ -182,6 +182,17 @@ class TestQUser:
         assert payload["funnel"]["protected_dropped"] == 1 and payload["findings"] == []
         assert exit_status(payload) is ExitStatus.CLEAN
 
+    def test_wildcard_segment_of_a_routed_endpoint_is_covered(self, oracle):
+        """``gateway_wildcard``'s handler of ``/{kind}/run`` is reached by a
+        request to ``/jobs/run`` through the route prefix ``/jobs``: it is a
+        user source, and its unchecked ``exec`` a finding."""
+        payload = scan(load_program(CORPORA / "gateway_wildcard"), oracle)
+        assert [(e["service"], e["name"]) for e in payload["user_sources"]] == [("jobs", "/{kind}/run")]
+        assert [(f["privileged_operation"]["name"], f["verdict"]) for f in payload["findings"]] == [
+            ("exec", "unprotected")
+        ]
+        assert exit_status(payload) is ExitStatus.FINDINGS
+
 
 class TestQInter:
     def test_direct_url_channel(self):

@@ -19,7 +19,8 @@ from privflow.crossflow import (
 from privflow import pipeline
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, call_callee
-from privflow.reasoner import Action, CheckClass, ConfirmUserSource, NextSearchAction, ScriptedOracle, _query_key
+from privflow.reasoner import Action, CheckClass, ConfirmUserSource, NextSearchAction, ScriptedOracle
+from privflow.remote import RemoteConfig, RemoteReasoner
 from privflow.pipeline import (
     BudgetExhausted,
     ProgramInvalid,
@@ -77,6 +78,52 @@ def first_flow(program, oracle, basic_sink=False):
     return privops, flows
 
 
+OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
+
+
+def _malformed_queries(service: str) -> tuple[Action, ...]:
+    """An invalid regex, an unknown name mode, an unknown service, an empty
+    pattern and an off-vocabulary tool."""
+    return tuple(
+        Action(tool, args, "malformed query")
+        for tool, args in (
+            ("q_name", {"service": service, "pattern": "(", "mode": "regex"}),
+            ("q_name", {"service": service, "pattern": "update", "mode": "glob"}),
+            ("q_name", {"service": "ghost", "pattern": "update", "mode": "regex"}),
+            ("q_name", {"service": service, "pattern": "", "mode": "regex"}),
+            ("teleport", {}),
+        )
+    )
+
+
+def _assert_steps_burnt(payload, expected, burnt: int):
+    """``payload`` has ``expected``'s findings, and ``burnt`` more
+    privileged-op tool calls: one ``reason`` record per malformed query."""
+    assert payload["findings"] == expected["findings"] != []
+    calls = payload["budget"]["tool_calls"]["privileged_ops"]
+    assert calls == expected["budget"]["tool_calls"]["privileged_ops"] + burnt
+
+
+class RemotePlanner(ScriptedOracle):
+    """Plans each round through a ``RemoteReasoner`` whose backend always
+    sends ``reply``; the scripted oracle answers every other task."""
+
+    def __init__(self, reply: str):
+        super().__init__()
+        self.rounds = []
+        completion = {"choices": [{"message": {"content": reply}}]}
+        self.planner = RemoteReasoner(
+            RemoteConfig("http://fake/v1/chat/completions", "m"),
+            transport=lambda url, headers, payload, timeout: (200, completion),
+        )
+
+    def reason(self, task):
+        if isinstance(task, NextSearchAction):
+            self.rounds.append(task.round)
+            return self.planner.reason(task)
+        return super().reason(task)
+
+
 class TestFindPrivilegedOps:
     def test_role_update_discovers_update_role(self, role_update_program, oracle):
         ops = find_privileged_ops(role_update_program, oracle)
@@ -104,27 +151,44 @@ class TestFindPrivilegedOps:
 
     def test_malformed_proposals_do_not_derail_the_scan(self, role_update_program, oracle):
         """An invalid regex, an unknown name mode, an unknown service, an
-        empty pattern or an off-vocabulary tool burns a proposal; the scan
-        goes on to the same findings."""
+        empty pattern or an off-vocabulary tool burns one step of the
+        round's plan; the scan goes on to the same findings."""
 
         class Malformed(ScriptedOracle):
             def reason(self, task):
+                verdict = super().reason(task)
                 if isinstance(task, NextSearchAction) and task.round == 1:
-                    for tool, args in (
-                        ("q_name", {"service": task.services[0], "pattern": "(", "mode": "regex"}),
-                        ("q_name", {"service": task.services[0], "pattern": "update", "mode": "glob"}),
-                        ("q_name", {"service": "ghost", "pattern": "update", "mode": "regex"}),
-                        ("q_name", {"service": task.services[0], "pattern": "", "mode": "regex"}),
-                        ("teleport", {}),
-                    ):
-                        key = _query_key(tool, args) if tool == "q_name" else f"{tool}:?"
-                        if key not in task.executed:
-                            return Action(tool, args, "malformed proposal")
-                return super().reason(task)
+                    return _malformed_queries(task.services[0]) + verdict
+                return verdict
 
         stub = Malformed()
         assert find_privileged_ops(role_update_program, stub) == find_privileged_ops(role_update_program, oracle)
-        assert scan(role_update_program, stub)["findings"] == scan(role_update_program, oracle)["findings"]
+        expected = scan(role_update_program, oracle, OPEN_BUDGET)
+        _assert_steps_burnt(scan(role_update_program, stub, OPEN_BUDGET), expected, 5)
+
+    def test_malformed_remote_proposals_do_not_derail_the_scan(self, role_update_program, oracle):
+        """The same plan as a remote reply in both rounds: each entry
+        parses, a malformed one burns its step, and the scan reaches the
+        scripted findings."""
+        services = tuple(sorted(s.name for s in role_update_program.services))
+        plan = _malformed_queries(services[0]) + oracle.reason(NextSearchAction(1, services, (), (), ("q_name",)))
+        reply = json.dumps({"queries": [{"tool": a.tool, "args": a.args} for a in plan], "rationale": "fabricated"})
+        backend = RemotePlanner(reply)
+        expected = scan(role_update_program, oracle, OPEN_BUDGET)
+        _assert_steps_burnt(scan(role_update_program, backend, OPEN_BUDGET), expected, 10)
+        assert backend.rounds == [1, 2]
+
+    @pytest.mark.parametrize("budget", [ScanBudget(), OPEN_BUDGET], ids=["default_budget", "open_budget"])
+    def test_a_backend_that_never_finishes_stops_the_round_after(self, role_update_program, oracle, budget):
+        """A backend that answers every round with the same non-empty plan
+        cannot keep the search going: round 1 finds ``update_role``, round
+        2 adds nothing, and the search ends there, within the budget."""
+        query = {"tool": "q_name", "args": {"service": "usermgmt", "pattern": "update_role"}}
+        backend = RemotePlanner(json.dumps({"queries": [query], "rationale": "search again"}))
+        payload = scan(role_update_program, backend, budget)
+        assert backend.rounds == [1, 2]
+        assert not payload["budget"]["exhausted"]
+        assert payload["findings"] == scan(role_update_program, oracle, budget)["findings"] != []
 
     def test_budget_exhaustion_carries_partial(self, role_update_program, oracle):
         tiny = Tracer(ScanBudget(max_tool_calls_per_phase=3))

@@ -33,7 +33,7 @@ from privflow.reasoner import (
     make_reasoner,
     split_identifier,
 )
-from privflow.remote import PROMPTS_DIR, RETRY_BACKOFF_S, RemoteConfig, RemoteReasoner, _parse_verdict
+from privflow.remote import ATTEMPTS, PROMPTS_DIR, RETRY_BACKOFF_S, RemoteConfig, RemoteReasoner, _parse_verdict
 
 from conftest import CORPORA, bench_gen, write_fanout_corpus
 
@@ -256,24 +256,43 @@ class TestConstraintsAndSources:
     def test_prefix_is_segment_aware(self, oracle):
         assert not oracle.reason(ConfirmUserSource("/apix/thing", ("/api",))).is_user_source
 
+    @pytest.mark.parametrize(
+        "identifier, prefixes, covering",
+        [
+            ("/{kind}/run", ("/jobs",), "/jobs"),
+            ("/:kind/run", ("/jobs",), "/jobs"),
+            ("/api/{id}", ("/api/users",), "/api/users"),
+            ("/{kind}", ("/jobs/run",), None),
+            ("/{kind/run", ("/jobs",), None),
+            ("/api/{id}", ("/admin/users", "/api"), "/api"),
+        ],
+    )
+    def test_wildcard_endpoint_segment_covers_any_prefix_segment(self, oracle, identifier, prefixes, covering):
+        """An endpoint segment written ``{x}`` or ``:x`` matches any one
+        segment of a route prefix, as it matches a channel's segment; a
+        prefix longer than the path still covers nothing."""
+        task = ConfirmUserSource(identifier, prefixes)
+        assert covering_prefix(task) == covering
+        assert oracle.reason(task).is_user_source is (covering is not None)
+
 
 class TestNextSearchAction:
-    def test_proposal_then_new_round_then_finish(self, oracle):
-        services = ("svc",)
-        tools = ("q_name", "new_round", "finish")
-        first = oracle.reason(NextSearchAction(1, services, (), 0, tools))
-        assert first.tool == "q_name"
-        assert first.args["service"] == "svc"
+    def test_plan_is_a_verb_and_a_noun_query_per_service(self, oracle):
+        plan = oracle.reason(NextSearchAction(1, ("a", "b"), (), (), ("q_name",)))
+        assert [(a.tool, a.args["service"]) for a in plan] == [("q_name", "a")] * 2 + [("q_name", "b")] * 2
+        assert {action.args["mode"] for action in plan} == {"regex"}
+        assert len({_key(action) for action in plan}) == 4
+        assert plan[0].rationale == f"round 1: propose {_key(plan[0])}"
 
-        executed = []
-        action = first
-        while action.tool == "q_name":
-            executed.append(_key(action))
-            action = oracle.reason(NextSearchAction(1, services, tuple(executed), 1, tools))
-        assert action.tool == "new_round"
+    def test_every_round_gets_the_same_plan(self, oracle):
+        """The scripted plan reads only the services: the loop, not the
+        plan, ends the search."""
+        first = oracle.reason(NextSearchAction(1, ("svc",), (), (), ("q_name",)))
+        later = oracle.reason(NextSearchAction(2, ("svc",), tuple(map(_key, first)), ("svc:update_role",), ("q_name",)))
+        assert [(a.tool, a.args) for a in later] == [(a.tool, a.args) for a in first]
 
-        action = oracle.reason(NextSearchAction(2, services, tuple(executed), 0, tools))
-        assert action.tool == "finish"
+    def test_no_service_is_the_empty_plan(self, oracle):
+        assert oracle.reason(NextSearchAction(1, (), (), (), ("q_name",))) == ()
 
 
 class TestScriptedDeterminism:
@@ -288,9 +307,9 @@ class TestScriptedDeterminism:
             type(oracle.reason(AssessSufficiency("f", "f(x)", "protected-state", ()))),
             type(oracle.reason(ExtractConstraints(()))),
             type(oracle.reason(ConfirmUserSource("/x", ("/x",)))),
-            type(oracle.reason(NextSearchAction(1, (), (), 0, ("finish",)))),
+            type(oracle.reason(NextSearchAction(1, (), (), (), ("q_name",)))),
         }
-        assert produced == {PrivilegedClass, CheckClass, Sufficiency, ConstraintExtraction, UserSource, Action}
+        assert produced == {PrivilegedClass, CheckClass, Sufficiency, ConstraintExtraction, UserSource, tuple}
 
     def test_unknown_task_rejected(self, oracle):
         with pytest.raises(TypeError):
@@ -452,12 +471,35 @@ class TestRemoteReasoner:
                 "field 'is_user_source' must be a boolean",
             ),
             (
-                NextSearchAction(1, (), (), 0, ("finish",)),
-                '{"tool": "finish", "args": [], "rationale": "r"}',
+                NextSearchAction(1, (), (), (), ("q_name",)),
+                '{"tool": "finish", "args": {}, "rationale": "r"}',
+                "field 'queries' must be a list",
+            ),
+            (
+                NextSearchAction(1, (), (), (), ("q_name",)),
+                '{"queries": ["q_name"], "rationale": "r"}',
+                "each entry of 'queries' must be an object",
+            ),
+            (
+                NextSearchAction(1, (), (), (), ("q_name",)),
+                '{"queries": [{"args": {}}], "rationale": "r"}',
+                "field 'tool' must be a non-empty string",
+            ),
+            (
+                NextSearchAction(1, (), (), (), ("q_name",)),
+                '{"queries": [{"tool": "q_name", "args": []}], "rationale": "r"}',
                 "field 'args' must be an object",
             ),
         ],
-        ids=["not_an_object", "no_rationale", "non_boolean_source", "non_object_args"],
+        ids=[
+            "not_an_object",
+            "no_rationale",
+            "non_boolean_source",
+            "non_list_queries",
+            "non_object_entry",
+            "entry_without_tool",
+            "non_object_args",
+        ],
     )
     def test_reply_errors(self, task, reply, message):
         """Each way a reply breaks its task's schema raises one
@@ -465,6 +507,28 @@ class TestRemoteReasoner:
         with pytest.raises(ValueError) as err:
             _parse_verdict(task, reply)
         assert str(err.value) == message
+
+    def test_plan_parsed_in_order(self):
+        """Each entry of ``queries`` is one ``Action`` with the reply's
+        rationale; an off-vocabulary tool parses, and the scan burns its
+        step."""
+        args = {"service": "svc", "pattern": "update", "mode": "exact"}
+        content = json.dumps({"queries": [{"tool": "q_name", "args": args}, {"tool": "teleport"}], "rationale": "r"})
+        plan = remote([_chat(content)], []).reason(NextSearchAction(1, ("svc",), (), (), ("q_name",)))
+        assert plan == (Action("q_name", args, "r"), Action("teleport", {}, "r"))
+        assert remote([_chat('{"queries": [], "rationale": "done"}')], []).reason(
+            NextSearchAction(2, ("svc",), (), (), ("q_name",))
+        ) == ()
+
+    @pytest.mark.parametrize(
+        "queries", [{"tool": "q_name", "args": {}}, ["q_name"]], ids=["not_a_list", "entry_not_an_object"]
+    )
+    def test_malformed_plan_is_a_schema_violation(self, queries):
+        calls = []
+        backend = remote([_chat(json.dumps({"queries": queries, "rationale": "r"}))] * ATTEMPTS, calls)
+        with pytest.raises(SchemaViolation):
+            backend.reason(NextSearchAction(1, ("svc",), (), (), ("q_name",)))
+        assert len(calls) == ATTEMPTS
 
     def test_unknown_task_rejected(self):
         calls = []
@@ -526,23 +590,24 @@ PROMPT_SAMPLES = {
             2,
             ("gateway", "usermgmt"),
             ("q_name:mode=regex,pattern=(?i)(update).*,service=usermgmt",),
-            1,
-            ("q_name", "new_round", "finish"),
+            ("usermgmt:update_role",),
+            ("q_name",),
         ),
-        {"tool": "finish", "args": {}},
+        {"queries": []},
     ),
 }
 
 # sha256 of each sample's user message, taken from the code before the
-# remote backend left ``reasoner``; a task field that stops serialising as a
-# JSON object (say, a descriptor turned into a tuple) changes its digest.
+# remote backend left ``reasoner`` (``NextSearchAction``'s from the code that
+# made it a per-round plan); a task field that stops serialising as a JSON
+# object (say, a descriptor turned into a tuple) changes its digest.
 PROMPT_DIGESTS = {
     "AssessSufficiency": "6c1786903e36af51af9962eb879f8c859459a9bbeabdd9e6948a0079e8d86cbe",
     "ClassifyCheck": "bc295b7359b625159a95bd9a233283dc933d04032187b5275abc0104896ee580",
     "ClassifyPrivileged": "b6cdc52f57021e8898fb01bec54993b1dc7c55c9b2e9d3df30f571abd9f56265",
     "ConfirmUserSource": "196fd1809b4e127cc98c0edad257afb474f1f473f7c4c0d917595c56ff75427d",
     "ExtractConstraints": "ca56aa676268b42c9e4387a4815775c60a09edb9806d143568a47524b2314139",
-    "NextSearchAction": "7476acac36841c7c37f73c46f5802b7090aa9d576643c1d8f0bbb171737a9512",
+    "NextSearchAction": "db7390b8a678863debe0847658827051a5bb3f7af6b5ae7c65faa2ff65843878",
 }
 
 
@@ -581,6 +646,25 @@ class TestRemotePrompts:
 
 
 # --- per-scan verdict memo -------------------------------------------------------
+
+
+def _authz_checks(task: AssessSufficiency) -> list[CheckDescriptor]:
+    return [c for c in task.checks if c.classification == "authz"]
+
+
+CORPUS_NAMES = [p.name for p in sorted(CORPORA.iterdir()) if p.is_dir()] + ["gen-chain4x12", "gen-fanout8x2"]
+
+
+def _corpus_root(corpus: str, tmp_path):
+    """A corpus under ``tests/corpora``, or ``bench/gen.py``'s chain 4x12
+    or fan-out 8x2 (seed 1) written to ``tmp_path``."""
+    if corpus == "gen-chain4x12":
+        bench_gen().chain(1, 4, 12, tmp_path)
+    elif corpus == "gen-fanout8x2":
+        bench_gen().fanout(1, 8, 2, tmp_path)
+    else:
+        return CORPORA / corpus
+    return tmp_path
 
 
 class TaskLog:
@@ -639,20 +723,33 @@ class TestMemo:
         assert payload["reasoner"] == "TaskLog"
         assert len(backend.tasks) == len(set(backend.tasks))
 
+    @pytest.mark.parametrize("corpus", CORPUS_NAMES)
+    def test_one_backend_plan_per_round(self, corpus, tmp_path):
+        """The privileged-operation loop asks the backend for one plan per
+        round: as many ``NextSearchAction`` tasks as the trace has rounds."""
+        backend = TaskLog()
+        trace = tmp_path / "trace.jsonl"
+        program = load_program(_corpus_root(corpus, tmp_path / "corpus"))
+        scan(program, backend, OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        rounds = max(record["args"]["round"] for record in records if "round" in record["args"])
+        assert sum(isinstance(task, NextSearchAction) for task in backend.tasks) == rounds
+
     def test_fanout_asks_each_distinct_task_once(self, tmp_path):
         """The fan-out's 256 paths share one ExtractConstraints and one
         AssessSufficiency task and classify the same 16 endpoint guards:
-        2,579 tasks, 37 of them distinct. Each distinct task reaches the
-        backend once, but for the AssessSufficiency and the two
-        ConfirmUserSource tasks: every guard classifies as ``none``, so the
-        sink holds no check, and a route prefix covers each entry endpoint,
-        so the memo answers them."""
+        2,563 tasks, 21 of them distinct, one of them the search's one
+        round plan. Each distinct task reaches the backend once, but for
+        the AssessSufficiency and the two ConfirmUserSource tasks: every
+        guard classifies as ``none``, so the sink holds no check, and a
+        route prefix covers each entry endpoint, so the memo answers
+        them."""
         backend = TaskLog()
         payload = scan(load_program(write_fanout_corpus(tmp_path)), backend, ScanBudget(max_tool_calls_per_phase=10**9))
         assert payload["funnel"]["findings"] == 256
         assert len(backend.tasks) == len(set(backend.tasks))
         assert collections.Counter(type(t).__name__ for t in backend.tasks) == {
-            "NextSearchAction": 17,
+            "NextSearchAction": 1,
             "ClassifyCheck": 16,
             "ExtractConstraints": 1,
         }
@@ -690,26 +787,20 @@ class RejectsEverySource(ScriptedOracle):
 
 
 class TestDecidedTasks:
-    """A flow with no guard, a sink with no check and an endpoint a route
-    prefix covers have one sound answer each, which the scan's memo gives
-    without asking the backend."""
+    """A flow with no guard, a sink with no authorization check and an
+    endpoint a route prefix covers have one sound answer each, which the
+    scan's memo gives without asking the backend."""
 
-    @pytest.mark.parametrize(
-        "corpus", [p.name for p in sorted(CORPORA.iterdir()) if p.is_dir()] + ["gen-chain4x12", "gen-fanout8x2"]
-    )
+    @pytest.mark.parametrize("corpus", CORPUS_NAMES)
     def test_no_backend_is_asked_what_the_program_decides(self, corpus, tmp_path):
-        if corpus == "gen-chain4x12":
-            bench_gen().chain(1, 4, 12, tmp_path)
-        elif corpus == "gen-fanout8x2":
-            bench_gen().fanout(1, 8, 2, tmp_path)
         backend = TaskLog()
-        payload = scan(load_program(tmp_path if corpus.startswith("gen-") else CORPORA / corpus), backend, OPEN_BUDGET)
+        payload = scan(load_program(_corpus_root(corpus, tmp_path)), backend, OPEN_BUDGET)
         assert not payload["budget"]["exhausted"]
         assert not [t for t in backend.tasks if isinstance(t, ExtractConstraints) and not t.guards]
-        assert not [t for t in backend.tasks if isinstance(t, AssessSufficiency) and not t.checks]
+        assert not [t for t in backend.tasks if isinstance(t, AssessSufficiency) and not _authz_checks(t)]
         assert not [t for t in backend.tasks if isinstance(t, ConfirmUserSource) and covering_prefix(t)]
         if corpus == "gen-chain4x12":
-            assert len(backend.tasks) == 9 and payload["funnel"]["findings"] == 48
+            assert len(backend.tasks) == 1 and payload["funnel"]["findings"] == 48
 
     @pytest.mark.parametrize("backend", [ProtectsEverything(), PrunesEverything()], ids=lambda b: type(b).__name__)
     def test_a_guess_cannot_drop_an_unchecked_unguarded_flow(self, backend):
@@ -720,6 +811,16 @@ class TestDecidedTasks:
         (finding,) = payload["findings"]
         assert (finding["verdict"], finding["feasibility"]) == ("unprotected", "feasible")
         assert finding["rationale"] == "no authentication or authorization checks guard 'exec'"
+
+    @pytest.mark.parametrize("corpus", ["order_payment", "account_update"])
+    def test_a_guess_cannot_drop_an_authentication_only_flow(self, corpus):
+        """Authentication alone never authorizes: a sink whose checks hold
+        no ``authz`` one is ``missing_authz`` whatever the backend says."""
+        program = load_program(CORPORA / corpus)
+        expected = scan(program, ScriptedOracle())
+        payload = scan(program, ProtectsEverything())
+        assert [f["verdict"] for f in payload["findings"]] == ["missing_authz"]
+        assert (payload["funnel"], payload["findings"]) == (expected["funnel"], expected["findings"])
 
     @pytest.mark.parametrize("corpus", ["exec_open", "role_update"])
     def test_a_guess_cannot_drop_a_routed_endpoint(self, corpus):

@@ -140,7 +140,7 @@ def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
         AssessSufficiency: (AssessSufficiency("f", "f(x)", "protected-state", ()), {"verdict": "unprotected"}),
         ExtractConstraints: (ExtractConstraints(()), {"skip": True}),
         ConfirmUserSource: (ConfirmUserSource("/x", ("/x",)), {"is_user_source": True}),
-        NextSearchAction: (NextSearchAction(1, (), (), 0, ("finish",)), {"tool": "finish"}),
+        NextSearchAction: (NextSearchAction(1, ("s",), (), (), ("q_name",)), {"queries": [{"tool": "q_name"}]}),
     }
     assert set(samples) == set(reasoner.TASKS)
     prompts = {re.sub(r"(?<!^)(?=[A-Z])", "_", t.__name__).lower() + ".md" for t in reasoner.TASKS}
