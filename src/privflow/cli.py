@@ -69,7 +69,7 @@ def main() -> None:
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "md"]), default="json", show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None, help="Write the tool-call trace (JSON lines)")
-@click.option("--emit-smt", "emit_smt", type=click.Path(file_okay=False), default=None, help="Dump per-flow SMT-LIB files into this directory")
+@click.option("--emit-smt", "emit_smt", type=click.Path(file_okay=False), default=None, help="Dump one SMT-LIB file per path class into this directory")
 @click.option("--budget-calls", type=int, default=40, show_default=True, help="Max tool calls per phase")
 @click.option("--budget-seconds", type=float, default=600.0, show_default=True, help="Wall-clock limit")
 def scan(corpus, reasoner_kind, rules_file, basic_sink, no_odctx, fmt, trace_path, emit_smt, budget_calls, budget_seconds):

@@ -6,6 +6,9 @@ call sites, then channel edges connecting outbound call sites to the
 receiving endpoints. Global paths alternate intra-service flow witnesses
 with channel hops; a path's derived facts (node ids, id, flow segments,
 services) are fixed when it is built, in one pass over its segments.
+``q_globalflow`` does not list every path: it finds the path classes, the
+paths that reach one sink with one check summary, and gives each class a
+witness path and its number of paths.
 Segments are plain values (``FlowPath`` and ``ChannelEdge`` are named
 tuples), so paths that share a segment hold equal ones, and per-segment
 work can be kept in a cache keyed by the segment itself.
@@ -75,10 +78,11 @@ def q_source(service: Service) -> tuple[Element, ...]:
     return service_index(service).inter.sources
 
 
-def q_user(program: Program, reasoner) -> list[Element]:
+def q_user(program: Program, reasoner, record: Recorder = unrecorded) -> list[Element]:
     """External user inputs: the sources of every service a gateway route
     targets, each confirmed by the reasoner against the prefixes of the
-    routes to its service, one task per source. Under a scan's
+    routes to its service, one task per source, each after its ``reason``
+    record goes to ``record``. Under a scan's
     ``reasoner.Memo`` an endpoint path one of those prefixes covers is
     confirmed without a backend call; an uncovered path and a ``consume``
     source are the backend's to answer. Services come in program order,
@@ -94,6 +98,7 @@ def q_user(program: Program, reasoner) -> list[Element]:
             continue
         for src in q_source(service):
             identifier = src.name if src.kind is ElementKind.ENDPOINT else call_callee(src)
+            record("reason", {"task": "ConfirmUserSource", "element": src.id}, 1)
             verdict = reasoner.reason(ConfirmUserSource(identifier=identifier, route_prefixes=routed))
             if verdict.is_user_source:
                 confirmed.append(src)
@@ -328,6 +333,11 @@ class GlobalPath(Record):
 #: and the conditionals whose block holds one of them.
 FunctionGroup = tuple[Service, Element | None, tuple[Element, ...]]
 
+#: What validation reads from a path: ``((service name, function id or
+#: None), guard ids)`` per check-relevant function group, in order of first
+#: visit (``check_summary``).
+CheckSummary = tuple[tuple[tuple[str, str | None], frozenset[str]], ...]
+
 
 def segment_functions(program: Program, segment: FlowPath) -> tuple[FunctionGroup, ...]:
     """One flow segment's elements grouped by enclosing function, in order
@@ -373,49 +383,160 @@ def path_functions(
     return list(merged.values())
 
 
+def check_summary(groups_of: Callable[[FlowPath], tuple[FunctionGroup, ...]], segment: FlowPath) -> CheckSummary:
+    """What validation reads from one flow segment: its ``groups_of``
+    groups whose function is in its service's
+    ``ServiceIndex.check_relevant``, each as ((service name, function id or
+    None), guard ids), in order. Any other group has no guards and no
+    decorator checks. A relevant function is kept when the segment reaches
+    it unguarded too, since that fixes where ``path_functions`` places its
+    group among the others."""
+    return tuple(
+        ((service.name, fn.id if fn else None), frozenset(guard.id for guard in guards))
+        for service, fn, guards in groups_of(segment)
+        if (fn.id if fn else None) in service_index(service).check_relevant
+    )
+
+
+def merge_summaries(summary: CheckSummary, segment: CheckSummary) -> CheckSummary:
+    """The check summary of a path extended by a segment: the segment's
+    groups merged into the path's as ``path_functions`` merges them, a
+    function met before keeping its place and gaining the new guards."""
+    merged = dict(summary)
+    for key, guards in segment:
+        known = merged.get(key)
+        merged[key] = guards if known is None else known | guards
+    return tuple(merged.items())
+
+
 class GlobalFlows(NamedTuple):
-    """The paths ``q_globalflow`` found, and whether the cap cut them off."""
+    """The path classes ``q_globalflow`` found, in the order it reached
+    them: each class's witness and its ``witness_count``, and whether the
+    cap cut the search off."""
 
     paths: list[GlobalPath]
+    counts: list[int]
     truncated: bool
 
 
+#: The most path classes one search returns.
 PATH_CAP = 10_000
 
 
-def q_globalflow(graph: GlobalGraph, sources, sinks, cap: int = PATH_CAP) -> GlobalFlows:
-    """All simple paths from any source element to any privileged
-    operation, lexicographic by the sequence of graph nodes they visit,
-    capped with a flag.
+def q_globalflow(
+    program: Program,
+    graph: GlobalGraph,
+    sources,
+    sinks,
+    cap: int = PATH_CAP,
+    groups_of: Callable[[FlowPath], tuple[FunctionGroup, ...]] | None = None,
+) -> GlobalFlows:
+    """The path classes from any source element to any privileged
+    operation. A path's class is its sink and its check summary, the
+    ``check_summary`` of its flow segments merged in order: every path of a
+    class gives validation the same inputs.
 
-    A depth-first search over the destination-sorted witnesses finds them
-    in that order: a path before its extensions, siblings ascending. It is
-    a loop over a stack of witness iterators, one per node on the current
-    path, so no closure holds the paths it builds."""
+    A depth-first search over states (graph node, check summary) visits
+    each state once: the sources sorted, each node's witnesses in their
+    destination-sorted order, and a class for each (sink, summary) state
+    it reaches, capped with a flag. A class's witness is the path that
+    first reaches its state. On an acyclic graph that is the class's first
+    path in lexicographic order of the graph nodes it visits, and its
+    ``witness_count`` is the class's number of paths, counted over the
+    states the search reached. On a cyclic graph a path may pass a node
+    again once its summary has grown, and an edge back to a state on the
+    search's current path is not counted. A capped search counts only the
+    paths it explored.
+
+    The search is a loop over a stack of witness iterators, one per state
+    on the current path, so no closure holds the paths it builds. Each
+    state keeps the states of its counted in-edges, which the count reads
+    once the search is done. ``groups_of(segment)`` gives a segment's
+    groups; a scan passes one that keeps them."""
+    if groups_of is None:
+        groups_of = functools.partial(segment_functions, program)
     sink_ids = {op.element for op in sinks}
-    found: list[GlobalPath] = []
+    # a segment in a service with no check-relevant function adds nothing
+    # to a summary, so it is not walked
+    relevant = {service.name for service in program.services if service_index(service).check_relevant}
+    summary_of: dict[int, CheckSummary] = {}  # id(witness) -> its check summary
+    # each distinct summary is hashed once, and a state is keyed by its number
+    summary_ids: dict[CheckSummary, int] = {(): 0}
+    summaries: list[CheckSummary] = [()]
+    states: dict[tuple[str, int], int] = {}  # (node, summary number) -> state number
+    parent: list[int] = []  # the state each state was first reached from, -1 for a root
+    more: dict[int, list[int]] = {}  # a state's later counted in-edges, by source state
+    active: list[bool] = []  # on the current path
+    finished: list[int] = []  # states in the order the search left them
+    roots: list[int] = []
+    classes: list[int] = []
+    witnesses: list[GlobalPath] = []
+    truncated = False
     for src in sorted({s.id for s in sources}):
+        root = states.get((src, 0))
+        if root is not None:  # reached from an earlier source
+            roots.append(root)
+            continue
+        root = states[(src, 0)] = len(parent)
+        roots.append(root)
+        parent.append(-1)
+        active.append(True)
         segments: list[FlowPath | ChannelEdge] = []
-        on_path = {src}
-        stack = [iter(graph.edges.get(src, ()))]
+        stack = [(root, 0, iter(graph.edges.get(src, ())))]
         while stack:
-            witness = next(stack[-1], None)
-            if witness is None:  # every out-edge of the node is done
+            state, summary, out = stack[-1]
+            witness = next(out, None)
+            if witness is None:  # every out-edge of the state is done
                 stack.pop()
+                active[state] = False
+                finished.append(state)
                 if segments:
-                    on_path.discard(segments.pop().dst)
+                    segments.pop()
                 continue
+            nxt_summary = summary
+            if isinstance(witness, FlowPath) and witness.service in relevant:
+                step = summary_of.get(id(witness))
+                if step is None:
+                    step = summary_of[id(witness)] = check_summary(groups_of, witness)
+                if step:
+                    merged = merge_summaries(summaries[summary], step)
+                    nxt_summary = summary_ids.setdefault(merged, len(summaries))
+                    if nxt_summary == len(summaries):
+                        summaries.append(merged)
             dst = witness.dst
-            if dst in on_path:
+            nxt = states.get((dst, nxt_summary))
+            if nxt is not None:
+                if not active[nxt]:  # an edge back to the current path is not counted
+                    more.setdefault(nxt, []).append(state)
                 continue
             segments.append(witness)
-            on_path.add(dst)
             if dst in sink_ids:
-                if len(found) >= cap:
-                    return GlobalFlows(found, True)
-                found.append(GlobalPath(tuple(segments)))
-            stack.append(iter(graph.edges.get(dst, ())))
-    return GlobalFlows(found, False)
+                if len(classes) >= cap:
+                    truncated = True
+                    break
+                classes.append(len(parent))
+                witnesses.append(GlobalPath(tuple(segments)))
+            nxt = states[(dst, nxt_summary)] = len(parent)
+            parent.append(state)
+            active.append(True)
+            stack.append((nxt, nxt_summary, iter(graph.edges.get(dst, ()))))
+        if truncated:
+            finished.extend(state for state, _, _ in reversed(stack))
+            break
+
+    # every counted in-edge comes from a state the search left later, so
+    # the reverse of that order counts each state after its predecessors
+    counts = [0] * len(parent)
+    for root in roots:
+        counts[root] += 1
+    for state in reversed(finished):
+        first = parent[state]
+        if first >= 0:
+            counts[state] += counts[first]
+        later = more.get(state)
+        if later is not None:
+            counts[state] += sum(counts[pred] for pred in later)
+    return GlobalFlows(witnesses, [counts[state] for state in classes], truncated)
 
 
 def to_dot(graph: GlobalGraph, program: Program) -> str:

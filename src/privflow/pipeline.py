@@ -2,9 +2,9 @@
 
 ``scan`` composes the stages: privileged-operation identification (baseline
 sink intrinsics plus a reasoner-driven search loop), global flow
-construction, and per-flow validation (constraint pruning, check
-localization with on-demand context retrieval, sufficiency assessment).
-Flow counts are conserved through the funnel:
+construction into path classes, and per-class validation (constraint
+pruning, check localization with on-demand context retrieval, sufficiency
+assessment). Class counts are conserved through the funnel:
 
     initial = constraint_pruned + protected_dropped + findings + budget_truncated
 
@@ -16,22 +16,20 @@ with no guard and the sufficiency of a sink with no check. A task is
 recorded before it is looked up, so the record that exhausts the budget
 asks the backend nothing.
 
-Paths share most of their segments, and their guards often translate to
-one constraint. So validation keeps, for the length of one scan, each
-segment's function groups, check summary, hop and evidence entries, and
-each distinct constraint's ``check_sat`` verdict and SMT-LIB text, each in
-a cache keyed by the segment or constraint value.
+Validation runs once per path class. ``crossflow.q_globalflow`` finds the
+classes: a flow's class is its sink plus its check summary, the function
+groups that can carry a check (see ``ServiceIndex.check_relevant``) with
+their guards, and every flow of one class gives constraint extraction,
+check location and the sufficiency assessment the same inputs. So the
+class's witness runs them, records its tool calls under its own id and
+writes the class's one SMT file, and the class leaves the funnel as that
+outcome says: pruned, protected, or a finding with its ``witness_count``.
 
-Validation runs once per path class. A flow's class is its sink plus, per
-flow segment, the function groups that can carry a check (see
-``ServiceIndex.check_relevant``), and every flow of one class gives
-constraint extraction, check location and the sufficiency assessment the
-same inputs. The class's first flow runs them and keeps their outcome as
-the class's ``PathClass``; each later flow takes it and replays the
-class's tool calls under its own flow id, so every flow still records its
-own tool calls, in the same order and against the same budget, and writes
-its own SMT file. A flow leaves the funnel as its class says: pruned,
-protected, or a finding with the class's checks and verdict.
+Paths share most of their segments, and their guards often translate to
+one constraint. So a scan keeps, for its length, each segment's function
+groups, hop and evidence entries, and each distinct constraint's
+``check_sat`` verdict and SMT-LIB text, each in a cache keyed by the
+segment or constraint value.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from .constraints import check_sat, Sat, Unsat, emit_smtlib
 from .crossflow import (
     PATH_CAP,
     ChannelEdge,
+    GlobalFlows,
     GlobalPath,
     Recorder,
     ambiguous_matches,
@@ -120,15 +119,13 @@ class CheckFinding(NamedTuple):
 
 
 class PathClass(NamedTuple):
-    """What validation made of one path class, shared by every flow of the
+    """What validation made of one path class, shared by every path of the
     class: its constraint (None when extraction was skipped) and that
-    constraint's status, ``locate_checks``' tool calls as ``(tool, args,
-    count)``, the checks located and the ``AssessSufficiency`` verdict. A
-    pruned class has no calls, no checks and no verdict."""
+    constraint's status, the checks located and the ``AssessSufficiency``
+    verdict. A pruned class has no checks and no verdict."""
 
     constraint: object  # a reasoner PathConstraint, or None
     status: str  # pruned | sat | unknown | skipped
-    calls: tuple[tuple[str, dict, int], ...]
     checks: tuple[CheckFinding, ...]
     sufficiency: object  # a reasoner.Sufficiency, None when pruned
 
@@ -496,12 +493,11 @@ def scan(
 ) -> dict:
     """Run the full pipeline and return the schema-versioned report payload.
 
-    Each path class is validated once, by its first flow; every other flow
-    of the class takes its ``PathClass`` and replays its validation records
-    under its own flow id (see ``_validate_path``). Each validated flow's
-    outcome, the flow with its ``PathClass`` and its SMT file, goes to
-    ``_report_payload``, which puts the flow with the pruned, the protected
-    or the findings by its class.
+    ``q_globalflow`` finds the path classes, and each class is validated
+    once, through its witness (see ``_validate_path``). Each validated
+    class's outcome, its witness with its ``witness_count``, its
+    ``PathClass`` and its SMT file, goes to ``_report_payload``, which puts
+    the class with the pruned, the protected or the findings.
 
     Findings share one record per privileged operation, per path element
     (step and evidence), per path segment (hop) and per distinct service
@@ -524,11 +520,13 @@ def scan(
     exhausted_reason: str | None = None
 
     privops: list[PrivilegedOperation] = []
-    flows: list[GlobalPath] = []
-    flows_truncated = False
+    classes = GlobalFlows([], [], False)
     user_sources: list[Element] = []
     channel_edges = []
     unresolved = []
+    # the class search and validation read each flow segment's function
+    # groups, walked once per scan
+    groups_of = functools.cache(functools.partial(segment_functions, program))
 
     try:
         privops = find_privileged_ops(program, reasoner, tracer=tracer, basic_sink=options.basic_sink)
@@ -541,44 +539,37 @@ def scan(
         channel_edges = matched
         for service in program.services:
             unresolved.extend(q_inter(service).unresolved)
-        user_sources = q_user(program, reasoner)
+        user_sources = q_user(program, reasoner, record_flow)
         record_flow("q_user", {"entry": program.manifest.entry_service()}, len(user_sources))
-        result = q_globalflow(graph, user_sources, privops)
+        result = q_globalflow(program, graph, user_sources, privops, groups_of=groups_of)
         record_flow("q_globalflow", {"sources": len(user_sources), "sinks": len(privops)}, len(result.paths))
-        flows = result.paths
-        flows_truncated = result.truncated
+        classes = result
     except BudgetExhausted as exc:
         if exc.partial is not None:
             privops = list(exc.partial)
         exhausted_reason = str(exc)
 
     ops_by_element = {op.element: op for op in privops}
-    outcomes: list[tuple[GlobalPath, PathClass, str | None]] = []  # (flow, its class, its SMT file)
+    outcomes: list[tuple[GlobalPath, int, PathClass, str | None]] = []  # (witness, its count, its class, its SMT file)
     full_context_ids: set[str] = set()
 
     if exhausted_reason is None:
         max_hops = 4 if options.on_demand_context else 1
         record_validation = functools.partial(tracer.record, PHASE_VALIDATION)
-        # paths share segments, constraints and whole outcomes: each segment
-        # is walked and summarized, each distinct constraint decided and
-        # written out, and each path class validated, once per scan
-        groups_of = functools.cache(functools.partial(segment_functions, program))
-        summary_of = functools.cache(functools.partial(_check_summary, groups_of))
+        # classes often share a constraint: each distinct one is decided and
+        # written out once per scan
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
-        classes: dict[tuple, PathClass] = {}
-        for flow in flows:
-            key = (flow.sink, *map(summary_of, flow.flow_segments))
+        for witness, count in zip(classes.paths, classes.counts):
             try:
                 path_class, smt_file = _validate_path(
-                    program, flow, classes.get(key), ops_by_element[flow.sink], reasoner, record_validation,
+                    program, witness, ops_by_element[witness.sink], reasoner, record_validation,
                     max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text,
                 )
             except BudgetExhausted as exc:
                 exhausted_reason = str(exc)
                 break
-            classes[key] = path_class
-            outcomes.append((flow, path_class, smt_file))
+            outcomes.append((witness, count, path_class, smt_file))
 
     payload = _report_payload(
         program=program,
@@ -588,8 +579,7 @@ def scan(
         user_sources=user_sources,
         channel_edges=channel_edges,
         unresolved=unresolved,
-        flows=flows,
-        flows_truncated=flows_truncated,
+        classes=classes,
         outcomes=outcomes,
         tracer=tracer,
         budget=budget,
@@ -601,24 +591,9 @@ def scan(
     return payload
 
 
-def _check_summary(groups_of: Callable, segment: FlowPath) -> tuple:
-    """A flow segment's share of its path's class key: its
-    ``groups_of(segment)`` groups whose function is in its service's
-    ``ServiceIndex.check_relevant``, each as (service name, function id or
-    None, guard ids), in order. A relevant function is kept when the
-    segment reaches it unguarded too, since that fixes where
-    ``path_functions`` places its group among the others."""
-    return tuple(
-        (service.name, fn.id if fn else None, tuple(guard.id for guard in guards))
-        for service, fn, guards in groups_of(segment)
-        if (fn.id if fn else None) in service_index(service).check_relevant
-    )
-
-
 def _validate_path(
     program: Program,
-    flow: GlobalPath,
-    known: PathClass | None,
+    witness: GlobalPath,
     privop: PrivilegedOperation,
     reasoner,
     record: Recorder,
@@ -629,54 +604,36 @@ def _validate_path(
     decide: Callable,
     smt_text: Callable,
 ) -> tuple[PathClass, str | None]:
-    """One flow through the funnel; returns its class's ``PathClass`` and
-    the name of the SMT file written for the flow, None when none was.
+    """One path class through the funnel, validated through its witness:
+    returns the class's ``PathClass`` and the name of the SMT file written
+    for it, None when none was. Every path of the class gives
+    ``extract_path_constraints``, ``locate_checks`` and ``assess_flow``
+    the witness's inputs, so the outcome is each path's. The records and
+    the SMT file carry the witness's id.
 
-    Flows of one class (one sink, one ``_check_summary`` per segment) pass
-    ``extract_path_constraints``, ``locate_checks`` and ``assess_flow`` the
-    same inputs. So the class's first flow (``known`` None) runs them and
-    returns the class's ``PathClass``. A later flow passes that as
-    ``known``, and records its own tool calls, replaying the class's, in the
-    same order and with the same budget checks. The class's first flow
-    already added its context ids, before its ``AssessSufficiency`` record.
     ``groups_of(segment)`` gives a segment's ``crossflow.segment_functions``
     groups, ``decide`` is ``check_sat`` and ``smt_text`` is
     ``emit_smtlib``; the scan passes all three memoized."""
-    record("reason", {"task": "ExtractConstraints", "flow": flow.id}, 1)
-    if known is None:
-        groups = path_functions(program, flow, groups_of)
-        constraint = extract_path_constraints(groups, reasoner)
-        status = "skipped"
-        if constraint is not None:
-            verdict = decide(constraint)
-            status = "pruned" if isinstance(verdict, Unsat) else "sat" if isinstance(verdict, Sat) else "unknown"
-    else:
-        constraint, status = known.constraint, known.status
+    record("reason", {"task": "ExtractConstraints", "flow": witness.id}, 1)
+    groups = path_functions(program, witness, groups_of)
+    constraint = extract_path_constraints(groups, reasoner)
+    status = "skipped"
+    if constraint is not None:
+        verdict = decide(constraint)
+        status = "pruned" if isinstance(verdict, Unsat) else "sat" if isinstance(verdict, Sat) else "unknown"
 
     smt_file: str | None = None
     if constraint is not None and smt_dir is not None:
-        smt_file = f"{flow.id}.smt2"
+        smt_file = f"{witness.id}.smt2"
         (smt_dir / smt_file).write_text(smt_text(constraint), encoding="utf-8")
     if status == "pruned":
-        return known or PathClass(constraint, status, (), (), None), smt_file
+        return PathClass(constraint, status, (), None), smt_file
 
-    if known is None:
-        calls = []
-
-        def capture(tool: str, args: dict, count: int) -> None:
-            calls.append((tool, args, count))
-            record(tool, args, count)
-
-        checks, contexts, ctx_ids = locate_checks(groups, reasoner, capture, max_hops=max_hops)
-        context_ids.update(ctx_ids)
-    else:
-        for call in known.calls:
-            record(*call)
-    record("reason", {"task": "AssessSufficiency", "flow": flow.id}, 1)
-    if known is None:
-        sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
-        known = PathClass(constraint, status, tuple(calls), tuple(checks), sufficiency)
-    return known, smt_file
+    checks, contexts, ctx_ids = locate_checks(groups, reasoner, record, max_hops=max_hops)
+    context_ids.update(ctx_ids)
+    record("reason", {"task": "AssessSufficiency", "flow": witness.id}, 1)
+    sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
+    return PathClass(constraint, status, tuple(checks), sufficiency), smt_file
 
 
 # --- report payload ---------------------------------------------------------------------
@@ -709,19 +666,19 @@ def _report_payload(
     user_sources,
     channel_edges,
     unresolved,
-    flows,
-    flows_truncated: bool,
-    outcomes: list[tuple[GlobalPath, PathClass, str | None]],
+    classes: GlobalFlows,
+    outcomes: list[tuple[GlobalPath, int, PathClass, str | None]],
     tracer: Tracer,
     budget: ScanBudget,
     exhausted_reason: str | None,
     context_ids: set[str],
 ) -> dict:
-    """The report of a scan. ``outcomes`` holds each validated flow, in
-    flow order, with its class's ``PathClass`` and its SMT file; the flows
-    after the last of them were cut by the budget. A flow whose class is
-    pruned or protected leaves the funnel, and every other flow is a
-    finding built from those three."""
+    """The report of a scan. ``outcomes`` holds each validated path class,
+    in the order ``classes`` lists them, as its witness, its
+    ``witness_count``, its ``PathClass`` and its SMT file; the classes
+    after the last of them were cut by the budget. A pruned or protected
+    class leaves the funnel, and every other class is a finding built from
+    those four."""
     # one record per privileged operation, per element, per path segment and
     # per distinct service list, check list and constraint status, shared by
     # every finding that has it
@@ -805,21 +762,22 @@ def _report_payload(
     def constraint(status: str, smt_file: str | None) -> dict:
         return {"status": status, "smt_file": smt_file}
 
-    def finding_dict(flow: GlobalPath, path_class: PathClass, smt_file: str | None) -> dict:
+    def finding_dict(witness: GlobalPath, count: int, path_class: PathClass, smt_file: str | None) -> dict:
         return {
-            "id": flow.id,
+            "id": witness.id,
+            "witness_count": count,
             "verdict": path_class.sufficiency.verdict,
             "feasibility": "feasible" if path_class.status == "sat" else "unknown",
             "rationale": path_class.sufficiency.rationale,
-            "privileged_operation": op_dict(ops_by_element[flow.sink]),
+            "privileged_operation": op_dict(ops_by_element[witness.sink]),
             "path": {
-                "id": flow.id,
-                "services": services(flow.services),
-                "hops": [*map(hop, flow.segments)],
+                "id": witness.id,
+                "services": services(witness.services),
+                "hops": [*map(hop, witness.segments)],
             },
             "checks": check_dicts(path_class.checks),
             "constraint": constraint(path_class.status, smt_file),
-            "evidence": _evidence(flow, path_class.checks, segment_records, evidence),
+            "evidence": _evidence(witness, path_class.checks, segment_records, evidence),
         }
 
     def finding_sort_key(fd: dict):
@@ -829,34 +787,34 @@ def _report_payload(
     pruned: list[str] = []
     protected: list[str] = []
     finding_dicts: list[dict] = []
-    for flow, path_class, smt_file in outcomes:
+    for witness, count, path_class, smt_file in outcomes:
         if path_class.status == "pruned":
-            pruned.append(flow.id)
+            pruned.append(witness.id)
         elif path_class.sufficiency.verdict == "protected":
-            protected.append(flow.id)
+            protected.append(witness.id)
         else:
-            finding_dicts.append(finding_dict(flow, path_class, smt_file))
+            finding_dicts.append(finding_dict(witness, count, path_class, smt_file))
     finding_dicts.sort(key=finding_sort_key)
 
     funnel = {
-        "initial_flows": len(flows),
+        "initial_flows": len(classes.paths),
         "constraint_pruned": len(pruned),
         "protected_dropped": len(protected),
-        "budget_truncated": len(flows) - len(outcomes),
+        "budget_truncated": len(classes.paths) - len(outcomes),
         "findings": len(finding_dicts),
     }
     accounted = (
         funnel["constraint_pruned"] + funnel["protected_dropped"] + funnel["budget_truncated"] + funnel["findings"]
     )
     if funnel["initial_flows"] != accounted:
-        raise RuntimeError(f"funnel conservation violated: {funnel['initial_flows']} flows, {accounted} accounted")
+        raise RuntimeError(f"funnel conservation violated: {funnel['initial_flows']} classes, {accounted} accounted")
 
     def source_name(el: Element) -> str:
         return el.name or call_callee(el) or el.kind.value
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 1,
+        "schema": 2,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {
@@ -894,7 +852,7 @@ def _report_payload(
             "ambiguous": ambiguous_matches(channel_edges),
         },
         "funnel": funnel,
-        "flows_truncated_at_cap": flows_truncated,
+        "flows_truncated_at_cap": classes.truncated,
         "pruned_flows": sorted(pruned),
         "protected_flows": sorted(protected),
         "findings": finding_dicts,

@@ -1,7 +1,7 @@
 """Report rendering and exit-status policy.
 
 The JSON payload produced by the pipeline is the single source of truth
-(schema field pinned at 1); markdown is derived from it, never computed
+(schema field pinned at 2); markdown is derived from it, never computed
 separately. Reports carry no timestamps so equal scans render byte-identically.
 ``exit_status`` and the markdown renderer read the payload's keys directly:
 their one producer, ``pipeline._report_payload``, always writes them.
@@ -210,7 +210,7 @@ def _render_md(payload: dict) -> str:
     out("## Funnel")
     out("")
     out(
-        f"{funnel['initial_flows']} initial flows: "
+        f"{funnel['initial_flows']} initial path classes: "
         f"{funnel['constraint_pruned']} constraint-pruned, "
         f"{funnel['protected_dropped']} protected-dropped, "
         f"{funnel['budget_truncated']} budget-truncated, "
@@ -229,6 +229,7 @@ def _render_md(payload: dict) -> str:
         out(f"- Location: {op['file']}:{op['line']}")
         out(f"- Feasibility: {finding['feasibility']} (constraints: {finding['constraint']['status']})")
         out(f"- Rationale: {finding['rationale']}")
+        out(f"- Flows in class: {finding['witness_count']}")
         out("- Path:")
         for hop in finding["path"]["hops"]:
             if hop["type"] == "flow":

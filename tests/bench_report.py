@@ -1,8 +1,9 @@
-"""Micro-benchmarks on a 256-flow fan-out scan: the whole scan, the path
-search, JSON report rendering, with the stdlib's indented encoder as the
-reference, and check localization (the path's function walk included)
-over every flow; and on ``bench/gen.py``'s 4x12 chain, the report payload
-built from a finished scan's results and rendered.
+"""Micro-benchmarks on ``bench/gen.py``'s fan-out 8x2, whose 256 flows are
+2 path classes of 128: the whole scan, the class search, JSON report
+rendering, with the stdlib's indented encoder as the reference, and check
+localization (the path's function walk included) of every class witness;
+and on ``bench/gen.py``'s 4x12 chain, the report payload built from a
+finished scan's results and rendered.
 
 The file name does not match ``test_*.py``, so the default test run does
 not collect it; ``tests/test_tooling.py`` runs it once, untimed, to keep it
@@ -22,21 +23,23 @@ from privflow.pipeline import ScanBudget, Tracer, find_privileged_ops, locate_ch
 from privflow.reasoner import ScriptedOracle
 from privflow.report import render_report
 
-from conftest import bench_gen, write_fanout_corpus
+from conftest import bench_gen
 
 
 @pytest.fixture(scope="module")
 def fanout(tmp_path_factory):
-    program = load_program(write_fanout_corpus(tmp_path_factory.mktemp("fanout")))
+    root = tmp_path_factory.mktemp("fanout")
+    bench_gen().fanout(1, 8, 2, root)
+    program = load_program(root)
     oracle = ScriptedOracle()
     budget = ScanBudget(max_tool_calls_per_phase=10**9)
     privops = find_privileged_ops(program, oracle, tracer=Tracer(budget))
     graph = build_global_graph(program, privops, match_channels(program))
     sources = q_user(program, oracle)
-    flows = q_globalflow(graph, sources, privops).paths
+    classes = q_globalflow(program, graph, sources, privops)
     payload = scan(program, oracle, budget)
-    assert len(flows) == len(payload["findings"]) == 256
-    return program, oracle, flows, payload, (graph, sources, privops)
+    assert classes.counts == [f["witness_count"] for f in payload["findings"]] == [128, 128]
+    return program, oracle, classes, payload, (graph, sources, privops)
 
 
 @pytest.fixture(scope="module")
@@ -59,19 +62,19 @@ def chain_payload_inputs(tmp_path_factory):
     return calls[0], payload
 
 
-def test_scan_every_flow(benchmark, fanout):
-    """One scan of all 256 flows, validation and the report payload
+def test_scan_every_class(benchmark, fanout):
+    """One scan of the 2 classes, validation and the report payload
     included; the program's service indexes are already built."""
     program, oracle, _, payload, _ = fanout
     budget = ScanBudget(max_tool_calls_per_phase=10**9)
     assert benchmark(scan, program, oracle, budget) == payload
 
 
-def test_search_every_path(benchmark, fanout):
-    """``q_globalflow`` over the fan-out graph: 256 paths, each with its
-    node ids, id, flow segments and services."""
-    graph, sources, privops = fanout[4]
-    assert benchmark(q_globalflow, graph, sources, privops).paths == fanout[2]
+def test_search_path_classes(benchmark, fanout):
+    """``q_globalflow`` over the fan-out graph: 2 classes of 128 paths,
+    each witness with its node ids, id, flow segments and services."""
+    program, graph, (sources, privops) = fanout[0], fanout[4][0], fanout[4][1:]
+    assert benchmark(q_globalflow, program, graph, sources, privops) == fanout[2]
 
 
 def test_render_json(benchmark, fanout):
@@ -84,10 +87,10 @@ def test_render_json_stdlib_reference(benchmark, fanout):
     benchmark(json.dumps, fanout[3], indent=2, sort_keys=True)
 
 
-def test_locate_checks_every_flow(benchmark, fanout):
-    program, oracle, flows, _, _ = fanout
-    results = benchmark(lambda: [locate_checks(path_functions(program, flow), oracle) for flow in flows])
-    assert len(results) == len(flows)
+def test_locate_checks_every_class(benchmark, fanout):
+    program, oracle, classes, _, _ = fanout
+    results = benchmark(lambda: [locate_checks(path_functions(program, flow), oracle) for flow in classes.paths])
+    assert len(results) == len(classes.paths)
 
 
 def test_chain_payload_and_render(benchmark, chain_payload_inputs):

@@ -38,6 +38,7 @@ from privflow.pipeline import PrivilegedOperation, ScanBudget, ScanOptions, Trac
 from privflow.report import ExitStatus, exit_status
 from privflow.search import FlowPath, UnresolvedChannel, q_flow
 
+from path_reference import all_simple_paths, class_key, reference_classes
 from conftest import (
     CORPORA,
     bench_gen,
@@ -159,6 +160,30 @@ class TestQUser:
             ("front", "/api/a"),
             ("back", "/internal/c"),
             ("back", "/admin/d"),
+        ]
+
+    def test_each_question_is_recorded_before_it_is_asked(self, oracle):
+        """``q_user`` gives ``record`` one ``reason`` record per source,
+        right before it asks that source's ``ConfirmUserSource``, in the
+        services' program order."""
+        program = load_program(CORPORA / "gateway_exposed")
+        events = []
+
+        class Logged:
+            def reason(self, task):
+                events.append(("ask", task.identifier))
+                return oracle.reason(task)
+
+        def record(tool, args, count):
+            events.append((tool, args["task"], args["element"], count))
+
+        confirmed = q_user(program, Logged(), record)
+        sources = [src for service in program.services for src in q_source(service)]
+        assert [src.name for src in confirmed] == ["/ops/run", "/internal/run"]
+        assert events == [
+            event
+            for src in sources
+            for event in (("reason", "ConfirmUserSource", src.id, 1), ("ask", src.name))
         ]
 
     def test_gateway_routed_internal_service_is_attack_surface(self, oracle):
@@ -462,8 +487,9 @@ class TestQGlobalflow:
         privops = find_privileged_ops(role_update_program, oracle)
         graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
         sources = q_user(role_update_program, oracle)
-        result = q_globalflow(graph, sources, privops)
+        result = q_globalflow(role_update_program, graph, sources, privops)
         assert len(result.paths) == 1
+        assert result.counts == [1]
         assert not result.truncated
         [path] = result.paths
         [hop] = [s for s in path.segments if isinstance(s, ChannelEdge)]
@@ -473,7 +499,7 @@ class TestQGlobalflow:
         program, privops = _single_service_program(reachable=False)
         graph = build_global_graph(program, privops, match_channels(program))
         sources = q_user(program, oracle)
-        assert q_globalflow(graph, sources, privops).paths == []
+        assert q_globalflow(program, graph, sources, privops).paths == []
 
     def test_diamond_yields_two_paths(self, oracle):
         svc = lower_snippet(
@@ -487,13 +513,13 @@ class TestQGlobalflow:
         program = Program((svc,), manifest)
         privops = find_privileged_ops(program, oracle, basic_sink=True)
         graph = build_global_graph(program, privops, match_channels(program))
-        result = q_globalflow(graph, q_user(program, oracle), privops)
+        result = q_globalflow(program, graph, q_user(program, oracle), privops)
         assert len(result.paths) == 2
 
     def test_junctions_align(self, role_update_program, oracle):
         privops = find_privileged_ops(role_update_program, oracle)
         graph = build_global_graph(role_update_program, privops, match_channels(role_update_program))
-        [path] = q_globalflow(graph, q_user(role_update_program, oracle), privops).paths
+        [path] = q_globalflow(role_update_program, graph, q_user(role_update_program, oracle), privops).paths
         segs = path.segments
         for left, right in zip(segs, segs[1:]):
             left_end = left.elements[-1] if hasattr(left, "elements") else left.to_element
@@ -506,7 +532,7 @@ class TestQGlobalflow:
             program, privops = build_random_program(rng, f"m{i}")
             graph = build_global_graph(program, privops, match_channels(program))
             sources = _endpoints(program.service(program.manifest.entry_service()))
-            baseline = len(q_globalflow(graph, sources, privops).paths)
+            baseline = len(q_globalflow(program, graph, sources, privops).paths)
             channel_edges = [w for witnesses in graph.edges.values() for w in witnesses if isinstance(w, ChannelEdge)]
             for edge in channel_edges:
                 pruned = GlobalGraph(
@@ -516,7 +542,7 @@ class TestQGlobalflow:
                         for s, witnesses in graph.edges.items()
                     },
                 )
-                assert len(q_globalflow(pruned, sources, privops).paths) <= baseline
+                assert len(q_globalflow(program, pruned, sources, privops).paths) <= baseline
 
     def test_existence_matches_transitive_closure_oracle(self):
         rng = random.Random(777)
@@ -524,8 +550,8 @@ class TestQGlobalflow:
             program, privops = build_random_program(rng, f"t{i}")
             graph = build_global_graph(program, privops, match_channels(program))
             sources = _endpoints(program.service(program.manifest.entry_service()))
-            paths = q_globalflow(graph, sources, privops).paths
-            got = {(p.source, p.sink) for p in paths}
+            # a search from one source reaches each of its sinks in some class
+            got = {(src.id, p.sink) for src in sources for p in q_globalflow(program, graph, [src], privops).paths}
             want = _oracle_pairs(graph, sources, privops)
             assert got == want
 
@@ -534,23 +560,38 @@ class TestQGlobalflow:
         program = load_program(corpus)
         privops = find_privileged_ops(program, oracle)
         graph = build_global_graph(program, privops, match_channels(program))
-        _check_all_simple_paths(graph, q_user(program, oracle), privops)
+        _check_all_simple_paths(program, graph, q_user(program, oracle), privops)
 
     def test_paths_equal_all_simple_paths_on_random_programs(self):
+        """On the acyclic programs the classes are exactly the reference's;
+        on the cyclic ones, whose summaries are all empty (the programs have
+        no guards), each reached sink is one class, witnessed by one of its
+        simple paths and counted over the search's own paths."""
         rng = random.Random(8086)
-        total = 0
+        total = cyclic = 0
         for i in range(20):
             program, privops = build_random_program(rng, f"a{i}")
             graph = build_global_graph(program, privops, match_channels(program))
             sources = [e for s in program.services for e in _endpoints(s)]
-            total += _check_all_simple_paths(graph, sources, privops)
+            if not _is_cyclic(graph):
+                total += _check_all_simple_paths(program, graph, sources, privops)
+                continue
+            cyclic += 1
+            result = q_globalflow(program, graph, sources, privops)
+            classes = reference_classes(program, all_simple_paths(graph, sources, privops))
+            assert {class_key(program, p) for p in result.paths} == set(classes)
+            for witness, count in zip(result.paths, result.counts):
+                members = classes[class_key(program, witness)]
+                assert witness in members
+                assert 1 <= count <= len(members)
         assert total > 50
+        assert cyclic == 2
 
     def test_paths_equal_all_simple_paths_on_fanout(self, tmp_path, oracle):
         program = load_program(write_fanout_corpus(tmp_path))
         privops = find_privileged_ops(program, oracle, basic_sink=True)
         graph = build_global_graph(program, privops, match_channels(program))
-        assert _check_all_simple_paths(graph, q_user(program, oracle), privops) == 256
+        assert _check_all_simple_paths(program, graph, q_user(program, oracle), privops) == 256
 
     def test_path_cap_sets_truncation_flag(self, oracle):
         svc = lower_snippet(
@@ -563,23 +604,24 @@ class TestQGlobalflow:
         program = Program((svc,), manifest)
         privops = find_privileged_ops(program, oracle, basic_sink=True)
         graph = build_global_graph(program, privops, match_channels(program))
-        result = q_globalflow(graph, q_user(program, oracle), privops, cap=1)
+        result = q_globalflow(program, graph, q_user(program, oracle), privops, cap=1)
         assert result.truncated
         assert len(result.paths) == 1
+        assert result.counts == [1]
 
     @pytest.mark.parametrize("corpus", CORPUS_DIRS, ids=lambda p: p.name)
     def test_path_facts_match_their_segments_on_corpora(self, corpus, oracle):
         program = load_program(corpus)
         privops = find_privileged_ops(program, oracle)
         graph = build_global_graph(program, privops, match_channels(program))
-        for path in q_globalflow(graph, q_user(program, oracle), privops).paths:
+        for path in q_globalflow(program, graph, q_user(program, oracle), privops).paths:
             _check_path_facts(path)
 
     def test_path_facts_match_their_segments_on_fanout(self, tmp_path, oracle):
         program = load_program(write_fanout_corpus(tmp_path))
         privops = find_privileged_ops(program, oracle, basic_sink=True)
         graph = build_global_graph(program, privops, match_channels(program))
-        paths = q_globalflow(graph, q_user(program, oracle), privops).paths
+        paths = q_globalflow(program, graph, q_user(program, oracle), privops).paths
         assert len(paths) == 256
         for path in paths:
             _check_path_facts(path)
@@ -588,9 +630,9 @@ class TestQGlobalflow:
         "case", [p.name for p in CORPUS_DIRS] + ["gen-chain4x12", "gen-fanout8x2", "fanout"]
     )
     def test_facts_grown_along_the_search_match_a_path_built_alone(self, case, tmp_path, oracle):
-        """Every path the search finds, on every corpus and on the
-        benchmark's shapes, carries the facts recomputed from its segments,
-        as a path built from its segments alone does."""
+        """Every class witness the search builds, on every corpus and on
+        the benchmark's shapes, carries the facts recomputed from its
+        segments, as a path built from its segments alone does."""
         writers = {
             "gen-chain4x12": lambda: bench_gen().chain(1, 4, 12, tmp_path),
             "gen-fanout8x2": lambda: bench_gen().fanout(1, 8, 2, tmp_path),
@@ -601,8 +643,8 @@ class TestQGlobalflow:
         program = load_program(tmp_path if case in writers else CORPORA / case)
         privops = find_privileged_ops(program, oracle, tracer=Tracer(OPEN_BUDGET))
         graph = build_global_graph(program, privops, match_channels(program))
-        paths = q_globalflow(graph, q_user(program, oracle), privops).paths
-        assert len(paths) == {"gen-chain4x12": 48, "gen-fanout8x2": 256, "fanout": 256}.get(case, len(paths))
+        paths = q_globalflow(program, graph, q_user(program, oracle), privops).paths
+        assert len(paths) == {"gen-chain4x12": 48, "gen-fanout8x2": 2, "fanout": 256}.get(case, len(paths))
         for path in paths:
             _check_path_facts(path)
 
@@ -615,7 +657,7 @@ class TestQGlobalflow:
         gc.disable()
         try:
             payload = scan(program, oracle, OPEN_BUDGET)
-            assert payload["funnel"]["initial_flows"] == 256
+            assert payload["funnel"]["initial_flows"] == 2
             del payload
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
@@ -797,21 +839,49 @@ def _graph_nodes(segments):
     return (segments[0].src,) + tuple(w.dst for w in segments)
 
 
-def _check_all_simple_paths(graph, sources, sinks):
-    """``q_globalflow`` finds every simple path from a source to a sink, in
-    strictly increasing order of the graph nodes they visit, and a cap
-    keeps a prefix of that order. Returns the number of paths."""
-    result = q_globalflow(graph, sources, sinks)
-    visits = [_graph_nodes(p.segments) for p in result.paths]
+def _is_cyclic(graph) -> bool:
+    """Whether some node of the graph reaches itself."""
+    state = {}  # node -> 1 while on the search's path, 2 once done
+    for root in graph.edges:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(graph.edges[root]))]
+        while stack:
+            node, witnesses = stack[-1]
+            witness = next(witnesses, None)
+            if witness is None:
+                state[node] = 2
+                stack.pop()
+            elif state.get(witness.dst) == 1:
+                return True
+            elif witness.dst not in state:
+                state[witness.dst] = 1
+                stack.append((witness.dst, iter(graph.edges.get(witness.dst, ()))))
+    return False
+
+
+def _check_all_simple_paths(program, graph, sources, sinks):
+    """On an acyclic graph, ``q_globalflow``'s classes are the reference's
+    simple paths grouped by ``class_key``: one witness per class, the
+    class's first path in the reference's strictly increasing order of the
+    graph nodes they visit, and ``witness_count`` the class's size. A cap
+    keeps a prefix of the classes. Returns the number of paths."""
+    assert not _is_cyclic(graph)
+    paths = all_simple_paths(graph, sources, sinks)
+    visits = [_graph_nodes(p.segments) for p in paths]
     assert all(a < b for a, b in zip(visits, visits[1:]))
-    want = sorted(_all_simple_paths(graph, sources, sinks), key=_graph_nodes)
-    assert [p.segments for p in result.paths] == want
+    assert [p.segments for p in paths] == sorted(_all_simple_paths(graph, sources, sinks), key=_graph_nodes)
+    classes = reference_classes(program, paths)
+    result = q_globalflow(program, graph, sources, sinks)
+    assert result.paths == [members[0] for members in classes.values()]
+    assert result.counts == [len(members) for members in classes.values()]
     assert not result.truncated
-    if len(want) > 1:
-        capped = q_globalflow(graph, sources, sinks, cap=len(want) // 2)
+    if len(classes) > 1:
+        capped = q_globalflow(program, graph, sources, sinks, cap=len(classes) // 2)
         assert capped.truncated
-        assert capped.paths == result.paths[: len(want) // 2]
-    return len(want)
+        assert capped.paths == result.paths[: len(classes) // 2]
+    return len(paths)
 
 
 def pairwise_match_channels(program):

@@ -15,7 +15,6 @@ from privflow.crossflow import (
     build_global_graph,
     match_channels,
     path_functions,
-    q_globalflow,
     q_user,
     segment_functions,
 )
@@ -26,6 +25,7 @@ from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor
 from privflow import search
 from privflow.search import FlowPath, identifiers, service_index
 
+from path_reference import all_simple_paths
 from conftest import CORPORA, bench_gen, make_element, scan_decorator_checks, scan_guard_var_types, write_fanout_corpus
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
@@ -97,7 +97,7 @@ def all_flows(program: Program) -> list[GlobalPath]:
     oracle = ScriptedOracle()
     privops = find_privileged_ops(program, oracle, tracer=Tracer(OPEN))
     graph = build_global_graph(program, privops, match_channels(program))
-    return q_globalflow(graph, q_user(program, oracle), privops).paths
+    return all_simple_paths(graph, q_user(program, oracle), privops)
 
 
 class Recorder:

@@ -74,7 +74,7 @@ def _ops_corpus(root, body: str, params: str = ""):
 def first_flow(program, oracle, basic_sink=False):
     privops = find_privileged_ops(program, oracle, basic_sink=basic_sink)
     graph = build_global_graph(program, privops, match_channels(program))
-    flows = q_globalflow(graph, q_user(program, oracle), privops).paths
+    flows = q_globalflow(program, graph, q_user(program, oracle), privops).paths
     return privops, flows
 
 

@@ -16,18 +16,21 @@ Covered outputs:
   segments and their constraint. Each corpus above has at most 2 flows;
 * the JSON report and the trace of a scan of the benchmark's own corpora
   (``GENERATED``), ``bench/gen.py``'s chain 4x12 and fan-out 8x2 with
-  seed 1 at an open budget: 48 and 256 flows, whose path ids pin every
-  path's node ids. The same two corpora also run out of budget in the
-  flow phase: chain 4x12 at 41, 517 and 1012 and fan-out 8x2 at 70 tool
-  calls per phase stop inside one source's flow search, between two of
-  its per-pair ``q_flow`` records; chain 4x12 at 1017 and fan-out 8x2 at
-  77 stop at the phase's last record, ``q_globalflow``;
+  seed 1 at an open budget: 48 path classes of one flow each, whose
+  witness ids pin every path's node ids, and 2 classes of 128 flows each.
+  The same two corpora also run out of budget in the flow phase: chain
+  4x12 at 41, 517 and 1012 and fan-out 8x2 at 70 tool calls per phase
+  stop inside one source's flow search, between two of its per-pair
+  ``q_flow`` records; chain 4x12 at 1029 and fan-out 8x2 at 79 stop at
+  the phase's last record, ``q_globalflow``, after one ``reason`` record
+  per user source (12 and 2);
 * the three outputs of ``class_replay`` (``REPLAY``), whose two flows form
-  one path class with a non-empty ``locate_checks`` call list, which the
-  second flow replays: at an open budget, and with ``basic_sink`` at 7, 9
-  and 15 tool calls per phase. These run out at the first flow's
-  ``AssessSufficiency`` record, at the first replayed call and at the
-  second flow's ``AssessSufficiency`` record.
+  one path class with a non-empty ``locate_checks`` call list: at an
+  open budget, and with ``basic_sink`` at 4, 5 and 7 tool calls per
+  phase. These run out in the flow phase, at the first source's and at
+  the second source's ``ConfirmUserSource`` record and at
+  ``q_globalflow``. Validation records no more calls than the flow phase
+  here, so no per-phase budget stops it.
 
 The trace is written to ``trace.jsonl`` in the working directory, so the
 report's ``trace_file`` field is the same on every machine.
@@ -73,22 +76,22 @@ OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
 # per phase, findings); a scan that runs out of budget has none
 GENERATED = {
     "gen/chain4x12/open": ("chain", (4, 12), 10**9, 48),
-    "gen/fanout8x2/open": ("fanout", (8, 2), 10**9, 256),
+    "gen/fanout8x2/open": ("fanout", (8, 2), 10**9, 2),
     "gen/chain4x12/budget41": ("chain", (4, 12), 41, 0),
     "gen/chain4x12/budget517": ("chain", (4, 12), 517, 0),
     "gen/chain4x12/budget1012": ("chain", (4, 12), 1012, 0),
-    "gen/chain4x12/budget1017": ("chain", (4, 12), 1017, 0),
+    "gen/chain4x12/budget1029": ("chain", (4, 12), 1029, 0),
     "gen/fanout8x2/budget70": ("fanout", (8, 2), 70, 0),
-    "gen/fanout8x2/budget77": ("fanout", (8, 2), 77, 0),
+    "gen/fanout8x2/budget79": ("fanout", (8, 2), 79, 0),
 }
 
 
 # case name -> (options, tool calls per phase) of a ``class_replay`` scan
 REPLAY = {
     "class_replay/open": ({}, 10**9),
+    "class_replay/basic_sink/budget4": (VARIANTS["basic_sink"], 4),
+    "class_replay/basic_sink/budget5": (VARIANTS["basic_sink"], 5),
     "class_replay/basic_sink/budget7": (VARIANTS["basic_sink"], 7),
-    "class_replay/basic_sink/budget9": (VARIANTS["basic_sink"], 9),
-    "class_replay/basic_sink/budget15": (VARIANTS["basic_sink"], 15),
 }
 
 
@@ -169,9 +172,10 @@ def test_shared_segment_outputs_match_checked_in_digests(tmp_path, monkeypatch):
 
 
 def test_shared_scan_renders_each_distinct_constraint_once(tmp_path, monkeypatch):
-    """The ``SHARED`` scan's flows share their constraint: its SMT-LIB
-    text is rendered once per distinct constraint, and still written to
-    one file per flow with the checked-in digests."""
+    """The ``SHARED`` scan's 16 flows are 16 path classes, which share
+    their constraint: its SMT-LIB text is rendered once per distinct
+    constraint, and still written to one file per class with the
+    checked-in digests."""
     extracted, rendered = [], []
     real_extract, real_emit = pipeline.extract_path_constraints, pipeline.emit_smtlib
 
@@ -193,10 +197,10 @@ def test_shared_scan_renders_each_distinct_constraint_once(tmp_path, monkeypatch
 
 
 def test_generated_fanout_validates_each_path_class_once(tmp_path, monkeypatch):
-    """The 256 flows of fan-out 8x2 form 2 path classes, one per sink: a
-    scan validates each class once and replays it for the class's other
-    flows. Every flow still records its own 2 validation tool calls, and
-    the outputs keep their checked-in digests."""
+    """The 256 flows of fan-out 8x2 form 2 path classes of 128 flows,
+    one per sink: a scan validates each class once, records 2 validation
+    tool calls per class and reports each class as one finding, and the
+    outputs keep their checked-in digests."""
     called = collections.Counter()
 
     def counting(name):
@@ -216,7 +220,9 @@ def test_generated_fanout_validates_each_path_class_once(tmp_path, monkeypatch):
     assert called == {"extract_path_constraints": 2, "locate_checks": 2, "assess_flow": 2}
     records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
     validation = collections.Counter(r["args"]["task"] for r in records if r["phase"] == "validation")
-    assert validation == {"ExtractConstraints": 256, "AssessSufficiency": 256}
+    assert validation == {"ExtractConstraints": 2, "AssessSufficiency": 2}
+    payload = scan(load_program("corpus"), ScriptedOracle(), OPEN_BUDGET)
+    assert [f["witness_count"] for f in payload["findings"]] == [128, 128]
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
@@ -232,8 +238,8 @@ def test_generated_outputs_match_checked_in_digests(name, tmp_path, monkeypatch)
         ("gen/chain4x12/budget517", "q_flow"),
         ("gen/chain4x12/budget1012", "q_flow"),
         ("gen/fanout8x2/budget70", "q_flow"),
-        ("gen/chain4x12/budget1017", "q_globalflow"),
-        ("gen/fanout8x2/budget77", "q_globalflow"),
+        ("gen/chain4x12/budget1029", "q_globalflow"),
+        ("gen/fanout8x2/budget79", "q_globalflow"),
     ],
 )
 def test_generated_budgets_run_out_where_their_digests_say(name, last_tool, tmp_path, monkeypatch):
@@ -261,11 +267,11 @@ def _validation_records() -> list[tuple]:
     return [(r["tool"], r["args"]) for r in records if r["phase"] == "validation"]
 
 
-def test_class_replay_replays_the_located_calls(tmp_path, monkeypatch):
+def test_class_replay_validates_its_one_class_once(tmp_path, monkeypatch):
     """``class_replay``'s two flows are one path class: ``locate_checks``
-    runs once, for the first flow, and the second flow records the same
-    non-empty list of calls, in the same order, between its own
-    ``ExtractConstraints`` and ``AssessSufficiency`` records."""
+    runs once, and the class's one finding counts both flows. Its
+    non-empty list of located calls is recorded once, between the
+    witness's ``ExtractConstraints`` and ``AssessSufficiency`` records."""
     called = collections.Counter()
     real = pipeline.locate_checks
 
@@ -278,41 +284,43 @@ def test_class_replay_replays_the_located_calls(tmp_path, monkeypatch):
     digests, payload = _digests(*CASES["class_replay/open"])
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))["class_replay/open"]
     assert called == {"locate_checks": 1}
-    assert [f["verdict"] for f in payload["findings"]] == ["missing_authz", "missing_authz"]
+    assert [(f["verdict"], f["witness_count"]) for f in payload["findings"]] == [("missing_authz", 2)]
     records = _validation_records()
-    assert len(records) == 16
-    first, second = records[:8], records[8:]
-    assert [tool for tool, _ in first[1:-1]] == ["get_source", "q_cg", "get_source", "q_cg", "reason", "reason"]
-    assert first[1:-1] == second[1:-1]
-    flows = [args["flow"] for tool, args in (first[0], first[-1], second[0], second[-1])]
-    assert flows[0] == flows[1] != flows[2] == flows[3]
+    assert [tool for tool, _ in records[1:-1]] == ["get_source", "q_cg", "get_source", "q_cg", "reason", "reason"]
+    assert [(tool, args["task"], args["flow"]) for tool, args in (records[0], records[-1])] == [
+        ("reason", "ExtractConstraints", payload["findings"][0]["id"]),
+        ("reason", "AssessSufficiency", payload["findings"][0]["id"]),
+    ]
 
 
 @pytest.mark.parametrize(
-    "name, last_task",
+    "name, last_tool, source",
     [
-        ("class_replay/basic_sink/budget7", "AssessSufficiency"),
-        ("class_replay/basic_sink/budget9", None),
-        ("class_replay/basic_sink/budget15", "AssessSufficiency"),
+        ("class_replay/basic_sink/budget4", "reason", 0),
+        ("class_replay/basic_sink/budget5", "reason", 1),
+        ("class_replay/basic_sink/budget7", "q_globalflow", None),
     ],
 )
-def test_class_replay_budgets_run_out_where_their_digests_say(name, last_task, tmp_path, monkeypatch):
-    """Where each budgeted ``class_replay`` scan stops: at the first flow's
-    ``AssessSufficiency`` record, by which the class's 3 context elements
-    are listed; at the first call the second flow replays; and at the
-    second flow's ``AssessSufficiency`` record."""
+def test_class_replay_budgets_run_out_where_their_digests_say(name, last_tool, source, tmp_path, monkeypatch):
+    """Where each budgeted ``class_replay`` scan stops: at the
+    ``ConfirmUserSource`` record of the first and of the second user
+    source, each before its question, and at ``q_globalflow``. The
+    report lists no path class, and no user source unless ``q_user`` has
+    returned."""
     monkeypatch.chdir(tmp_path)
     digests, payload = _digests(*CASES[name])
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     calls = REPLAY[name][1]
-    assert payload["budget"]["exhausted_reason"] == f"validation: exceeded {calls} tool calls"
-    assert payload["budget"]["tool_calls"] == {"flow": 6, "privileged_ops": 1, "validation": calls + 1}
-    assert len(payload["context_elements"]) == 3
-    records = _validation_records()
-    if last_task is None:  # the replayed call: the first flow's first located call
-        assert records[-1] == records[1]
-    else:
-        assert (records[-1][0], records[-1][1]["task"]) == ("reason", last_task)
+    assert payload["budget"]["exhausted_reason"] == f"flow: exceeded {calls} tool calls"
+    assert payload["budget"]["tool_calls"] == {"flow": calls + 1, "privileged_ops": 1}
+    assert len(payload["user_sources"]) == (0 if source is not None else 2)
+    assert payload["funnel"]["initial_flows"] == 0
+    records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
+    last = records[-1]
+    assert (last["phase"], last["tool"]) == ("flow", last_tool)
+    if source is not None:
+        endpoints = [r for r in records if r["tool"] == "q_flow"]
+        assert last["args"] == {"task": "ConfirmUserSource", "element": endpoints[source]["args"]["from"]}
 
 
 def test_digests_cover_exactly_the_cases():
