@@ -31,7 +31,8 @@ from .search import FlowPath, InterScan, flow_sinks, q_flow, service_index
 
 
 #: ``record(tool, args, count)`` takes one tool call for the trace, which
-#: also meters the budget.
+#: also meters the budget: it raises ``BudgetExhausted`` when the budget
+#: runs out.
 Recorder = Callable[[str, dict, int], None]
 
 #: ``record_search(service, source, targets, reached)`` takes one flow
@@ -39,6 +40,17 @@ Recorder = Callable[[str, dict, int], None]
 #: the ids of those it reached. It stands for one ``q_flow`` tool call per
 #: target (``search_records``).
 SearchRecorder = Callable[[str, str, tuple[str, ...], list[str]], None]
+
+
+class BudgetExhausted(Exception):
+    """A scan's budget ran out in ``phase``. A stage that keeps what it
+    found so far raises it again with that as ``partial``."""
+
+    def __init__(self, phase: str, reason: str, partial=None):
+        self.phase = phase
+        self.reason = reason
+        self.partial = partial
+        super().__init__(f"{phase}: {reason}")
 
 
 def unrecorded(*call) -> None:
@@ -87,21 +99,25 @@ def q_user(program: Program, reasoner, record: Recorder = unrecorded) -> list[El
     confirmed without a backend call; an uncovered path and a ``consume``
     source are the backend's to answer. Services come in program order,
     which ``validate_program`` makes manifest order; a service no route
-    targets has no user source."""
+    targets has no user source. When the budget runs out, the raised
+    ``BudgetExhausted`` carries the sources confirmed before it did."""
     prefixes: dict[str, tuple[str, ...]] = {}
     for route in program.manifest.gateway_routes:
         prefixes[route.target] = (*prefixes.get(route.target, ()), route.prefix)
     confirmed = []
-    for service in program.services:
-        routed = prefixes.get(service.name)
-        if routed is None:
-            continue
-        for src in q_source(service):
-            identifier = src.name if src.kind is ElementKind.ENDPOINT else call_callee(src)
-            record("reason", {"task": "ConfirmUserSource", "element": src.id}, 1)
-            verdict = reasoner.reason(ConfirmUserSource(identifier=identifier, route_prefixes=routed))
-            if verdict.is_user_source:
-                confirmed.append(src)
+    try:
+        for service in program.services:
+            routed = prefixes.get(service.name)
+            if routed is None:
+                continue
+            for src in q_source(service):
+                identifier = src.name if src.kind is ElementKind.ENDPOINT else call_callee(src)
+                record("reason", {"task": "ConfirmUserSource", "element": src.id}, 1)
+                verdict = reasoner.reason(ConfirmUserSource(identifier=identifier, route_prefixes=routed))
+                if verdict.is_user_source:
+                    confirmed.append(src)
+    except BudgetExhausted as exc:
+        raise BudgetExhausted(exc.phase, exc.reason, partial=confirmed)
     return confirmed
 
 

@@ -25,11 +25,12 @@ class's witness runs them, records its tool calls under its own id and
 writes the class's one SMT file, and the class leaves the funnel as that
 outcome says: pruned, protected, or a finding with its ``witness_count``.
 
-Paths share most of their segments, and their guards often translate to
-one constraint. So a scan keeps, for its length, each segment's function
-groups, hop and evidence entries, and each distinct constraint's
-``check_sat`` verdict and SMT-LIB text, each in a cache keyed by the
-segment or constraint value.
+Paths share most of their segments and check candidates, and their guards
+often translate to one constraint. So a scan keeps, for its length, each
+segment's function groups and hop, each check candidate's
+``ClassifyCheck`` task, and each distinct constraint's ``check_sat``
+verdict and SMT-LIB text, each in a cache keyed by the segment, the
+candidate's element id or the constraint value.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from typing import Callable, NamedTuple
 from .constraints import check_sat, Sat, Unsat, emit_smtlib
 from .crossflow import (
     PATH_CAP,
+    BudgetExhausted,
     ChannelEdge,
     GlobalFlows,
     GlobalPath,
@@ -148,14 +150,6 @@ class ScanOptions(Record):
 
     __slots__ = ("basic_sink", "on_demand_context", "emit_smt_dir", "trace_path")
     _defaults = {"basic_sink": False, "on_demand_context": True, "emit_smt_dir": None, "trace_path": None}
-
-
-class BudgetExhausted(Exception):
-    def __init__(self, phase: str, reason: str, partial=None):
-        self.phase = phase
-        self.reason = reason
-        self.partial = partial
-        super().__init__(f"{phase}: {reason}")
 
 
 class Tracer:
@@ -366,11 +360,40 @@ def extract_path_constraints(groups, reasoner):
 # --- check localization --------------------------------------------------------------
 
 
+class CheckCandidate(Record):
+    """One check candidate's ``ClassifyCheck`` task, the tool calls that
+    built it, each as ``record``'s arguments ``(tool, args, count)``, and
+    the ids of the elements it read."""
+
+    __slots__ = ("task", "calls", "context_ids")
+
+
+def check_candidate(service: Service, element: Element, attachment: str, max_hops: int) -> CheckCandidate:
+    """The candidate an inline conditional or a decorator-attached check
+    function makes: the function's source with its helpers' sources
+    (``_helper_contexts``) as context, or the conditional's own source."""
+    if attachment == "inline":
+        task = ClassifyCheck(element=element.id, name="", source=element.source, attachment="inline")
+        return CheckCandidate(task, (), (element.id,))
+    calls: list[tuple[str, dict, int]] = []
+    source = get_source(service, element)
+    calls.append(("get_source", {"service": service.name, "element": element.id}, 1))
+    context_ids = {element.id}
+    helper_sources = _helper_contexts(
+        service, element, max_hops - 1, context_ids, lambda tool, args, count: calls.append((tool, args, count))
+    )
+    task = ClassifyCheck(
+        element=element.id, name=element.name, source=source, attachment="decorator", context=tuple(helper_sources)
+    )
+    return CheckCandidate(task, tuple(calls), tuple(context_ids))
+
+
 def locate_checks(
     groups,
     reasoner,
     record: Recorder = unrecorded,
     max_hops: int = 4,
+    candidates: dict[str, CheckCandidate] | None = None,
 ) -> tuple[list[CheckFinding], list[str], set[str]]:
     """AuthN/authZ checks correlated with a flow.
 
@@ -380,13 +403,30 @@ def locate_checks(
     inline conditionals whose guarded block contains the flow. Every tool
     call goes to ``record(tool, args, count)``. Returns (checks, context
     snippets, context element ids).
+
+    ``candidates`` maps an element id to its ``check_candidate``, built at
+    ``max_hops``; the scan passes one for its length, so each candidate is
+    built once, and every flow still records the tool calls that built it.
     """
     checks: list[CheckFinding] = []
     contexts: list[str] = []
     context_ids: set[str] = set()
     seen_candidates: set[str] = set()
+    if candidates is None:
+        candidates = {}
 
-    def classify(service: Service, task: ClassifyCheck) -> None:
+    def classify(service: Service, element: Element, attachment: str) -> None:
+        if element.id in seen_candidates:
+            return
+        seen_candidates.add(element.id)
+        candidate = candidates.get(element.id)
+        if candidate is None:
+            candidate = candidates[element.id] = check_candidate(service, element, attachment, max_hops)
+        task = candidate.task
+        for call in candidate.calls:
+            record(*call)
+        context_ids.update(candidate.context_ids)
+        contexts.extend(task.context)
         record("reason", {"task": "ClassifyCheck", "element": task.element}, 1)
         verdict = reasoner.reason(task)
         if verdict.classification != "none":
@@ -407,24 +447,9 @@ def locate_checks(
         if fn is None:
             continue
         for check_fn in service_index(service).decorator_checks.get(fn.id, ()):
-            if check_fn.id in seen_candidates:
-                continue
-            seen_candidates.add(check_fn.id)
-            source = get_source(service, check_fn)
-            record("get_source", {"service": service.name, "element": check_fn.id}, 1)
-            context_ids.add(check_fn.id)
-            helper_sources = _helper_contexts(service, check_fn, max_hops - 1, context_ids, record)
-            contexts.extend(helper_sources)
-            task = ClassifyCheck(
-                element=check_fn.id, name=check_fn.name, source=source, attachment="decorator", context=tuple(helper_sources)
-            )
-            classify(service, task)
+            classify(service, check_fn, "decorator")
         for cond in sorted(guards, key=element_order):
-            if cond.id in seen_candidates:
-                continue
-            seen_candidates.add(cond.id)
-            context_ids.add(cond.id)
-            classify(service, ClassifyCheck(element=cond.id, name="", source=cond.source, attachment="inline"))
+            classify(service, cond, "inline")
     return checks, contexts, context_ids
 
 
@@ -499,10 +524,12 @@ def scan(
     ``PathClass`` and its SMT file, goes to ``_report_payload``, which puts
     the class with the pruned, the protected or the findings.
 
-    Findings share one record per privileged operation, per path element
-    (step and evidence), per path segment (hop) and per distinct service
-    list, check list and constraint status, so the payload is read-only:
-    changing one record would change it in every finding."""
+    Each element a finding names has one record, in the report's
+    ``elements`` table, and a finding's evidence and its path's steps list
+    element ids. Findings share one record per privileged operation, per
+    path segment (hop) and per distinct service list, check list and
+    constraint status, so the payload is read-only: changing one record
+    would change it in every finding."""
     budget = budget or ScanBudget()
     options = options or ScanOptions()
     violations = validate_program(program)
@@ -545,8 +572,11 @@ def scan(
         record_flow("q_globalflow", {"sources": len(user_sources), "sinks": len(privops)}, len(result.paths))
         classes = result
     except BudgetExhausted as exc:
-        if exc.partial is not None:
-            privops = list(exc.partial)
+        # the stage the budget ran out in keeps what it had found
+        if exc.phase == PHASE_PRIVOPS:
+            privops = exc.partial
+        elif exc.partial is not None:
+            user_sources = exc.partial
         exhausted_reason = str(exc)
 
     ops_by_element = {op.element: op for op in privops}
@@ -560,11 +590,13 @@ def scan(
         # written out once per scan
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
+        # classes often share a check candidate: each is built once per scan
+        candidates: dict[str, CheckCandidate] = {}
         for witness, count in zip(classes.paths, classes.counts):
             try:
                 path_class, smt_file = _validate_path(
                     program, witness, ops_by_element[witness.sink], reasoner, record_validation,
-                    max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text,
+                    max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text, candidates,
                 )
             except BudgetExhausted as exc:
                 exhausted_reason = str(exc)
@@ -603,6 +635,7 @@ def _validate_path(
     groups_of: Callable,
     decide: Callable,
     smt_text: Callable,
+    candidates: dict[str, CheckCandidate],
 ) -> tuple[PathClass, str | None]:
     """One path class through the funnel, validated through its witness:
     returns the class's ``PathClass`` and the name of the SMT file written
@@ -613,7 +646,8 @@ def _validate_path(
 
     ``groups_of(segment)`` gives a segment's ``crossflow.segment_functions``
     groups, ``decide`` is ``check_sat`` and ``smt_text`` is
-    ``emit_smtlib``; the scan passes all three memoized."""
+    ``emit_smtlib``; the scan passes all three memoized, and
+    ``candidates``, ``locate_checks``' cache of check candidates."""
     record("reason", {"task": "ExtractConstraints", "flow": witness.id}, 1)
     groups = path_functions(program, witness, groups_of)
     constraint = extract_path_constraints(groups, reasoner)
@@ -629,7 +663,7 @@ def _validate_path(
     if status == "pruned":
         return PathClass(constraint, status, (), None), smt_file
 
-    checks, contexts, ctx_ids = locate_checks(groups, reasoner, record, max_hops=max_hops)
+    checks, contexts, ctx_ids = locate_checks(groups, reasoner, record, max_hops, candidates)
     context_ids.update(ctx_ids)
     record("reason", {"task": "AssessSufficiency", "flow": witness.id}, 1)
     sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
@@ -639,22 +673,11 @@ def _validate_path(
 # --- report payload ---------------------------------------------------------------------
 
 
-def _evidence(flow: GlobalPath, checks, segment_records: Callable, record) -> list[dict]:
-    """Verbatim sources of the elements on (or referenced from) the path,
-    each element once, at its first mention. ``record(service, element)``
-    gives an element's evidence record and ``segment_records(segment)``
-    maps a flow segment's elements to theirs.
-
-    A valid program declares each element id in one service, so a later
-    mention of an element carries the record of its first, and ``update``
-    keeps the first mention's place."""
-    located: dict[str, dict] = {}
-    for records in map(segment_records, flow.flow_segments):
-        located.update(records)
-    for check in checks:
-        if check.element not in located:
-            located[check.element] = record(check.service, check.element)
-    return list(located.values())
+def _evidence(flow: GlobalPath, checks) -> list[str]:
+    """Ids of the elements on the path, then of its checks, each once, at
+    its first mention."""
+    on_path = itertools.chain.from_iterable(segment.elements for segment in flow.flow_segments)
+    return [*dict.fromkeys(itertools.chain(on_path, (check.element for check in checks)))]
 
 
 def _report_payload(
@@ -679,10 +702,25 @@ def _report_payload(
     after the last of them were cut by the budget. A pruned or protected
     class leaves the funnel, and every other class is a finding built from
     those four."""
-    # one record per privileged operation, per element, per path segment and
-    # per distinct service list, check list and constraint status, shared by
-    # every finding that has it
+    # one record per privileged operation, per path segment and per distinct
+    # service list, check list and constraint status, shared by every
+    # finding that has it; each element a finding names has one record in
+    # ``elements``, entered when the first hop or check list naming it is
+    # built. A valid program declares each element id in one service.
     ops_by_element = {op.element: op for op in privops}
+    elements: dict[str, dict] = {}
+
+    def enter(service_name: str, eid: str) -> None:
+        if eid not in elements:
+            el = program.element(service_name, eid)
+            elements[eid] = {
+                "service": service_name,
+                "kind": el.kind.value,
+                "name": el.name or call_callee(el),
+                "file": el.location.file,
+                "line": el.location.line,
+                "source": el.source,
+            }
 
     @functools.cache
     def op_dict(op: PrivilegedOperation) -> dict:
@@ -700,33 +738,11 @@ def _report_payload(
         }
 
     @functools.cache
-    def step(service_name: str, eid: str) -> dict:
-        el = program.element(service_name, eid)
-        return {
-            "element": eid,
-            "kind": el.kind.value,
-            "name": el.name or call_callee(el),
-            "line": el.location.line,
-        }
-
-    @functools.cache
-    def evidence(service_name: str, eid: str) -> dict:
-        el = program.element(service_name, eid)
-        return {
-            "element": eid,
-            "service": service_name,
-            "kind": el.kind.value,
-            "name": el.name,
-            "file": el.location.file,
-            "line": el.location.line,
-            "source": el.source,
-        }
-
-    @functools.cache
     def hop(segment: FlowPath | ChannelEdge) -> dict:
         if isinstance(segment, FlowPath):
-            steps = [step(segment.service, eid) for eid in segment.elements]
-            return {"type": "flow", "service": segment.service, "steps": steps}
+            for eid in segment.elements:
+                enter(segment.service, eid)
+            return {"type": "flow", "service": segment.service, "steps": [*segment.elements]}
         return {
             "type": "channel",
             "identifier": segment.identifier,
@@ -736,15 +752,13 @@ def _report_payload(
         }
 
     @functools.cache
-    def segment_records(segment: FlowPath) -> dict[str, dict]:
-        return {eid: evidence(segment.service, eid) for eid in segment.elements}
-
-    @functools.cache
     def services(names: tuple[str, ...]) -> list[str]:
         return list(names)
 
     @functools.cache
     def check_dicts(checks: tuple[CheckFinding, ...]) -> list[dict]:
+        for c in checks:
+            enter(c.service, c.element)
         return [
             {
                 "element": c.element,
@@ -777,7 +791,7 @@ def _report_payload(
             },
             "checks": check_dicts(path_class.checks),
             "constraint": constraint(path_class.status, smt_file),
-            "evidence": _evidence(witness, path_class.checks, segment_records, evidence),
+            "evidence": _evidence(witness, path_class.checks),
         }
 
     def finding_sort_key(fd: dict):
@@ -814,7 +828,7 @@ def _report_payload(
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 2,
+        "schema": 3,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {
@@ -856,6 +870,7 @@ def _report_payload(
         "pruned_flows": sorted(pruned),
         "protected_flows": sorted(protected),
         "findings": finding_dicts,
+        "elements": elements,
         "context_elements": sorted(context_ids),
         "budget": {
             "max_tool_calls_per_phase": budget.max_tool_calls_per_phase,

@@ -1,7 +1,7 @@
 """Report rendering and exit-status policy.
 
 The JSON payload produced by the pipeline is the single source of truth
-(schema field pinned at 2); markdown is derived from it, never computed
+(schema field pinned at 3); markdown is derived from it, never computed
 separately. Reports carry no timestamps so equal scans render byte-identically.
 ``exit_status`` and the markdown renderer read the payload's keys directly:
 their one producer, ``pipeline._report_payload``, always writes them.
@@ -12,19 +12,20 @@ mode. Python walks only the containers that hold other containers. Every
 scalar, and every container holding only scalars, is encoded in one C call
 whose item separator carries the newline and indent of its depth.
 
-The pipeline shares records: every finding that reaches an element, an
-operation or a path segment holds the same dict. One render encodes each
-dict, list or tuple once per nesting depth. A memo local to the call holds
-one table per depth, which maps ``id(member)`` to the range of chunks its
-first rendering appended; the second meeting joins that range into text,
-which later meetings reuse. A list or tuple whose members were all
-rendered at their depth (a finding's hops and evidence) takes one lookup
-per member and extends the chunks with references to the memo's texts
-between separators: chunks hold references to memo texts, never copies
-joined from them. Exact ``str`` members are encoded inline, and each
-distinct member type is tested once per container. Ids stay unique only
-while the payload is alive and unchanged, so a payload must not be edited
-while it renders.
+The pipeline writes each path element's record once, in the report's
+``elements`` table, which findings name by id, and shares the other
+records: every finding that reaches an operation or a path segment holds
+the same dict. One render encodes each dict, list or tuple once per
+nesting depth. A memo local to the call holds one table per depth, which
+maps ``id(member)`` to the range of chunks its first rendering appended;
+the second meeting joins that range into text, which later meetings
+reuse. A list or tuple whose members were all rendered at their depth (a
+finding's hops) takes one lookup per member and extends the chunks with
+references to the memo's texts between separators: chunks hold
+references to memo texts, never copies joined from them. Exact ``str``
+members are encoded inline, and each distinct member type is tested once
+per container. Ids stay unique only while the payload is alive and
+unchanged, so a payload must not be edited while it renders.
 """
 
 from __future__ import annotations
@@ -219,6 +220,7 @@ def _render_md(payload: dict) -> str:
     out("")
 
     findings = payload["findings"]
+    elements = payload["elements"]
     out(f"## Findings ({len(findings)})")
     for i, finding in enumerate(findings, start=1):
         op = finding["privileged_operation"]
@@ -233,7 +235,7 @@ def _render_md(payload: dict) -> str:
         out("- Path:")
         for hop in finding["path"]["hops"]:
             if hop["type"] == "flow":
-                steps = " -> ".join(step["name"] or step["kind"] for step in hop["steps"])
+                steps = " -> ".join(elements[eid]["name"] or elements[eid]["kind"] for eid in hop["steps"])
                 out(f"  - [{hop['service']}] {steps}")
             else:
                 out(

@@ -75,6 +75,7 @@ def test_criterion_3_case_study_corpus(oracle):
     program = load_program(CORPORA / "order_payment")
     payload = scan(program, oracle)
     findings = payload["findings"]
+    elements = payload["elements"]
 
     def flow_paths(finding):
         return [h for h in finding["path"]["hops"] if h["type"] == "flow"]
@@ -82,12 +83,12 @@ def test_criterion_3_case_study_corpus(oracle):
     pay_findings = [
         f
         for f in findings
-        if any("/paySuccess" in step["name"] for hop in flow_paths(f) for step in hop["steps"])
+        if any("/paySuccess" in elements[step]["name"] for hop in flow_paths(f) for step in hop["steps"])
     ]
     cancel_findings = [
         f
         for f in findings
-        if any("/cancelOrder" in step["name"] for hop in flow_paths(f) for step in hop["steps"])
+        if any("/cancelOrder" in elements[step]["name"] for hop in flow_paths(f) for step in hop["steps"])
     ]
     ok = (
         len(findings) == 1

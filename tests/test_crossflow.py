@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from privflow import crossflow, search
 from privflow.crossflow import (
+    BudgetExhausted,
     ChannelEdge,
     GlobalGraph,
     GlobalPath,
@@ -185,6 +186,27 @@ class TestQUser:
             for src in sources
             for event in (("reason", "ConfirmUserSource", src.id, 1), ("ask", src.name))
         ]
+
+    def test_an_exhausted_budget_keeps_the_sources_confirmed_before_it(self, oracle):
+        """When the budget runs out at a source's ``reason`` record, the
+        raised ``BudgetExhausted`` carries the sources confirmed before it,
+        and a scan's report lists them."""
+        program = load_program(CORPORA / "class_replay")
+        sources = [src for service in program.services for src in q_source(service)]
+        assert len(sources) == 2
+        for exhausting, source in enumerate(sources):
+
+            def record(tool, args, count):
+                if args["element"] == source.id:
+                    raise BudgetExhausted("flow", "exceeded")
+
+            with pytest.raises(BudgetExhausted) as err:
+                q_user(program, oracle, record)
+            assert err.value.partial == sources[:exhausting]
+        # the flow phase's fifth call is the second source's record
+        payload = scan(program, oracle, ScanBudget(max_tool_calls_per_phase=5), ScanOptions(basic_sink=True))
+        assert payload["budget"]["exhausted_reason"] == "flow: exceeded 5 tool calls"
+        assert [s["element"] for s in payload["user_sources"]] == [sources[0].id]
 
     def test_gateway_routed_internal_service_is_attack_surface(self, oracle):
         """``gateway_exposed`` routes ``/internal`` to ``back``, whose

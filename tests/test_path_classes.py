@@ -215,7 +215,8 @@ def test_two_meetings_flows_are_two_classes(tmp_path):
     program = load_case("two_meetings", tmp_path)
     payload = scan(program, ScriptedOracle(), OPEN)
     orders = {
-        f["path"]["hops"][0]["steps"][0]["name"]: [c["service"] for c in f["checks"]] for f in payload["findings"]
+        payload["elements"][f["path"]["hops"][0]["steps"][0]]["name"]: [c["service"] for c in f["checks"]]
+        for f in payload["findings"]
     }
     assert orders == {"/start": ["store", "relay"], "/alt": ["relay", "store"]}
 

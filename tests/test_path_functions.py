@@ -19,7 +19,18 @@ from privflow.crossflow import (
     segment_functions,
 )
 from privflow.load import load_program
-from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, element_order
+from privflow.model import (
+    Edge,
+    EdgeKind,
+    ElementKind,
+    GatewayRoute,
+    Manifest,
+    ManifestService,
+    Program,
+    Service,
+    call_callee,
+    element_order,
+)
 from privflow.pipeline import ScanBudget, Tracer, extract_path_constraints, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
 from privflow import search
@@ -277,21 +288,20 @@ def test_fanout_findings_share_one_record_per_element(tmp_path):
     assert len(findings) == 256
     entries = [entry for f in findings for entry in f["evidence"]]
     assert len(entries) == 10_240
-    distinct = {id(entry): entry for entry in entries}
-    assert len(distinct) == 94
-    for entry in distinct.values():
-        el = program.service(entry["service"]).element(entry["element"])
+    elements = payload["elements"]
+    assert set(entries) == set(elements) and len(elements) == 94
+    for eid, entry in elements.items():
+        el = program.service(entry["service"]).element(eid)
         assert entry == {
-            "element": el.id,
             "service": el.service,
             "kind": el.kind.value,
-            "name": el.name,
+            "name": el.name or call_callee(el),
             "file": el.location.file,
             "line": el.location.line,
             "source": el.source,
         }
     steps = [s for f in findings for hop in f["path"]["hops"] if hop["type"] == "flow" for s in hop["steps"]]
-    assert len({id(step) for step in steps}) == len({step["element"] for step in steps}) == 94
+    assert set(steps) == set(elements)
     ops = {id(op) for op in payload["privileged_operations"]}
     assert len(ops) == 2
     assert {id(f["privileged_operation"]) for f in findings} == ops

@@ -252,6 +252,48 @@ class TestLocateChecks:
         assert oracle.calls == {"ClassifyCheck": 1}
         assert calls.count("get_source") == 1 and len(context_ids) == 1
 
+    def test_a_scan_builds_each_check_candidate_once(self, tmp_path, monkeypatch):
+        """Two path classes, one per sink, pass one decorator check with a
+        helper. The scan builds the check's candidate once, and each class
+        records the calls that built it, as ``locate_checks`` records them
+        without the scan's cache."""
+        program = _service_corpus(
+            tmp_path,
+            'fn token_of(u) {\n  return session.get("token")\n}\n\n'
+            'fn has_session(u) {\n  t = token_of(u)\n  return t != ""\n}\n\n'
+            "@auth(has_session)\nfn run(cmd) {\n  exec(cmd)\n  db.write(cmd)\n}\n\n"
+            '@route("POST", "/a")\nfn a() {\n  run(request.param("cmd"))\n}\n',
+        )
+        built = collections.Counter()
+        real = pipeline.check_candidate
+
+        def counting(service, element, attachment, max_hops):
+            built[element.name] += 1
+            return real(service, element, attachment, max_hops)
+
+        monkeypatch.setattr(pipeline, "check_candidate", counting)
+        trace = tmp_path / "trace.jsonl"
+        payload = scan(program, ScriptedOracle(), OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
+        assert built == {"has_session": 1}
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        validation = [(r["tool"], r["args"]) for r in records if r["phase"] == "validation"]
+        located: dict[str, list] = {}
+        for tool, args in validation:
+            if args.get("task") == "ExtractConstraints":
+                flow = located.setdefault(args["flow"], [])
+            elif args.get("task") != "AssessSufficiency":
+                flow.append((tool, args))
+
+        privops, _ = first_flow(program, ScriptedOracle())
+        graph = build_global_graph(program, privops, match_channels(program))
+        witnesses = q_globalflow(program, graph, q_user(program, ScriptedOracle()), privops).paths
+        assert len(witnesses) == len(payload["findings"]) == 2
+        for witness in witnesses:
+            calls = []
+            locate_checks(path_functions(program, witness), ScriptedOracle(), lambda *call: calls.append(call[:2]))
+            assert [tool for tool, _ in calls] == ["get_source", "q_cg", "get_source", "q_cg", "reason"]
+            assert located[witness.id] == calls
+
     def test_guard_over_two_functions_is_classified_once(self):
         """A conditional whose block holds two functions of the path (a
         facts file can write one) is in both functions' groups and is
@@ -393,9 +435,10 @@ class TestScan:
     def test_evidence_is_verbatim_source(self, role_update_program, oracle):
         payload = scan(role_update_program, oracle)
         for finding in payload["findings"]:
-            for snippet in finding["evidence"]:
+            for eid in finding["evidence"]:
+                snippet = payload["elements"][eid]
                 service = role_update_program.service(snippet["service"])
-                element = service.element(snippet["element"])
+                element = service.element(eid)
                 assert element is not None
                 assert snippet["source"] == element.source
 
@@ -575,7 +618,8 @@ class TestScan:
         payload = scan(_ops_corpus(tmp_path, "exec(cmd)", params="cmd"), oracle)
         [finding] = payload["findings"]
         assert finding["verdict"] == "unprotected"
-        assert [step["name"] for step in finding["path"]["hops"][0]["steps"]] == ["/run", "cmd", "exec"]
+        steps = finding["path"]["hops"][0]["steps"]
+        assert [payload["elements"][step]["name"] for step in steps] == ["/run", "cmd", "exec"]
 
     def test_invalid_program_rejected(self, role_update_program, oracle):
         from privflow.model import Manifest, Program

@@ -847,7 +847,7 @@ class TestDecidedTasks:
         payload = scan(load_program(tmp_path), backend)
         asked = [t for t in backend.tasks if isinstance(t, ConfirmUserSource)]
         assert asked == [ConfirmUserSource("/other", ("/api",)), ConfirmUserSource("consume", ("/api",))]
-        assert [f["evidence"][0]["name"] for f in payload["findings"]] == ["/api/run"]
+        assert [payload["elements"][f["evidence"][0]]["name"] for f in payload["findings"]] == ["/api/run"]
 
     def test_the_decided_verdict_reads_the_backends_rules(self, tmp_path):
         raw = json.loads((__import__("privflow.reasoner", fromlist=["RULES_RESOURCE"]).RULES_RESOURCE).read_text())

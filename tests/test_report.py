@@ -252,9 +252,9 @@ def test_findings_share_the_hop_of_a_segment(fanout_payload):
         hops = finding["path"]["hops"]
         for i, hop in enumerate(hops):
             if hop["type"] == "flow":
-                key = ("flow", hop["service"], tuple(step["element"] for step in hop["steps"]))
+                key = ("flow", hop["service"], tuple(hop["steps"]))
             else:  # a channel joins the last element before it to the first after it
-                ends = (hops[i - 1]["steps"][-1]["element"], hops[i + 1]["steps"][0]["element"])
+                ends = (hops[i - 1]["steps"][-1], hops[i + 1]["steps"][0])
                 key = ("channel", hop["identifier"], hop["match"], hop["from_service"], hop["to_service"], ends)
             by_segment.setdefault(key, []).append(hop)
     assert {key[0] for key in by_segment} == {"flow", "channel"}

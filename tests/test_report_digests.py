@@ -305,15 +305,16 @@ def test_class_replay_budgets_run_out_where_their_digests_say(name, last_tool, s
     """Where each budgeted ``class_replay`` scan stops: at the
     ``ConfirmUserSource`` record of the first and of the second user
     source, each before its question, and at ``q_globalflow``. The
-    report lists no path class, and no user source unless ``q_user`` has
-    returned."""
+    report lists no path class, and the user sources confirmed before the
+    budget ran out: none before the first source's record, the first
+    source before the second's, and both once ``q_user`` has returned."""
     monkeypatch.chdir(tmp_path)
     digests, payload = _digests(*CASES[name])
     assert digests == json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
     calls = REPLAY[name][1]
     assert payload["budget"]["exhausted_reason"] == f"flow: exceeded {calls} tool calls"
     assert payload["budget"]["tool_calls"] == {"flow": calls + 1, "privileged_ops": 1}
-    assert len(payload["user_sources"]) == (0 if source is not None else 2)
+    assert len(payload["user_sources"]) == (source if source is not None else 2)
     assert payload["funnel"]["initial_flows"] == 0
     records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
     last = records[-1]
