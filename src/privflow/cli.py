@@ -70,7 +70,7 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["json", "md"]), default="json", show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None, help="Write the tool-call trace (JSON lines)")
 @click.option("--emit-smt", "emit_smt", type=click.Path(file_okay=False), default=None, help="Dump one SMT-LIB file per path class into this directory")
-@click.option("--budget-calls", type=int, default=40, show_default=True, help="Max tool calls per phase")
+@click.option("--budget-calls", type=int, default=40, show_default=True, help="Max reasoner backend calls per phase")
 @click.option("--budget-seconds", type=float, default=600.0, show_default=True, help="Wall-clock limit")
 def scan(corpus, reasoner_kind, rules_file, basic_sink, no_odctx, fmt, trace_path, emit_smt, budget_calls, budget_seconds):
     """Scan a corpus directory for privilege-escalation flows."""
@@ -104,11 +104,11 @@ def scan(corpus, reasoner_kind, rules_file, basic_sink, no_odctx, fmt, trace_pat
 @click.option("--mode", type=click.Choice(["exact", "regex"]), default="exact", show_default=True)
 @click.option("--kind", default=None, help="Element kind (op=ast)")
 @click.option("--from", "from_sel", default=None, help="Source selector (op=flow)")
-@click.option("--to", "to_sel", default=None, help="Sink selector (op=flow)")
+@click.option("--to", "to_sels", multiple=True, help="Sink selector (op=flow); repeat for several sinks")
 @click.option("--function", default=None, help="Function selector (op=cg)")
 @click.option("--direction", type=click.Choice(["callers", "callees"]), default="callers", show_default=True)
 @click.option("--depth", type=int, default=1, show_default=True)
-def query(corpus, service, operation, pattern, mode, kind, from_sel, to_sel, function, direction, depth):
+def query(corpus, service, operation, pattern, mode, kind, from_sel, to_sels, function, direction, depth):
     """Run one code-search primitive; results as JSON lines."""
     try:
         program = load_program(corpus)
@@ -124,12 +124,9 @@ def query(corpus, service, operation, pattern, mode, kind, from_sel, to_sel, fun
                 raise LoadError("--kind is required for --op ast")
             rows = [_element_row(e) for e in q_ast(svc, ElementKind(kind))]
         elif operation == "flow":
-            if not from_sel or not to_sel:
+            if not from_sel or not to_sels:
                 raise LoadError("--from and --to are required for --op flow")
-            rows = [
-                {"service": p.service, "elements": list(p.elements)}
-                for p in q_flow(svc, from_sel, to_sel)
-            ]
+            rows = [{"service": p.service, "elements": list(p.elements)} for p in q_flow(svc, from_sel, *to_sels)]
         else:
             if not function:
                 raise LoadError("--function is required for --op cg")

@@ -15,6 +15,12 @@ work can be kept in a cache keyed by the segment itself.
 ``segment_functions`` is the one walk over a flow segment's elements: its
 functions and their guards. ``path_functions`` merges its segments' groups
 into the path's, which validation reads.
+
+The graph's tool calls go to a ``Recorder``: one ``q_flow`` record per flow
+search, which lists all the targets the search sought and counts the paths
+it found, so ``privflow query --op flow`` with one ``--to`` per target
+replays it. ``q_user`` asks its tasks through the reasoner it is given,
+which records them when it is a scan's ``reasoner.Memo``.
 """
 
 from __future__ import annotations
@@ -31,15 +37,9 @@ from .search import FlowPath, InterScan, flow_sinks, q_flow, service_index
 
 
 #: ``record(tool, args, count)`` takes one tool call for the trace, which
-#: also meters the budget: it raises ``BudgetExhausted`` when the budget
+#: also checks the budget: it raises ``BudgetExhausted`` when the budget
 #: runs out.
 Recorder = Callable[[str, dict, int], None]
-
-#: ``record_search(service, source, targets, reached)`` takes one flow
-#: search: its service, its source, the targets it sought, in order, and
-#: the ids of those it reached. It stands for one ``q_flow`` tool call per
-#: target (``search_records``).
-SearchRecorder = Callable[[str, str, tuple[str, ...], list[str]], None]
 
 
 class BudgetExhausted(Exception):
@@ -54,16 +54,7 @@ class BudgetExhausted(Exception):
 
 
 def unrecorded(*call) -> None:
-    """The recorder, and the search recorder, of a caller that keeps no
-    trace."""
-
-
-def search_records(service: str, source: str, targets: tuple[str, ...], reached: list[str]):
-    """The ``(tool, args, count)`` tool calls one flow search stands for:
-    a ``q_flow`` call per target, in order, counting the paths found."""
-    reached = set(reached)
-    for dst in targets:
-        yield "q_flow", {"service": service, "from": source, "to": dst}, int(dst in reached)
+    """The recorder of a caller that keeps no trace."""
 
 
 class ChannelEdge(NamedTuple):
@@ -90,11 +81,10 @@ def q_source(service: Service) -> tuple[Element, ...]:
     return service_index(service).inter.sources
 
 
-def q_user(program: Program, reasoner, record: Recorder = unrecorded) -> list[Element]:
+def q_user(program: Program, reasoner) -> list[Element]:
     """External user inputs: the sources of every service a gateway route
     targets, each confirmed by the reasoner against the prefixes of the
-    routes to its service, one task per source, each after its ``reason``
-    record goes to ``record``. Under a scan's
+    routes to its service, one task per source. Under a scan's
     ``reasoner.Memo`` an endpoint path one of those prefixes covers is
     confirmed without a backend call; an uncovered path and a ``consume``
     source are the backend's to answer. Services come in program order,
@@ -112,7 +102,6 @@ def q_user(program: Program, reasoner, record: Recorder = unrecorded) -> list[El
                 continue
             for src in q_source(service):
                 identifier = src.name if src.kind is ElementKind.ENDPOINT else call_callee(src)
-                record("reason", {"task": "ConfirmUserSource", "element": src.id}, 1)
                 verdict = reasoner.reason(ConfirmUserSource(identifier=identifier, route_prefixes=routed))
                 if verdict.is_user_source:
                     confirmed.append(src)
@@ -255,17 +244,15 @@ def build_global_graph(
     privops,
     channel_edges: list[ChannelEdge],
     record: Recorder = unrecorded,
-    record_search: SearchRecorder = unrecorded,
 ) -> GlobalGraph:
     """Two-phase construction: per-service source-to-sink/boundary flow
     edges, then the matched channel edges (``match_channels``) across
     service boundaries. A service's targets, the privileged operations of
     that service (``PrivilegedOperation.service``) and its outbound channel
     call sites, are resolved once, then one flow search runs per source.
-    ``record_search`` gets each search, which stands for one ``q_flow``
-    call per (source, target) pair (``search_records``), and ``record``
-    gets the other calls. Each node's witnesses are sorted once, at the
-    end. Deterministic and idempotent."""
+    ``record`` gets every call, each search as one ``q_flow`` record of
+    its targets counting the paths found. Each node's witnesses are sorted
+    once, at the end. Deterministic and idempotent."""
     graph = GlobalGraph()
     privops_of: dict[str, set[str]] = {}
     for op in privops:
@@ -288,10 +275,9 @@ def build_global_graph(
             if not dsts:
                 continue
             paths = q_flow(service, src.id, sinks=dsts)
-            reached = [path.dst for path in paths]
-            record_search(service.name, src.id, dsts, reached)
+            record("q_flow", {"service": service.name, "from": src.id, "to": [*dsts]}, len(paths))
             if paths:
-                graph.nodes.update(reached)
+                graph.nodes.update(path.dst for path in paths)
                 graph.edges.setdefault(src.id, []).extend(paths)
 
     # Phase 2: connect boundaries through matched channels

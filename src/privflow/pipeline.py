@@ -8,12 +8,16 @@ assessment). Class counts are conserved through the funnel:
 
     initial = constraint_pruned + protected_dropped + findings + budget_truncated
 
-Every primitive call and reasoner task is recorded in a replayable
-tool-call trace, which also enforces the per-phase call budget. Every task
-is recorded; each distinct task reaches the backend once per scan, through
-the scan's ``reasoner.Memo``, which answers itself the constraint of a flow
-with no guard and the sufficiency of a sink with no check. A task is
-recorded before it is looked up, so the record that exhausts the budget
+Every primitive call and every reasoner lookup is one record of a
+replayable tool-call trace: a primitive is recorded with its arguments and
+result count, a flow search as one ``q_flow`` record with all its targets.
+The scan's ``reasoner.Memo`` records each lookup of a task: ``reason``
+when it reaches the backend, ``decided`` when the program answers it (the
+constraint of a flow with no guard, the sufficiency of a sink with no
+``authz`` check, a user source a route prefix covers), ``memo_hit`` when an
+equal task was answered before. The per-phase budget counts the ``reason``
+records, the backend calls, and every record checks the wall clock. A task
+is recorded before it is asked, so the record that exhausts the budget
 asks the backend nothing.
 
 Validation runs once per path class. ``crossflow.q_globalflow`` finds the
@@ -21,9 +25,10 @@ classes: a flow's class is its sink plus its check summary, the function
 groups that can carry a check (see ``ServiceIndex.check_relevant``) with
 their guards, and every flow of one class gives constraint extraction,
 check location and the sufficiency assessment the same inputs. So the
-class's witness runs them, records its tool calls under its own id and
-writes the class's one SMT file, and the class leaves the funnel as that
-outcome says: pruned, protected, or a finding with its ``witness_count``.
+class's witness runs them, records its tool calls and writes the class's
+one SMT file, named by the witness's id, and the class leaves the funnel
+as that outcome says: pruned, protected, or a finding with its
+``witness_count``.
 
 Paths share most of their segments and check candidates, and their guards
 often translate to one constraint. So a scan keeps, for its length, each
@@ -57,7 +62,6 @@ from .crossflow import (
     q_globalflow,
     q_inter,
     q_user,
-    search_records,
     segment_functions,
     unrecorded,
 )
@@ -72,6 +76,7 @@ from .reasoner import (
     Memo,
     NextSearchAction,
     _query_key,
+    task_digest,
 )
 from .search import (
     BadPattern,
@@ -133,7 +138,8 @@ class PathClass(NamedTuple):
 
 
 class ScanBudget(Record):
-    """Per-phase tool-call and wall-clock limits of one scan."""
+    """Per-phase limits of one scan: the backend calls (``reason``
+    records) each phase may make, and the wall clock."""
 
     __slots__ = ("max_tool_calls_per_phase", "max_seconds")
 
@@ -153,73 +159,57 @@ class ScanOptions(Record):
 
 
 class Tracer:
-    """Tool-call audit log; also the budget meter.
+    """Tool-call audit log of one scan; also the budget meter.
 
-    A flow search is kept as one entry, ``(phase, None, search, count,
-    time)`` with ``search`` the ``(service, source, targets, reached)`` that
-    ``record_search`` took, and metered as the ``count`` per-pair ``q_flow``
-    calls it stands for; ``write`` expands it into their records."""
+    ``phase`` is the phase the next record belongs to. ``per_phase``
+    counts every record of a phase, and ``reasoner_calls`` its ``reason``
+    records, which the budget limits. A ``reasoner.Memo`` record keeps its
+    task, which ``write`` names by kind and ``task_digest``."""
 
     def __init__(self, budget: ScanBudget):
         self.budget = budget
-        # (phase, tool, args, result count, monotonic time) per call or search
+        self.phase = PHASE_PRIVOPS
+        # (phase, tool, args or task, result count, monotonic time) per record
         self.calls: list[tuple] = []
         self.per_phase: dict[str, int] = {}
+        self.reasoner_calls: dict[str, int] = {}
         self.started = time.monotonic()
 
-    def record(self, phase: str, tool: str, args: dict, result_count: int) -> None:
-        # timing lives only in the trace, never in the report body
-        self._meter(phase, 1, (phase, tool, args, result_count, time.monotonic()))
-
-    def record_search(self, phase: str, service: str, source: str, targets: tuple[str, ...], reached: list[str]) -> None:
-        """One flow search, as ``len(targets)`` calls. When the budget runs
-        out inside it, the entry keeps the targets up to the one over the
-        limit, as many calls as ``record`` would have kept."""
-        if targets:
-            over = self.per_phase.get(phase, 0) + len(targets) - self.budget.max_tool_calls_per_phase
-            if over > 0:
-                targets = targets[: len(targets) - over + 1]
-            search = (service, source, targets, reached)
-            self._meter(phase, len(targets), (phase, None, search, len(targets), time.monotonic()))
-
-    def _meter(self, phase: str, calls: int, entry: tuple) -> None:
-        """Keep ``entry``, which stands for ``calls`` tool calls, then raise
-        if the phase's calls or the wall clock are over the budget."""
-        count = self.per_phase.get(phase, 0) + calls
-        self.per_phase[phase] = count
-        self.calls.append(entry)
-        if count > self.budget.max_tool_calls_per_phase:
-            raise BudgetExhausted(phase, f"exceeded {self.budget.max_tool_calls_per_phase} tool calls")
+    def record(self, tool: str, args, result_count: int) -> None:
+        """Keep one record of the current phase, then raise
+        ``BudgetExhausted`` if the phase's backend calls or the wall clock
+        are over the budget."""
+        phase = self.phase
+        at = time.monotonic()  # timing lives only in the trace, never in the report body
+        self.calls.append((phase, tool, args, result_count, at))
+        self.per_phase[phase] = self.per_phase.get(phase, 0) + 1
+        if tool == "reason":
+            calls = self.reasoner_calls[phase] = self.reasoner_calls.get(phase, 0) + 1
+            if calls > self.budget.max_tool_calls_per_phase:
+                raise BudgetExhausted(phase, f"exceeded {self.budget.max_tool_calls_per_phase} reasoner calls")
         limit = self.budget.max_seconds
-        if entry[-1] - self.started > limit:
+        if at - self.started > limit:
             shown = f"{limit:.0f}" if float(limit).is_integer() else str(limit)
             raise BudgetExhausted(phase, f"exceeded {shown}s wall clock")
 
-    def _expanded(self):
-        """Every recorded call, a flow search's per-pair calls in its place."""
-        for phase, tool, args, result_count, at in self.calls:
-            if tool is not None:
-                yield phase, tool, args, result_count, at
-            else:
-                for tool, pair, found in search_records(*args):
-                    yield phase, tool, pair, found, at
-
     def write(self, path: str | Path) -> None:
-        """One JSON line per recorded call, built here: a scan that writes
-        no trace builds none."""
+        """One JSON line per record, built here: a scan that writes no
+        trace builds none, and digests no task."""
         lines = [
             json.dumps(
                 {
                     "seq": seq,
                     "phase": phase,
                     "tool": tool,
-                    "args": args,
+                    "args": (
+                        args if isinstance(args, dict) else {"task": type(args).__name__, "digest": task_digest(args)}
+                    ),
                     "result_count": result_count,
                     "elapsed_ms": round((at - self.started) * 1000, 3),
                 },
                 sort_keys=True,
             )
-            for seq, (phase, tool, args, result_count, at) in enumerate(self._expanded(), 1)
+            for seq, (phase, tool, args, result_count, at) in enumerate(self.calls, 1)
         ]
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
@@ -238,21 +228,24 @@ def find_privileged_ops(
 
     Each round asks the reasoner once for its plan, the round's queries,
     and runs them in order; an empty plan ends the loop, and so does a
-    round that adds no operation, whatever the next plan would be. The
-    trace keeps the ``reason`` records of a one-query-per-ask protocol: one
-    before the plan (its first query), one before each later query and,
-    after a non-empty plan, one for the round's end.
+    round that adds no operation, whatever the next plan would be.
 
-    ``tracer`` meters the calls, by default against ``ScanBudget()``. On
-    budget exhaustion the raised BudgetExhausted carries the partial
-    operation list."""
+    ``tracer`` records the calls as the ``privileged_ops`` phase, by
+    default against ``ScanBudget()``. A bare backend is put behind a
+    ``reasoner.Memo`` bound to it, so its tasks are recorded and metered
+    too; a scan passes its own memo, bound to the same tracer. On budget
+    exhaustion the raised BudgetExhausted carries the partial operation
+    list."""
     tracer = tracer or Tracer(ScanBudget())
+    tracer.phase = PHASE_PRIVOPS
+    if not isinstance(reasoner, Memo):
+        reasoner = Memo(reasoner, tracer)
     ops: dict[str, PrivilegedOperation] = {}
     try:
         services = sorted(program.services, key=lambda s: s.name)
         for service in services:
             calls = q_ast(service, ElementKind.CALL)
-            tracer.record(PHASE_PRIVOPS, "q_ast", {"service": service.name, "kind": "call"}, len(calls))
+            tracer.record("q_ast", {"service": service.name, "kind": "call"}, len(calls))
             for c in calls:
                 callee = call_callee(c)
                 if callee in BASELINE_SINKS:
@@ -267,14 +260,10 @@ def find_privileged_ops(
         added: list[str] = []
         service_names = tuple(s.name for s in services)
         for round_no in itertools.count(1):
-            step_args = {"task": "NextSearchAction", "round": round_no}
-            tracer.record(PHASE_PRIVOPS, "reason", step_args, 1)
             task = NextSearchAction(round_no, service_names, tuple(executed), tuple(added), tools=("q_name",))
             plan = reasoner.reason(task)
             added = []
-            for step, action in enumerate(plan):
-                if step:
-                    tracer.record(PHASE_PRIVOPS, "reason", step_args, 1)
+            for action in plan:
                 if action.tool != "q_name":
                     # an off-vocabulary query burns its step but cannot derail the scan
                     executed.append(f"{action.tool}:?")
@@ -290,26 +279,20 @@ def find_privileged_ops(
                     results = q_name(service, pattern, mode)
                 except BadPattern:
                     continue
-                tracer.record(
-                    PHASE_PRIVOPS, "q_name", {"service": service.name, "pattern": pattern, "mode": mode}, len(results)
-                )
+                tracer.record("q_name", {"service": service.name, "pattern": pattern, "mode": mode}, len(results))
 
                 for el in results:
                     if el.kind is not ElementKind.FUNCTION or el.id in classified:
                         continue
                     classified.add(el.id)
                     source = get_source(service, el)
-                    tracer.record(PHASE_PRIVOPS, "get_source", {"service": service.name, "element": el.id}, 1)
-                    tracer.record(PHASE_PRIVOPS, "reason", {"task": "ClassifyPrivileged", "element": el.id}, 1)
+                    tracer.record("get_source", {"service": service.name, "element": el.id}, 1)
                     verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
                     if verdict.category is None:
                         continue
                     callers = q_cg(service, el.id, "callers")
                     tracer.record(
-                        PHASE_PRIVOPS,
-                        "q_cg",
-                        {"service": service.name, "function": el.name, "direction": "callers"},
-                        len(callers),
+                        "q_cg", {"service": service.name, "function": el.name, "direction": "callers"}, len(callers)
                     )
                     sites = [site for site in call_sites_of(service, el.id) if site.id not in ops]
                     for site in sites:
@@ -318,8 +301,6 @@ def find_privileged_ops(
                         )
                     if sites:
                         added.append(f"{service.name}:{el.name}")
-            if plan:
-                tracer.record(PHASE_PRIVOPS, "reason", step_args, 1)  # the round's end
             if not added:
                 break
     except BudgetExhausted as exc:
@@ -341,8 +322,10 @@ def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[P
 def extract_path_constraints(groups, reasoner):
     """Ask the reasoner to translate the conditional guards protecting a
     flow, read from its ``crossflow.path_functions`` groups and taken in
-    source order. Returns the PathConstraint, or None when the reasoner
-    skipped the extraction (a guard outside the fragment).
+    source order. Returns the PathConstraint, or None when the extraction
+    is skipped: the reasoner skipped it (a guard outside the fragment), or
+    its answer declares a variable that names no identifier of the guards
+    (their ``GuardDescriptor.var_types``), which the program cannot back.
     """
     guards: dict[str, tuple] = {}
     for service, _, chain in groups:
@@ -354,7 +337,11 @@ def extract_path_constraints(groups, reasoner):
             guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
         )
     )
-    return reasoner.reason(ExtractConstraints(guards=descriptors)).constraint
+    constraint = reasoner.reason(ExtractConstraints(guards=descriptors)).constraint
+    if constraint is None:
+        return None
+    identifiers = {name for descriptor in descriptors for name, _ in descriptor.var_types}
+    return constraint if all(name in identifiers for name, _ in constraint.variables) else None
 
 
 # --- check localization --------------------------------------------------------------
@@ -402,7 +389,7 @@ def locate_checks(
     decorator -> check -> helper call chains up to ``max_hops``) and the
     inline conditionals whose guarded block contains the flow. Every tool
     call goes to ``record(tool, args, count)``. Returns (checks, context
-    snippets, context element ids).
+    snippets, context element ids). The reasoner records its own tasks.
 
     ``candidates`` maps an element id to its ``check_candidate``, built at
     ``max_hops``; the scan passes one for its length, so each candidate is
@@ -427,7 +414,6 @@ def locate_checks(
             record(*call)
         context_ids.update(candidate.context_ids)
         contexts.extend(task.context)
-        record("reason", {"task": "ClassifyCheck", "element": task.element}, 1)
         verdict = reasoner.reason(task)
         if verdict.classification != "none":
             checks.append(
@@ -542,8 +528,8 @@ def scan(
     if options.trace_path:
         Path(options.trace_path).write_text("", encoding="utf-8")
 
-    reasoner = Memo(reasoner)
     tracer = Tracer(budget)
+    reasoner = Memo(reasoner, tracer)
     exhausted_reason: str | None = None
 
     privops: list[PrivilegedOperation] = []
@@ -557,19 +543,17 @@ def scan(
 
     try:
         privops = find_privileged_ops(program, reasoner, tracer=tracer, basic_sink=options.basic_sink)
-        record_flow = functools.partial(tracer.record, PHASE_FLOW)
+        tracer.phase = PHASE_FLOW
         matched = match_channels(program)
-        graph = build_global_graph(
-            program, privops, matched, record=record_flow, record_search=functools.partial(tracer.record_search, PHASE_FLOW)
-        )
+        graph = build_global_graph(program, privops, matched, record=tracer.record)
         # a report whose budget ran out during the graph lists no channels
         channel_edges = matched
         for service in program.services:
             unresolved.extend(q_inter(service).unresolved)
-        user_sources = q_user(program, reasoner, record_flow)
-        record_flow("q_user", {"entry": program.manifest.entry_service()}, len(user_sources))
+        user_sources = q_user(program, reasoner)
+        tracer.record("q_user", {"entry": program.manifest.entry_service()}, len(user_sources))
         result = q_globalflow(program, graph, user_sources, privops, groups_of=groups_of)
-        record_flow("q_globalflow", {"sources": len(user_sources), "sinks": len(privops)}, len(result.paths))
+        tracer.record("q_globalflow", {"sources": len(user_sources), "sinks": len(privops)}, len(result.paths))
         classes = result
     except BudgetExhausted as exc:
         # the stage the budget ran out in keeps what it had found
@@ -585,7 +569,7 @@ def scan(
 
     if exhausted_reason is None:
         max_hops = 4 if options.on_demand_context else 1
-        record_validation = functools.partial(tracer.record, PHASE_VALIDATION)
+        tracer.phase = PHASE_VALIDATION
         # classes often share a constraint: each distinct one is decided and
         # written out once per scan
         decide = functools.cache(check_sat)
@@ -595,7 +579,7 @@ def scan(
         for witness, count in zip(classes.paths, classes.counts):
             try:
                 path_class, smt_file = _validate_path(
-                    program, witness, ops_by_element[witness.sink], reasoner, record_validation,
+                    program, witness, ops_by_element[witness.sink], reasoner, tracer.record,
                     max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text, candidates,
                 )
             except BudgetExhausted as exc:
@@ -641,14 +625,13 @@ def _validate_path(
     returns the class's ``PathClass`` and the name of the SMT file written
     for it, None when none was. Every path of the class gives
     ``extract_path_constraints``, ``locate_checks`` and ``assess_flow``
-    the witness's inputs, so the outcome is each path's. The records and
-    the SMT file carry the witness's id.
+    the witness's inputs, so the outcome is each path's. The SMT file
+    carries the witness's id.
 
     ``groups_of(segment)`` gives a segment's ``crossflow.segment_functions``
     groups, ``decide`` is ``check_sat`` and ``smt_text`` is
     ``emit_smtlib``; the scan passes all three memoized, and
     ``candidates``, ``locate_checks``' cache of check candidates."""
-    record("reason", {"task": "ExtractConstraints", "flow": witness.id}, 1)
     groups = path_functions(program, witness, groups_of)
     constraint = extract_path_constraints(groups, reasoner)
     status = "skipped"
@@ -665,7 +648,6 @@ def _validate_path(
 
     checks, contexts, ctx_ids = locate_checks(groups, reasoner, record, max_hops, candidates)
     context_ids.update(ctx_ids)
-    record("reason", {"task": "AssessSufficiency", "flow": witness.id}, 1)
     sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
     return PathClass(constraint, status, tuple(checks), sufficiency), smt_file
 
@@ -828,7 +810,7 @@ def _report_payload(
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 3,
+        "schema": 4,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {
@@ -876,6 +858,7 @@ def _report_payload(
             "max_tool_calls_per_phase": budget.max_tool_calls_per_phase,
             "max_flows": PATH_CAP,
             "tool_calls": {phase: tracer.per_phase[phase] for phase in sorted(tracer.per_phase)},
+            "reasoner_calls": {phase: tracer.reasoner_calls.get(phase, 0) for phase in sorted(tracer.per_phase)},
             "exhausted": exhausted_reason is not None,
             "exhausted_reason": exhausted_reason,
         },

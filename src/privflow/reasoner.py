@@ -20,11 +20,13 @@ nonzero temperature, two asks could give two answers) and is paid once.
 fixes, so no backend is asked them: a flow with no guard has the empty
 constraint, a sink with no authorization check is ``unprotected`` or
 ``missing_authz``, and an endpoint path a gateway route prefix covers is a
-user source.
+user source. ``Memo`` is the one place a scan's trace records a task, and
+the trace names it by ``task_digest``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from functools import cache, cached_property, singledispatchmethod
@@ -125,6 +127,23 @@ class NextSearchAction(Record):
 #: Every task a backend answers; the remote prompt for one is the file named
 #: after it (``ClassifyPrivileged`` -> ``classify_privileged.md``).
 TASKS = (ClassifyPrivileged, ClassifyCheck, AssessSufficiency, ExtractConstraints, ConfirmUserSource, NextSearchAction)
+
+
+def task_fields(value):
+    """A task as JSON-ready data: each record (the task, its descriptors) an
+    object of its fields in order, each tuple a list."""
+    if isinstance(value, Record):
+        return {name: task_fields(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        return [task_fields(item) for item in value]
+    return value
+
+
+def task_digest(task) -> str:
+    """The sha256 of a task's canonical JSON: its fields and its kind as
+    ``task``, keys sorted, no whitespace."""
+    text = json.dumps({**task_fields(task), "task": type(task).__name__}, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # --- verdicts ------------------------------------------------------------------
@@ -524,23 +543,33 @@ class Memo:
     oracle's code answers them, with the backend's rules when it is a
     ``ScriptedOracle`` and the shipped rules otherwise, so the verdict and
     its rationale are the scripted ones. A ``NextSearchAction`` carries its
-    round, so each round's plan reaches the backend once."""
+    round, so each round's plan reaches the backend once.
 
-    def __init__(self, backend):
+    Each lookup gives ``tracer`` (a ``pipeline.Tracer``) one record of the
+    task, before any answer: ``reason`` when the backend is asked,
+    ``decided`` when the program answers and ``memo_hit`` when the verdict
+    is stored. The tracer meters the ``reason`` records, so the record
+    that exhausts the budget asks the backend nothing."""
+
+    def __init__(self, backend, tracer=None):
         self.backend = backend
         self.name = getattr(backend, "name", type(backend).__name__)
         self._verdicts: dict = {}
         self._scripted = ScriptedOracle(backend.rules if isinstance(backend, ScriptedOracle) else None)
+        self._record = tracer.record if tracer is not None else lambda *record: None
 
     def reason(self, task):
         verdict = self._verdicts.get(task)
-        if verdict is None:
-            decided = (
-                type(task) is ExtractConstraints and not task.guards
-                or type(task) is AssessSufficiency and not any(c.classification == "authz" for c in task.checks)
-                or type(task) is ConfirmUserSource and covering_prefix(task) is not None
-            )
-            verdict = self._verdicts[task] = (self._scripted if decided else self.backend).reason(task)
+        if verdict is not None:
+            self._record("memo_hit", task, 1)
+            return verdict
+        decided = (
+            type(task) is ExtractConstraints and not task.guards
+            or type(task) is AssessSufficiency and not any(c.classification == "authz" for c in task.checks)
+            or type(task) is ConfirmUserSource and covering_prefix(task) is not None
+        )
+        self._record("decided" if decided else "reason", task, 1)
+        verdict = self._verdicts[task] = (self._scripted if decided else self.backend).reason(task)
         return verdict
 
 

@@ -4,9 +4,9 @@ templates.
 
 ``reasoner.make_reasoner`` imports this module only when the remote
 backend is chosen, so a scan with the scripted oracle never loads it.
-Each task is sent as its fields in JSON (``task_fields``: a record as an
-object of its fields, in order) inside the prompt file named after the task
-(``ClassifyPrivileged`` -> ``classify_privileged.md``).
+Each task is sent as its fields in JSON (``reasoner.task_fields``: a
+record as an object of its fields, in order) inside the prompt file named
+after the task (``ClassifyPrivileged`` -> ``classify_privileged.md``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .reasoner import (
     UserSource,
     _check_vocabulary,
     split_identifier,
+    task_fields,
 )
 
 PROMPTS_DIR = Path(__file__).parent / "prompts"
@@ -109,16 +110,6 @@ class RemoteReasoner:
         if not isinstance(content, str):
             raise BackendUnavailable("backend chat completion carries no text content")
         return content
-
-
-def task_fields(value):
-    """A task as JSON-ready data: each record (the task, its descriptors) an
-    object of its fields in order, each tuple a list."""
-    if isinstance(value, Record):
-        return {name: task_fields(getattr(value, name)) for name in value._fields}
-    if isinstance(value, tuple):
-        return [task_fields(item) for item in value]
-    return value
 
 
 def from_environment() -> RemoteReasoner:

@@ -268,5 +268,6 @@ def _render_md(payload: dict) -> str:
 
     budget = payload["budget"]
     calls = ", ".join(f"{k}={v}" for k, v in sorted(budget["tool_calls"].items()))
-    out(f"Budget: {calls or 'no tool calls'}; exhausted: {budget['exhausted']}")
+    asked = ", ".join(f"{k}={v}" for k, v in sorted(budget["reasoner_calls"].items()))
+    out(f"Budget: {calls or 'no tool calls'}; reasoner calls: {asked or 'none'}; exhausted: {budget['exhausted']}")
     return "\n".join(lines) + "\n"

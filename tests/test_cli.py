@@ -12,7 +12,7 @@ from privflow.cli import main
 from privflow.minisrv.parser import MAX_DEPTH
 from privflow.report import ExitStatus, exit_status, render_report
 
-from conftest import CORPORA, write_fanout_corpus
+from conftest import CORPORA, bench_gen, write_fanout_corpus
 from smtlib_check import validate_smtlib
 
 
@@ -237,6 +237,19 @@ class TestScanCommand:
     def test_budget_exhaustion_exit_code(self, runner):
         result = runner.invoke(main, ["scan", corpus("role_update"), "--budget-calls", "3"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("shape, size", [("chain", (3, 4)), ("chain", (6, 10)), ("fanout", (8, 2))])
+    def test_default_budget_finishes_generated_corpora(self, runner, tmp_path, shape, size):
+        """The default budget meters backend calls, one per scan on these
+        corpora, so it no longer runs out on their deterministic tool
+        calls: each scan reports its generated sink set and exits 1."""
+        gen = bench_gen()
+        truth = getattr(gen, shape)(1, *size, tmp_path)
+        result = runner.invoke(main, ["scan", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.output)
+        assert gen.sink_set(payload) == truth
+        assert payload["budget"]["reasoner_calls"] == {"flow": 0, "privileged_ops": 1, "validation": 0}
 
     @pytest.mark.parametrize("seconds", ["nan", "0", "-1"])
     def test_non_positive_wall_clock_budget_is_config_error(self, runner, seconds):
@@ -465,6 +478,27 @@ class TestQueryCommand:
         rows = [json.loads(line) for line in result.output.splitlines()]
         assert [r["name"] for r in rows] == ["/setUserRole"]
 
+    def test_flow_query_replays_a_trace_record(self, runner, tmp_path):
+        """A scan's ``q_flow`` record names one search, from one source to
+        every target it sought; ``--to`` once per target replays it to its
+        recorded count, the paths in target order."""
+        root = tmp_path / "corpus"
+        root.mkdir()
+        write_fanout_corpus(root)
+        trace = tmp_path / "trace.jsonl"
+        assert runner.invoke(main, ["scan", str(root), "--trace", str(trace)]).exit_code == 1
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        args, count = next((r["args"], r["result_count"]) for r in records if r["tool"] == "q_flow" and r["result_count"] > 1)
+        assert len(args["to"]) > count
+        command = ["query", str(root), "--service", args["service"], "--op", "flow", "--from", args["from"]]
+        result = runner.invoke(main, command + [option for dst in args["to"] for option in ("--to", dst)])
+        assert result.exit_code == 0, result.output
+        rows = [json.loads(line) for line in result.output.splitlines()]
+        assert len(rows) == count
+        assert all(row["service"] == args["service"] and row["elements"][0] == args["from"] for row in rows)
+        ends = [row["elements"][-1] for row in rows]
+        assert ends == [dst for dst in args["to"] if dst in ends]
+
     def test_flow_query(self, runner):
         result = runner.invoke(
             main,
@@ -565,14 +599,41 @@ class TestGraphCommand:
         assert all(re.fullmatch(statement, line) for line in lines[1:-1]), lines
 
     def test_exhausted_privops_budget_prints_partial_graph(self, runner, tmp_path):
-        # the 8x2 fan-out outruns the default privileged-operation budget
-        result = runner.invoke(main, ["graph", str(write_fanout_corpus(tmp_path))])
+        """Forty helper functions whose names read as privileged are forty
+        ``ClassifyPrivileged`` backend calls after the round's plan: the
+        default budget runs out on the last, and the graph of the
+        operations found before it is printed."""
+        helpers = "".join(f"fn update_role_{n}(u) {{\n  x = u\n}}\n" for n in range(40))
+        (tmp_path / "ops.msv").write_text(
+            '@route("POST", "/run")\nfn run() {\n  cmd = request.param("cmd")\n  exec(cmd)\n  '
+            'http_post("/internal/run", cmd)\n}\n' + helpers,
+            encoding="utf-8",
+        )
+        (tmp_path / "back.msv").write_text(
+            '@route("POST", "/internal/run")\nfn work() {\n  db.write(request.param("cmd"))\n}\n', encoding="utf-8"
+        )
+        manifest = {
+            "version": 1,
+            "services": [
+                {"name": "ops", "entry": True, "sources": ["ops.msv"]},
+                {"name": "back", "sources": ["back.msv"]},
+            ],
+            "gateway_routes": [{"prefix": "/", "target": "ops"}],
+        }
+        (tmp_path / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        result = runner.invoke(main, ["graph", str(tmp_path)])
         assert result.exit_code == int(ExitStatus.BUDGET_EXHAUSTED)
         assert result.stdout.startswith("digraph")
-        assert ":exec" in result.stdout and "style=dashed" in result.stdout
-        assert result.stderr.startswith("privflow: budget exhausted: privileged_ops: ")
-        assert result.stderr.count("\n") == 1
+        assert ":exec" in result.stdout and ":db.write" in result.stdout and "style=dashed" in result.stdout
+        assert result.stderr == "privflow: budget exhausted: privileged_ops: exceeded 40 reasoner calls\n"
         assert "Traceback" not in result.output
+
+    def test_default_budget_graphs_the_generated_fanout(self, runner, tmp_path):
+        """The 8x2 fan-out's privileged-operation search asks the backend
+        for one plan, well inside the default budget."""
+        result = runner.invoke(main, ["graph", str(write_fanout_corpus(tmp_path))])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("digraph") and ":exec" in result.stdout
 
 
 class TestFactsCommand:

@@ -21,7 +21,6 @@ from privflow.crossflow import (
     q_inter,
     q_source,
     q_user,
-    search_records,
     to_dot,
 )
 from privflow.load import load_program
@@ -36,6 +35,7 @@ from privflow.model import (
     call_callee,
 )
 from privflow.pipeline import PrivilegedOperation, ScanBudget, ScanOptions, Tracer, find_privileged_ops, scan
+from privflow.reasoner import Memo
 from privflow.report import ExitStatus, exit_status
 from privflow.search import FlowPath, UnresolvedChannel, q_flow
 
@@ -164,9 +164,11 @@ class TestQUser:
         ]
 
     def test_each_question_is_recorded_before_it_is_asked(self, oracle):
-        """``q_user`` gives ``record`` one ``reason`` record per source,
-        right before it asks that source's ``ConfirmUserSource``, in the
-        services' program order."""
+        """``q_user`` asks one ``ConfirmUserSource`` per source, in the
+        services' program order. Through a ``Memo`` bound to a tracer each
+        is recorded before it is answered: ``gateway_exposed``'s sources are
+        covered by route prefixes, so each is a ``decided`` record and the
+        backend is asked nothing."""
         program = load_program(CORPORA / "gateway_exposed")
         events = []
 
@@ -175,38 +177,53 @@ class TestQUser:
                 events.append(("ask", task.identifier))
                 return oracle.reason(task)
 
-        def record(tool, args, count):
-            events.append((tool, args["task"], args["element"], count))
+        class LoggedTracer(Tracer):
+            def record(self, tool, args, result_count):
+                events.append((tool, args.identifier))
+                super().record(tool, args, result_count)
 
-        confirmed = q_user(program, Logged(), record)
         sources = [src for service in program.services for src in q_source(service)]
+        assert [src.name for src in q_user(program, Logged())] == ["/ops/run", "/internal/run"]
+        assert events == [("ask", src.name) for src in sources]
+        events.clear()
+        confirmed = q_user(program, Memo(Logged(), LoggedTracer(OPEN_BUDGET)))
         assert [src.name for src in confirmed] == ["/ops/run", "/internal/run"]
-        assert events == [
-            event
-            for src in sources
-            for event in (("reason", "ConfirmUserSource", src.id, 1), ("ask", src.name))
-        ]
+        assert events == [("decided", src.name) for src in sources]
 
-    def test_an_exhausted_budget_keeps_the_sources_confirmed_before_it(self, oracle):
-        """When the budget runs out at a source's ``reason`` record, the
-        raised ``BudgetExhausted`` carries the sources confirmed before it,
+    def test_an_exhausted_budget_keeps_the_sources_confirmed_before_it(self, oracle, tmp_path):
+        """A routed service whose endpoints ``/b`` and ``/d`` no route prefix
+        covers sends their ``ConfirmUserSource`` tasks to the backend. At
+        one backend call per phase, the budget runs out at ``/d``'s
+        ``reason`` record: the raised ``BudgetExhausted`` carries the
+        sources confirmed before it, the covered ``/api/a`` and ``/api/c``,
         and a scan's report lists them."""
-        program = load_program(CORPORA / "class_replay")
-        sources = [src for service in program.services for src in q_source(service)]
-        assert len(sources) == 2
-        for exhausting, source in enumerate(sources):
-
-            def record(tool, args, count):
-                if args["element"] == source.id:
-                    raise BudgetExhausted("flow", "exceeded")
-
-            with pytest.raises(BudgetExhausted) as err:
-                q_user(program, oracle, record)
-            assert err.value.partial == sources[:exhausting]
-        # the flow phase's fifth call is the second source's record
-        payload = scan(program, oracle, ScanBudget(max_tool_calls_per_phase=5), ScanOptions(basic_sink=True))
-        assert payload["budget"]["exhausted_reason"] == "flow: exceeded 5 tool calls"
-        assert [s["element"] for s in payload["user_sources"]] == [sources[0].id]
+        (tmp_path / "api.msv").write_text(
+            "".join(
+                f'@route("POST", "{path}")\nfn h{n}() {{\n  exec(request.param("cmd"))\n}}\n'
+                for n, path in enumerate(("/api/a", "/b", "/api/c", "/d"))
+            ),
+            encoding="utf-8",
+        )
+        manifest = {
+            "version": 1,
+            "services": [{"name": "api", "entry": True, "sources": ["api.msv"]}],
+            "gateway_routes": [{"prefix": "/api", "target": "api"}],
+        }
+        (tmp_path / "privflow.manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        program = load_program(tmp_path)
+        sources = {src.name: src for service in program.services for src in q_source(service)}
+        assert sorted(sources) == ["/api/a", "/api/c", "/b", "/d"]
+        tracer = Tracer(ScanBudget(max_tool_calls_per_phase=1))
+        tracer.phase = "flow"
+        with pytest.raises(BudgetExhausted) as err:
+            q_user(program, Memo(oracle, tracer))
+        assert err.value.partial == [sources["/api/a"], sources["/api/c"]]
+        assert [(tool, args.identifier) for _, tool, args, _, _ in tracer.calls] == [
+            ("decided", "/api/a"), ("reason", "/b"), ("decided", "/api/c"), ("reason", "/d")
+        ]
+        payload = scan(program, oracle, ScanBudget(max_tool_calls_per_phase=1), ScanOptions(basic_sink=True))
+        assert payload["budget"]["exhausted_reason"] == "flow: exceeded 1 reasoner calls"
+        assert [s["name"] for s in payload["user_sources"]] == ["/api/a", "/api/c"]
 
     def test_gateway_routed_internal_service_is_attack_surface(self, oracle):
         """``gateway_exposed`` routes ``/internal`` to ``back``, whose
@@ -454,7 +471,8 @@ class TestGlobalGraph:
     def test_scan_searches_once_per_source_and_resolves_targets_once(self, tmp_path, oracle, monkeypatch):
         """A chain 4x12 scan runs one flow search per source (48) and
         resolves each service's targets once (4), not once per (source,
-        target) pair. Its trace still holds one ``q_flow`` record per pair."""
+        target) pair. Its trace holds one ``q_flow`` record per search,
+        which names all the search's targets."""
         calls = {"q_flow": [], "flow_sinks": []}
 
         def counting(name):
@@ -476,9 +494,11 @@ class TestGlobalGraph:
         assert calls["flow_sinks"] == names
         assert calls["q_flow"] == [name for name in names for _ in range(12)]
         records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
-        pairs = [(r["args"]["from"], r["args"]["to"]) for r in records if r["tool"] == "q_flow"]
+        searches = [r["args"] for r in records if r["tool"] == "q_flow"]
+        assert len(searches) == len({args["from"] for args in searches}) == 48
+        pairs = {(args["from"], dst) for args in searches for dst in args["to"]}
         # 12 writes and 12 outbound calls per service, none in the last one
-        assert len(pairs) == len(set(pairs)) == 3 * 12 * 24 + 12 * 12 == 1008
+        assert sum(len(args["to"]) for args in searches) == len(pairs) == 3 * 12 * 24 + 12 * 12 == 1008
 
     def test_witnesses_match_per_pair_search_with_tied_paths(self):
         rng = random.Random(1618)
@@ -801,25 +821,24 @@ def _label(program, eid):
 def _check_witnesses(program, privops):
     """Every flow edge's witness is the path a search for that one target
     finds, every source-target pair is searched once, and every q_flow
-    trace record replays to its recorded count. Returns the flow edges."""
+    trace record, one per search, replays with all its targets to its
+    recorded count. Returns the flow edges."""
     records = []
     graph = build_global_graph(
-        program,
-        privops,
-        match_channels(program),
-        record_search=lambda *search: records.extend(search_records(*search)),
+        program, privops, match_channels(program), record=lambda *call: records.append(call)
     )
     flow_edges = [w for witnesses in graph.edges.values() for w in witnesses if isinstance(w, FlowPath)]
     for edge in flow_edges:
         service = program.service(edge.service)
         assert list(edge.elements) == reference_shortest_path(service, edge.src, edge.dst)
-    pairs = [(args["from"], args["to"]) for _, args, _ in records]
+    searches = [args for tool, args, _ in records if tool == "q_flow"]
+    pairs = [(args["from"], dst) for args in searches for dst in args["to"]]
     assert len(pairs) == len(set(pairs))
     assert {(e.src, e.dst) for e in flow_edges} <= set(pairs)
     for tool, args, count in records:
-        assert tool == "q_flow"
-        replayed = q_flow(program.service(args["service"]), args["from"], args["to"])
-        assert count == len(replayed), args
+        if tool == "q_flow":
+            replayed = q_flow(program.service(args["service"]), args["from"], *args["to"])
+            assert count == len(replayed), args
     return len(flow_edges)
 
 

@@ -14,12 +14,11 @@ from privflow.crossflow import (
     path_functions,
     q_globalflow,
     q_user,
-    search_records,
 )
 from privflow import pipeline
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, call_callee
-from privflow.reasoner import Action, CheckClass, ConfirmUserSource, NextSearchAction, ScriptedOracle
+from privflow.reasoner import Action, CheckClass, ClassifyPrivileged, NextSearchAction, ScriptedOracle
 from privflow.remote import RemoteConfig, RemoteReasoner
 from privflow.pipeline import (
     BudgetExhausted,
@@ -96,12 +95,11 @@ def _malformed_queries(service: str) -> tuple[Action, ...]:
     )
 
 
-def _assert_steps_burnt(payload, expected, burnt: int):
-    """``payload`` has ``expected``'s findings, and ``burnt`` more
-    privileged-op tool calls: one ``reason`` record per malformed query."""
+def _assert_steps_burnt(payload, expected):
+    """``payload`` has ``expected``'s findings and budget: a malformed query
+    runs no tool, so it leaves no record and asks the backend nothing."""
     assert payload["findings"] == expected["findings"] != []
-    calls = payload["budget"]["tool_calls"]["privileged_ops"]
-    assert calls == expected["budget"]["tool_calls"]["privileged_ops"] + burnt
+    assert payload["budget"] == expected["budget"]
 
 
 class RemotePlanner(ScriptedOracle):
@@ -164,7 +162,7 @@ class TestFindPrivilegedOps:
         stub = Malformed()
         assert find_privileged_ops(role_update_program, stub) == find_privileged_ops(role_update_program, oracle)
         expected = scan(role_update_program, oracle, OPEN_BUDGET)
-        _assert_steps_burnt(scan(role_update_program, stub, OPEN_BUDGET), expected, 5)
+        _assert_steps_burnt(scan(role_update_program, stub, OPEN_BUDGET), expected)
 
     def test_malformed_remote_proposals_do_not_derail_the_scan(self, role_update_program, oracle):
         """The same plan as a remote reply in both rounds: each entry
@@ -175,7 +173,7 @@ class TestFindPrivilegedOps:
         reply = json.dumps({"queries": [{"tool": a.tool, "args": a.args} for a in plan], "rationale": "fabricated"})
         backend = RemotePlanner(reply)
         expected = scan(role_update_program, oracle, OPEN_BUDGET)
-        _assert_steps_burnt(scan(role_update_program, backend, OPEN_BUDGET), expected, 10)
+        _assert_steps_burnt(scan(role_update_program, backend, OPEN_BUDGET), expected)
         assert backend.rounds == [1, 2]
 
     @pytest.mark.parametrize("budget", [ScanBudget(), OPEN_BUDGET], ids=["default_budget", "open_budget"])
@@ -191,10 +189,15 @@ class TestFindPrivilegedOps:
         assert payload["findings"] == scan(role_update_program, oracle, budget)["findings"] != []
 
     def test_budget_exhaustion_carries_partial(self, role_update_program, oracle):
+        """The tracer meters a bare backend's tasks: the fourth backend call
+        exhausts a budget of three, and the raised ``BudgetExhausted``
+        carries the operations found before it."""
         tiny = Tracer(ScanBudget(max_tool_calls_per_phase=3))
         with pytest.raises(BudgetExhausted) as err:
             find_privileged_ops(role_update_program, oracle, tracer=tiny)
-        assert err.value.partial is not None
+        assert err.value.partial == find_privileged_ops(role_update_program, oracle)
+        assert tiny.reasoner_calls == {"privileged_ops": 4}
+        assert tiny.calls[-1][1] == "reason"
 
 
 class TestLocateChecks:
@@ -276,23 +279,26 @@ class TestLocateChecks:
         payload = scan(program, ScriptedOracle(), OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
         assert built == {"has_session": 1}
         records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
-        validation = [(r["tool"], r["args"]) for r in records if r["phase"] == "validation"]
-        located: dict[str, list] = {}
-        for tool, args in validation:
-            if args.get("task") == "ExtractConstraints":
-                flow = located.setdefault(args["flow"], [])
-            elif args.get("task") != "AssessSufficiency":
-                flow.append((tool, args))
+        # each class's records start at its ExtractConstraints lookup
+        located: list[list] = []
+        for r in records:
+            if r["phase"] != "validation":
+                continue
+            if r["args"].get("task") == "ExtractConstraints":
+                located.append([])
+            elif "task" not in r["args"]:
+                located[-1].append((r["tool"], r["args"]))
 
         privops, _ = first_flow(program, ScriptedOracle())
         graph = build_global_graph(program, privops, match_channels(program))
         witnesses = q_globalflow(program, graph, q_user(program, ScriptedOracle()), privops).paths
         assert len(witnesses) == len(payload["findings"]) == 2
-        for witness in witnesses:
+        assert len(located) == 2
+        for witness, calls_in_scan in zip(witnesses, located):
             calls = []
             locate_checks(path_functions(program, witness), ScriptedOracle(), lambda *call: calls.append(call[:2]))
-            assert [tool for tool, _ in calls] == ["get_source", "q_cg", "get_source", "q_cg", "reason"]
-            assert located[witness.id] == calls
+            assert [tool for tool, _ in calls] == ["get_source", "q_cg", "get_source", "q_cg"]
+            assert calls_in_scan == calls
 
     def test_guard_over_two_functions_is_classified_once(self):
         """A conditional whose block holds two functions of the path (a
@@ -477,9 +483,10 @@ class TestScan:
     def test_validation_budget_truncates(self, order_payment_program, oracle):
         """A budget that runs out while validating truncates the flows
         not yet validated, and the funnel still adds up."""
-        payload = scan(order_payment_program, oracle, budget=ScanBudget(max_tool_calls_per_phase=10))
+        payload = scan(order_payment_program, oracle, budget=ScanBudget(max_tool_calls_per_phase=4))
         funnel = payload["funnel"]
-        assert payload["budget"]["exhausted_reason"] == "validation: exceeded 10 tool calls"
+        assert payload["budget"]["exhausted_reason"] == "validation: exceeded 4 reasoner calls"
+        assert payload["budget"]["reasoner_calls"]["validation"] == 5
         assert payload["budget"]["max_flows"] == PATH_CAP
         assert funnel["initial_flows"] == 2
         assert funnel["budget_truncated"] == 1
@@ -488,48 +495,44 @@ class TestScan:
         )
 
     def test_exhausting_reason_record_asks_no_task(self, order_payment_program, monkeypatch):
-        """Each reasoner task is recorded before it is asked, and each
+        """Each reasoner lookup is recorded before it is answered, and each
         distinct task is asked once per scan. So the backend is asked only
-        right after a task's record, never twice for one task, and never
-        after the record that exhausts the budget (an equal task asked
-        before it is answered without asking). ConfirmUserSource tasks are
-        covered by one q_user record and left out."""
+        right after that task's ``reason`` record, never twice for one
+        task, and never after the record that exhausts the budget. A
+        ``decided`` or ``memo_hit`` record asks nothing."""
         timeline = []
         record = Tracer.record
 
-        def logged_record(self, phase, tool, args, result_count):
+        def logged_record(self, tool, args, result_count):
             timeline.append(("record", tool, args))
-            record(self, phase, tool, args, result_count)
+            record(self, tool, args, result_count)
 
         class LoggingOracle(ScriptedOracle):
             def reason(self, task):
-                if not isinstance(task, ConfirmUserSource):
-                    timeline.append(("ask", task))
+                timeline.append(("ask", task))
                 return super().reason(task)
 
         monkeypatch.setattr(Tracer, "record", logged_record)
         exhausted_on = set()
         memo_hits = 0
-        for calls in range(1, 16):
+        for calls in range(1, 8):
             timeline.clear()
             payload = scan(order_payment_program, LoggingOracle(), ScanBudget(max_tool_calls_per_phase=calls))
             asked = [e[1] for e in timeline if e[0] == "ask"]
             assert len(asked) == len(set(asked)), calls
             for before, entry in zip(timeline, timeline[1:]):
                 if entry[0] == "ask":
-                    assert before[:2] == ("record", "reason"), calls
-                    assert before[2]["task"] == type(entry[1]).__name__, calls
+                    assert before == ("record", "reason", entry[1]), calls
             records = [e for e in timeline if e[0] == "record"]
-            recorded = collections.Counter(args["task"] for _, tool, args in records if tool == "reason")
+            reasons = [args for _, tool, args in records if tool == "reason"]
             if payload["budget"]["exhausted"]:
                 assert timeline[-1] is records[-1], calls
-                _, tool, args = records[-1]
-                if tool == "reason":
-                    exhausted_on.add(args["task"])
-                    recorded[args["task"]] -= 1
-            backend_calls = collections.Counter(type(task).__name__ for task in asked)
-            assert backend_calls <= recorded, calls
-            memo_hits += recorded.total() - backend_calls.total()
+                _, tool, task = records[-1]
+                assert tool == "reason", calls
+                exhausted_on.add(type(task).__name__)
+                reasons.pop()
+            assert asked == reasons, calls
+            memo_hits += sum(tool == "memo_hit" for _, tool, _ in records)
         assert exhausted_on >= {"ClassifyPrivileged", "ClassifyCheck", "AssessSufficiency"}
         assert memo_hits > 0
 
@@ -566,42 +569,31 @@ class TestScan:
         now = [0.0]
         monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: now[0]))
         tracer = Tracer(ScanBudget(max_seconds=limit))
+        tracer.phase = "flow"
         now[0] = limit
-        tracer.record("flow", "q_flow", {}, 0)  # at the limit, not over it
+        tracer.record("q_flow", {}, 0)  # at the limit, not over it
         now[0] = 2 * limit
         with pytest.raises(BudgetExhausted) as exc:
-            tracer.record("flow", "q_flow", {}, 0)
-        assert exc.value.reason == f"exceeded {shown}s wall clock"
+            tracer.record("q_flow", {}, 0)
+        assert (exc.value.phase, exc.value.reason) == ("flow", f"exceeded {shown}s wall clock")
 
-    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 6, 7])
-    def test_flow_search_meters_one_call_per_target(self, tmp_path, limit):
-        """A flow search is one entry metered as one call per target: the
-        budget runs out at the same target, with the same records written,
-        as when each (source, target) pair is recorded on its own."""
-        search = ("svc", "s", ("t1", "t2", "t3", "t4", "t5"), ["t2", "t5"])
-
-        def run(by_search: bool):
-            tracer = Tracer(ScanBudget(max_tool_calls_per_phase=limit))
-            tracer.record("flow", "q_source", {"service": "svc"}, 1)
-            exhausted = None
-            try:
-                if by_search:
-                    tracer.record_search("flow", *search)
-                else:
-                    for call in search_records(*search):
-                        tracer.record("flow", *call)
-            except BudgetExhausted as exc:
-                exhausted = str(exc)
-            tracer.write(tmp_path / "trace.jsonl")
-            records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines()]
-            for record in records:
-                del record["elapsed_ms"]
-            return exhausted, records, tracer.per_phase
-
-        exhausted, records, per_phase = run(by_search=True)
-        assert (exhausted, records, per_phase) == run(by_search=False)
-        assert (exhausted is None) == (limit > 5)
-        assert len(records) == per_phase["flow"] == min(limit + 1, 6)
+    def test_budget_meters_backend_calls_only(self):
+        """The per-phase limit counts ``reason`` records, each phase its own:
+        any number of other records of a phase, a ``decided`` or a
+        ``memo_hit`` lookup among them, spends nothing of it."""
+        tracer = Tracer(ScanBudget(max_tool_calls_per_phase=2))
+        task = ClassifyPrivileged("e1", "update_role", "fn update_role() { }")
+        for tool in ("q_ast", "reason", "memo_hit", "decided", "q_name", "reason", "get_source"):
+            tracer.record(tool, task if tool in ("reason", "memo_hit", "decided") else {}, 1)
+        tracer.phase = "flow"
+        tracer.record("reason", task, 1)
+        tracer.record("q_flow", {}, 1)
+        with pytest.raises(BudgetExhausted) as exc:
+            tracer.record("reason", task, 1)
+            tracer.record("reason", task, 1)
+        assert str(exc.value) == "flow: exceeded 2 reasoner calls"
+        assert tracer.per_phase == {"privileged_ops": 7, "flow": 4}
+        assert tracer.reasoner_calls == {"privileged_ops": 2, "flow": 3}
 
     def test_bare_boolean_guard_is_feasible(self, oracle, tmp_path):
         body = 'cmd = request.param("cmd")\n  on = true\n  if on {\n    exec(cmd)\n  }'

@@ -6,7 +6,7 @@ import pytest
 
 from privflow.constraints import PathConstraint, ConstCmp, And, BoolVar, Not
 from privflow.load import load_program
-from privflow.pipeline import ScanBudget, ScanOptions, scan
+from privflow.pipeline import ScanBudget, ScanOptions, Tracer, scan
 from privflow.reasoner import (
     Action,
     AssessSufficiency,
@@ -32,6 +32,8 @@ from privflow.reasoner import (
     load_rules,
     make_reasoner,
     split_identifier,
+    task_digest,
+    task_fields,
 )
 from privflow.remote import ATTEMPTS, PROMPTS_DIR, RETRY_BACKOFF_S, RemoteConfig, RemoteReasoner, _parse_verdict
 
@@ -706,6 +708,28 @@ class TestMemo:
         assert memo.reason(task) is verdict
         assert backend.tasks == [task] * 3
 
+    def test_each_lookup_is_one_record(self):
+        """A ``Memo`` bound to a tracer records each lookup before it
+        answers: ``reason`` for a backend call, ``decided`` for a task the
+        program answers, ``memo_hit`` for a stored verdict."""
+        backend, tracer = TaskLog(), Tracer(OPEN_BUDGET)
+        memo = Memo(backend, tracer)
+        asked = ClassifyPrivileged("e1", "update_role", UPDATE_ROLE_SRC)
+        decided = ExtractConstraints(())
+        for task in (asked, decided, asked, decided):
+            memo.reason(task)
+        assert [(tool, args) for _, tool, args, _, _ in tracer.calls] == [
+            ("reason", asked), ("decided", decided), ("memo_hit", asked), ("memo_hit", decided)
+        ]
+        assert backend.tasks == [asked]
+        assert tracer.reasoner_calls == {"privileged_ops": 1}
+
+    def test_task_digest_is_the_canonical_task_json(self):
+        task = PROMPT_SAMPLES["ExtractConstraints"][0]
+        text = json.dumps({**task_fields(task), "task": "ExtractConstraints"}, sort_keys=True, separators=(",", ":"))
+        assert task_digest(task) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert task_digest(ConfirmUserSource("/a", ("/",))) != task_digest(ConfirmUserSource("/a", ("/b",)))
+
     def test_name_forwarded(self):
         assert Memo(ScriptedOracle()).name == "scripted"
         assert Memo(remote([], [])).name == "remote"
@@ -726,14 +750,35 @@ class TestMemo:
     @pytest.mark.parametrize("corpus", CORPUS_NAMES)
     def test_one_backend_plan_per_round(self, corpus, tmp_path):
         """The privileged-operation loop asks the backend for one plan per
-        round: as many ``NextSearchAction`` tasks as the trace has rounds."""
+        round, rounds 1, 2, ... in order, and the trace holds one
+        ``NextSearchAction`` record per round, each a backend call."""
         backend = TaskLog()
         trace = tmp_path / "trace.jsonl"
         program = load_program(_corpus_root(corpus, tmp_path / "corpus"))
         scan(program, backend, OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
         records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
-        rounds = max(record["args"]["round"] for record in records if "round" in record["args"])
-        assert sum(isinstance(task, NextSearchAction) for task in backend.tasks) == rounds
+        plans = [record["tool"] for record in records if record["args"].get("task") == "NextSearchAction"]
+        rounds = [task.round for task in backend.tasks if isinstance(task, NextSearchAction)]
+        assert rounds == list(range(1, len(plans) + 1))
+        assert set(plans) == {"reason"}
+
+    @pytest.mark.parametrize("corpus", CORPUS_NAMES)
+    def test_reason_records_are_the_backend_tasks(self, corpus, tmp_path):
+        """A scan's ``reason`` records are the tasks its backend is asked,
+        in order, each named by its kind and ``task_digest``, and the
+        report's ``budget.reasoner_calls`` counts them. Every other lookup
+        is a ``decided`` or ``memo_hit`` record."""
+        backend = TaskLog()
+        trace = tmp_path / "trace.jsonl"
+        program = load_program(_corpus_root(corpus, tmp_path / "corpus"))
+        payload = scan(program, backend, OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
+        records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        reasons = [r["args"] for r in records if r["tool"] == "reason"]
+        assert reasons == [{"task": type(task).__name__, "digest": task_digest(task)} for task in backend.tasks]
+        assert sum(payload["budget"]["reasoner_calls"].values()) == len(backend.tasks)
+        lookups = [r for r in records if "task" in r["args"]]
+        assert {r["tool"] for r in lookups} <= {"reason", "decided", "memo_hit"}
+        assert {r["args"]["task"] for r in lookups} <= {t.__name__ for t in TASKS}
 
     def test_fanout_asks_each_distinct_task_once(self, tmp_path):
         """The fan-out's 256 paths share one ExtractConstraints and one
@@ -811,6 +856,25 @@ class TestDecidedTasks:
         (finding,) = payload["findings"]
         assert (finding["verdict"], finding["feasibility"]) == ("unprotected", "feasible")
         assert finding["rationale"] == "no authentication or authorization checks guard 'exec'"
+
+    @pytest.mark.parametrize("corpus", ["admin_guarded", "ownership_cancel"])
+    def test_a_constraint_on_no_guard_identifier_cannot_prune(self, corpus):
+        """``PrunesEverything`` answers every guarded flow with a
+        contradiction over ``ghost``, which no guard names: the extraction
+        counts as skipped, so nothing is pruned, and the funnel and the
+        findings are the scripted oracle's but for the skipped status."""
+        program = load_program(CORPORA / corpus)
+        expected = scan(program, ScriptedOracle())
+        payload = scan(program, PrunesEverything())
+        assert payload["funnel"]["constraint_pruned"] == 0
+        assert payload["funnel"] == expected["funnel"]
+        assert payload["protected_flows"] == expected["protected_flows"]
+
+        def unconstrained(finding):
+            return {k: v for k, v in finding.items() if k not in ("constraint", "feasibility")}
+
+        assert [*map(unconstrained, payload["findings"])] == [*map(unconstrained, expected["findings"])]
+        assert {f["constraint"]["status"] for f in payload["findings"]} <= {"skipped"}
 
     @pytest.mark.parametrize("corpus", ["order_payment", "account_update"])
     def test_a_guess_cannot_drop_an_authentication_only_flow(self, corpus):

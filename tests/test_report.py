@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from privflow.load import load_program
 from privflow.model import GatewayRoute, Manifest, ManifestService, Program
-from privflow.pipeline import ScanBudget, scan
+from privflow.pipeline import ScanBudget, ScanOptions, scan
 from privflow.report import render_report
 
-from conftest import lower_snippet, write_fanout_corpus
+from conftest import CORPORA, lower_snippet, write_fanout_corpus
 
 OPEN_BUDGET = ScanBudget(max_tool_calls_per_phase=10**9)
 
@@ -290,6 +290,22 @@ def test_schema_doc_lists_the_report_fields(role_update_program, oracle):
     assert payload["findings"]
     assert documented == set(payload)
     assert set(example) == set(payload["findings"][0])
+    budget_row = next(row for row in table.splitlines() if row.startswith("| `budget` |"))
+    assert set(re.findall(r"`(\w+)`", budget_row)) >= set(payload["budget"])
+
+
+def test_schema_doc_lists_the_trace_record_kinds(role_update_program, oracle, tmp_path):
+    """docs/report-schema.md's trace table has a row for every record kind
+    a scan writes, and only for those that exist."""
+    doc = SCHEMA_DOC.read_text(encoding="utf-8")
+    table = doc.split("## Trace", 1)[1].split("| tool |", 1)[1].split("\n\n", 1)[0]
+    documented = {name for row in table.splitlines()[2:] for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    tools = set()
+    for program in (role_update_program, load_program(CORPORA / "order_payment")):
+        trace = tmp_path / "trace.jsonl"
+        scan(program, oracle, options=ScanOptions(trace_path=str(trace)))
+        tools |= {json.loads(line)["tool"] for line in trace.read_text(encoding="utf-8").splitlines()}
+    assert tools == documented
 
 
 def test_markdown_lists_unresolved_and_ambiguous_channels(oracle):

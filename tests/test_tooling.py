@@ -215,7 +215,7 @@ def test_scripted_start_up_builds_no_remote_backend_and_no_dataclass():
 
 
 def test_record_constructors_take_their_fields_in_order():
-    """``Record``'s ``repr``, ``==`` and hash and ``remote.task_fields`` read
+    """``Record``'s ``repr``, ``==`` and hash and ``reasoner.task_fields`` read
     ``_fields`` as what the constructor took, so every ``model.Record``
     subclass that writes an ``__init__`` takes exactly its fields, in order."""
     for path in sorted(SRC.rglob("*.py")):
