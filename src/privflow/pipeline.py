@@ -32,7 +32,7 @@ as that outcome says: pruned, protected, or a finding with its
 
 Paths share most of their segments and check candidates, and their guards
 often translate to one constraint. So a scan keeps, for its length, each
-segment's function groups and hop, each check candidate's
+segment's function groups and hop id, each check candidate's
 ``ClassifyCheck`` task, and each distinct constraint's ``check_sat``
 verdict and SMT-LIB text, each in a cache keyed by the segment, the
 candidate's element id or the constraint value.
@@ -41,6 +41,7 @@ candidate's element id or the constraint value.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import time
@@ -510,12 +511,12 @@ def scan(
     ``PathClass`` and its SMT file, goes to ``_report_payload``, which puts
     the class with the pruned, the protected or the findings.
 
-    Each element a finding names has one record, in the report's
-    ``elements`` table, and a finding's evidence and its path's steps list
-    element ids. Findings share one record per privileged operation, per
-    path segment (hop) and per distinct service list, check list and
-    constraint status, so the payload is read-only: changing one record
-    would change it in every finding."""
+    Each path segment (hop) a finding passes has one record, in the
+    report's ``hops`` table, and each element a finding names one, in its
+    ``elements`` table: a finding's path lists hop ids, and its evidence
+    and each flow hop's steps list element ids. Every other record is
+    built per finding, so the payload is a tree: no dict or list appears
+    in it twice."""
     budget = budget or ScanBudget()
     options = options or ScanOptions()
     violations = validate_program(program)
@@ -684,13 +685,16 @@ def _report_payload(
     after the last of them were cut by the budget. A pruned or protected
     class leaves the funnel, and every other class is a finding built from
     those four."""
-    # one record per privileged operation, per path segment and per distinct
-    # service list, check list and constraint status, shared by every
-    # finding that has it; each element a finding names has one record in
-    # ``elements``, entered when the first hop or check list naming it is
-    # built. A valid program declares each element id in one service.
+    # each path segment a finding passes has one record in ``hops``, keyed
+    # by an id derived from its node ids as a path's id is, and each
+    # element a finding names one in ``elements``, entered when the first
+    # hop or check list naming it is built. Every other record is built
+    # per finding, so no dict or list appears twice in the payload. A valid
+    # program declares each element id in one service, and a channel joins
+    # two services, so a segment's node ids tell it from every other.
     ops_by_element = {op.element: op for op in privops}
     elements: dict[str, dict] = {}
+    hops: dict[str, dict] = {}
 
     def enter(service_name: str, eid: str) -> None:
         if eid not in elements:
@@ -704,7 +708,6 @@ def _report_payload(
                 "source": el.source,
             }
 
-    @functools.cache
     def op_dict(op: PrivilegedOperation) -> dict:
         el = program.element(op.service, op.element)
         return {
@@ -720,24 +723,25 @@ def _report_payload(
         }
 
     @functools.cache
-    def hop(segment: FlowPath | ChannelEdge) -> dict:
+    def hop_id(segment: FlowPath | ChannelEdge) -> str:
         if isinstance(segment, FlowPath):
-            for eid in segment.elements:
+            node_ids = segment.elements
+            for eid in node_ids:
                 enter(segment.service, eid)
-            return {"type": "flow", "service": segment.service, "steps": [*segment.elements]}
-        return {
-            "type": "channel",
-            "identifier": segment.identifier,
-            "match": segment.match_rule,
-            "from_service": segment.from_service,
-            "to_service": segment.to_service,
-        }
+            record = {"type": "flow", "service": segment.service, "steps": [*node_ids]}
+        else:
+            node_ids = (segment.from_element, segment.to_element)
+            record = {
+                "type": "channel",
+                "identifier": segment.identifier,
+                "match": segment.match_rule,
+                "from_service": segment.from_service,
+                "to_service": segment.to_service,
+            }
+        hid = "h" + hashlib.sha1("\x1f".join(node_ids).encode("utf-8")).hexdigest()[:12]
+        hops[hid] = record
+        return hid
 
-    @functools.cache
-    def services(names: tuple[str, ...]) -> list[str]:
-        return list(names)
-
-    @functools.cache
     def check_dicts(checks: tuple[CheckFinding, ...]) -> list[dict]:
         for c in checks:
             enter(c.service, c.element)
@@ -754,10 +758,6 @@ def _report_payload(
             for c in checks
         ]
 
-    @functools.cache
-    def constraint(status: str, smt_file: str | None) -> dict:
-        return {"status": status, "smt_file": smt_file}
-
     def finding_dict(witness: GlobalPath, count: int, path_class: PathClass, smt_file: str | None) -> dict:
         return {
             "id": witness.id,
@@ -768,11 +768,11 @@ def _report_payload(
             "privileged_operation": op_dict(ops_by_element[witness.sink]),
             "path": {
                 "id": witness.id,
-                "services": services(witness.services),
-                "hops": [*map(hop, witness.segments)],
+                "services": [*witness.services],
+                "hops": [*map(hop_id, witness.segments)],
             },
             "checks": check_dicts(path_class.checks),
-            "constraint": constraint(path_class.status, smt_file),
+            "constraint": {"status": path_class.status, "smt_file": smt_file},
             "evidence": _evidence(witness, path_class.checks),
         }
 
@@ -810,7 +810,7 @@ def _report_payload(
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 4,
+        "schema": 5,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {
@@ -852,6 +852,7 @@ def _report_payload(
         "pruned_flows": sorted(pruned),
         "protected_flows": sorted(protected),
         "findings": finding_dicts,
+        "hops": hops,
         "elements": elements,
         "context_elements": sorted(context_ids),
         "budget": {

@@ -1,7 +1,7 @@
 """Report rendering and exit-status policy.
 
 The JSON payload produced by the pipeline is the single source of truth
-(schema field pinned at 3); markdown is derived from it, never computed
+(schema field pinned at 5); markdown is derived from it, never computed
 separately. Reports carry no timestamps so equal scans render byte-identically.
 ``exit_status`` and the markdown renderer read the payload's keys directly:
 their one producer, ``pipeline._report_payload``, always writes them.
@@ -10,22 +10,16 @@ The JSON text is exactly ``json.dumps(payload, indent=2, sort_keys=True) +
 "\n"``, produced mostly by the stdlib's C encoder, which has no indented
 mode. Python walks only the containers that hold other containers. Every
 scalar, and every container holding only scalars, is encoded in one C call
-whose item separator carries the newline and indent of its depth.
+whose item separator carries the newline and indent of its depth. Exact
+``str`` members are encoded inline, and each distinct member type is
+tested once per container.
 
-The pipeline writes each path element's record once, in the report's
-``elements`` table, which findings name by id, and shares the other
-records: every finding that reaches an operation or a path segment holds
-the same dict. One render encodes each dict, list or tuple once per
-nesting depth. A memo local to the call holds one table per depth, which
-maps ``id(member)`` to the range of chunks its first rendering appended;
-the second meeting joins that range into text, which later meetings
-reuse. A list or tuple whose members were all rendered at their depth (a
-finding's hops) takes one lookup per member and extends the chunks with
-references to the memo's texts between separators: chunks hold
-references to memo texts, never copies joined from them. Exact ``str``
-members are encoded inline, and each distinct member type is tested once
-per container. Ids stay unique only while the payload is alive and
-unchanged, so a payload must not be edited while it renders.
+The pipeline writes each path segment's record once, in the report's
+``hops`` table, and each path element's once, in its ``elements`` table,
+which findings name by id; every other record is built per finding. So a
+scan's payload is a tree, and one render encodes each of its containers
+once. A payload that holds one container in several places renders to the
+same text, encoded at each place.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ def exit_status(payload: dict) -> ExitStatus:
 def render_report(payload: dict, fmt: str = "json") -> str:
     if fmt == "json":
         chunks: list[str] = []
-        _render_json(payload, 0, chunks, [], {})
+        _render_json(payload, 0, chunks, {})
         chunks.append("\n")
         return "".join(chunks)
     if fmt == "md":
@@ -112,36 +106,16 @@ def _nested_types(values) -> set:
     return {t for t in types if issubclass(t, _NESTED)}
 
 
-def _render_json(value, depth: int, chunks: list[str], seen: list[dict], keys: dict[str, str]) -> None:
+def _render_json(value, depth: int, chunks: list[str], keys: dict[str, str]) -> None:
     """Append ``value``'s text at nesting ``depth`` to ``chunks``. Python
-    walks only the containers that hold other containers. ``seen[d]`` maps
-    ``id(member)`` of each container member rendered so far at depth ``d``
-    to the (start, end) range of chunks its rendering appended, or to its
-    text once it recurs. ``keys`` maps each ``str`` dict key met so far to
-    its quoted text and the ``": "`` after it."""
+    walks only the containers that hold other containers. ``keys`` maps
+    each ``str`` dict key met so far to its quoted text and the ``": "``
+    after it."""
     encoder, inner, outer = _level(depth)
-    while len(seen) <= depth + 1:
-        seen.append({})
-    memo = seen[depth + 1]
     if isinstance(value, dict):
         members = value.values()
     elif isinstance(value, (list, tuple)):
         members = value
-        texts = [*map(memo.get, map(id, value))]
-        if texts and None not in texts:
-            # every member was rendered at this depth: the chunks take
-            # references to their texts, first joining those met once
-            if tuple in map(type, texts):
-                for i, done in enumerate(texts):
-                    if type(done) is tuple:
-                        texts[i] = memo[id(value[i])] = "".join(chunks[done[0] : done[1]])
-            parts = ["," + inner] * (2 * len(texts))
-            parts[0] = inner
-            parts[1::2] = texts
-            chunks.append("[")
-            chunks += parts
-            chunks.append(outer + "]")
-            return
     else:
         members = ()
     nested = _nested_types(members)
@@ -171,15 +145,7 @@ def _render_json(value, depth: int, chunks: list[str], seen: list[dict], keys: d
             chunks += encoder(member, 0)  # a scalar's text is the same at any depth
         else:
             chunks.append(sep + prefix)
-            done = memo.get(id(member))
-            if done is None:
-                start = len(chunks)
-                _render_json(member, depth + 1, chunks, seen, keys)
-                memo[id(member)] = (start, len(chunks))
-            else:
-                if type(done) is tuple:
-                    done = memo[id(member)] = "".join(chunks[done[0] : done[1]])
-                chunks.append(done)
+            _render_json(member, depth + 1, chunks, keys)
         sep = comma
     chunks.append(outer + closer)
 
@@ -220,6 +186,7 @@ def _render_md(payload: dict) -> str:
     out("")
 
     findings = payload["findings"]
+    hops = payload["hops"]
     elements = payload["elements"]
     out(f"## Findings ({len(findings)})")
     for i, finding in enumerate(findings, start=1):
@@ -233,7 +200,8 @@ def _render_md(payload: dict) -> str:
         out(f"- Rationale: {finding['rationale']}")
         out(f"- Flows in class: {finding['witness_count']}")
         out("- Path:")
-        for hop in finding["path"]["hops"]:
+        for hop_id in finding["path"]["hops"]:
+            hop = hops[hop_id]
             if hop["type"] == "flow":
                 steps = " -> ".join(elements[eid]["name"] or elements[eid]["kind"] for eid in hop["steps"])
                 out(f"  - [{hop['service']}] {steps}")

@@ -2,8 +2,9 @@
 2 path classes of 128: the whole scan, the class search, JSON report
 rendering, with the stdlib's indented encoder as the reference, and check
 localization (the path's function walk included) of every class witness;
-and on ``bench/gen.py``'s 4x12 chain, the report payload built from a
-finished scan's results and rendered.
+and on ``bench/gen.py``'s 4x12 chain, whose 48 findings name 120 path
+segments by id, the report payload built from a finished scan's results,
+with its ``hops`` and ``elements`` tables, and rendered.
 
 The file name does not match ``test_*.py``, so the default test run does
 not collect it; ``tests/test_tooling.py`` runs it once, untimed, to keep it
@@ -59,6 +60,8 @@ def chain_payload_inputs(tmp_path_factory):
         patch.setattr(pipeline, "_report_payload", keep)
         payload = scan(load_program(root), ScriptedOracle(), ScanBudget(max_tool_calls_per_phase=10**9))
     assert len(payload["findings"]) == 48
+    assert len(payload["hops"]) == 120
+    assert sum(len(finding["path"]["hops"]) for finding in payload["findings"]) == 192
     return calls[0], payload
 
 
@@ -78,7 +81,9 @@ def test_search_path_classes(benchmark, fanout):
 
 
 def test_render_json(benchmark, fanout):
+    """The fan-out report, a tree: its 2 findings name 18 hops."""
     payload = fanout[3]
+    assert len(payload["hops"]) == 18
     text = benchmark(render_report, payload, "json")
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -68,6 +68,11 @@ def bench_gen():
     return gen
 
 
+def path_hops(payload: dict, finding: dict) -> list[dict]:
+    """A finding's path hops, read through the report's ``hops`` table."""
+    return [payload["hops"][hop_id] for hop_id in finding["path"]["hops"]]
+
+
 def lower_snippet(text: str, service: str = "svc", file: str = "svc.msv") -> Service:
     """Parse and lower an inline MiniSrv snippet."""
     return lower(parse_source(text, file), service)

@@ -21,6 +21,7 @@ from conftest import (
     build_random_program,
     build_random_service,
     oracle_closure,
+    path_hops,
 )
 from smtlib_check import validate_smtlib
 from test_constraints import enumerate_models, random_constraint
@@ -47,12 +48,12 @@ def test_criterion_1_motivating_corpus(oracle):
         and elapsed < 5.0
     )
     if ok:
-        channel_hops = [h for h in findings[0]["path"]["hops"] if h["type"] == "channel"]
+        channel_hops = [h for h in path_hops(payload, findings[0]) if h["type"] == "channel"]
         ok = len(channel_hops) == 1 and channel_hops[0]["identifier"] == "/setUserRole"
     _line(1, ok, f"motivating corpus: 1 insufficient_authz finding over /setUserRole in {elapsed:.2f}s")
     assert len(findings) == 1
     assert findings[0]["verdict"] == "insufficient_authz"
-    channel_hops = [h for h in findings[0]["path"]["hops"] if h["type"] == "channel"]
+    channel_hops = [h for h in path_hops(payload, findings[0]) if h["type"] == "channel"]
     assert len(channel_hops) == 1
     assert channel_hops[0]["identifier"] == "/setUserRole"
     assert elapsed < 5.0
@@ -78,7 +79,7 @@ def test_criterion_3_case_study_corpus(oracle):
     elements = payload["elements"]
 
     def flow_paths(finding):
-        return [h for h in finding["path"]["hops"] if h["type"] == "flow"]
+        return [h for h in path_hops(payload, finding) if h["type"] == "flow"]
 
     pay_findings = [
         f

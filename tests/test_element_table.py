@@ -1,6 +1,8 @@
-"""The report's ``elements`` table: findings name path elements by id, and
-the table holds one record per named element, the element's own facts."""
+"""The report's ``hops`` and ``elements`` tables: findings name path
+segments and path elements by id, each table holds one record per named
+segment or element, and the payload is a tree."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from privflow.model import call_callee
 from privflow.pipeline import ScanBudget, scan
 from privflow.reasoner import ScriptedOracle
 
-from conftest import CORPORA, bench_gen
+from conftest import CORPORA, bench_gen, path_hops
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
 CORPUS_NAMES = sorted(p.name for p in CORPORA.iterdir() if p.is_dir())
@@ -38,7 +40,7 @@ def test_findings_name_exactly_the_elements_of_the_table(case, tmp_path):
     elements = payload["elements"]
     named: set[str] = set()
     for finding in payload["findings"]:
-        steps = [eid for hop in finding["path"]["hops"] if hop["type"] == "flow" for eid in hop["steps"]]
+        steps = [eid for hop in path_hops(payload, finding) if hop["type"] == "flow" for eid in hop["steps"]]
         checks = [check["element"] for check in finding["checks"]]
         assert finding["evidence"] == [*dict.fromkeys(steps + checks)]
         named.update(finding["evidence"])
@@ -56,3 +58,46 @@ def test_findings_name_exactly_the_elements_of_the_table(case, tmp_path):
             "line": el.location.line,
             "source": el.source,
         }
+
+
+@pytest.mark.parametrize("case", CORPUS_NAMES + [*GENERATED])
+def test_findings_name_exactly_the_hops_of_the_table(case, tmp_path):
+    """Every id in a finding's path is a key of ``hops``, every key is
+    named by some finding, and every flow hop's steps are keys of
+    ``elements``. A hop's id is ``"h"`` and 12 hex digits of the sha1 of
+    its node ids: a flow's steps, or the elements a channel joins, the
+    last step before it and the first after it."""
+    _, payload = _scan(case, tmp_path)
+    hops = payload["hops"]
+    named: set[str] = set()
+    for finding in payload["findings"]:
+        hop_ids = finding["path"]["hops"]
+        assert set(hop_ids) <= set(hops)
+        named.update(hop_ids)
+        records = path_hops(payload, finding)
+        for i, (hop_id, hop) in enumerate(zip(hop_ids, records)):
+            if hop["type"] == "flow":
+                assert set(hop["steps"]) <= set(payload["elements"])
+                node_ids = hop["steps"]
+            else:
+                node_ids = [records[i - 1]["steps"][-1], records[i + 1]["steps"][0]]
+            assert hop_id == "h" + hashlib.sha1("\x1f".join(node_ids).encode("utf-8")).hexdigest()[:12]
+    assert named == set(hops)
+    if case in GENERATED:
+        assert hops
+
+
+@pytest.mark.parametrize("case", CORPUS_NAMES + [*GENERATED])
+def test_the_payload_is_a_tree(case, tmp_path):
+    """No dict, list or tuple is reachable twice from a scan's payload, so
+    editing one record changes the report in one place."""
+    _, payload = _scan(case, tmp_path)
+    seen: set[int] = set()
+    stack = [payload]
+    while stack:
+        value = stack.pop()
+        assert id(value) not in seen
+        seen.add(id(value))
+        members = value.values() if isinstance(value, dict) else value
+        stack += [member for member in members if isinstance(member, (dict, list, tuple))]
+    assert len(seen) > 10

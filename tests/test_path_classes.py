@@ -25,7 +25,7 @@ from privflow.pipeline import (
 from privflow.reasoner import ScriptedOracle
 
 from path_reference import all_simple_paths, reference_classes
-from conftest import CORPORA, bench_gen, write_fanout_corpus
+from conftest import CORPORA, bench_gen, path_hops, write_fanout_corpus
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
 CORPUS_NAMES = sorted(p.name for p in CORPORA.iterdir() if p.is_dir())
@@ -215,7 +215,7 @@ def test_two_meetings_flows_are_two_classes(tmp_path):
     program = load_case("two_meetings", tmp_path)
     payload = scan(program, ScriptedOracle(), OPEN)
     orders = {
-        payload["elements"][f["path"]["hops"][0]["steps"][0]]["name"]: [c["service"] for c in f["checks"]]
+        payload["elements"][path_hops(payload, f)[0]["steps"][0]]["name"]: [c["service"] for c in f["checks"]]
         for f in payload["findings"]
     }
     assert orders == {"/start": ["store", "relay"], "/alt": ["relay", "store"]}
@@ -263,7 +263,7 @@ def test_a_cyclic_graph_has_a_class_per_summary_around_the_cycle(tmp_path):
 
     payload = scan(program, ScriptedOracle(), OPEN)
     findings = [
-        (f["verdict"], f["witness_count"], [hop.get("service", "=>") for hop in f["path"]["hops"]], f["id"])
+        (f["verdict"], f["witness_count"], [hop.get("service", "=>") for hop in path_hops(payload, f)], f["id"])
         for f in payload["findings"]
     ]
     assert sorted(findings) == [

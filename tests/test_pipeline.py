@@ -33,7 +33,7 @@ from privflow.pipeline import (
 )
 from privflow.search import FlowPath
 
-from conftest import CORPORA, make_element
+from conftest import CORPORA, make_element, path_hops
 
 
 class CountingOracle(ScriptedOracle):
@@ -610,7 +610,7 @@ class TestScan:
         payload = scan(_ops_corpus(tmp_path, "exec(cmd)", params="cmd"), oracle)
         [finding] = payload["findings"]
         assert finding["verdict"] == "unprotected"
-        steps = finding["path"]["hops"][0]["steps"]
+        steps = path_hops(payload, finding)[0]["steps"]
         assert [payload["elements"][step]["name"] for step in steps] == ["/run", "cmd", "exec"]
 
     def test_invalid_program_rejected(self, role_update_program, oracle):

@@ -244,38 +244,6 @@ def test_render_matches_stdlib_on_a_large_report(fanout_payload):
     assert render_report(fanout_payload, "json") == text
 
 
-def test_findings_share_the_hop_of_a_segment(fanout_payload):
-    """Every finding through one path segment holds the same hop record,
-    so a render encodes it once."""
-    by_segment: dict[tuple, list[dict]] = {}
-    for finding in fanout_payload["findings"]:
-        hops = finding["path"]["hops"]
-        for i, hop in enumerate(hops):
-            if hop["type"] == "flow":
-                key = ("flow", hop["service"], tuple(hop["steps"]))
-            else:  # a channel joins the last element before it to the first after it
-                ends = (hops[i - 1]["steps"][-1], hops[i + 1]["steps"][0])
-                key = ("channel", hop["identifier"], hop["match"], hop["from_service"], hop["to_service"], ends)
-            by_segment.setdefault(key, []).append(hop)
-    assert {key[0] for key in by_segment} == {"flow", "channel"}
-    assert max(len(hops) for hops in by_segment.values()) == len(fanout_payload["findings"]) // 2
-    for hops in by_segment.values():
-        assert all(hop is hops[0] for hop in hops)
-
-
-def test_findings_share_equal_service_check_and_constraint_records(fanout_payload):
-    """Findings whose service lists, check lists or constraint statuses are
-    equal hold one record of each, so a render encodes it once."""
-    findings = fanout_payload["findings"]
-    for records in (
-        [f["path"]["services"] for f in findings],
-        [f["checks"] for f in findings],
-        [f["constraint"] for f in findings],
-    ):
-        assert all(record == records[0] for record in records)
-        assert all(record is records[0] for record in records)
-
-
 SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "report-schema.md"
 
 
