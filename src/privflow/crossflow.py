@@ -26,12 +26,11 @@ which records them when it is a scan's ``reasoner.Memo``.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .model import Channel, Element, ElementKind, Program, Record, Service, call_callee, is_wildcard_segment
+from .model import Channel, Element, ElementKind, Program, Record, Service, call_callee, is_wildcard_segment, short_id
 from .reasoner import ConfirmUserSource
 from .search import FlowPath, InterScan, flow_sinks, q_flow, service_index
 
@@ -317,7 +316,7 @@ class GlobalPath(Record):
             ids.extend(chain[1:] if ids and ids[-1] == chain[0] else chain)
         self.segments = segments
         self.node_ids = tuple(ids)
-        self.id = "p" + hashlib.sha1("\x1f".join(ids).encode("utf-8")).hexdigest()[:12]
+        self.id = short_id("p", ids)
         self.flow_segments = tuple(flow_segments)
         self.services = tuple(services)
 

@@ -142,14 +142,19 @@ class Location(Record):
         return f"{self.file}:{self.line}:{self.col}"
 
 
+def short_id(prefix: str, parts) -> str:
+    """``prefix`` and 12 hex digits of the sha1 of ``parts`` joined by
+    ``\x1f``: the rule behind element, path and hop ids."""
+    return prefix + hashlib.sha1("\x1f".join(parts).encode("utf-8")).hexdigest()[:12]
+
+
 def element_id(service: str, file: str, line: int, col: int, kind: ElementKind) -> str:
     """Deterministic element identifier.
 
     Hash of the defining coordinates, so re-runs, serialization round-trips
     and independently built facts agree on ids.
     """
-    key = "\x1f".join((service, file, str(line), str(col), kind.value))
-    return "e" + hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
+    return short_id("e", (service, file, str(line), str(col), kind.value))
 
 
 class Element(Record):

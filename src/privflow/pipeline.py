@@ -41,7 +41,6 @@ candidate's element id or the constraint value.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import time
@@ -66,7 +65,7 @@ from .crossflow import (
     segment_functions,
     unrecorded,
 )
-from .model import Element, ElementKind, Program, Record, Service, call_callee, element_order, validate_program
+from .model import Element, ElementKind, Program, Record, Service, call_callee, element_order, short_id, validate_program
 from .reasoner import (
     AssessSufficiency,
     CheckDescriptor,
@@ -688,11 +687,12 @@ def _report_payload(
     # each path segment a finding passes has one record in ``hops``, keyed
     # by an id derived from its node ids as a path's id is, and each
     # element a finding names one in ``elements``, entered when the first
-    # hop or check list naming it is built. Every other record is built
-    # per finding, so no dict or list appears twice in the payload. A valid
-    # program declares each element id in one service, and a channel joins
-    # two services, so a segment's node ids tell it from every other.
-    ops_by_element = {op.element: op for op in privops}
+    # hop or check list naming it is built. Each operation's record is
+    # built once and each finding holds a copy of it, and every other
+    # record is built per finding, so no dict or list appears twice in the
+    # payload. A valid program declares each element id in one service,
+    # and a channel joins two services, so a segment's node ids tell it
+    # from every other.
     elements: dict[str, dict] = {}
     hops: dict[str, dict] = {}
 
@@ -722,6 +722,8 @@ def _report_payload(
             "source": el.source,
         }
 
+    op_records = {op.element: op_dict(op) for op in privops}
+
     @functools.cache
     def hop_id(segment: FlowPath | ChannelEdge) -> str:
         if isinstance(segment, FlowPath):
@@ -738,7 +740,7 @@ def _report_payload(
                 "from_service": segment.from_service,
                 "to_service": segment.to_service,
             }
-        hid = "h" + hashlib.sha1("\x1f".join(node_ids).encode("utf-8")).hexdigest()[:12]
+        hid = short_id("h", node_ids)
         hops[hid] = record
         return hid
 
@@ -765,7 +767,7 @@ def _report_payload(
             "verdict": path_class.sufficiency.verdict,
             "feasibility": "feasible" if path_class.status == "sat" else "unknown",
             "rationale": path_class.sufficiency.rationale,
-            "privileged_operation": op_dict(ops_by_element[witness.sink]),
+            "privileged_operation": dict(op_records[witness.sink]),
             "path": {
                 "id": witness.id,
                 "services": [*witness.services],
@@ -830,7 +832,7 @@ def _report_payload(
                 for s in sorted(program.services, key=lambda s: s.name)
             ],
         },
-        "privileged_operations": [op_dict(op) for op in privops],
+        "privileged_operations": [*op_records.values()],
         "user_sources": [
             {"element": e.id, "service": e.service, "name": source_name(e)} for e in user_sources
         ],

@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import random
 
@@ -33,6 +32,7 @@ from privflow.model import (
     ElementKind,
     Service,
     call_callee,
+    short_id,
 )
 from privflow.pipeline import PrivilegedOperation, ScanBudget, ScanOptions, Tracer, find_privileged_ops, scan
 from privflow.reasoner import Memo
@@ -765,7 +765,7 @@ def _check_path_facts(path):
         if isinstance(seg, FlowPath) and (not services or services[-1] != seg.service):
             services.append(seg.service)
     assert path.node_ids == node_ids
-    assert path.id == "p" + hashlib.sha1("\x1f".join(node_ids).encode("utf-8")).hexdigest()[:12]
+    assert path.id == short_id("p", node_ids)
     assert path.services == tuple(services)
     assert path.flow_segments == tuple(s for s in path.segments if isinstance(s, FlowPath))
     first, last = path.segments[0], path.segments[-1]

@@ -2,13 +2,12 @@
 segments and path elements by id, each table holds one record per named
 segment or element, and the payload is a tree."""
 
-import hashlib
 from pathlib import Path
 
 import pytest
 
 from privflow.load import load_program
-from privflow.model import call_callee
+from privflow.model import call_callee, short_id
 from privflow.pipeline import ScanBudget, scan
 from privflow.reasoner import ScriptedOracle
 
@@ -64,9 +63,9 @@ def test_findings_name_exactly_the_elements_of_the_table(case, tmp_path):
 def test_findings_name_exactly_the_hops_of_the_table(case, tmp_path):
     """Every id in a finding's path is a key of ``hops``, every key is
     named by some finding, and every flow hop's steps are keys of
-    ``elements``. A hop's id is ``"h"`` and 12 hex digits of the sha1 of
-    its node ids: a flow's steps, or the elements a channel joins, the
-    last step before it and the first after it."""
+    ``elements``. A hop's id is ``short_id("h", ...)`` of its node ids:
+    a flow's steps, or the elements a channel joins, the last step before
+    it and the first after it."""
     _, payload = _scan(case, tmp_path)
     hops = payload["hops"]
     named: set[str] = set()
@@ -81,7 +80,7 @@ def test_findings_name_exactly_the_hops_of_the_table(case, tmp_path):
                 node_ids = hop["steps"]
             else:
                 node_ids = [records[i - 1]["steps"][-1], records[i + 1]["steps"][0]]
-            assert hop_id == "h" + hashlib.sha1("\x1f".join(node_ids).encode("utf-8")).hexdigest()[:12]
+            assert hop_id == short_id("h", node_ids)
     assert named == set(hops)
     if case in GENERATED:
         assert hops

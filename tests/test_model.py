@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from privflow.model import (
     call_callee,
     element_id,
     element_order,
+    short_id,
     validate_program,
 )
 
@@ -111,6 +113,12 @@ def test_element_ids_are_deterministic():
     assert first == second
     assert first != element_id("svc", "f.msv", 3, 7, ElementKind.VARIABLE)
     assert first != element_id("other", "f.msv", 3, 7, ElementKind.CALL)
+
+
+def test_short_id_is_the_prefix_and_12_hex_of_the_sha1_of_the_joined_parts():
+    digest = hashlib.sha1("svc\x1ff.msv\x1f3".encode("utf-8")).hexdigest()
+    assert short_id("h", ("svc", "f.msv", "3")) == "h" + digest[:12]
+    assert element_id("svc", "f.msv", 3, 7, ElementKind.CALL) == short_id("e", ("svc", "f.msv", "3", "7", "call"))
 
 
 def test_call_callee_extraction():

@@ -313,6 +313,7 @@ def test_fanout_findings_share_one_record_per_element(tmp_path):
     ops = payload["privileged_operations"]
     assert len(ops) == 2
     assert all(f["privileged_operation"] in ops for f in findings)
+    assert {f["privileged_operation"]["element"] for f in findings} == {op["element"] for op in ops}
 
 
 def test_guard_types_computed_once_per_guard(tmp_path, monkeypatch):
