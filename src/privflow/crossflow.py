@@ -12,9 +12,10 @@ witness path and its number of paths.
 Segments are plain values (``FlowPath`` and ``ChannelEdge`` are named
 tuples), so paths that share a segment hold equal ones, and per-segment
 work can be kept in a cache keyed by the segment itself.
-``segment_functions`` is the one walk over a flow segment's elements: its
-functions and their guards. ``path_functions`` merges its segments' groups
-into the path's, which validation reads.
+``check_summary`` is the one walk over a flow segment's elements: its
+check-relevant functions and their guards. ``merge_summaries`` is the one
+rule that merges a path's segment summaries into its class's, which
+validation reads.
 
 The graph's tool calls go to a ``Recorder``: one ``q_flow`` record per flow
 search, which lists all the targets the search sought and counts the paths
@@ -25,7 +26,6 @@ which records them when it is a scan's ``reasoner.Memo``.
 
 from __future__ import annotations
 
-import functools
 import re
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -329,80 +329,37 @@ class GlobalPath(Record):
         return self.node_ids[-1]
 
 
-#: ``(service, function, guards)``: the path elements that share an
-#: enclosing function (None outside any function), told by that function
-#: and the conditionals whose block holds one of them.
-FunctionGroup = tuple[Service, Element | None, tuple[Element, ...]]
-
 #: What validation reads from a path: ``((service name, function id or
 #: None), guard ids)`` per check-relevant function group, in order of first
 #: visit (``check_summary``).
 CheckSummary = tuple[tuple[tuple[str, str | None], frozenset[str]], ...]
 
 
-def segment_functions(program: Program, segment: FlowPath) -> tuple[FunctionGroup, ...]:
-    """One flow segment's elements grouped by enclosing function, in order
-    of first visit. ``guards`` are the conditionals whose block holds an
-    element of the group, each element's outermost first, each listed once.
-    The elements outside any function form a group whose function is None."""
-    service = program.service(segment.service)
-    place = service_index(service).place
-    groups: dict[str | None, tuple[Element | None, dict[str, Element]]] = {}
+def check_summary(program: Program, segment: FlowPath) -> CheckSummary:
+    """What validation reads from one flow segment, the one walk over its
+    elements: the elements grouped by enclosing function, in order of first
+    visit, each group as ((service name, function id or None), the ids of
+    the conditionals whose block holds one of its elements). Only the
+    groups whose function is in the service's
+    ``ServiceIndex.check_relevant`` are kept: any other has no guards and
+    no decorator checks. A relevant function is kept when the segment
+    reaches it unguarded too, since that fixes its group's place among the
+    others."""
+    index = service_index(program.service(segment.service))
+    place, relevant = index.place, index.check_relevant
+    groups: dict[str | None, set[str]] = {}
     for eid in segment.elements:
         fn, chain = place(eid)
-        guards = groups.setdefault(fn.id if fn else None, (fn, {}))[1]
-        for guard in chain:
-            guards.setdefault(guard.id, guard)
-    return tuple((service, fn, tuple(guards.values())) for fn, guards in groups.values())
-
-
-def path_functions(
-    program: Program,
-    path: GlobalPath,
-    groups_of: Callable[[FlowPath], tuple[FunctionGroup, ...]] | None = None,
-) -> list[FunctionGroup]:
-    """The path's elements grouped by enclosing function, in order of first
-    visit, each group's guards in order of first appearance: the segments'
-    ``segment_functions`` groups merged in segment order. A service's
-    function met in two segments is one group.
-
-    ``groups_of(segment)`` gives a segment's groups; a scan passes one that
-    keeps them, so a segment shared by many paths is walked once."""
-    if groups_of is None:
-        groups_of = functools.partial(segment_functions, program)
-    merged: dict[tuple[str, str | None], FunctionGroup] = {}
-    for segment in path.flow_segments:
-        for group in groups_of(segment):
-            service, fn, guards = group
-            key = (service.name, fn.id if fn else None)
-            known = merged.get(key)
-            if known is None:
-                merged[key] = group
-            else:  # the function was met in an earlier segment
-                guards = {guard.id: guard for guard in (*known[2], *guards)}
-                merged[key] = (service, fn, tuple(guards.values()))
-    return list(merged.values())
-
-
-def check_summary(groups_of: Callable[[FlowPath], tuple[FunctionGroup, ...]], segment: FlowPath) -> CheckSummary:
-    """What validation reads from one flow segment: its ``groups_of``
-    groups whose function is in its service's
-    ``ServiceIndex.check_relevant``, each as ((service name, function id or
-    None), guard ids), in order. Any other group has no guards and no
-    decorator checks. A relevant function is kept when the segment reaches
-    it unguarded too, since that fixes where ``path_functions`` places its
-    group among the others."""
-    return tuple(
-        ((service.name, fn.id if fn else None), frozenset(guard.id for guard in guards))
-        for service, fn, guards in groups_of(segment)
-        if (fn.id if fn else None) in service_index(service).check_relevant
-    )
+        fn_id = fn.id if fn else None
+        if fn_id in relevant:
+            groups.setdefault(fn_id, set()).update(guard.id for guard in chain)
+    return tuple(((segment.service, fn_id), frozenset(guards)) for fn_id, guards in groups.items())
 
 
 def merge_summaries(summary: CheckSummary, segment: CheckSummary) -> CheckSummary:
-    """The check summary of a path extended by a segment: the segment's
-    groups merged into the path's as ``path_functions`` merges them, a
-    function met before keeping its place and gaining the new guards."""
+    """The check summary of a path extended by a segment: a function met
+    before keeps its place and gains the new guards, and a new one comes
+    last."""
     merged = dict(summary)
     for key, guards in segment:
         known = merged.get(key)
@@ -412,10 +369,11 @@ def merge_summaries(summary: CheckSummary, segment: CheckSummary) -> CheckSummar
 
 class GlobalFlows(NamedTuple):
     """The path classes ``q_globalflow`` found, in the order it reached
-    them: each class's witness and its ``witness_count``, and whether the
-    cap cut the search off."""
+    them: each class's witness, its check summary and its
+    ``witness_count``, and whether the cap cut the search off."""
 
     paths: list[GlobalPath]
+    summaries: list[CheckSummary]
     counts: list[int]
     truncated: bool
 
@@ -430,12 +388,12 @@ def q_globalflow(
     sources,
     sinks,
     cap: int = PATH_CAP,
-    groups_of: Callable[[FlowPath], tuple[FunctionGroup, ...]] | None = None,
 ) -> GlobalFlows:
     """The path classes from any source element to any privileged
     operation. A path's class is its sink and its check summary, the
     ``check_summary`` of its flow segments merged in order: every path of a
-    class gives validation the same inputs.
+    class gives validation the same inputs, and validation reads them from
+    the class's summary, which the result lists next to its witness.
 
     A depth-first search over states (graph node, check summary) visits
     each state once: the sources sorted, each node's witnesses in their
@@ -452,10 +410,8 @@ def q_globalflow(
     The search is a loop over a stack of witness iterators, one per state
     on the current path, so no closure holds the paths it builds. Each
     state keeps the states of its counted in-edges, which the count reads
-    once the search is done. ``groups_of(segment)`` gives a segment's
-    groups; a scan passes one that keeps them."""
-    if groups_of is None:
-        groups_of = functools.partial(segment_functions, program)
+    once the search is done. Each graph witness is walked once, at the
+    first state that leaves through it."""
     sink_ids = {op.element for op in sinks}
     # a segment in a service with no check-relevant function adds nothing
     # to a summary, so it is not walked
@@ -463,7 +419,7 @@ def q_globalflow(
     summary_of: dict[int, CheckSummary] = {}  # id(witness) -> its check summary
     # each distinct summary is hashed once, and a state is keyed by its number
     summary_ids: dict[CheckSummary, int] = {(): 0}
-    summaries: list[CheckSummary] = [()]
+    distinct: list[CheckSummary] = [()]
     states: dict[tuple[str, int], int] = {}  # (node, summary number) -> state number
     parent: list[int] = []  # the state each state was first reached from, -1 for a root
     more: dict[int, list[int]] = {}  # a state's later counted in-edges, by source state
@@ -472,6 +428,7 @@ def q_globalflow(
     roots: list[int] = []
     classes: list[int] = []
     witnesses: list[GlobalPath] = []
+    summaries: list[CheckSummary] = []
     truncated = False
     for src in sorted({s.id for s in sources}):
         root = states.get((src, 0))
@@ -498,12 +455,12 @@ def q_globalflow(
             if isinstance(witness, FlowPath) and witness.service in relevant:
                 step = summary_of.get(id(witness))
                 if step is None:
-                    step = summary_of[id(witness)] = check_summary(groups_of, witness)
+                    step = summary_of[id(witness)] = check_summary(program, witness)
                 if step:
-                    merged = merge_summaries(summaries[summary], step)
-                    nxt_summary = summary_ids.setdefault(merged, len(summaries))
-                    if nxt_summary == len(summaries):
-                        summaries.append(merged)
+                    merged = merge_summaries(distinct[summary], step)
+                    nxt_summary = summary_ids.setdefault(merged, len(distinct))
+                    if nxt_summary == len(distinct):
+                        distinct.append(merged)
             dst = witness.dst
             nxt = states.get((dst, nxt_summary))
             if nxt is not None:
@@ -517,6 +474,7 @@ def q_globalflow(
                     break
                 classes.append(len(parent))
                 witnesses.append(GlobalPath(tuple(segments)))
+                summaries.append(distinct[nxt_summary])
             nxt = states[(dst, nxt_summary)] = len(parent)
             parent.append(state)
             active.append(True)
@@ -537,7 +495,7 @@ def q_globalflow(
         later = more.get(state)
         if later is not None:
             counts[state] += sum(counts[pred] for pred in later)
-    return GlobalFlows(witnesses, [counts[state] for state in classes], truncated)
+    return GlobalFlows(witnesses, summaries, [counts[state] for state in classes], truncated)
 
 
 def to_dot(graph: GlobalGraph, program: Program) -> str:

@@ -24,18 +24,19 @@ Validation runs once per path class. ``crossflow.q_globalflow`` finds the
 classes: a flow's class is its sink plus its check summary, the function
 groups that can carry a check (see ``ServiceIndex.check_relevant``) with
 their guards, and every flow of one class gives constraint extraction,
-check location and the sufficiency assessment the same inputs. So the
-class's witness runs them, records its tool calls and writes the class's
-one SMT file, named by the witness's id, and the class leaves the funnel
+check location and the sufficiency assessment the same inputs. So they
+read the class's summary once, the class's witness records their tool
+calls and names the class's one SMT file, and the class leaves the funnel
 as that outcome says: pruned, protected, or a finding with its
 ``witness_count``.
 
-Paths share most of their segments and check candidates, and their guards
-often translate to one constraint. So a scan keeps, for its length, each
-segment's function groups and hop id, each check candidate's
-``ClassifyCheck`` task, and each distinct constraint's ``check_sat``
-verdict and SMT-LIB text, each in a cache keyed by the segment, the
-candidate's element id or the constraint value.
+Classes share most of their summary entries, segments and check
+candidates, and their guards often translate to one constraint. So a scan
+keeps, for its length, each summary entry's function group, each
+segment's hop id, each check candidate's ``ClassifyCheck`` task, and each
+distinct constraint's ``check_sat`` verdict and SMT-LIB text, each in a
+cache keyed by the entry, the segment, the candidate's element id or the
+constraint value.
 """
 
 from __future__ import annotations
@@ -52,17 +53,16 @@ from .crossflow import (
     PATH_CAP,
     BudgetExhausted,
     ChannelEdge,
+    CheckSummary,
     GlobalFlows,
     GlobalPath,
     Recorder,
     ambiguous_matches,
     build_global_graph,
     match_channels,
-    path_functions,
     q_globalflow,
     q_inter,
     q_user,
-    segment_functions,
     unrecorded,
 )
 from .model import Element, ElementKind, Program, Record, Service, call_callee, element_order, short_id, validate_program
@@ -319,13 +319,29 @@ def _sorted_ops(program: Program, ops: dict[str, PrivilegedOperation]) -> list[P
 # --- constraint extraction -----------------------------------------------------------
 
 
+#: ``(service, function, guards)``: the path elements that share an
+#: enclosing function (None outside any function), told by that function
+#: and the conditionals whose block holds one of them.
+FunctionGroup = tuple[Service, Element | None, tuple[Element, ...]]
+
+
+def _function_group(program: Program, entry: tuple[tuple[str, str | None], frozenset[str]]) -> FunctionGroup:
+    """The function group one ``crossflow.CheckSummary`` entry stands
+    for: its service, its function and its guards in ``element_order``."""
+    (name, fn_id), guard_ids = entry
+    service = program.service(name)
+    fn = None if fn_id is None else service.element(fn_id)
+    return service, fn, tuple(sorted(map(service.element, guard_ids), key=element_order))
+
+
 def extract_path_constraints(groups, reasoner):
     """Ask the reasoner to translate the conditional guards protecting a
-    flow, read from its ``crossflow.path_functions`` groups and taken in
-    source order. Returns the PathConstraint, or None when the extraction
-    is skipped: the reasoner skipped it (a guard outside the fragment), or
-    its answer declares a variable that names no identifier of the guards
-    (their ``GuardDescriptor.var_types``), which the program cannot back.
+    flow, read from its function groups (``_function_group``) and taken
+    in source order. Returns the PathConstraint, or None when the
+    extraction is skipped: the reasoner skipped it (a guard outside the
+    fragment), or its answer declares a variable that names no identifier
+    of the guards (their ``GuardDescriptor.var_types``), which the program
+    cannot back.
     """
     guards: dict[str, tuple] = {}
     for service, _, chain in groups:
@@ -384,12 +400,13 @@ def locate_checks(
 ) -> tuple[list[CheckFinding], list[str], set[str]]:
     """AuthN/authZ checks correlated with a flow.
 
-    Reads the path's ``crossflow.path_functions`` groups. For every function
-    on the path, collects decorator-attached check functions (following
-    decorator -> check -> helper call chains up to ``max_hops``) and the
-    inline conditionals whose guarded block contains the flow. Every tool
-    call goes to ``record(tool, args, count)``. Returns (checks, context
-    snippets, context element ids). The reasoner records its own tasks.
+    Reads the flow's function groups (``_function_group``). For every
+    function on the path, collects decorator-attached check functions
+    (following decorator -> check -> helper call chains up to
+    ``max_hops``) and the inline conditionals whose guarded block contains
+    the flow. Every tool call goes to ``record(tool, args, count)``.
+    Returns (checks, context snippets, context element ids). The reasoner
+    records its own tasks.
 
     ``candidates`` maps an element id to its ``check_candidate``, built at
     ``max_hops``; the scan passes one for its length, so each candidate is
@@ -533,13 +550,10 @@ def scan(
     exhausted_reason: str | None = None
 
     privops: list[PrivilegedOperation] = []
-    classes = GlobalFlows([], [], False)
+    classes = GlobalFlows([], [], [], False)
     user_sources: list[Element] = []
     channel_edges = []
     unresolved = []
-    # the class search and validation read each flow segment's function
-    # groups, walked once per scan
-    groups_of = functools.cache(functools.partial(segment_functions, program))
 
     try:
         privops = find_privileged_ops(program, reasoner, tracer=tracer, basic_sink=options.basic_sink)
@@ -552,7 +566,7 @@ def scan(
             unresolved.extend(q_inter(service).unresolved)
         user_sources = q_user(program, reasoner)
         tracer.record("q_user", {"entry": program.manifest.entry_service()}, len(user_sources))
-        result = q_globalflow(program, graph, user_sources, privops, groups_of=groups_of)
+        result = q_globalflow(program, graph, user_sources, privops)
         tracer.record("q_globalflow", {"sources": len(user_sources), "sinks": len(privops)}, len(result.paths))
         classes = result
     except BudgetExhausted as exc:
@@ -574,13 +588,16 @@ def scan(
         # written out once per scan
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
-        # classes often share a check candidate: each is built once per scan
+        # classes often share a summary entry and a check candidate: each
+        # entry is resolved to its function group and each candidate built
+        # once per scan
+        group_of = functools.cache(functools.partial(_function_group, program))
         candidates: dict[str, CheckCandidate] = {}
-        for witness, count in zip(classes.paths, classes.counts):
+        for witness, summary, count in zip(classes.paths, classes.summaries, classes.counts):
             try:
                 path_class, smt_file = _validate_path(
-                    program, witness, ops_by_element[witness.sink], reasoner, tracer.record,
-                    max_hops, smt_dir, full_context_ids, groups_of, decide, smt_text, candidates,
+                    program, witness, summary, ops_by_element[witness.sink], reasoner, tracer.record,
+                    max_hops, smt_dir, full_context_ids, group_of, decide, smt_text, candidates,
                 )
             except BudgetExhausted as exc:
                 exhausted_reason = str(exc)
@@ -610,29 +627,30 @@ def scan(
 def _validate_path(
     program: Program,
     witness: GlobalPath,
+    summary: CheckSummary,
     privop: PrivilegedOperation,
     reasoner,
     record: Recorder,
     max_hops: int,
     smt_dir: Path | None,
     context_ids: set[str],
-    groups_of: Callable,
+    group_of: Callable,
     decide: Callable,
     smt_text: Callable,
     candidates: dict[str, CheckCandidate],
 ) -> tuple[PathClass, str | None]:
-    """One path class through the funnel, validated through its witness:
-    returns the class's ``PathClass`` and the name of the SMT file written
-    for it, None when none was. Every path of the class gives
-    ``extract_path_constraints``, ``locate_checks`` and ``assess_flow``
-    the witness's inputs, so the outcome is each path's. The SMT file
+    """One path class through the funnel, validated from its check summary
+    under its witness: returns the class's ``PathClass`` and the name of the SMT file written
+    for it, None when none was. ``extract_path_constraints`` and
+    ``locate_checks`` read the function groups of the class's check
+    summary, the same for every path of the class, and ``assess_flow``
+    reads what they found, so the outcome is each path's. The SMT file
     carries the witness's id.
 
-    ``groups_of(segment)`` gives a segment's ``crossflow.segment_functions``
-    groups, ``decide`` is ``check_sat`` and ``smt_text`` is
-    ``emit_smtlib``; the scan passes all three memoized, and
-    ``candidates``, ``locate_checks``' cache of check candidates."""
-    groups = path_functions(program, witness, groups_of)
+    ``group_of`` is ``_function_group``, ``decide`` is ``check_sat`` and
+    ``smt_text`` is ``emit_smtlib``; the scan passes all three memoized,
+    and ``candidates``, ``locate_checks``' cache of check candidates."""
+    groups = [group_of(entry) for entry in summary]
     constraint = extract_path_constraints(groups, reasoner)
     status = "skipped"
     if constraint is not None:

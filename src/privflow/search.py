@@ -122,12 +122,12 @@ class ServiceIndex:
     typed from ``var_types``. It never reaches an element on or below a
     cycle.
 
-    ``check_relevant`` holds the ids of the functions whose
-    ``crossflow.segment_functions`` groups can carry a check candidate:
-    those with decorator checks, and those (None for code outside every
-    function) that the walk places an element in under a conditional. Any
-    other function's group has no guards and no decorator checks, so
-    validation reads nothing from it.
+    ``check_relevant`` holds the ids of the functions whose group of a
+    flow's elements can carry a check candidate: those with decorator
+    checks, and those (None for code outside every function) that the walk
+    places an element in under a conditional. Any other function's group
+    has no guards and no decorator checks, so ``crossflow.check_summary``
+    leaves it out and validation reads nothing from it.
     """
 
     def __init__(self, service: Service):

@@ -18,13 +18,14 @@ import json
 import pytest
 
 from privflow import pipeline
-from privflow.crossflow import build_global_graph, match_channels, path_functions, q_globalflow, q_user
+from privflow.crossflow import build_global_graph, match_channels, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.pipeline import ScanBudget, Tracer, find_privileged_ops, locate_checks, scan
 from privflow.reasoner import ScriptedOracle
 from privflow.report import render_report
 
 from conftest import bench_gen
+from path_reference import per_element_groups
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,7 @@ def test_render_json_stdlib_reference(benchmark, fanout):
 
 def test_locate_checks_every_class(benchmark, fanout):
     program, oracle, classes, _, _ = fanout
-    results = benchmark(lambda: [locate_checks(path_functions(program, flow), oracle) for flow in classes.paths])
+    results = benchmark(lambda: [locate_checks(per_element_groups(program, flow), oracle) for flow in classes.paths])
     assert len(results) == len(classes.paths)
 
 

@@ -1,11 +1,12 @@
 """Reference code the path class tests check ``crossflow.q_globalflow``
 against: every simple path from a source to a sink, enumerated one by one
-in lexicographic order of the graph nodes they visit, and those paths
-grouped into the classes a scan validates once each."""
+in lexicographic order of the graph nodes they visit, each path's function
+groups from one walk over its elements, and those paths grouped into the
+classes a scan validates once each."""
 
 from __future__ import annotations
 
-from privflow.crossflow import GlobalGraph, GlobalPath, path_functions
+from privflow.crossflow import GlobalGraph, GlobalPath
 from privflow.model import Program
 from privflow.search import service_index
 
@@ -38,15 +39,33 @@ def all_simple_paths(graph: GlobalGraph, sources, sinks) -> list[GlobalPath]:
     return found
 
 
+def per_element_groups(program: Program, path: GlobalPath) -> list[tuple]:
+    """The path's function groups from one walk over every element of the
+    path, in path order: ``(service, function, guards)`` per enclosing
+    function (None outside any function), groups in order of first visit,
+    guards in order of first appearance. A function met again, in a later
+    segment, keeps its group."""
+    groups = {}
+    for segment in path.flow_segments:
+        service = program.service(segment.service)
+        index = service_index(service)
+        for eid in segment.elements:
+            fn, chain = index.place(eid)
+            guards = groups.setdefault((service.name, fn.id if fn else None), (service, fn, {}))[2]
+            for guard in chain:
+                guards.setdefault(guard.id, guard)
+    return [(service, fn, tuple(guards.values())) for service, fn, guards in groups.values()]
+
+
 def class_key(program: Program, path: GlobalPath) -> tuple:
     """The path's sink and what validation reads from it: its
-    ``path_functions`` groups whose function can carry a check, in order,
+    ``per_element_groups`` whose function can carry a check, in order,
     each with its set of guard ids."""
     return (
         path.sink,
         tuple(
             (service.name, fn.id if fn else None, frozenset(guard.id for guard in guards))
-            for service, fn, guards in path_functions(program, path)
+            for service, fn, guards in per_element_groups(program, path)
             if (fn.id if fn else None) in service_index(service).check_relevant
         ),
     )

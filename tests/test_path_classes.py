@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from privflow.constraints import Sat, Unsat, check_sat
-from privflow.crossflow import build_global_graph, match_channels, path_functions, q_globalflow, q_user
+from privflow.crossflow import build_global_graph, match_channels, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import Program, Service
 from privflow.pipeline import (
@@ -24,7 +24,7 @@ from privflow.pipeline import (
 )
 from privflow.reasoner import ScriptedOracle
 
-from path_reference import all_simple_paths, reference_classes
+from path_reference import all_simple_paths, per_element_groups, reference_classes
 from conftest import CORPORA, bench_gen, path_hops, write_fanout_corpus
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
@@ -151,7 +151,7 @@ def reference_outcome(program: Program, flow, privop, max_hops: int) -> tuple:
     """The flow's funnel exit computed for it alone: ("pruned",),
     ("protected",) or ("finding", verdict, checks, constraint status)."""
     oracle = ScriptedOracle()
-    groups = path_functions(program, flow)
+    groups = per_element_groups(program, flow)
     constraint = extract_path_constraints(groups, oracle)
     status = "skipped"
     if constraint is not None:

@@ -1,23 +1,17 @@
-"""One walk per flow: ``crossflow.path_functions`` feeds both constraint
-extraction and check localization, and the report shares one record per
-element. The old per-consumer walks, and the per-element path walk that
-the per-segment groups replaced, are written out here as the reference."""
+"""One walk per segment: a path class's check summary, merged from its
+segments' ``crossflow.check_summary``, feeds both constraint extraction
+and check localization, and the report shares one record per element.
+The old per-consumer walks, and the per-element path walk
+(``path_reference.per_element_groups``) that the class's summary stands
+for, are written out here as the reference."""
 
-import functools
 import json
 from pathlib import Path
 
 import pytest
 
-from privflow import pipeline
-from privflow.crossflow import (
-    GlobalPath,
-    build_global_graph,
-    match_channels,
-    path_functions,
-    q_user,
-    segment_functions,
-)
+from privflow import crossflow, pipeline
+from privflow.crossflow import GlobalPath, build_global_graph, match_channels, q_globalflow, q_user
 from privflow.load import load_program
 from privflow.model import (
     Edge,
@@ -36,7 +30,7 @@ from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor
 from privflow import search
 from privflow.search import FlowPath, identifiers, service_index
 
-from path_reference import all_simple_paths
+from path_reference import all_simple_paths, per_element_groups
 from conftest import (
     CORPORA,
     bench_gen,
@@ -112,11 +106,23 @@ def load_case(name: str, root: Path) -> Program:
     return load_program(writers[name](root) if name in writers else CORPORA / name)
 
 
-def all_flows(program: Program) -> list[GlobalPath]:
+def search_inputs(program: Program) -> tuple:
+    """The user sources, the privileged operations and the global graph a
+    scan searches."""
     oracle = ScriptedOracle()
     privops = find_privileged_ops(program, oracle, tracer=Tracer(OPEN))
     graph = build_global_graph(program, privops, match_channels(program))
-    return all_simple_paths(graph, q_user(program, oracle), privops)
+    return q_user(program, oracle), privops, graph
+
+
+def all_flows(program: Program) -> list[GlobalPath]:
+    sources, privops, graph = search_inputs(program)
+    return all_simple_paths(graph, sources, privops)
+
+
+def summary_groups(program: Program, summary) -> list[tuple]:
+    """The function groups validation reads from a check summary."""
+    return [pipeline._function_group(program, entry) for entry in summary]
 
 
 class Recorder:
@@ -129,38 +135,35 @@ class Recorder:
         return self.inner.reason(task)
 
 
-def per_element_groups(program: Program, path: GlobalPath):
-    """``path_functions`` as one walk over every element of the path, in
-    path order: groups in order of first visit, guards in order of first
-    appearance."""
-    groups = {}
-    for segment in path.flow_segments:
-        service = program.service(segment.service)
-        if service is None:
-            continue
-        index = service_index(service)
-        for eid in segment.elements:
-            fn, chain = index.place(eid)
-            guards = groups.setdefault((service.name, fn.id if fn else None), (service, fn, {}))[2]
-            for guard in chain:
-                guards.setdefault(guard.id, guard)
-    return [(service, fn, tuple(guards.values())) for service, fn, guards in groups.values()]
-
-
-@pytest.mark.parametrize("case", CORPUS_NAMES + ["fanout4x2", "reentry"])
+@pytest.mark.parametrize("case", CORPUS_NAMES + ["chain", "fanout", "fanout4x2", "reentry"])
 def test_segment_groups_merge_to_the_per_element_walk(case, tmp_path):
-    """Merging each segment's groups in segment order gives the per-element
-    walk's groups, whether the segments' groups are kept (as a scan keeps
-    them) or walked afresh. ``reentry`` meets one function in two segments
-    with another service's segment between."""
+    """For every class ``q_globalflow`` finds, the function groups
+    validation builds from the class's check summary, its segments'
+    ``check_summary`` merged, are the witness's per-element walk restricted
+    to the check-relevant functions, guards in ``element_order``; and
+    constraint extraction and check location ask and return the same on
+    both. ``reentry`` meets one function in two segments with another
+    service's segment between."""
     program = load_case(case, tmp_path)
-    flows = all_flows(program)
-    assert len(flows) == {"fanout4x2": 16, "reentry": 1}.get(case, len(flows))
-    kept = functools.cache(functools.partial(segment_functions, program))
-    for flow in flows:
-        expected = per_element_groups(program, flow)
-        assert path_functions(program, flow) == expected
-        assert path_functions(program, flow, kept) == expected
+    sources, privops, graph = search_inputs(program)
+    classes = q_globalflow(program, graph, sources, privops)
+    assert len(classes.paths) == {"chain": 48, "fanout": 256, "fanout4x2": 16, "reentry": 1}.get(case, len(classes.paths))
+    assert len(classes.summaries) == len(classes.paths)
+    for witness, summary in zip(classes.paths, classes.summaries):
+        walked = per_element_groups(program, witness)
+        groups = summary_groups(program, summary)
+        assert groups == [
+            (service, fn, tuple(sorted(guards, key=element_order)))
+            for service, fn, guards in walked
+            if (fn.id if fn else None) in service_index(service).check_relevant
+        ]
+        located = [locate_checks(g, ScriptedOracle()) for g in (groups, walked)]
+        assert located[0] == located[1]
+        extracting = Recorder(), Recorder()
+        for g, recorder in zip((groups, walked), extracting):
+            extract_path_constraints(g, recorder)
+        assert extracting[0].tasks == extracting[1].tasks
+        assert [type(task) for task in extracting[0].tasks] == [ExtractConstraints]
 
 
 def test_scan_walks_each_segment_and_decides_each_constraint_once(tmp_path, monkeypatch):
@@ -168,17 +171,18 @@ def test_scan_walks_each_segment_and_decides_each_constraint_once(tmp_path, monk
     share one constraint: a scan walks each distinct segment once and
     calls ``check_sat`` once."""
     walked, decided = [], []
+    real_check_summary = crossflow.check_summary
     real_check_sat = pipeline.check_sat
 
-    def counting_segment_functions(program, segment):
+    def counting_check_summary(program, segment):
         walked.append(segment)
-        return segment_functions(program, segment)
+        return real_check_summary(program, segment)
 
     def counting_check_sat(constraint):
         decided.append(constraint)
         return real_check_sat(constraint)
 
-    monkeypatch.setattr(pipeline, "segment_functions", counting_segment_functions)
+    monkeypatch.setattr(crossflow, "check_summary", counting_check_summary)
     monkeypatch.setattr(pipeline, "check_sat", counting_check_sat)
     program = load_program(write_fanout_corpus(tmp_path))
     payload = scan(program, ScriptedOracle(), OPEN)
@@ -235,7 +239,7 @@ def test_one_walk_matches_the_old_walks(case, tmp_path):
     flows = all_flows(program)
     assert len(flows) == {"fanout": 256, "chain": 48, "reentry": 1}.get(case, len(flows))
     for flow in flows:
-        groups = path_functions(program, flow)
+        groups = per_element_groups(program, flow)
         extracting = Recorder()
         extract_path_constraints(groups, extracting)
         assert extracting.tasks == [old_extract_task(program, flow)]
@@ -246,12 +250,17 @@ def test_one_walk_matches_the_old_walks(case, tmp_path):
 
 
 def test_reentered_function_is_one_group(tmp_path):
+    """The reentry path's class summary has one group for ``store.handle``,
+    met in its first and last segments, which holds both its guards."""
     program = load_case("reentry", tmp_path)
-    [flow] = all_flows(program)
+    sources, privops, graph = search_inputs(program)
+    classes = q_globalflow(program, graph, sources, privops)
+    [flow], [summary] = classes.paths, classes.summaries
+    assert [flow] == all_flows(program)
     assert [segment.service for segment in flow.flow_segments] == ["store", "relay", "store"]
-    groups = path_functions(program, flow)
+    groups = summary_groups(program, summary)
     assert [(service.name, fn.name, [g.source for g in guards]) for service, fn, guards in groups] == [
-        ("store", "handle", ['v != ""', 'm != "stop"']),
+        ("store", "handle", ['m != "stop"', 'v != ""']),
         ("relay", "relay", ['r != "x"', 'r != "y"']),
     ]
     task = Recorder()
@@ -278,8 +287,10 @@ def test_guard_over_functionless_and_function_elements():
     )
     manifest = Manifest(1, (ManifestService("svc", entry=True),), (GatewayRoute("/", "svc"),))
     program = Program((service,), manifest)
-    flow = GlobalPath((FlowPath("svc", (loose.id, inner.id)),))
-    groups = path_functions(program, flow)
+    segment = FlowPath("svc", (loose.id, inner.id))
+    flow = GlobalPath((segment,))
+    groups = summary_groups(program, crossflow.check_summary(program, segment))
+    assert groups == per_element_groups(program, flow)
     assert [(s.name, f.id if f else None, guards) for s, f, guards in groups] == [
         ("svc", None, (guard,)),
         ("svc", fn.id, (guard,)),

@@ -11,7 +11,6 @@ from privflow.crossflow import (
     GlobalPath,
     build_global_graph,
     match_channels,
-    path_functions,
     q_globalflow,
     q_user,
 )
@@ -34,6 +33,7 @@ from privflow.pipeline import (
 from privflow.search import FlowPath
 
 from conftest import CORPORA, make_element, path_hops
+from path_reference import per_element_groups
 
 
 class CountingOracle(ScriptedOracle):
@@ -203,7 +203,7 @@ class TestFindPrivilegedOps:
 class TestLocateChecks:
     def test_role_update_decorator_chain(self, role_update_program, oracle):
         _, flows = first_flow(role_update_program, oracle)
-        checks, contexts, context_ids = locate_checks(path_functions(role_update_program, flows[0]), oracle)
+        checks, contexts, context_ids = locate_checks(per_element_groups(role_update_program, flows[0]), oracle)
         by_class = {(c.name, c.classification) for c in checks}
         assert ("authn_session", "authn") in by_class
         assert ("authz", "authz") in by_class
@@ -215,7 +215,7 @@ class TestLocateChecks:
         _, flows = first_flow(order_payment_program, oracle)
         inline = []
         for flow in flows:
-            checks, _, _ = locate_checks(path_functions(order_payment_program, flow), oracle)
+            checks, _, _ = locate_checks(per_element_groups(order_payment_program, flow), oracle)
             inline += [
                 c for c in checks if c.attachment == "inline" and c.authz_subtype == "ownership"
             ]
@@ -224,7 +224,7 @@ class TestLocateChecks:
     def test_plain_handler_has_no_checks(self, oracle):
         program = load_program(CORPORA / "exec_open")
         _, flows = first_flow(program, oracle)
-        checks, _, _ = locate_checks(path_functions(program, flows[0]), oracle)
+        checks, _, _ = locate_checks(per_element_groups(program, flows[0]), oracle)
         assert checks == []
 
     def test_check_finding_invariants(self):
@@ -247,7 +247,7 @@ class TestLocateChecks:
             '@route("POST", "/run")\n@auth(has_session)\nfn run() {\n  stage(request.param("x"))\n}\n',
         )
         _, [flow] = first_flow(program, ScriptedOracle())
-        groups = path_functions(program, flow)
+        groups = per_element_groups(program, flow)
         assert [fn.name for _, fn, _ in groups] == ["run", "stage"]
         oracle, calls = CountingOracle(), []
         checks, _, context_ids = locate_checks(groups, oracle, lambda tool, args, count: calls.append(tool))
@@ -296,7 +296,7 @@ class TestLocateChecks:
         assert len(located) == 2
         for witness, calls_in_scan in zip(witnesses, located):
             calls = []
-            locate_checks(path_functions(program, witness), ScriptedOracle(), lambda *call: calls.append(call[:2]))
+            locate_checks(per_element_groups(program, witness), ScriptedOracle(), lambda *call: calls.append(call[:2]))
             assert [tool for tool, _ in calls] == ["get_source", "q_cg", "get_source", "q_cg"]
             assert calls_in_scan == calls
 
@@ -313,7 +313,7 @@ class TestLocateChecks:
         edges = [Edge(EdgeKind.CONTAINS, a.id, b.id) for a, b in contains] + [Edge(EdgeKind.DATAFLOW, x.id, y.id)]
         service = Service.build("svc", [guard, f, x, g, y], edges)
         program = Program((service,), Manifest(1, (ManifestService("svc", entry=True),), (GatewayRoute("/", "svc"),)))
-        groups = path_functions(program, GlobalPath((FlowPath("svc", (x.id, y.id)),)))
+        groups = per_element_groups(program, GlobalPath((FlowPath("svc", (x.id, y.id)),)))
         assert [(fn.name, guards) for _, fn, guards in groups] == [("f", (guard,)), ("g", (guard,))]
         oracle = CountingOracle()
         _, _, context_ids = locate_checks(groups, oracle)
@@ -334,7 +334,7 @@ class TestLocateChecks:
         )
         _, [flow] = first_flow(program, ScriptedOracle())
         oracle = CountingOracle()
-        _, contexts, context_ids = locate_checks(path_functions(program, flow), oracle)
+        _, contexts, context_ids = locate_checks(per_element_groups(program, flow), oracle)
         names = [re.match(r"fn (\w+)", source).group(1) for source in contexts]
         assert sorted(names) == ["left", "right", "token"]
         assert len(context_ids) == 4
@@ -345,14 +345,14 @@ class TestLocateChecks:
 class TestAssessFlow:
     def test_role_update_insufficient(self, role_update_program, oracle):
         privops, flows = first_flow(role_update_program, oracle)
-        checks, contexts, _ = locate_checks(path_functions(role_update_program, flows[0]), oracle)
+        checks, contexts, _ = locate_checks(per_element_groups(role_update_program, flows[0]), oracle)
         verdict = assess_flow(role_update_program, privops[0], checks, contexts, oracle)
         assert verdict.verdict == "insufficient_authz"
 
     def test_patched_protected(self, oracle):
         program = load_program(CORPORA / "role_update_patched")
         privops, flows = first_flow(program, oracle)
-        checks, contexts, _ = locate_checks(path_functions(program, flows[0]), oracle)
+        checks, contexts, _ = locate_checks(per_element_groups(program, flows[0]), oracle)
         verdict = assess_flow(program, privops[0], checks, contexts, oracle)
         assert verdict.verdict == "protected"
 
@@ -418,7 +418,7 @@ class TestScan:
         )
         program = load_program(tmp_path)
         privops, [flow] = first_flow(program, oracle)
-        checks, _, _ = locate_checks(path_functions(program, flow), oracle)
+        checks, _, _ = locate_checks(per_element_groups(program, flow), oracle)
         assert {(c.name, c.service) for c in checks if c.classification == "authz"} == {("authz", "userprofile")}
         payload = scan(program, oracle)
         assert payload["findings"] == []
