@@ -21,9 +21,10 @@ values, or a bound or fresh string), and a distinct-value assignment for
 disequalities. Every Sat answer carries a witness; Unsat is only answered
 when no cube has a model.
 
-Flows whose guards fall outside the fragment are Skipped;
-skipped and Unknown flows are retained downstream as potential findings,
-only Unsat prunes.
+``translate_guards`` translates a flow's MiniSrv guards into the fragment,
+each part outside it as a fresh, unconstrained boolean atom. A flow whose
+guard does not parse is skipped; skipped and Unknown flows are retained
+downstream as potential findings, only Unsat prunes.
 """
 
 from __future__ import annotations
@@ -492,99 +493,56 @@ def emit_smtlib(c: PathConstraint) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- JSON decoding (remote-reasoner responses) --------------------------------
+# --- MiniSrv guard translation ---------------------------------------------------
 
 
-#: The reply format's comparison tags: the sort each compares in, and
-#: whether its right side is a variable (else a constant of that sort).
-_CMP_TAGS = {
-    "int_cmp": ("int", False),
-    "int_var_cmp": ("int", True),
-    "str_lit_cmp": ("string", False),
-    "str_var_cmp": ("string", True),
-}
+def translate_guards(guards) -> PathConstraint | None:
+    """The path constraint of a flow's guards: the conjunction of their
+    MiniSrv expressions, translated into the fragment. ``guards`` holds one
+    ``(source, var_types)`` pair per guard, in source order; ``var_types``
+    gives its identifiers' declared types as ``(name, type)`` pairs.
 
-
-def formula_from_json(data, types: dict[str, str]) -> object:
-    """The formula of a reply. ``types`` holds the declared variable types;
-    a comparison over a declared variable of another sort than its tag's is
-    rejected."""
-    if not isinstance(data, list) or not data:
-        raise ConstraintError(f"formula node must be a non-empty list, got {data!r}")
-    tag, rest = data[0], data[1:]
-    if isinstance(tag, str) and tag in _CMP_TAGS and len(rest) == 3:
-        sort, of_vars = _CMP_TAGS[tag]
-        var, op, other = str(rest[0]), str(rest[1]), rest[2]
-        if of_vars or _const_sort(other) == sort:
-            for name in (var, str(other)) if of_vars else (var,):
-                if types.get(name, sort) != sort:
-                    raise ConstraintError(f"variable {name!r} is {types[name]}, {tag} needs {sort}")
-            return VarCmp(var, op, str(other)) if of_vars else ConstCmp(var, op, other)
-    if tag == "bool_var" and len(rest) == 1:
-        return BoolVar(str(rest[0]))
-    if tag == "bool_const" and len(rest) == 1 and isinstance(rest[0], bool):
-        return BoolConst(rest[0])
-    if tag == "and":
-        return And(tuple(formula_from_json(i, types) for i in rest))
-    if tag == "or":
-        return Or(tuple(formula_from_json(i, types) for i in rest))
-    if tag == "not" and len(rest) == 1:
-        return Not(formula_from_json(rest[0], types))
-    raise ConstraintError(f"malformed formula node {data!r}")
-
-
-def constraint_from_json(data: dict) -> PathConstraint:
-    variables = data.get("variables")
-    if not isinstance(variables, list):
-        raise ConstraintError("constraint JSON needs a 'variables' list")
-    pairs = []
-    for v in variables:
-        if not isinstance(v, dict) or "name" not in v or "type" not in v:
-            raise ConstraintError(f"malformed variable entry {v!r}")
-        name = str(v["name"])
-        if "|" in name or "\\" in name:
-            raise ConstraintError(f"variable name {name!r} has a character no SMT-LIB symbol can hold")
-        pairs.append((name, str(v["type"])))
-    declared = tuple(sorted(pairs))
-    return PathConstraint(declared, formula_from_json(data.get("formula"), dict(declared)))
-
-
-# --- MiniSrv guard translation (used by the scripted reasoner) -------------------
-
-
-def translate_guards(guards) -> tuple[PathConstraint | None, str]:
-    """Direct syntactic translation of MiniSrv comparison guards into the
-    fragment. Any construct outside it (calls, member access, arithmetic,
-    untypable variables) skips the whole extraction."""
+    A member path (``order.user_id``) is a variable named by its dotted
+    path. A sub-expression outside the fragment (a call, a ``+``
+    expression, an ordering of two variables, a comparison or bare name of
+    the wrong type) becomes a fresh boolean atom that nothing constrains,
+    named ``g<index>@<offset>``: its guard's index in ``guards`` and its
+    offset in that guard's source, which no MiniSrv identifier can spell.
+    Replacing a sub-formula by an unconstrained atom only adds models, so
+    an Unsat translation means the guards really contradict. The result
+    reads nothing but ``guards``, so equal guard lists translate to equal
+    constraints. None when a guard does not parse."""
     hints: dict[str, str] = {}
-    for g in guards:
-        for name, t in g.var_types:
+    for _, var_types in guards:
+        for name, t in var_types:
             if t in ("int", "string", "bool"):
                 hints[name] = t
 
     translation = _GuardTranslation(hints)
     conjuncts = []
-    for g in guards:
+    for index, (source, _) in enumerate(guards):
         try:
-            expr = parse_expression(g.source)
+            expr = parse_expression(source)
         except ParseError:
-            return None, f"guard {g.source!r} is not a plain expression"
-        formula = translation.formula(expr)
-        if formula is None:
-            return None, f"guard {g.source!r} falls outside the constraint fragment"
-        conjuncts.append(formula)
+            return None
+        conjuncts.append(translation.formula(expr, index))
+    return PathConstraint(variables=tuple(sorted(translation.types.items())), formula=And(tuple(conjuncts)))
 
-    constraint = PathConstraint(
-        variables=tuple(sorted(translation.types.items())),
-        formula=And(tuple(conjuncts)),
-    )
-    return constraint, f"translated {len(conjuncts)} guard(s)"
+
+def _path(expr) -> str | None:
+    """The variable a name or a member path stands for, else None."""
+    if isinstance(expr, nodes.Name):
+        return expr.ident
+    if isinstance(expr, nodes.Member):
+        return ".".join((expr.base, *expr.path))
+    return None
 
 
 class _GuardTranslation:
     """The state of one ``translate_guards`` call: the type each variable
     is fixed to so far, and the types the guards' variables are declared
-    with. ``formula`` gives an expression's fragment formula, or None."""
+    with. ``formula`` gives an expression's fragment formula; ``atom`` gives
+    a comparison's or a bare variable's, or None outside the fragment."""
 
     __slots__ = ("types", "hints")
 
@@ -592,58 +550,58 @@ class _GuardTranslation:
         self.types: dict[str, str] = {}
         self.hints = hints
 
-    def set_type(self, name: str, t: str) -> bool:
-        known = self.types.get(name) or self.hints.get(name)
-        if known is not None and known != t:
-            return False
-        self.types[name] = t
-        return True
+    def sort_of(self, name: str) -> str | None:
+        return self.types.get(name) or self.hints.get(name)
 
-    def formula(self, expr):
+    def fits(self, name: str, t: str) -> bool:
+        return self.sort_of(name) in (None, t)
+
+    def formula(self, expr, index: int):
         if isinstance(expr, nodes.BinOp) and expr.op in ("&&", "||"):
-            left = self.formula(expr.lhs)
-            right = self.formula(expr.rhs)
-            if left is None or right is None:
-                return None
-            return And((left, right)) if expr.op == "&&" else Or((left, right))
+            items = (self.formula(expr.lhs, index), self.formula(expr.rhs, index))
+            return And(items) if expr.op == "&&" else Or(items)
+        formula = self.atom(expr)
+        if formula is None:
+            name = f"g{index}@{expr.span[0]}"
+            self.types[name] = "bool"
+            formula = BoolVar(name)
+        return formula
+
+    def atom(self, expr):
         if isinstance(expr, nodes.BinOp) and expr.op in INT_OPS:
             return self.comparison(expr)
-        if isinstance(expr, nodes.Name):
-            if not self.set_type(expr.ident, self.hints.get(expr.ident, "bool")):
-                return None
-            if self.types.get(expr.ident) != "bool":
-                return None
-            return BoolVar(expr.ident)
         if isinstance(expr, nodes.BoolLit):
             return BoolConst(expr.value)
-        return None
+        var = _path(expr)
+        if var is None or not self.fits(var, "bool"):
+            return None
+        self.types[var] = "bool"
+        return BoolVar(var)
 
     def comparison(self, expr):
         lhs, rhs, op = expr.lhs, expr.rhs, expr.op
-        if isinstance(rhs, nodes.Name) and not isinstance(lhs, nodes.Name):
+        if _path(lhs) is None and _path(rhs) is not None:
             lhs, rhs = rhs, lhs  # normalize constant to the right
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if not isinstance(lhs, nodes.Name):
+        var, other = _path(lhs), _path(rhs)
+        if var is None:
             return None
-        var = lhs.ident
         if isinstance(rhs, (nodes.IntLit, nodes.StrLit)):
             sort = _const_sort(rhs.value)
-            if op not in CONST_OPS[sort] or not self.set_type(var, sort):
+            if op not in CONST_OPS[sort] or not self.fits(var, sort):
                 return None
+            self.types[var] = sort
             return ConstCmp(var, op, rhs.value)
         if isinstance(rhs, nodes.BoolLit):
-            if op not in EQ_OPS or not self.set_type(var, "bool"):
+            if op not in EQ_OPS or not self.fits(var, "bool"):
                 return None
+            self.types[var] = "bool"
             positive = (op == "==") == rhs.value
             return BoolVar(var) if positive else Not(BoolVar(var))
-        if isinstance(rhs, nodes.Name):
-            if op not in EQ_OPS:
-                return None
-            types, hints = self.types, self.hints
-            t = types.get(var) or hints.get(var) or types.get(rhs.ident) or hints.get(rhs.ident)
-            if t not in ("int", "string"):
-                return None
-            if not (self.set_type(var, t) and self.set_type(rhs.ident, t)):
-                return None
-            return VarCmp(var, op, rhs.ident)
-        return None
+        if other is None or op not in EQ_OPS:
+            return None
+        t = self.sort_of(var) or self.sort_of(other)
+        if t not in ("int", "string") or not self.fits(other, t):
+            return None
+        self.types[var] = self.types[other] = t
+        return VarCmp(var, op, other)

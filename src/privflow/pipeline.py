@@ -13,17 +13,18 @@ replayable tool-call trace: a primitive is recorded with its arguments and
 result count, a flow search as one ``q_flow`` record with all its targets.
 The scan's ``reasoner.Memo`` records each lookup of a task: ``reason``
 when it reaches the backend, ``decided`` when the program answers it (the
-constraint of a flow with no guard, the sufficiency of a sink with no
-``authz`` check, a user source a route prefix covers), ``memo_hit`` when an
-equal task was answered before. The per-phase budget counts the ``reason``
-records, the backend calls, and every record checks the wall clock. A task
-is recorded before it is asked, so the record that exhausts the budget
-asks the backend nothing.
+sufficiency of a sink with no ``authz`` check, a user source a route
+prefix covers), ``memo_hit`` when an equal task was answered before. No
+backend decides a flow's feasibility: the scan translates its guards
+itself (``constraints.translate_guards``) and checks them. The per-phase
+budget counts the ``reason`` records, the backend calls, and every record
+checks the wall clock. A task is recorded before it is asked, so the
+record that exhausts the budget asks the backend nothing.
 
 Validation runs once per path class. ``crossflow.q_globalflow`` finds the
 classes: a flow's class is its sink plus its check summary, the function
 groups that can carry a check (see ``ServiceIndex.check_relevant``) with
-their guards, and every flow of one class gives constraint extraction,
+their guards, and every flow of one class gives constraint translation,
 check location and the sufficiency assessment the same inputs. So they
 read the class's summary once, the class's witness records their tool
 calls and names the class's one SMT file, and the class leaves the funnel
@@ -33,10 +34,11 @@ as that outcome says: pruned, protected, or a finding with its
 Classes share most of their summary entries, segments and check
 candidates, and their guards often translate to one constraint. So a scan
 keeps, for its length, each summary entry's function group, each
-segment's hop id, each check candidate's ``ClassifyCheck`` task, and each
-distinct constraint's ``check_sat`` verdict and SMT-LIB text, each in a
-cache keyed by the entry, the segment, the candidate's element id or the
-constraint value.
+segment's hop id, each check candidate's ``ClassifyCheck`` task, each
+distinct guard list's translation, and each distinct constraint's
+``check_sat`` verdict and SMT-LIB text, each in a cache keyed by the
+entry, the segment, the candidate's element id, the guards' sources and
+declared types, or the constraint value.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .constraints import check_sat, Sat, Unsat, emit_smtlib
+from .constraints import check_sat, Sat, Unsat, emit_smtlib, translate_guards
 from .crossflow import (
     PATH_CAP,
     BudgetExhausted,
@@ -71,8 +73,6 @@ from .reasoner import (
     CheckDescriptor,
     ClassifyCheck,
     ClassifyPrivileged,
-    ExtractConstraints,
-    GuardDescriptor,
     Memo,
     NextSearchAction,
     _query_key,
@@ -127,11 +127,11 @@ class CheckFinding(NamedTuple):
 
 class PathClass(NamedTuple):
     """What validation made of one path class, shared by every path of the
-    class: its constraint (None when extraction was skipped) and that
+    class: its constraint (None when a guard does not parse) and that
     constraint's status, the checks located and the ``AssessSufficiency``
     verdict. A pruned class has no checks and no verdict."""
 
-    constraint: object  # a reasoner PathConstraint, or None
+    constraint: object  # a constraints.PathConstraint, or None
     status: str  # pruned | sat | unknown | skipped
     checks: tuple[CheckFinding, ...]
     sufficiency: object  # a reasoner.Sufficiency, None when pruned
@@ -334,30 +334,25 @@ def _function_group(program: Program, entry: tuple[tuple[str, str | None], froze
     return service, fn, tuple(sorted(map(service.element, guard_ids), key=element_order))
 
 
-def extract_path_constraints(groups, reasoner):
-    """Ask the reasoner to translate the conditional guards protecting a
-    flow, read from its function groups (``_function_group``) and taken
-    in source order. Returns the PathConstraint, or None when the
-    extraction is skipped: the reasoner skipped it (a guard outside the
-    fragment), or its answer declares a variable that names no identifier
-    of the guards (their ``GuardDescriptor.var_types``), which the program
-    cannot back.
-    """
+def extract_path_constraints(groups, translate: Callable = translate_guards):
+    """The path constraint of the conditional guards protecting a flow, read
+    from its function groups (``_function_group``): ``translate`` of each
+    distinct guard's source and its identifiers' declared types, in source
+    order. ``translate`` is ``constraints.translate_guards``, which reads
+    nothing else, so the scan passes it memoized by those pairs. None when
+    a guard does not parse."""
     guards: dict[str, tuple] = {}
     for service, _, chain in groups:
         for guard in chain:
             guards.setdefault(guard.id, (service, guard))
-    descriptors = tuple(
-        GuardDescriptor(source=guard.source, var_types=service_index(service).guard_types[guard.id])
-        for service, guard in sorted(
-            guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
+    return translate(
+        tuple(
+            (guard.source, service_index(service).guard_types[guard.id])
+            for service, guard in sorted(
+                guards.values(), key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col)
+            )
         )
     )
-    constraint = reasoner.reason(ExtractConstraints(guards=descriptors)).constraint
-    if constraint is None:
-        return None
-    identifiers = {name for descriptor in descriptors for name, _ in descriptor.var_types}
-    return constraint if all(name in identifiers for name, _ in constraint.variables) else None
 
 
 # --- check localization --------------------------------------------------------------
@@ -584,8 +579,10 @@ def scan(
     if exhausted_reason is None:
         max_hops = 4 if options.on_demand_context else 1
         tracer.phase = PHASE_VALIDATION
-        # classes often share a constraint: each distinct one is decided and
-        # written out once per scan
+        # classes often share their guards and a constraint: each distinct
+        # guard list is translated, and each distinct constraint decided and
+        # written out, once per scan
+        translate = functools.cache(translate_guards)
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
         # classes often share a summary entry and a check candidate: each
@@ -597,7 +594,7 @@ def scan(
             try:
                 path_class, smt_file = _validate_path(
                     program, witness, summary, ops_by_element[witness.sink], reasoner, tracer.record,
-                    max_hops, smt_dir, full_context_ids, group_of, decide, smt_text, candidates,
+                    max_hops, smt_dir, full_context_ids, group_of, translate, decide, smt_text, candidates,
                 )
             except BudgetExhausted as exc:
                 exhausted_reason = str(exc)
@@ -635,6 +632,7 @@ def _validate_path(
     smt_dir: Path | None,
     context_ids: set[str],
     group_of: Callable,
+    translate: Callable,
     decide: Callable,
     smt_text: Callable,
     candidates: dict[str, CheckCandidate],
@@ -647,11 +645,12 @@ def _validate_path(
     reads what they found, so the outcome is each path's. The SMT file
     carries the witness's id.
 
-    ``group_of`` is ``_function_group``, ``decide`` is ``check_sat`` and
-    ``smt_text`` is ``emit_smtlib``; the scan passes all three memoized,
-    and ``candidates``, ``locate_checks``' cache of check candidates."""
+    ``group_of`` is ``_function_group``, ``translate`` is
+    ``translate_guards``, ``decide`` is ``check_sat`` and ``smt_text`` is
+    ``emit_smtlib``; the scan passes all four memoized, and
+    ``candidates``, ``locate_checks``' cache of check candidates."""
     groups = [group_of(entry) for entry in summary]
-    constraint = extract_path_constraints(groups, reasoner)
+    constraint = extract_path_constraints(groups, translate)
     status = "skipped"
     if constraint is not None:
         verdict = decide(constraint)
@@ -830,7 +829,7 @@ def _report_payload(
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 5,
+        "schema": 6,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {

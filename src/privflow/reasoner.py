@@ -16,12 +16,13 @@ own type with equal fields, and equal tasks ask the same question. ``Memo`` reli
 it asks each distinct task once and answers equal tasks with the stored
 verdict, so a remote backend answers a repeated task the same way (at a
 nonzero temperature, two asks could give two answers) and is paid once.
-``Memo`` also answers the three tasks whose one sound answer the program
-fixes, so no backend is asked them: a flow with no guard has the empty
-constraint, a sink with no authorization check is ``unprotected`` or
-``missing_authz``, and an endpoint path a gateway route prefix covers is a
-user source. ``Memo`` is the one place a scan's trace records a task, and
-the trace names it by ``task_digest``.
+``Memo`` also answers the two tasks whose one sound answer the program
+fixes, so no backend is asked them: a sink with no authorization check is
+``unprotected`` or ``missing_authz``, and an endpoint path a gateway route
+prefix covers is a user source. No task asks for a flow's path constraint:
+the scan translates every guard itself (``constraints.translate_guards``),
+so no backend answer can prune a flow. ``Memo`` is the one place a scan's
+trace records a task, and the trace names it by ``task_digest``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from functools import cache, cached_property, singledispatchmethod
 from pathlib import Path
 from typing import NamedTuple
 
-from . import constraints as _constraints
 from .model import Record, is_wildcard_segment
 from .search import identifiers
 
@@ -93,21 +93,6 @@ class AssessSufficiency(Record):
     _defaults = {"contexts": ()}
 
 
-class GuardDescriptor(Record):
-    """A guard's source with its identifiers' declared types, as
-    ``(name, type)`` pairs."""
-
-    __slots__ = ("source", "var_types")
-    _defaults = {"var_types": ()}
-
-
-class ExtractConstraints(Record):
-    """Translate a flow's guards (``GuardDescriptor``s) into a path
-    constraint."""
-
-    __slots__ = ("guards",)
-
-
 class ConfirmUserSource(Record):
     """Is this entry-service source reachable through a gateway route?"""
 
@@ -126,7 +111,7 @@ class NextSearchAction(Record):
 
 #: Every task a backend answers; the remote prompt for one is the file named
 #: after it (``ClassifyPrivileged`` -> ``classify_privileged.md``).
-TASKS = (ClassifyPrivileged, ClassifyCheck, AssessSufficiency, ExtractConstraints, ConfirmUserSource, NextSearchAction)
+TASKS = (ClassifyPrivileged, ClassifyCheck, AssessSufficiency, ConfirmUserSource, NextSearchAction)
 
 
 def task_fields(value):
@@ -189,13 +174,6 @@ class Sufficiency(Record):
         _check_vocabulary("verdict", verdict, SUFFICIENCY_VERDICTS)
         self.verdict = verdict  # one of SUFFICIENCY_VERDICTS
         self.rationale = rationale
-
-
-class ConstraintExtraction(NamedTuple):
-    """Verdict of ``ExtractConstraints``."""
-
-    constraint: object | None  # constraints.PathConstraint; None when skipped
-    rationale: str
 
 
 class UserSource(NamedTuple):
@@ -473,10 +451,6 @@ class ScriptedOracle:
         return ""
 
     @reason.register
-    def _extract(self, task: ExtractConstraints) -> ConstraintExtraction:
-        return ConstraintExtraction(*_constraints.translate_guards(task.guards))
-
-    @reason.register
     def _confirm_user_source(self, task: ConfirmUserSource) -> UserSource:
         ident = task.identifier
         if not ident.startswith("/"):
@@ -533,9 +507,8 @@ class Memo:
     The key is the task alone, since one memo serves one backend. A task
     whose ask raised stores nothing, so it is asked again next time.
 
-    Three tasks never reach the backend, since the program leaves them one
-    sound answer: an ``ExtractConstraints`` with no guard (the empty
-    conjunction), an ``AssessSufficiency`` with no authorization check
+    Two tasks never reach the backend, since the program leaves them one
+    sound answer: an ``AssessSufficiency`` with no authorization check
     (``unprotected`` with no check, ``missing_authz`` with authentication
     only: "protected" would drop a flow nothing authorizes) and a
     ``ConfirmUserSource`` whose endpoint path a route prefix covers (a user
@@ -564,8 +537,7 @@ class Memo:
             self._record("memo_hit", task, 1)
             return verdict
         decided = (
-            type(task) is ExtractConstraints and not task.guards
-            or type(task) is AssessSufficiency and not any(c.classification == "authz" for c in task.checks)
+            type(task) is AssessSufficiency and not any(c.classification == "authz" for c in task.checks)
             or type(task) is ConfirmUserSource and covering_prefix(task) is not None
         )
         self._record("decided" if decided else "reason", task, 1)

@@ -17,7 +17,6 @@ import threading
 import time
 from pathlib import Path
 
-from . import constraints as _constraints
 from .model import Record
 from .reasoner import (
     AUTHZ_SUBTYPES,
@@ -29,8 +28,6 @@ from .reasoner import (
     ClassifyCheck,
     ClassifyPrivileged,
     ConfirmUserSource,
-    ConstraintExtraction,
-    ExtractConstraints,
     NextSearchAction,
     PrivilegedClass,
     SchemaViolation,
@@ -169,8 +166,6 @@ def _parse_verdict(task, reply: str):
         return CheckClass(classification, subtype if classification == "authz" else "none", rationale)
     if isinstance(task, AssessSufficiency):
         return Sufficiency(_require_str(data, "verdict"), rationale)
-    if isinstance(task, ExtractConstraints):
-        return ConstraintExtraction(None if data.get("skip") else _constraints.constraint_from_json(data), rationale)
     if isinstance(task, ConfirmUserSource):
         value = data.get("is_user_source")
         if not isinstance(value, bool):

@@ -1,7 +1,6 @@
 """Reference code the constraint tests check ``privflow.constraints``
-against: a concrete evaluator for ``check_sat``'s witnesses and the JSON
-encoder that ``constraint_from_json`` round-trips (privflow only decodes
-constraints, from remote-reasoner replies)."""
+against: a concrete evaluator for ``check_sat``'s witnesses and for the
+brute-force model searches."""
 
 from __future__ import annotations
 
@@ -50,31 +49,3 @@ def eval_witness(c: PathConstraint, assignment: dict) -> bool:
         raise ConstraintError(f"unsupported formula node {f!r}")
 
     return ev(c.formula)
-
-
-def formula_to_json(f, types: dict[str, str]) -> list:
-    """The reply-format form of a formula; ``types`` gives a variable
-    comparison its tag."""
-    if isinstance(f, ConstCmp):
-        return ["int_cmp" if f.sort == "int" else "str_lit_cmp", f.var, f.op, f.value]
-    if isinstance(f, VarCmp):
-        return ["int_var_cmp" if types[f.left] == "int" else "str_var_cmp", f.left, f.op, f.right]
-    if isinstance(f, BoolVar):
-        return ["bool_var", f.var]
-    if isinstance(f, BoolConst):
-        return ["bool_const", f.value]
-    if isinstance(f, And):
-        return ["and"] + [formula_to_json(i, types) for i in f.items]
-    if isinstance(f, Or):
-        return ["or"] + [formula_to_json(i, types) for i in f.items]
-    if isinstance(f, Not):
-        return ["not", formula_to_json(f.item, types)]
-    raise ConstraintError(f"unsupported formula node {f!r}")
-
-
-def constraint_to_json(c: PathConstraint) -> dict:
-    return {
-        "variables": [{"name": n, "type": t} for n, t in c.variables],
-        "formula": formula_to_json(c.formula, c.var_types()),
-    }
-

@@ -366,14 +366,13 @@ class TestScanCommand:
         assert result.output.count("\n") == 1
 
     def test_remote_backend_gets_each_distinct_prompt_once(self, runner, monkeypatch, tmp_path):
-        """The fan-out repeats its constraint and sufficiency tasks on all
-        256 paths; the remote backend receives each distinct prompt once,
-        and none for an entry endpoint a route prefix covers."""
+        """The fan-out repeats its sufficiency task on all 256 paths; the
+        remote backend receives each distinct prompt once, and none for an
+        entry endpoint a route prefix covers."""
         replies = {
             "ClassifyPrivileged": {"category": "none"},
             "ClassifyCheck": {"classification": "none", "subtype": "none"},
             "AssessSufficiency": {"verdict": "unprotected"},
-            "ExtractConstraints": {"skip": True},
             "ConfirmUserSource": {"is_user_source": True},
             "NextSearchAction": {"queries": []},
         }

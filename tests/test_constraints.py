@@ -1,7 +1,11 @@
+import functools
 import itertools
 import random
+from typing import Callable, NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privflow.constraints import (
     And,
@@ -17,7 +21,8 @@ from privflow.constraints import (
     Unsat,
     VarCmp,
     check_sat,
-    constraint_from_json,
+    EQ_OPS,
+    INT_OPS,
     emit_smtlib,
     translate_guards,
 )
@@ -27,11 +32,11 @@ from privflow.reasoner import (
     ClassifyCheck,
     ClassifyPrivileged,
     ConfirmUserSource,
-    GuardDescriptor,
     Memo,
 )
+from privflow.model import Record
 
-from constraint_reference import MissingVariable, constraint_to_json, eval_witness
+from constraint_reference import OPS, MissingVariable, eval_witness
 from smtlib_check import validate_smtlib
 
 INT_DOMAIN = range(-8, 9)
@@ -185,6 +190,24 @@ class TestCheckSatExamples:
         with pytest.raises(ConstraintError):
             c([("x", "string")], ConstCmp("x", "==", 1))
 
+    @pytest.mark.parametrize(
+        "variables, formula, message",
+        [
+            ((("x", "float"),), And(()), "variable 'x' has unsupported type 'float'"),
+            ((("n", "int"),), ConstCmp("n", "~", 1), "bad int operator '~'"),
+            ((("m", "int"), ("n", "int")), VarCmp("m", "<", "n"), "variables compare only with ==/!=, got '<'"),
+            ((("x", "int"),), ConstCmp("x", "==", 1.5), "unsupported constant 1.5"),
+            ((("x", "int"),), "junk", "unsupported formula node 'junk'"),
+        ],
+        ids=["unsupported_type", "bad_operator", "ordered_var_cmp", "unsupported_constant", "unknown_node"],
+    )
+    def test_invalid_constraint_rejected(self, variables, formula, message):
+        """Each way a constraint leaves the fragment raises one
+        ``ConstraintError`` when it is built, and says why."""
+        with pytest.raises(ConstraintError) as err:
+            PathConstraint(variables, formula)
+        assert str(err.value) == message
+
     def test_negation_normalization(self):
         constraint = c([("x", "int")], Not(Or((ConstCmp("x", "<", 5), ConstCmp("x", ">", 5)))))
         result = check_sat(constraint)
@@ -332,127 +355,97 @@ class TestSmtlibChecker:
         assert validate_smtlib("(declare-const |a\\b| Int)\n(check-sat)")
 
 
-def _reply(formula, **types) -> dict:
-    """A reply's constraint JSON: ``formula`` over variables of ``types``."""
-    return {"variables": [{"name": name, "type": t} for name, t in types.items()], "formula": formula}
-
-
-class TestJsonCodec:
-    def test_round_trip(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            constraint = random_constraint(rng)
-            assert constraint_from_json(constraint_to_json(constraint)) == constraint
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ConstraintError):
-            constraint_from_json({"variables": [], "formula": ["teleport", "x"]})
-        # a comparison tag names its sort; variables of another sort are rejected
-        for types, formula in [
-            ({"s": "string", "t": "string"}, ["int_var_cmp", "s", "==", "t"]),
-            ({"a": "bool", "b": "bool"}, ["int_var_cmp", "a", "!=", "b"]),
-            ({"n": "int", "s": "string"}, ["int_var_cmp", "n", "==", "s"]),
-            ({"m": "int", "n": "int"}, ["str_var_cmp", "m", "==", "n"]),
-            ({"s": "string"}, ["int_cmp", "s", "==", 1]),
-            ({"n": "int"}, ["str_lit_cmp", "n", "==", "A"]),
-        ]:
-            variables = [{"name": name, "type": t} for name, t in types.items()]
-            with pytest.raises(ConstraintError):
-                constraint_from_json({"variables": variables, "formula": formula})
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            ({"variables": [], "formula": "x"}, "formula node must be a non-empty list, got 'x'"),
-            ({"formula": ["and"]}, "constraint JSON needs a 'variables' list"),
-            ({"variables": [{"name": "x"}]}, "malformed variable entry {'name': 'x'}"),
-            (_reply(["and"], x="float"), "variable 'x' has unsupported type 'float'"),
-            (_reply(["int_cmp", "n", "~", 1], n="int"), "bad int operator '~'"),
-            (_reply(["int_var_cmp", "m", "<", "n"], m="int", n="int"), "variables compare only with ==/!=, got '<'"),
-        ],
-        ids=["node_not_list", "no_variables", "bad_variable", "unsupported_type", "bad_operator", "ordered_var_cmp"],
-    )
-    def test_reply_errors(self, data, message):
-        """Each way a reply's constraint is malformed raises one
-        ``ConstraintError`` that says why."""
-        with pytest.raises(ConstraintError) as err:
-            constraint_from_json(data)
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize(
-        "formula, message",
-        [(ConstCmp("x", "==", 1.5), "unsupported constant 1.5"), ("junk", "unsupported formula node 'junk'")],
-        ids=["unsupported_constant", "unknown_node"],
-    )
-    def test_errors_no_reply_reaches(self, formula, message):
-        """Two formulas no reply decodes to are rejected when built."""
-        with pytest.raises(ConstraintError) as err:
-            PathConstraint((("x", "int"),), formula)
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize("name", ["a|b", "a\\b", "|"])
-    def test_name_no_symbol_can_hold_rejected(self, name):
-        data = {"variables": [{"name": name, "type": "bool"}], "formula": ["bool_var", name]}
-        with pytest.raises(ConstraintError):
-            constraint_from_json(data)
+MODE = (("mode", "string"),)
 
 
 class TestGuardTranslation:
     def test_two_string_guards_conjoin(self):
-        guards = (
-            GuardDescriptor('mode == "A"', (("mode", "string"),)),
-            GuardDescriptor('mode == "B"', (("mode", "string"),)),
-        )
-        constraint, _ = translate_guards(guards)
+        constraint = translate_guards((('mode == "A"', MODE), ('mode == "B"', MODE)))
         assert constraint is not None
         assert isinstance(check_sat(constraint), Unsat)
 
     def test_numeric_and_boolean_guards(self):
-        guards = (
-            GuardDescriptor("n > 3 && n < 9", (("n", "int"),)),
-            GuardDescriptor("active == true", (("active", "bool"),)),
-        )
-        constraint, _ = translate_guards(guards)
-        result = check_sat(constraint)
+        guards = (("n > 3 && n < 9", (("n", "int"),)), ("active == true", (("active", "bool"),)))
+        result = check_sat(translate_guards(guards))
         assert isinstance(result, Sat)
         assert 3 < result.witness["n"] < 9
         assert result.witness["active"] is True
 
     def test_parenthesized_disjunction(self):
-        guards = (GuardDescriptor('(m == "A") || n == 1', (("m", "string"), ("n", "int"))),)
-        constraint, _ = translate_guards(guards)
+        constraint = translate_guards((('(m == "A") || n == 1', (("m", "string"), ("n", "int"))),))
         assert constraint.formula == And((Or((ConstCmp("m", "==", "A"), ConstCmp("n", "==", 1))),))
 
-    def test_call_in_guard_skips(self):
-        constraint, reason = translate_guards((GuardDescriptor("is_admin(u)", ()),))
-        assert constraint is None
-        assert "fragment" in reason or "guard" in reason
+    def test_call_in_guard_is_a_fresh_atom(self):
+        """A call is outside the fragment: it becomes a boolean atom named
+        by its guard's index and its offset in that guard's source."""
+        constraint = translate_guards((("is_admin(u)", ()),))
+        assert constraint == PathConstraint((("g0@0", "bool"),), And((BoolVar("g0@0"),)))
 
-    def test_member_access_skips(self):
-        constraint, _ = translate_guards((GuardDescriptor("order.user_id == current", ()),))
-        assert constraint is None
+    def test_contradiction_beside_a_call_is_unsat(self):
+        """A call no longer hides its neighbours: ``mode`` cannot be both
+        ``"A"`` and ``"B"`` whatever ``well_formed`` returns."""
+        constraint = translate_guards((("well_formed(cmd)", ()), ('mode == "A"', MODE), ('mode == "B"', MODE)))
+        assert constraint.variables == (("g0@0", "bool"), ("mode", "string"))
+        assert isinstance(check_sat(constraint), Unsat)
 
-    def test_untyped_var_pair_skips(self):
-        constraint, _ = translate_guards((GuardDescriptor("a == b", ()),))
-        assert constraint is None
+    def test_member_path_is_a_variable(self):
+        """A member path is a variable named by its dotted path, typed by
+        what it is compared with, as a bare name is."""
+        constraint = translate_guards((("order.user_id == current", (("current", "string"),)),))
+        assert constraint.formula == And((VarCmp("order.user_id", "==", "current"),))
+        assert constraint.var_types() == {"current": "string", "order.user_id": "string"}
+        constraint = translate_guards((('order.status == "PAID"', ()), ('order.status != "PAID"', ())))
+        assert constraint.var_types() == {"order.status": "string"}
+        assert isinstance(check_sat(constraint), Unsat)
+        assert translate_guards((("order.user_id == current", ()),)).variables == (("g0@0", "bool"),)
+
+    def test_untyped_var_pair_is_a_fresh_atom(self):
+        assert translate_guards((("a == b", ()),)) == PathConstraint((("g0@0", "bool"),), And((BoolVar("g0@0"),)))
 
     def test_no_guards_is_true(self):
-        constraint, _ = translate_guards(())
+        constraint = translate_guards(())
         assert constraint == PathConstraint((), And(()))
         assert isinstance(check_sat(constraint), Sat)
 
-    def test_bare_name_of_another_type_skips(self):
-        constraint, reason = translate_guards((GuardDescriptor("n", (("n", "int"),)),))
-        assert (constraint, reason) == (None, "guard 'n' falls outside the constraint fragment")
-        constraint, _ = translate_guards((GuardDescriptor("n == 1 && n", ()),))  # n is an int by then
-        assert constraint is None
+    def test_bare_name_of_another_type_is_a_fresh_atom(self):
+        """A bare name that is not a boolean says nothing the fragment can
+        hold, and it declares no variable; a name typed by an earlier
+        comparison keeps that type."""
+        assert translate_guards((("n", (("n", "int"),)),)).variables == (("g0@0", "bool"),)
+        constraint = translate_guards((("n == 1 && n", ()),))  # n is an int by then
+        assert constraint == PathConstraint(
+            (("g0@10", "bool"), ("n", "int")), And((And((ConstCmp("n", "==", 1), BoolVar("g0@10"))),))
+        )
+
+    def test_atoms_are_named_by_guard_and_offset(self):
+        """Each part outside the fragment (a call, a ``+`` expression, an
+        ordering of two variables, a comparison of the wrong type) is its
+        own atom, named by its guard's index and its offset in that guard's
+        source; the parts inside the fragment translate as before."""
+        types = (("n", "int"), ("m", "int"), ("mode", "string"))
+        constraint = translate_guards(
+            (("ok(n) || n + 1 == 3", types), ('n < m && mode == 1 && mode != "A"', types), ("ok(n)", types))
+        )
+        assert constraint.formula == And(
+            (
+                Or((BoolVar("g0@0"), BoolVar("g0@9"))),
+                And((And((BoolVar("g1@0"), BoolVar("g1@9"))), ConstCmp("mode", "!=", "A"))),
+                BoolVar("g2@0"),
+            )
+        )
+        assert [name for name, _ in constraint.variables] == ["g0@0", "g0@9", "g1@0", "g1@9", "g2@0", "mode"]
+
+    def test_equal_guard_lists_translate_equal(self):
+        """The translation reads only the sources and their declared types,
+        so equal guard lists give equal constraints."""
+        guards = (("is_admin(u)", ()), ("n > 2", (("n", "int"),)))
+        assert translate_guards(guards) == translate_guards(tuple(map(tuple, guards)))
 
     def test_guard_that_does_not_parse_skips(self):
-        constraint, reason = translate_guards((GuardDescriptor("n ==", (("n", "int"),)),))
-        assert (constraint, reason) == (None, "guard 'n ==' is not a plain expression")
+        assert translate_guards((("n ==", (("n", "int"),)), ("is_admin(u)", ()))) is None
 
     def test_var_type_hint_respected(self):
-        constraint, _ = translate_guards((GuardDescriptor("n == m", (("n", "int"), ("m", "int"))),))
+        constraint = translate_guards((("n == m", (("n", "int"), ("m", "int"))),))
         assert constraint is not None
         assert dict(constraint.variables) == {"n": "int", "m": "int"}
 
@@ -460,6 +453,14 @@ class TestGuardTranslation:
 #: An authorization check, so an ``AssessSufficiency`` that holds it reaches
 #: the backend behind a ``Memo``.
 AUTHZ_CHECKS = (CheckDescriptor("authz", "role", "n", "s"),)
+
+
+class Guard(Record):
+    """A guard's source and its identifiers' declared types: the pair
+    ``translate_guards`` reads, as a record."""
+
+    __slots__ = ("source", "var_types")
+
 
 #: Field-equal records of two types: formula nodes, checker results,
 #: reasoner tasks and their descriptors.
@@ -469,7 +470,7 @@ FIELD_EQUAL_PAIRS = {
     "boolvar-not": (BoolVar("a"), Not("a")),
     "boolconst-not": (BoolConst(True), Not(True)),
     "unknown-boolvar": (Unknown("r"), BoolVar("r")),
-    "source-guard": (ConfirmUserSource("a", ()), GuardDescriptor("a", ())),
+    "source-guard": (ConfirmUserSource("a", ()), Guard("a", ())),
     "check-assess": (
         ClassifyCheck("a", "b", "c", AUTHZ_CHECKS, ()),
         AssessSufficiency("a", "b", "c", AUTHZ_CHECKS, ()),
@@ -520,3 +521,180 @@ class TestRecordsKeepTheirType:
         assert Unsat() != () and Unsat() != Unknown("")
         assert len({Unsat(): 1, Unknown("r"): 2, (): 3}) == 3
         assert Unsat() == Unsat() and hash(Unsat()) == hash(Unsat())
+
+
+# --- soundness of the widened guard translation ------------------------------------
+
+#: The variables the generated guards read, with their sorts. The bare names
+#: are declared (``GUARD_HINTS``), so their sort is fixed; a member path is
+#: typed by what it is compared with, and each is compared only within its
+#: sort here.
+GUARD_POOL = {"n": "int", "m": "int", "u.n": "int", "mode": "string", "s": "string", "order.user_id": "string", "ok": "bool"}
+#: ``u`` is declared a string: a member path's base types nothing but itself.
+GUARD_HINTS = (("m", "int"), ("mode", "string"), ("n", "int"), ("ok", "bool"), ("s", "string"), ("u", "string"))
+DECLARED = {name for name, _ in GUARD_HINTS}
+FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+#: The brute-force domain of each sort: the generator's constants (1 and 3,
+#: "A" and "B") each ±1 for ints, and one fresh value.
+GUARD_DOMAINS = {"int": (0, 1, 2, 3, 4, 7), "string": ("A", "B", "fresh"), "bool": (False, True)}
+
+
+class GuardPart(NamedTuple):
+    """One comparison, bare variable, call or literal of a generated guard:
+    its text, its fragment formula (None when it lies outside the
+    fragment) and its truth in a world, given the world and the name of its
+    atom (a call's truth is the world's value for that atom)."""
+
+    text: str
+    formula: object
+    value: Callable
+
+
+@st.composite
+def guard_parts(draw, names: tuple[str, ...]) -> GuardPart:
+    """A part over ``names``: inside the fragment, or a call, a ``+``
+    expression, an ordering of two variables or a comparison of the wrong
+    type."""
+    by_sort = {sort: [n for n in names if GUARD_POOL[n] == sort] for sort in ("int", "string", "bool")}
+    kinds = ["call", "literal"]
+    if by_sort["int"]:
+        kinds += ["int_cmp", "plus"]
+    if by_sort["string"]:
+        kinds.append("str_cmp")
+    if by_sort["bool"]:
+        kinds.append("bool")
+    if any(len(by_sort[sort]) > 1 for sort in ("int", "string")):
+        kinds.append("var_cmp")
+    if len(by_sort["int"]) > 1:
+        kinds.append("ordering")
+    if set(names) & DECLARED:
+        kinds.append("conflict")
+    kind = draw(st.sampled_from(kinds))
+    swap = draw(st.booleans())
+    if kind == "call":
+        return GuardPart(f"is_admin({draw(st.sampled_from(names))})", None, lambda w, atom: w[atom])
+    if kind == "literal":
+        value = draw(st.booleans())
+        return GuardPart(str(value).lower(), BoolConst(value), lambda w, atom: value)
+    if kind in ("int_cmp", "str_cmp"):
+        var = draw(st.sampled_from(by_sort["int" if kind == "int_cmp" else "string"]))
+        op = draw(st.sampled_from(INT_OPS if kind == "int_cmp" else EQ_OPS))
+        const = draw(st.sampled_from((1, 3) if kind == "int_cmp" else ("A", "B")))
+        shown = const if kind == "int_cmp" else f'"{const}"'
+        if swap:
+            return GuardPart(f"{shown} {op} {var}", ConstCmp(var, FLIPPED[op], const), lambda w, atom: OPS[op](const, w[var]))
+        return GuardPart(f"{var} {op} {shown}", ConstCmp(var, op, const), lambda w, atom: OPS[op](w[var], const))
+    if kind == "bool":
+        if draw(st.booleans()):
+            return GuardPart("ok", BoolVar("ok"), lambda w, atom: w["ok"])
+        op, lit = draw(st.sampled_from(EQ_OPS)), draw(st.booleans())
+        text = f"{str(lit).lower()} {op} ok" if swap else f"ok {op} {str(lit).lower()}"
+        formula = BoolVar("ok") if (op == "==") == lit else Not(BoolVar("ok"))
+        return GuardPart(text, formula, lambda w, atom: OPS[op](w["ok"], lit))
+    if kind == "var_cmp":
+        sort = draw(st.sampled_from([sort for sort in ("int", "string") if len(by_sort[sort]) > 1]))
+        left, right = draw(st.permutations(by_sort[sort]))[:2]
+        op = draw(st.sampled_from(EQ_OPS))
+        return GuardPart(f"{left} {op} {right}", VarCmp(left, op, right), lambda w, atom: OPS[op](w[left], w[right]))
+    if kind == "plus":
+        var = draw(st.sampled_from(by_sort["int"]))
+        return GuardPart(f"{var} + 1 == 3", None, lambda w, atom: w[var] + 1 == 3)
+    if kind == "ordering":
+        left, right = draw(st.permutations(by_sort["int"]))[:2]
+        return GuardPart(f"{left} < {right}", None, lambda w, atom: w[left] < w[right])
+    var = draw(st.sampled_from(sorted(set(names) & DECLARED)))
+    if GUARD_POOL[var] == "bool" or draw(st.booleans()):
+        wrong = '"A"' if GUARD_POOL[var] == "int" else "1"
+        return GuardPart(f"{var} == {wrong}", None, lambda w, atom: False)
+    if GUARD_POOL[var] == "int":
+        return GuardPart(var, None, lambda w, atom: w[var] != 0)
+    return GuardPart(var, None, lambda w, atom: w[var] != "")
+
+
+@st.composite
+def guard_lists(draw):
+    """Up to 3 of ``GUARD_POOL``'s variables, and up to 3 guards over them
+    of up to 2 parts each: each guard as its text, its parts with their
+    offsets in that text, and the operators between them."""
+    names = tuple(draw(st.lists(st.sampled_from(sorted(GUARD_POOL)), min_size=1, max_size=3, unique=True)))
+    guards = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = draw(st.lists(guard_parts(names), min_size=1, max_size=2))
+        ops = draw(st.lists(st.sampled_from(("&&", "||")), min_size=len(parts) - 1, max_size=len(parts) - 1))
+        text, offsets = parts[0].text, [0]
+        for op, part in zip(ops, parts[1:]):
+            text += f" {op} "
+            offsets.append(len(text))
+            text += part.text
+        guards.append((text, list(zip(parts, offsets)), ops))
+    return names, guards
+
+
+def _expected(index: int, placed: list, ops: list, pick):
+    """``pick(part, atom)`` of each part, combined as the parser groups
+    ``&&`` and ``||``: both chain to the left, ``&&`` binds tighter."""
+    values = [pick(part, f"g{index}@{offset}") for part, offset in placed]
+    groups = [[values[0]]]
+    for op, value in zip(ops, values[1:]):
+        if op == "&&":
+            groups[-1].append(value)
+        else:
+            groups.append([value])
+    conj = [functools.reduce(lambda a, b: ("and", a, b), group) for group in groups]
+    return functools.reduce(lambda a, b: ("or", a, b), conj)
+
+
+def _formula(tree):
+    if isinstance(tree, tuple):
+        return (And if tree[0] == "and" else Or)((_formula(tree[1]), _formula(tree[2])))
+    return tree
+
+
+def _truth(tree) -> bool:
+    if isinstance(tree, tuple):
+        return (all if tree[0] == "and" else any)((_truth(tree[1]), _truth(tree[2])))
+    return tree
+
+
+class TestGuardTranslationSoundness:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(guard_lists())
+    def test_widened_translation_is_exact_and_sound(self, drawn):
+        """Every part inside the fragment translates as it always did, and
+        every part outside it is its own atom, named by its guard's index and
+        its offset, so the whole formula is known. An Unsat answer then
+        holds under brute force, over the constraint's variables (each
+        constant ±1 and one fresh value, both values of each boolean) and
+        over the guards' own meaning, where a call's result is free."""
+        names, guards = drawn
+        constraint = translate_guards(tuple((text, GUARD_HINTS) for text, _, _ in guards))
+        expected = [
+            _formula(_expected(i, placed, ops, lambda part, atom: part.formula or BoolVar(atom)))
+            for i, (_, placed, ops) in enumerate(guards)
+        ]
+        assert constraint.formula == And(tuple(expected))
+        atoms = {f"g{i}@{offset}" for i, (_, placed, _) in enumerate(guards) for part, offset in placed if part.formula is None}
+        assert {name for name, t in constraint.variables if name not in GUARD_POOL} == atoms
+        assert all(t == (GUARD_POOL.get(name) or "bool") for name, t in constraint.variables)
+
+        verdict = check_sat(constraint)
+        if isinstance(verdict, Sat):
+            assert eval_witness(constraint, verdict.witness)
+            return
+        assert isinstance(verdict, Unsat)
+        declared = [name for name, _ in constraint.variables]
+        for values in itertools.product(*(GUARD_DOMAINS[t] for _, t in constraint.variables)):
+            assert not eval_witness(constraint, dict(zip(declared, values)))
+        calls = [
+            f"g{i}@{offset}"
+            for i, (_, placed, _) in enumerate(guards)
+            for part, offset in placed
+            if part.text.startswith("is_admin(")
+        ]
+        world_names = [*names, *calls]
+        for values in itertools.product(*(GUARD_DOMAINS[GUARD_POOL.get(name, "bool")] for name in world_names)):
+            world = dict(zip(world_names, values))
+            assert not all(
+                _truth(_expected(i, placed, ops, lambda part, atom: part.value(world, atom)))
+                for i, (_, placed, ops) in enumerate(guards)
+            )

@@ -152,7 +152,7 @@ def reference_outcome(program: Program, flow, privop, max_hops: int) -> tuple:
     ("protected",) or ("finding", verdict, checks, constraint status)."""
     oracle = ScriptedOracle()
     groups = per_element_groups(program, flow)
-    constraint = extract_path_constraints(groups, oracle)
+    constraint = extract_path_constraints(groups)
     status = "skipped"
     if constraint is not None:
         verdict = check_sat(constraint)

@@ -26,7 +26,7 @@ from privflow.model import (
     element_order,
 )
 from privflow.pipeline import ScanBudget, Tracer, extract_path_constraints, find_privileged_ops, locate_checks, scan
-from privflow.reasoner import ClassifyCheck, ExtractConstraints, GuardDescriptor, ScriptedOracle
+from privflow.reasoner import ClassifyCheck, ScriptedOracle
 from privflow import search
 from privflow.search import FlowPath, identifiers, service_index
 
@@ -141,9 +141,10 @@ def test_segment_groups_merge_to_the_per_element_walk(case, tmp_path):
     validation builds from the class's check summary, its segments'
     ``check_summary`` merged, are the witness's per-element walk restricted
     to the check-relevant functions, guards in ``element_order``; and
-    constraint extraction and check location ask and return the same on
-    both. ``reentry`` meets one function in two segments with another
-    service's segment between."""
+    constraint extraction translates one and the same guard list, and
+    check location asks and returns the same, on both. ``reentry`` meets
+    one function in two segments with another service's segment
+    between."""
     program = load_case(case, tmp_path)
     sources, privops, graph = search_inputs(program)
     classes = q_globalflow(program, graph, sources, privops)
@@ -159,11 +160,11 @@ def test_segment_groups_merge_to_the_per_element_walk(case, tmp_path):
         ]
         located = [locate_checks(g, ScriptedOracle()) for g in (groups, walked)]
         assert located[0] == located[1]
-        extracting = Recorder(), Recorder()
-        for g, recorder in zip((groups, walked), extracting):
-            extract_path_constraints(g, recorder)
-        assert extracting[0].tasks == extracting[1].tasks
-        assert [type(task) for task in extracting[0].tasks] == [ExtractConstraints]
+        translated = [], []
+        for g, read in zip((groups, walked), translated):
+            extract_path_constraints(g, read.append)
+        assert translated[0] == translated[1]
+        assert len(translated[0]) == 1
 
 
 def test_scan_walks_each_segment_and_decides_each_constraint_once(tmp_path, monkeypatch):
@@ -191,8 +192,9 @@ def test_scan_walks_each_segment_and_decides_each_constraint_once(tmp_path, monk
     assert len(decided) == 1
 
 
-def old_extract_task(program: Program, path: GlobalPath) -> ExtractConstraints:
-    """The guard walk ``extract_path_constraints`` made of its own."""
+def old_guard_list(program: Program, path: GlobalPath) -> tuple[tuple[str, tuple], ...]:
+    """The guard walk ``extract_path_constraints`` made of its own, as the
+    ``(source, var_types)`` pairs it translates."""
     guards, seen = [], set()
     for segment in path.flow_segments:
         service = program.service(segment.service)
@@ -204,9 +206,7 @@ def old_extract_task(program: Program, path: GlobalPath) -> ExtractConstraints:
                     seen.add(guard.id)
                     guards.append((service, guard))
     guards.sort(key=lambda pair: (pair[1].location.file, pair[1].location.line, pair[1].location.col))
-    return ExtractConstraints(
-        guards=tuple(GuardDescriptor(source=g.source, var_types=scan_guard_var_types(s, g.source)) for s, g in guards)
-    )
+    return tuple((g.source, scan_guard_var_types(s, g.source)) for s, g in guards)
 
 
 def old_candidates(program: Program, path: GlobalPath) -> list[tuple[str, str]]:
@@ -240,9 +240,9 @@ def test_one_walk_matches_the_old_walks(case, tmp_path):
     assert len(flows) == {"fanout": 256, "chain": 48, "reentry": 1}.get(case, len(flows))
     for flow in flows:
         groups = per_element_groups(program, flow)
-        extracting = Recorder()
-        extract_path_constraints(groups, extracting)
-        assert extracting.tasks == [old_extract_task(program, flow)]
+        translated = []
+        extract_path_constraints(groups, translated.append)
+        assert translated == [old_guard_list(program, flow)]
         locating = Recorder()
         locate_checks(groups, locating)
         classified = [(t.element, t.attachment) for t in locating.tasks if isinstance(t, ClassifyCheck)]
@@ -263,9 +263,9 @@ def test_reentered_function_is_one_group(tmp_path):
         ("store", "handle", ['m != "stop"', 'v != ""']),
         ("relay", "relay", ['r != "x"', 'r != "y"']),
     ]
-    task = Recorder()
-    extract_path_constraints(groups, task)
-    assert [g.source for g in task.tasks[0].guards] == ['r != "x"', 'r != "y"', 'm != "stop"', 'v != ""']
+    translated = []
+    extract_path_constraints(groups, translated.append)
+    assert [source for source, _ in translated[0]] == ['r != "x"', 'r != "y"', 'm != "stop"', 'v != ""']
     checks = Recorder()
     locate_checks(groups, checks)
     assert [t.source for t in checks.tasks] == ['m != "stop"', 'v != ""', 'r != "x"', 'r != "y"']

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import re
@@ -279,15 +280,16 @@ class TestLocateChecks:
         payload = scan(program, ScriptedOracle(), OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
         assert built == {"has_session": 1}
         records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
-        # each class's records start at its ExtractConstraints lookup
-        located: list[list] = []
+        # each class's records end at its AssessSufficiency lookup
+        located: list[list] = [[]]
         for r in records:
             if r["phase"] != "validation":
                 continue
-            if r["args"].get("task") == "ExtractConstraints":
+            if r["args"].get("task") == "AssessSufficiency":
                 located.append([])
             elif "task" not in r["args"]:
                 located[-1].append((r["tool"], r["args"]))
+        located.pop()
 
         privops, _ = first_flow(program, ScriptedOracle())
         graph = build_global_graph(program, privops, match_channels(program))
@@ -483,10 +485,10 @@ class TestScan:
     def test_validation_budget_truncates(self, order_payment_program, oracle):
         """A budget that runs out while validating truncates the flows
         not yet validated, and the funnel still adds up."""
-        payload = scan(order_payment_program, oracle, budget=ScanBudget(max_tool_calls_per_phase=4))
+        payload = scan(order_payment_program, oracle, budget=ScanBudget(max_tool_calls_per_phase=3))
         funnel = payload["funnel"]
-        assert payload["budget"]["exhausted_reason"] == "validation: exceeded 4 reasoner calls"
-        assert payload["budget"]["reasoner_calls"]["validation"] == 5
+        assert payload["budget"]["exhausted_reason"] == "validation: exceeded 3 reasoner calls"
+        assert payload["budget"]["reasoner_calls"]["validation"] == 4
         assert payload["budget"]["max_flows"] == PATH_CAP
         assert funnel["initial_flows"] == 2
         assert funnel["budget_truncated"] == 1
@@ -499,7 +501,9 @@ class TestScan:
         distinct task is asked once per scan. So the backend is asked only
         right after that task's ``reason`` record, never twice for one
         task, and never after the record that exhausts the budget. A
-        ``decided`` or ``memo_hit`` record asks nothing."""
+        ``decided`` or ``memo_hit`` record asks nothing. With
+        ``basic_sink`` the privileged-operation phase asks nothing, so a
+        small budget runs out in validation, at each kind of task."""
         timeline = []
         record = Tracer.record
 
@@ -515,9 +519,10 @@ class TestScan:
         monkeypatch.setattr(Tracer, "record", logged_record)
         exhausted_on = set()
         memo_hits = 0
-        for calls in range(1, 8):
+        for basic_sink, calls in itertools.product((False, True), range(1, 8)):
             timeline.clear()
-            payload = scan(order_payment_program, LoggingOracle(), ScanBudget(max_tool_calls_per_phase=calls))
+            options = ScanOptions(basic_sink=basic_sink)
+            payload = scan(order_payment_program, LoggingOracle(), ScanBudget(max_tool_calls_per_phase=calls), options)
             asked = [e[1] for e in timeline if e[0] == "ask"]
             assert len(asked) == len(set(asked)), calls
             for before, entry in zip(timeline, timeline[1:]):
@@ -637,7 +642,34 @@ class TestScan:
         files = list(tmp_path.glob("*.smt2"))
         assert len(files) == 1
         text = files[0].read_text()
-        assert "(check-sat)" in text
+        assert text == '(declare-const mode String)\n(assert (= mode "A"))\n(assert (= mode "B"))\n(check-sat)\n'
+
+    def test_contradiction_beside_a_call_guard_is_pruned(self, oracle, tmp_path):
+        """``guard_call_neighbour`` runs ``exec`` under ``well_formed(cmd)``,
+        ``mode == "A"`` and ``mode == "B"``: the call is a fresh atom, so
+        it no longer hides the contradiction beside it."""
+        program = load_program(CORPORA / "guard_call_neighbour")
+        payload = scan(program, oracle, options=ScanOptions(emit_smt_dir=str(tmp_path)))
+        assert payload["funnel"] == {
+            "initial_flows": 1, "constraint_pruned": 1, "protected_dropped": 0, "budget_truncated": 0, "findings": 0
+        }
+        [smt] = tmp_path.glob("*.smt2")
+        assert smt.read_text() == (
+            '(declare-const g0@0 Bool)\n(declare-const mode String)\n'
+            '(assert g0@0)\n(assert (= mode "A"))\n(assert (= mode "B"))\n(check-sat)\n'
+        )
+
+    def test_smt_files_of_order_payment(self, oracle, tmp_path):
+        """``order_payment``'s ``status == "PRE_PAY"`` class keeps its SMT
+        file, and its ownership guard's class, whose member path
+        ``order.user_id`` is a variable, gains one."""
+        program = load_program(CORPORA / "order_payment")
+        scan(program, oracle, options=ScanOptions(emit_smt_dir=str(tmp_path)))
+        assert sorted(path.read_text() for path in tmp_path.glob("*.smt2")) == [
+            "(declare-const current String)\n(declare-const order.user_id String)\n"
+            "(assert (= order.user_id current))\n(check-sat)\n",
+            '(declare-const status String)\n(assert (= status "PRE_PAY"))\n(check-sat)\n',
+        ]
 
     def test_finding_shape_invariants(self, role_update_program, oracle):
         payload = scan(role_update_program, oracle)

@@ -1,10 +1,10 @@
 import collections
 import hashlib
 import json
+import re
 
 import pytest
 
-from privflow.constraints import PathConstraint, ConstCmp, And, BoolVar, Not
 from privflow.load import load_program
 from privflow.pipeline import ScanBudget, ScanOptions, Tracer, scan
 from privflow.reasoner import (
@@ -16,9 +16,6 @@ from privflow.reasoner import (
     ClassifyCheck,
     ClassifyPrivileged,
     ConfirmUserSource,
-    ConstraintExtraction,
-    ExtractConstraints,
-    GuardDescriptor,
     Memo,
     NextSearchAction,
     PrivilegedClass,
@@ -240,15 +237,19 @@ class TestAssessSufficiency:
 
 
 class TestConstraintsAndSources:
-    def test_guard_translation(self, oracle):
-        guards = (GuardDescriptor('mode == "A"', (("mode", "string"),)),)
-        verdict = oracle.reason(ExtractConstraints(guards))
-        assert verdict.constraint is not None
-        assert verdict.constraint.variables == (("mode", "string"),)
-
-    def test_helper_call_skips(self, oracle):
-        verdict = oracle.reason(ExtractConstraints((GuardDescriptor("is_admin(u)", ()),)))
-        assert verdict.constraint is None
+    def test_helper_call_guard_is_a_fresh_atom(self, oracle, tmp_path):
+        """``admin_guarded``'s ``is_admin(user)`` guard is a call, outside
+        the fragment: the scan translates it to a fresh boolean atom, so its
+        class has a constraint and an SMT file, and the backend is asked
+        nothing about it but whether the call is a check."""
+        backend = TaskLog()
+        payload = scan(load_program(CORPORA / "admin_guarded"), backend, options=ScanOptions(emit_smt_dir=str(tmp_path)))
+        assert payload["funnel"]["constraint_pruned"] == 0
+        [smt] = tmp_path.glob("*.smt2")
+        assert smt.read_text(encoding="utf-8") == "(declare-const g0@0 Bool)\n(assert g0@0)\n(check-sat)\n"
+        assert [t.source for t in backend.tasks if isinstance(t, ClassifyCheck) and t.attachment == "inline"] == [
+            "is_admin(user)"
+        ]
 
     def test_confirm_user_source(self, oracle):
         yes = oracle.reason(ConfirmUserSource("/api/updateProfile", ("/api",)))
@@ -307,11 +308,10 @@ class TestScriptedDeterminism:
             type(oracle.reason(ClassifyPrivileged("e", "update_role", UPDATE_ROLE_SRC))),
             type(oracle.reason(ClassifyCheck("e", "authz", "fn authz() { }", "decorator"))),
             type(oracle.reason(AssessSufficiency("f", "f(x)", "protected-state", ()))),
-            type(oracle.reason(ExtractConstraints(()))),
             type(oracle.reason(ConfirmUserSource("/x", ("/x",)))),
             type(oracle.reason(NextSearchAction(1, (), (), (), ("q_name",)))),
         }
-        assert produced == {PrivilegedClass, CheckClass, Sufficiency, ConstraintExtraction, UserSource, tuple}
+        assert produced == {PrivilegedClass, CheckClass, Sufficiency, UserSource, tuple}
 
     def test_unknown_task_rejected(self, oracle):
         with pytest.raises(TypeError):
@@ -443,21 +443,6 @@ class TestRemoteReasoner:
         verdict = backend.reason(ClassifyCheck("e1", "guard", "x.owner == me", "inline"))
         assert verdict == CheckClass("authz", "ownership", "compares owner")
 
-    def test_constraint_payload_parsed(self):
-        content = json.dumps(
-            {
-                "skip": False,
-                "variables": [{"name": "mode", "type": "string"}],
-                "formula": ["and", ["str_lit_cmp", "mode", "==", "A"]],
-                "rationale": "one guard",
-            }
-        )
-        backend = remote([_chat(content)], [])
-        verdict = backend.reason(ExtractConstraints((GuardDescriptor('mode == "A"', ()),)))
-        assert verdict.constraint == PathConstraint(
-            (("mode", "string"),), And((ConstCmp("mode", "==", "A"),))
-        )
-
     @pytest.mark.parametrize(
         "task, reply, message",
         [
@@ -577,15 +562,6 @@ PROMPT_SAMPLES = {
         ),
         {"verdict": "insufficient_authz"},
     ),
-    "ExtractConstraints": (
-        ExtractConstraints(
-            (
-                GuardDescriptor('role == "admin" && n > 2', (("n", "int"), ("role", "string"))),
-                GuardDescriptor("ok", (("ok", "bool"),)),
-            )
-        ),
-        {"skip": True},
-    ),
     "ConfirmUserSource": (ConfirmUserSource("/api/users", ("/api", "/admin")), {"is_user_source": True}),
     "NextSearchAction": (
         NextSearchAction(
@@ -608,7 +584,6 @@ PROMPT_DIGESTS = {
     "ClassifyCheck": "bc295b7359b625159a95bd9a233283dc933d04032187b5275abc0104896ee580",
     "ClassifyPrivileged": "b6cdc52f57021e8898fb01bec54993b1dc7c55c9b2e9d3df30f571abd9f56265",
     "ConfirmUserSource": "196fd1809b4e127cc98c0edad257afb474f1f473f7c4c0d917595c56ff75427d",
-    "ExtractConstraints": "ca56aa676268b42c9e4387a4815775c60a09edb9806d143568a47524b2314139",
     "NextSearchAction": "db7390b8a678863debe0847658827051a5bb3f7af6b5ae7c65faa2ff65843878",
 }
 
@@ -634,17 +609,15 @@ class TestRemotePrompts:
     def test_descriptors_are_json_objects(self):
         """The nested descriptors reach the prompt as objects with named
         fields, not as arrays."""
-        for name, key, fields in (
-            ("AssessSufficiency", "checks", ["classification", "name", "source", "subtype"]),
-            ("ExtractConstraints", "guards", ["source", "var_types"]),
-        ):
-            message = _user_message(*PROMPT_SAMPLES[name])
-            template = (PROMPTS_DIR / ("_".join(split_identifier(name)) + ".md")).read_text(encoding="utf-8")
-            before, after = template.split("{task_json}")
-            assert message.startswith(before) and message.endswith(after)
-            task_json = json.loads(message[len(before) : len(message) - len(after)])
-            assert task_json["task"] == name
-            assert [sorted(d) for d in task_json[key]] == [fields, fields]
+        name = "AssessSufficiency"
+        message = _user_message(*PROMPT_SAMPLES[name])
+        template = (PROMPTS_DIR / "assess_sufficiency.md").read_text(encoding="utf-8")
+        before, after = template.split("{task_json}")
+        assert message.startswith(before) and message.endswith(after)
+        task_json = json.loads(message[len(before) : len(message) - len(after)])
+        assert task_json["task"] == name
+        fields = ["classification", "name", "source", "subtype"]
+        assert [sorted(d) for d in task_json["checks"]] == [fields, fields]
 
 
 # --- per-scan verdict memo -------------------------------------------------------
@@ -715,7 +688,7 @@ class TestMemo:
         backend, tracer = TaskLog(), Tracer(OPEN_BUDGET)
         memo = Memo(backend, tracer)
         asked = ClassifyPrivileged("e1", "update_role", UPDATE_ROLE_SRC)
-        decided = ExtractConstraints(())
+        decided = AssessSufficiency("f", "f(x)", "protected-state", ())
         for task in (asked, decided, asked, decided):
             memo.reason(task)
         assert [(tool, args) for _, tool, args, _, _ in tracer.calls] == [
@@ -725,8 +698,8 @@ class TestMemo:
         assert tracer.reasoner_calls == {"privileged_ops": 1}
 
     def test_task_digest_is_the_canonical_task_json(self):
-        task = PROMPT_SAMPLES["ExtractConstraints"][0]
-        text = json.dumps({**task_fields(task), "task": "ExtractConstraints"}, sort_keys=True, separators=(",", ":"))
+        task = PROMPT_SAMPLES["AssessSufficiency"][0]
+        text = json.dumps({**task_fields(task), "task": "AssessSufficiency"}, sort_keys=True, separators=(",", ":"))
         assert task_digest(task) == hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert task_digest(ConfirmUserSource("/a", ("/",))) != task_digest(ConfirmUserSource("/a", ("/b",)))
 
@@ -781,14 +754,13 @@ class TestMemo:
         assert {r["args"]["task"] for r in lookups} <= {t.__name__ for t in TASKS}
 
     def test_fanout_asks_each_distinct_task_once(self, tmp_path):
-        """The fan-out's 256 paths share one ExtractConstraints and one
-        AssessSufficiency task and classify the same 16 endpoint guards:
-        2,563 tasks, 21 of them distinct, one of them the search's one
-        round plan. Each distinct task reaches the backend once, but for
-        the AssessSufficiency and the two ConfirmUserSource tasks: every
-        guard classifies as ``none``, so the sink holds no check, and a
-        route prefix covers each entry endpoint, so the memo answers
-        them."""
+        """The fan-out's 256 paths share one AssessSufficiency task and
+        classify the same 16 endpoint guards: 2,307 tasks, 20 of them
+        distinct, one of them the search's one round plan. Each distinct
+        task reaches the backend once, but for the AssessSufficiency and
+        the two ConfirmUserSource tasks: every guard classifies as
+        ``none``, so the sink holds no check, and a route prefix covers
+        each entry endpoint, so the memo answers them."""
         backend = TaskLog()
         payload = scan(load_program(write_fanout_corpus(tmp_path)), backend, ScanBudget(max_tool_calls_per_phase=10**9))
         assert payload["funnel"]["findings"] == 256
@@ -796,7 +768,6 @@ class TestMemo:
         assert collections.Counter(type(t).__name__ for t in backend.tasks) == {
             "NextSearchAction": 1,
             "ClassifyCheck": 16,
-            "ExtractConstraints": 1,
         }
 
 
@@ -812,14 +783,35 @@ class ProtectsEverything(ScriptedOracle):
         return super().reason(task)
 
 
-class PrunesEverything(ScriptedOracle):
-    """A backend that guesses a contradiction for every flow's guards."""
+#: A reply that parses as the verdict of every task kind and, besides,
+#: carries a path constraint in the reply format remote backends once used
+#: for a flow's guards: ``mode`` is ``"A"`` and is not ``"A"``.
+LYING_REPLY = {
+    "category": "none",
+    "classification": "none",
+    "subtype": "none",
+    "verdict": "unprotected",
+    "is_user_source": True,
+    "queries": [],
+    "skip": False,
+    "variables": [{"name": "mode", "type": "string"}],
+    "formula": ["and", ["str_lit_cmp", "mode", "==", "A"], ["not", ["str_lit_cmp", "mode", "==", "A"]]],
+    "rationale": "guessed",
+}
 
-    def reason(self, task):
-        if isinstance(task, ExtractConstraints):
-            ghost = BoolVar("ghost")
-            return ConstraintExtraction(PathConstraint((("ghost", "bool"),), And((ghost, Not(ghost)))), "guessed")
-        return super().reason(task)
+
+class PrunesEverything(RemoteReasoner):
+    """A remote backend that answers every request with ``LYING_REPLY``, a
+    contradiction for the flow's guards included, and keeps the kind of
+    each task it is asked in ``asked``."""
+
+    def __init__(self):
+        self.asked = []
+        super().__init__(RemoteConfig("http://fake/v1/chat/completions", "m"), transport=self._answer)
+
+    def _answer(self, url, headers, payload, timeout):
+        self.asked.append(re.search(r'"task": "(\w+)"', payload["messages"][1]["content"]).group(1))
+        return _chat(json.dumps(LYING_REPLY))
 
 
 class RejectsEverySource(ScriptedOracle):
@@ -832,16 +824,16 @@ class RejectsEverySource(ScriptedOracle):
 
 
 class TestDecidedTasks:
-    """A flow with no guard, a sink with no authorization check and an
-    endpoint a route prefix covers have one sound answer each, which the
-    scan's memo gives without asking the backend."""
+    """A sink with no authorization check and an endpoint a route prefix
+    covers have one sound answer each, which the scan's memo gives without
+    asking the backend; a flow's feasibility is never the backend's to
+    answer."""
 
     @pytest.mark.parametrize("corpus", CORPUS_NAMES)
     def test_no_backend_is_asked_what_the_program_decides(self, corpus, tmp_path):
         backend = TaskLog()
         payload = scan(load_program(_corpus_root(corpus, tmp_path)), backend, OPEN_BUDGET)
         assert not payload["budget"]["exhausted"]
-        assert not [t for t in backend.tasks if isinstance(t, ExtractConstraints) and not t.guards]
         assert not [t for t in backend.tasks if isinstance(t, AssessSufficiency) and not _authz_checks(t)]
         assert not [t for t in backend.tasks if isinstance(t, ConfirmUserSource) and covering_prefix(t)]
         if corpus == "gen-chain4x12":
@@ -857,24 +849,35 @@ class TestDecidedTasks:
         assert (finding["verdict"], finding["feasibility"]) == ("unprotected", "feasible")
         assert finding["rationale"] == "no authentication or authorization checks guard 'exec'"
 
-    @pytest.mark.parametrize("corpus", ["admin_guarded", "ownership_cancel"])
-    def test_a_constraint_on_no_guard_identifier_cannot_prune(self, corpus):
-        """``PrunesEverything`` answers every guarded flow with a
-        contradiction over ``ghost``, which no guard names: the extraction
-        counts as skipped, so nothing is pruned, and the funnel and the
-        findings are the scripted oracle's but for the skipped status."""
+    @pytest.mark.parametrize("corpus", ["admin_guarded", "ownership_cancel", "infeasible", "guard_call_neighbour"])
+    def test_no_backend_moves_constraint_pruned(self, corpus):
+        """The scan translates and checks every flow's guards itself: each
+        backend, ``PrunesEverything``'s contradiction included, leaves the
+        scripted oracle's pruned flows as they are."""
         program = load_program(CORPORA / corpus)
         expected = scan(program, ScriptedOracle())
-        payload = scan(program, PrunesEverything())
-        assert payload["funnel"]["constraint_pruned"] == 0
-        assert payload["funnel"] == expected["funnel"]
-        assert payload["protected_flows"] == expected["protected_flows"]
+        for backend in (PrunesEverything(), ProtectsEverything(), RejectsEverySource()):
+            payload = scan(program, backend)
+            assert payload["funnel"]["constraint_pruned"] == expected["funnel"]["constraint_pruned"]
+            assert payload["pruned_flows"] == expected["pruned_flows"]
+        assert expected["funnel"]["constraint_pruned"] == (corpus in ("infeasible", "guard_call_neighbour"))
 
-        def unconstrained(finding):
-            return {k: v for k, v in finding.items() if k not in ("constraint", "feasibility")}
-
-        assert [*map(unconstrained, payload["findings"])] == [*map(unconstrained, expected["findings"])]
-        assert {f["constraint"]["status"] for f in payload["findings"]} <= {"skipped"}
+    def test_a_lying_constraint_cannot_prune_a_translatable_guard(self):
+        """``translatable_guard`` runs ``exec(mode)`` under ``mode == "A"``
+        on a request value. A backend whose every reply says that ``mode``
+        is ``"A"`` and is not ``"A"`` is asked no task about the guards, so
+        the flow stays a feasible, unprotected finding."""
+        backend = PrunesEverything()
+        payload = scan(load_program(CORPORA / "translatable_guard"), backend)
+        assert backend.asked == ["NextSearchAction", "ClassifyCheck"]
+        assert not [kind for kind in backend.asked if "Constraint" in kind]
+        assert payload["funnel"] == {
+            "initial_flows": 1, "constraint_pruned": 0, "protected_dropped": 0, "budget_truncated": 0, "findings": 1
+        }
+        (finding,) = payload["findings"]
+        assert (finding["verdict"], finding["feasibility"], finding["constraint"]["status"]) == (
+            "unprotected", "feasible", "sat"
+        )
 
     @pytest.mark.parametrize("corpus", ["order_payment", "account_update"])
     def test_a_guess_cannot_drop_an_authentication_only_flow(self, corpus):

@@ -26,7 +26,7 @@ Covered outputs:
   wall-clock budget on the ``ticking`` clock: chain 4x12 at 19 and
   fan-out 8x2 at 32 seconds stop at a ``q_flow`` record inside the graph,
   at 82 and 60 seconds at the flow phase's last record, ``q_globalflow``,
-  and at 89 and 63 seconds in validation, after 3 of 48 and 1 of 2 path
+  and at 89 and 62 seconds in validation, after 6 of 48 and 1 of 2 path
   classes;
 * the three outputs of ``class_replay`` (``REPLAY``), whose two flows form
   one path class with a non-empty ``locate_checks`` call list: at an
@@ -87,10 +87,10 @@ GENERATED = {
     "gen/fanout8x2/open": ("fanout", (8, 2), None, 2),
     "gen/chain4x12/budget19s": ("chain", (4, 12), 19, 0),
     "gen/chain4x12/budget82s": ("chain", (4, 12), 82, 0),
-    "gen/chain4x12/budget89s": ("chain", (4, 12), 89, 3),
+    "gen/chain4x12/budget89s": ("chain", (4, 12), 89, 6),
     "gen/fanout8x2/budget32s": ("fanout", (8, 2), 32, 0),
     "gen/fanout8x2/budget60s": ("fanout", (8, 2), 60, 0),
-    "gen/fanout8x2/budget63s": ("fanout", (8, 2), 63, 1),
+    "gen/fanout8x2/budget62s": ("fanout", (8, 2), 62, 1),
 }
 
 
@@ -203,8 +203,8 @@ def test_shared_scan_renders_each_distinct_constraint_once(tmp_path, monkeypatch
     extracted, rendered = [], []
     real_extract, real_emit = pipeline.extract_path_constraints, pipeline.emit_smtlib
 
-    def counting_extract(groups, reasoner):
-        extracted.append(real_extract(groups, reasoner))
+    def counting_extract(groups, translate):
+        extracted.append(real_extract(groups, translate))
         return extracted[-1]
 
     def counting_emit(constraint):
@@ -222,8 +222,8 @@ def test_shared_scan_renders_each_distinct_constraint_once(tmp_path, monkeypatch
 
 def test_generated_fanout_validates_each_path_class_once(tmp_path, monkeypatch):
     """The 256 flows of fan-out 8x2 form 2 path classes of 128 flows,
-    one per sink: a scan validates each class once, records its 2 task
-    lookups per class (the first class's decided, the second's memo hits)
+    one per sink: a scan validates each class once, records its one task
+    lookup per class (the first class's decided, the second's a memo hit)
     and reports each class as one finding, and the outputs keep their
     checked-in digests."""
     called = collections.Counter()
@@ -246,8 +246,6 @@ def test_generated_fanout_validates_each_path_class_once(tmp_path, monkeypatch):
     records = [json.loads(line) for line in Path(TRACE).read_text(encoding="utf-8").splitlines()]
     validation = collections.Counter((r["tool"], r["args"]["task"]) for r in records if r["phase"] == "validation")
     assert validation == {
-        ("decided", "ExtractConstraints"): 1,
-        ("memo_hit", "ExtractConstraints"): 1,
         ("decided", "AssessSufficiency"): 1,
         ("memo_hit", "AssessSufficiency"): 1,
     }
@@ -268,8 +266,8 @@ def test_generated_outputs_match_checked_in_digests(name, tmp_path, monkeypatch)
         ("gen/fanout8x2/budget32s", "flow", "q_flow"),
         ("gen/chain4x12/budget82s", "flow", "q_globalflow"),
         ("gen/fanout8x2/budget60s", "flow", "q_globalflow"),
-        ("gen/chain4x12/budget89s", "validation", "memo_hit"),
-        ("gen/fanout8x2/budget63s", "validation", "memo_hit"),
+        ("gen/chain4x12/budget89s", "validation", "decided"),
+        ("gen/fanout8x2/budget62s", "validation", "memo_hit"),
     ],
 )
 def test_generated_budgets_run_out_where_their_digests_say(name, phase, last_tool, tmp_path, monkeypatch):
@@ -277,7 +275,7 @@ def test_generated_budgets_run_out_where_their_digests_say(name, phase, last_too
     keeps: inside the graph, at a source's one ``q_flow`` record, it lists
     no channel and no user source; at ``q_globalflow`` the channels and
     the user sources but no path class; in validation, at a class's
-    ``ExtractConstraints`` lookup, the classes validated before it, as
+    ``AssessSufficiency`` lookup, the classes validated before it, as
     the open scan reports them, and the rest as truncated."""
     monkeypatch.chdir(tmp_path)
     _generated_digests(name)
@@ -292,7 +290,7 @@ def test_generated_budgets_run_out_where_their_digests_say(name, phase, last_too
     if phase == "flow":
         assert funnel["initial_flows"] == 0
     else:
-        assert records[-1]["args"]["task"] == "ExtractConstraints"
+        assert records[-1]["args"]["task"] == "AssessSufficiency"
         assert funnel["initial_flows"] == full["funnel"]["initial_flows"]
         assert funnel["budget_truncated"] == funnel["initial_flows"] - funnel["findings"] > 0
         assert all(finding in full["findings"] for finding in payload["findings"])
@@ -307,8 +305,8 @@ def _validation_records() -> list[tuple]:
 def test_class_replay_validates_its_one_class_once(tmp_path, monkeypatch):
     """``class_replay``'s two flows are one path class: ``locate_checks``
     runs once, and the class's one finding counts both flows. Its
-    non-empty list of located calls is recorded once, between the
-    witness's ``ExtractConstraints`` and ``AssessSufficiency`` records."""
+    non-empty list of located calls is recorded once, before the witness's
+    ``ClassifyCheck`` and ``AssessSufficiency`` records."""
     called = collections.Counter()
     real = pipeline.locate_checks
 
@@ -323,12 +321,9 @@ def test_class_replay_validates_its_one_class_once(tmp_path, monkeypatch):
     assert called == {"locate_checks": 1}
     assert [(f["verdict"], f["witness_count"]) for f in payload["findings"]] == [("missing_authz", 2)]
     records = _validation_records()
-    assert [tool for tool, _ in records[1:-1]] == ["get_source", "q_cg", "get_source", "q_cg", "reason", "reason"]
+    assert [tool for tool, _ in records[:-1]] == ["get_source", "q_cg", "get_source", "q_cg", "reason", "reason"]
     assert [args["task"] for _, args in records[-3:-1]] == ["ClassifyCheck", "ClassifyCheck"]
-    assert [(tool, args["task"]) for tool, args in (records[0], records[-1])] == [
-        ("reason", "ExtractConstraints"),
-        ("decided", "AssessSufficiency"),
-    ]
+    assert (records[-1][0], records[-1][1]["task"]) == ("decided", "AssessSufficiency")
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from privflow.reasoner import (
     ClassifyCheck,
     ClassifyPrivileged,
     ConfirmUserSource,
-    ExtractConstraints,
     NextSearchAction,
     ScriptedOracle,
 )
@@ -104,7 +103,7 @@ def test_import_layers():
     """``model`` is the bottom layer and ``search`` reads only it.
     ``constraints`` imports no other stage: only ``model`` (its records are
     ``model.Record``s) and the MiniSrv expression parser that
-    ``translate_guards``, the scripted oracle's guard parser, uses. The
+    ``translate_guards``, the scan's guard translation, uses. The
     frontend is imported only by the loader, the CLI and ``constraints``,
     so the engine runs on facts from any frontend. The loader (and its
     per-file memo) reads only the frontend, the facts reader and ``model``,
@@ -138,7 +137,6 @@ def test_every_task_has_a_prompt_a_scripted_answer_and_a_remote_parse():
         ClassifyPrivileged: (ClassifyPrivileged("e", "f", "fn f() { }"), {"category": "none"}),
         ClassifyCheck: (ClassifyCheck("e", "g", "g()"), {"classification": "none", "subtype": "none"}),
         AssessSufficiency: (AssessSufficiency("f", "f(x)", "protected-state", ()), {"verdict": "unprotected"}),
-        ExtractConstraints: (ExtractConstraints(()), {"skip": True}),
         ConfirmUserSource: (ConfirmUserSource("/x", ("/x",)), {"is_user_source": True}),
         NextSearchAction: (NextSearchAction(1, ("s",), (), (), ("q_name",)), {"queries": [{"tool": "q_name"}]}),
     }
