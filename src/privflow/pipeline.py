@@ -163,25 +163,29 @@ class Tracer:
 
     ``phase`` is the phase the next record belongs to. ``per_phase``
     counts every record of a phase, and ``reasoner_calls`` its ``reason``
-    records, which the budget limits. A ``reasoner.Memo`` record keeps its
-    task, which ``write`` names by kind and ``task_digest``."""
+    records, which the budget limits. Only a tracer made with ``keep``
+    keeps the records themselves, in ``calls``, for ``write``: a scan
+    keeps them only when it writes a trace. A ``reasoner.Memo`` record
+    keeps its task, which ``write`` names by kind and ``task_digest``."""
 
-    def __init__(self, budget: ScanBudget):
+    def __init__(self, budget: ScanBudget, keep: bool = False):
         self.budget = budget
         self.phase = PHASE_PRIVOPS
-        # (phase, tool, args or task, result count, monotonic time) per record
-        self.calls: list[tuple] = []
+        # (phase, tool, args or task, result count, monotonic time) per
+        # record, or None when the records are not kept
+        self.calls: list[tuple] | None = [] if keep else None
         self.per_phase: dict[str, int] = {}
         self.reasoner_calls: dict[str, int] = {}
         self.started = time.monotonic()
 
     def record(self, tool: str, args, result_count: int) -> None:
-        """Keep one record of the current phase, then raise
-        ``BudgetExhausted`` if the phase's backend calls or the wall clock
-        are over the budget."""
+        """Count one record of the current phase, keep it if the tracer
+        keeps records, then raise ``BudgetExhausted`` if the phase's
+        backend calls or the wall clock are over the budget."""
         phase = self.phase
         at = time.monotonic()  # timing lives only in the trace, never in the report body
-        self.calls.append((phase, tool, args, result_count, at))
+        if self.calls is not None:
+            self.calls.append((phase, tool, args, result_count, at))
         self.per_phase[phase] = self.per_phase.get(phase, 0) + 1
         if tool == "reason":
             calls = self.reasoner_calls[phase] = self.reasoner_calls.get(phase, 0) + 1
@@ -193,8 +197,8 @@ class Tracer:
             raise BudgetExhausted(phase, f"exceeded {shown}s wall clock")
 
     def write(self, path: str | Path) -> None:
-        """One JSON line per record, built here: a scan that writes no
-        trace builds none, and digests no task."""
+        """One JSON line per kept record, built here: a scan that writes
+        no trace keeps no record, builds no line and digests no task."""
         lines = [
             json.dumps(
                 {
@@ -228,7 +232,10 @@ def find_privileged_ops(
 
     Each round asks the reasoner once for its plan, the round's queries,
     and runs them in order; an empty plan ends the loop, and so does a
-    round that adds no operation, whatever the next plan would be.
+    round that adds no operation, whatever the next plan would be. A
+    privileged operation is a call site, so a candidate function is asked
+    about only when it has a call site that is not yet an operation: no
+    verdict on any other candidate could add one.
 
     ``tracer`` records the calls as the ``privileged_ops`` phase, by
     default against ``ScanBudget()``. A bare backend is put behind a
@@ -285,6 +292,9 @@ def find_privileged_ops(
                     if el.kind is not ElementKind.FUNCTION or el.id in classified:
                         continue
                     classified.add(el.id)
+                    sites = [site for site in call_sites_of(service, el.id) if site.id not in ops]
+                    if not sites:
+                        continue
                     source = get_source(service, el)
                     tracer.record("get_source", {"service": service.name, "element": el.id}, 1)
                     verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
@@ -294,13 +304,11 @@ def find_privileged_ops(
                     tracer.record(
                         "q_cg", {"service": service.name, "function": el.name, "direction": "callers"}, len(callers)
                     )
-                    sites = [site for site in call_sites_of(service, el.id) if site.id not in ops]
                     for site in sites:
                         ops[site.id] = PrivilegedOperation(
                             site.id, service.name, verdict.category, f"call to {el.name}: {verdict.rationale}"
                         )
-                    if sites:
-                        added.append(f"{service.name}:{el.name}")
+                    added.append(f"{service.name}:{el.name}")
             if not added:
                 break
     except BudgetExhausted as exc:
@@ -540,7 +548,7 @@ def scan(
     if options.trace_path:
         Path(options.trace_path).write_text("", encoding="utf-8")
 
-    tracer = Tracer(budget)
+    tracer = Tracer(budget, keep=bool(options.trace_path))
     reasoner = Memo(reasoner, tracer)
     exhausted_reason: str | None = None
 
@@ -829,7 +837,7 @@ def _report_payload(
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 6,
+        "schema": 7,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {

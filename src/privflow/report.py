@@ -1,7 +1,7 @@
 """Report rendering and exit-status policy.
 
 The JSON payload produced by the pipeline is the single source of truth
-(schema field pinned at 6); markdown is derived from it, never computed
+(schema field pinned at 7); markdown is derived from it, never computed
 separately. Reports carry no timestamps so equal scans render byte-identically.
 ``exit_status`` and the markdown renderer read the payload's keys directly:
 their one producer, ``pipeline._report_payload``, always writes them.

@@ -598,14 +598,15 @@ class TestGraphCommand:
         assert all(re.fullmatch(statement, line) for line in lines[1:-1]), lines
 
     def test_exhausted_privops_budget_prints_partial_graph(self, runner, tmp_path):
-        """Forty helper functions whose names read as privileged are forty
-        ``ClassifyPrivileged`` backend calls after the round's plan: the
-        default budget runs out on the last, and the graph of the
+        """Forty called helper functions whose names read as privileged are
+        forty ``ClassifyPrivileged`` backend calls after the round's plan:
+        the default budget runs out on the last, and the graph of the
         operations found before it is printed."""
         helpers = "".join(f"fn update_role_{n}(u) {{\n  x = u\n}}\n" for n in range(40))
+        batch = "fn batch(u) {\n" + "".join(f"  update_role_{n}(u)\n" for n in range(40)) + "}\n"
         (tmp_path / "ops.msv").write_text(
             '@route("POST", "/run")\nfn run() {\n  cmd = request.param("cmd")\n  exec(cmd)\n  '
-            'http_post("/internal/run", cmd)\n}\n' + helpers,
+            'http_post("/internal/run", cmd)\n}\n' + helpers + batch,
             encoding="utf-8",
         )
         (tmp_path / "back.msv").write_text(

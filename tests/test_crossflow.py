@@ -213,7 +213,7 @@ class TestQUser:
         program = load_program(tmp_path)
         sources = {src.name: src for service in program.services for src in q_source(service)}
         assert sorted(sources) == ["/api/a", "/api/c", "/b", "/d"]
-        tracer = Tracer(ScanBudget(max_tool_calls_per_phase=1))
+        tracer = Tracer(ScanBudget(max_tool_calls_per_phase=1), keep=True)
         tracer.phase = "flow"
         with pytest.raises(BudgetExhausted) as err:
             q_user(program, Memo(oracle, tracer))

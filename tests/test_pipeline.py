@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -18,7 +19,16 @@ from privflow.crossflow import (
 from privflow import pipeline
 from privflow.load import load_program
 from privflow.model import Edge, EdgeKind, ElementKind, GatewayRoute, Manifest, ManifestService, Program, Service, call_callee
-from privflow.reasoner import Action, CheckClass, ClassifyPrivileged, NextSearchAction, ScriptedOracle
+from privflow.reasoner import (
+    PRIVILEGED_CATEGORIES,
+    Action,
+    CheckClass,
+    ClassifyPrivileged,
+    NextSearchAction,
+    PrivilegedClass,
+    ScriptedOracle,
+    task_digest,
+)
 from privflow.remote import RemoteConfig, RemoteReasoner
 from privflow.pipeline import (
     BudgetExhausted,
@@ -31,10 +41,11 @@ from privflow.pipeline import (
     locate_checks,
     scan,
 )
-from privflow.search import FlowPath
+from privflow.search import FlowPath, call_sites_of
 
-from conftest import CORPORA, make_element, path_hops
+from conftest import CORPORA, bench_gen, make_element, path_hops
 from path_reference import per_element_groups
+from privops_reference import ask_every_candidate
 
 
 class CountingOracle(ScriptedOracle):
@@ -123,6 +134,42 @@ class RemotePlanner(ScriptedOracle):
         return super().reason(task)
 
 
+class SeededClassifier(ScriptedOracle):
+    """Keeps every task it is asked. With a ``seed`` it answers
+    ``ClassifyPrivileged`` from a hash of the task and the seed, one of the
+    categories or None; it plans, and without a seed classifies, as the
+    scripted oracle does."""
+
+    def __init__(self, seed=None):
+        super().__init__()
+        self.seed = seed
+        self.tasks = []
+
+    def reason(self, task):
+        self.tasks.append(task)
+        if isinstance(task, ClassifyPrivileged) and self.seed is not None:
+            choices = PRIVILEGED_CATEGORIES + (None,)
+            draw = hashlib.sha256(f"{self.seed}:{task_digest(task)}".encode()).digest()[0]
+            return PrivilegedClass(choices[draw % len(choices)], f"seed {self.seed}")
+        return super().reason(task)
+
+    def of_kind(self, kind) -> list:
+        return [task for task in self.tasks if isinstance(task, kind)]
+
+
+PRIVOPS_PROGRAMS = sorted(p.name for p in CORPORA.iterdir() if p.is_dir()) + ["gen-chain4x12", "gen-fanout8x2"]
+
+
+def _privops_program(name: str, tmp_path) -> Program:
+    if name == "gen-chain4x12":
+        bench_gen().chain(1, 4, 12, tmp_path)
+    elif name == "gen-fanout8x2":
+        bench_gen().fanout(1, 8, 2, tmp_path)
+    else:
+        return load_program(CORPORA / name)
+    return load_program(tmp_path)
+
+
 class TestFindPrivilegedOps:
     def test_role_update_discovers_update_role(self, role_update_program, oracle):
         ops = find_privileged_ops(role_update_program, oracle)
@@ -131,6 +178,28 @@ class TestFindPrivilegedOps:
         assert op.category == "protected-state"
         placed = role_update_program.find_element(op.element)
         assert call_callee(placed[1]) == "update_role"
+
+    @pytest.mark.parametrize("name", PRIVOPS_PROGRAMS)
+    def test_same_operations_as_asking_every_candidate(self, name, tmp_path):
+        """Asking only about a function with a call site that is not yet an
+        operation finds the operations, and plans the rounds, that asking
+        about every candidate does: under the scripted oracle and under
+        backends that classify at random. Each candidate it leaves out has
+        no call site outside the operations found."""
+        program = _privops_program(name, tmp_path)
+        for seed in (None, 1, 2, 3, 4, 5):
+            asked, every = SeededClassifier(seed), SeededClassifier(seed)
+            ops = find_privileged_ops(program, asked, tracer=Tracer(OPEN_BUDGET))
+            assert ops == ask_every_candidate(program, every), seed
+            assert asked.of_kind(NextSearchAction) == every.of_kind(NextSearchAction), seed
+            classified = asked.of_kind(ClassifyPrivileged)
+            assert set(classified) <= set(every.of_kind(ClassifyPrivileged)), seed
+            for task in classified:
+                assert call_sites_of(program.find_element(task.element)[0], task.element), (seed, task.name)
+            op_ids = {op.element for op in ops}
+            for task in set(every.of_kind(ClassifyPrivileged)) - set(classified):
+                sites = call_sites_of(program.find_element(task.element)[0], task.element)
+                assert {site.id for site in sites} <= op_ids, (seed, task.name)
 
     def test_baseline_sinks_always_included(self, order_payment_program, oracle):
         ops = find_privileged_ops(order_payment_program, oracle)
@@ -193,7 +262,7 @@ class TestFindPrivilegedOps:
         """The tracer meters a bare backend's tasks: the fourth backend call
         exhausts a budget of three, and the raised ``BudgetExhausted``
         carries the operations found before it."""
-        tiny = Tracer(ScanBudget(max_tool_calls_per_phase=3))
+        tiny = Tracer(ScanBudget(max_tool_calls_per_phase=3), keep=True)
         with pytest.raises(BudgetExhausted) as err:
             find_privileged_ops(role_update_program, oracle, tracer=tiny)
         assert err.value.partial == find_privileged_ops(role_update_program, oracle)
@@ -496,14 +565,16 @@ class TestScan:
             funnel["constraint_pruned"] + funnel["protected_dropped"] + funnel["budget_truncated"] + funnel["findings"]
         )
 
-    def test_exhausting_reason_record_asks_no_task(self, order_payment_program, monkeypatch):
+    def test_exhausting_reason_record_asks_no_task(self, order_payment_program, role_update_program, monkeypatch):
         """Each reasoner lookup is recorded before it is answered, and each
         distinct task is asked once per scan. So the backend is asked only
         right after that task's ``reason`` record, never twice for one
         task, and never after the record that exhausts the budget. A
-        ``decided`` or ``memo_hit`` record asks nothing. With
-        ``basic_sink`` the privileged-operation phase asks nothing, so a
-        small budget runs out in validation, at each kind of task."""
+        ``decided`` or ``memo_hit`` record asks nothing. A small budget
+        runs out at each kind of task: at ``ClassifyPrivileged`` in
+        ``role_update``, whose ``update_role`` has a call site, and, with
+        ``basic_sink``, which asks nothing in the privileged-operation
+        phase, in ``order_payment``'s validation."""
         timeline = []
         record = Tracer.record
 
@@ -519,10 +590,11 @@ class TestScan:
         monkeypatch.setattr(Tracer, "record", logged_record)
         exhausted_on = set()
         memo_hits = 0
-        for basic_sink, calls in itertools.product((False, True), range(1, 8)):
+        programs = (order_payment_program, role_update_program)
+        for program, basic_sink, calls in itertools.product(programs, (False, True), range(1, 8)):
             timeline.clear()
             options = ScanOptions(basic_sink=basic_sink)
-            payload = scan(order_payment_program, LoggingOracle(), ScanBudget(max_tool_calls_per_phase=calls), options)
+            payload = scan(program, LoggingOracle(), ScanBudget(max_tool_calls_per_phase=calls), options)
             asked = [e[1] for e in timeline if e[0] == "ask"]
             assert len(asked) == len(set(asked)), calls
             for before, entry in zip(timeline, timeline[1:]):
@@ -599,6 +671,26 @@ class TestScan:
         assert str(exc.value) == "flow: exceeded 2 reasoner calls"
         assert tracer.per_phase == {"privileged_ops": 7, "flow": 4}
         assert tracer.reasoner_calls == {"privileged_ops": 2, "flow": 3}
+
+    def test_a_scan_keeps_records_only_for_its_trace(self, order_payment_program, tmp_path, monkeypatch):
+        """Without a trace path the scan's tracer keeps no record, only the
+        per-phase counters, and they and the budget read as with one."""
+        tracers = []
+
+        class KeptTracer(Tracer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tracers.append(self)
+
+        monkeypatch.setattr(pipeline, "Tracer", KeptTracer)
+        trace = tmp_path / "trace.jsonl"
+        untraced = scan(order_payment_program, ScriptedOracle())
+        traced = scan(order_payment_program, ScriptedOracle(), options=ScanOptions(trace_path=str(trace)))
+        bare, kept = tracers
+        assert bare.calls is None
+        assert len(kept.calls) == len(trace.read_text().splitlines()) > 0
+        assert (bare.per_phase, bare.reasoner_calls) == (kept.per_phase, kept.reasoner_calls)
+        assert untraced["budget"] == traced["budget"]
 
     def test_bare_boolean_guard_is_feasible(self, oracle, tmp_path):
         body = 'cmd = request.param("cmd")\n  on = true\n  if on {\n    exec(cmd)\n  }'

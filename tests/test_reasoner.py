@@ -685,7 +685,7 @@ class TestMemo:
         """A ``Memo`` bound to a tracer records each lookup before it
         answers: ``reason`` for a backend call, ``decided`` for a task the
         program answers, ``memo_hit`` for a stored verdict."""
-        backend, tracer = TaskLog(), Tracer(OPEN_BUDGET)
+        backend, tracer = TaskLog(), Tracer(OPEN_BUDGET, keep=True)
         memo = Memo(backend, tracer)
         asked = ClassifyPrivileged("e1", "update_role", UPDATE_ROLE_SRC)
         decided = AssessSufficiency("f", "f(x)", "protected-state", ())
