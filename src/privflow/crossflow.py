@@ -297,28 +297,18 @@ class GlobalPath(Record):
     starts at the node the previous one ends at, and ``id`` hashes them."""
 
     _fields = ("segments",)
-    __slots__ = ("segments", "node_ids", "id", "flow_segments", "services")
+    __slots__ = ("segments", "node_ids", "id")
 
     def __init__(self, segments: tuple[FlowPath | ChannelEdge, ...]) -> None:
         if not segments:
             raise ValueError("GlobalPath needs at least one segment")
         ids: list[str] = []
-        flow_segments: list[FlowPath] = []
-        services: list[str] = []
         for segment in segments:
-            if isinstance(segment, FlowPath):
-                chain = segment.elements
-                flow_segments.append(segment)
-                if not services or services[-1] != segment.service:
-                    services.append(segment.service)
-            else:
-                chain = (segment.from_element, segment.to_element)
+            chain = segment.elements if isinstance(segment, FlowPath) else (segment.from_element, segment.to_element)
             ids.extend(chain[1:] if ids and ids[-1] == chain[0] else chain)
         self.segments = segments
         self.node_ids = tuple(ids)
         self.id = short_id("p", ids)
-        self.flow_segments = tuple(flow_segments)
-        self.services = tuple(services)
 
     @property
     def source(self) -> str:

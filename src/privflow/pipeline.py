@@ -127,11 +127,10 @@ class CheckFinding(NamedTuple):
 
 class PathClass(NamedTuple):
     """What validation made of one path class, shared by every path of the
-    class: its constraint (None when a guard does not parse) and that
-    constraint's status, the checks located and the ``AssessSufficiency``
-    verdict. A pruned class has no checks and no verdict."""
+    class: its constraint's status (skipped when a guard does not parse),
+    the checks located and the ``AssessSufficiency`` verdict. A pruned
+    class has no checks and no verdict."""
 
-    constraint: object  # a constraints.PathConstraint, or None
     status: str  # pruned | sat | unknown | skipped
     checks: tuple[CheckFinding, ...]
     sufficiency: object  # a reasoner.Sufficiency, None when pruned
@@ -532,8 +531,8 @@ def scan(
 
     Each path segment (hop) a finding passes has one record, in the
     report's ``hops`` table, and each element a finding names one, in its
-    ``elements`` table: a finding's path lists hop ids, and its evidence
-    and each flow hop's steps list element ids. Every other record is
+    ``elements`` table: a finding's path lists hop ids, and each flow
+    hop's steps and each check name element ids. Every other record is
     built per finding, so the payload is a tree: no dict or list appears
     in it twice."""
     budget = budget or ScanBudget()
@@ -669,22 +668,15 @@ def _validate_path(
         smt_file = f"{witness.id}.smt2"
         (smt_dir / smt_file).write_text(smt_text(constraint), encoding="utf-8")
     if status == "pruned":
-        return PathClass(constraint, status, (), None), smt_file
+        return PathClass(status, (), None), smt_file
 
     checks, contexts, ctx_ids = locate_checks(groups, reasoner, record, max_hops, candidates)
     context_ids.update(ctx_ids)
     sufficiency = assess_flow(program, privop, checks, contexts, reasoner)
-    return PathClass(constraint, status, tuple(checks), sufficiency), smt_file
+    return PathClass(status, tuple(checks), sufficiency), smt_file
 
 
 # --- report payload ---------------------------------------------------------------------
-
-
-def _evidence(flow: GlobalPath, checks) -> list[str]:
-    """Ids of the elements on the path, then of its checks, each once, at
-    its first mention."""
-    on_path = itertools.chain.from_iterable(segment.elements for segment in flow.flow_segments)
-    return [*dict.fromkeys(itertools.chain(on_path, (check.element for check in checks)))]
 
 
 def _report_payload(
@@ -708,7 +700,9 @@ def _report_payload(
     ``witness_count``, its ``PathClass`` and its SMT file; the classes
     after the last of them were cut by the budget. A pruned or protected
     class leaves the funnel, and every other class is a finding built from
-    those four."""
+    those four. A finding's path is its list of hop ids: the services it
+    passes and the elements it names are read from those hops and its
+    checks, and its ``id`` hashes its flow hops' steps."""
     # each path segment a finding passes has one record in ``hops``, keyed
     # by an id derived from its node ids as a path's id is, and each
     # element a finding names one in ``elements``, entered when the first
@@ -793,14 +787,9 @@ def _report_payload(
             "feasibility": "feasible" if path_class.status == "sat" else "unknown",
             "rationale": path_class.sufficiency.rationale,
             "privileged_operation": dict(op_records[witness.sink]),
-            "path": {
-                "id": witness.id,
-                "services": [*witness.services],
-                "hops": [*map(hop_id, witness.segments)],
-            },
+            "path": {"hops": [*map(hop_id, witness.segments)]},
             "checks": check_dicts(path_class.checks),
             "constraint": {"status": path_class.status, "smt_file": smt_file},
-            "evidence": _evidence(witness, path_class.checks),
         }
 
     def finding_sort_key(fd: dict):
@@ -837,7 +826,7 @@ def _report_payload(
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 7,
+        "schema": 8,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {

@@ -1,10 +1,10 @@
 """Report rendering and exit-status policy.
 
-The JSON payload produced by the pipeline is the single source of truth
-(schema field pinned at 7); markdown is derived from it, never computed
-separately. Reports carry no timestamps so equal scans render byte-identically.
-``exit_status`` and the markdown renderer read the payload's keys directly:
-their one producer, ``pipeline._report_payload``, always writes them.
+The JSON payload produced by the pipeline is the single source of truth;
+markdown is derived from it, never computed separately. Reports carry no
+timestamps so equal scans render byte-identically. ``exit_status`` and the
+markdown renderer read the payload's keys directly: their one producer,
+``pipeline._report_payload``, always writes them and states the schema.
 
 The JSON text is exactly ``json.dumps(payload, indent=2, sort_keys=True) +
 "\n"``, produced mostly by the stdlib's C encoder, which has no indented
@@ -219,7 +219,6 @@ def _render_md(payload: dict) -> str:
                 out(f"  - {c['attachment']} `{label}`: {c['classification']}{subtype}: {c['rationale']}")
         else:
             out("- Checks found on path: none")
-        out(f"- Evidence snippets: {len(finding['evidence'])}")
     out("")
 
     channels = payload["channels"]

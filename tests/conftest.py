@@ -73,6 +73,11 @@ def path_hops(payload: dict, finding: dict) -> list[dict]:
     return [payload["hops"][hop_id] for hop_id in finding["path"]["hops"]]
 
 
+def flow_steps(payload: dict, finding: dict) -> list[str]:
+    """The element ids of a finding's flow hops' steps, in path order."""
+    return [eid for hop in path_hops(payload, finding) if hop["type"] == "flow" for eid in hop["steps"]]
+
+
 def lower_snippet(text: str, service: str = "svc", file: str = "svc.msv") -> Service:
     """Parse and lower an inline MiniSrv snippet."""
     return lower(parse_source(text, file), service)

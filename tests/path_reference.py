@@ -8,7 +8,12 @@ from __future__ import annotations
 
 from privflow.crossflow import GlobalGraph, GlobalPath
 from privflow.model import Program
-from privflow.search import service_index
+from privflow.search import FlowPath, service_index
+
+
+def flow_segments(path: GlobalPath) -> list[FlowPath]:
+    """The path's intra-service flow segments, in path order."""
+    return [segment for segment in path.segments if isinstance(segment, FlowPath)]
 
 
 def all_simple_paths(graph: GlobalGraph, sources, sinks) -> list[GlobalPath]:
@@ -46,7 +51,7 @@ def per_element_groups(program: Program, path: GlobalPath) -> list[tuple]:
     guards in order of first appearance. A function met again, in a later
     segment, keeps its group."""
     groups = {}
-    for segment in path.flow_segments:
+    for segment in flow_segments(path):
         service = program.service(segment.service)
         index = service_index(service)
         for eid in segment.elements:

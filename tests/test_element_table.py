@@ -11,7 +11,7 @@ from privflow.model import call_callee, short_id
 from privflow.pipeline import ScanBudget, scan
 from privflow.reasoner import ScriptedOracle
 
-from conftest import CORPORA, bench_gen, path_hops
+from conftest import CORPORA, bench_gen, flow_steps, path_hops
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
 CORPUS_NAMES = sorted(p.name for p in CORPORA.iterdir() if p.is_dir())
@@ -31,18 +31,14 @@ def _scan(case: str, tmp_path: Path):
 
 @pytest.mark.parametrize("case", CORPUS_NAMES + [*GENERATED])
 def test_findings_name_exactly_the_elements_of_the_table(case, tmp_path):
-    """Every id a finding's evidence or a flow hop's steps name is a key of
-    ``elements``, every key is named by some finding, and each record is
-    its element's facts. A finding's evidence lists its path's elements,
-    then its checks', each once, at its first mention."""
+    """The keys of ``elements`` are exactly the ids that findings' flow hop
+    steps and checks name, and each record is its element's facts."""
     program, payload = _scan(case, tmp_path)
     elements = payload["elements"]
     named: set[str] = set()
     for finding in payload["findings"]:
-        steps = [eid for hop in path_hops(payload, finding) if hop["type"] == "flow" for eid in hop["steps"]]
-        checks = [check["element"] for check in finding["checks"]]
-        assert finding["evidence"] == [*dict.fromkeys(steps + checks)]
-        named.update(finding["evidence"])
+        named.update(flow_steps(payload, finding))
+        named.update(check["element"] for check in finding["checks"])
     assert named == set(elements)
     if case in GENERATED:
         assert elements
@@ -65,11 +61,13 @@ def test_findings_name_exactly_the_hops_of_the_table(case, tmp_path):
     named by some finding, and every flow hop's steps are keys of
     ``elements``. A hop's id is ``short_id("h", ...)`` of its node ids:
     a flow's steps, or the elements a channel joins, the last step before
-    it and the first after it."""
+    it and the first after it. A finding's id is ``short_id("p", ...)`` of
+    its flow hops' steps, in path order."""
     _, payload = _scan(case, tmp_path)
     hops = payload["hops"]
     named: set[str] = set()
     for finding in payload["findings"]:
+        assert finding["id"] == short_id("p", flow_steps(payload, finding))
         hop_ids = finding["path"]["hops"]
         assert set(hop_ids) <= set(hops)
         named.update(hop_ids)

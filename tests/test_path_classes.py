@@ -24,7 +24,7 @@ from privflow.pipeline import (
 )
 from privflow.reasoner import ScriptedOracle
 
-from path_reference import all_simple_paths, per_element_groups, reference_classes
+from path_reference import all_simple_paths, flow_segments, per_element_groups, reference_classes
 from conftest import CORPORA, bench_gen, path_hops, write_fanout_corpus
 
 OPEN = ScanBudget(max_tool_calls_per_phase=10**9)
@@ -255,7 +255,7 @@ def test_a_cyclic_graph_has_a_class_per_summary_around_the_cycle(tmp_path):
     privops = find_privileged_ops(program, ScriptedOracle(), tracer=Tracer(OPEN))
     graph, sources = search_inputs(program, privops)
     result = q_globalflow(program, graph, sources, privops)
-    assert [len(witness.flow_segments) for witness in result.paths] == [3, 1]
+    assert [len(flow_segments(witness)) for witness in result.paths] == [3, 1]
     assert result.counts == [1, 1] and not result.truncated
     around = result.paths[0]
     assert around.node_ids.count(around.source) == 2

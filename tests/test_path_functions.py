@@ -30,12 +30,12 @@ from privflow.reasoner import ClassifyCheck, ScriptedOracle
 from privflow import search
 from privflow.search import FlowPath, identifiers, service_index
 
-from path_reference import all_simple_paths, per_element_groups
+from path_reference import all_simple_paths, flow_segments, per_element_groups
 from conftest import (
     CORPORA,
     bench_gen,
+    flow_steps,
     make_element,
-    path_hops,
     scan_decorator_checks,
     scan_guard_var_types,
     write_fanout_corpus,
@@ -196,7 +196,7 @@ def old_guard_list(program: Program, path: GlobalPath) -> tuple[tuple[str, tuple
     """The guard walk ``extract_path_constraints`` made of its own, as the
     ``(source, var_types)`` pairs it translates."""
     guards, seen = [], set()
-    for segment in path.flow_segments:
+    for segment in flow_segments(path):
         service = program.service(segment.service)
         if service is None:
             continue
@@ -213,7 +213,7 @@ def old_candidates(program: Program, path: GlobalPath) -> list[tuple[str, str]]:
     """(element, attachment) of each check candidate, in the order the old
     per-function grouping and second guard walk classified them."""
     groups = {}
-    for segment in path.flow_segments:
+    for segment in flow_segments(path):
         service = program.service(segment.service)
         if service is None:
             continue
@@ -257,7 +257,7 @@ def test_reentered_function_is_one_group(tmp_path):
     classes = q_globalflow(program, graph, sources, privops)
     [flow], [summary] = classes.paths, classes.summaries
     assert [flow] == all_flows(program)
-    assert [segment.service for segment in flow.flow_segments] == ["store", "relay", "store"]
+    assert [segment.service for segment in flow_segments(flow)] == ["store", "relay", "store"]
     groups = summary_groups(program, summary)
     assert [(service.name, fn.name, [g.source for g in guards]) for service, fn, guards in groups] == [
         ("store", "handle", ['m != "stop"', 'v != ""']),
@@ -305,10 +305,11 @@ def test_fanout_findings_share_one_record_per_element(tmp_path):
     payload = scan(program, ScriptedOracle(), OPEN)
     findings = payload["findings"]
     assert len(findings) == 256
-    entries = [entry for f in findings for entry in f["evidence"]]
-    assert len(entries) == 10_240
+    # a fan-out finding names no check, so its elements are its flow steps
+    steps = [eid for f in findings for eid in flow_steps(payload, f)]
+    assert len(steps) == 10_240 and not any(f["checks"] for f in findings)
     elements = payload["elements"]
-    assert set(entries) == set(elements) and len(elements) == 94
+    assert set(steps) == set(elements) and len(elements) == 94
     for eid, entry in elements.items():
         el = program.service(entry["service"]).element(eid)
         assert entry == {
@@ -319,8 +320,6 @@ def test_fanout_findings_share_one_record_per_element(tmp_path):
             "line": el.location.line,
             "source": el.source,
         }
-    steps = [s for f in findings for hop in path_hops(payload, f) if hop["type"] == "flow" for s in hop["steps"]]
-    assert set(steps) == set(elements)
     ops = payload["privileged_operations"]
     assert len(ops) == 2
     assert all(f["privileged_operation"] in ops for f in findings)

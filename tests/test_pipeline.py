@@ -43,7 +43,7 @@ from privflow.pipeline import (
 )
 from privflow.search import FlowPath, call_sites_of
 
-from conftest import CORPORA, bench_gen, make_element, path_hops
+from conftest import CORPORA, bench_gen, flow_steps, make_element, path_hops
 from path_reference import per_element_groups
 from privops_reference import ask_every_candidate
 
@@ -512,7 +512,7 @@ class TestScan:
     def test_evidence_is_verbatim_source(self, role_update_program, oracle):
         payload = scan(role_update_program, oracle)
         for finding in payload["findings"]:
-            for eid in finding["evidence"]:
+            for eid in flow_steps(payload, finding) + [check["element"] for check in finding["checks"]]:
                 snippet = payload["elements"][eid]
                 service = role_update_program.service(snippet["service"])
                 element = service.element(eid)

@@ -34,7 +34,7 @@ from privflow.reasoner import (
 )
 from privflow.remote import ATTEMPTS, PROMPTS_DIR, RETRY_BACKOFF_S, RemoteConfig, RemoteReasoner, _parse_verdict
 
-from conftest import CORPORA, bench_gen, write_fanout_corpus
+from conftest import CORPORA, bench_gen, path_hops, write_fanout_corpus
 
 UPDATE_ROLE_SRC = 'fn update_role(u, r) {\n  userstore.save(u, r)\n}'
 CAN_SWITCH_SRC = 'fn can_switch_roles(u) {\n  r = db.read("select allowed")\n  return r\n}'
@@ -914,7 +914,7 @@ class TestDecidedTasks:
         payload = scan(load_program(tmp_path), backend)
         asked = [t for t in backend.tasks if isinstance(t, ConfirmUserSource)]
         assert asked == [ConfirmUserSource("/other", ("/api",)), ConfirmUserSource("consume", ("/api",))]
-        assert [payload["elements"][f["evidence"][0]]["name"] for f in payload["findings"]] == ["/api/run"]
+        assert [payload["elements"][path_hops(payload, f)[0]["steps"][0]]["name"] for f in payload["findings"]] == ["/api/run"]
 
     def test_the_decided_verdict_reads_the_backends_rules(self, tmp_path):
         raw = json.loads((__import__("privflow.reasoner", fromlist=["RULES_RESOURCE"]).RULES_RESOURCE).read_text())

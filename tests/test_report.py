@@ -248,8 +248,9 @@ SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "report-schema.md"
 
 
 def test_schema_doc_lists_the_report_fields(role_update_program, oracle):
-    """docs/report-schema.md names every top-level field of a report in its
-    table, and its finding example has a finding's keys."""
+    """docs/report-schema.md's title names the report's schema version, its
+    table names every top-level field of a report, and its finding example
+    has a finding's keys and a finding path's keys."""
     doc = SCHEMA_DOC.read_text(encoding="utf-8")
     table = doc.split("Top-level fields:", 1)[1].split("\n\n", 2)[1]
     documented = {name for row in table.splitlines()[2:] for name in re.findall(r"`(\w+)`", row.split("|")[1])}
@@ -257,7 +258,9 @@ def test_schema_doc_lists_the_report_fields(role_update_program, oracle):
     payload = scan(role_update_program, oracle)
     assert payload["findings"]
     assert documented == set(payload)
+    assert re.search(r"^# Scan report schema \(version (\d+)\)$", doc, re.M).group(1) == str(payload["schema"])
     assert set(example) == set(payload["findings"][0])
+    assert set(example["path"]) == set(payload["findings"][0]["path"])
     budget_row = next(row for row in table.splitlines() if row.startswith("| `budget` |"))
     assert set(re.findall(r"`(\w+)`", budget_row)) >= set(payload["budget"])
 
