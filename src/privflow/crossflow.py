@@ -311,10 +311,6 @@ class GlobalPath(Record):
         self.id = short_id("p", ids)
 
     @property
-    def source(self) -> str:
-        return self.node_ids[0]
-
-    @property
     def sink(self) -> str:
         return self.node_ids[-1]
 

@@ -26,19 +26,21 @@ classes: a flow's class is its sink plus its check summary, the function
 groups that can carry a check (see ``ServiceIndex.check_relevant``) with
 their guards, and every flow of one class gives constraint translation,
 check location and the sufficiency assessment the same inputs. So they
-read the class's summary once, the class's witness records their tool
-calls and names the class's one SMT file, and the class leaves the funnel
-as that outcome says: pruned, protected, or a finding with its
-``witness_count``.
+read the class's summary once, the class's witness names the class's one
+SMT file, and the class leaves the funnel as that outcome says: pruned,
+protected, or a finding with its ``witness_count``.
 
 Classes share most of their summary entries, segments and check
 candidates, and their guards often translate to one constraint. So a scan
 keeps, for its length, each summary entry's function group, each
-segment's hop id, each check candidate's ``ClassifyCheck`` task, each
-distinct guard list's translation, and each distinct constraint's
-``check_sat`` verdict and SMT-LIB text, each in a cache keyed by the
-entry, the segment, the candidate's element id, the guards' sources and
-declared types, or the constraint value.
+segment's hop id, what locating each check candidate found (its check,
+context sources and context ids), each distinct guard list's
+translation, and each distinct constraint's ``check_sat`` verdict and
+SMT-LIB text, each in a cache keyed by the entry, the segment, the
+candidate's element id, the guards' sources and declared types, or the
+constraint value. A candidate's tool calls and its ``ClassifyCheck``
+lookup are recorded once per scan, by the first class that locates it;
+each validated class records its ``AssessSufficiency`` lookup.
 """
 
 from __future__ import annotations
@@ -299,10 +301,6 @@ def find_privileged_ops(
                     verdict = reasoner.reason(ClassifyPrivileged(element=el.id, name=el.name, source=source))
                     if verdict.category is None:
                         continue
-                    callers = q_cg(service, el.id, "callers")
-                    tracer.record(
-                        "q_cg", {"service": service.name, "function": el.name, "direction": "callers"}, len(callers)
-                    )
                     for site in sites:
                         ops[site.id] = PrivilegedOperation(
                             site.id, service.name, verdict.category, f"call to {el.name}: {verdict.rationale}"
@@ -365,32 +363,10 @@ def extract_path_constraints(groups, translate: Callable = translate_guards):
 # --- check localization --------------------------------------------------------------
 
 
-class CheckCandidate(Record):
-    """One check candidate's ``ClassifyCheck`` task, the tool calls that
-    built it, each as ``record``'s arguments ``(tool, args, count)``, and
-    the ids of the elements it read."""
-
-    __slots__ = ("task", "calls", "context_ids")
-
-
-def check_candidate(service: Service, element: Element, attachment: str, max_hops: int) -> CheckCandidate:
-    """The candidate an inline conditional or a decorator-attached check
-    function makes: the function's source with its helpers' sources
-    (``_helper_contexts``) as context, or the conditional's own source."""
-    if attachment == "inline":
-        task = ClassifyCheck(element=element.id, name="", source=element.source, attachment="inline")
-        return CheckCandidate(task, (), (element.id,))
-    calls: list[tuple[str, dict, int]] = []
-    source = get_source(service, element)
-    calls.append(("get_source", {"service": service.name, "element": element.id}, 1))
-    context_ids = {element.id}
-    helper_sources = _helper_contexts(
-        service, element, max_hops - 1, context_ids, lambda tool, args, count: calls.append((tool, args, count))
-    )
-    task = ClassifyCheck(
-        element=element.id, name=element.name, source=source, attachment="decorator", context=tuple(helper_sources)
-    )
-    return CheckCandidate(task, tuple(calls), tuple(context_ids))
+#: What locating one check candidate found: its ``CheckFinding`` (None when
+#: the reasoner classifies it as no check), its context sources and the ids
+#: of the elements it read.
+LocatedCandidate = tuple[CheckFinding | None, tuple[str, ...], tuple[str, ...]]
 
 
 def locate_checks(
@@ -398,92 +374,79 @@ def locate_checks(
     reasoner,
     record: Recorder = unrecorded,
     max_hops: int = 4,
-    candidates: dict[str, CheckCandidate] | None = None,
+    candidates: dict[str, LocatedCandidate] | None = None,
 ) -> tuple[list[CheckFinding], list[str], set[str]]:
     """AuthN/authZ checks correlated with a flow.
 
     Reads the flow's function groups (``_function_group``). For every
-    function on the path, collects decorator-attached check functions
-    (following decorator -> check -> helper call chains up to
-    ``max_hops``) and the inline conditionals whose guarded block contains
-    the flow. Every tool call goes to ``record(tool, args, count)``.
-    Returns (checks, context snippets, context element ids). The reasoner
-    records its own tasks.
+    function on the path, collects its decorator-attached check functions
+    and the inline conditionals whose guarded block contains the flow. A
+    check function is classified with the sources of the functions it
+    calls within ``max_hops - 1`` call hops as context, found by one
+    ``q_cg`` walk; a conditional with its own source. Every tool call goes
+    to ``record(tool, args, count)``, and the reasoner records its own
+    tasks. Returns (checks, context snippets, context element ids).
 
-    ``candidates`` maps an element id to its ``check_candidate``, built at
-    ``max_hops``; the scan passes one for its length, so each candidate is
-    built once, and every flow still records the tool calls that built it.
+    ``candidates`` maps an element id to what locating it found; the scan
+    passes one for its length, so each candidate's tool calls are recorded
+    and its ``ClassifyCheck`` asked once per scan, by the first path class
+    that reaches it.
     """
     checks: list[CheckFinding] = []
     contexts: list[str] = []
     context_ids: set[str] = set()
-    seen_candidates: set[str] = set()
+    seen: set[str] = set()
     if candidates is None:
         candidates = {}
 
-    def classify(service: Service, element: Element, attachment: str) -> None:
-        if element.id in seen_candidates:
-            return
-        seen_candidates.add(element.id)
-        candidate = candidates.get(element.id)
-        if candidate is None:
-            candidate = candidates[element.id] = check_candidate(service, element, attachment, max_hops)
-        task = candidate.task
-        for call in candidate.calls:
-            record(*call)
-        context_ids.update(candidate.context_ids)
-        contexts.extend(task.context)
+    def locate(service: Service, element: Element, attachment: str) -> LocatedCandidate:
+        name, source, helpers = "", element.source, []
+        if attachment == "decorator":
+            name, source = element.name, get_source(service, element)
+            record("get_source", {"service": service.name, "element": element.id}, 1)
+            if max_hops > 1:
+                helpers = q_cg(service, element.id, "callees", depth=max_hops - 1)
+                args = {"service": service.name, "function": element.id, "direction": "callees", "depth": max_hops - 1}
+                record("q_cg", args, len(helpers))
+        helper_sources = []
+        for helper in helpers:
+            helper_sources.append(get_source(service, helper))
+            record("get_source", {"service": service.name, "element": helper.id}, 1)
+        task = ClassifyCheck(
+            element=element.id, name=name, source=source, attachment=attachment, context=tuple(helper_sources)
+        )
         verdict = reasoner.reason(task)
+        check = None
         if verdict.classification != "none":
-            checks.append(
-                CheckFinding(
-                    element=task.element,
-                    service=service.name,
-                    name=task.name,
-                    classification=verdict.classification,
-                    authz_subtype=verdict.authz_subtype,
-                    attachment=task.attachment,
-                    rationale=verdict.rationale,
-                    source=task.source,
-                )
+            check = CheckFinding(
+                element=element.id,
+                service=service.name,
+                name=name,
+                classification=verdict.classification,
+                authz_subtype=verdict.authz_subtype,
+                attachment=attachment,
+                rationale=verdict.rationale,
+                source=source,
             )
+        return check, task.context, (element.id, *(helper.id for helper in helpers))
 
     for service, fn, guards in groups:
         if fn is None:
             continue
-        for check_fn in service_index(service).decorator_checks.get(fn.id, ()):
-            classify(service, check_fn, "decorator")
-        for cond in sorted(guards, key=element_order):
-            classify(service, cond, "inline")
+        attached = [(check_fn, "decorator") for check_fn in service_index(service).decorator_checks.get(fn.id, ())]
+        for element, attachment in attached + [(cond, "inline") for cond in sorted(guards, key=element_order)]:
+            if element.id in seen:
+                continue
+            seen.add(element.id)
+            found = candidates.get(element.id)
+            if found is None:
+                found = candidates[element.id] = locate(service, element, attachment)
+            check, sources, ids = found
+            if check is not None:
+                checks.append(check)
+            contexts.extend(sources)
+            context_ids.update(ids)
     return checks, contexts, context_ids
-
-
-def _helper_contexts(
-    service: Service, check_fn: Element, hops: int, context_ids: set[str], record: Recorder
-) -> list[str]:
-    """Sources of functions reachable from the check within the hop budget."""
-    sources: list[str] = []
-    if hops <= 0:
-        return sources
-    frontier = [check_fn.id]
-    visited = {check_fn.id}
-    for _ in range(hops):
-        nxt: list[str] = []
-        for fid in frontier:
-            callees = q_cg(service, fid, "callees")
-            record("q_cg", {"service": service.name, "function": fid, "direction": "callees"}, len(callees))
-            for callee in callees:
-                if callee.id in visited:
-                    continue
-                visited.add(callee.id)
-                sources.append(get_source(service, callee))
-                record("get_source", {"service": service.name, "element": callee.id}, 1)
-                context_ids.add(callee.id)
-                nxt.append(callee.id)
-        frontier = nxt
-        if not frontier:
-            break
-    return sources
 
 
 # --- sufficiency ----------------------------------------------------------------------
@@ -593,10 +556,10 @@ def scan(
         decide = functools.cache(check_sat)
         smt_text = functools.cache(emit_smtlib)
         # classes often share a summary entry and a check candidate: each
-        # entry is resolved to its function group and each candidate built
+        # entry is resolved to its function group and each candidate located
         # once per scan
         group_of = functools.cache(functools.partial(_function_group, program))
-        candidates: dict[str, CheckCandidate] = {}
+        candidates: dict[str, LocatedCandidate] = {}
         for witness, summary, count in zip(classes.paths, classes.summaries, classes.counts):
             try:
                 path_class, smt_file = _validate_path(
@@ -642,20 +605,22 @@ def _validate_path(
     translate: Callable,
     decide: Callable,
     smt_text: Callable,
-    candidates: dict[str, CheckCandidate],
+    candidates: dict[str, LocatedCandidate],
 ) -> tuple[PathClass, str | None]:
     """One path class through the funnel, validated from its check summary
-    under its witness: returns the class's ``PathClass`` and the name of the SMT file written
-    for it, None when none was. ``extract_path_constraints`` and
-    ``locate_checks`` read the function groups of the class's check
-    summary, the same for every path of the class, and ``assess_flow``
-    reads what they found, so the outcome is each path's. The SMT file
-    carries the witness's id.
+    under its witness: returns the class's ``PathClass`` and the name of
+    the SMT file written for it, None when none was.
+    ``extract_path_constraints`` and ``locate_checks`` read the function
+    groups of the class's check summary, the same for every path of the
+    class, and ``assess_flow`` reads what they found, so the outcome is
+    each path's. The SMT file carries the witness's id. A class that is
+    not pruned records its ``AssessSufficiency`` lookup, and the tool
+    calls and ``ClassifyCheck`` of each candidate no class located before.
 
     ``group_of`` is ``_function_group``, ``translate`` is
     ``translate_guards``, ``decide`` is ``check_sat`` and ``smt_text`` is
     ``emit_smtlib``; the scan passes all four memoized, and
-    ``candidates``, ``locate_checks``' cache of check candidates."""
+    ``candidates``, ``locate_checks``' cache of located candidates."""
     groups = [group_of(entry) for entry in summary]
     constraint = extract_path_constraints(groups, translate)
     status = "skipped"
@@ -826,7 +791,7 @@ def _report_payload(
 
     entry = program.manifest.entry_service()
     payload = {
-        "schema": 8,
+        "schema": 9,
         "tool": "privflow",
         "reasoner": reasoner_name,
         "options": {

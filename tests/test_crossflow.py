@@ -769,7 +769,7 @@ def _check_path_facts(path):
     assert path.node_ids == node_ids
     assert path.id == short_id("p", node_ids)
     first, last = path.segments[0], path.segments[-1]
-    assert path.source == (first.elements[0] if isinstance(first, FlowPath) else first.from_element)
+    assert path.node_ids[0] == (first.elements[0] if isinstance(first, FlowPath) else first.from_element)
     assert path.sink == (last.elements[-1] if isinstance(last, FlowPath) else last.to_element)
     assert path.id is path.id and path.node_ids is path.node_ids
     fresh = GlobalPath(path.segments)

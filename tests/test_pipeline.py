@@ -14,6 +14,8 @@ from privflow.crossflow import (
     build_global_graph,
     match_channels,
     q_globalflow,
+    q_inter,
+    q_source,
     q_user,
 )
 from privflow import pipeline
@@ -41,9 +43,9 @@ from privflow.pipeline import (
     locate_checks,
     scan,
 )
-from privflow.search import FlowPath, call_sites_of
+from privflow.search import FlowPath, call_sites_of, get_source, q_ast, q_cg, q_flow, q_name
 
-from conftest import CORPORA, bench_gen, flow_steps, make_element, path_hops
+from conftest import CORPORA, bench_gen, flow_steps, make_element, path_hops, write_fanout_corpus
 from path_reference import per_element_groups
 from privops_reference import ask_every_candidate
 
@@ -325,11 +327,13 @@ class TestLocateChecks:
         assert oracle.calls == {"ClassifyCheck": 1}
         assert calls.count("get_source") == 1 and len(context_ids) == 1
 
-    def test_a_scan_builds_each_check_candidate_once(self, tmp_path, monkeypatch):
+    def test_a_scan_builds_each_check_candidate_once(self, tmp_path):
         """Two path classes, one per sink, pass one decorator check with a
-        helper. The scan builds the check's candidate once, and each class
-        records the calls that built it, as ``locate_checks`` records them
-        without the scan's cache."""
+        helper. The first class records the calls that locate the check, as
+        ``locate_checks`` records them without the scan's cache: its
+        source, one ``q_cg`` walk and its helper's source, then its one
+        ``ClassifyCheck``. The second class records nothing before its
+        ``AssessSufficiency`` lookup."""
         program = _service_corpus(
             tmp_path,
             'fn token_of(u) {\n  return session.get("token")\n}\n\n'
@@ -337,17 +341,8 @@ class TestLocateChecks:
             "@auth(has_session)\nfn run(cmd) {\n  exec(cmd)\n  db.write(cmd)\n}\n\n"
             '@route("POST", "/a")\nfn a() {\n  run(request.param("cmd"))\n}\n',
         )
-        built = collections.Counter()
-        real = pipeline.check_candidate
-
-        def counting(service, element, attachment, max_hops):
-            built[element.name] += 1
-            return real(service, element, attachment, max_hops)
-
-        monkeypatch.setattr(pipeline, "check_candidate", counting)
         trace = tmp_path / "trace.jsonl"
         payload = scan(program, ScriptedOracle(), OPEN_BUDGET, ScanOptions(trace_path=str(trace)))
-        assert built == {"has_session": 1}
         records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
         # each class's records end at its AssessSufficiency lookup
         located: list[list] = [[]]
@@ -356,20 +351,19 @@ class TestLocateChecks:
                 continue
             if r["args"].get("task") == "AssessSufficiency":
                 located.append([])
-            elif "task" not in r["args"]:
-                located[-1].append((r["tool"], r["args"]))
+            else:
+                located[-1].append((r["tool"], r["args"].get("task", r["args"])))
         located.pop()
 
         privops, _ = first_flow(program, ScriptedOracle())
         graph = build_global_graph(program, privops, match_channels(program))
         witnesses = q_globalflow(program, graph, q_user(program, ScriptedOracle()), privops).paths
-        assert len(witnesses) == len(payload["findings"]) == 2
-        assert len(located) == 2
-        for witness, calls_in_scan in zip(witnesses, located):
-            calls = []
-            locate_checks(per_element_groups(program, witness), ScriptedOracle(), lambda *call: calls.append(call[:2]))
-            assert [tool for tool, _ in calls] == ["get_source", "q_cg", "get_source", "q_cg"]
-            assert calls_in_scan == calls
+        assert len(witnesses) == len(payload["findings"]) == len(located) == 2
+        calls = []
+        locate_checks(per_element_groups(program, witnesses[0]), ScriptedOracle(), lambda *call: calls.append(call[:2]))
+        assert [tool for tool, _ in calls] == ["get_source", "q_cg", "get_source"]
+        assert calls[1][1]["depth"] == 3
+        assert located == [[*calls, ("reason", "ClassifyCheck")], []]
 
     def test_guard_over_two_functions_is_classified_once(self):
         """A conditional whose block holds two functions of the path (a
@@ -565,12 +559,16 @@ class TestScan:
             funnel["constraint_pruned"] + funnel["protected_dropped"] + funnel["budget_truncated"] + funnel["findings"]
         )
 
-    def test_exhausting_reason_record_asks_no_task(self, order_payment_program, role_update_program, monkeypatch):
+    def test_exhausting_reason_record_asks_no_task(
+        self, order_payment_program, role_update_program, monkeypatch, tmp_path
+    ):
         """Each reasoner lookup is recorded before it is answered, and each
         distinct task is asked once per scan. So the backend is asked only
         right after that task's ``reason`` record, never twice for one
         task, and never after the record that exhausts the budget. A
-        ``decided`` or ``memo_hit`` record asks nothing. A small budget
+        ``decided`` or ``memo_hit`` record asks nothing: the guarded
+        fan-out 2x2's four path classes look up one ``decided``
+        ``AssessSufficiency``, three times from the memo. A small budget
         runs out at each kind of task: at ``ClassifyPrivileged`` in
         ``role_update``, whose ``update_role`` has a call site, and, with
         ``basic_sink``, which asks nothing in the privileged-operation
@@ -590,7 +588,7 @@ class TestScan:
         monkeypatch.setattr(Tracer, "record", logged_record)
         exhausted_on = set()
         memo_hits = 0
-        programs = (order_payment_program, role_update_program)
+        programs = (order_payment_program, role_update_program, load_program(write_fanout_corpus(tmp_path, 2, 2)))
         for program, basic_sink, calls in itertools.product(programs, (False, True), range(1, 8)):
             timeline.clear()
             options = ScanOptions(basic_sink=basic_sink)
@@ -718,14 +716,62 @@ class TestScan:
         with pytest.raises(ProgramInvalid):
             scan(broken, oracle)
 
-    def test_trace_written_and_replayable(self, role_update_program, oracle, tmp_path):
+    def test_trace_written_and_replayable(self, tmp_path):
+        """Every primitive record of a scan's trace, run again through its
+        primitive, gives its ``result_count``: on each corpus, with and
+        without on-demand context. A ``q_flow`` record runs again with one
+        sink selector per target; the reasoner lookups and the
+        whole-program ``q_user`` and ``q_globalflow`` records are not
+        primitive calls."""
+        replay = {
+            "q_ast": lambda service, args: q_ast(service, args["kind"]),
+            "q_name": lambda service, args: q_name(service, args["pattern"], args["mode"]),
+            "get_source": lambda service, args: [get_source(service, args["element"])],
+            "q_cg": lambda service, args: q_cg(service, args["function"], args["direction"], args["depth"]),
+            "q_source": lambda service, args: q_source(service),
+            "q_inter": lambda service, args: q_inter(service).channels,
+            "q_flow": lambda service, args: q_flow(service, args["from"], *args["to"]),
+        }
+        replayed = collections.Counter()
+        phases = set()
         trace_path = tmp_path / "trace.jsonl"
-        scan(role_update_program, oracle, options=ScanOptions(trace_path=str(trace_path)))
-        lines = trace_path.read_text().splitlines()
-        assert lines
-        records = [json.loads(line) for line in lines]
-        assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
-        assert {r["phase"] for r in records} == {"privileged_ops", "flow", "validation"}
+        for corpus in sorted(p for p in CORPORA.iterdir() if p.is_dir()):
+            program = load_program(corpus)
+            for on_demand_context in (True, False):
+                options = ScanOptions(on_demand_context=on_demand_context, trace_path=str(trace_path))
+                scan(program, ScriptedOracle(), options=options)
+                records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+                assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
+                phases |= {r["phase"] for r in records}
+                for r in records:
+                    if r["tool"] not in replay:
+                        assert r["tool"] in ("reason", "decided", "memo_hit", "q_user", "q_globalflow"), r
+                        continue
+                    service = program.service(r["args"]["service"])
+                    assert len(replay[r["tool"]](service, r["args"])) == r["result_count"], (corpus.name, r)
+                    replayed[r["tool"]] += 1
+        assert set(replayed) == set(replay)
+        assert phases == {"privileged_ops", "flow", "validation"}
+
+    def test_a_scan_asks_each_check_candidate_once(self, tmp_path):
+        """No ``ClassifyCheck`` is looked up twice in a scan, on any corpus
+        under any option set. The guarded fan-out 4x2's 16 path classes
+        pass its 8 guards, each an inline candidate whose one record is its
+        ``ClassifyCheck``: validation records those 8, then one
+        ``AssessSufficiency`` lookup per class."""
+        trace_path = tmp_path / "trace.jsonl"
+        fanout = load_program(write_fanout_corpus(tmp_path, 4, 2))
+        programs = [load_program(corpus) for corpus in sorted(p for p in CORPORA.iterdir() if p.is_dir())]
+        variants = ({}, {"basic_sink": True}, {"on_demand_context": False})
+        for program, options in itertools.product([*programs, fanout], variants):
+            scan(program, ScriptedOracle(), OPEN_BUDGET, ScanOptions(trace_path=str(trace_path), **options))
+            records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+            digests = [r["args"]["digest"] for r in records if r["args"].get("task") == "ClassifyCheck"]
+            assert len(digests) == len(set(digests))
+        payload = scan(fanout, ScriptedOracle(), OPEN_BUDGET)
+        guards = [e for service in fanout.services for e in service.elements if e.kind is ElementKind.CONDITIONAL]
+        assert (len(guards), payload["funnel"]["findings"]) == (8, 16)
+        assert payload["budget"]["tool_calls"]["validation"] == len(guards) + 16 == 24
 
     def test_smt_emission_for_infeasible_flow(self, oracle, tmp_path):
         program = load_program(CORPORA / "infeasible")

@@ -267,12 +267,15 @@ def test_schema_doc_lists_the_report_fields(role_update_program, oracle):
 
 def test_schema_doc_lists_the_trace_record_kinds(role_update_program, oracle, tmp_path):
     """docs/report-schema.md's trace table has a row for every record kind
-    a scan writes, and only for those that exist."""
+    a scan writes, and only for those that exist. The guarded fan-out
+    2x2's four path classes repeat one ``decided`` ``AssessSufficiency``,
+    so its scan writes ``memo_hit`` records."""
     doc = SCHEMA_DOC.read_text(encoding="utf-8")
     table = doc.split("## Trace", 1)[1].split("| tool |", 1)[1].split("\n\n", 1)[0]
     documented = {name for row in table.splitlines()[2:] for name in re.findall(r"`(\w+)`", row.split("|")[1])}
     tools = set()
-    for program in (role_update_program, load_program(CORPORA / "order_payment")):
+    fanout = load_program(write_fanout_corpus(tmp_path, 2, 2))
+    for program in (role_update_program, load_program(CORPORA / "order_payment"), fanout):
         trace = tmp_path / "trace.jsonl"
         scan(program, oracle, options=ScanOptions(trace_path=str(trace)))
         tools |= {json.loads(line)["tool"] for line in trace.read_text(encoding="utf-8").splitlines()}

@@ -305,8 +305,9 @@ def _validation_records() -> list[tuple]:
 def test_class_replay_validates_its_one_class_once(tmp_path, monkeypatch):
     """``class_replay``'s two flows are one path class: ``locate_checks``
     runs once, and the class's one finding counts both flows. Its
-    non-empty list of located calls is recorded once, before the witness's
-    ``ClassifyCheck`` and ``AssessSufficiency`` records."""
+    decorator check's located calls, its source, one ``q_cg`` walk and its
+    helper's source, are recorded once, before the class's two
+    ``ClassifyCheck`` records and its ``AssessSufficiency`` record."""
     called = collections.Counter()
     real = pipeline.locate_checks
 
@@ -321,7 +322,7 @@ def test_class_replay_validates_its_one_class_once(tmp_path, monkeypatch):
     assert called == {"locate_checks": 1}
     assert [(f["verdict"], f["witness_count"]) for f in payload["findings"]] == [("missing_authz", 2)]
     records = _validation_records()
-    assert [tool for tool, _ in records[:-1]] == ["get_source", "q_cg", "get_source", "q_cg", "reason", "reason"]
+    assert [tool for tool, _ in records[:-1]] == ["get_source", "q_cg", "get_source", "reason", "reason"]
     assert [args["task"] for _, args in records[-3:-1]] == ["ClassifyCheck", "ClassifyCheck"]
     assert (records[-1][0], records[-1][1]["task"]) == ("decided", "AssessSufficiency")
 
